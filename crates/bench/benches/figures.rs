@@ -1,7 +1,7 @@
 //! End-to-end transfer benchmarks: one scaled-down data point from each of
 //! the paper's main comparisons, so `cargo bench` exercises every code path
-//! the figure binaries use (the full-scale tables come from the `fig*`
-//! binaries, not Criterion).
+//! the exhibits use (the full-scale tables come from `ddio-bench run fig*`,
+//! not Criterion).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use ddio_core::{run_transfer, AccessPattern, LayoutPolicy, MachineConfig, Method};

@@ -4,9 +4,9 @@
 //! ```text
 //! ddio-bench list [--format table|json]
 //! ddio-bench run <scenario>|all [--jobs N] [--format table|json|csv]
-//!                [--out FILE] [--trials N] [--seed N] [--file-mb N]
-//!                [--small-records 0|1] [--sched LIST] [--cache LIST]
-//!                [--cache-bufs N] [--topology LIST] [--net LIST]
+//!                [--out FILE] [--perf] [--trials N] [--seed N] [--file-mb N]
+//!                [--small-records 0|1] [--cache-bufs N]
+//!                [--where AXIS=V1,V2 ...]
 //! ```
 //!
 //! The `DDIO_*` environment variables provide the defaults (see the crate
@@ -16,9 +16,9 @@
 use std::io::Write;
 
 use ddio_core::experiment::pool;
-use ddio_core::experiment::scenario::{self, Scenario};
+use ddio_core::experiment::scenario::{self, Cell, Scenario};
 use ddio_core::{
-    ArrivalSet, CacheSet, ContentionSet, FaultSet, QosSet, RedundancySet, SchedSet, TopologySet,
+    ArrivalProcess, ContentionModel, FaultPolicy, QosPolicy, RedundancyPolicy, TopologyKind,
 };
 
 use crate::report::{self, ScenarioRun};
@@ -27,7 +27,7 @@ use crate::Scale;
 /// Output format of `ddio-bench run`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Format {
-    /// Human-readable aligned tables (the exhibit binaries' output).
+    /// Human-readable aligned tables (the paper exhibits' report).
     Table,
     /// One JSON document with a stable schema.
     Json,
@@ -51,30 +51,87 @@ pub struct RunCommand {
     pub perf: bool,
     /// Scaling knobs after environment + flag resolution.
     pub scale: Scale,
-    /// Scheduling policies the `sched-sweep` scenario runs (all by default;
-    /// other scenarios fix their own policies and ignore this).
-    pub scheds: SchedSet,
-    /// Cache compositions the `cache-sweep` scenario runs (all by default;
-    /// other scenarios fix their own composition and ignore this).
-    pub caches: CacheSet,
-    /// Topologies the `net-sweep` scenario runs (all by default; other
-    /// scenarios run the machine-wide fabric from `DDIO_NET_TOPOLOGY`).
-    pub topologies: TopologySet,
-    /// Contention models the `net-sweep` scenario runs (all by default).
-    pub contentions: ContentionSet,
-    /// Fault policies the `fault-sweep` scenario runs (all by default;
-    /// other scenarios use the machine-wide `DDIO_FAULT_POLICY`).
-    pub fault_policies: FaultSet,
-    /// Redundancy policies the `fault-sweep` scenario runs (all by default).
-    pub redundancies: RedundancySet,
-    /// Arrival processes the `serve-sweep` scenario runs (all by default;
-    /// other scenarios use the machine-wide `DDIO_ARRIVAL_PROCESS`).
-    pub arrivals: ArrivalSet,
-    /// QoS policies the `serve-sweep` scenario runs (all by default).
-    pub qos_policies: QosSet,
+    /// The `--where` clauses: a cell runs only if, for every clause whose
+    /// axis it has, its coordinate is one of the clause's values.
+    pub filters: Vec<Where>,
 }
 
-const USAGE: &str = "\
+/// One `--where AXIS=V1,V2` clause over [`Cell::coordinates`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Where {
+    /// The coordinate name (`sched`, `topology`, `bufs`, ...).
+    pub axis: String,
+    /// The accepted values.
+    pub values: Vec<String>,
+}
+
+impl Where {
+    /// Parses `AXIS=V1,V2`.
+    fn parse(s: &str) -> Result<Where, String> {
+        let (axis, list) = s
+            .split_once('=')
+            .ok_or_else(|| format!("--where {s:?}: expected AXIS=VALUE[,VALUE...]"))?;
+        let values: Vec<String> = list
+            .split(',')
+            .map(str::trim)
+            .filter(|v| !v.is_empty())
+            .map(str::to_owned)
+            .collect();
+        if axis.trim().is_empty() || values.is_empty() {
+            return Err(format!("--where {s:?}: expected AXIS=VALUE[,VALUE...]"));
+        }
+        Ok(Where {
+            axis: axis.trim().to_owned(),
+            values,
+        })
+    }
+
+    /// True unless `cell` has this clause's axis at a value not listed.
+    fn keeps(&self, cell: &Cell) -> bool {
+        cell.coordinates()
+            .iter()
+            .all(|(axis, value)| *axis != self.axis || self.values.contains(value))
+    }
+
+    /// Rejects an axis no cell has, or a value no cell takes, naming the
+    /// valid choices among `cells`.
+    fn check(&self, cells: &[Cell]) -> Result<(), String> {
+        let mut axes: Vec<&'static str> = Vec::new();
+        let mut values: Vec<String> = Vec::new();
+        for cell in cells {
+            for (axis, value) in cell.coordinates() {
+                if !axes.contains(&axis) {
+                    axes.push(axis);
+                }
+                if axis == self.axis && !values.contains(&value) {
+                    values.push(value);
+                }
+            }
+        }
+        if !axes.contains(&self.axis.as_str()) {
+            return Err(format!(
+                "--where: unknown axis {:?} (the selected cells have: {})",
+                self.axis,
+                axes.join(", ")
+            ));
+        }
+        match self.values.iter().find(|v| !values.contains(v)) {
+            Some(v) => Err(format!(
+                "--where: unknown {} value {v:?} (the selected cells have: {})",
+                self.axis,
+                values.join(", ")
+            )),
+            None => Ok(()),
+        }
+    }
+}
+
+/// The `--help` text. The policy names and the scenario list come from the
+/// enums and the registry, so they cannot drift from what the CLI accepts.
+fn usage() -> String {
+    let scenarios: Vec<&str> = scenario::registry().iter().map(|s| s.name).collect();
+    format!(
+        "\
 ddio-bench: unified scenario runner for the disk-directed-I/O reproduction
 
 USAGE:
@@ -92,45 +149,47 @@ OPTIONS (run):
     --seed N              base random seed (default: env DDIO_SEED or 1994)
     --file-mb N           file size in MiB (default: env DDIO_FILE_MB or 10)
     --small-records 0|1   run the 8-byte-record half of fig3/fig4
-    --sched LIST          comma-separated policies for the sched-sweep
-                          scenario: fcfs|sstf|cscan|presort (default: all)
-    --cache LIST          comma-separated cache compositions for the
-                          cache-sweep scenario; each is +-separated policy
-                          names from lru|mru|clock, none|one|strided,
-                          through|onfull|watermark, or `default`
-                          (e.g. `mru,lru+strided`; default: all)
     --cache-bufs N        TC cache buffers per disk per CP (default:
                           env DDIO_CACHE_BUFS or 2)
-    --topology LIST       comma-separated topologies for the net-sweep
-                          scenario: torus|mesh|hypercube|crossbar
-                          (default: all)
-    --net LIST            comma-separated contention models for the
-                          net-sweep scenario: ni-only|link (default: all)
-    --faults LIST         comma-separated fault policies for the fault-sweep
-                          scenario: none|cacheless|worn|transient|failure
-                          (default: all)
-    --redundancy LIST     comma-separated redundancy policies for the
-                          fault-sweep scenario: none|mirror|parity
-                          (default: all)
-    --arrival LIST        comma-separated arrival processes for the
-                          serve-sweep scenario: poisson|bursty (default: all)
-    --qos LIST            comma-separated QoS policies for the serve-sweep
-                          scenario: fifo|fair-share|weighted|tenant-priority
-                          (default: all)
+    --where AXIS=V1,V2    run only the cells whose AXIS coordinate is one of
+                          the values; repeatable, and a cell without AXIS
+                          always runs (e.g. `--where sched=fcfs,presort`,
+                          `--where topology=mesh --where net=link`). Axes:
+                          pattern, method, sched, layout, topology, net,
+                          faults, redundancy, arrival, qos; replacement,
+                          prefetch, write (cells that run a cache); and each
+                          scenario's sweep axes (cps, bufs, load, ...)
 
-The machine-wide fabric of every other scenario comes from the environment:
-DDIO_NET_TOPOLOGY (default torus) and DDIO_NET_CONTENTION (default ni-only);
-likewise DDIO_FAULT_POLICY (default none) and DDIO_FAULT_REDUNDANCY (default
-none) set every other scenario's fault composition, and DDIO_ARRIVAL_PROCESS
-(default closed-loop) with DDIO_ARRIVAL_QOS, DDIO_ARRIVAL_TENANTS, and
-DDIO_ARRIVAL_REQUESTS set the machine-wide serving composition.
+The machine-wide composition of every scenario that does not sweep it comes
+from the environment:
+    DDIO_NET_TOPOLOGY      {} (default {})
+    DDIO_NET_CONTENTION    {} (default {})
+    DDIO_FAULT_POLICY      {} (default {})
+    DDIO_FAULT_REDUNDANCY  {} (default {})
+    DDIO_ARRIVAL_PROCESS   {} (default {})
+    DDIO_ARRIVAL_QOS       {} (default {})
+with DDIO_ARRIVAL_TENANTS and DDIO_ARRIVAL_REQUESTS sizing open-loop serving.
 
 Scenarios (see `ddio-bench list` for descriptions and headline results):
-table1 fig3 fig4 fig5 fig6 fig7 fig8 mixed-rw degraded-disk sched-sweep
-cache-sweep record-cp-cross net-sweep fault-sweep serve-sweep";
+{}",
+        TopologyKind::expected(),
+        TopologyKind::default(),
+        ContentionModel::expected(),
+        ContentionModel::default(),
+        FaultPolicy::expected(),
+        FaultPolicy::default(),
+        RedundancyPolicy::expected(),
+        RedundancyPolicy::default(),
+        ArrivalProcess::expected(),
+        ArrivalProcess::default(),
+        QosPolicy::expected(),
+        QosPolicy::default(),
+        scenarios.join(" "),
+    )
+}
 
 fn usage_err(message: impl Into<String>) -> String {
-    format!("{}\n\n{USAGE}", message.into())
+    format!("{}\n\n{}", message.into(), usage())
 }
 
 /// Parses a numeric flag value that must be a positive integer.
@@ -157,15 +216,8 @@ pub fn parse_run(
     let mut seed: Option<u64> = None;
     let mut file_mib: Option<u64> = None;
     let mut small_records: Option<bool> = None;
-    let mut scheds = SchedSet::all();
-    let mut caches = CacheSet::all();
     let mut cache_bufs: Option<usize> = None;
-    let mut topologies = TopologySet::all();
-    let mut contentions = ContentionSet::all();
-    let mut fault_policies = FaultSet::all();
-    let mut redundancies = RedundancySet::all();
-    let mut arrivals = ArrivalSet::all();
-    let mut qos_policies = QosSet::all();
+    let mut filters = Vec::new();
     let mut perf = false;
 
     let mut it = args.iter();
@@ -205,50 +257,13 @@ pub fn parse_run(
             "--file-mb" => {
                 file_mib = Some(parse_at_least_one("--file-mb", &flag_value("--file-mb")?)?);
             }
-            "--sched" => {
-                let v = flag_value("--sched")?;
-                scheds =
-                    SchedSet::parse_list(&v).map_err(|e| usage_err(format!("--sched: {e}")))?;
-            }
-            "--cache" => {
-                let v = flag_value("--cache")?;
-                caches =
-                    CacheSet::parse_list(&v).map_err(|e| usage_err(format!("--cache: {e}")))?;
-            }
             "--cache-bufs" => {
                 cache_bufs = Some(
                     parse_at_least_one("--cache-bufs", &flag_value("--cache-bufs")?)? as usize,
                 );
             }
-            "--topology" => {
-                let v = flag_value("--topology")?;
-                topologies = TopologySet::parse_list(&v)
-                    .map_err(|e| usage_err(format!("--topology: {e}")))?;
-            }
-            "--net" => {
-                let v = flag_value("--net")?;
-                contentions =
-                    ContentionSet::parse_list(&v).map_err(|e| usage_err(format!("--net: {e}")))?;
-            }
-            "--faults" => {
-                let v = flag_value("--faults")?;
-                fault_policies =
-                    FaultSet::parse_list(&v).map_err(|e| usage_err(format!("--faults: {e}")))?;
-            }
-            "--redundancy" => {
-                let v = flag_value("--redundancy")?;
-                redundancies = RedundancySet::parse_list(&v)
-                    .map_err(|e| usage_err(format!("--redundancy: {e}")))?;
-            }
-            "--arrival" => {
-                let v = flag_value("--arrival")?;
-                arrivals =
-                    ArrivalSet::parse_list(&v).map_err(|e| usage_err(format!("--arrival: {e}")))?;
-            }
-            "--qos" => {
-                let v = flag_value("--qos")?;
-                qos_policies =
-                    QosSet::parse_list(&v).map_err(|e| usage_err(format!("--qos: {e}")))?;
+            "--where" => {
+                filters.push(Where::parse(&flag_value("--where")?).map_err(usage_err)?);
             }
             "--small-records" => {
                 let v = flag_value("--small-records")?;
@@ -319,6 +334,15 @@ pub fn parse_run(
         }
         list
     };
+    // Check the filters against the cells they will select from, so a typo
+    // fails before any simulation starts.
+    if !filters.is_empty() {
+        let params = scale.sweep_params();
+        let cells: Vec<Cell> = scenarios.iter().flat_map(|s| (s.build)(&params)).collect();
+        for filter in &filters {
+            filter.check(&cells).map_err(usage_err)?;
+        }
+    }
     Ok(RunCommand {
         scenarios,
         jobs,
@@ -326,14 +350,7 @@ pub fn parse_run(
         out,
         perf,
         scale,
-        scheds,
-        caches,
-        topologies,
-        contentions,
-        fault_policies,
-        redundancies,
-        arrivals,
-        qos_policies,
+        filters,
     })
 }
 
@@ -347,37 +364,9 @@ pub fn execute_run(cmd: &RunCommand) -> Result<String, String> {
     let mut spans = Vec::new();
     for s in &cmd.scenarios {
         let mut scenario_cells = (s.build)(&params);
-        if s.name == "sched-sweep" {
-            // `--sched` narrows the policy sweep; each cell's seed derives
-            // from its own identity, so dropping cells never moves numbers.
-            scenario_cells.retain(|c| cmd.scheds.contains(c.method.sched()));
-        }
-        if s.name == "cache-sweep" {
-            // Likewise for `--cache`; the cacheless DDIO baseline always
-            // stays so filtered runs keep their comparison point.
-            scenario_cells.retain(|c| c.method.cache().map_or(true, |cfg| cmd.caches.matches(cfg)));
-        }
-        if s.name == "net-sweep" {
-            // `--topology` / `--net` narrow the fabric sweep the same way.
-            scenario_cells.retain(|c| {
-                cmd.topologies.contains(c.config.fabric.topology)
-                    && cmd.contentions.contains(c.config.fabric.contention)
-            });
-        }
-        if s.name == "fault-sweep" {
-            // `--faults` / `--redundancy` narrow the fault sweep the same way.
-            scenario_cells.retain(|c| {
-                cmd.fault_policies.contains(c.config.faults)
-                    && cmd.redundancies.contains(c.config.redundancy)
-            });
-        }
-        if s.name == "serve-sweep" {
-            // `--arrival` / `--qos` narrow the serving sweep the same way.
-            scenario_cells.retain(|c| {
-                cmd.arrivals.contains(c.config.serve.arrival)
-                    && cmd.qos_policies.contains(c.config.serve.qos)
-            });
-        }
+        // Each cell's seed derives from its own identity, so dropping cells
+        // never moves the numbers of the cells that remain.
+        scenario_cells.retain(|c| cmd.filters.iter().all(|f| f.keeps(c)));
         spans.push(scenario_cells.len());
         cells.extend(scenario_cells);
     }
@@ -482,7 +471,7 @@ fn parse_list_format(args: &[String]) -> Result<Format, String> {
 /// Full CLI entry point; returns the process exit code.
 pub fn main_from_args(args: Vec<String>) -> i32 {
     let Some(command) = args.first() else {
-        eprintln!("{USAGE}");
+        eprintln!("{}", usage());
         return 2;
     };
     match command.as_str() {
@@ -532,11 +521,11 @@ pub fn main_from_args(args: Vec<String>) -> i32 {
             0
         }
         "--help" | "-h" | "help" => {
-            println!("{USAGE}");
+            println!("{}", usage());
             0
         }
         other => {
-            eprintln!("ddio-bench: unknown command {other:?}\n\n{USAGE}");
+            eprintln!("ddio-bench: unknown command {other:?}\n\n{}", usage());
             2
         }
     }
@@ -545,6 +534,7 @@ pub fn main_from_args(args: Vec<String>) -> i32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ddio_core::{ReplacementPolicy, SchedPolicy};
 
     fn args(list: &[&str]) -> Vec<String> {
         list.iter().map(|s| (*s).to_owned()).collect()
@@ -604,163 +594,150 @@ mod tests {
         assert_eq!(cmd.scale.trials, 3);
     }
 
+    /// One table row per policy sweep: the `--where` clauses, and an
+    /// independent predicate over the cell's config that says which cells
+    /// they must keep.
+    type WhereCase = (&'static str, &'static [&'static str], fn(&Cell) -> bool);
+
+    const WHERE_CASES: [WhereCase; 5] = [
+        ("sched-sweep", &["sched=fcfs,presort"], |c| {
+            matches!(c.method.sched(), SchedPolicy::Fcfs | SchedPolicy::Presort)
+        }),
+        ("cache-sweep", &["replacement=mru"], |c| {
+            c.method
+                .cache()
+                .map_or(true, |k| k.replacement == ReplacementPolicy::Mru)
+        }),
+        ("net-sweep", &["topology=torus,crossbar", "net=link"], |c| {
+            matches!(
+                c.config.fabric.topology,
+                TopologyKind::Torus | TopologyKind::Crossbar
+            ) && c.config.fabric.contention == ContentionModel::Link
+        }),
+        (
+            "fault-sweep",
+            &["faults=none,failure", "redundancy=none,mirror"],
+            |c| {
+                matches!(c.config.faults, FaultPolicy::None | FaultPolicy::Failure)
+                    && matches!(
+                        c.config.redundancy,
+                        RedundancyPolicy::None | RedundancyPolicy::Mirrored
+                    )
+            },
+        ),
+        (
+            "serve-sweep",
+            &["arrival=poisson", "qos=fifo,weighted"],
+            |c| {
+                c.config.serve.arrival == ArrivalProcess::Poisson
+                    && matches!(c.config.serve.qos, QosPolicy::Fifo | QosPolicy::Weighted)
+            },
+        ),
+    ];
+
+    /// Runs `name`'s [`WHERE_CASES`] row: `--where` keeps exactly the cells
+    /// the row's predicate selects, and each reports bit-for-bit what it
+    /// does in an unfiltered run.
+    fn check_where_case(name: &str) {
+        let (_, clauses, keep) = WHERE_CASES
+            .into_iter()
+            .find(|(scenario, _, _)| *scenario == name)
+            .unwrap();
+        let mut argv = vec![name, "--format", "csv", "--jobs", "2"];
+        let full = execute_run(&parse_run(&args(&argv), smoke_env).unwrap()).unwrap();
+        for clause in clauses {
+            argv.extend(["--where", clause]);
+        }
+        let cmd = parse_run(&args(&argv), smoke_env).unwrap();
+        assert_eq!(cmd.filters.len(), clauses.len());
+        let filtered = execute_run(&cmd).unwrap();
+
+        let cells = (scenario::find(name).unwrap().build)(&cmd.scale.sweep_params());
+        let expected = cells.iter().filter(|c| keep(c)).count();
+        let rows: Vec<&str> = filtered.lines().skip(1).collect();
+        assert!(expected > 0 && expected < cells.len(), "{name}: weak case");
+        assert_eq!(
+            rows.len(),
+            expected,
+            "{name} kept the wrong cells:\n{filtered}"
+        );
+        for row in rows {
+            assert!(
+                full.lines().any(|l| l == row),
+                "{name}: filtered cell differs from the unfiltered run:\n{row}"
+            );
+        }
+    }
+
     #[test]
     fn sched_flag_filters_the_sweep() {
-        use ddio_core::SchedPolicy;
-        let cmd = parse_run(
-            &args(&["sched-sweep", "--sched", "fcfs,presort", "--jobs", "2"]),
-            smoke_env,
-        )
-        .unwrap();
-        assert!(cmd.scheds.contains(SchedPolicy::Fcfs));
-        assert!(cmd.scheds.contains(SchedPolicy::Presort));
-        assert!(!cmd.scheds.contains(SchedPolicy::Cscan));
-        let out = execute_run(&cmd).unwrap();
-        assert!(out.contains("DDIO(sort)") && out.contains("DDIO"));
-        assert!(!out.contains("cscan"), "filtered policy still ran:\n{out}");
-
-        let err = parse_run(&args(&["sched-sweep", "--sched", "elevator"]), smoke_env).unwrap_err();
-        assert!(err.contains("unknown scheduling policy"), "{err}");
+        check_where_case("sched-sweep");
     }
 
     #[test]
     fn cache_flag_filters_the_sweep() {
-        use ddio_core::CacheConfig;
-        let cmd = parse_run(
-            &args(&["cache-sweep", "--cache", "mru,default", "--jobs", "2"]),
-            smoke_env,
-        )
-        .unwrap();
-        assert!(cmd.caches.matches(CacheConfig::parse("mru").unwrap()));
-        assert!(cmd.caches.matches(CacheConfig::DEFAULT));
-        assert!(!cmd.caches.matches(CacheConfig::parse("clock").unwrap()));
-        let out = execute_run(&cmd).unwrap();
-        assert!(out.contains("TC[mru+one+onfull]"));
-        assert!(out.contains("TC"), "default composition kept");
-        assert!(
-            out.contains("DDIO(sort)"),
-            "the baseline survives the filter:\n{out}"
-        );
-        assert!(!out.contains("clock"), "filtered composition ran:\n{out}");
-
-        let err = parse_run(&args(&["cache-sweep", "--cache", "arc"]), smoke_env).unwrap_err();
-        assert!(err.contains("unknown cache policy"), "{err}");
+        check_where_case("cache-sweep");
     }
 
     #[test]
     fn topology_and_net_flags_filter_the_fabric_sweep() {
-        use ddio_core::{ContentionModel, TopologyKind};
-        let cmd = parse_run(
-            &args(&[
-                "net-sweep",
-                "--topology",
-                "torus,crossbar",
-                "--net",
-                "link",
-                "--jobs",
-                "2",
-            ]),
-            smoke_env,
-        )
-        .unwrap();
-        assert!(cmd.topologies.contains(TopologyKind::Torus));
-        assert!(cmd.topologies.contains(TopologyKind::Crossbar));
-        assert!(!cmd.topologies.contains(TopologyKind::Mesh));
-        assert!(cmd.contentions.contains(ContentionModel::Link));
-        assert!(!cmd.contentions.contains(ContentionModel::NiOnly));
-        let out = execute_run(&cmd).unwrap();
-        assert!(out.contains("topology=torus net=link"));
-        assert!(out.contains("topology=crossbar net=link"));
-        assert!(
-            !out.contains("topology=mesh"),
-            "filtered topology still ran:\n{out}"
-        );
-        assert!(!out.contains("net=ni-only"), "filtered model ran:\n{out}");
-
-        let err = parse_run(&args(&["net-sweep", "--topology", "ring"]), smoke_env).unwrap_err();
-        assert!(err.contains("unknown topology"), "{err}");
-        let err = parse_run(&args(&["net-sweep", "--net", "flit"]), smoke_env).unwrap_err();
-        assert!(err.contains("unknown contention model"), "{err}");
+        check_where_case("net-sweep");
     }
 
     #[test]
     fn fault_flags_filter_the_sweep() {
-        use ddio_core::{FaultPolicy, RedundancyPolicy};
-        let cmd = parse_run(
-            &args(&[
-                "fault-sweep",
-                "--faults",
-                "none,failure",
-                "--redundancy",
-                "none,mirror",
-                "--jobs",
-                "2",
-            ]),
-            smoke_env,
-        )
-        .unwrap();
-        assert!(cmd.fault_policies.contains(FaultPolicy::None));
-        assert!(cmd.fault_policies.contains(FaultPolicy::Failure));
-        assert!(!cmd.fault_policies.contains(FaultPolicy::Transient));
-        assert!(cmd.redundancies.contains(RedundancyPolicy::Mirrored));
-        assert!(!cmd.redundancies.contains(RedundancyPolicy::Parity));
-        let out = execute_run(&cmd).unwrap();
-        assert!(out.contains("faults=failure redundancy=mirror"));
-        assert!(out.contains("faults=none redundancy=none"));
-        assert!(
-            !out.contains("faults=transient"),
-            "filtered policy still ran:\n{out}"
-        );
-        assert!(
-            !out.contains("redundancy=parity"),
-            "filtered redundancy still ran:\n{out}"
-        );
-
-        let err = parse_run(&args(&["fault-sweep", "--faults", "meteor"]), smoke_env).unwrap_err();
-        assert!(err.contains("unknown fault policy"), "{err}");
-        let err =
-            parse_run(&args(&["fault-sweep", "--redundancy", "raid9"]), smoke_env).unwrap_err();
-        assert!(err.contains("unknown redundancy policy"), "{err}");
+        check_where_case("fault-sweep");
     }
 
     #[test]
     fn arrival_and_qos_flags_filter_the_serving_sweep() {
-        use ddio_core::{ArrivalProcess, QosPolicy};
+        check_where_case("serve-sweep");
+    }
+
+    #[test]
+    fn where_keeps_the_cacheless_baseline_of_a_cache_filter() {
         let cmd = parse_run(
-            &args(&[
-                "serve-sweep",
-                "--arrival",
-                "poisson",
-                "--qos",
-                "fifo,weighted",
-                "--jobs",
-                "2",
-            ]),
+            &args(&["cache-sweep", "--where", "replacement=mru", "--jobs", "2"]),
             smoke_env,
         )
         .unwrap();
-        assert!(cmd.arrivals.contains(ArrivalProcess::Poisson));
-        assert!(!cmd.arrivals.contains(ArrivalProcess::Bursty));
-        assert!(cmd.qos_policies.contains(QosPolicy::Fifo));
-        assert!(cmd.qos_policies.contains(QosPolicy::Weighted));
-        assert!(!cmd.qos_policies.contains(QosPolicy::FairShare));
         let out = execute_run(&cmd).unwrap();
-        assert!(out.contains("arrival=poisson qos=fifo"));
-        assert!(out.contains("qos=weighted"));
-        assert!(
-            !out.contains("arrival=bursty"),
-            "filtered arrival still ran:\n{out}"
-        );
-        assert!(
-            !out.contains("qos=fair-share"),
-            "filtered QoS policy still ran:\n{out}"
-        );
+        assert!(out.contains("TC[mru+one+onfull]"));
+        assert!(!out.contains("clock"), "filtered composition ran:\n{out}");
+        let baselines = out
+            .lines()
+            .filter(|l| l.split_whitespace().nth(1) == Some("DDIO(sort)"))
+            .count();
+        assert_eq!(baselines, 5, "one DDIO(sort) baseline per pattern:\n{out}");
+    }
 
-        let err =
-            parse_run(&args(&["serve-sweep", "--arrival", "drizzle"]), smoke_env).unwrap_err();
-        assert!(err.contains("unknown arrival process"), "{err}");
-        let err = parse_run(&args(&["serve-sweep", "--qos", "anarchy"]), smoke_env).unwrap_err();
-        assert!(err.contains("unknown QoS policy"), "{err}");
+    #[test]
+    fn where_rejects_unknown_axes_and_values_naming_the_choices() {
+        for (name, clauses, _) in WHERE_CASES {
+            let err = parse_run(&args(&[name, "--where", "colour=red"]), smoke_env).unwrap_err();
+            assert!(
+                err.contains("unknown axis \"colour\"") && err.contains("pattern, method, sched"),
+                "{name}: {err}"
+            );
+            let axis = clauses[0].split('=').next().unwrap();
+            let clause = format!("{axis}=bogus");
+            let err = parse_run(&args(&[name, "--where", &clause]), smoke_env).unwrap_err();
+            assert!(
+                err.contains(&format!("unknown {axis} value \"bogus\"")),
+                "{name}: {err}"
+            );
+        }
+        let err = parse_run(
+            &args(&["sched-sweep", "--where", "sched=elevator"]),
+            smoke_env,
+        )
+        .unwrap_err();
+        assert!(err.contains("fcfs, sstf, cscan, presort"), "{err}");
+        for malformed in ["sched", "sched=", "=fcfs"] {
+            let err =
+                parse_run(&args(&["sched-sweep", "--where", malformed]), smoke_env).unwrap_err();
+            assert!(err.contains("expected AXIS=VALUE"), "{malformed}: {err}");
+        }
     }
 
     #[test]
@@ -858,10 +835,10 @@ mod tests {
 
     #[test]
     fn execute_run_table_splits_results_per_scenario() {
-        let cmd = parse_run(&args(&["mixed-rw", "degraded-disk"]), smoke_env).unwrap();
+        let cmd = parse_run(&args(&["mixed-rw", "record-cp-cross"]), smoke_env).unwrap();
         let out = execute_run(&cmd).unwrap();
         assert!(out.contains("Mixed read/write phases"));
-        assert!(out.contains("Degraded disks"));
+        assert!(out.contains("Record size x CP count"));
     }
 
     #[test]

@@ -3,13 +3,12 @@
 //! The [`ddio-bench` CLI](crate::cli) binary runs any registered scenario —
 //! Table 1, Figures 3–8, and the newer sweeps — in parallel across all
 //! cores (`ddio-bench run all --jobs N`) and emits text tables, JSON, or
-//! CSV. The seven per-exhibit binaries (`table1`, `fig3` … `fig8`) are thin
-//! wrappers over the same registry (see [`run_exhibit`]), and the Criterion
+//! CSV; `ddio-bench run fig5` prints one exhibit. The Criterion
 //! micro-benchmarks of the simulator, disk model, and pattern generator
 //! live in `benches/`.
 //!
-//! Every entry point accepts the same scaling knobs through the environment
-//! so the full-fidelity (10 MB file, five trials) runs of the paper can be
+//! The CLI accepts these scaling knobs through the environment so the
+//! full-fidelity (10 MB file, five trials) runs of the paper can be
 //! traded for quicker ones:
 //!
 //! | variable          | default | meaning                                   |
@@ -29,7 +28,7 @@
 //! | `DDIO_ARRIVAL_REQUESTS` | `64` | open-loop requests per tenant (≥ 1)  |
 //!
 //! Zero or unparseable values are rejected at startup with a clear error
-//! (see [`Scale::from_env`]) instead of panicking mid-run.
+//! (see [`Scale::from_lookup`]) instead of panicking mid-run.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
@@ -39,13 +38,13 @@ pub mod report;
 
 use std::fmt;
 
-use ddio_core::experiment::scenario::{self, SweepParams};
+use ddio_core::experiment::scenario::SweepParams;
 use ddio_core::{
     ArrivalProcess, ContentionModel, FaultPolicy, MachineConfig, NetConfig, QosPolicy,
     RedundancyPolicy, ServeParams, TopologyKind,
 };
 
-/// Scaling knobs shared by the CLI and all figure binaries.
+/// Scaling knobs of a `ddio-bench run`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Scale {
     /// File size in MiB.
@@ -108,7 +107,7 @@ pub struct ScaleError {
     /// The value it held.
     pub value: String,
     /// Why it was rejected.
-    pub reason: &'static str,
+    pub reason: String,
 }
 
 impl fmt::Display for ScaleError {
@@ -134,7 +133,7 @@ fn parse_knob(var: &str, raw: Option<String>, min: u64, slot: &mut u64) -> Resul
     let parsed: u64 = trimmed.parse().map_err(|_| ScaleError {
         var: var.to_owned(),
         value: raw.clone(),
-        reason: "expected an unsigned integer",
+        reason: "expected an unsigned integer".to_owned(),
     })?;
     if parsed < min {
         return Err(ScaleError {
@@ -144,25 +143,41 @@ fn parse_knob(var: &str, raw: Option<String>, min: u64, slot: &mut u64) -> Resul
                 "must be at least 1"
             } else {
                 "value too small"
-            },
+            }
+            .to_owned(),
         });
     }
     *slot = parsed;
     Ok(())
 }
 
+/// Parses one policy knob: unset or blank keeps the default; anything else
+/// must be one of the policy's names, and the error lists them.
+fn parse_policy<P>(
+    var: &str,
+    raw: Option<String>,
+    from_name: fn(&str) -> Result<P, String>,
+    slot: &mut P,
+) -> Result<(), ScaleError> {
+    let Some(raw) = raw.filter(|v| !v.trim().is_empty()) else {
+        return Ok(());
+    };
+    *slot = from_name(raw.trim()).map_err(|reason| ScaleError {
+        var: var.to_owned(),
+        value: raw.clone(),
+        reason,
+    })?;
+    Ok(())
+}
+
 impl Scale {
-    /// Reads the scaling knobs from the environment (see the crate docs).
+    /// Reads the scaling knobs (see the crate docs) from `lookup`, the
+    /// environment in the CLI and an injectable source in tests.
     ///
     /// Unset or blank variables keep their defaults. Garbage (`DDIO_TRIALS=x`)
     /// and out-of-range values (`DDIO_TRIALS=0`, `DDIO_FILE_MB=0`) are
     /// rejected here, at startup, rather than reaching an assertion deep in
     /// the experiment harness.
-    pub fn from_env() -> Result<Scale, ScaleError> {
-        Scale::from_lookup(|var| std::env::var(var).ok())
-    }
-
-    /// [`Scale::from_env`] with an injectable variable source, for tests.
     pub fn from_lookup(lookup: impl Fn(&str) -> Option<String>) -> Result<Scale, ScaleError> {
         let mut s = Scale::default();
         parse_knob("DDIO_FILE_MB", lookup("DDIO_FILE_MB"), 1, &mut s.file_mib)?;
@@ -186,48 +201,42 @@ impl Scale {
             &mut cache_bufs,
         )?;
         s.cache_bufs = cache_bufs as usize;
-        if let Some(raw) = lookup("DDIO_NET_TOPOLOGY").filter(|v| !v.trim().is_empty()) {
-            s.topology = TopologyKind::parse(raw.trim()).ok_or_else(|| ScaleError {
-                var: "DDIO_NET_TOPOLOGY".to_owned(),
-                value: raw.clone(),
-                reason: "expected torus, mesh, hypercube, or crossbar",
-            })?;
-        }
-        if let Some(raw) = lookup("DDIO_NET_CONTENTION").filter(|v| !v.trim().is_empty()) {
-            s.contention = ContentionModel::parse(raw.trim()).ok_or_else(|| ScaleError {
-                var: "DDIO_NET_CONTENTION".to_owned(),
-                value: raw.clone(),
-                reason: "expected ni-only or link",
-            })?;
-        }
-        if let Some(raw) = lookup("DDIO_FAULT_POLICY").filter(|v| !v.trim().is_empty()) {
-            s.faults = FaultPolicy::parse(raw.trim()).ok_or_else(|| ScaleError {
-                var: "DDIO_FAULT_POLICY".to_owned(),
-                value: raw.clone(),
-                reason: "expected none, cacheless, worn, transient, or failure",
-            })?;
-        }
-        if let Some(raw) = lookup("DDIO_FAULT_REDUNDANCY").filter(|v| !v.trim().is_empty()) {
-            s.redundancy = RedundancyPolicy::parse(raw.trim()).ok_or_else(|| ScaleError {
-                var: "DDIO_FAULT_REDUNDANCY".to_owned(),
-                value: raw.clone(),
-                reason: "expected none, mirror, or parity",
-            })?;
-        }
-        if let Some(raw) = lookup("DDIO_ARRIVAL_PROCESS").filter(|v| !v.trim().is_empty()) {
-            s.arrival = ArrivalProcess::parse(raw.trim()).ok_or_else(|| ScaleError {
-                var: "DDIO_ARRIVAL_PROCESS".to_owned(),
-                value: raw.clone(),
-                reason: "expected closed-loop, poisson, or bursty",
-            })?;
-        }
-        if let Some(raw) = lookup("DDIO_ARRIVAL_QOS").filter(|v| !v.trim().is_empty()) {
-            s.qos = QosPolicy::parse(raw.trim()).ok_or_else(|| ScaleError {
-                var: "DDIO_ARRIVAL_QOS".to_owned(),
-                value: raw.clone(),
-                reason: "expected fifo, fair-share, weighted, or tenant-priority",
-            })?;
-        }
+        parse_policy(
+            "DDIO_NET_TOPOLOGY",
+            lookup("DDIO_NET_TOPOLOGY"),
+            TopologyKind::from_name,
+            &mut s.topology,
+        )?;
+        parse_policy(
+            "DDIO_NET_CONTENTION",
+            lookup("DDIO_NET_CONTENTION"),
+            ContentionModel::from_name,
+            &mut s.contention,
+        )?;
+        parse_policy(
+            "DDIO_FAULT_POLICY",
+            lookup("DDIO_FAULT_POLICY"),
+            FaultPolicy::from_name,
+            &mut s.faults,
+        )?;
+        parse_policy(
+            "DDIO_FAULT_REDUNDANCY",
+            lookup("DDIO_FAULT_REDUNDANCY"),
+            RedundancyPolicy::from_name,
+            &mut s.redundancy,
+        )?;
+        parse_policy(
+            "DDIO_ARRIVAL_PROCESS",
+            lookup("DDIO_ARRIVAL_PROCESS"),
+            ArrivalProcess::from_name,
+            &mut s.arrival,
+        )?;
+        parse_policy(
+            "DDIO_ARRIVAL_QOS",
+            lookup("DDIO_ARRIVAL_QOS"),
+            QosPolicy::from_name,
+            &mut s.qos,
+        )?;
         let mut tenants = s.tenants as u64;
         parse_knob(
             "DDIO_ARRIVAL_TENANTS",
@@ -245,15 +254,6 @@ impl Scale {
         )?;
         s.requests_per_tenant = requests as usize;
         Ok(s)
-    }
-
-    /// [`Scale::from_env`], exiting with status 2 and a message on stderr if
-    /// the environment is invalid — the shared startup path of every binary.
-    pub fn from_env_or_exit() -> Scale {
-        Scale::from_env().unwrap_or_else(|e| {
-            eprintln!("ddio-bench: {e}");
-            std::process::exit(2);
-        })
     }
 
     /// The Table 1 machine with this scale's file size, cache sizing, and
@@ -298,24 +298,6 @@ impl Scale {
     pub fn describe(&self) -> String {
         self.sweep_params().describe()
     }
-}
-
-/// The main function of every thin exhibit binary: look the exhibit up in
-/// the registry, run it serially at the environment's scale, and print its
-/// text report.
-///
-/// Serial execution is deliberate here — the exhibit binaries are the
-/// reference output; `ddio-bench run --jobs N` produces bit-identical
-/// numbers in parallel (the determinism suite proves it).
-pub fn run_exhibit(name: &str) {
-    let scale = Scale::from_env_or_exit();
-    let scenario = scenario::find(name).unwrap_or_else(|| {
-        eprintln!("ddio-bench: unknown exhibit {name:?}");
-        std::process::exit(2);
-    });
-    let params = scale.sweep_params();
-    let results = scenario::run_scenario(&scenario, &params, 1);
-    print!("{}", scenario::render(&scenario, &params, &results));
 }
 
 #[cfg(test)]

@@ -858,10 +858,10 @@ mod tests {
 
     #[test]
     fn table_render_includes_headings() {
-        let (params, run) = tiny_run("degraded-disk");
+        let (params, run) = tiny_run("record-cp-cross");
         let text = render_table(&params, &[run], None);
-        assert!(text.contains("Degraded disks"));
-        assert!(text.contains("degradation=2"));
+        assert!(text.contains("Record size x CP count"));
+        assert!(text.contains("cps=16 record=65536"));
     }
 
     #[test]

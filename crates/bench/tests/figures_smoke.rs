@@ -1,5 +1,6 @@
-//! Smoke tests for the figure binaries: run `table1` and `fig3`..`fig8` at
-//! reduced scale (1 MiB file, one trial) so the exhibits can't silently rot.
+//! Smoke tests for the exhibits: `ddio-bench run table1` and `run fig3` ..
+//! `run fig8` at reduced scale (1 MiB file, one trial) so the exhibits can't
+//! silently rot, plus the CLI's listing, formats, and error paths.
 //!
 //! Each test asserts a successful exit and a couple of landmark strings in
 //! the output, not exact numbers — the figures' values are covered by the
@@ -7,23 +8,12 @@
 
 use std::process::{Command, Output};
 
-/// Runs a figure binary with the reduced-scale environment pinned, so an
-/// ambient `DDIO_*` setting can't slow the test suite down.
-fn run_reduced(exe: &str) -> Output {
-    Command::new(exe)
-        .env("DDIO_FILE_MB", "1")
-        .env("DDIO_TRIALS", "1")
-        .env("DDIO_SMALL_RECORDS", "0")
-        .env("DDIO_SEED", "1994")
-        .output()
-        .unwrap_or_else(|e| panic!("failed to spawn {exe}: {e}"))
-}
-
-fn stdout_of(exe: &str, landmarks: &[&str]) -> String {
-    let out = run_reduced(exe);
+/// Runs `ddio-bench run <exhibit>` and checks its report for `landmarks`.
+fn exhibit(name: &str, landmarks: &[&str]) -> String {
+    let out = run_cli(&["run", name]);
     assert!(
         out.status.success(),
-        "{exe} exited with {:?}\nstderr:\n{}",
+        "ddio-bench run {name} exited with {:?}\nstderr:\n{}",
         out.status,
         String::from_utf8_lossy(&out.stderr)
     );
@@ -31,7 +21,7 @@ fn stdout_of(exe: &str, landmarks: &[&str]) -> String {
     for landmark in landmarks {
         assert!(
             stdout.contains(landmark),
-            "{exe} output missing {landmark:?}:\n{stdout}"
+            "ddio-bench run {name} output missing {landmark:?}:\n{stdout}"
         );
     }
     stdout
@@ -39,15 +29,12 @@ fn stdout_of(exe: &str, landmarks: &[&str]) -> String {
 
 #[test]
 fn table1_prints_the_machine_parameters() {
-    stdout_of(
-        env!("CARGO_BIN_EXE_table1"),
-        &["Table 1", "HP 97560", "6x6 torus", "1 MB"],
-    );
+    exhibit("table1", &["Table 1", "HP 97560", "6x6 torus", "1 MB"]);
 }
 
 #[test]
 fn fig3_covers_every_pattern_at_reduced_scale() {
-    let out = stdout_of(env!("CARGO_BIN_EXE_fig3"), &["Figure 3", "ra"]);
+    let out = exhibit("fig3", &["Figure 3", "ra"]);
     // All 19 patterns of the figure should appear as data rows.
     for name in [
         "rn", "rb", "rc", "rnb", "rbb", "rcb", "rbc", "rcc", "rcn", "wn", "wb", "wc", "wnb", "wbb",
@@ -63,30 +50,27 @@ fn fig3_covers_every_pattern_at_reduced_scale() {
 
 #[test]
 fn fig4_runs_the_contiguous_layout() {
-    stdout_of(env!("CARGO_BIN_EXE_fig4"), &["Figure 4", "rb"]);
+    exhibit("fig4", &["Figure 4", "rb"]);
 }
 
 #[test]
 fn fig5_runs_the_cp_sweep() {
-    stdout_of(env!("CARGO_BIN_EXE_fig5"), &["Figure 5", "number of CPs"]);
+    exhibit("fig5", &["Figure 5", "number of CPs"]);
 }
 
 #[test]
 fn fig6_runs_the_iop_sweep() {
-    stdout_of(env!("CARGO_BIN_EXE_fig6"), &["Figure 6", "number of IOPs"]);
+    exhibit("fig6", &["Figure 6", "number of IOPs"]);
 }
 
 #[test]
 fn fig7_runs_the_contiguous_disk_sweep() {
-    stdout_of(env!("CARGO_BIN_EXE_fig7"), &["Figure 7", "number of disks"]);
+    exhibit("fig7", &["Figure 7", "number of disks"]);
 }
 
 #[test]
 fn fig8_runs_the_random_layout_disk_sweep() {
-    stdout_of(
-        env!("CARGO_BIN_EXE_fig8"),
-        &["Figure 8", "random-blocks layout"],
-    );
+    exhibit("fig8", &["Figure 8", "random-blocks layout"]);
 }
 
 /// Runs the unified CLI at reduced scale with extra arguments.
@@ -115,7 +99,6 @@ fn cli_list_names_every_registered_scenario() {
         "fig7",
         "fig8",
         "mixed-rw",
-        "degraded-disk",
         "record-cp-cross",
     ] {
         assert!(stdout.contains(name), "list missing {name}:\n{stdout}");

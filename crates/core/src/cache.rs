@@ -43,88 +43,40 @@
 
 use ddio_sim::sync::Event;
 
-/// The replacement policy: which unpinned resident block makes room.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum ReplacementPolicy {
-    /// Least recently used — the paper's choice.
-    #[default]
-    Lru,
-    /// Most recently used: evict the block touched last. Counterintuitive
-    /// for general workloads but optimal for single-pass streams larger than
-    /// the cache, where LRU evicts exactly the block about to be re-read.
-    Mru,
-    /// Clock (second chance): a circular sweep over the entries in insertion
-    /// order; a referenced entry gets its bit cleared and one more lap, the
-    /// first unreferenced entry is the victim. An O(1)-amortized LRU
-    /// approximation, as most real file systems implement.
-    Clock,
-}
-
-impl ReplacementPolicy {
-    /// Every policy, in a stable order (used by sweeps and CLI listings).
-    pub const ALL: [ReplacementPolicy; 3] = [
-        ReplacementPolicy::Lru,
-        ReplacementPolicy::Mru,
-        ReplacementPolicy::Clock,
-    ];
-
-    /// The policy's lower-case name as used by `--cache` and labels.
-    pub fn name(self) -> &'static str {
-        match self {
-            ReplacementPolicy::Lru => "lru",
-            ReplacementPolicy::Mru => "mru",
-            ReplacementPolicy::Clock => "clock",
-        }
-    }
-
-    /// Parses a policy name (the inverse of [`ReplacementPolicy::name`]).
-    pub fn parse(s: &str) -> Option<ReplacementPolicy> {
-        ReplacementPolicy::ALL.into_iter().find(|p| p.name() == s)
+ddio_sim::policy_enum! {
+    /// The replacement policy: which unpinned resident block makes room.
+    pub enum ReplacementPolicy: "replacement policy" {
+        /// Least recently used — the paper's choice.
+        #[default]
+        Lru = "lru",
+        /// Most recently used: evict the block touched last. Counterintuitive
+        /// for general workloads but optimal for single-pass streams larger than
+        /// the cache, where LRU evicts exactly the block about to be re-read.
+        Mru = "mru",
+        /// Clock (second chance): a circular sweep over the entries in insertion
+        /// order; a referenced entry gets its bit cleared and one more lap, the
+        /// first unreferenced entry is the victim. An O(1)-amortized LRU
+        /// approximation, as most real file systems implement.
+        Clock = "clock",
     }
 }
 
-impl std::fmt::Display for ReplacementPolicy {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.name())
+ddio_sim::policy_enum! {
+    /// The prefetch policy: what to read ahead after each demand read.
+    pub enum PrefetchPolicy: "prefetch policy" {
+        /// No prefetching.
+        None = "none",
+        /// One block ahead on the same disk — the paper's choice.
+        #[default]
+        OneAhead = "one",
+        /// Infer each disk stream's stride from consecutive demand reads and,
+        /// once the stride repeats, prefetch four blocks ahead along it (the
+        /// `StridedPrefetcher` pipeline depth).
+        Strided = "strided",
     }
-}
-
-/// The prefetch policy: what to read ahead after each demand read.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum PrefetchPolicy {
-    /// No prefetching.
-    None,
-    /// One block ahead on the same disk — the paper's choice.
-    #[default]
-    OneAhead,
-    /// Infer each disk stream's stride from consecutive demand reads and,
-    /// once the stride repeats, prefetch four blocks ahead along it (the
-    /// `StridedPrefetcher` pipeline depth).
-    Strided,
 }
 
 impl PrefetchPolicy {
-    /// Every policy, in a stable order.
-    pub const ALL: [PrefetchPolicy; 3] = [
-        PrefetchPolicy::None,
-        PrefetchPolicy::OneAhead,
-        PrefetchPolicy::Strided,
-    ];
-
-    /// The policy's lower-case name as used by `--cache` and labels.
-    pub fn name(self) -> &'static str {
-        match self {
-            PrefetchPolicy::None => "none",
-            PrefetchPolicy::OneAhead => "one",
-            PrefetchPolicy::Strided => "strided",
-        }
-    }
-
-    /// Parses a policy name (the inverse of [`PrefetchPolicy::name`]).
-    pub fn parse(s: &str) -> Option<PrefetchPolicy> {
-        PrefetchPolicy::ALL.into_iter().find(|p| p.name() == s)
-    }
-
     /// Builds the prefetcher implementing this policy.
     pub fn prefetcher(self) -> Box<dyn Prefetcher> {
         match self {
@@ -135,28 +87,23 @@ impl PrefetchPolicy {
     }
 }
 
-impl std::fmt::Display for PrefetchPolicy {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.name())
+ddio_sim::policy_enum! {
+    /// The write-back policy: when dirty cache data is flushed to disk.
+    pub enum WritePolicy: "write policy" {
+        /// Synchronous write-through: every write request's data goes to disk
+        /// before the reply. No write-behind overlap, but nothing is ever lost
+        /// to a late flush.
+        Through = "through",
+        /// Flush a block (in the background) once every byte of it has been
+        /// written — the paper's write-behind.
+        #[default]
+        FlushOnFull = "onfull",
+        /// Let dirty blocks accumulate and flush them (lowest block first, in
+        /// the background) only when more than
+        /// [`WritePolicy::high_watermark`] of the cache is dirty, stopping at
+        /// the low watermark — batch write-back under cache pressure.
+        Watermark = "watermark",
     }
-}
-
-/// The write-back policy: when dirty cache data is flushed to disk.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum WritePolicy {
-    /// Synchronous write-through: every write request's data goes to disk
-    /// before the reply. No write-behind overlap, but nothing is ever lost
-    /// to a late flush.
-    Through,
-    /// Flush a block (in the background) once every byte of it has been
-    /// written — the paper's write-behind.
-    #[default]
-    FlushOnFull,
-    /// Let dirty blocks accumulate and flush them (lowest block first, in
-    /// the background) only when more than
-    /// [`WritePolicy::high_watermark`] of the cache is dirty, stopping at
-    /// the low watermark — batch write-back under cache pressure.
-    Watermark,
 }
 
 /// What the write policy wants done after a write request is absorbed.
@@ -171,27 +118,6 @@ pub enum WriteAction {
 }
 
 impl WritePolicy {
-    /// Every policy, in a stable order.
-    pub const ALL: [WritePolicy; 3] = [
-        WritePolicy::Through,
-        WritePolicy::FlushOnFull,
-        WritePolicy::Watermark,
-    ];
-
-    /// The policy's lower-case name as used by `--cache` and labels.
-    pub fn name(self) -> &'static str {
-        match self {
-            WritePolicy::Through => "through",
-            WritePolicy::FlushOnFull => "onfull",
-            WritePolicy::Watermark => "watermark",
-        }
-    }
-
-    /// Parses a policy name (the inverse of [`WritePolicy::name`]).
-    pub fn parse(s: &str) -> Option<WritePolicy> {
-        WritePolicy::ALL.into_iter().find(|p| p.name() == s)
-    }
-
     /// Dirty-block count at which [`WritePolicy::Watermark`] starts a flush
     /// sweep: three quarters of the capacity (at least one).
     pub fn high_watermark(capacity: usize) -> usize {
@@ -234,12 +160,6 @@ impl WritePolicy {
     }
 }
 
-impl std::fmt::Display for WritePolicy {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
 /// One composition of the three cache policies.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct CacheConfig {
@@ -263,7 +183,7 @@ impl CacheConfig {
     };
 
     /// The composition's label, e.g. `"lru+one+onfull"`; used in method
-    /// labels (for non-default compositions), reports, and `--cache`.
+    /// labels (for non-default compositions) and reports.
     pub fn label(self) -> String {
         format!("{}+{}+{}", self.replacement, self.prefetch, self.write)
     }
@@ -273,130 +193,50 @@ impl CacheConfig {
     /// their defaults, so `"mru"` is MRU with the default prefetch and
     /// write-back. `"default"` is the paper's composition.
     pub fn parse(s: &str) -> Result<CacheConfig, String> {
-        let filter = CacheFilter::parse(s)?;
-        Ok(CacheConfig {
-            replacement: filter.replacement.unwrap_or_default(),
-            prefetch: filter.prefetch.unwrap_or_default(),
-            write: filter.write.unwrap_or_default(),
-        })
+        const DIMENSIONS: [&str; 3] = ["replacement", "prefetch", "write"];
+        let mut config = CacheConfig::DEFAULT;
+        // Pinning the same dimension twice (`"lru+mru"`, `"default+clock"`)
+        // is rejected rather than letting the later name win.
+        let mut pinned = [false; 3];
+        let mut pin = |dim: usize, part: &str| {
+            if std::mem::replace(&mut pinned[dim], true) {
+                Err(format!(
+                    "{part:?} would pin the {} policy twice in {s:?}",
+                    DIMENSIONS[dim]
+                ))
+            } else {
+                Ok(())
+            }
+        };
+        for part in s.split('+').map(str::trim).filter(|p| !p.is_empty()) {
+            if part == "default" {
+                (0..3).try_for_each(|dim| pin(dim, part))?;
+            } else if let Some(p) = ReplacementPolicy::parse(part) {
+                pin(0, part)?;
+                config.replacement = p;
+            } else if let Some(p) = PrefetchPolicy::parse(part) {
+                pin(1, part)?;
+                config.prefetch = p;
+            } else if let Some(p) = WritePolicy::parse(part) {
+                pin(2, part)?;
+                config.write = p;
+            } else {
+                return Err(format!(
+                    "unknown cache policy {part:?} (expected a replacement policy: {}; a \
+                     prefetch policy: {}; a write policy: {}; or default)",
+                    ReplacementPolicy::expected(),
+                    PrefetchPolicy::expected(),
+                    WritePolicy::expected()
+                ));
+            }
+        }
+        Ok(config)
     }
 }
 
 impl std::fmt::Display for CacheConfig {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(&self.label())
-    }
-}
-
-/// A partial cache-composition pattern: each dimension is either pinned to
-/// one policy or left as a wildcard. Parsed from one element of `--cache`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct CacheFilter {
-    /// Required replacement policy, if any.
-    pub replacement: Option<ReplacementPolicy>,
-    /// Required prefetch policy, if any.
-    pub prefetch: Option<PrefetchPolicy>,
-    /// Required write policy, if any.
-    pub write: Option<WritePolicy>,
-}
-
-impl CacheFilter {
-    /// Parses a `+`-separated list of policy names; `"default"` pins all
-    /// three dimensions to the paper's composition. Pinning the same
-    /// dimension twice (`"lru+mru"`, `"default+clock"`) is rejected — a
-    /// union of alternatives is spelled with commas at the
-    /// [`CacheSet`] level, so a doubled dimension is always a mistake.
-    pub fn parse(s: &str) -> Result<CacheFilter, String> {
-        fn pin<T>(
-            slot: &mut Option<T>,
-            value: T,
-            dimension: &str,
-            part: &str,
-        ) -> Result<(), String> {
-            if slot.is_some() {
-                return Err(format!(
-                    "{part:?} would pin the {dimension} policy twice in one composition \
-                     (use a comma for a union of alternatives, e.g. `lru,mru`)"
-                ));
-            }
-            *slot = Some(value);
-            Ok(())
-        }
-        let mut f = CacheFilter::default();
-        for part in s.split('+') {
-            let part = part.trim();
-            if part.is_empty() {
-                continue;
-            }
-            if part == "default" {
-                pin(
-                    &mut f.replacement,
-                    ReplacementPolicy::Lru,
-                    "replacement",
-                    part,
-                )?;
-                pin(&mut f.prefetch, PrefetchPolicy::OneAhead, "prefetch", part)?;
-                pin(&mut f.write, WritePolicy::FlushOnFull, "write", part)?;
-            } else if let Some(p) = ReplacementPolicy::parse(part) {
-                pin(&mut f.replacement, p, "replacement", part)?;
-            } else if let Some(p) = PrefetchPolicy::parse(part) {
-                pin(&mut f.prefetch, p, "prefetch", part)?;
-            } else if let Some(p) = WritePolicy::parse(part) {
-                pin(&mut f.write, p, "write", part)?;
-            } else {
-                return Err(format!(
-                    "unknown cache policy {part:?} (expected lru/mru/clock, \
-                     none/one/strided, through/onfull/watermark, or default)"
-                ));
-            }
-        }
-        Ok(f)
-    }
-
-    /// True if `config` satisfies every pinned dimension.
-    pub fn matches(self, config: CacheConfig) -> bool {
-        self.replacement.map_or(true, |p| p == config.replacement)
-            && self.prefetch.map_or(true, |p| p == config.prefetch)
-            && self.write.map_or(true, |p| p == config.write)
-    }
-}
-
-/// A union of [`CacheFilter`] patterns, parsed from the comma-separated
-/// `--cache` flag (the cache analog of `ddio_disk::SchedSet`).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CacheSet(Vec<CacheFilter>);
-
-impl CacheSet {
-    /// The match-everything set (the `--cache` default).
-    pub fn all() -> CacheSet {
-        CacheSet(vec![CacheFilter::default()])
-    }
-
-    /// Parses a comma-separated list of `+`-separated compositions, e.g.
-    /// `"mru,lru+strided,default"`. A config matches the set if it matches
-    /// any element.
-    pub fn parse_list(s: &str) -> Result<CacheSet, String> {
-        let mut filters = Vec::new();
-        for part in s.split(',') {
-            let part = part.trim();
-            if part.is_empty() {
-                continue;
-            }
-            filters.push(CacheFilter::parse(part)?);
-        }
-        if filters.is_empty() {
-            return Err(
-                "expected a comma-separated list of cache compositions, e.g. \
-                 `mru`, `lru+strided`, or `default`"
-                    .to_owned(),
-            );
-        }
-        Ok(CacheSet(filters))
-    }
-
-    /// True if any filter in the set matches `config`.
-    pub fn matches(&self, config: CacheConfig) -> bool {
-        self.0.iter().any(|f| f.matches(config))
     }
 }
 
@@ -1514,6 +1354,41 @@ mod tests {
     }
 
     #[test]
+    fn cache_set_filters_by_union_of_partial_matches() {
+        use crate::experiment::scenario::{find, SweepParams};
+        let cells = (find("cache-sweep").unwrap().build)(&SweepParams::default());
+        // A cell names each cache dimension as its own coordinate, so a
+        // clause on one dimension is a wildcard over the other two, its
+        // values are a union, and a cacheless cell has no such coordinate.
+        let kept = |axis: &str, values: &[&str]| -> Vec<Option<CacheConfig>> {
+            cells
+                .iter()
+                .filter(|c| {
+                    c.coordinates()
+                        .iter()
+                        .all(|(a, v)| *a != axis || values.contains(&v.as_str()))
+                })
+                .map(|c| c.method.cache())
+                .collect()
+        };
+        let mru = CacheConfig::parse("mru").unwrap();
+        let clock = CacheConfig::parse("clock").unwrap();
+        let strided = CacheConfig::parse("strided").unwrap();
+        let union = kept("replacement", &["mru", "clock"]);
+        assert!(union.contains(&Some(mru)) && union.contains(&Some(clock)));
+        assert!(union.contains(&None), "the cacheless baseline survives");
+        assert!(!union.contains(&Some(CacheConfig::DEFAULT)));
+        assert!(!union.contains(&Some(strided)));
+        let partial = kept("prefetch", &["strided"]);
+        assert!(partial.contains(&Some(strided)));
+        assert!(partial.iter().flatten().all(|k| *k == strided));
+        for c in &cells {
+            let named = c.coordinates().iter().any(|(a, _)| *a == "replacement");
+            assert_eq!(named, c.method.cache().is_some(), "{}", c.method.label());
+        }
+    }
+
+    #[test]
     fn cache_config_labels_and_parsing() {
         assert_eq!(CacheConfig::DEFAULT.label(), "lru+one+onfull");
         assert_eq!(CacheConfig::default(), CacheConfig::DEFAULT);
@@ -1552,24 +1427,6 @@ mod tests {
         for p in WritePolicy::ALL {
             assert_eq!(WritePolicy::parse(p.name()), Some(p));
         }
-    }
-
-    #[test]
-    fn cache_set_filters_by_union_of_partial_matches() {
-        let set = CacheSet::parse_list("mru, lru+strided").unwrap();
-        let mru = CacheConfig::parse("mru").unwrap();
-        let mru_through = CacheConfig::parse("mru+through").unwrap();
-        let strided = CacheConfig::parse("strided").unwrap();
-        assert!(set.matches(mru));
-        assert!(set.matches(mru_through), "partial spec is a wildcard");
-        assert!(set.matches(strided));
-        assert!(!set.matches(CacheConfig::DEFAULT));
-        assert!(CacheSet::all().matches(CacheConfig::DEFAULT));
-        assert!(CacheSet::parse_list("bogus").is_err());
-        assert!(CacheSet::parse_list("").is_err());
-        let default_only = CacheSet::parse_list("default").unwrap();
-        assert!(default_only.matches(CacheConfig::DEFAULT));
-        assert!(!default_only.matches(mru));
     }
 
     #[test]

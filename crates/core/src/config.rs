@@ -12,8 +12,8 @@ use ddio_sim::SimDuration;
 pub use crate::cache::CacheConfig;
 pub use crate::fault::{FaultPolicy, RedundancyPolicy};
 pub use crate::serve::ServeParams;
-pub use ddio_disk::{SchedPolicy, SchedSet};
-pub use ddio_net::{ContentionModel, ContentionSet, NetConfig, TopologyKind, TopologySet};
+pub use ddio_disk::SchedPolicy;
+pub use ddio_net::{ContentionModel, NetConfig, TopologyKind};
 
 /// Physical placement of the file's blocks on each disk (§5 of the paper).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]

@@ -20,20 +20,13 @@ use std::cell::{Cell, RefCell};
 use std::collections::{HashMap, VecDeque};
 use std::rc::Rc;
 
-use ddio_disk::{DiskRequest, SchedPolicy};
+use ddio_disk::SchedPolicy;
 use ddio_patterns::AccessKind;
 use ddio_sim::sync::{Barrier, CountdownEvent};
 use ddio_sim::{join_all, Sim, SimContext};
 
 use crate::machine::{CpParts, Inbox, IopParts, RunContext};
 use crate::msg::FsMessage;
-
-/// One block of work for a buffer task.
-#[derive(Debug, Clone, Copy)]
-struct BlockJob {
-    block: u64,
-    start_sector: u64,
-}
 
 /// Per-IOP state shared between the dispatcher and the buffer tasks.
 struct IopServer {
@@ -45,32 +38,14 @@ struct IopServer {
 }
 
 impl IopServer {
-    fn block_bytes(&self, block: u64) -> u64 {
-        let (s, e) = self.run.layout.block_byte_range(block);
-        e - s
-    }
-
-    fn sectors_for(&self, bytes: u64) -> u32 {
-        bytes.div_ceil(self.run.config.disk.geometry.bytes_per_sector as u64) as u32
-    }
-
     /// Processes one block of a collective read: disk, bus, then Memputs to
     /// the owning CPs.
-    async fn read_block(&self, disk: &ddio_disk::DiskHandle, job: BlockJob) {
+    async fn read_block(&self, block: u64) {
         let costs = self.run.config.costs;
-        let bytes = self.block_bytes(job.block);
         self.parts.cpu.use_for(costs.ddio_block_cpu).await;
-        let breakdown = disk
-            .io(DiskRequest::read(job.start_sector, self.sectors_for(bytes)))
-            .await;
-        if breakdown.failed {
-            self.run
-                .recover_block_read(job.block, self.parts.node)
-                .await;
-        }
-        self.parts.bus.transfer(bytes).await;
+        self.run.read_block(&self.parts, block).await;
 
-        let (bstart, bend) = self.run.layout.block_byte_range(job.block);
+        let (bstart, bend) = self.run.layout.block_byte_range(block);
         let pieces = self.run.pattern.pieces_in(bstart, bend - bstart);
         for piece in pieces {
             self.parts.cpu.use_for(costs.memput_cpu).await;
@@ -91,12 +66,11 @@ impl IopServer {
 
     /// Processes one block of a collective write: concurrent Memgets, then
     /// bus and disk.
-    async fn write_block(&self, disk: &ddio_disk::DiskHandle, job: BlockJob) {
+    async fn write_block(&self, block: u64) {
         let costs = self.run.config.costs;
-        let bytes = self.block_bytes(job.block);
         self.parts.cpu.use_for(costs.ddio_block_cpu).await;
 
-        let (bstart, bend) = self.run.layout.block_byte_range(job.block);
+        let (bstart, bend) = self.run.layout.block_byte_range(block);
         let pieces = self.run.pattern.pieces_in(bstart, bend - bstart);
         let arrived = CountdownEvent::new(pieces.len() as u64);
         for piece in pieces {
@@ -122,22 +96,9 @@ impl IopServer {
         }
         arrived.wait().await;
 
-        self.parts.bus.transfer(bytes).await;
-        let breakdown = disk
-            .io(DiskRequest::write(
-                job.start_sector,
-                self.sectors_for(bytes),
-            ))
+        self.run
+            .write_block(&self.parts, block, bend - bstart)
             .await;
-        if breakdown.failed {
-            self.run
-                .redirect_failed_write(job.block, self.parts.node, bytes)
-                .await;
-        } else {
-            self.run
-                .redundant_write(job.block, self.parts.node, bytes)
-                .await;
-        }
         self.run.record_file_bytes(bstart, bend - bstart);
     }
 
@@ -155,32 +116,25 @@ impl IopServer {
         self.parts.cpu.use_for(costs.collective_setup_cpu).await;
 
         let mut buffer_tasks = Vec::new();
-        for (disk_id, disk) in &self.parts.disks {
-            let mut blocks: Vec<(u64, u64)> = self.run.layout.blocks_on_disk(*disk_id);
+        for (disk, _) in &self.parts.disks {
+            let mut blocks: Vec<(u64, u64)> = self.run.layout.blocks_on_disk(*disk);
             if sched == SchedPolicy::Presort {
                 // Sort by physical location to minimize arm movement.
                 blocks.sort_by_key(|&(_, sector)| sector);
             }
-            let queue: Rc<RefCell<VecDeque<BlockJob>>> = Rc::new(RefCell::new(
-                blocks
-                    .into_iter()
-                    .map(|(block, start_sector)| BlockJob {
-                        block,
-                        start_sector,
-                    })
-                    .collect(),
+            let queue: Rc<RefCell<VecDeque<u64>>> = Rc::new(RefCell::new(
+                blocks.into_iter().map(|(block, _)| block).collect(),
             ));
             for _ in 0..self.run.config.ddio_buffers_per_disk {
                 let server = Rc::clone(&self);
-                let disk = disk.clone();
                 let queue = Rc::clone(&queue);
                 buffer_tasks.push(ctx.spawn(async move {
                     loop {
-                        let job = queue.borrow_mut().pop_front();
-                        let Some(job) = job else { break };
+                        let block = queue.borrow_mut().pop_front();
+                        let Some(block) = block else { break };
                         match op {
-                            AccessKind::Read => server.read_block(&disk, job).await,
-                            AccessKind::Write => server.write_block(&disk, job).await,
+                            AccessKind::Read => server.read_block(block).await,
+                            AccessKind::Write => server.write_block(block).await,
                         }
                     }
                 }));

@@ -1,6 +1,6 @@
-//! The experiment harness: multi-trial data points, pattern sweeps
-//! (Figures 3 and 4) and sensitivity sweeps (Figures 5-8), plus table
-//! formatting for the figure-reproduction binaries.
+//! The experiment harness: multi-trial data points, plus the table
+//! formatting of the paper's pattern (Figures 3 and 4) and sensitivity
+//! (Figures 5-8) reports.
 //!
 //! On top of these primitives sit the [`scenario`] registry — every paper
 //! exhibit and new sweep as a named list of independent cells — and the
@@ -136,47 +136,6 @@ pub fn run_data_point(
     }
 }
 
-/// The pattern sweep behind Figures 3 and 4: every paper pattern, one record
-/// size, one layout, a set of methods.
-pub fn run_pattern_sweep(
-    base: &MachineConfig,
-    layout: LayoutPolicy,
-    record_bytes: u64,
-    methods: &[Method],
-    trials: usize,
-    base_seed: u64,
-) -> Vec<DataPoint> {
-    let config = MachineConfig {
-        layout,
-        ..base.clone()
-    };
-    let mut points = Vec::new();
-    for pattern in AccessPattern::paper_all_patterns() {
-        for &method in methods {
-            points.push(run_data_point(
-                &config,
-                method,
-                pattern,
-                record_bytes,
-                trials,
-                base_seed,
-            ));
-        }
-    }
-    points
-}
-
-/// Which machine parameter a sensitivity sweep varies.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Vary {
-    /// Vary the number of compute processors (Figure 5).
-    Cps,
-    /// Vary the number of I/O processors and buses, disks fixed (Figure 6).
-    Iops,
-    /// Vary the number of disks on a single IOP (Figures 7 and 8).
-    Disks,
-}
-
 /// One point of a sensitivity sweep.
 #[derive(Debug, Clone)]
 pub struct SensitivityPoint {
@@ -191,48 +150,6 @@ pub struct SensitivityPoint {
     /// The hardware bandwidth limit for this configuration, in MiB/s
     /// (the "Max bandwidth" line in Figures 5-8).
     pub hardware_limit_mibs: f64,
-}
-
-/// Runs one of the paper's sensitivity experiments (Figures 5-8): patterns
-/// `ra rn rb rc` with 8 KB records, both methods, varying `vary` over
-/// `values`.
-pub fn run_sensitivity_sweep(
-    base: &MachineConfig,
-    vary: Vary,
-    values: &[usize],
-    methods: &[Method],
-    trials: usize,
-    base_seed: u64,
-) -> Vec<SensitivityPoint> {
-    let record_bytes = 8192;
-    let mut points = Vec::new();
-    for &value in values {
-        let config = apply_variation(base, vary, value);
-        for pattern in AccessPattern::sensitivity_patterns() {
-            for &method in methods {
-                let dp = run_data_point(&config, method, pattern, record_bytes, trials, base_seed);
-                points.push(SensitivityPoint {
-                    value,
-                    pattern: pattern.name(),
-                    method,
-                    summary: dp.summary.clone(),
-                    hardware_limit_mibs: config.hardware_limit() / (1024.0 * 1024.0),
-                });
-            }
-        }
-    }
-    points
-}
-
-/// Builds the configuration for one sensitivity point.
-pub fn apply_variation(base: &MachineConfig, vary: Vary, value: usize) -> MachineConfig {
-    let mut config = base.clone();
-    match vary {
-        Vary::Cps => config.n_cps = value,
-        Vary::Iops => config.n_iops = value,
-        Vary::Disks => config.n_disks = value,
-    }
-    config
 }
 
 /// Formats a pattern sweep as an aligned text table, one row per pattern and
@@ -353,14 +270,6 @@ mod tests {
         assert!(dp.mean() > 0.0);
         assert!(dp.cv() < 0.5);
         assert!(dp.last_outcome.verify.as_ref().unwrap().complete);
-    }
-
-    #[test]
-    fn apply_variation_changes_the_right_knob() {
-        let base = tiny_config();
-        assert_eq!(apply_variation(&base, Vary::Cps, 2).n_cps, 2);
-        assert_eq!(apply_variation(&base, Vary::Iops, 2).n_iops, 2);
-        assert_eq!(apply_variation(&base, Vary::Disks, 8).n_disks, 8);
     }
 
     #[test]

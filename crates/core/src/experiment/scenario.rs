@@ -10,10 +10,9 @@
 //! cores via [`pool::run_parallel`] without changing a single number.
 //!
 //! The registry captures Table 1 and Figures 3–8 of the paper plus new
-//! scenarios (mixed read/write phases, degraded disks, the scheduling /
-//! cache / interconnect-fabric policy sweeps, a record-size × CP-count
-//! cross sweep); the `ddio-bench` CLI and the seven thin exhibit binaries
-//! are both driven from here.
+//! scenarios (mixed read/write phases, the scheduling / cache /
+//! interconnect-fabric / fault / serving policy sweeps, a record-size ×
+//! CP-count cross sweep); the `ddio-bench` CLI is driven from here.
 //!
 //! [`pool::run_parallel`]: super::pool::run_parallel
 
@@ -114,6 +113,40 @@ pub struct Cell {
     pub axes: Vec<Axis>,
     /// Base seed for this cell's trials (trial `t` uses `seed + t`).
     pub seed: u64,
+}
+
+impl Cell {
+    /// The cell's named coordinates, the vocabulary of `ddio-bench run
+    /// --where`: `pattern`, `method`, `sched`, `layout`, `topology`, `net`,
+    /// `faults`, `redundancy`, `arrival`, and `qos`; then `replacement`,
+    /// `prefetch`, and `write` when the method runs a cache; then every
+    /// explicit sweep axis not already named.
+    pub fn coordinates(&self) -> Vec<(&'static str, String)> {
+        let c = &self.config;
+        let mut coords = vec![
+            ("pattern", self.pattern.name()),
+            ("method", self.method.label()),
+            ("sched", self.method.sched().name().to_owned()),
+            ("layout", c.layout.short_name().to_owned()),
+            ("topology", c.fabric.topology.name().to_owned()),
+            ("net", c.fabric.contention.name().to_owned()),
+            ("faults", c.faults.name().to_owned()),
+            ("redundancy", c.redundancy.name().to_owned()),
+            ("arrival", c.serve.arrival.name().to_owned()),
+            ("qos", c.serve.qos.name().to_owned()),
+        ];
+        if let Some(cache) = self.method.cache() {
+            coords.push(("replacement", cache.replacement.name().to_owned()));
+            coords.push(("prefetch", cache.prefetch.name().to_owned()));
+            coords.push(("write", cache.write.name().to_owned()));
+        }
+        for axis in &self.axes {
+            if coords.iter().all(|(name, _)| *name != axis.name) {
+                coords.push((axis.name, axis.value.to_string()));
+            }
+        }
+        coords
+    }
 }
 
 /// The result of one executed cell.
@@ -377,15 +410,6 @@ pub fn registry() -> Vec<Scenario> {
             note: None,
         },
         Scenario {
-            name: "degraded-disk",
-            title: "Degraded disks: read-ahead loss and slow mechanics",
-            description: "healthy vs cache-less vs slow-mechanics drives, both methods",
-            headline: "DDIO degrades gracefully; TC leans harder on drive read-ahead",
-            report: Report::Flat,
-            build: build_degraded_disk,
-            note: None,
-        },
-        Scenario {
             name: "sched-sweep",
             title: "Disk-scheduling policy sweep (random-blocks layout)",
             description: "FCFS vs SSTF vs CSCAN vs presort queues, TC and DDIO, fig5-style patterns",
@@ -442,9 +466,9 @@ pub fn registry() -> Vec<Scenario> {
             report: Report::Flat,
             build: build_fault_sweep,
             note: Some(|_| {
-                "the degraded-disk ladder generalized: cacheless/worn are its levels 1-2 as \
-                 intensity-0 special cases, transient/failure add timed schedules drawn from \
-                 the cell seed; lost data reports zero throughput"
+                "cacheless/worn degrade every drive from time zero (no read-ahead cache; then \
+                 also 4x controller and head-switch overheads), transient/failure add timed \
+                 schedules drawn from the cell seed; lost data reports zero throughput"
                     .to_owned()
             }),
         },
@@ -656,37 +680,6 @@ fn build_mixed_rw(params: &SweepParams) -> Vec<Cell> {
     cells
 }
 
-/// Progressive drive degradation: level 0 is the healthy HP 97560, level 1
-/// loses the on-board read-ahead cache, level 2 additionally quadruples the
-/// mechanical overheads (controller, head switch) — a tired drive.
-fn build_degraded_disk(params: &SweepParams) -> Vec<Cell> {
-    let methods = [Method::TC, Method::DDIO_SORTED];
-    let pattern = AccessPattern::parse("rb").expect("known pattern");
-    let mut cells = Vec::new();
-    for level in 0u64..=2 {
-        let mut config = params.base.clone();
-        if level >= 1 {
-            config.disk.cache_sectors = 0;
-        }
-        if level >= 2 {
-            config.disk.controller_overhead = config.disk.controller_overhead.times(4);
-            config.disk.head_switch = config.disk.head_switch.times(4);
-        }
-        for &method in &methods {
-            cells.push(Cell {
-                scenario: "degraded-disk",
-                config: config.clone(),
-                method,
-                pattern,
-                record_bytes: 8192,
-                axes: vec![Axis::new("degradation", level)],
-                seed: derive_seed(params.seed, &["degraded-disk", &method.label()], &[level]),
-            });
-        }
-    }
-    cells
-}
-
 /// The scheduling-policy sweep: every [`SchedPolicy`] for both file systems
 /// across the fig5-style patterns on the random-blocks layout (where request
 /// order matters most). DDIO runs with eight buffers per disk instead of the
@@ -866,7 +859,7 @@ fn build_net_sweep(params: &SweepParams) -> Vec<Cell> {
     cells
 }
 
-/// The fault-injection sweep: the degraded-disk ladder generalized into the
+/// The fault-injection sweep: degraded drives and timed fault storms, the
 /// fourth pluggable subsystem. For the block-distributed read every fault
 /// intensity runs bare (the static cacheless/worn degradations are the
 /// intensity-0 special cases of the timed transient/failure storms), and
@@ -1352,7 +1345,6 @@ mod tests {
     fn new_scenario_cells_have_unique_seeds() {
         for name in [
             "mixed-rw",
-            "degraded-disk",
             "record-cp-cross",
             "sched-sweep",
             "cache-sweep",
@@ -1394,20 +1386,6 @@ mod tests {
             .filter(|c| c.axes[2].value.as_u64() == Some(1500))
             .count();
         assert_eq!(high_load, 2 * 2 * 4, "every composition reaches overload");
-    }
-
-    #[test]
-    fn degraded_disk_levels_mutate_the_drive() {
-        let cells = (find("degraded-disk").unwrap().build)(&tiny_params());
-        let healthy = &cells[0].config.disk;
-        let cacheless = &cells[2].config.disk;
-        let tired = &cells[4].config.disk;
-        assert!(healthy.cache_sectors > 0);
-        assert_eq!(cacheless.cache_sectors, 0);
-        assert_eq!(
-            tired.controller_overhead,
-            healthy.controller_overhead.times(4)
-        );
     }
 
     #[test]
@@ -1471,13 +1449,47 @@ mod tests {
             assert_eq!(c.axes[1].name, "redundancy");
             assert_eq!(c.axes[1].value, AxisValue::Name(c.config.redundancy.name()));
         }
-        // The static degraded-disk ladder rides along as the timed storms'
+        // The static degradations ride along as the timed storms'
         // intensity-0 special cases: no schedule, config-only degradation.
         let static_cells = cells
             .iter()
             .filter(|c| !c.config.faults.has_timed_events())
             .count();
         assert_eq!(static_cells, (3 + 1) * 2);
+    }
+
+    #[test]
+    fn degraded_disk_levels_mutate_the_drive() {
+        // The degraded-drive ladder is fault-sweep's static rungs on `rb`:
+        // each method runs healthy, cacheless, and worn drives.
+        let cells = (find("fault-sweep").unwrap().build)(&tiny_params());
+        let drive = |faults: FaultPolicy, method: Method| {
+            let cell = cells
+                .iter()
+                .find(|c| {
+                    c.pattern.name() == "rb"
+                        && c.method == method
+                        && c.config.faults == faults
+                        && c.config.redundancy == RedundancyPolicy::None
+                })
+                .unwrap();
+            let mut disk = cell.config.disk;
+            cell.config.faults.degrade(&mut disk);
+            disk
+        };
+        for method in [Method::TC, Method::DDIO_SORTED] {
+            let healthy = drive(FaultPolicy::None, method);
+            let cacheless = drive(FaultPolicy::Cacheless, method);
+            let tired = drive(FaultPolicy::Worn, method);
+            assert!(healthy.cache_sectors > 0);
+            assert_eq!(cacheless.cache_sectors, 0);
+            assert_eq!(cacheless.controller_overhead, healthy.controller_overhead);
+            assert_eq!(tired.cache_sectors, 0);
+            assert_eq!(
+                tired.controller_overhead,
+                healthy.controller_overhead.times(4)
+            );
+        }
     }
 
     #[test]

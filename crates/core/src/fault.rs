@@ -22,59 +22,33 @@ use ddio_sim::{SimDuration, SimRng, SimTime};
 
 use crate::config::MachineConfig;
 
-/// Which deterministic fault schedule a trial runs under.
-///
-/// The ladder is ordered by severity: two *static* degradations matching the
-/// `degraded-disk` scenario's levels (present from time zero, never
-/// recovered), then two *timed* schedules whose events fire mid-transfer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum FaultPolicy {
-    /// No faults; the paper's machine and the bit-identical default.
-    #[default]
-    None,
-    /// Every drive's on-board read-ahead cache is disabled from time zero
-    /// (the `degraded-disk` scenario's level 1).
-    Cacheless,
-    /// Cacheless, plus 4× controller overhead and head-switch time on every
-    /// drive (the `degraded-disk` scenario's level 2).
-    Worn,
-    /// A timed, recoverable schedule: one drive runs slower for a window
-    /// mid-transfer, and one IOP crashes and restarts (its network interface
-    /// drops and its drives stall for the window). No data is lost.
-    Transient,
-    /// The transient schedule, plus one drive dies permanently mid-transfer.
-    /// Reads of its blocks fail and must be reconstructed from redundancy —
-    /// or counted as lost.
-    Failure,
+ddio_sim::policy_enum! {
+    /// Which deterministic fault schedule a trial runs under.
+    ///
+    /// The ladder is ordered by severity: two *static* drive degradations
+    /// (present from time zero, never recovered), then two *timed* schedules
+    /// whose events fire mid-transfer.
+    pub enum FaultPolicy: "fault policy" {
+        /// No faults; the paper's machine and the bit-identical default.
+        #[default]
+        None = "none",
+        /// Every drive's on-board read-ahead cache is disabled from time zero.
+        Cacheless = "cacheless",
+        /// Cacheless, plus 4× controller overhead and head-switch time on every
+        /// drive: a tired drive.
+        Worn = "worn",
+        /// A timed, recoverable schedule: one drive runs slower for a window
+        /// mid-transfer, and one IOP crashes and restarts (its network interface
+        /// drops and its drives stall for the window). No data is lost.
+        Transient = "transient",
+        /// The transient schedule, plus one drive dies permanently mid-transfer.
+        /// Reads of its blocks fail and must be reconstructed from redundancy —
+        /// or counted as lost.
+        Failure = "failure",
+    }
 }
 
 impl FaultPolicy {
-    /// Every fault policy, in severity order (used by sweeps and CLI
-    /// listings).
-    pub const ALL: [FaultPolicy; 5] = [
-        FaultPolicy::None,
-        FaultPolicy::Cacheless,
-        FaultPolicy::Worn,
-        FaultPolicy::Transient,
-        FaultPolicy::Failure,
-    ];
-
-    /// The policy's lower-case name as used by `--faults` and reports.
-    pub fn name(self) -> &'static str {
-        match self {
-            FaultPolicy::None => "none",
-            FaultPolicy::Cacheless => "cacheless",
-            FaultPolicy::Worn => "worn",
-            FaultPolicy::Transient => "transient",
-            FaultPolicy::Failure => "failure",
-        }
-    }
-
-    /// Parses a policy name (the inverse of [`FaultPolicy::name`]).
-    pub fn parse(s: &str) -> Option<FaultPolicy> {
-        FaultPolicy::ALL.into_iter().find(|p| p.name() == s)
-    }
-
     /// True if the policy carries a timed schedule (events that fire
     /// mid-transfer rather than static degradation from time zero).
     pub fn has_timed_events(self) -> bool {
@@ -83,8 +57,8 @@ impl FaultPolicy {
 
     /// Applies the policy's *static* degradation to the drive parameters
     /// every disk is built with. `None`, `Transient`, and `Failure` leave
-    /// the drives pristine; `Cacheless` and `Worn` reproduce the
-    /// `degraded-disk` scenario's levels 1 and 2.
+    /// the drives pristine; `Cacheless` drops the read-ahead cache and
+    /// `Worn` additionally quadruples the mechanical overheads.
     pub fn degrade(self, params: &mut DiskParams) {
         match self {
             FaultPolicy::None | FaultPolicy::Transient | FaultPolicy::Failure => {}
@@ -98,152 +72,24 @@ impl FaultPolicy {
     }
 }
 
-impl std::fmt::Display for FaultPolicy {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.name())
+ddio_sim::policy_enum! {
+    /// How the layout places spare copies of file blocks, and therefore what a
+    /// read can fall back on when a drive dies.
+    pub enum RedundancyPolicy: "redundancy policy" {
+        /// No redundancy; a dead drive's blocks are simply lost. The
+        /// bit-identical default.
+        #[default]
+        None = "none",
+        /// Mirrored pairs: disk `d` keeps a copy of every block whose primary
+        /// lives on its partner `d ^ 1`. Reconstruction reads the single copy.
+        /// Requires an even number of disks.
+        Mirrored = "mirror",
+        /// Rotated parity (RAID-5 style): each stripe row of `n_disks - 1` data
+        /// blocks carries one parity block, with the parity disk rotating by
+        /// row. Reconstruction reads every surviving row member plus parity.
+        Parity = "parity",
     }
 }
-
-/// How the layout places spare copies of file blocks, and therefore what a
-/// read can fall back on when a drive dies.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum RedundancyPolicy {
-    /// No redundancy; a dead drive's blocks are simply lost. The
-    /// bit-identical default.
-    #[default]
-    None,
-    /// Mirrored pairs: disk `d` keeps a copy of every block whose primary
-    /// lives on its partner `d ^ 1`. Reconstruction reads the single copy.
-    /// Requires an even number of disks.
-    Mirrored,
-    /// Rotated parity (RAID-5 style): each stripe row of `n_disks - 1` data
-    /// blocks carries one parity block, with the parity disk rotating by
-    /// row. Reconstruction reads every surviving row member plus parity.
-    Parity,
-}
-
-impl RedundancyPolicy {
-    /// Every redundancy policy, in a stable order (used by sweeps and CLI
-    /// listings).
-    pub const ALL: [RedundancyPolicy; 3] = [
-        RedundancyPolicy::None,
-        RedundancyPolicy::Mirrored,
-        RedundancyPolicy::Parity,
-    ];
-
-    /// The policy's lower-case name as used by `--redundancy` and reports.
-    pub fn name(self) -> &'static str {
-        match self {
-            RedundancyPolicy::None => "none",
-            RedundancyPolicy::Mirrored => "mirror",
-            RedundancyPolicy::Parity => "parity",
-        }
-    }
-
-    /// Parses a policy name (the inverse of [`RedundancyPolicy::name`]).
-    pub fn parse(s: &str) -> Option<RedundancyPolicy> {
-        RedundancyPolicy::ALL.into_iter().find(|p| p.name() == s)
-    }
-}
-
-impl std::fmt::Display for RedundancyPolicy {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
-/// Defines a small, copyable bitset over one of the fault subsystem's policy
-/// enums (one bit per variant), with the same surface as
-/// `ddio_disk::SchedSet` and `ddio_net::TopologySet`:
-/// `empty`/`all`/`insert`/`contains`/`is_empty`/`iter`/`parse_list`/`names`.
-macro_rules! policy_set {
-    (
-        $(#[$doc:meta])*
-        $set:ident of $kind:ident, $what:literal, $expected:literal
-    ) => {
-        $(#[$doc])*
-        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-        pub struct $set(u8);
-
-        impl $set {
-            /// The empty set.
-            pub const fn empty() -> $set {
-                $set(0)
-            }
-
-            #[doc = concat!("The set of every ", $what, ".")]
-            pub fn all() -> $set {
-                let mut s = $set::empty();
-                for k in $kind::ALL {
-                    s.insert(k);
-                }
-                s
-            }
-
-            #[doc = concat!("Adds a ", $what, " to the set.")]
-            pub fn insert(&mut self, k: $kind) {
-                self.0 |= 1 << (k as u8);
-            }
-
-            /// True if the set contains `k`.
-            pub fn contains(self, k: $kind) -> bool {
-                self.0 & (1 << (k as u8)) != 0
-            }
-
-            /// True if the set is empty.
-            pub fn is_empty(self) -> bool {
-                self.0 == 0
-            }
-
-            #[doc = concat!("The contained values, in [`", stringify!($kind), "::ALL`] order.")]
-            pub fn iter(self) -> impl Iterator<Item = $kind> {
-                $kind::ALL.into_iter().filter(move |&k| self.contains(k))
-            }
-
-            #[doc = concat!("Parses a comma-separated list of ", $what, " names.")]
-            pub fn parse_list(s: &str) -> Result<$set, String> {
-                let mut set = $set::empty();
-                for part in s.split(',') {
-                    let part = part.trim();
-                    if part.is_empty() {
-                        continue;
-                    }
-                    let k = $kind::parse(part).ok_or_else(|| {
-                        format!("unknown {} {part:?} (expected {})", $what, $expected)
-                    })?;
-                    set.insert(k);
-                }
-                if set.is_empty() {
-                    return Err(format!(
-                        "expected a comma-separated list of {} names: {}",
-                        $what, $expected
-                    ));
-                }
-                Ok(set)
-            }
-
-            /// The contained names, comma-separated.
-            pub fn names(self) -> String {
-                self.iter().map($kind::name).collect::<Vec<_>>().join(",")
-            }
-        }
-    };
-}
-
-policy_set! {
-    /// A small, copyable set of [`FaultPolicy`] values (one bit per policy),
-    /// used by the `ddio-bench --faults` filter.
-    FaultSet of FaultPolicy, "fault policy", "none, cacheless, worn, transient, or failure"
-}
-
-policy_set! {
-    /// A small, copyable set of [`RedundancyPolicy`] values, used by the
-    /// `ddio-bench --redundancy` filter.
-    RedundancySet of RedundancyPolicy, "redundancy policy", "none, mirror, or parity"
-}
-
-// The serving subsystem's policy enums build their sets with the same macro.
-pub(crate) use policy_set;
 
 /// What kind of fault an event injects.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -439,19 +285,28 @@ mod tests {
 
     #[test]
     fn sets_parse_and_filter() {
-        let set = FaultSet::parse_list("none, failure").unwrap();
-        assert!(set.contains(FaultPolicy::None));
-        assert!(set.contains(FaultPolicy::Failure));
-        assert!(!set.contains(FaultPolicy::Transient));
-        assert_eq!(set.names(), "none,failure");
-        assert!(FaultSet::parse_list("meteor").is_err());
-        assert_eq!(FaultSet::all().iter().count(), 5);
-
-        let set = RedundancySet::parse_list("mirror,parity").unwrap();
-        assert!(!set.contains(RedundancyPolicy::None));
-        assert_eq!(set.names(), "mirror,parity");
-        assert!(RedundancySet::parse_list(" , ").is_err());
-        assert_eq!(RedundancySet::all().iter().count(), 3);
+        let faults = ["none", "failure"].map(|n| FaultPolicy::from_name(n).unwrap());
+        assert_eq!(faults, [FaultPolicy::None, FaultPolicy::Failure]);
+        let timed: Vec<_> = faults
+            .into_iter()
+            .filter(|f| f.has_timed_events())
+            .collect();
+        assert_eq!(timed, [FaultPolicy::Failure]);
+        assert_eq!(FaultPolicy::ALL.len(), 5);
+        assert_eq!(
+            FaultPolicy::from_name("meteor").unwrap_err(),
+            "unknown fault policy \"meteor\" (expected none, cacheless, worn, transient, or failure)"
+        );
+        let redundancy = ["mirror", "parity"].map(|n| RedundancyPolicy::from_name(n).unwrap());
+        assert_eq!(
+            redundancy,
+            [RedundancyPolicy::Mirrored, RedundancyPolicy::Parity]
+        );
+        assert_eq!(RedundancyPolicy::ALL.len(), 3);
+        assert_eq!(
+            RedundancyPolicy::from_name(" ").unwrap_err(),
+            "unknown redundancy policy \" \" (expected none, mirror, or parity)"
+        );
     }
 
     #[test]

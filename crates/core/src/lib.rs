@@ -83,25 +83,20 @@ pub mod serve;
 mod tc;
 mod util;
 
-pub use cache::{
-    CacheConfig, CacheFilter, CacheSet, CacheStats, PrefetchPolicy, ReplacementPolicy, WritePolicy,
-};
+pub use cache::{CacheConfig, CacheStats, PrefetchPolicy, ReplacementPolicy, WritePolicy};
 pub use collective::{CollectiveError, CollectiveFile};
 pub use config::{
-    CacheParams, ContentionModel, ContentionSet, CostModel, LayoutPolicy, MachineConfig, Method,
-    NetConfig, SchedPolicy, SchedSet, TopologyKind, TopologySet,
+    CacheParams, ContentionModel, CostModel, LayoutPolicy, MachineConfig, Method, NetConfig,
+    SchedPolicy, TopologyKind,
 };
 pub use ddio_net::LinkStat;
-pub use fault::{
-    FaultConfig, FaultEvent, FaultKind, FaultPolicy, FaultSet, FaultStats, RedundancyPolicy,
-    RedundancySet,
-};
+pub use fault::{FaultConfig, FaultEvent, FaultKind, FaultPolicy, FaultStats, RedundancyPolicy};
 pub use layout::{BlockLocation, FileLayout, LayoutStorage};
 pub use machine::{run_transfer, MachineArena, TransferOutcome, VerifyReport};
 pub use msg::FsMessage;
 pub use serve::{
-    AdmissionQueue, ArrivalProcess, ArrivalSet, LatencyHistogram, QosPolicy, QosSet, ServeConfig,
-    ServeParams, ServeRequestSpec, ServeStats, TenantStats,
+    AdmissionQueue, ArrivalProcess, LatencyHistogram, QosPolicy, ServeConfig, ServeParams,
+    ServeRequestSpec, ServeStats, TenantStats,
 };
 pub use util::{IntervalSet, PendingCounter};
 

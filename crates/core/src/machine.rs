@@ -10,7 +10,7 @@ use std::rc::Rc;
 
 use ddio_disk::{spawn_disk_faulty, DiskHandle, DiskParams, DiskRequest, DiskStats, ScsiBus};
 use ddio_net::{Envelope, LinkStat, NetConfig, Network};
-use ddio_patterns::{AccessPattern, PatternInstance};
+use ddio_patterns::{AccessKind, AccessPattern, PatternInstance};
 use ddio_sim::stats::throughput_mibs;
 use ddio_sim::sync::{Receiver, Resource, ResourceName};
 use ddio_sim::{Sim, SimContext, SimDuration, SimRng};
@@ -67,28 +67,14 @@ pub(crate) struct VerifyState {
     pub file_written: IntervalSet,
 }
 
-/// Cross-IOP access to one drive, used by fault recovery: reconstruction
-/// reads and redirected writes must charge the *source* disk's drive and
-/// SCSI bus even when they belong to another IOP.
-pub(crate) struct RecoveryDisk {
-    /// The drive (all handles feed the same queue).
-    pub handle: DiskHandle,
-    /// The SCSI bus of the IOP owning the drive.
-    pub bus: ScsiBus,
-    /// The network node of the IOP owning the drive.
-    pub node: usize,
-}
-
-/// The fault subsystem's per-run state: the compiled schedule, cross-IOP
-/// drive access for recovery, and the recovery counters.
+/// The fault subsystem's per-run state: the compiled schedule and the
+/// recovery counters.
 pub(crate) struct FaultSession {
     /// Simulation clock access (liveness checks are time-dependent).
     pub ctx: SimContext,
     /// The compiled schedule (empty under `FaultPolicy::None` and the
     /// static policies).
     pub schedule: FaultConfig,
-    /// Per-global-disk access, indexed by disk id.
-    pub disks: Vec<RecoveryDisk>,
     /// Reads issued against redundant copies.
     pub reconstruction_reads: Cell<u64>,
     /// Blocks with no surviving copy.
@@ -111,12 +97,15 @@ pub(crate) struct RunContext {
     pub layout: Rc<FileLayout>,
     /// The interconnect.
     pub net: Network<FsMessage>,
+    /// Every IOP, indexed by IOP number: block I/O reaches any drive (a
+    /// reconstruction source may live on another IOP) through its owner.
+    pub iops: Vec<Rc<IopParts>>,
     /// Optional data-placement tracking.
     pub verify: Option<Rc<RefCell<VerifyState>>>,
     /// Per-IOP cache statistics, published by each traditional-caching IOP
     /// server at the end-of-transfer sync (`None` for cacheless methods).
     pub cache_stats: RefCell<Vec<Option<CacheStats>>>,
-    /// Fault schedule, recovery table, and counters.
+    /// Fault schedule and recovery counters.
     pub fault: FaultSession,
 }
 
@@ -142,33 +131,83 @@ impl RunContext {
         self.cache_stats.borrow_mut()[iop] = Some(stats);
     }
 
+    /// Valid bytes of `block` (the file's last block may be short).
+    pub fn block_bytes(&self, block: u64) -> u64 {
+        let (start, end) = self.layout.block_byte_range(block);
+        end - start
+    }
+
+    /// Reads `block` into a buffer of `iop`, the IOP owning its primary
+    /// copy: the drive, then reconstruction if the drive failed, then the
+    /// IOP's SCSI bus. Returns the block's valid bytes.
+    pub async fn read_block(&self, iop: &IopParts, block: u64) -> u64 {
+        let bytes = self.block_bytes(block);
+        if !self
+            .drive_io(AccessKind::Read, self.layout.location(block), bytes)
+            .await
+        {
+            self.recover_block_read(block, bytes, iop.node).await;
+        }
+        iop.bus.transfer(bytes).await;
+        bytes
+    }
+
+    /// Writes `bytes` of `block` from a buffer of `iop`, the IOP owning its
+    /// primary copy: the SCSI bus, then the drive, then either a redirect to
+    /// the redundant location (the drive failed) or the redundant copy.
+    pub async fn write_block(&self, iop: &IopParts, block: u64, bytes: u64) {
+        iop.bus.transfer(bytes).await;
+        if self
+            .drive_io(AccessKind::Write, self.layout.location(block), bytes)
+            .await
+        {
+            self.redundant_write(block, iop.node, bytes).await;
+        } else {
+            self.redirect_failed_write(block, iop.node, bytes).await;
+        }
+    }
+
+    /// One drive access of `bytes` at `loc`; true unless the drive failed
+    /// the request.
+    async fn drive_io(&self, op: AccessKind, loc: BlockLocation, bytes: u64) -> bool {
+        let sectors = bytes.div_ceil(self.config.disk.geometry.bytes_per_sector as u64) as u32;
+        let request = match op {
+            AccessKind::Read => DiskRequest::read(loc.start_sector, sectors),
+            AccessKind::Write => DiskRequest::write(loc.start_sector, sectors),
+        };
+        let owner = self.owner_of(loc.disk);
+        let drive = owner
+            .disks
+            .iter()
+            .find(|(d, _)| *d == loc.disk)
+            .map(|(_, handle)| handle)
+            .unwrap_or_else(|| panic!("IOP {} does not own disk {}", owner.iop, loc.disk));
+        !drive.io(request).await.failed
+    }
+
+    /// The IOP whose bus and drive serve `disk`.
+    fn owner_of(&self, disk: usize) -> &IopParts {
+        &self.iops[self.config.iop_of_disk(disk)]
+    }
+
     /// Handles a failed primary read of `block` observed by the IOP at
     /// `requester_node`: reads every reconstruction source that is still
     /// alive, charging the source drive, its owning IOP's SCSI bus, and a
     /// fabric hop when the source lives on another IOP. A block whose full
     /// source set cannot be read is counted lost — but the caller proceeds
     /// regardless, so the transfer protocol always terminates.
-    pub async fn recover_block_read(&self, block: u64, requester_node: usize) {
+    async fn recover_block_read(&self, block: u64, bytes: u64, requester_node: usize) {
         let f = &self.fault;
         let sources = self.layout.reconstruction_sources(block);
-        let (bstart, bend) = self.layout.block_byte_range(block);
-        let bytes = bend - bstart;
-        let sectors = self.sectors_for(bytes);
         let mut complete = !sources.is_empty();
         for loc in sources {
-            if f.schedule.is_dead(loc.disk, f.ctx.now()) {
+            if f.schedule.is_dead(loc.disk, f.ctx.now())
+                || !self.drive_io(AccessKind::Read, loc, bytes).await
+            {
                 complete = false;
                 continue;
             }
-            let source = &f.disks[loc.disk];
-            let breakdown = source
-                .handle
-                .io(DiskRequest::read(loc.start_sector, sectors))
-                .await;
-            if breakdown.failed {
-                complete = false;
-                continue;
-            }
+            let source = self.owner_of(loc.disk);
             source.bus.transfer(bytes).await;
             if source.node != requester_node {
                 self.ship_reconstruction(source.node, requester_node, block, bytes)
@@ -185,7 +224,7 @@ impl RunContext {
     /// successful primary write — the steady-state cost of running
     /// redundancy. A no-op under `RedundancyPolicy::None`; a copy whose
     /// disk has died is skipped (the primary survives).
-    pub async fn redundant_write(&self, block: u64, requester_node: usize, bytes: u64) {
+    async fn redundant_write(&self, block: u64, requester_node: usize, bytes: u64) {
         if self.layout.redundancy() == RedundancyPolicy::None {
             return;
         }
@@ -201,7 +240,7 @@ impl RunContext {
 
     /// Redirects a write whose primary disk is dead to the block's redundant
     /// location. With no live redundant location the block is lost.
-    pub async fn redirect_failed_write(&self, block: u64, requester_node: usize, bytes: u64) {
+    async fn redirect_failed_write(&self, block: u64, requester_node: usize, bytes: u64) {
         let f = &self.fault;
         let live = self
             .layout
@@ -226,20 +265,13 @@ impl RunContext {
         requester_node: usize,
         bytes: u64,
     ) -> bool {
-        let target = &self.fault.disks[loc.disk];
+        let target = self.owner_of(loc.disk);
         if target.node != requester_node {
             self.ship_reconstruction(requester_node, target.node, block, bytes)
                 .await;
         }
         target.bus.transfer(bytes).await;
-        let breakdown = target
-            .handle
-            .io(DiskRequest::write(
-                loc.start_sector,
-                self.sectors_for(bytes),
-            ))
-            .await;
-        !breakdown.failed
+        self.drive_io(AccessKind::Write, loc, bytes).await
     }
 
     /// One cross-IOP hop of reconstruction data over the fabric.
@@ -247,10 +279,6 @@ impl RunContext {
         let msg = FsMessage::Reconstructed { block, bytes };
         let wire = self.config.costs.message_header_bytes + msg.payload_bytes();
         self.net.send(from, to, wire, msg).await;
-    }
-
-    fn sectors_for(&self, bytes: u64) -> u32 {
-        bytes.div_ceil(self.config.disk.geometry.bytes_per_sector as u64) as u32
     }
 }
 
@@ -527,11 +555,13 @@ pub fn run_transfer_in(
         );
     }
 
+    // Inboxes are numbered like the nodes: CPs first, then IOPs.
+    let iop_inboxes = inboxes.split_off(config.n_cps);
+    let cp_inboxes = inboxes;
+
     // Build the CPs.
-    let mut cp_inboxes = Vec::with_capacity(config.n_cps);
     let mut cps = Vec::with_capacity(config.n_cps);
     for cp in 0..config.n_cps {
-        cp_inboxes.push(inboxes.remove(0));
         cps.push(Rc::new(CpParts {
             cp,
             node: config.cp_node(cp),
@@ -569,10 +599,8 @@ pub fn run_transfer_in(
     // time zero; timed policies leave the parameters pristine and act
     // through the per-drive plans instead.
     config.faults.degrade(&mut drive_params);
-    let mut iop_inboxes = Vec::with_capacity(config.n_iops);
     let mut iops = Vec::with_capacity(config.n_iops);
     for iop in 0..config.n_iops {
-        iop_inboxes.push(inboxes.remove(0));
         let bus = ScsiBus::with_bandwidth(
             ctx.clone(),
             ResourceName::Indexed {
@@ -607,29 +635,17 @@ pub fn run_transfer_in(
         }));
     }
 
-    // Recovery needs cross-IOP drive access (a reconstruction source may
-    // live on any IOP), so the fault session indexes every drive globally.
-    let recovery_disks: Vec<RecoveryDisk> = iops
-        .iter()
-        .flat_map(|iop| {
-            iop.disks.iter().map(|(_, handle)| RecoveryDisk {
-                handle: handle.clone(),
-                bus: iop.bus.clone(),
-                node: iop.node,
-            })
-        })
-        .collect();
     let run = Rc::new(RunContext {
         config: Rc::new(config.clone()),
         pattern: pattern_instance,
         layout: Rc::clone(&layout),
         net: net.clone(),
+        iops: iops.clone(),
         verify,
         cache_stats: RefCell::new(vec![None; config.n_iops]),
         fault: FaultSession {
             ctx: ctx.clone(),
             schedule: fault_schedule,
-            disks: recovery_disks,
             reconstruction_reads: Cell::new(0),
             lost_blocks: Cell::new(0),
         },

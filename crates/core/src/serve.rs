@@ -26,56 +26,34 @@ use std::collections::{HashMap, VecDeque};
 use std::rc::Rc;
 use std::task::Poll;
 
-use ddio_disk::{DiskRequest, SchedPolicy};
+use ddio_disk::SchedPolicy;
 use ddio_sim::sync::oneshot;
 use ddio_sim::{Sim, SimContext, SimDuration, SimRng, SimTime, TaskRef};
 
 use crate::config::{MachineConfig, Method};
-use crate::fault::policy_set;
 use crate::machine::{CpParts, Inbox, IopParts, RunContext};
 use crate::msg::FsMessage;
 use crate::util::PendingCounter;
 
-/// How client requests arrive at the file system.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum ArrivalProcess {
-    /// No open-loop clients: the scenario's single collective transfer runs
-    /// instead. The bit-identical default.
-    #[default]
-    ClosedLoop,
-    /// Each tenant issues requests as an independent Poisson stream
-    /// (exponential inter-arrival gaps at the tenant's share of the offered
-    /// load).
-    Poisson,
-    /// A bursty MMPP on-off stream per tenant: bursts arrive at 4× the
-    /// tenant's mean rate (mean burst length 8 requests) separated by
-    /// exponential off periods, preserving the same mean rate as `poisson`.
-    Bursty,
+ddio_sim::policy_enum! {
+    /// How client requests arrive at the file system.
+    pub enum ArrivalProcess: "arrival process" {
+        /// No open-loop clients: the scenario's single collective transfer runs
+        /// instead. The bit-identical default.
+        #[default]
+        ClosedLoop = "closed-loop",
+        /// Each tenant issues requests as an independent Poisson stream
+        /// (exponential inter-arrival gaps at the tenant's share of the offered
+        /// load).
+        Poisson = "poisson",
+        /// A bursty MMPP on-off stream per tenant: bursts arrive at 4× the
+        /// tenant's mean rate (mean burst length 8 requests) separated by
+        /// exponential off periods, preserving the same mean rate as `poisson`.
+        Bursty = "bursty",
+    }
 }
 
 impl ArrivalProcess {
-    /// Every arrival process, in a stable order (used by sweeps and CLI
-    /// listings).
-    pub const ALL: [ArrivalProcess; 3] = [
-        ArrivalProcess::ClosedLoop,
-        ArrivalProcess::Poisson,
-        ArrivalProcess::Bursty,
-    ];
-
-    /// The process's lower-case name as used by `--arrival` and reports.
-    pub fn name(self) -> &'static str {
-        match self {
-            ArrivalProcess::ClosedLoop => "closed-loop",
-            ArrivalProcess::Poisson => "poisson",
-            ArrivalProcess::Bursty => "bursty",
-        }
-    }
-
-    /// Parses a process name (the inverse of [`ArrivalProcess::name`]).
-    pub fn parse(s: &str) -> Option<ArrivalProcess> {
-        ArrivalProcess::ALL.into_iter().find(|p| p.name() == s)
-    }
-
     /// True if the process generates an open-loop request stream (anything
     /// but the closed-loop baseline).
     pub fn is_open_loop(self) -> bool {
@@ -83,71 +61,22 @@ impl ArrivalProcess {
     }
 }
 
-impl std::fmt::Display for ArrivalProcess {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.name())
+ddio_sim::policy_enum! {
+    /// The order in which pending requests are admitted to the file system.
+    pub enum QosPolicy: "QoS policy" {
+        /// Global arrival order, tenant-blind. The default.
+        #[default]
+        Fifo = "fifo",
+        /// Per-tenant round-robin at admission: each admission takes the next
+        /// request of the next non-empty tenant, so no tenant waits more than
+        /// one round behind any other.
+        FairShare = "fair-share",
+        /// Smooth weighted round-robin with weight `tenant + 1`: higher-index
+        /// tenants are admitted proportionally more often.
+        Weighted = "weighted",
+        /// Strict priority by tenant index: tenant 0's requests always go first.
+        TenantPriority = "tenant-priority",
     }
-}
-
-/// The order in which pending requests are admitted to the file system.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum QosPolicy {
-    /// Global arrival order, tenant-blind. The default.
-    #[default]
-    Fifo,
-    /// Per-tenant round-robin at admission: each admission takes the next
-    /// request of the next non-empty tenant, so no tenant waits more than
-    /// one round behind any other.
-    FairShare,
-    /// Smooth weighted round-robin with weight `tenant + 1`: higher-index
-    /// tenants are admitted proportionally more often.
-    Weighted,
-    /// Strict priority by tenant index: tenant 0's requests always go first.
-    TenantPriority,
-}
-
-impl QosPolicy {
-    /// Every QoS policy, in a stable order (used by sweeps and CLI
-    /// listings).
-    pub const ALL: [QosPolicy; 4] = [
-        QosPolicy::Fifo,
-        QosPolicy::FairShare,
-        QosPolicy::Weighted,
-        QosPolicy::TenantPriority,
-    ];
-
-    /// The policy's lower-case name as used by `--qos` and reports.
-    pub fn name(self) -> &'static str {
-        match self {
-            QosPolicy::Fifo => "fifo",
-            QosPolicy::FairShare => "fair-share",
-            QosPolicy::Weighted => "weighted",
-            QosPolicy::TenantPriority => "tenant-priority",
-        }
-    }
-
-    /// Parses a policy name (the inverse of [`QosPolicy::name`]).
-    pub fn parse(s: &str) -> Option<QosPolicy> {
-        QosPolicy::ALL.into_iter().find(|p| p.name() == s)
-    }
-}
-
-impl std::fmt::Display for QosPolicy {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
-policy_set! {
-    /// A small, copyable set of [`ArrivalProcess`] values (one bit per
-    /// process), used by the `ddio-bench --arrival` filter.
-    ArrivalSet of ArrivalProcess, "arrival process", "closed-loop, poisson, or bursty"
-}
-
-policy_set! {
-    /// A small, copyable set of [`QosPolicy`] values, used by the
-    /// `ddio-bench --qos` filter.
-    QosSet of QosPolicy, "QoS policy", "fifo, fair-share, weighted, or tenant-priority"
 }
 
 /// The serving knobs carried by [`MachineConfig`].
@@ -851,15 +780,6 @@ struct ServeServer {
 }
 
 impl ServeServer {
-    fn disk_handle(&self, disk: usize) -> &ddio_disk::DiskHandle {
-        self.parts
-            .disks
-            .iter()
-            .find(|(d, _)| *d == disk)
-            .map(|(_, h)| h)
-            .unwrap_or_else(|| panic!("IOP {} asked for foreign disk {disk}", self.parts.iop))
-    }
-
     /// Serves one request: CPU costs per the method, the disk read, the SCSI
     /// bus, and the data-carrying reply.
     async fn handle(self: Rc<Self>, id: u64, cp: usize, block: u64, setup: bool) {
@@ -877,16 +797,7 @@ impl ServeServer {
             self.parts.cpu.use_for(costs.iop_dispatch_cpu).await;
             self.parts.cpu.use_for(costs.iop_cache_cpu).await;
         }
-        let loc = self.run.layout.location(block);
-        let (bstart, bend) = self.run.layout.block_byte_range(block);
-        let bytes = bend - bstart;
-        let sectors = bytes.div_ceil(self.run.config.disk.geometry.bytes_per_sector as u64) as u32;
-        let disk = self.disk_handle(loc.disk);
-        let breakdown = disk.io(DiskRequest::read(loc.start_sector, sectors)).await;
-        if breakdown.failed {
-            self.run.recover_block_read(block, self.parts.node).await;
-        }
-        self.parts.bus.transfer(bytes).await;
+        let bytes = self.run.read_block(&self.parts, block).await;
         if self.ddio {
             self.parts.cpu.use_for(costs.memput_cpu).await;
         } else {
@@ -1100,20 +1011,24 @@ mod tests {
 
     #[test]
     fn sets_parse_and_filter() {
-        let set = ArrivalSet::parse_list("poisson, bursty").unwrap();
-        assert!(set.contains(ArrivalProcess::Poisson));
-        assert!(set.contains(ArrivalProcess::Bursty));
-        assert!(!set.contains(ArrivalProcess::ClosedLoop));
-        assert_eq!(set.names(), "poisson,bursty");
-        assert!(ArrivalSet::parse_list("meteor").is_err());
-        assert_eq!(ArrivalSet::all().iter().count(), 3);
-
-        let set = QosSet::parse_list("fifo,tenant-priority").unwrap();
-        assert!(set.contains(QosPolicy::Fifo));
-        assert!(!set.contains(QosPolicy::FairShare));
-        assert_eq!(set.names(), "fifo,tenant-priority");
-        assert!(QosSet::parse_list(" , ").is_err());
-        assert_eq!(QosSet::all().iter().count(), 4);
+        let arrivals = ["poisson", "bursty"].map(|n| ArrivalProcess::from_name(n).unwrap());
+        assert_eq!(arrivals, [ArrivalProcess::Poisson, ArrivalProcess::Bursty]);
+        let open: Vec<_> = ArrivalProcess::ALL
+            .into_iter()
+            .filter(|a| a.is_open_loop())
+            .collect();
+        assert_eq!(open, arrivals);
+        assert_eq!(
+            ArrivalProcess::from_name("meteor").unwrap_err(),
+            "unknown arrival process \"meteor\" (expected closed-loop, poisson, or bursty)"
+        );
+        let qos = ["fifo", "tenant-priority"].map(|n| QosPolicy::from_name(n).unwrap());
+        assert_eq!(qos, [QosPolicy::Fifo, QosPolicy::TenantPriority]);
+        assert_eq!(QosPolicy::ALL.len(), 4);
+        assert_eq!(
+            QosPolicy::from_name("edf").unwrap_err(),
+            "unknown QoS policy \"edf\" (expected fifo, fair-share, weighted, or tenant-priority)"
+        );
     }
 
     #[test]

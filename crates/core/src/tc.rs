@@ -20,7 +20,7 @@ use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
 use std::rc::Rc;
 
-use ddio_disk::{DiskRequest, SchedPolicy};
+use ddio_disk::SchedPolicy;
 use ddio_patterns::AccessKind;
 use ddio_sim::sync::{oneshot, Barrier, CountdownEvent};
 use ddio_sim::{Sim, SimContext};
@@ -83,51 +83,15 @@ struct IopServer {
 }
 
 impl IopServer {
-    /// Valid bytes of a (possibly final, short) block.
-    fn block_bytes(&self, block: u64) -> u64 {
-        let (s, e) = self.run.layout.block_byte_range(block);
-        e - s
-    }
-
-    fn disk_handle(&self, disk: usize) -> &ddio_disk::DiskHandle {
-        self.parts
-            .disks
-            .iter()
-            .find(|(d, _)| *d == disk)
-            .map(|(_, h)| h)
-            .unwrap_or_else(|| panic!("IOP {} asked for foreign disk {disk}", self.parts.iop))
-    }
-
-    /// Reads `block` from its disk into an IOP cache buffer (drive + bus).
+    /// Reads `block` from its disk into an IOP cache buffer.
     async fn fetch_block(&self, block: u64) {
-        let loc = self.run.layout.location(block);
-        let bytes = self.block_bytes(block);
-        let sectors = bytes.div_ceil(self.run.config.disk.geometry.bytes_per_sector as u64) as u32;
-        let disk = self.disk_handle(loc.disk);
-        let breakdown = disk.io(DiskRequest::read(loc.start_sector, sectors)).await;
-        if breakdown.failed {
-            self.run.recover_block_read(block, self.parts.node).await;
-        }
-        self.parts.bus.transfer(bytes).await;
+        self.run.read_block(&self.parts, block).await;
     }
 
     /// Writes `bytes` of `block` from the cache buffer back to its disk.
     async fn flush_block(&self, block: u64, bytes: u64) {
         self.cache.borrow_mut().note_flush();
-        let loc = self.run.layout.location(block);
-        let sectors = bytes.div_ceil(self.run.config.disk.geometry.bytes_per_sector as u64) as u32;
-        self.parts.bus.transfer(bytes).await;
-        let disk = self.disk_handle(loc.disk);
-        let breakdown = disk.io(DiskRequest::write(loc.start_sector, sectors)).await;
-        if breakdown.failed {
-            self.run
-                .redirect_failed_write(block, self.parts.node, bytes)
-                .await;
-        } else {
-            self.run
-                .redundant_write(block, self.parts.node, bytes)
-                .await;
-        }
+        self.run.write_block(&self.parts, block, bytes).await;
     }
 
     /// Ensures `block` is resident (waiting on a fill in progress, or reading
@@ -276,7 +240,7 @@ impl IopServer {
                     let c = self.cache.borrow();
                     (c.dirty_count(), c.capacity())
                 };
-                match policy.on_write(written, self.block_bytes(block), dirty, capacity) {
+                match policy.on_write(written, self.run.block_bytes(block), dirty, capacity) {
                     WriteAction::None => {}
                     WriteAction::FlushBlock if policy == WritePolicy::Through => {
                         // Write-through: this request's bytes reach the disk
@@ -290,7 +254,7 @@ impl IopServer {
                         // Write-behind: flush the now-full block in the
                         // background.
                         let server = Rc::clone(&self);
-                        let bytes = self.block_bytes(block);
+                        let bytes = self.run.block_bytes(block);
                         self.background.begin();
                         ctx.spawn_detached(async move {
                             server.flush_block(block, bytes).await;

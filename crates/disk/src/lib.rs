@@ -36,5 +36,5 @@ pub use drive::{spawn_disk, spawn_disk_faulty, DiskHandle, DriveFaultPlan};
 pub use geometry::{Chs, Geometry};
 pub use model::{DiskModel, DiskParams, DiskStats};
 pub use request::{DiskOp, DiskRequest, ServiceBreakdown};
-pub use sched::{DiskScheduler, SchedPolicy, SchedSet};
+pub use sched::{DiskScheduler, SchedPolicy};
 pub use seek::SeekCurve;

@@ -17,54 +17,32 @@ use std::collections::VecDeque;
 use crate::geometry::Geometry;
 use crate::request::DiskRequest;
 
-/// The queue-scheduling policy of one drive.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum SchedPolicy {
-    /// First come, first served: requests are served strictly in arrival
-    /// order (the behavior of the original hardwired FIFO drive).
-    #[default]
-    Fcfs,
-    /// Shortest seek time first: serve the pending request whose start
-    /// cylinder is nearest the arm. Greedy and throughput-oriented, but can
-    /// starve outlying requests under an open arrival stream.
-    Sstf,
-    /// Circular elevator (CSCAN): sweep the arm toward higher cylinders,
-    /// serving pending requests in nondecreasing cylinder order; when nothing
-    /// is pending at or above the arm, wrap to the lowest pending cylinder
-    /// and start the next sweep.
-    Cscan,
-    /// Submission-side location sort — the paper's "presort" variant of
-    /// disk-directed I/O. The *submitter* sorts its whole batch by physical
-    /// location before issuing it, so the drive itself serves in arrival
-    /// order (at the drive this policy is FIFO; the sort happens where the
-    /// complete block list is known).
-    Presort,
+ddio_sim::policy_enum! {
+    /// The queue-scheduling policy of one drive.
+    pub enum SchedPolicy: "scheduling policy" {
+        /// First come, first served: requests are served strictly in arrival
+        /// order (the behavior of the original hardwired FIFO drive).
+        #[default]
+        Fcfs = "fcfs",
+        /// Shortest seek time first: serve the pending request whose start
+        /// cylinder is nearest the arm. Greedy and throughput-oriented, but
+        /// can starve outlying requests under an open arrival stream.
+        Sstf = "sstf",
+        /// Circular elevator (CSCAN): sweep the arm toward higher cylinders,
+        /// serving pending requests in nondecreasing cylinder order; when
+        /// nothing is pending at or above the arm, wrap to the lowest
+        /// pending cylinder and start the next sweep.
+        Cscan = "cscan",
+        /// Submission-side location sort — the paper's "presort" variant of
+        /// disk-directed I/O. The *submitter* sorts its whole batch by
+        /// physical location before issuing it, so the drive itself serves
+        /// in arrival order (at the drive this policy is FIFO; the sort
+        /// happens where the complete block list is known).
+        Presort = "presort",
+    }
 }
 
 impl SchedPolicy {
-    /// Every policy, in a stable order (used by sweeps and CLI listings).
-    pub const ALL: [SchedPolicy; 4] = [
-        SchedPolicy::Fcfs,
-        SchedPolicy::Sstf,
-        SchedPolicy::Cscan,
-        SchedPolicy::Presort,
-    ];
-
-    /// The policy's lower-case name as used by `--sched` and reports.
-    pub fn name(self) -> &'static str {
-        match self {
-            SchedPolicy::Fcfs => "fcfs",
-            SchedPolicy::Sstf => "sstf",
-            SchedPolicy::Cscan => "cscan",
-            SchedPolicy::Presort => "presort",
-        }
-    }
-
-    /// Parses a policy name (the inverse of [`SchedPolicy::name`]).
-    pub fn parse(s: &str) -> Option<SchedPolicy> {
-        SchedPolicy::ALL.into_iter().find(|p| p.name() == s)
-    }
-
     /// Builds the scheduler implementing this policy for a drive with the
     /// given geometry. `T` is the per-request payload the drive threads
     /// through the queue (its completion channel).
@@ -86,87 +64,6 @@ impl SchedPolicy {
                 entries: Vec::new(),
             }),
         }
-    }
-}
-
-impl std::fmt::Display for SchedPolicy {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
-/// A small, copyable set of [`SchedPolicy`] values (one bit per policy),
-/// used by the `ddio-bench --sched` filter.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SchedSet(u8);
-
-impl SchedSet {
-    /// The empty set.
-    pub const fn empty() -> SchedSet {
-        SchedSet(0)
-    }
-
-    /// The set of every policy.
-    pub fn all() -> SchedSet {
-        let mut s = SchedSet::empty();
-        for p in SchedPolicy::ALL {
-            s.insert(p);
-        }
-        s
-    }
-
-    /// Adds a policy to the set.
-    pub fn insert(&mut self, p: SchedPolicy) {
-        self.0 |= 1 << (p as u8);
-    }
-
-    /// True if the set contains `p`.
-    pub fn contains(self, p: SchedPolicy) -> bool {
-        self.0 & (1 << (p as u8)) != 0
-    }
-
-    /// True if the set contains no policy.
-    pub fn is_empty(self) -> bool {
-        self.0 == 0
-    }
-
-    /// The contained policies, in [`SchedPolicy::ALL`] order.
-    pub fn iter(self) -> impl Iterator<Item = SchedPolicy> {
-        SchedPolicy::ALL
-            .into_iter()
-            .filter(move |&p| self.contains(p))
-    }
-
-    /// Parses a comma-separated list of policy names (`"fcfs,cscan"`).
-    pub fn parse_list(s: &str) -> Result<SchedSet, String> {
-        let mut set = SchedSet::empty();
-        for part in s.split(',') {
-            let part = part.trim();
-            if part.is_empty() {
-                continue;
-            }
-            let p = SchedPolicy::parse(part).ok_or_else(|| {
-                format!(
-                    "unknown scheduling policy {part:?} (expected fcfs, sstf, cscan, or presort)"
-                )
-            })?;
-            set.insert(p);
-        }
-        if set.is_empty() {
-            return Err(
-                "expected a comma-separated list of policies: fcfs, sstf, cscan, presort"
-                    .to_owned(),
-            );
-        }
-        Ok(set)
-    }
-
-    /// The contained policy names, comma-separated.
-    pub fn names(self) -> String {
-        self.iter()
-            .map(SchedPolicy::name)
-            .collect::<Vec<_>>()
-            .join(",")
     }
 }
 
@@ -363,14 +260,13 @@ mod tests {
 
     #[test]
     fn sched_set_parses_lists() {
-        let s = SchedSet::parse_list("fcfs, cscan").unwrap();
-        assert!(s.contains(SchedPolicy::Fcfs));
-        assert!(s.contains(SchedPolicy::Cscan));
-        assert!(!s.contains(SchedPolicy::Sstf));
-        assert_eq!(s.names(), "fcfs,cscan");
-        assert_eq!(SchedSet::all().names(), "fcfs,sstf,cscan,presort");
-        assert!(SchedSet::parse_list("bogus").is_err());
-        assert!(SchedSet::parse_list("").is_err());
+        let list = ["fcfs", "cscan"].map(|n| SchedPolicy::from_name(n).unwrap());
+        assert_eq!(list, [SchedPolicy::Fcfs, SchedPolicy::Cscan]);
+        assert_eq!(
+            SchedPolicy::from_name("bogus").unwrap_err(),
+            "unknown scheduling policy \"bogus\" (expected fcfs, sstf, cscan, or presort)"
+        );
+        assert!(SchedPolicy::from_name("").is_err());
     }
 
     #[test]

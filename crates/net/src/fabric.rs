@@ -9,42 +9,18 @@
 
 use crate::topology::TopologyKind;
 
-/// How messages contend for the fabric between the two network interfaces.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum ContentionModel {
-    /// Only the per-node network interfaces serialize traffic; the fabric
-    /// between them is an ideal pipe charging pure head-flit latency (the
-    /// paper's simplification, and the default).
-    #[default]
-    NiOnly,
-    /// Each message additionally charges its serialization time on every
-    /// link of its minimal route, and overlapping routes serialize on the
-    /// shared links — a store-and-forward upper bound on fabric contention.
-    Link,
-}
-
-impl ContentionModel {
-    /// Every contention model, in a stable order (used by sweeps and CLI
-    /// listings).
-    pub const ALL: [ContentionModel; 2] = [ContentionModel::NiOnly, ContentionModel::Link];
-
-    /// The model's lower-case name as used by `--net` and reports.
-    pub fn name(self) -> &'static str {
-        match self {
-            ContentionModel::NiOnly => "ni-only",
-            ContentionModel::Link => "link",
-        }
-    }
-
-    /// Parses a model name (the inverse of [`ContentionModel::name`]).
-    pub fn parse(s: &str) -> Option<ContentionModel> {
-        ContentionModel::ALL.into_iter().find(|m| m.name() == s)
-    }
-}
-
-impl std::fmt::Display for ContentionModel {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.name())
+ddio_sim::policy_enum! {
+    /// How messages contend for the fabric between the two network interfaces.
+    pub enum ContentionModel: "contention model" {
+        /// Only the per-node network interfaces serialize traffic; the fabric
+        /// between them is an ideal pipe charging pure head-flit latency (the
+        /// paper's simplification, and the default).
+        #[default]
+        NiOnly = "ni-only",
+        /// Each message additionally charges its serialization time on every
+        /// link of its minimal route, and overlapping routes serialize on the
+        /// shared links — a store-and-forward upper bound on fabric contention.
+        Link = "link",
     }
 }
 
@@ -105,8 +81,10 @@ impl NetConfig {
                 contention = Some(m);
             } else {
                 return Err(format!(
-                    "unknown fabric policy {part:?} (expected a topology: torus, mesh, \
-                     hypercube, crossbar; or a contention model: ni-only, link)"
+                    "unknown fabric policy {part:?} (expected a topology: {}; or a contention \
+                     model: {})",
+                    TopologyKind::expected(),
+                    ContentionModel::expected()
                 ));
             }
         }
@@ -121,95 +99,6 @@ impl std::fmt::Display for NetConfig {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(&self.label())
     }
-}
-
-/// Defines a small, copyable bitset over one of the fabric's policy enums
-/// (one bit per variant), with the same surface as `ddio_disk::SchedSet`:
-/// `empty`/`all`/`insert`/`contains`/`is_empty`/`iter`/`parse_list`/`names`.
-macro_rules! policy_set {
-    (
-        $(#[$doc:meta])*
-        $set:ident of $kind:ident, $what:literal, $expected:literal
-    ) => {
-        $(#[$doc])*
-        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-        pub struct $set(u8);
-
-        impl $set {
-            /// The empty set.
-            pub const fn empty() -> $set {
-                $set(0)
-            }
-
-            #[doc = concat!("The set of every ", $what, ".")]
-            pub fn all() -> $set {
-                let mut s = $set::empty();
-                for k in $kind::ALL {
-                    s.insert(k);
-                }
-                s
-            }
-
-            #[doc = concat!("Adds a ", $what, " to the set.")]
-            pub fn insert(&mut self, k: $kind) {
-                self.0 |= 1 << (k as u8);
-            }
-
-            /// True if the set contains `k`.
-            pub fn contains(self, k: $kind) -> bool {
-                self.0 & (1 << (k as u8)) != 0
-            }
-
-            /// True if the set is empty.
-            pub fn is_empty(self) -> bool {
-                self.0 == 0
-            }
-
-            #[doc = concat!("The contained values, in [`", stringify!($kind), "::ALL`] order.")]
-            pub fn iter(self) -> impl Iterator<Item = $kind> {
-                $kind::ALL.into_iter().filter(move |&k| self.contains(k))
-            }
-
-            #[doc = concat!("Parses a comma-separated list of ", $what, " names.")]
-            pub fn parse_list(s: &str) -> Result<$set, String> {
-                let mut set = $set::empty();
-                for part in s.split(',') {
-                    let part = part.trim();
-                    if part.is_empty() {
-                        continue;
-                    }
-                    let k = $kind::parse(part).ok_or_else(|| {
-                        format!("unknown {} {part:?} (expected {})", $what, $expected)
-                    })?;
-                    set.insert(k);
-                }
-                if set.is_empty() {
-                    return Err(format!(
-                        "expected a comma-separated list of {} names: {}",
-                        $what, $expected
-                    ));
-                }
-                Ok(set)
-            }
-
-            /// The contained names, comma-separated.
-            pub fn names(self) -> String {
-                self.iter().map($kind::name).collect::<Vec<_>>().join(",")
-            }
-        }
-    };
-}
-
-policy_set! {
-    /// A small, copyable set of [`TopologyKind`] values (one bit per kind),
-    /// used by the `ddio-bench --topology` filter.
-    TopologySet of TopologyKind, "topology", "torus, mesh, hypercube, or crossbar"
-}
-
-policy_set! {
-    /// A small, copyable set of [`ContentionModel`] values, used by the
-    /// `ddio-bench --net` filter.
-    ContentionSet of ContentionModel, "contention model", "ni-only or link"
 }
 
 #[cfg(test)]
@@ -271,25 +160,31 @@ mod tests {
 
     #[test]
     fn topology_set_parses_and_filters() {
-        let set = TopologySet::parse_list("torus, crossbar").unwrap();
-        assert!(set.contains(TopologyKind::Torus));
-        assert!(set.contains(TopologyKind::Crossbar));
-        assert!(!set.contains(TopologyKind::Mesh));
-        assert_eq!(set.names(), "torus,crossbar");
-        assert!(TopologySet::parse_list("ring").is_err());
-        assert!(TopologySet::parse_list(" , ").is_err());
-        assert_eq!(TopologySet::all().iter().count(), 4);
-        assert!(TopologySet::empty().is_empty());
+        let list = ["torus", "crossbar"].map(|n| TopologyKind::from_name(n).unwrap());
+        let kept: Vec<_> = TopologyKind::ALL
+            .into_iter()
+            .filter(|t| list.contains(t))
+            .collect();
+        assert_eq!(kept, [TopologyKind::Torus, TopologyKind::Crossbar]);
+        assert_eq!(TopologyKind::ALL.len(), 4);
+        assert_eq!(
+            TopologyKind::from_name("ring").unwrap_err(),
+            "unknown topology \"ring\" (expected torus, mesh, hypercube, or crossbar)"
+        );
     }
 
     #[test]
     fn contention_set_parses_and_filters() {
-        let set = ContentionSet::parse_list("link").unwrap();
-        assert!(set.contains(ContentionModel::Link));
-        assert!(!set.contains(ContentionModel::NiOnly));
-        assert_eq!(set.names(), "link");
-        assert!(ContentionSet::parse_list("wormhole").is_err());
-        assert_eq!(ContentionSet::all().iter().count(), 2);
-        assert!(ContentionSet::empty().is_empty());
+        let link = ContentionModel::from_name("link").unwrap();
+        let kept: Vec<_> = ContentionModel::ALL
+            .into_iter()
+            .filter(|c| *c == link)
+            .collect();
+        assert_eq!(kept, [ContentionModel::Link]);
+        assert_eq!(ContentionModel::ALL.len(), 2);
+        assert_eq!(
+            ContentionModel::from_name("wormhole").unwrap_err(),
+            "unknown contention model \"wormhole\" (expected ni-only or link)"
+        );
     }
 }

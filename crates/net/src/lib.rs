@@ -53,7 +53,7 @@ mod latency;
 mod network;
 mod topology;
 
-pub use fabric::{ContentionModel, ContentionSet, NetConfig, TopologySet};
+pub use fabric::{ContentionModel, NetConfig};
 pub use latency::NetworkParams;
 pub use network::{Envelope, LinkStat, Network, NiOutage};
 pub use topology::{Crossbar, Hypercube, Link, Mesh, NodeId, Topology, TopologyKind, Torus};

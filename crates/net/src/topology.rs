@@ -71,49 +71,26 @@ pub trait Topology {
     fn describe(&self) -> String;
 }
 
-/// The named topology families the interconnect can be built as.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum TopologyKind {
-    /// 2-D torus with wraparound links (the paper's machine, and the
-    /// default).
-    #[default]
-    Torus,
-    /// 2-D mesh: the same grid as the torus but without the wraparound
-    /// links, so edge-to-edge routes pay the full Manhattan distance.
-    Mesh,
-    /// Binary hypercube over the smallest power-of-two node count that fits:
-    /// logarithmic diameter, `log2(n)` links per router.
-    Hypercube,
-    /// Full crossbar: a dedicated link between every pair of ports, so every
-    /// message crosses exactly one uncontended link.
-    Crossbar,
+ddio_sim::policy_enum! {
+    /// The named topology families the interconnect can be built as.
+    pub enum TopologyKind: "topology" {
+        /// 2-D torus with wraparound links (the paper's machine, and the
+        /// default).
+        #[default]
+        Torus = "torus",
+        /// 2-D mesh: the same grid as the torus but without the wraparound
+        /// links, so edge-to-edge routes pay the full Manhattan distance.
+        Mesh = "mesh",
+        /// Binary hypercube over the smallest power-of-two node count that fits:
+        /// logarithmic diameter, `log2(n)` links per router.
+        Hypercube = "hypercube",
+        /// Full crossbar: a dedicated link between every pair of ports, so every
+        /// message crosses exactly one uncontended link.
+        Crossbar = "crossbar",
+    }
 }
 
 impl TopologyKind {
-    /// Every topology kind, in a stable order (used by sweeps and CLI
-    /// listings).
-    pub const ALL: [TopologyKind; 4] = [
-        TopologyKind::Torus,
-        TopologyKind::Mesh,
-        TopologyKind::Hypercube,
-        TopologyKind::Crossbar,
-    ];
-
-    /// The kind's lower-case name as used by `--topology` and reports.
-    pub fn name(self) -> &'static str {
-        match self {
-            TopologyKind::Torus => "torus",
-            TopologyKind::Mesh => "mesh",
-            TopologyKind::Hypercube => "hypercube",
-            TopologyKind::Crossbar => "crossbar",
-        }
-    }
-
-    /// Parses a kind name (the inverse of [`TopologyKind::name`]).
-    pub fn parse(s: &str) -> Option<TopologyKind> {
-        TopologyKind::ALL.into_iter().find(|k| k.name() == s)
-    }
-
     /// Builds the smallest instance of this topology with at least `nodes`
     /// positions, mirroring how the paper sizes a 6x6 torus for 32
     /// processors.
@@ -135,12 +112,6 @@ impl TopologyKind {
             TopologyKind::Hypercube => Box::new(Hypercube::fitting(nodes)),
             TopologyKind::Crossbar => Box::new(Crossbar::new(nodes)),
         }
-    }
-}
-
-impl std::fmt::Display for TopologyKind {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.name())
     }
 }
 

@@ -366,13 +366,11 @@ impl TimerWheel {
         best
     }
 
-    /// Returns the earliest pending deadline if it is `<= limit`, cascading
-    /// higher-level slots and migrating overflow entries as needed so that
-    /// when `Some(d)` is returned every entry with deadline `d` sits in the
-    /// level-0 slot for `d`. The base never advances past a bound that
-    /// exceeds `limit`, so timers registered after an early return stay
-    /// consistent.
-    fn next_deadline(&mut self, limit: u64) -> Option<u64> {
+    /// Returns the earliest pending deadline, cascading higher-level slots
+    /// and migrating overflow entries as needed so that when `Some(d)` is
+    /// returned every entry with deadline `d` sits in the level-0 slot for
+    /// `d`.
+    fn next_deadline(&mut self) -> Option<u64> {
         loop {
             let wheel_best = if self.wheel_len == 0 {
                 None
@@ -380,19 +378,11 @@ impl TimerWheel {
                 self.best_wheel_slot()
             };
             let overflow_min = self.overflow.peek().map(|Reverse((d, _, _))| *d);
-            let candidate = match (wheel_best, overflow_min) {
-                (None, None) => return None,
-                (Some((b, _, _)), None) => b,
-                (None, Some(d)) => d,
-                (Some((b, _, _)), Some(d)) => b.min(d),
-            };
-            if candidate > limit {
-                return None;
-            }
             let migrate = match (overflow_min, wheel_best) {
+                (None, None) => return None,
                 (Some(d), Some((b, _, _))) => d <= b,
                 (Some(_), None) => true,
-                (None, _) => false,
+                (None, Some(_)) => false,
             };
             if migrate {
                 // The overflow minimum is a lower bound of everything
@@ -690,14 +680,6 @@ impl Sim {
     ///
     /// Returns the final simulated time.
     pub fn run(&mut self) -> SimTime {
-        self.run_until(SimTime::MAX)
-    }
-
-    /// Runs the simulation, but never advances the clock past `limit`.
-    ///
-    /// Events scheduled exactly at `limit` do fire. Returns the time at which
-    /// the run stopped (either quiescence or `limit`).
-    pub fn run_until(&mut self, limit: SimTime) -> SimTime {
         loop {
             // Pop the next runnable task and check it out of its slot under a
             // single borrow, in FIFO wake order. Stale wake-ups (completed
@@ -737,7 +719,7 @@ impl Sim {
             // Nothing runnable: advance the clock to the next timer.
             let mut st = self.core.state.borrow_mut();
             let st = &mut *st;
-            match st.timers.next_deadline(limit.as_nanos()) {
+            match st.timers.next_deadline() {
                 None => break,
                 Some(deadline) => {
                     let deadline = SimTime::from_nanos(deadline);
@@ -750,14 +732,6 @@ impl Sim {
                     // simultaneous events are handled in registration order.
                     st.events_processed += st.timers.fire_at(deadline.as_nanos(), &mut st.ready);
                 }
-            }
-        }
-        // A pending timer past the limit still advances the clock to the
-        // limit itself (the caller asked for that much simulated time).
-        {
-            let st = self.core.state.borrow();
-            if limit != SimTime::MAX && !st.timers.is_empty() && limit > self.core.clock.get() {
-                self.core.clock.set(limit);
             }
         }
         self.now()
@@ -1151,26 +1125,6 @@ mod tests {
     }
 
     #[test]
-    fn run_until_stops_at_the_limit() {
-        let mut sim = Sim::new();
-        let ctx = sim.context();
-        let done = Rc::new(Cell::new(false));
-        let done2 = Rc::clone(&done);
-        sim.spawn(async move {
-            ctx.sleep(SimDuration::from_secs(100)).await;
-            done2.set(true);
-        });
-        let stop = sim.run_until(SimTime::ZERO + SimDuration::from_secs(1));
-        assert_eq!(stop, SimTime::ZERO + SimDuration::from_secs(1));
-        assert!(!done.get());
-        assert_eq!(sim.live_tasks(), 1);
-        // Resuming without a limit lets the task finish.
-        let end = sim.run();
-        assert_eq!(end, SimTime::ZERO + SimDuration::from_secs(100));
-        assert!(done.get());
-    }
-
-    #[test]
     fn yield_now_interleaves_tasks_at_the_same_time() {
         let mut sim = Sim::new();
         let ctx = sim.context();
@@ -1275,7 +1229,6 @@ mod tests {
     #[test]
     fn reset_drops_pending_tasks() {
         let mut sim = Sim::new();
-        let ctx = sim.context();
         let dropped = Rc::new(Cell::new(false));
         struct SetOnDrop(Rc<Cell<bool>>);
         impl Drop for SetOnDrop {
@@ -1284,11 +1237,14 @@ mod tests {
             }
         }
         let marker = SetOnDrop(Rc::clone(&dropped));
+        // The task blocks on an event nobody sets, so `run` returns with it
+        // still pending.
+        let never = crate::sync::Event::new();
         sim.spawn(async move {
             let _marker = marker;
-            ctx.sleep(SimDuration::from_secs(1_000_000)).await;
+            never.wait().await;
         });
-        sim.run_until(SimTime::ZERO + SimDuration::from_millis(1));
+        sim.run();
         assert_eq!(sim.live_tasks(), 1);
         sim.reset();
         assert!(dropped.get(), "pending task dropped by reset");

@@ -12,9 +12,10 @@
 //!   the clock, sleep, and spawn further tasks.
 //! * [`SimTime`] / [`SimDuration`] — integer-nanosecond simulated time.
 //! * [`sync`] — FIFO-fair primitives: channels, semaphores, barriers, events,
-//!   mutexes, and served [`sync::Resource`]s (buses, DMA engines, CPUs).
+//!   and served [`sync::Resource`]s (buses, DMA engines, CPUs).
 //! * [`SimRng`] — seeded randomness, one stream per trial.
-//! * [`stats`] — counters, time-weighted averages, trial summaries.
+//! * [`stats`] — counters and trial summaries.
+//! * [`policy_enum!`] — the name vocabulary every policy enum shares.
 //!
 //! # Example: two communicating processes
 //!
@@ -49,6 +50,7 @@
 #![deny(missing_docs)]
 
 mod executor;
+pub mod policy;
 mod rng;
 pub mod stats;
 pub mod sync;

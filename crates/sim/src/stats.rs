@@ -1,4 +1,4 @@
-//! Measurement helpers: counters, time-weighted averages, and summaries.
+//! Measurement helpers: counters and summaries.
 //!
 //! The experiment harness reports mean throughput and the coefficient of
 //! variation over five trials, exactly as the paper's figure captions do
@@ -7,7 +7,7 @@
 use std::cell::Cell;
 use std::rc::Rc;
 
-use crate::time::{SimDuration, SimTime};
+use crate::time::SimDuration;
 
 /// A shareable monotonically increasing counter.
 #[derive(Clone, Default)]
@@ -34,62 +34,6 @@ impl Counter {
     /// Current value.
     pub fn get(&self) -> u64 {
         self.value.get()
-    }
-}
-
-/// Tracks a time-weighted average of a piecewise-constant quantity, such as
-/// queue length or number of busy servers.
-#[derive(Clone)]
-pub struct TimeWeighted {
-    inner: Rc<Cell<TwInner>>,
-}
-
-#[derive(Clone, Copy)]
-struct TwInner {
-    current: f64,
-    last_change: SimTime,
-    weighted_sum: f64,
-    start: SimTime,
-}
-
-impl TimeWeighted {
-    /// Starts tracking at `start` with initial value `value`.
-    pub fn new(start: SimTime, value: f64) -> Self {
-        TimeWeighted {
-            inner: Rc::new(Cell::new(TwInner {
-                current: value,
-                last_change: start,
-                weighted_sum: 0.0,
-                start,
-            })),
-        }
-    }
-
-    /// Records that the quantity changed to `value` at time `now`.
-    pub fn set(&self, now: SimTime, value: f64) {
-        let mut st = self.inner.get();
-        let dt = now.saturating_duration_since(st.last_change).as_secs_f64();
-        st.weighted_sum += st.current * dt;
-        st.current = value;
-        st.last_change = now;
-        self.inner.set(st);
-    }
-
-    /// Adds `delta` to the tracked quantity at time `now`.
-    pub fn add(&self, now: SimTime, delta: f64) {
-        let cur = self.inner.get().current;
-        self.set(now, cur + delta);
-    }
-
-    /// Returns the time-weighted mean over `[start, now]`.
-    pub fn mean(&self, now: SimTime) -> f64 {
-        let st = self.inner.get();
-        let total = now.saturating_duration_since(st.start).as_secs_f64();
-        if total == 0.0 {
-            return st.current;
-        }
-        let tail = now.saturating_duration_since(st.last_change).as_secs_f64();
-        (st.weighted_sum + st.current * tail) / total
     }
 }
 
@@ -191,27 +135,6 @@ mod tests {
         let c2 = c.clone();
         c2.incr();
         assert_eq!(c.get(), 11);
-    }
-
-    #[test]
-    fn time_weighted_mean_of_step_function() {
-        let t0 = SimTime::ZERO;
-        let tw = TimeWeighted::new(t0, 0.0);
-        // 0 for 1 s, then 10 for 1 s => mean 5 over 2 s.
-        tw.set(t0 + SimDuration::from_secs(1), 10.0);
-        let mean = tw.mean(t0 + SimDuration::from_secs(2));
-        assert!((mean - 5.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn time_weighted_add_tracks_queue_length() {
-        let t0 = SimTime::ZERO;
-        let tw = TimeWeighted::new(t0, 0.0);
-        tw.add(t0 + SimDuration::from_secs(1), 2.0); // queue 2 from 1s..3s
-        tw.add(t0 + SimDuration::from_secs(3), -1.0); // queue 1 from 3s..4s
-        let mean = tw.mean(t0 + SimDuration::from_secs(4));
-        // (0*1 + 2*2 + 1*1) / 4 = 1.25
-        assert!((mean - 1.25).abs() < 1e-9);
     }
 
     #[test]

@@ -1,9 +1,8 @@
 //! Asynchronous FIFO message channels.
 //!
 //! Channels are the backbone of the simulated machine: every request, reply,
-//! Memput and Memget ultimately travels through one. Both unbounded and
-//! bounded (back-pressured) variants are provided; both support multiple
-//! senders and multiple receivers.
+//! Memput and Memget ultimately travels through one. Channels are unbounded
+//! and support multiple senders and multiple receivers.
 
 use std::cell::RefCell;
 use std::collections::VecDeque;
@@ -16,9 +15,7 @@ use crate::TaskRef;
 
 struct Inner<T> {
     queue: VecDeque<T>,
-    capacity: Option<usize>,
     recv_waiters: Vec<TaskRef>,
-    send_waiters: Vec<TaskRef>,
     senders: usize,
     receivers: usize,
 }
@@ -26,11 +23,6 @@ struct Inner<T> {
 impl<T> Inner<T> {
     fn wake_receivers(&mut self) {
         for w in self.recv_waiters.drain(..) {
-            w.wake();
-        }
-    }
-    fn wake_senders(&mut self) {
-        for w in self.send_waiters.drain(..) {
             w.wake();
         }
     }
@@ -50,22 +42,9 @@ impl std::error::Error for SendError {}
 
 /// Creates an unbounded FIFO channel.
 pub fn unbounded<T>() -> (Sender<T>, Receiver<T>) {
-    with_capacity_internal(None)
-}
-
-/// Creates a bounded FIFO channel holding at most `capacity` messages;
-/// senders wait when the channel is full.
-pub fn bounded<T>(capacity: usize) -> (Sender<T>, Receiver<T>) {
-    assert!(capacity > 0, "bounded channel capacity must be non-zero");
-    with_capacity_internal(Some(capacity))
-}
-
-fn with_capacity_internal<T>(capacity: Option<usize>) -> (Sender<T>, Receiver<T>) {
     let inner = Rc::new(RefCell::new(Inner {
         queue: VecDeque::new(),
-        capacity,
         recv_waiters: Vec::new(),
-        send_waiters: Vec::new(),
         senders: 1,
         receivers: 1,
     }));
@@ -102,7 +81,8 @@ impl<T> Drop for Sender<T> {
 }
 
 impl<T> Sender<T> {
-    /// Sends a message, waiting for space if the channel is bounded and full.
+    /// Sends a message. The channel is unbounded, so the returned future is
+    /// ready at its first poll.
     ///
     /// Returns an error if all receivers have been dropped.
     pub fn send(&self, value: T) -> Send<'_, T> {
@@ -112,18 +92,12 @@ impl<T> Sender<T> {
         }
     }
 
-    /// Sends without waiting. For unbounded channels this always succeeds (as
-    /// long as a receiver exists); for bounded channels the value is returned
-    /// in `Err` if the channel is full.
-    pub fn try_send(&self, value: T) -> Result<(), TrySendError<T>> {
+    /// Sends without waiting; the value comes back in `Err` if every
+    /// receiver has been dropped.
+    pub fn try_send(&self, value: T) -> Result<(), T> {
         let mut inner = self.inner.borrow_mut();
         if inner.receivers == 0 {
-            return Err(TrySendError::Closed(value));
-        }
-        if let Some(cap) = inner.capacity {
-            if inner.queue.len() >= cap {
-                return Err(TrySendError::Full(value));
-            }
+            return Err(value);
         }
         inner.queue.push_back(value);
         inner.wake_receivers();
@@ -141,15 +115,6 @@ impl<T> Sender<T> {
     }
 }
 
-/// Error returned by [`Sender::try_send`].
-#[derive(Debug, PartialEq, Eq)]
-pub enum TrySendError<T> {
-    /// The channel is bounded and currently full.
-    Full(T),
-    /// All receivers have been dropped.
-    Closed(T),
-}
-
 /// Future returned by [`Sender::send`].
 pub struct Send<'a, T> {
     sender: &'a Sender<T>,
@@ -163,25 +128,13 @@ impl<T> Unpin for Send<'_, T> {}
 impl<T> Future for Send<'_, T> {
     type Output = Result<(), SendError>;
 
-    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
+    fn poll(self: Pin<&mut Self>, _cx: &mut Context<'_>) -> Poll<Self::Output> {
         let this = self.get_mut();
         let value = match this.value.take() {
             Some(v) => v,
             None => return Poll::Ready(Ok(())), // polled after completion
         };
-        match this.sender.try_send(value) {
-            Ok(()) => Poll::Ready(Ok(())),
-            Err(TrySendError::Closed(_)) => Poll::Ready(Err(SendError)),
-            Err(TrySendError::Full(v)) => {
-                this.value = Some(v);
-                this.sender
-                    .inner
-                    .borrow_mut()
-                    .send_waiters
-                    .push(TaskRef::capture(cx));
-                Poll::Pending
-            }
-        }
+        Poll::Ready(this.sender.try_send(value).map_err(|_| SendError))
     }
 }
 
@@ -201,11 +154,7 @@ impl<T> Clone for Receiver<T> {
 
 impl<T> Drop for Receiver<T> {
     fn drop(&mut self) {
-        let mut inner = self.inner.borrow_mut();
-        inner.receivers -= 1;
-        if inner.receivers == 0 {
-            inner.wake_senders();
-        }
+        self.inner.borrow_mut().receivers -= 1;
     }
 }
 
@@ -220,12 +169,7 @@ impl<T> Receiver<T> {
 
     /// Receives without waiting.
     pub fn try_recv(&self) -> Option<T> {
-        let mut inner = self.inner.borrow_mut();
-        let v = inner.queue.pop_front();
-        if v.is_some() {
-            inner.wake_senders();
-        }
-        v
+        self.inner.borrow_mut().queue.pop_front()
     }
 
     /// Number of messages currently queued.
@@ -250,7 +194,6 @@ impl<T> Future for Recv<'_, T> {
     fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Option<T>> {
         let mut inner = self.receiver.inner.borrow_mut();
         if let Some(v) = inner.queue.pop_front() {
-            inner.wake_senders();
             return Poll::Ready(Some(v));
         }
         if inner.senders == 0 {
@@ -383,39 +326,6 @@ mod tests {
         });
         sim.run();
         assert!(saw_none.get());
-    }
-
-    #[test]
-    fn bounded_channel_applies_backpressure() {
-        let mut sim = Sim::new();
-        let ctx = sim.context();
-        let (tx, rx) = bounded::<u32>(1);
-        let finished_send_at = Rc::new(Cell::new(0u64));
-        let fsa = Rc::clone(&finished_send_at);
-        {
-            let ctx = ctx.clone();
-            sim.spawn(async move {
-                tx.send(1).await.unwrap();
-                tx.send(2).await.unwrap(); // must wait until the receiver drains one
-                fsa.set(ctx.now().as_nanos());
-            });
-        }
-        sim.spawn(async move {
-            ctx.sleep(SimDuration::from_millis(5)).await;
-            assert_eq!(rx.recv().await, Some(1));
-            assert_eq!(rx.recv().await, Some(2));
-        });
-        sim.run();
-        assert_eq!(finished_send_at.get(), 5_000_000);
-    }
-
-    #[test]
-    fn try_send_full_and_closed() {
-        let (tx, rx) = bounded::<u32>(1);
-        assert!(tx.try_send(1).is_ok());
-        assert!(matches!(tx.try_send(2), Err(TrySendError::Full(2))));
-        drop(rx);
-        assert!(matches!(tx.try_send(3), Err(TrySendError::Closed(3))));
     }
 
     #[test]

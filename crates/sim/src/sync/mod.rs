@@ -6,13 +6,11 @@
 mod barrier;
 mod channel;
 mod event;
-mod mutex;
 mod resource;
 mod semaphore;
 
 pub use barrier::{Barrier, BarrierWaitResult};
-pub use channel::{bounded, oneshot, unbounded, Receiver, SendError, Sender, TrySendError};
+pub use channel::{oneshot, unbounded, Receiver, SendError, Sender};
 pub use event::{CountdownEvent, Event};
-pub use mutex::{SimMutex, SimMutexGuard};
 pub use resource::{Resource, ResourceGuard, ResourceName};
 pub use semaphore::{Permit, Semaphore};

@@ -5,7 +5,7 @@
 
 use proptest::prelude::*;
 
-use ddio_sim::sync::{bounded, unbounded};
+use ddio_sim::sync::unbounded;
 use ddio_sim::{Sim, SimDuration};
 
 /// One step of a task's random script.
@@ -19,8 +19,7 @@ enum Op {
     Send,
     /// Poll the shared channel without blocking. (A blocking receive could
     /// genuinely deadlock: every script task holds a sender clone, so a
-    /// parked receiver would keep the channel open forever. The bounded
-    /// test below covers blocking receives.)
+    /// parked receiver would keep the channel open forever.)
     Recv,
     /// Spawn a child task that sleeps and then exits.
     SpawnChild(u64),
@@ -102,47 +101,4 @@ proptest! {
         prop_assert_eq!(a, c, "a reset simulator diverged from a fresh one");
     }
 
-    /// Back-pressured channels with random capacities still quiesce and
-    /// stay deterministic (senders park on full, receivers on empty).
-    #[test]
-    fn bounded_channel_schedules_quiesce(
-        capacity in 1usize..4,
-        messages in 1u64..64,
-        producers in 1usize..5,
-    ) {
-        let run = || {
-            let mut sim = Sim::new();
-            let ctx = sim.context();
-            let (tx, rx) = bounded::<u64>(capacity);
-            for p in 0..producers {
-                let tx = tx.clone();
-                let ctx = ctx.clone();
-                sim.spawn(async move {
-                    for m in 0..messages {
-                        tx.send(p as u64 * 1000 + m).await.unwrap();
-                        if m % 3 == 0 {
-                            ctx.yield_now().await;
-                        }
-                    }
-                });
-            }
-            drop(tx);
-            let ctx2 = ctx.clone();
-            sim.spawn(async move {
-                let mut n = 0u64;
-                while rx.recv().await.is_some() {
-                    n += 1;
-                    if n % 5 == 0 {
-                        ctx2.sleep(SimDuration::from_nanos(7)).await;
-                    }
-                }
-                assert_eq!(n, producers as u64 * messages);
-            });
-            let end = sim.run();
-            let events = sim.events_processed();
-            assert_eq!(sim.live_tasks(), 0);
-            (end, events)
-        };
-        prop_assert_eq!(run(), run());
-    }
 }

@@ -23,7 +23,7 @@ fn main() {
 
     // 1. Any registered scenario, parallel across all cores. The numbers
     //    are bit-identical to a serial run, whatever the jobs count.
-    let scenario = find("degraded-disk").expect("registered scenario");
+    let scenario = find("mixed-rw").expect("registered scenario");
     let results = run_scenario(&scenario, &params, 4);
     print!("{}", render(&scenario, &params, &results));
     println!();

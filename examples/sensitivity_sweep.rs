@@ -4,32 +4,31 @@
 //!
 //! Run with: `cargo run --release --example sensitivity_sweep`
 
-use disk_directed_io::core::experiment::{run_sensitivity_sweep, Vary};
-use disk_directed_io::{LayoutPolicy, MachineConfig, Method};
+use disk_directed_io::core::experiment::run_data_point;
+use disk_directed_io::{AccessPattern, LayoutPolicy, MachineConfig, Method};
 
 fn main() {
-    let disks = [1usize, 2, 4, 8];
+    let rb = AccessPattern::parse("rb").expect("known pattern");
     for layout in [LayoutPolicy::Contiguous, LayoutPolicy::RandomBlocks] {
-        let base = MachineConfig {
-            n_iops: 1,
-            file_bytes: 2 * 1024 * 1024,
-            layout,
-            ..MachineConfig::default()
-        };
         println!(
             "Layout: {} (single IOP, single 10 MB/s bus), DDIO with presort, pattern rb",
             layout.short_name()
         );
-        let points =
-            run_sensitivity_sweep(&base, Vary::Disks, &disks, &[Method::DDIO_SORTED], 2, 7);
         println!("{:<8}{:>14}{:>14}", "disks", "rb MiB/s", "hw limit");
-        for &d in &disks {
-            if let Some(p) = points.iter().find(|p| p.value == d && p.pattern == "rb") {
-                println!(
-                    "{d:<8}{:>14.2}{:>14.1}",
-                    p.summary.mean, p.hardware_limit_mibs
-                );
-            }
+        for n_disks in [1usize, 2, 4, 8] {
+            let config = MachineConfig {
+                n_iops: 1,
+                n_disks,
+                file_bytes: 2 * 1024 * 1024,
+                layout,
+                ..MachineConfig::default()
+            };
+            let point = run_data_point(&config, Method::DDIO_SORTED, rb, 8192, 2, 7);
+            println!(
+                "{n_disks:<8}{:>14.2}{:>14.1}",
+                point.mean(),
+                config.hardware_limit() / (1024.0 * 1024.0)
+            );
         }
         println!();
     }

@@ -45,11 +45,10 @@ pub use ddio_patterns as patterns;
 pub use ddio_sim as sim;
 
 pub use ddio_core::{
-    run_transfer, AccessKind, AccessPattern, ArrayShape, ArrivalProcess, ArrivalSet, CacheConfig,
-    CacheFilter, CacheParams, CacheSet, CacheStats, Chunk, CollectiveError, CollectiveFile,
-    ContentionModel, ContentionSet, CostModel, Dist, FaultConfig, FaultPolicy, FaultSet,
-    FaultStats, FileLayout, LatencyHistogram, LayoutPolicy, LinkStat, MachineConfig, Method,
-    NetConfig, PatternInstance, PrefetchPolicy, QosPolicy, QosSet, RedundancyPolicy, RedundancySet,
-    ReplacementPolicy, SchedPolicy, SchedSet, ServeConfig, ServeParams, ServeStats, TenantStats,
-    TopologyKind, TopologySet, TransferOutcome, WritePolicy,
+    run_transfer, AccessKind, AccessPattern, ArrayShape, ArrivalProcess, CacheConfig, CacheParams,
+    CacheStats, Chunk, CollectiveError, CollectiveFile, ContentionModel, CostModel, Dist,
+    FaultConfig, FaultPolicy, FaultStats, FileLayout, LatencyHistogram, LayoutPolicy, LinkStat,
+    MachineConfig, Method, NetConfig, PatternInstance, PrefetchPolicy, QosPolicy, RedundancyPolicy,
+    ReplacementPolicy, SchedPolicy, ServeConfig, ServeParams, ServeStats, TenantStats,
+    TopologyKind, TransferOutcome, WritePolicy,
 };

@@ -2,8 +2,8 @@
 //! same seed must produce bit-identical throughput vectors whether it runs
 //! on one worker or eight, across consecutive invocations.
 //!
-//! This is the contract that lets `ddio-bench run all --jobs N` replace the
-//! serial per-figure binaries without changing a single reported number:
+//! This is the contract that lets `ddio-bench run all --jobs N` run the
+//! exhibits in parallel without changing a single reported number:
 //! each cell's randomness depends only on its identity-derived seed, and the
 //! thread pool is position-stable.
 

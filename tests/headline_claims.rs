@@ -2,7 +2,7 @@
 //!
 //! These run at full machine scale (16 CPs / 16 IOPs / 16 disks, 10 MB file)
 //! but only with 8 KB records, which keeps them to a few seconds; the 8-byte
-//! stress results are exercised by the figure binaries instead.
+//! stress results are exercised by `ddio-bench run fig3` / `fig4` instead.
 
 use disk_directed_io::{run_transfer, AccessPattern, LayoutPolicy, MachineConfig, Method};
 

@@ -1,7 +1,7 @@
 //! Integration tests for the sensitivity experiments: hardware scaling
 //! behaves the way Figures 5-8 describe.
 
-use disk_directed_io::core::experiment::{apply_variation, run_data_point, Vary};
+use disk_directed_io::core::experiment::run_data_point;
 use disk_directed_io::{AccessPattern, LayoutPolicy, MachineConfig, Method};
 
 fn base(layout: LayoutPolicy) -> MachineConfig {
@@ -20,7 +20,10 @@ fn single_bus_saturates_with_many_disks() {
     config.n_iops = 1;
     let pattern = AccessPattern::parse("rb").unwrap();
     let rate = |disks: usize| {
-        let cfg = apply_variation(&config, Vary::Disks, disks);
+        let cfg = MachineConfig {
+            n_disks: disks,
+            ..config.clone()
+        };
         run_data_point(&cfg, Method::DDIO_SORTED, pattern, 8192, 1, 3).mean()
     };
     let one = rate(1);
@@ -49,7 +52,10 @@ fn random_layout_keeps_scaling_with_disks() {
     config.n_iops = 1;
     let pattern = AccessPattern::parse("rb").unwrap();
     let rate = |disks: usize| {
-        let cfg = apply_variation(&config, Vary::Disks, disks);
+        let cfg = MachineConfig {
+            n_disks: disks,
+            ..config.clone()
+        };
         run_data_point(&cfg, Method::DDIO_SORTED, pattern, 8192, 1, 3).mean()
     };
     let four = rate(4);
@@ -67,7 +73,10 @@ fn ddio_is_insensitive_to_cp_count() {
     let pattern = AccessPattern::parse("rb").unwrap();
     let mut rates = Vec::new();
     for cps in [2usize, 4, 16] {
-        let cfg = apply_variation(&config, Vary::Cps, cps);
+        let cfg = MachineConfig {
+            n_cps: cps,
+            ..config.clone()
+        };
         rates.push(run_data_point(&cfg, Method::DDIO_SORTED, pattern, 8192, 1, 5).mean());
     }
     let min = rates.iter().cloned().fold(f64::INFINITY, f64::min);
@@ -85,7 +94,10 @@ fn iop_count_moves_the_bottleneck() {
     let config = base(LayoutPolicy::Contiguous);
     let pattern = AccessPattern::parse("rb").unwrap();
     let rate = |iops: usize| {
-        let cfg = apply_variation(&config, Vary::Iops, iops);
+        let cfg = MachineConfig {
+            n_iops: iops,
+            ..config.clone()
+        };
         run_data_point(&cfg, Method::DDIO_SORTED, pattern, 8192, 1, 7).mean()
     };
     let one = rate(1);
