@@ -4,25 +4,26 @@
 //! ```text
 //! ddio-bench list [--format table|json]
 //! ddio-bench run <scenario>|all [--jobs N] [--format table|json|csv]
-//!                [--out FILE] [--perf] [--trials N] [--seed N] [--file-mb N]
+//!                [--out FILE] [--trials N] [--seed N] [--file-mb N]
 //!                [--small-records 0|1] [--cache-bufs N]
 //!                [--where AXIS=V1,V2 ...]
 //! ```
 //!
 //! The `DDIO_*` environment variables provide the defaults (see the crate
-//! docs); the flags override them. All parsing errors are reported before
-//! any simulation starts.
+//! docs); the flags override them, and both write into the one
+//! [`SweepParams`] every scenario is built from. All parsing errors are
+//! reported before any simulation starts. Host-time performance is measured
+//! by the separate `perfbench` workspace, not by this CLI.
 
 use std::io::Write;
 
 use ddio_core::experiment::pool;
-use ddio_core::experiment::scenario::{self, Cell, Scenario};
+use ddio_core::experiment::scenario::{self, Cell, Scenario, SweepParams};
 use ddio_core::{
     ArrivalProcess, ContentionModel, FaultPolicy, QosPolicy, RedundancyPolicy, TopologyKind,
 };
 
 use crate::report::{self, ScenarioRun};
-use crate::Scale;
 
 /// Output format of `ddio-bench run`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -46,11 +47,8 @@ pub struct RunCommand {
     pub format: Format,
     /// Output file (stdout when `None`).
     pub out: Option<String>,
-    /// Report executor performance (events/sec and wall-clock) per cell and
-    /// for the whole run — the `BENCH_*.json` trajectory data.
-    pub perf: bool,
-    /// Scaling knobs after environment + flag resolution.
-    pub scale: Scale,
+    /// The run configuration after environment + flag resolution.
+    pub params: SweepParams,
     /// The `--where` clauses: a cell runs only if, for every clause whose
     /// axis it has, its coordinate is one of the clause's values.
     pub filters: Vec<Where>,
@@ -142,9 +140,6 @@ OPTIONS (run):
     --jobs N              worker threads (default: all cores)
     --format table|json|csv   output format (default: table)
     --out FILE            write the report to FILE instead of stdout
-    --perf                add executor perf (events, wall-clock, events/sec)
-                          per cell and for the whole run; wall-clock numbers
-                          are host-dependent and excluded from goldens
     --trials N            trials per data point (default: env DDIO_TRIALS or 5)
     --seed N              base random seed (default: env DDIO_SEED or 1994)
     --file-mb N           file size in MiB (default: env DDIO_FILE_MB or 10)
@@ -192,12 +187,29 @@ fn usage_err(message: impl Into<String>) -> String {
     format!("{}\n\n{}", message.into(), usage())
 }
 
-/// Parses a numeric flag value that must be a positive integer.
-fn parse_at_least_one(flag: &str, v: &str) -> Result<u64, String> {
-    v.parse::<u64>()
-        .ok()
-        .filter(|&n| n >= 1)
-        .ok_or_else(|| usage_err(format!("{flag} {v:?}: expected an integer >= 1")))
+/// A `run` flag that sets a scaling knob: the flag, the `DDIO_*` variable
+/// it shadows, what its value must be, and the check of that.
+type KnobFlag = (&'static str, &'static str, &'static str, fn(&str) -> bool);
+
+#[rustfmt::skip]
+const KNOB_FLAGS: [KnobFlag; 5] = [
+    ("--trials",        "DDIO_TRIALS",        "an integer >= 1",     at_least_one),
+    ("--seed",          "DDIO_SEED",          "an unsigned integer", unsigned),
+    ("--file-mb",       "DDIO_FILE_MB",       "an integer >= 1",     at_least_one),
+    ("--small-records", "DDIO_SMALL_RECORDS", "0 or 1",              zero_or_one),
+    ("--cache-bufs",    "DDIO_CACHE_BUFS",    "an integer >= 1",     at_least_one),
+];
+
+fn unsigned(v: &str) -> bool {
+    v.parse::<u64>().is_ok()
+}
+
+fn at_least_one(v: &str) -> bool {
+    v.parse::<u64>().is_ok_and(|n| n >= 1)
+}
+
+fn zero_or_one(v: &str) -> bool {
+    v == "0" || v == "1"
 }
 
 /// Parses `run` arguments. `lookup` supplies the `DDIO_*` environment
@@ -212,13 +224,9 @@ pub fn parse_run(
     let mut jobs = pool::default_jobs();
     let mut format = Format::Table;
     let mut out = None;
-    let mut trials: Option<usize> = None;
-    let mut seed: Option<u64> = None;
-    let mut file_mib: Option<u64> = None;
-    let mut small_records: Option<bool> = None;
-    let mut cache_bufs: Option<usize> = None;
+    // (variable, value) of every knob a flag set, checked as it is read.
+    let mut knobs: Vec<(&str, String)> = Vec::new();
     let mut filters = Vec::new();
-    let mut perf = false;
 
     let mut it = args.iter();
     while let Some(arg) = it.next() {
@@ -229,7 +237,11 @@ pub fn parse_run(
         };
         match arg.as_str() {
             "--jobs" => {
-                jobs = parse_at_least_one("--jobs", &flag_value("--jobs")?)? as usize;
+                let v = flag_value("--jobs")?;
+                if !at_least_one(&v) {
+                    return Err(usage_err(format!("--jobs {v:?}: expected an integer >= 1")));
+                }
+                jobs = v.parse().expect("checked by at_least_one");
             }
             "--format" => {
                 format = match flag_value("--format")?.as_str() {
@@ -244,41 +256,20 @@ pub fn parse_run(
                 };
             }
             "--out" => out = Some(flag_value("--out")?),
-            "--perf" => perf = true,
-            "--trials" => {
-                trials = Some(parse_at_least_one("--trials", &flag_value("--trials")?)? as usize);
-            }
-            "--seed" => {
-                let v = flag_value("--seed")?;
-                seed = Some(v.parse::<u64>().map_err(|_| {
-                    usage_err(format!("--seed {v:?}: expected an unsigned integer"))
-                })?);
-            }
-            "--file-mb" => {
-                file_mib = Some(parse_at_least_one("--file-mb", &flag_value("--file-mb")?)?);
-            }
-            "--cache-bufs" => {
-                cache_bufs = Some(
-                    parse_at_least_one("--cache-bufs", &flag_value("--cache-bufs")?)? as usize,
-                );
-            }
             "--where" => {
                 filters.push(Where::parse(&flag_value("--where")?).map_err(usage_err)?);
             }
-            "--small-records" => {
-                let v = flag_value("--small-records")?;
-                small_records = Some(match v.as_str() {
-                    "0" => false,
-                    "1" => true,
-                    other => {
-                        return Err(usage_err(format!(
-                            "--small-records {other:?}: expected 0 or 1"
-                        )))
-                    }
-                });
-            }
             flag if flag.starts_with("--") => {
-                return Err(usage_err(format!("unknown option {flag:?}")))
+                let Some((_, var, expected, accepts)) =
+                    KNOB_FLAGS.into_iter().find(|(f, ..)| *f == flag)
+                else {
+                    return Err(usage_err(format!("unknown option {flag:?}")));
+                };
+                let v = flag_value(flag)?;
+                if !accepts(&v) {
+                    return Err(usage_err(format!("{flag} {v:?}: expected {expected}")));
+                }
+                knobs.push((var, v));
             }
             name => targets.push(name.to_owned()),
         }
@@ -288,39 +279,13 @@ pub fn parse_run(
         return Err(usage_err("run: name one or more scenarios, or `all`"));
     }
 
-    // Resolve the environment only for knobs no flag overrode, then layer
-    // the flag values on top.
-    let mut scale = Scale::from_lookup(|var| {
-        let shadowed = match var {
-            "DDIO_FILE_MB" => file_mib.is_some(),
-            "DDIO_TRIALS" => trials.is_some(),
-            "DDIO_SEED" => seed.is_some(),
-            "DDIO_SMALL_RECORDS" => small_records.is_some(),
-            "DDIO_CACHE_BUFS" => cache_bufs.is_some(),
-            _ => false,
-        };
-        if shadowed {
-            None
-        } else {
-            lookup(var)
-        }
-    })
-    .map_err(|e| e.to_string())?;
-    if let Some(v) = file_mib {
-        scale.file_mib = v;
-    }
-    if let Some(v) = trials {
-        scale.trials = v;
-    }
-    if let Some(v) = seed {
-        scale.seed = v;
-    }
-    if let Some(v) = small_records {
-        scale.small_records = v;
-    }
-    if let Some(v) = cache_bufs {
-        scale.cache_bufs = v;
-    }
+    // A flag's value stands in for its variable; the last flag wins.
+    let params =
+        crate::params_from_lookup(|var| match knobs.iter().rev().find(|(v, _)| *v == var) {
+            Some((_, value)) => Some(value.clone()),
+            None => lookup(var),
+        })
+        .map_err(|e| e.to_string())?;
 
     let scenarios = if targets.iter().any(|t| t == "all") {
         scenario::registry()
@@ -337,7 +302,6 @@ pub fn parse_run(
     // Check the filters against the cells they will select from, so a typo
     // fails before any simulation starts.
     if !filters.is_empty() {
-        let params = scale.sweep_params();
         let cells: Vec<Cell> = scenarios.iter().flat_map(|s| (s.build)(&params)).collect();
         for filter in &filters {
             filter.check(&cells).map_err(usage_err)?;
@@ -348,8 +312,7 @@ pub fn parse_run(
         jobs,
         format,
         out,
-        perf,
-        scale,
+        params,
         filters,
     })
 }
@@ -357,22 +320,20 @@ pub fn parse_run(
 /// Executes a parsed `run`: all cells of all requested scenarios go through
 /// one parallel pass, then the report is rendered whole.
 pub fn execute_run(cmd: &RunCommand) -> Result<String, String> {
-    let params = cmd.scale.sweep_params();
+    let params = &cmd.params;
     // Flatten every scenario's cells into one work list so small scenarios
     // can't leave workers idle while a big one still has cells queued.
     let mut cells = Vec::new();
     let mut spans = Vec::new();
     for s in &cmd.scenarios {
-        let mut scenario_cells = (s.build)(&params);
+        let mut scenario_cells = (s.build)(params);
         // Each cell's seed derives from its own identity, so dropping cells
         // never moves the numbers of the cells that remain.
         scenario_cells.retain(|c| cmd.filters.iter().all(|f| f.keeps(c)));
         spans.push(scenario_cells.len());
         cells.extend(scenario_cells);
     }
-    let wall_start = std::time::Instant::now();
     let mut results = scenario::run_cells(cells, params.trials, cmd.jobs);
-    let wall_s = wall_start.elapsed().as_secs_f64();
     let mut runs = Vec::with_capacity(cmd.scenarios.len());
     for (s, span) in cmd.scenarios.iter().zip(spans) {
         let rest = results.split_off(span);
@@ -382,28 +343,10 @@ pub fn execute_run(cmd: &RunCommand) -> Result<String, String> {
         });
         results = rest;
     }
-    // Whole-run perf: wall-clock covers the parallel pass, so events/sec
-    // here is the machine's aggregate rate across all `--jobs` workers.
-    let perf = cmd.perf.then(|| {
-        let sim_events: u64 = runs
-            .iter()
-            .flat_map(|run| &run.results)
-            .map(|r| r.point.sim_events)
-            .sum();
-        report::RunPerf {
-            sim_events,
-            wall_s,
-            jobs: cmd.jobs,
-        }
-    });
     Ok(match cmd.format {
-        Format::Table => report::render_table(&params, &runs, perf.as_ref()),
-        Format::Json => {
-            let mut s = report::render_json(&cmd.scale, &runs, perf.as_ref());
-            s.push('\n');
-            s
-        }
-        Format::Csv => report::render_csv(&runs, perf.is_some()),
+        Format::Table => report::render_table(params, &runs),
+        Format::Json => report::render_json(params, &runs) + "\n",
+        Format::Csv => report::render_csv(&runs),
     })
 }
 
@@ -560,8 +503,12 @@ mod tests {
         assert_eq!(cmd.scenarios.len(), scenario::registry().len());
         assert_eq!(cmd.jobs, 3);
         assert_eq!(cmd.format, Format::Csv);
-        assert_eq!(cmd.scale.seed, 9);
-        assert_eq!(cmd.scale.file_mib, 1, "env knob not picked up");
+        assert_eq!(cmd.params.seed, 9);
+        assert_eq!(
+            cmd.params.base.file_bytes,
+            1 << 20,
+            "env knob not picked up"
+        );
     }
 
     #[test]
@@ -569,9 +516,11 @@ mod tests {
         assert!(parse_run(&args(&["no-such"]), smoke_env)
             .unwrap_err()
             .contains("unknown scenario"));
-        assert!(parse_run(&args(&["fig5", "--bogus"]), smoke_env)
-            .unwrap_err()
-            .contains("unknown option"));
+        for flag in ["--bogus", "--perf"] {
+            assert!(parse_run(&args(&["fig5", flag]), smoke_env)
+                .unwrap_err()
+                .contains("unknown option"));
+        }
         assert!(parse_run(&args(&["fig5", "--jobs", "0"]), smoke_env)
             .unwrap_err()
             .contains("--jobs"));
@@ -591,7 +540,7 @@ mod tests {
         assert!(err.contains("DDIO_TRIALS"), "{err}");
         // ...but an explicit --trials makes the env value irrelevant.
         let cmd = parse_run(&args(&["fig5", "--trials", "3"]), broken_env).unwrap();
-        assert_eq!(cmd.scale.trials, 3);
+        assert_eq!(cmd.params.trials, 3);
     }
 
     /// One table row per policy sweep: the `--where` clauses, and an
@@ -652,7 +601,7 @@ mod tests {
         assert_eq!(cmd.filters.len(), clauses.len());
         let filtered = execute_run(&cmd).unwrap();
 
-        let cells = (scenario::find(name).unwrap().build)(&cmd.scale.sweep_params());
+        let cells = (scenario::find(name).unwrap().build)(&cmd.params);
         let expected = cells.iter().filter(|c| keep(c)).count();
         let rows: Vec<&str> = filtered.lines().skip(1).collect();
         assert!(expected > 0 && expected < cells.len(), "{name}: weak case");
@@ -743,8 +692,7 @@ mod tests {
     #[test]
     fn cache_bufs_flag_resizes_the_cache() {
         let cmd = parse_run(&args(&["fig5", "--cache-bufs", "4"]), smoke_env).unwrap();
-        assert_eq!(cmd.scale.cache_bufs, 4);
-        assert_eq!(cmd.scale.base_config().cache.buffers_per_disk_per_cp, 4);
+        assert_eq!(cmd.params.base.cache.buffers_per_disk_per_cp, 4);
         assert!(parse_run(&args(&["fig5", "--cache-bufs", "0"]), smoke_env)
             .unwrap_err()
             .contains("--cache-bufs"));
@@ -784,53 +732,6 @@ mod tests {
         assert!(crate::report::json_is_valid(out.trim()), "bad JSON:\n{out}");
         assert!(out.contains("\"table1\""));
         assert!(out.contains("\"mixed-rw\""));
-    }
-
-    #[test]
-    fn perf_flag_adds_cell_and_run_totals() {
-        let cmd = parse_run(
-            &args(&["mixed-rw", "--perf", "--format", "json", "--jobs", "2"]),
-            smoke_env,
-        )
-        .unwrap();
-        assert!(cmd.perf);
-        let out = execute_run(&cmd).unwrap();
-        assert!(crate::report::json_is_valid(out.trim()), "bad JSON:\n{out}");
-        for landmark in [
-            "\"perf\"",
-            "\"sim_events\"",
-            "\"wall_s\"",
-            "\"build_wall_secs\"",
-            "\"run_wall_secs\"",
-            "\"events_per_sec\"",
-        ] {
-            assert!(out.contains(landmark), "missing {landmark}:\n{out}");
-        }
-
-        // CSV gets the same per-cell columns.
-        let cmd = parse_run(&args(&["mixed-rw", "--perf", "--format", "csv"]), smoke_env).unwrap();
-        let out = execute_run(&cmd).unwrap();
-        for column in ["sim_events", "build_wall_secs", "run_wall_secs"] {
-            assert!(out.contains(column), "missing CSV column {column}:\n{out}");
-        }
-
-        // The table format gets a human-readable footer...
-        let cmd = parse_run(&args(&["mixed-rw", "--perf"]), smoke_env).unwrap();
-        let out = execute_run(&cmd).unwrap();
-        assert!(out.contains("events/sec"), "no perf footer:\n{out}");
-
-        // ...and without the flag nothing perf-related leaks into the
-        // golden-bearing formats: wall-clock fields are non-deterministic,
-        // so any leak would break run-to-run bit-identity.
-        for format in ["json", "csv"] {
-            let cmd = parse_run(&args(&["mixed-rw", "--format", format]), smoke_env).unwrap();
-            let out = execute_run(&cmd).unwrap();
-            assert!(!out.contains("perf"), "perf leaked into {format}");
-            assert!(
-                !out.contains("wall_secs") && !out.contains("wall_s"),
-                "wall-clock leaked into {format} without --perf"
-            );
-        }
     }
 
     #[test]

@@ -9,57 +9,12 @@ use ddio_core::experiment::scenario::{
     aggregate, AxisValue, CellResult, Scenario, Summary, SweepParams,
 };
 
-use crate::Scale;
-
 /// One executed scenario with its results, ready for rendering.
 pub struct ScenarioRun {
     /// The registry entry that was run.
     pub scenario: Scenario,
     /// Its cell results, in build order.
     pub results: Vec<CellResult>,
-}
-
-/// Whole-run executor performance, reported under `--perf`.
-///
-/// `wall_s` is the elapsed wall-clock of the parallel cell pass, so the
-/// derived events/sec is the machine's aggregate rate across all workers;
-/// per-cell rates (from each cell's own wall-clock) are single-threaded.
-pub struct RunPerf {
-    /// Executor events processed, summed over every cell and trial.
-    pub sim_events: u64,
-    /// Wall-clock seconds of the whole parallel pass.
-    pub wall_s: f64,
-    /// Worker threads the pass ran on.
-    pub jobs: usize,
-}
-
-impl RunPerf {
-    /// Aggregate events per second over the whole run.
-    pub fn events_per_sec(&self) -> f64 {
-        if self.wall_s > 0.0 {
-            self.sim_events as f64 / self.wall_s
-        } else {
-            0.0
-        }
-    }
-}
-
-/// The per-cell perf object: deterministic event count plus host wall-clock
-/// and the derived single-threaded events/sec.
-fn json_cell_perf(r: &CellResult) -> String {
-    let events_per_sec = if r.point.host_wall_secs > 0.0 {
-        r.point.sim_events as f64 / r.point.host_wall_secs
-    } else {
-        0.0
-    };
-    format!(
-        "{{\"sim_events\":{},\"wall_s\":{},\"build_wall_secs\":{},\"run_wall_secs\":{},\"events_per_sec\":{}}}",
-        r.point.sim_events,
-        json_f64(r.point.host_wall_secs),
-        json_f64(r.point.build_wall_secs),
-        json_f64(r.point.run_wall_secs),
-        json_f64(events_per_sec)
-    )
 }
 
 /// Escapes `s` as the contents of a JSON string literal.
@@ -255,7 +210,7 @@ fn json_cache(r: &CellResult) -> String {
         .join(",")
 }
 
-fn json_cell(r: &CellResult, perf: bool) -> String {
+fn json_cell(r: &CellResult) -> String {
     let axes = r
         .axes
         .iter()
@@ -279,11 +234,6 @@ fn json_cell(r: &CellResult, perf: bool) -> String {
         Some(cfg) => format!("\"{}\"", json_escape(&cfg.label())),
         None => "null".to_owned(),
     };
-    let perf_field = if perf {
-        format!(",\"perf\":{}", json_cell_perf(r))
-    } else {
-        String::new()
-    };
     let outcome = &r.point.last_outcome;
     let fault = format!(
         "{{\"events_fired\":{},\"reconstruction_reads\":{},\"degraded_s\":{},\"lost_blocks\":{}}}",
@@ -298,7 +248,7 @@ fn json_cell(r: &CellResult, perf: bool) -> String {
          \"layout\":\"{}\",\"faults\":\"{}\",\"redundancy\":\"{}\",\
          \"axes\":[{}],\"seed\":{},\"trials\":[{}],\"summary\":{},\
          \"hardware_limit_mibs\":{},\"fault\":{},\"serve\":{},\"drives\":[{}],\"cache\":[{}],\
-         \"net\":{}{}}}",
+         \"net\":{}}}",
         json_escape(&r.point.pattern),
         json_escape(&r.point.method.label()),
         r.point.method.sched().name(),
@@ -316,8 +266,7 @@ fn json_cell(r: &CellResult, perf: bool) -> String {
         json_serve(r),
         json_drives(r),
         json_cache(r),
-        json_net(r),
-        perf_field
+        json_net(r)
     )
 }
 
@@ -339,26 +288,18 @@ fn json_cell(r: &CellResult, perf: bool) -> String {
 /// topology/contention, per-node NI `ni[]` send/receive utilization, and
 /// per-link `links[]` busy-time counters — links are empty under the
 /// default `ni-only` model). Axis values are numbers for numeric axes and
-/// strings for symbolic ones (e.g. `topology`). Under `--perf`, each cell
-/// additionally carries a `perf` object (`sim_events`, `wall_s`,
-/// `build_wall_secs`, `run_wall_secs`, `events_per_sec`) and the document a
-/// top-level `perf` object with the
-/// whole run's totals — the `BENCH_*.json` trajectory format.
-pub fn render_json(scale: &Scale, runs: &[ScenarioRun], perf: Option<&RunPerf>) -> String {
+/// strings for symbolic ones (e.g. `topology`). The `scale` header carries
+/// the run's `file_mib` (the base machine's file size in whole MiB),
+/// `trials`, `small_records`, and `seed`.
+pub fn render_json(params: &SweepParams, runs: &[ScenarioRun]) -> String {
     let mut out = String::from("{");
     out.push_str(&format!(
         "\"scale\":{{\"file_mib\":{},\"trials\":{},\"small_records\":{},\"seed\":{}}},",
-        scale.file_mib, scale.trials, scale.small_records, scale.seed
+        params.base.file_bytes >> 20,
+        params.trials,
+        params.small_records,
+        params.seed
     ));
-    if let Some(p) = perf {
-        out.push_str(&format!(
-            "\"perf\":{{\"sim_events\":{},\"wall_s\":{},\"events_per_sec\":{},\"jobs\":{}}},",
-            p.sim_events,
-            json_f64(p.wall_s),
-            json_f64(p.events_per_sec()),
-            p.jobs
-        ));
-    }
     out.push_str("\"scenarios\":[");
     for (i, run) in runs.iter().enumerate() {
         if i > 0 {
@@ -367,7 +308,7 @@ pub fn render_json(scale: &Scale, runs: &[ScenarioRun], perf: Option<&RunPerf>) 
         let cells = run
             .results
             .iter()
-            .map(|r| json_cell(r, perf.is_some()))
+            .map(json_cell)
             .collect::<Vec<_>>()
             .join(",");
         let agg = match aggregate(&run.results) {
@@ -391,17 +332,10 @@ pub fn render_json(scale: &Scale, runs: &[ScenarioRun], perf: Option<&RunPerf>) 
 /// serving columns (`serve_requests` and the latency percentiles) are
 /// populated by open-loop cells; closed-loop cells carry zero requests and
 /// `null` percentiles (NaN never leaks into a field).
-/// With `perf`, five columns
-/// (`sim_events,wall_s,build_wall_secs,run_wall_secs,events_per_sec`) are
-/// appended to every row.
-pub fn render_csv(runs: &[ScenarioRun], perf: bool) -> String {
+pub fn render_csv(runs: &[ScenarioRun]) -> String {
     let mut out = String::from(
-        "scenario,pattern,method,record_bytes,layout,axes,seed,n_trials,mean_mibs,std_dev,cv,min,max,hardware_limit_mibs,serve_requests,serve_p50_ms,serve_p99_ms,serve_p999_ms,serve_mean_queue_ms",
+        "scenario,pattern,method,record_bytes,layout,axes,seed,n_trials,mean_mibs,std_dev,cv,min,max,hardware_limit_mibs,serve_requests,serve_p50_ms,serve_p99_ms,serve_p999_ms,serve_mean_queue_ms\n",
     );
-    if perf {
-        out.push_str(",sim_events,wall_s,build_wall_secs,run_wall_secs,events_per_sec");
-    }
-    out.push('\n');
     for run in runs {
         for r in &run.results {
             let axes = r
@@ -413,7 +347,7 @@ pub fn render_csv(runs: &[ScenarioRun], perf: bool) -> String {
             let s = &r.point.summary;
             let serve = &r.point.last_outcome.serve;
             out.push_str(&format!(
-                "{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{}",
+                "{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{}\n",
                 csv_field(run.scenario.name),
                 csv_field(&r.point.pattern),
                 csv_field(&r.point.method.label()),
@@ -434,30 +368,14 @@ pub fn render_csv(runs: &[ScenarioRun], perf: bool) -> String {
                 csv_f64(serve.p999_ms),
                 csv_f64(serve.mean_queue_ms)
             ));
-            if perf {
-                let rate = if r.point.host_wall_secs > 0.0 {
-                    r.point.sim_events as f64 / r.point.host_wall_secs
-                } else {
-                    0.0
-                };
-                out.push_str(&format!(
-                    ",{},{},{},{},{}",
-                    r.point.sim_events,
-                    csv_f64(r.point.host_wall_secs),
-                    csv_f64(r.point.build_wall_secs),
-                    csv_f64(r.point.run_wall_secs),
-                    csv_f64(rate)
-                ));
-            }
-            out.push('\n');
         }
     }
     out
 }
 
 /// Renders a run as the human-readable text report (heading + tables per
-/// scenario), with a perf footer under `--perf`.
-pub fn render_table(params: &SweepParams, runs: &[ScenarioRun], perf: Option<&RunPerf>) -> String {
+/// scenario).
+pub fn render_table(params: &SweepParams, runs: &[ScenarioRun]) -> String {
     let mut out = String::new();
     for (i, run) in runs.iter().enumerate() {
         if i > 0 {
@@ -467,15 +385,6 @@ pub fn render_table(params: &SweepParams, runs: &[ScenarioRun], perf: Option<&Ru
             &run.scenario,
             params,
             &run.results,
-        ));
-    }
-    if let Some(p) = perf {
-        out.push_str(&format!(
-            "\nperf: {} executor events in {:.3} s wall ({:.0} events/sec across {} jobs)\n",
-            p.sim_events,
-            p.wall_s,
-            p.events_per_sec(),
-            p.jobs
         ));
     }
     out
@@ -696,15 +605,8 @@ mod tests {
 
     #[test]
     fn rendered_json_is_valid_and_has_the_schema_landmarks() {
-        let (_, run) = tiny_run("mixed-rw");
-        let scale = Scale {
-            file_mib: 1,
-            trials: 1,
-            small_records: false,
-            seed: 7,
-            ..Scale::default()
-        };
-        let json = render_json(&scale, &[run], None);
+        let (params, run) = tiny_run("mixed-rw");
+        let json = render_json(&params, &[run]);
         assert!(json_is_valid(&json), "invalid JSON:\n{json}");
         for landmark in [
             "\"scale\"",
@@ -734,15 +636,8 @@ mod tests {
 
     #[test]
     fn net_sweep_cells_carry_symbolic_axes_and_link_counters() {
-        let (_, run) = tiny_run("net-sweep");
-        let scale = Scale {
-            file_mib: 1,
-            trials: 1,
-            small_records: false,
-            seed: 7,
-            ..Scale::default()
-        };
-        let json = render_json(&scale, &[run], None);
+        let (params, run) = tiny_run("net-sweep");
+        let json = render_json(&params, &[run]);
         assert!(json_is_valid(&json), "invalid JSON:\n{json}");
         // Symbolic axes render as JSON strings...
         assert!(json.contains("{\"name\":\"topology\",\"value\":\"mesh\"}"));
@@ -753,10 +648,27 @@ mod tests {
     }
 
     #[test]
+    fn scale_header_renders_the_sweep_params() {
+        let (_, run) = tiny_run("table1");
+        let params = SweepParams {
+            base: MachineConfig {
+                file_bytes: 3 * 1024 * 1024,
+                ..MachineConfig::default()
+            },
+            trials: 2,
+            seed: 42,
+            small_records: false,
+        };
+        let json = render_json(&params, &[run]);
+        let header =
+            r#"{"scale":{"file_mib":3,"trials":2,"small_records":false,"seed":42},"scenarios":["#;
+        assert!(json.starts_with(header), "{json}");
+    }
+
+    #[test]
     fn table1_renders_with_empty_cells_and_null_aggregate() {
         let (_, run) = tiny_run("table1");
-        let scale = Scale::default();
-        let json = render_json(&scale, &[run], None);
+        let json = render_json(&SweepParams::default(), &[run]);
         assert!(json_is_valid(&json));
         assert!(json.contains("\"cells\":[]"));
         assert!(json.contains("\"aggregate\":null"));
@@ -766,7 +678,7 @@ mod tests {
     fn csv_has_one_row_per_cell_plus_header() {
         let (_, run) = tiny_run("mixed-rw");
         let n = run.results.len();
-        let csv = render_csv(&[run], false);
+        let csv = render_csv(&[run]);
         assert_eq!(csv.lines().count(), n + 1);
         assert!(csv.starts_with("scenario,pattern,method"));
         assert!(csv.contains("phase=0"));
@@ -789,7 +701,7 @@ mod tests {
         assert_eq!(csv_f64(f64::INFINITY), "null");
         assert_eq!(csv_f64(2.5), "2.5");
         let (_, run) = tiny_run("mixed-rw");
-        let csv = render_csv(&[run], false);
+        let csv = render_csv(&[run]);
         assert!(!csv.contains("NaN"), "bare NaN leaked into CSV:\n{csv}");
     }
 
@@ -799,15 +711,8 @@ mod tests {
         // closed-loop composition, so every percentile is NaN — which JSON
         // cannot represent and CSV readers refuse to type. Both renderers
         // must emit `null`.
-        let (_, run) = tiny_run("mixed-rw");
-        let scale = Scale {
-            file_mib: 1,
-            trials: 1,
-            small_records: false,
-            seed: 7,
-            ..Scale::default()
-        };
-        let json = render_json(&scale, &[run], None);
+        let (params, run) = tiny_run("mixed-rw");
+        let json = render_json(&params, &[run]);
         assert!(json_is_valid(&json), "invalid JSON:\n{json}");
         assert!(
             json.contains(
@@ -819,7 +724,7 @@ mod tests {
         );
         assert!(!json.contains("NaN"), "bare NaN leaked into JSON:\n{json}");
         let (_, run) = tiny_run("mixed-rw");
-        let csv = render_csv(&[run], false);
+        let csv = render_csv(&[run]);
         let row = csv.lines().nth(1).unwrap();
         assert!(
             row.ends_with(",0,null,null,null,null"),
@@ -830,15 +735,8 @@ mod tests {
 
     #[test]
     fn serve_sweep_cells_report_tail_latency_and_tenant_throughput() {
-        let (_, run) = tiny_run("serve-sweep");
-        let scale = Scale {
-            file_mib: 1,
-            trials: 1,
-            small_records: false,
-            seed: 7,
-            ..Scale::default()
-        };
-        let json = render_json(&scale, std::slice::from_ref(&run), None);
+        let (params, run) = tiny_run("serve-sweep");
+        let json = render_json(&params, std::slice::from_ref(&run));
         assert!(json_is_valid(&json), "invalid JSON:\n{json}");
         // Open-loop cells carry real latencies: no nulls in the percentile
         // fields and a non-empty tenants array.
@@ -850,7 +748,7 @@ mod tests {
         assert!(json.contains("{\"name\":\"qos\",\"value\":\"fair-share\"}"));
         assert!(json.contains("\"tenant\":0"));
         assert!(json.contains("\"mibs\":"));
-        let csv = render_csv(&[run], false);
+        let csv = render_csv(&[run]);
         for row in csv.lines().skip(1) {
             assert!(!row.contains("null"), "open-loop row has nulls: {row}");
         }
@@ -859,7 +757,7 @@ mod tests {
     #[test]
     fn table_render_includes_headings() {
         let (params, run) = tiny_run("record-cp-cross");
-        let text = render_table(&params, &[run], None);
+        let text = render_table(&params, &[run]);
         assert!(text.contains("Record size x CP count"));
         assert!(text.contains("cps=16 record=65536"));
     }

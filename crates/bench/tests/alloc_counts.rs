@@ -8,8 +8,8 @@
 //! in steady state: a warm-up pass first pays one-time growth (executor
 //! slabs, cache maps, channel buffers), then the measured pass counts.
 //!
-//! The printed `allocs/event` figures feed the BENCH_* perf trajectory
-//! (`cargo test -p ddio-bench --release --test alloc_counts -- --nocapture`).
+//! Print the `allocs/event` figures with
+//! `cargo test -p ddio-bench --release --test alloc_counts -- --nocapture`.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};

@@ -102,8 +102,9 @@ impl CostModel {
 /// its block lists), plus — for the traditional-caching baseline — the cache
 /// policy composition of its IOP block caches.
 ///
-/// The scheduling policy is one of the two knobs of a transfer:
-/// `run_transfer` copies it into every drive's [`DiskParams::sched`], and the
+/// The `Method` is the only home of both policies; the machine configuration
+/// carries neither. The scheduling policy is one of the two knobs of a
+/// transfer: `run_transfer` spawns every drive with it, and the
 /// [`SchedPolicy::Presort`] policy additionally sorts the submission-side
 /// queues (the DDIO block list per disk; the baseline's per-disk request
 /// streams). The [`CacheConfig`] is the other: it selects the replacement,
@@ -190,30 +191,23 @@ impl Method {
     }
 }
 
-/// Sizing and policies of the traditional-caching IOP block caches.
+/// Sizing of the traditional-caching IOP block caches.
 ///
 /// The capacity follows the paper's Table 1 footnote: each IOP's cache holds
 /// `buffers_per_disk_per_cp × n_cps × disks-per-IOP` blocks ("large enough
 /// to double-buffer an independent stream of requests from each CP to each
-/// disk" at the default of 2). The `policies` field is the *configuration
-/// default* only: the [`Method`] carries the composition a transfer actually
-/// runs (mirroring how [`DiskParams::sched`] relates to
-/// [`Method::sched`]), and `run_transfer` rejects a non-default
-/// `policies` that disagrees with the method rather than silently ignoring
-/// it.
+/// disk" at the default of 2). The cache's policy composition is not a
+/// machine parameter: the [`Method`] carries it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CacheParams {
     /// Cache buffers per disk per CP (2 = the paper's double-buffering).
     pub buffers_per_disk_per_cp: usize,
-    /// Replacement / prefetch / write-back composition.
-    pub policies: CacheConfig,
 }
 
 impl Default for CacheParams {
     fn default() -> Self {
         CacheParams {
             buffers_per_disk_per_cp: 2,
-            policies: CacheConfig::DEFAULT,
         }
     }
 }
@@ -255,7 +249,7 @@ pub struct MachineConfig {
     pub bus_arbitration: SimDuration,
     /// Software cost constants.
     pub costs: CostModel,
-    /// Traditional caching: IOP cache sizing and default policies.
+    /// Traditional caching: IOP cache sizing.
     pub cache: CacheParams,
     /// Disk-directed I/O: buffers per disk (the paper uses two).
     pub ddio_buffers_per_disk: usize,
@@ -581,12 +575,10 @@ mod tests {
     fn cache_params_capacity() {
         let p = CacheParams::default();
         assert_eq!(p.buffers_per_disk_per_cp, 2);
-        assert_eq!(p.policies, CacheConfig::DEFAULT);
         assert_eq!(p.capacity(16, 1), 32);
         assert_eq!(p.capacity(4, 2), 16);
         let tiny = CacheParams {
             buffers_per_disk_per_cp: 1,
-            ..CacheParams::default()
         };
         assert_eq!(tiny.capacity(0, 0), 1, "capacity never reaches zero");
     }

@@ -33,6 +33,7 @@ use ddio_sim::stats::Summary;
 
 use crate::config::{LayoutPolicy, MachineConfig, Method};
 use crate::machine::{run_transfer_in, MachineArena, TransferOutcome};
+use scenario::CellResult;
 
 /// One data point: a (pattern, method, record size) cell averaged over
 /// several independent trials, exactly as in the paper's figures.
@@ -52,17 +53,6 @@ pub struct DataPoint {
     pub summary: Summary,
     /// The last trial's full outcome (for diagnostics).
     pub last_outcome: TransferOutcome,
-    /// Executor events processed, summed over all trials (deterministic).
-    pub sim_events: u64,
-    /// Host wall-clock seconds spent across all trials (non-deterministic;
-    /// surfaced only by `--perf` reporting, never in goldens).
-    pub host_wall_secs: f64,
-    /// Host wall-clock seconds spent building machines across all trials
-    /// (non-deterministic; `--perf` only).
-    pub build_wall_secs: f64,
-    /// Host wall-clock seconds spent inside the simulation runs across all
-    /// trials (non-deterministic; `--perf` only).
-    pub run_wall_secs: f64,
 }
 
 impl DataPoint {
@@ -79,7 +69,8 @@ impl DataPoint {
 
 /// Runs `trials` independent trials of one configuration and summarizes them.
 ///
-/// Trial `i` uses seed `base_seed + i`, so a data point is fully reproducible.
+/// Trial `i` uses seed `base_seed + i` (wrapping at `u64::MAX`), so a data
+/// point is fully reproducible.
 pub fn run_data_point(
     config: &MachineConfig,
     method: Method,
@@ -91,10 +82,6 @@ pub fn run_data_point(
     assert!(trials > 0, "need at least one trial");
     let mut throughputs = Vec::with_capacity(trials);
     let mut last = None;
-    let mut sim_events = 0u64;
-    let mut host_wall_secs = 0.0f64;
-    let mut build_wall_secs = 0.0f64;
-    let mut run_wall_secs = 0.0f64;
     // One arena serves every trial of every cell this worker thread runs:
     // `run_transfer_in` resets it between uses, so executor task slots,
     // timer-wheel levels, and layout tables are paid for once per thread.
@@ -111,13 +98,9 @@ pub fn run_data_point(
                 method,
                 pattern,
                 record_bytes,
-                base_seed + t as u64,
+                base_seed.wrapping_add(t as u64),
             );
             throughputs.push(outcome.throughput_mibs);
-            sim_events += outcome.sim_events;
-            host_wall_secs += outcome.host_wall_secs;
-            build_wall_secs += outcome.build_wall_secs;
-            run_wall_secs += outcome.run_wall_secs;
             last = Some(outcome);
         }
     });
@@ -129,42 +112,20 @@ pub fn run_data_point(
         summary: Summary::of(&throughputs),
         trials: throughputs,
         last_outcome: last.expect("at least one trial ran"),
-        sim_events,
-        host_wall_secs,
-        build_wall_secs,
-        run_wall_secs,
     }
-}
-
-/// One point of a sensitivity sweep.
-#[derive(Debug, Clone)]
-pub struct SensitivityPoint {
-    /// The varied parameter's value.
-    pub value: usize,
-    /// Pattern name.
-    pub pattern: String,
-    /// File-system method.
-    pub method: Method,
-    /// Mean throughput and spread over the trials.
-    pub summary: Summary,
-    /// The hardware bandwidth limit for this configuration, in MiB/s
-    /// (the "Max bandwidth" line in Figures 5-8).
-    pub hardware_limit_mibs: f64,
 }
 
 /// Formats a pattern sweep as an aligned text table, one row per pattern and
 /// one column per method — the textual equivalent of Figures 3 and 4.
-pub fn format_pattern_table(points: &[DataPoint], title: &str) -> String {
+pub fn format_pattern_table(results: &[&CellResult], title: &str) -> String {
     let mut methods: Vec<Method> = Vec::new();
-    for p in points {
-        if !methods.contains(&p.method) {
-            methods.push(p.method);
+    let mut patterns: Vec<&str> = Vec::new();
+    for r in results {
+        if !methods.contains(&r.point.method) {
+            methods.push(r.point.method);
         }
-    }
-    let mut patterns: Vec<String> = Vec::new();
-    for p in points {
-        if !patterns.contains(&p.pattern) {
-            patterns.push(p.pattern.clone());
+        if !patterns.contains(&r.point.pattern.as_str()) {
+            patterns.push(&r.point.pattern);
         }
     }
     let mut out = String::new();
@@ -179,12 +140,12 @@ pub fn format_pattern_table(points: &[DataPoint], title: &str) -> String {
         out.push_str(&format!("{pat:<9}"));
         let mut max_cv: f64 = 0.0;
         for m in &methods {
-            let cell = points
+            let cell = results
                 .iter()
-                .find(|p| &p.pattern == pat && p.method == *m)
-                .map(|p| {
-                    max_cv = max_cv.max(p.cv());
-                    format!("{:>12.2}", p.mean())
+                .find(|r| r.point.pattern == *pat && r.point.method == *m)
+                .map(|r| {
+                    max_cv = max_cv.max(r.point.cv());
+                    format!("{:>12.2}", r.point.mean())
                 })
                 .unwrap_or_else(|| format!("{:>12}", "-"));
             out.push_str(&cell);
@@ -194,16 +155,18 @@ pub fn format_pattern_table(points: &[DataPoint], title: &str) -> String {
     out
 }
 
-/// Formats a sensitivity sweep as an aligned text table, one row per varied
-/// value — the textual equivalent of Figures 5-8.
-pub fn format_sensitivity_table(points: &[SensitivityPoint], title: &str) -> String {
-    let mut values: Vec<usize> = Vec::new();
-    let mut series: Vec<(Method, String)> = Vec::new();
-    for p in points {
-        if !values.contains(&p.value) {
-            values.push(p.value);
+/// Formats a sensitivity sweep as an aligned text table, one row per value
+/// of each cell's first (varied) axis — the textual equivalent of Figures
+/// 5-8.
+pub fn format_sensitivity_table(results: &[CellResult], title: &str) -> String {
+    let value = |r: &CellResult| r.axes.first().and_then(|a| a.value.as_u64()).unwrap_or(0);
+    let mut values: Vec<u64> = Vec::new();
+    let mut series: Vec<(Method, &str)> = Vec::new();
+    for r in results {
+        if !values.contains(&value(r)) {
+            values.push(value(r));
         }
-        let key = (p.method, p.pattern.clone());
+        let key = (r.point.method, r.point.pattern.as_str());
         if !series.contains(&key) {
             series.push(key);
         }
@@ -218,17 +181,17 @@ pub fn format_sensitivity_table(points: &[SensitivityPoint], title: &str) -> Str
     }
     out.push('\n');
     for v in &values {
-        let limit = points
+        let limit = results
             .iter()
-            .find(|p| p.value == *v)
-            .map(|p| p.hardware_limit_mibs)
+            .find(|r| value(r) == *v)
+            .map(|r| r.hardware_limit_mibs)
             .unwrap_or(0.0);
         out.push_str(&format!("{v:<8}{limit:>10.1}"));
         for (m, pat) in &series {
-            let cell = points
+            let cell = results
                 .iter()
-                .find(|p| p.value == *v && p.method == *m && &p.pattern == pat)
-                .map(|p| format!("{:>14.2}", p.summary.mean))
+                .find(|r| value(r) == *v && r.point.method == *m && r.point.pattern == *pat)
+                .map(|r| format!("{:>14.2}", r.point.summary.mean))
                 .unwrap_or_else(|| format!("{:>14}", "-"));
             out.push_str(&cell);
         }
@@ -241,7 +204,7 @@ pub fn format_sensitivity_table(points: &[SensitivityPoint], title: &str) -> Str
 mod tests {
     use super::*;
     use crate::machine::run_transfer;
-    use ddio_sim::stats::Summary;
+    use scenario::Axis;
 
     fn tiny_config() -> MachineConfig {
         MachineConfig {
@@ -273,35 +236,75 @@ mod tests {
     }
 
     #[test]
-    fn pattern_table_formatting_includes_all_patterns_and_methods() {
-        let cfg = tiny_config();
-        let outcome = run_transfer(
-            &cfg,
+    fn trial_seeds_wrap_past_u64_max() {
+        // Trial 1 of base seed u64::MAX runs at seed 0 instead of
+        // overflowing.
+        let cfg = MachineConfig {
+            layout: LayoutPolicy::RandomBlocks,
+            ..tiny_config()
+        };
+        let point = |trials, seed| {
+            run_data_point(
+                &cfg,
+                Method::TC,
+                AccessPattern::parse("rb").unwrap(),
+                8192,
+                trials,
+                seed,
+            )
+        };
+        let wrapped = point(2, u64::MAX);
+        let at_zero = point(1, 0);
+        assert_eq!(wrapped.trials[1].to_bits(), at_zero.trials[0].to_bits());
+        assert_eq!(wrapped.last_outcome.elapsed, at_zero.last_outcome.elapsed);
+    }
+
+    /// A result whose point reports `mean` MiB/s, at `value` on a `cps`
+    /// axis when given.
+    fn result(
+        outcome: &TransferOutcome,
+        pattern: &str,
+        method: Method,
+        value: Option<u64>,
+        mean: f64,
+    ) -> CellResult {
+        CellResult {
+            scenario: "test",
+            axes: value.map(|v| Axis::new("cps", v)).into_iter().collect(),
+            seed: 1,
+            hardware_limit_mibs: 37.5,
+            point: DataPoint {
+                pattern: pattern.to_owned(),
+                method,
+                record_bytes: 8192,
+                layout: LayoutPolicy::Contiguous,
+                trials: vec![mean],
+                summary: Summary::of(&[mean]),
+                last_outcome: outcome.clone(),
+            },
+        }
+    }
+
+    fn tiny_outcome() -> TransferOutcome {
+        run_transfer(
+            &tiny_config(),
             Method::DDIO,
             AccessPattern::parse("rb").unwrap(),
             8192,
             1,
-        );
-        let mk = |pattern: &str, method: Method, mean: f64| DataPoint {
-            pattern: pattern.to_owned(),
-            method,
-            record_bytes: 8192,
-            layout: LayoutPolicy::Contiguous,
-            trials: vec![mean],
-            summary: Summary::of(&[mean]),
-            last_outcome: outcome.clone(),
-            sim_events: outcome.sim_events,
-            host_wall_secs: outcome.host_wall_secs,
-            build_wall_secs: outcome.build_wall_secs,
-            run_wall_secs: outcome.run_wall_secs,
-        };
-        let points = vec![
-            mk("ra", Method::TC, 3.0),
-            mk("ra", Method::DDIO, 6.0),
-            mk("rb", Method::TC, 2.0),
-            mk("rb", Method::DDIO, 7.0),
+        )
+    }
+
+    #[test]
+    fn pattern_table_formatting_includes_all_patterns_and_methods() {
+        let outcome = tiny_outcome();
+        let results = [
+            result(&outcome, "ra", Method::TC, None, 3.0),
+            result(&outcome, "ra", Method::DDIO, None, 6.0),
+            result(&outcome, "rb", Method::TC, None, 2.0),
+            result(&outcome, "rb", Method::DDIO, None, 7.0),
         ];
-        let table = format_pattern_table(&points, "test table");
+        let table = format_pattern_table(&results.iter().collect::<Vec<_>>(), "test table");
         assert!(table.contains("test table"));
         assert!(table.contains("ra"));
         assert!(table.contains("rb"));
@@ -312,20 +315,14 @@ mod tests {
 
     #[test]
     fn sensitivity_table_orders_values() {
-        let mk = |value: usize, method: Method, pattern: &str, mean: f64| SensitivityPoint {
-            value,
-            pattern: pattern.to_owned(),
-            method,
-            summary: Summary::of(&[mean]),
-            hardware_limit_mibs: 37.5,
-        };
-        let points = vec![
-            mk(8, Method::DDIO, "ra", 30.0),
-            mk(2, Method::DDIO, "ra", 28.0),
-            mk(8, Method::TC, "ra", 20.0),
-            mk(2, Method::TC, "ra", 15.0),
+        let outcome = tiny_outcome();
+        let results = [
+            result(&outcome, "ra", Method::DDIO, Some(8), 30.0),
+            result(&outcome, "ra", Method::DDIO, Some(2), 28.0),
+            result(&outcome, "ra", Method::TC, Some(8), 20.0),
+            result(&outcome, "ra", Method::TC, Some(2), 15.0),
         ];
-        let table = format_sensitivity_table(&points, "sensitivity");
+        let table = format_sensitivity_table(&results, "sensitivity");
         let idx2 = table.find("\n2 ").expect("row for 2");
         let idx8 = table.find("\n8 ").expect("row for 8");
         assert!(idx2 < idx8);

@@ -26,7 +26,7 @@ use crate::config::{
 };
 use crate::experiment::pool;
 use crate::experiment::{
-    format_pattern_table, format_sensitivity_table, run_data_point, DataPoint, SensitivityPoint,
+    format_pattern_table, format_sensitivity_table, run_data_point, DataPoint,
 };
 use crate::serve::{ArrivalProcess, QosPolicy, ServeParams};
 
@@ -784,7 +784,6 @@ fn build_cache_sweep(params: &SweepParams) -> Vec<Cell> {
                         layout: LayoutPolicy::RandomBlocks,
                         cache: CacheParams {
                             buffers_per_disk_per_cp: bufs,
-                            ..CacheParams::default()
                         },
                         ..params.base.clone()
                     },
@@ -1033,10 +1032,9 @@ pub fn format_report(scenario: &Scenario, params: &SweepParams, results: &[CellR
                 }
             }
             for record_bytes in seen {
-                let points: Vec<DataPoint> = results
+                let points: Vec<&CellResult> = results
                     .iter()
                     .filter(|r| r.point.record_bytes == record_bytes)
-                    .map(|r| r.point.clone())
                     .collect();
                 let title = format!(
                     "Figure {figure}{}: {record_bytes}-byte records, throughput in MiB/s",
@@ -1047,19 +1045,7 @@ pub fn format_report(scenario: &Scenario, params: &SweepParams, results: &[CellR
             }
             out
         }
-        Report::Sensitivity { table_title } => {
-            let points: Vec<SensitivityPoint> = results
-                .iter()
-                .map(|r| SensitivityPoint {
-                    value: r.axes.first().and_then(|a| a.value.as_u64()).unwrap_or(0) as usize,
-                    pattern: r.point.pattern.clone(),
-                    method: r.point.method,
-                    summary: r.point.summary.clone(),
-                    hardware_limit_mibs: r.hardware_limit_mibs,
-                })
-                .collect();
-            format_sensitivity_table(&points, table_title)
-        }
+        Report::Sensitivity { table_title } => format_sensitivity_table(results, table_title),
         Report::Flat => format_flat_table(results),
     }
 }
@@ -1335,9 +1321,6 @@ mod tests {
                     axis.value.as_u64().expect("numeric bufs axis")
                 );
             }
-            // Cells carry the composition in the Method, never in the
-            // machine config (which run_transfer would reject).
-            assert_eq!(c.config.cache.policies, CacheConfig::DEFAULT);
         }
     }
 

@@ -8,7 +8,7 @@
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
-use ddio_disk::{spawn_disk_faulty, DiskHandle, DiskParams, DiskRequest, DiskStats, ScsiBus};
+use ddio_disk::{spawn_disk_faulty, DiskHandle, DiskRequest, DiskStats, ScsiBus};
 use ddio_net::{Envelope, LinkStat, NetConfig, Network};
 use ddio_patterns::{AccessKind, AccessPattern, PatternInstance};
 use ddio_sim::stats::throughput_mibs;
@@ -16,7 +16,7 @@ use ddio_sim::sync::{Receiver, Resource, ResourceName};
 use ddio_sim::{Sim, SimContext, SimDuration, SimRng};
 
 use crate::cache::CacheStats;
-use crate::config::{CacheConfig, MachineConfig, Method};
+use crate::config::{MachineConfig, Method};
 use crate::ddio;
 use crate::fault::{FaultConfig, FaultPolicy, FaultStats, RedundancyPolicy};
 use crate::layout::{BlockLocation, FileLayout};
@@ -541,20 +541,6 @@ pub fn run_transfer_in(
         }))
     });
 
-    // Like disk.sched below, the config's cache policies are only a default:
-    // the Method carries the composition a transfer runs. A non-default
-    // config value that disagrees with the method would be silently ignored,
-    // so it is rejected instead.
-    if let Some(cache) = method.cache() {
-        assert!(
-            config.cache.policies == CacheConfig::DEFAULT || config.cache.policies == cache,
-            "config.cache.policies is {} but the method runs {}: the Method carries the cache \
-             composition for a transfer (e.g. Method::TC.with_cache(...))",
-            config.cache.policies,
-            cache,
-        );
-    }
-
     // Inboxes are numbered like the nodes: CPs first, then IOPs.
     let iop_inboxes = inboxes.split_off(config.n_cps);
     let cp_inboxes = inboxes;
@@ -578,23 +564,9 @@ pub fn run_transfer_in(
     }
 
     // Build the IOPs with their buses and disks. The drives run the method's
-    // scheduling policy: the Method is the single scheduling knob of a
-    // transfer, copied here into each drive's parameters. A non-default
-    // `config.disk.sched` that disagrees with the method would be silently
-    // ignored, so it is rejected instead.
-    assert!(
-        config.disk.sched == ddio_disk::SchedPolicy::default()
-            || config.disk.sched == method.sched(),
-        "config.disk.sched is {} but the method runs {}: the Method carries the scheduling \
-         policy for a transfer (e.g. Method::TraditionalCaching(SchedPolicy::{:?}))",
-        config.disk.sched,
-        method.sched(),
-        config.disk.sched,
-    );
-    let mut drive_params = DiskParams {
-        sched: method.sched(),
-        ..config.disk
-    };
+    // scheduling policy: the Method is the only scheduling knob of a
+    // transfer.
+    let mut drive_params = config.disk;
     // Static fault policies (cacheless / worn) degrade every drive from
     // time zero; timed policies leave the parameters pristine and act
     // through the per-drive plans instead.
@@ -615,7 +587,8 @@ pub fn run_transfer_in(
             .disks_of_iop(iop)
             .map(|disk| {
                 let plan = fault_schedule.plan(disk);
-                (disk, spawn_disk_faulty(&ctx, disk, drive_params, plan))
+                let handle = spawn_disk_faulty(&ctx, disk, drive_params, method.sched(), plan);
+                (disk, handle)
             })
             .collect();
         iops.push(Rc::new(IopParts {
@@ -829,7 +802,7 @@ fn verify_transfer(pattern: &PatternInstance, v: &VerifyState) -> VerifyReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::{LayoutPolicy, SchedPolicy};
+    use crate::config::{CacheConfig, LayoutPolicy, SchedPolicy};
     use ddio_patterns::AccessPattern;
 
     fn tiny_config() -> MachineConfig {
@@ -844,42 +817,10 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "the Method carries the scheduling")]
-    fn conflicting_config_sched_is_rejected() {
-        // A non-default drive policy that disagrees with the method would be
-        // silently ignored; it must fail loudly instead.
-        let mut config = tiny_config();
-        config.disk.sched = SchedPolicy::Cscan;
-        run_transfer(
-            &config,
-            Method::TC,
-            AccessPattern::parse("rb").unwrap(),
-            8192,
-            1,
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "the Method carries the cache composition")]
-    fn conflicting_config_cache_is_rejected() {
-        // Same contract as the scheduling policy: the Method carries the
-        // cache composition; a disagreeing non-default config fails loudly.
-        let mut config = tiny_config();
-        config.cache.policies = CacheConfig::parse("mru").unwrap();
-        run_transfer(
-            &config,
-            Method::TC,
-            AccessPattern::parse("rb").unwrap(),
-            8192,
-            1,
-        );
-    }
-
-    #[test]
     fn matching_config_cache_is_accepted_and_reports_stats() {
-        let mut config = tiny_config();
+        // The Method alone carries the cache composition.
+        let config = tiny_config();
         let mru = CacheConfig::parse("mru").unwrap();
-        config.cache.policies = mru;
         let outcome = run_transfer(
             &config,
             Method::TC.with_cache(mru),
@@ -1154,10 +1095,9 @@ mod tests {
 
     #[test]
     fn matching_config_sched_is_accepted() {
-        let mut config = tiny_config();
-        config.disk.sched = SchedPolicy::Cscan;
+        // The Method alone carries the drive policy.
         let outcome = run_transfer(
-            &config,
+            &tiny_config(),
             Method::TC.with_sched(SchedPolicy::Cscan),
             AccessPattern::parse("rb").unwrap(),
             8192,

@@ -3,10 +3,11 @@
 //! access to the disk").
 //!
 //! The server's pending queue is owned by a pluggable [`DiskScheduler`]
-//! (see [`DiskParams::sched`]): arriving requests are moved from the command
-//! channel into the scheduler, and every time the mechanism goes idle the
-//! scheduler picks the next request using the arm's current cylinder. The
-//! default FCFS policy reproduces the original hardwired FIFO exactly.
+//! (the [`SchedPolicy`] the drive is spawned with): arriving requests are
+//! moved from the command channel into the scheduler, and every time the
+//! mechanism goes idle the scheduler picks the next request using the arm's
+//! current cylinder. The FCFS policy reproduces the original hardwired FIFO
+//! exactly.
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -149,9 +150,15 @@ impl DiskHandle {
 
 /// Spawns a disk-server task on the simulation and returns a handle to it.
 ///
-/// The server runs until every [`DiskHandle`] clone has been dropped.
-pub fn spawn_disk(ctx: &SimContext, id: usize, params: DiskParams) -> DiskHandle {
-    spawn_disk_faulty(ctx, id, params, DriveFaultPlan::default())
+/// The drive serves its pending queue in the order `sched` picks. The
+/// server runs until every [`DiskHandle`] clone has been dropped.
+pub fn spawn_disk(
+    ctx: &SimContext,
+    id: usize,
+    params: DiskParams,
+    sched: SchedPolicy,
+) -> DiskHandle {
+    spawn_disk_faulty(ctx, id, params, sched, DriveFaultPlan::default())
 }
 
 /// Spawns a disk-server task with a [`DriveFaultPlan`] injected into its
@@ -161,11 +168,12 @@ pub fn spawn_disk_faulty(
     ctx: &SimContext,
     id: usize,
     params: DiskParams,
+    sched: SchedPolicy,
     plan: DriveFaultPlan,
 ) -> DiskHandle {
     let (tx, rx): (Sender<DiskCommand>, Receiver<DiskCommand>) = unbounded();
     let model = Rc::new(RefCell::new(DiskModel::new(params)));
-    let pending: SharedQueue = Rc::new(RefCell::new(params.sched.scheduler(params.geometry)));
+    let pending: SharedQueue = Rc::new(RefCell::new(sched.scheduler(params.geometry)));
     let handle = DiskHandle {
         tx,
         model: Rc::clone(&model),
@@ -244,7 +252,7 @@ mod tests {
     fn serves_requests_in_fifo_order_one_at_a_time() {
         let mut sim = Sim::new();
         let ctx = sim.context();
-        let disk = spawn_disk(&ctx, 0, DiskParams::hp_97560());
+        let disk = spawn_disk(&ctx, 0, DiskParams::hp_97560(), SchedPolicy::Fcfs);
         let completions = Rc::new(RefCell::new(Vec::new()));
         for i in 0..4u64 {
             let disk = disk.clone();
@@ -274,7 +282,7 @@ mod tests {
     fn concurrent_clients_share_one_mechanism() {
         let mut sim = Sim::new();
         let ctx = sim.context();
-        let disk = spawn_disk(&ctx, 3, DiskParams::hp_97560());
+        let disk = spawn_disk(&ctx, 3, DiskParams::hp_97560(), SchedPolicy::Fcfs);
         assert_eq!(disk.id(), 3);
         let total_busy = Rc::new(Cell::new(SimDuration::ZERO));
         for client in 0..2u64 {
@@ -303,12 +311,9 @@ mod tests {
     fn completion_order(policy: SchedPolicy, cylinders: &[u64]) -> Vec<u64> {
         let mut sim = Sim::new();
         let ctx = sim.context();
-        let params = DiskParams {
-            sched: policy,
-            ..DiskParams::hp_97560()
-        };
+        let params = DiskParams::hp_97560();
         let spc = params.geometry.sectors_per_cylinder();
-        let disk = spawn_disk(&ctx, 0, params);
+        let disk = spawn_disk(&ctx, 0, params, policy);
         let order = Rc::new(RefCell::new(Vec::new()));
         // One task per request, spawned after the (already waiting) server
         // task: the whole batch is enqueued before the first dispatch.
@@ -351,12 +356,9 @@ mod tests {
         let elapsed = |policy| {
             let mut sim = Sim::new();
             let ctx = sim.context();
-            let params = DiskParams {
-                sched: policy,
-                ..DiskParams::hp_97560()
-            };
+            let params = DiskParams::hp_97560();
             let spc = params.geometry.sectors_per_cylinder();
-            let disk = spawn_disk(&ctx, 0, params);
+            let disk = spawn_disk(&ctx, 0, params, policy);
             for &c in &batch {
                 let disk = disk.clone();
                 sim.spawn(async move {
@@ -377,7 +379,7 @@ mod tests {
         // Reuse the harness but inspect stats directly for a fresh run.
         let mut sim = Sim::new();
         let ctx = sim.context();
-        let disk = spawn_disk(&ctx, 0, DiskParams::hp_97560());
+        let disk = spawn_disk(&ctx, 0, DiskParams::hp_97560(), SchedPolicy::Fcfs);
         for i in 0..4u64 {
             let disk = disk.clone();
             sim.spawn(async move {
@@ -402,7 +404,7 @@ mod tests {
             dead_at: Some(SimTime::ZERO + SimDuration::from_millis(50)),
             ..DriveFaultPlan::default()
         };
-        let disk = spawn_disk_faulty(&ctx, 0, DiskParams::hp_97560(), plan);
+        let disk = spawn_disk_faulty(&ctx, 0, DiskParams::hp_97560(), SchedPolicy::Fcfs, plan);
         let results = Rc::new(RefCell::new(Vec::new()));
         {
             let disk = disk.clone();
@@ -433,7 +435,7 @@ mod tests {
             stalls: vec![(SimTime::ZERO, until)],
             ..DriveFaultPlan::default()
         };
-        let disk = spawn_disk_faulty(&ctx, 0, DiskParams::hp_97560(), plan);
+        let disk = spawn_disk_faulty(&ctx, 0, DiskParams::hp_97560(), SchedPolicy::Fcfs, plan);
         let done_at = Rc::new(Cell::new(SimTime::ZERO));
         {
             let disk = disk.clone();
@@ -454,7 +456,7 @@ mod tests {
         let elapsed = |plan: DriveFaultPlan| {
             let mut sim = Sim::new();
             let ctx = sim.context();
-            let disk = spawn_disk_faulty(&ctx, 0, DiskParams::hp_97560(), plan);
+            let disk = spawn_disk_faulty(&ctx, 0, DiskParams::hp_97560(), SchedPolicy::Fcfs, plan);
             sim.spawn(async move {
                 disk.io(DiskRequest::read(0, 16)).await;
             });
@@ -478,9 +480,15 @@ mod tests {
             let mut sim = Sim::new();
             let ctx = sim.context();
             let disk = if faulty {
-                spawn_disk_faulty(&ctx, 0, DiskParams::hp_97560(), DriveFaultPlan::default())
+                spawn_disk_faulty(
+                    &ctx,
+                    0,
+                    DiskParams::hp_97560(),
+                    SchedPolicy::Fcfs,
+                    DriveFaultPlan::default(),
+                )
             } else {
-                spawn_disk(&ctx, 0, DiskParams::hp_97560())
+                spawn_disk(&ctx, 0, DiskParams::hp_97560(), SchedPolicy::Fcfs)
             };
             for i in 0..4u64 {
                 let disk = disk.clone();
@@ -498,7 +506,7 @@ mod tests {
     fn stats_visible_through_handle() {
         let mut sim = Sim::new();
         let ctx = sim.context();
-        let disk = spawn_disk(&ctx, 0, DiskParams::tiny_test());
+        let disk = spawn_disk(&ctx, 0, DiskParams::tiny_test(), SchedPolicy::Fcfs);
         {
             let disk = disk.clone();
             sim.spawn(async move {

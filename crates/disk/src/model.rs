@@ -12,10 +12,12 @@ use ddio_sim::{SimDuration, SimTime};
 
 use crate::geometry::Geometry;
 use crate::request::{DiskOp, DiskRequest, ServiceBreakdown};
-use crate::sched::SchedPolicy;
 use crate::seek::SeekCurve;
 
-/// Parameters of the drive model.
+/// Parameters of the drive model: the mechanism and its electronics only.
+/// The queue-scheduling policy is not a drive parameter; it is an argument
+/// of [`spawn_disk`](crate::spawn_disk), and in full-machine runs it comes
+/// from the transfer's `Method`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DiskParams {
     /// Physical geometry.
@@ -30,13 +32,6 @@ pub struct DiskParams {
     pub cache_hit_overhead: SimDuration,
     /// Size of the read-ahead cache in sectors (0 disables read-ahead).
     pub cache_sectors: u64,
-    /// Scheduling policy of the drive's pending queue (see
-    /// [`SchedPolicy`]). `spawn_disk` builds the matching
-    /// [`DiskScheduler`](crate::DiskScheduler). For full-machine runs the
-    /// `Method` is the single knob: `ddio-core`'s transfer runner sets this
-    /// field from the method's policy and rejects a conflicting non-default
-    /// value here rather than silently ignoring it.
-    pub sched: SchedPolicy,
 }
 
 impl DiskParams {
@@ -50,7 +45,6 @@ impl DiskParams {
             cache_hit_overhead: SimDuration::from_micros(300),
             // 128 KiB on-board buffer.
             cache_sectors: 256,
-            sched: SchedPolicy::Fcfs,
         }
     }
 
@@ -63,7 +57,6 @@ impl DiskParams {
             controller_overhead: SimDuration::from_millis_f64(0.5),
             cache_hit_overhead: SimDuration::from_micros(100),
             cache_sectors: 64,
-            sched: SchedPolicy::Fcfs,
         }
     }
 }

@@ -7,10 +7,9 @@
 //! policies: a [`DiskScheduler`] owns a drive's pending queue and, every time
 //! the mechanism goes idle, picks the next request using the cylinder the arm
 //! currently sits on (reported by the service model). The drive server in
-//! [`crate::spawn_disk`] consults the scheduler configured in
-//! [`DiskParams::sched`](crate::DiskParams::sched), so every client of a
-//! drive — disk-directed IOPs and the traditional-caching baseline alike —
-//! gets the same queue discipline.
+//! [`crate::spawn_disk`] consults the scheduler of the policy it was spawned
+//! with, so every client of a drive — disk-directed IOPs and the
+//! traditional-caching baseline alike — gets the same queue discipline.
 
 use std::collections::VecDeque;
 

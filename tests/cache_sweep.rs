@@ -167,7 +167,6 @@ fn golden_lru_vs_mru_snapshot() {
         layout: LayoutPolicy::RandomBlocks,
         cache: CacheParams {
             buffers_per_disk_per_cp: 2,
-            ..CacheParams::default()
         },
         ..MachineConfig::default()
     };
