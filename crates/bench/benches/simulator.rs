@@ -1,7 +1,7 @@
 //! Criterion micro-benchmarks of the discrete-event simulation engine.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use ddio_sim::sync::{unbounded, Semaphore};
+use ddio_sim::sync::{unbounded, Resource};
 use ddio_sim::{Sim, SimDuration};
 
 /// Thousands of interleaved sleeping tasks: measures raw event throughput.
@@ -51,20 +51,17 @@ fn bench_channel_pipeline(c: &mut Criterion) {
     });
 }
 
-/// Contention on a semaphore: measures wake-up fairness machinery.
-fn bench_semaphore_contention(c: &mut Criterion) {
-    c.bench_function("simulator/semaphore_contention", |b| {
+/// Contention on one resource: measures the FIFO queue and its hand-off.
+fn bench_resource_contention(c: &mut Criterion) {
+    c.bench_function("simulator/resource_contention", |b| {
         b.iter(|| {
             let mut sim = Sim::new();
-            let ctx = sim.context();
-            let sem = Semaphore::new(4);
+            let bus = Resource::new(sim.context(), "bus");
             for _ in 0..200 {
-                let sem = sem.clone();
-                let ctx = ctx.clone();
+                let bus = bus.clone();
                 sim.spawn(async move {
                     for _ in 0..20 {
-                        let _p = sem.acquire(1).await;
-                        ctx.sleep(SimDuration::from_micros(3)).await;
+                        bus.use_for(SimDuration::from_micros(3)).await;
                     }
                 });
             }
@@ -149,7 +146,7 @@ criterion_group!(
     benches,
     bench_timer_wheel,
     bench_channel_pipeline,
-    bench_semaphore_contention,
+    bench_resource_contention,
     bench_wake_queue,
     bench_timer_wheel_spread,
     bench_spawn

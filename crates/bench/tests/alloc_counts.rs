@@ -17,7 +17,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use ddio_core::cache::{BlockCache, CacheConfig, FillReason, Lookup};
 use ddio_core::{AdmissionQueue, LatencyHistogram, QosPolicy};
 use ddio_net::{Envelope, NetConfig, Network, NetworkParams};
-use ddio_sim::sync::Receiver;
+use ddio_sim::sync::{Receiver, Resource};
 use ddio_sim::{Sim, SimDuration};
 
 /// Counts every allocation and reallocation; frees are not interesting here.
@@ -68,6 +68,22 @@ fn executor_storm(sim: &mut Sim) -> u64 {
     }
     sim.run();
     sim.events_processed()
+}
+
+/// Resource storm: 64 tasks queueing for one server — the bus, NI and CPU
+/// path. Returns the number of tasks spawned.
+fn resource_storm(sim: &mut Sim, bus: &Resource) -> u64 {
+    const TASKS: u64 = 64;
+    for t in 0..TASKS {
+        let bus = bus.clone();
+        sim.spawn(async move {
+            for i in 0..16u64 {
+                bus.use_for(SimDuration::from_nanos(1 + (t + i) % 5)).await;
+            }
+        });
+    }
+    sim.run();
+    TASKS
 }
 
 /// Cache storm: the per-block op mix of a transfer (miss-insert-evict,
@@ -201,6 +217,15 @@ fn steady_state_allocations_per_event_stay_bounded() {
     let events = executor_storm(&mut sim);
     let exec_rate = (allocs() - before) as f64 / events as f64;
 
+    // --- Contended resource ---
+    let mut sim = Sim::new();
+    let bus = Resource::new(sim.context(), "bus");
+    resource_storm(&mut sim, &bus); // warm-up: slab + waiter queue growth
+    sim.reset(); // outside the count: the reset pays one drop list
+    let before = allocs();
+    let spawned = resource_storm(&mut sim, &bus);
+    let resource_allocs = allocs() - before;
+
     // --- Cache, miss-heavy (evict + refill every round) ---
     let mut cache = BlockCache::with_config(256, CacheConfig::DEFAULT);
     cache_storm(&mut cache); // warm-up: slab + block-map growth
@@ -242,21 +267,29 @@ fn steady_state_allocations_per_event_stay_bounded() {
     let serve_rate = (allocs() - before) as f64 / serve_ops as f64;
 
     println!("alloc_counts: executor_storm {exec_rate:.4} allocs/event");
+    println!("alloc_counts: resource_storm {resource_allocs} allocs for {spawned} spawned tasks");
     println!("alloc_counts: cache_miss_storm {cache_rate:.4} allocs/op");
     println!("alloc_counts: cache_hit_storm {hit_rate:.4} allocs/op");
     println!("alloc_counts: fabric_storm {fabric_rate:.4} allocs/event");
     println!("alloc_counts: serve_storm {serve_rate:.4} allocs/op");
 
     // Steady-state bounds. The executor storm re-boxes each spawned future
-    // (64 spawns per ~18k events); the cache hit path is allocation-free
-    // once the slab and map reach size, while each miss-insert still pays
-    // one `Event` allocation for its fill (waiters must be able to clone
-    // it); the fabric pays one boxed task per fire-and-forget post plus
-    // channel wakes. Generous headroom over the measured rates so only a
-    // real regression (per-event churn) trips them.
+    // (64 spawns per ~18k events); the contended resource pays nothing
+    // beyond those boxes, since its waiter queue keeps its capacity; the
+    // cache hit path is allocation-free once the slab and map reach size,
+    // while each miss-insert still pays one `CountdownEvent` allocation for
+    // its fill (waiters must be able to clone it); the fabric pays one boxed
+    // task per fire-and-forget post plus channel wakes. Generous headroom
+    // over the measured rates so only a real regression (per-event churn)
+    // trips them.
     assert!(
         exec_rate < 0.05,
         "executor storm allocates {exec_rate:.4}/event — hot loop churn"
+    );
+    assert!(
+        resource_allocs <= spawned,
+        "resource storm allocates {resource_allocs} for {spawned} spawned tasks — \
+         queueing for the server must not allocate"
     );
     assert!(
         cache_rate < 0.25,

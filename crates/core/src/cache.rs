@@ -41,7 +41,7 @@
 //! recency order, so LRU/MRU pick their victim by walking it instead of
 //! scanning and ranking every entry.
 
-use ddio_sim::sync::Event;
+use ddio_sim::sync::CountdownEvent;
 
 ddio_sim::policy_enum! {
     /// The replacement policy: which unpinned resident block makes room.
@@ -443,8 +443,9 @@ struct Slot {
     /// Why the block was brought in. A prefetched entry flips to `Demand`
     /// on its first demand hit (counting it as used).
     reason: FillReason,
-    /// The fill event while a disk read is in flight; `None` once present.
-    fill: Option<Event>,
+    /// The fill latch (a count of one) while a disk read is in flight;
+    /// `None` once present.
+    fill: Option<CountdownEvent>,
     /// Intrusive recency list: previous (less recent) slot, or [`NIL`].
     prev: u32,
     /// Intrusive recency list: next (more recent) slot, or [`NIL`].
@@ -800,7 +801,7 @@ impl BlockCache {
         slot.dirty = false;
         slot.referenced = false;
         slot.reason = reason;
-        slot.fill = Some(Event::new());
+        slot.fill = Some(CountdownEvent::new(1));
         let generation = slot.generation;
         self.list_push_tail(idx);
         self.map_insert(block, idx);
@@ -817,7 +818,7 @@ impl BlockCache {
     /// # Panics
     ///
     /// Panics if the handle is stale (its entry was evicted or removed).
-    pub fn fill_event(&self, id: EntryId) -> Option<Event> {
+    pub fn fill_event(&self, id: EntryId) -> Option<CountdownEvent> {
         self.slot_of(id).fill.clone()
     }
 
@@ -827,7 +828,7 @@ impl BlockCache {
             .map_get(block)
             .unwrap_or_else(|| panic!("mark_present on uncached block {block}"));
         if let Some(event) = self.slots[idx as usize].fill.take() {
-            event.set();
+            event.signal();
         }
     }
 
@@ -1250,9 +1251,9 @@ mod tests {
         let mut c = BlockCache::new(2);
         let (entry, _) = c.insert_filling(3, FillReason::Demand);
         let event = c.fill_event(entry).expect("fresh insert is filling");
-        assert!(!event.is_set());
+        assert_eq!(event.remaining(), 1);
         c.mark_present(3);
-        assert!(event.is_set());
+        assert_eq!(event.remaining(), 0);
         assert!(c.fill_event(entry).is_none(), "present entry has no fill");
     }
 

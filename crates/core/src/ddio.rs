@@ -208,7 +208,8 @@ impl CpClient {
     }
 }
 
-/// Spawns every task of a disk-directed transfer.
+/// Spawns every task of a disk-directed transfer. Each CP's application
+/// task signals `finished` as its last step.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn spawn_transfer(
     sim: &mut Sim,
@@ -219,6 +220,7 @@ pub(crate) fn spawn_transfer(
     cp_inboxes: Vec<Inbox>,
     iop_inboxes: Vec<Inbox>,
     sched: SchedPolicy,
+    finished: &CountdownEvent,
 ) {
     let config = &run.config;
     let op = if run.pattern.is_write() {
@@ -242,7 +244,7 @@ pub(crate) fn spawn_transfer(
                     FsMessage::CollectiveRequest { cp, op } => {
                         let server = Rc::clone(&server);
                         let task_ctx = server_ctx.clone();
-                        server_ctx.spawn(async move {
+                        server_ctx.spawn_detached(async move {
                             server.run_collective(task_ctx, cp, op, sched).await;
                         });
                     }
@@ -281,6 +283,7 @@ pub(crate) fn spawn_transfer(
 
         let run2 = Rc::clone(run);
         let barrier = barrier.clone();
+        let finished = finished.clone();
         let n_iops = config.n_iops;
         sim.spawn(async move {
             // Barrier: ensure every CP's buffers are ready before any data
@@ -313,6 +316,7 @@ pub(crate) fn spawn_transfer(
             }
             // Final barrier: all CPs wait for the transfer to complete.
             barrier.wait().await;
+            finished.signal();
         });
     }
 }

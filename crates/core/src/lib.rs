@@ -98,7 +98,7 @@ pub use serve::{
     AdmissionQueue, ArrivalProcess, LatencyHistogram, QosPolicy, ServeConfig, ServeParams,
     ServeRequestSpec, ServeStats, TenantStats,
 };
-pub use util::{IntervalSet, PendingCounter};
+pub use util::IntervalSet;
 
 // Re-export the pattern vocabulary so downstream users need only one import.
 pub use ddio_patterns::{AccessKind, AccessPattern, ArrayShape, Chunk, Dist, PatternInstance};

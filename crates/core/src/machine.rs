@@ -12,7 +12,7 @@ use ddio_disk::{spawn_disk_faulty, DiskHandle, DiskRequest, DiskStats, ScsiBus};
 use ddio_net::{Envelope, LinkStat, NetConfig, Network};
 use ddio_patterns::{AccessKind, AccessPattern, PatternInstance};
 use ddio_sim::stats::throughput_mibs;
-use ddio_sim::sync::{Receiver, Resource, ResourceName};
+use ddio_sim::sync::{CountdownEvent, Receiver, Resource, ResourceName};
 use ddio_sim::{Sim, SimContext, SimDuration, SimRng};
 
 use crate::cache::CacheStats;
@@ -558,7 +558,6 @@ pub fn run_transfer_in(
                     index: cp,
                     suffix: ".cpu",
                 },
-                1,
             ),
         }));
     }
@@ -601,7 +600,6 @@ pub fn run_transfer_in(
                     index: iop,
                     suffix: ".cpu",
                 },
-                1,
             ),
             bus,
             disks,
@@ -623,6 +621,10 @@ pub fn run_transfer_in(
             lost_blocks: Cell::new(0),
         },
     });
+
+    // Every closed-loop CP application task signals this latch as its last
+    // step. Nothing waits on it, so it adds no events.
+    let finished = CountdownEvent::new(config.n_cps as u64);
 
     // An active serving schedule replaces the collective transfer: the same
     // machine serves the open-loop request stream under the chosen method's
@@ -652,10 +654,21 @@ pub fn run_transfer_in(
                     iop_inboxes,
                     sched,
                     cache,
+                    &finished,
                 );
             }
             Method::DiskDirected(sched) => {
-                ddio::spawn_transfer(sim, &ctx, &run, &cps, &iops, cp_inboxes, iop_inboxes, sched);
+                ddio::spawn_transfer(
+                    sim,
+                    &ctx,
+                    &run,
+                    &cps,
+                    &iops,
+                    cp_inboxes,
+                    iop_inboxes,
+                    sched,
+                    &finished,
+                );
             }
         }
         None
@@ -665,6 +678,10 @@ pub fn run_transfer_in(
     let run_wall_start = std::time::Instant::now();
     let end = sim.run();
     let run_wall_secs = run_wall_start.elapsed().as_secs_f64();
+    match &serve_session {
+        Some(s) => assert_finished(method, pattern, &s.unfinished, "requests"),
+        None => assert_finished(method, pattern, &finished, "CPs"),
+    }
     let elapsed = end.duration_since(ddio_sim::SimTime::ZERO);
 
     let disk_stats: Vec<DiskStats> = iops
@@ -758,6 +775,24 @@ pub fn run_transfer_in(
     }
 }
 
+/// Panics unless `unfinished` is open once the simulation went idle: a
+/// transfer that stopped with CPs (or served requests) still outstanding did
+/// not complete, and must fail loudly rather than report a number.
+fn assert_finished(
+    method: Method,
+    pattern: AccessPattern,
+    unfinished: &CountdownEvent,
+    what: &str,
+) {
+    let left = unfinished.remaining();
+    assert!(
+        left == 0,
+        "{} {} transfer stopped with {left} {what} unfinished",
+        method.label(),
+        pattern.name()
+    );
+}
+
 /// Checks data placement: for reads every CP buffer must be covered exactly
 /// once; for writes every file byte must have reached a disk exactly once.
 fn verify_transfer(pattern: &PatternInstance, v: &VerifyState) -> VerifyReport {
@@ -833,6 +868,18 @@ mod tests {
         assert!(totals.misses > 0, "a cold cache must miss");
         assert_eq!(outcome.cache_stats.len(), config.n_iops);
         assert!(outcome.cache_stats.iter().all(|s| s.is_some()));
+    }
+
+    #[test]
+    #[should_panic(expected = "DDIO rb transfer stopped with 2 CPs unfinished")]
+    fn an_open_completion_latch_fails_the_transfer() {
+        let open = CountdownEvent::new(2);
+        assert_finished(
+            Method::DDIO,
+            AccessPattern::parse("rb").unwrap(),
+            &open,
+            "CPs",
+        );
     }
 
     #[test]

@@ -27,13 +27,12 @@ use std::rc::Rc;
 use std::task::Poll;
 
 use ddio_disk::SchedPolicy;
-use ddio_sim::sync::oneshot;
+use ddio_sim::sync::{oneshot, CountdownEvent};
 use ddio_sim::{Sim, SimContext, SimDuration, SimRng, SimTime, TaskRef};
 
 use crate::config::{MachineConfig, Method};
 use crate::machine::{CpParts, Inbox, IopParts, RunContext};
 use crate::msg::FsMessage;
-use crate::util::PendingCounter;
 
 ddio_sim::policy_enum! {
     /// How client requests arrive at the file system.
@@ -552,7 +551,10 @@ struct PopFuture {
 impl std::future::Future for PopFuture {
     type Output = Option<(usize, u64)>;
 
-    fn poll(self: std::pin::Pin<&mut Self>, cx: &mut std::task::Context<'_>) -> Poll<Self::Output> {
+    fn poll(
+        self: std::pin::Pin<&mut Self>,
+        _cx: &mut std::task::Context<'_>,
+    ) -> Poll<Self::Output> {
         let mut inner = self.queue.inner.borrow_mut();
         if let Some(next) = inner.queue.pop() {
             return Poll::Ready(Some(next));
@@ -560,7 +562,7 @@ impl std::future::Future for PopFuture {
         if inner.closed {
             return Poll::Ready(None);
         }
-        inner.waiters.push(TaskRef::capture(cx));
+        inner.waiters.push(TaskRef::capture());
         Poll::Pending
     }
 }
@@ -636,16 +638,20 @@ pub(crate) struct ServeSession {
     tenant_requests: RefCell<Vec<u64>>,
     tenant_bytes: RefCell<Vec<u64>>,
     served: Cell<u64>,
+    /// Signalled once per completed request; open once every scheduled
+    /// request completed.
+    pub unfinished: CountdownEvent,
 }
 
 impl ServeSession {
-    fn new(tenants: usize) -> ServeSession {
+    fn new(tenants: usize, requests: usize) -> ServeSession {
         ServeSession {
             latency: RefCell::new(LatencyHistogram::new()),
             queue_wait: RefCell::new(LatencyHistogram::new()),
             tenant_requests: RefCell::new(vec![0; tenants]),
             tenant_bytes: RefCell::new(vec![0; tenants]),
             served: Cell::new(0),
+            unfinished: CountdownEvent::new(requests as u64),
         }
     }
 
@@ -661,6 +667,7 @@ impl ServeSession {
         self.tenant_requests.borrow_mut()[tenant] += 1;
         self.tenant_bytes.borrow_mut()[tenant] += bytes;
         self.served.set(self.served.get() + bytes);
+        self.unfinished.signal();
     }
 
     /// Bytes served so far.
@@ -830,7 +837,7 @@ pub(crate) fn spawn_serving(
     method: Method,
     schedule: ServeConfig,
 ) -> Rc<ServeSession> {
-    let session = Rc::new(ServeSession::new(schedule.tenants));
+    let session = Rc::new(ServeSession::new(schedule.tenants, schedule.requests.len()));
     let ddio = method.is_disk_directed();
     let presort = method.sched() == SchedPolicy::Presort;
 
@@ -947,7 +954,7 @@ pub(crate) fn spawn_serving(
                     }
                 }
                 let now = worker_ctx.now();
-                let inflight = PendingCounter::new();
+                let inflight = CountdownEvent::new(0);
                 let mut prev_iop: Option<usize> = None;
                 for &(_, id) in &batch {
                     let spec = specs[id as usize];
@@ -959,13 +966,13 @@ pub(crate) fn spawn_serving(
                     prev_iop = Some(iop);
                     let client = Rc::clone(&clients[id as usize % clients.len()]);
                     let inflight2 = inflight.clone();
-                    inflight.begin();
+                    inflight.add(1);
                     worker_ctx.spawn_detached(async move {
                         client.drive(spec, id, setup).await;
-                        inflight2.end();
+                        inflight2.signal();
                     });
                 }
-                inflight.wait_idle().await;
+                inflight.wait().await;
             }
         });
     }

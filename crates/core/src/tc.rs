@@ -30,7 +30,6 @@ use crate::cache::{
 };
 use crate::machine::{CpParts, Inbox, IopParts, RunContext};
 use crate::msg::FsMessage;
-use crate::util::PendingCounter;
 
 /// A chunk split at block boundaries: the unit of one CP request.
 #[derive(Debug, Clone, Copy)]
@@ -78,8 +77,9 @@ struct IopServer {
     prefetch_buf: RefCell<Vec<u64>>,
     /// True while a watermark flush sweep is running (at most one at a time).
     sweeping: Cell<bool>,
-    /// Outstanding background work (prefetches and write-behind flushes).
-    background: PendingCounter,
+    /// Outstanding background work (prefetches and write-behind flushes):
+    /// open while none is running.
+    background: CountdownEvent,
 }
 
 impl IopServer {
@@ -98,7 +98,7 @@ impl IopServer {
     /// it from disk), leaving it pinned. `allocate_only` is used for writes,
     /// which need a buffer but not the old contents (the collective patterns
     /// always overwrite whole blocks by the end of the transfer).
-    async fn ensure_block(self: &Rc<Self>, ctx: &SimContext, block: u64, allocate_only: bool) {
+    async fn ensure_block(&self, block: u64, allocate_only: bool) {
         let costs = self.run.config.costs;
         self.parts.cpu.use_for(costs.iop_cache_cpu).await;
         let lookup = self.cache.borrow_mut().lookup(block);
@@ -126,7 +126,6 @@ impl IopServer {
                     self.fetch_block(block).await;
                 }
                 self.cache.borrow_mut().mark_present(block);
-                let _ = ctx;
             }
         }
     }
@@ -147,8 +146,7 @@ impl IopServer {
                 continue;
             }
             let server = Rc::clone(self);
-            let ctx2 = ctx.clone();
-            self.background.begin();
+            self.background.add(1);
             ctx.spawn_detached(async move {
                 let costs = server.run.config.costs;
                 server.parts.cpu.use_for(costs.iop_cache_cpu).await;
@@ -170,8 +168,7 @@ impl IopServer {
                     server.cache.borrow_mut().mark_present(next);
                     server.cache.borrow_mut().unpin(next);
                 }
-                let _ = ctx2;
-                server.background.end();
+                server.background.signal();
             });
         }
     }
@@ -185,7 +182,7 @@ impl IopServer {
             return;
         }
         let server = Rc::clone(self);
-        self.background.begin();
+        self.background.add(1);
         ctx.spawn_detached(async move {
             let low = WritePolicy::low_watermark(server.cache.borrow().capacity());
             loop {
@@ -201,7 +198,7 @@ impl IopServer {
                 server.cache.borrow_mut().complete_flush(block, written);
             }
             server.sweeping.set(false);
-            server.background.end();
+            server.background.signal();
         });
     }
 
@@ -222,11 +219,11 @@ impl IopServer {
         self.parts.cpu.use_for(costs.iop_dispatch_cpu).await;
         match op {
             AccessKind::Read => {
-                self.ensure_block(&ctx, block, false).await;
+                self.ensure_block(block, false).await;
                 self.maybe_prefetch(&ctx, block);
             }
             AccessKind::Write => {
-                self.ensure_block(&ctx, block, true).await;
+                self.ensure_block(block, true).await;
                 // Copy the arriving data into the cache buffer (the one
                 // memory-memory copy of the traditional path).
                 self.parts.cpu.use_for(costs.memcpy_time(len as u64)).await;
@@ -255,11 +252,11 @@ impl IopServer {
                         // background.
                         let server = Rc::clone(&self);
                         let bytes = self.run.block_bytes(block);
-                        self.background.begin();
+                        self.background.add(1);
                         ctx.spawn_detached(async move {
                             server.flush_block(block, bytes).await;
                             server.cache.borrow_mut().mark_clean(block);
-                            server.background.end();
+                            server.background.signal();
                         });
                     }
                     WriteAction::FlushDirty => self.start_flush_sweep(&ctx),
@@ -287,7 +284,7 @@ impl IopServer {
             self.flush_block(block, written.max(1)).await;
             self.cache.borrow_mut().mark_clean(block);
         }
-        self.background.wait_idle().await;
+        self.background.wait().await;
         // Every request has been served and all background work has drained:
         // publish this IOP's final cache counters for the report.
         self.run
@@ -396,6 +393,8 @@ impl CpClient {
 /// `cache` is the policy composition every IOP's block cache runs
 /// (replacement, prefetch, write-back); [`CacheConfig::DEFAULT`] is the
 /// paper's design.
+///
+/// Each CP's application task signals `finished` as its last step.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn spawn_transfer(
     sim: &mut Sim,
@@ -407,6 +406,7 @@ pub(crate) fn spawn_transfer(
     iop_inboxes: Vec<Inbox>,
     sched: SchedPolicy,
     cache: CacheConfig,
+    finished: &CountdownEvent,
 ) {
     let config = &run.config;
     let op = if run.pattern.is_write() {
@@ -425,7 +425,7 @@ pub(crate) fn spawn_transfer(
             prefetcher: RefCell::new(cache.prefetch.prefetcher()),
             prefetch_buf: RefCell::new(Vec::new()),
             sweeping: Cell::new(false),
-            background: PendingCounter::new(),
+            background: CountdownEvent::new(0),
         });
         let server_ctx = ctx.clone();
         sim.spawn(async move {
@@ -486,6 +486,7 @@ pub(crate) fn spawn_transfer(
         // Application worker.
         let run2 = Rc::clone(run);
         let barrier = barrier.clone();
+        let finished = finished.clone();
         let worker_ctx = ctx.clone();
         let n_disks = config.n_disks;
         let n_iops = config.n_iops;
@@ -506,22 +507,22 @@ pub(crate) fn spawn_transfer(
                     stream.sort_by_key(|sub| run2.layout.location(sub.block).start_sector);
                 }
             }
-            let inflight = PendingCounter::new();
+            let inflight = CountdownEvent::new(0);
             for stream in per_disk {
                 if stream.is_empty() {
                     continue;
                 }
-                inflight.begin();
+                inflight.add(1);
                 let client = Rc::clone(&client);
                 let inflight2 = inflight.clone();
                 worker_ctx.spawn_detached(async move {
                     for sub in stream {
                         Rc::clone(&client).do_request(sub, op).await;
                     }
-                    inflight2.end();
+                    inflight2.signal();
                 });
             }
-            inflight.wait_idle().await;
+            inflight.wait().await;
 
             // Wait for every CP to finish issuing its requests, then have one
             // CP ask the IOPs to drain their background work so the measured
@@ -548,6 +549,7 @@ pub(crate) fn spawn_transfer(
                 }
                 countdown.wait().await;
             }
+            finished.signal();
         });
     }
 }

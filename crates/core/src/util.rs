@@ -62,84 +62,6 @@ impl IntervalSet {
     }
 }
 
-/// Tracks a count of outstanding background operations (write-behind flushes,
-/// prefetches) and lets a task wait for the count to reach zero.
-#[derive(Clone, Default)]
-pub struct PendingCounter {
-    inner: std::rc::Rc<std::cell::RefCell<PendingInner>>,
-}
-
-#[derive(Default)]
-struct PendingInner {
-    count: u64,
-    waiters: Vec<ddio_sim::TaskRef>,
-}
-
-impl PendingCounter {
-    /// Creates a counter at zero.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Registers the start of a background operation.
-    pub fn begin(&self) {
-        self.inner.borrow_mut().count += 1;
-    }
-
-    /// Registers the completion of a background operation.
-    ///
-    /// # Panics
-    ///
-    /// Panics if called more times than [`PendingCounter::begin`].
-    pub fn end(&self) {
-        let mut inner = self.inner.borrow_mut();
-        assert!(
-            inner.count > 0,
-            "PendingCounter::end without matching begin"
-        );
-        inner.count -= 1;
-        if inner.count == 0 {
-            for w in inner.waiters.drain(..) {
-                w.wake();
-            }
-        }
-    }
-
-    /// Current number of outstanding operations.
-    pub fn outstanding(&self) -> u64 {
-        self.inner.borrow().count
-    }
-
-    /// Waits until the count is zero (completes immediately if it already is).
-    pub fn wait_idle(&self) -> WaitIdle {
-        WaitIdle {
-            counter: self.clone(),
-        }
-    }
-}
-
-/// Future returned by [`PendingCounter::wait_idle`].
-pub struct WaitIdle {
-    counter: PendingCounter,
-}
-
-impl std::future::Future for WaitIdle {
-    type Output = ();
-
-    fn poll(
-        self: std::pin::Pin<&mut Self>,
-        cx: &mut std::task::Context<'_>,
-    ) -> std::task::Poll<()> {
-        let mut inner = self.counter.inner.borrow_mut();
-        if inner.count == 0 {
-            std::task::Poll::Ready(())
-        } else {
-            inner.waiters.push(ddio_sim::TaskRef::capture(cx));
-            std::task::Poll::Pending
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -184,44 +106,5 @@ mod tests {
         let mut s = IntervalSet::new();
         s.add(0, 0);
         assert!(s.covers_exactly(0));
-    }
-
-    #[test]
-    fn pending_counter_waits_for_background_work() {
-        use ddio_sim::{Sim, SimDuration};
-        use std::cell::Cell;
-        use std::rc::Rc;
-
-        let mut sim = Sim::new();
-        let ctx = sim.context();
-        let pending = PendingCounter::new();
-        let idle_at = Rc::new(Cell::new(0u64));
-        for i in 1..=3u64 {
-            pending.begin();
-            let pending = pending.clone();
-            let ctx = ctx.clone();
-            sim.spawn(async move {
-                ctx.sleep(SimDuration::from_millis(i)).await;
-                pending.end();
-            });
-        }
-        {
-            let pending = pending.clone();
-            let ctx = ctx.clone();
-            let idle_at = Rc::clone(&idle_at);
-            sim.spawn(async move {
-                pending.wait_idle().await;
-                idle_at.set(ctx.now().as_nanos());
-            });
-        }
-        sim.run();
-        assert_eq!(idle_at.get(), 3_000_000);
-        assert_eq!(pending.outstanding(), 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "without matching begin")]
-    fn pending_counter_underflow_panics() {
-        PendingCounter::new().end();
     }
 }

@@ -21,7 +21,7 @@ use std::collections::{HashMap, HashSet};
 use proptest::prelude::*;
 
 use ddio_core::cache::{BlockCache, CacheConfig, FillReason, Lookup, ReplacementPolicy};
-use ddio_sim::sync::Event;
+use ddio_sim::sync::CountdownEvent;
 
 /// One scripted cache operation; inapplicable ops are skipped, so any
 /// `(action, block)` sequence is a valid script.
@@ -58,7 +58,7 @@ struct ModelEntry {
     /// Distinct dirty bytes the model believes are unwritten.
     written: u64,
     /// The fill event while filling (to check it resolves exactly once).
-    filling: Option<Event>,
+    filling: Option<CountdownEvent>,
 }
 
 fn run_script(policy: ReplacementPolicy, capacity: usize, script: &[(u8, u64)]) {
@@ -92,7 +92,7 @@ fn run_script(policy: ReplacementPolicy, capacity: usize, script: &[(u8, u64)]) 
                 let at_capacity = model.len() >= capacity;
                 let (entry, evicted) = cache.insert_filling(block, FillReason::Demand);
                 let event = cache.fill_event(entry).expect("fresh insert not filling");
-                assert!(!event.is_set(), "fresh fill event already resolved");
+                assert_eq!(event.remaining(), 1, "fresh fill event already resolved");
                 if let Some(ev) = evicted {
                     let victim = model.remove(&ev.block).expect("evicted unmodeled block");
                     assert_eq!(victim.pins, 0, "{policy} evicted a pinned block");
@@ -122,9 +122,17 @@ fn run_script(policy: ReplacementPolicy, capacity: usize, script: &[(u8, u64)]) 
                 let Some(event) = entry.filling.take() else {
                     continue;
                 };
-                assert!(!event.is_set(), "fill event resolved before mark_present");
+                assert_eq!(
+                    event.remaining(),
+                    1,
+                    "fill event resolved before mark_present"
+                );
                 cache.mark_present(block);
-                assert!(event.is_set(), "mark_present did not resolve the fill");
+                assert_eq!(
+                    event.remaining(),
+                    0,
+                    "mark_present did not resolve the fill"
+                );
             }
             Op::Unpin => {
                 let Some(entry) = model.get_mut(&block) else {

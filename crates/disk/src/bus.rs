@@ -40,7 +40,7 @@ impl ScsiBus {
     ) -> Self {
         assert!(bytes_per_sec > 0.0, "bus bandwidth must be positive");
         ScsiBus {
-            resource: Resource::new(ctx, name, 1),
+            resource: Resource::new(ctx, name),
             bytes_per_sec,
             arbitration,
         }

@@ -181,7 +181,7 @@ pub fn spawn_disk_faulty(
         id,
     };
     let server_ctx = ctx.clone();
-    ctx.spawn(async move {
+    ctx.spawn_detached(async move {
         loop {
             // Move every command that has already arrived into the scheduler
             // so the policy sees the whole pending set.

@@ -139,7 +139,6 @@ impl<M: 'static> Network<M> {
                         index: node,
                         suffix: ".send-nic",
                     },
-                    1,
                 ),
                 recv_nic: Resource::new(
                     ctx.clone(),
@@ -148,7 +147,6 @@ impl<M: 'static> Network<M> {
                         index: node,
                         suffix: ".recv-nic",
                     },
-                    1,
                 ),
                 inbox: tx,
             });
@@ -340,7 +338,6 @@ impl<M: 'static> Network<M> {
                         sep: "-",
                         b: link.1,
                     },
-                    1,
                 )
             })
             .clone()

@@ -17,14 +17,12 @@
 //!
 //! * **Slab task storage** — tasks live in a `Vec` of slots indexed by the low
 //!   32 bits of their [`TaskId`]; the high 32 bits carry a per-slot generation
-//!   so a recycled slot never confuses a stale wake-up with a live task. Each
-//!   slot owns its task's `Waker`, created once at spawn.
-//! * **A thread-local wake path** — primitives capture a [`TaskRef`] (task id
-//!   plus a weak reference to the simulation state) and waking is a plain
-//!   `VecDeque::push_back`, no locking or allocation. Standard `Waker`s still
-//!   work (they are required by `Future::poll`); they find their simulation
-//!   through a thread-local registry, falling back to a mutex-protected queue
-//!   only if woken from a foreign thread.
+//!   so a recycled slot never confuses a stale wake-up with a live task.
+//! * **One wake path** — primitives capture a [`TaskRef`] (task id plus a
+//!   weak reference to the simulation state) and waking is a plain
+//!   `VecDeque::push_back`, no locking or allocation. `Future::poll` still
+//!   needs a standard `Waker`, so every task is polled with one shared per
+//!   [`Sim`]; waking it panics.
 //! * **A hierarchical timer wheel** — 8 levels × 64 slots with 1 ns bottom
 //!   resolution and a `(deadline, seq)`-ordered overflow heap beyond the
 //!   2^48 ns horizon. Entries store a `TaskId`, not a boxed `Waker`.
@@ -56,8 +54,7 @@ use std::collections::{BinaryHeap, VecDeque};
 use std::future::Future;
 use std::pin::Pin;
 use std::rc::{Rc, Weak};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::task::{Context, Poll, Wake, Waker};
 
 use crate::time::{SimDuration, SimTime};
@@ -87,109 +84,55 @@ impl TaskId {
 type BoxedTask = Pin<Box<dyn Future<Output = ()>>>;
 
 thread_local! {
-    /// Simulations living on this thread, keyed by their unique id. `Waker`s
-    /// route wake-ups back to their simulation through this registry without
-    /// holding a strong reference (which would leak the state through the
-    /// task → context → state cycle).
-    static REGISTRY: RefCell<Vec<(u64, Weak<SimCore>)>> =
-        const { RefCell::new(Vec::new()) };
-
     /// The task currently being polled by the executor on this thread, used
-    /// by [`TaskRef::capture`] so primitives can wake by task id instead of
-    /// cloning a `Waker`.
+    /// by [`TaskRef::capture`] so primitives can wake by task id.
     static CURRENT: RefCell<Option<(TaskId, Weak<SimCore>)>> =
         const { RefCell::new(None) };
 }
 
-/// Source of unique per-process simulation ids for the thread-local registry.
-static NEXT_SIM_ID: AtomicU64 = AtomicU64::new(0);
-
-/// State shared with `Waker`s, used only when a wake-up arrives from a thread
-/// other than the one running the simulation (never on the hot path).
-struct SimShared {
-    foreign: Mutex<Vec<TaskId>>,
-    pending: AtomicBool,
-}
-
-/// A waker that marks one task runnable.
+/// The `Waker` every task of a simulation is polled with.
 ///
-/// On the owning thread it finds its simulation through the thread-local
-/// registry and pushes straight onto the ready queue; from any other thread
-/// it falls back to the mutex-protected foreign queue.
-///
-/// The task id is atomic so one waker (and its `Arc` allocation) can be
-/// reused by every task that occupies the same slab slot: spawning re-points
-/// the id instead of building a fresh waker. Machines spawn a detached task
-/// per posted message, so spawn cost is a hot path.
-struct TaskWaker {
-    sim_id: u64,
-    id: AtomicU64,
-    shared: Arc<SimShared>,
-}
+/// `Future::poll` requires one, but simulation tasks wake through
+/// [`TaskRef`], so waking this waker is a bug and panics.
+struct TaskRefOnly;
 
-impl TaskWaker {
-    fn task_id(&self) -> TaskId {
-        TaskId(self.id.load(Ordering::Relaxed))
-    }
-}
-
-impl Wake for TaskWaker {
+impl Wake for TaskRefOnly {
     fn wake(self: Arc<Self>) {
         self.wake_by_ref();
     }
 
     fn wake_by_ref(self: &Arc<Self>) {
-        let delivered = REGISTRY.with(|r| {
-            let reg = r.borrow();
-            match reg.iter().find(|(id, _)| *id == self.sim_id) {
-                // If the upgrade fails the simulation is being torn down and
-                // the wake-up can be dropped.
-                Some((_, weak)) => {
-                    if let Some(core) = weak.upgrade() {
-                        core.state.borrow_mut().ready.push_back(self.task_id());
-                    }
-                    true
-                }
-                None => false,
-            }
-        });
-        if !delivered {
-            self.shared
-                .foreign
-                .lock()
-                .expect("foreign wake queue mutex poisoned")
-                .push(self.task_id());
-            self.shared.pending.store(true, Ordering::Release);
-        }
+        panic!("simulation tasks wake through TaskRef, not through the std Waker");
     }
 }
 
 /// A lightweight handle that wakes the task being polled when it was
 /// captured.
 ///
-/// This is what the [`crate::sync`] primitives store in their waiter lists
-/// instead of cloning the standard `Waker`: waking is then a plain FIFO push
-/// onto the executor's ready queue, with no reference counting or locking.
-/// When captured outside a simulation task (e.g. a future polled by some
-/// other executor) it falls back to holding a clone of the provided `Waker`,
-/// so the primitives remain usable anywhere.
-pub struct TaskRef(TaskRefInner);
-
-enum TaskRefInner {
-    Task { id: TaskId, state: Weak<SimCore> },
-    Foreign(Waker),
+/// This is what the [`crate::sync`] primitives store in their waiter lists:
+/// waking is a plain FIFO push onto the executor's ready queue, with no
+/// reference counting or locking.
+pub struct TaskRef {
+    id: TaskId,
+    state: Weak<SimCore>,
 }
 
 impl TaskRef {
-    /// Captures a handle to the task currently being polled (falling back to
-    /// `cx`'s waker when not called from inside a simulation task).
-    pub fn capture(cx: &Context<'_>) -> TaskRef {
+    /// Captures a handle to the task currently being polled.
+    ///
+    /// # Panics
+    ///
+    /// Panics outside a simulation task: only the executor can wake a
+    /// waiter.
+    pub fn capture() -> TaskRef {
         CURRENT.with(|c| match &*c.borrow() {
-            Some((id, state)) => TaskRef(TaskRefInner::Task {
+            Some((id, state)) => TaskRef {
                 id: *id,
                 state: state.clone(),
-            }),
-            None => TaskRef(TaskRefInner::Foreign(cx.waker().clone())),
+            },
+            None => panic!(
+                "sync primitives can only be polled from within a task spawned on the simulation"
+            ),
         })
     }
 
@@ -199,13 +142,8 @@ impl TaskRef {
     /// task that has already completed is harmless (the stale wake-up is
     /// skipped by the executor).
     pub fn wake(self) {
-        match self.0 {
-            TaskRefInner::Task { id, state } => {
-                if let Some(core) = state.upgrade() {
-                    core.state.borrow_mut().ready.push_back(id);
-                }
-            }
-            TaskRefInner::Foreign(waker) => waker.wake(),
+        if let Some(core) = self.state.upgrade() {
+            core.state.borrow_mut().ready.push_back(self.id);
         }
     }
 }
@@ -448,21 +386,12 @@ impl TimerWheel {
     }
 }
 
-/// A slab slot owning one task and its waker.
-///
-/// The waker (and the `TaskWaker` allocation beneath it) is created once when
-/// the slot first comes into existence and then reused by every subsequent
-/// occupant: spawning re-points `ctl`'s atomic id. A standard `Waker` clone
-/// held across its task's completion may therefore spuriously wake the
-/// slot's next occupant — harmless for well-behaved futures, and the
-/// in-crate primitives wake by exact `TaskId` (generation-checked) instead.
+/// A slab slot owning one task.
 struct Slot {
     gen: u32,
+    /// `None` while the slot is free or its task is checked out by the run
+    /// loop.
     task: Option<BoxedTask>,
-    /// `None` only while the task is checked out by the run loop.
-    waker: Option<Waker>,
-    /// The same allocation `waker` wraps, kept for re-pointing its id.
-    ctl: Arc<TaskWaker>,
 }
 
 /// The shared heart of one simulation: the clock in a [`Cell`] so reading it
@@ -472,8 +401,7 @@ struct SimCore {
     clock: Cell<SimTime>,
     state: RefCell<SimState>,
     /// A weak self-reference (set at construction), so [`TaskRef::capture`]
-    /// can mint waiter handles from the raw `CURRENT` pointer without going
-    /// through the registry.
+    /// can mint waiter handles from the `CURRENT` marker.
     self_weak: Weak<SimCore>,
 }
 
@@ -490,54 +418,35 @@ struct SimState {
     ready: VecDeque<TaskId>,
     /// Number of events (timer firings + task polls) processed so far.
     events_processed: u64,
-    sim_id: u64,
-    shared: Arc<SimShared>,
 }
 
 impl SimState {
-    fn new(sim_id: u64, tasks: usize) -> Self {
+    fn new() -> Self {
         SimState {
             timers: TimerWheel::new(),
             timer_seq: 0,
-            slots: Vec::with_capacity(tasks),
+            slots: Vec::new(),
             free: Vec::new(),
             live: 0,
-            ready: VecDeque::with_capacity(tasks),
+            ready: VecDeque::new(),
             events_processed: 0,
-            sim_id,
-            shared: Arc::new(SimShared {
-                foreign: Mutex::new(Vec::new()),
-                pending: AtomicBool::new(false),
-            }),
         }
     }
 
-    /// Installs a task in a free slot (re-pointing the slot's reusable waker)
-    /// and marks it runnable. The single entry point for both root and
-    /// in-task spawns keeps wake ordering identical between them.
+    /// Installs a task in a free slot and marks it runnable. The single
+    /// entry point for both root and in-task spawns keeps wake ordering
+    /// identical between them.
     fn spawn_boxed(&mut self, task: BoxedTask) -> TaskId {
         let index = match self.free.pop() {
             Some(index) => index,
             None => {
                 assert!(self.slots.len() < u32::MAX as usize, "task slab exhausted");
-                let ctl = Arc::new(TaskWaker {
-                    sim_id: self.sim_id,
-                    id: AtomicU64::new(0),
-                    shared: Arc::clone(&self.shared),
-                });
-                self.slots.push(Slot {
-                    gen: 0,
-                    task: None,
-                    waker: Some(Waker::from(Arc::clone(&ctl))),
-                    ctl,
-                });
+                self.slots.push(Slot { gen: 0, task: None });
                 (self.slots.len() - 1) as u32
             }
         };
         let slot = &mut self.slots[index as usize];
         let id = TaskId::pack(index, slot.gen);
-        debug_assert!(slot.waker.is_some(), "free slot missing its waker");
-        slot.ctl.id.store(id.0, Ordering::Relaxed);
         slot.task = Some(task);
         self.live += 1;
         self.ready.push_back(id);
@@ -550,25 +459,14 @@ impl SimState {
         self.timers
             .insert(deadline.as_nanos(), seq, task, now.as_nanos());
     }
-
-    /// Adopts wake-ups that arrived from foreign threads (cold path).
-    fn drain_foreign(&mut self) {
-        let mut queue = self
-            .shared
-            .foreign
-            .lock()
-            .expect("foreign wake queue mutex poisoned");
-        for id in queue.drain(..) {
-            self.ready.push_back(id);
-        }
-    }
 }
 
 /// The discrete-event simulator: owns the clock, the event calendar, and all
 /// spawned tasks.
 pub struct Sim {
     core: Rc<SimCore>,
-    sim_id: u64,
+    /// The one `Waker` every task is polled with; waking it panics.
+    waker: Waker,
 }
 
 impl Default for Sim {
@@ -580,20 +478,15 @@ impl Default for Sim {
 impl Sim {
     /// Creates an empty simulation at time zero.
     pub fn new() -> Self {
-        Self::with_capacity(0)
-    }
-
-    /// Creates an empty simulation with storage pre-sized for `tasks`
-    /// concurrently live tasks, avoiding slab regrowth during the run.
-    pub fn with_capacity(tasks: usize) -> Self {
-        let sim_id = NEXT_SIM_ID.fetch_add(1, Ordering::Relaxed);
         let core = Rc::new_cyclic(|self_weak| SimCore {
             clock: Cell::new(SimTime::ZERO),
-            state: RefCell::new(SimState::new(sim_id, tasks)),
+            state: RefCell::new(SimState::new()),
             self_weak: self_weak.clone(),
         });
-        REGISTRY.with(|r| r.borrow_mut().push((sim_id, Rc::downgrade(&core))));
-        Sim { core, sim_id }
+        Sim {
+            core,
+            waker: Waker::from(Arc::new(TaskRefOnly)),
+        }
     }
 
     /// Returns the simulation to its initial state — time zero, no tasks, no
@@ -620,18 +513,11 @@ impl Sim {
         st.timer_seq = 0;
         st.events_processed = 0;
         st.timers.clear();
-        st.shared
-            .foreign
-            .lock()
-            .expect("foreign wake queue mutex poisoned")
-            .clear();
-        st.shared.pending.store(false, Ordering::Relaxed);
     }
 
     /// Takes every live task out of the slab, bumping slot generations so
-    /// stale ids cannot reach future occupants. The slots keep their reusable
-    /// wakers. Dropping the returned tasks must happen with the state
-    /// unborrowed.
+    /// stale ids cannot reach future occupants. Dropping the returned tasks
+    /// must happen with the state unborrowed.
     fn take_tasks(&mut self) -> Vec<Option<BoxedTask>> {
         let mut st = self.core.state.borrow_mut();
         st.slots
@@ -687,12 +573,6 @@ impl Sim {
             // counting as events.
             let next = {
                 let mut st = self.core.state.borrow_mut();
-                // Cold path: wake-ups from other threads (the mutex inside
-                // drain_foreign provides the ordering; the flag is a hint).
-                if st.shared.pending.load(Ordering::Relaxed) {
-                    st.shared.pending.store(false, Ordering::Relaxed);
-                    st.drain_foreign();
-                }
                 loop {
                     let Some(id) = st.ready.pop_front() else {
                         break None;
@@ -706,13 +586,12 @@ impl Sim {
                     let Some(task) = slot.task.take() else {
                         continue;
                     };
-                    let waker = slot.waker.take().expect("live slot without waker");
                     st.events_processed += 1;
-                    break Some((id, task, waker));
+                    break Some((id, task));
                 }
             };
-            if let Some((id, task, waker)) = next {
-                self.poll_task(id, task, waker);
+            if let Some((id, task)) = next {
+                self.poll_task(id, task);
                 continue;
             }
 
@@ -744,19 +623,16 @@ impl Sim {
     }
 
     /// Polls a task already checked out of its slot by the run loop.
-    fn poll_task(&mut self, id: TaskId, mut task: BoxedTask, waker: Waker) {
+    fn poll_task(&mut self, id: TaskId, mut task: BoxedTask) {
         let index = id.index();
         let poll = {
             let _current = CurrentGuard::enter(id, &self.core);
-            let mut cx = Context::from_waker(&waker);
+            let mut cx = Context::from_waker(&self.waker);
             task.as_mut().poll(&mut cx)
         };
         {
             let mut st = self.core.state.borrow_mut();
             let slot = &mut st.slots[index];
-            // The waker goes back either way: pending tasks need it for their
-            // next poll, completed slots keep it for their next occupant.
-            slot.waker = Some(waker);
             match poll {
                 Poll::Pending => {
                     slot.task = Some(task);
@@ -777,7 +653,6 @@ impl Sim {
 
 impl Drop for Sim {
     fn drop(&mut self) {
-        REGISTRY.with(|r| r.borrow_mut().retain(|(id, _)| *id != self.sim_id));
         // Tasks hold `SimContext`s, which hold the state that holds the
         // tasks; taking the tasks out breaks that cycle so the state is
         // actually freed once the last external context goes away.
@@ -835,7 +710,6 @@ impl SimContext {
     {
         let slot: Rc<RefCell<JoinSlot<T>>> = Rc::new(RefCell::new(JoinSlot {
             value: None,
-            finished: false,
             waiter: None,
         }));
         let slot2 = Rc::clone(&slot);
@@ -844,7 +718,6 @@ impl SimContext {
             let waiter = {
                 let mut s = slot2.borrow_mut();
                 s.value = Some(value);
-                s.finished = true;
                 s.waiter.take()
             };
             if let Some(w) = waiter {
@@ -930,22 +803,21 @@ pub struct YieldNow {
 impl Future for YieldNow {
     type Output = ();
 
-    fn poll(mut self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<()> {
+    fn poll(mut self: Pin<&mut Self>, _cx: &mut Context<'_>) -> Poll<()> {
         if self.yielded {
             Poll::Ready(())
         } else {
             self.yielded = true;
-            cx.waker().wake_by_ref();
+            TaskRef::capture().wake();
             Poll::Pending
         }
     }
 }
 
+/// A spawned task's result and its awaiting task, shared between the task
+/// and its [`JoinHandle`].
 struct JoinSlot<T> {
     value: Option<T>,
-    /// Set once the task completes and never cleared, so
-    /// [`JoinHandle::is_finished`] stays true after the value is taken.
-    finished: bool,
     waiter: Option<TaskRef>,
 }
 
@@ -960,23 +832,17 @@ impl<T> JoinHandle<T> {
     pub fn id(&self) -> TaskId {
         self.id
     }
-
-    /// Returns true if the task has finished (its value may already have been
-    /// taken by an earlier await).
-    pub fn is_finished(&self) -> bool {
-        self.slot.borrow().finished
-    }
 }
 
 impl<T> Future for JoinHandle<T> {
     type Output = T;
 
-    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<T> {
+    fn poll(self: Pin<&mut Self>, _cx: &mut Context<'_>) -> Poll<T> {
         let mut slot = self.slot.borrow_mut();
         if let Some(v) = slot.value.take() {
             Poll::Ready(v)
         } else {
-            slot.waiter = Some(TaskRef::capture(cx));
+            slot.waiter = Some(TaskRef::capture());
             Poll::Pending
         }
     }
@@ -1175,33 +1041,6 @@ mod tests {
     }
 
     #[test]
-    fn is_finished_stays_true_after_value_taken() {
-        let mut sim = Sim::new();
-        let ctx = sim.context();
-        let checked = Rc::new(Cell::new(false));
-        let checked2 = Rc::clone(&checked);
-        sim.spawn(async move {
-            let mut handle = ctx.spawn({
-                let ctx = ctx.clone();
-                async move {
-                    ctx.sleep(SimDuration::from_micros(1)).await;
-                    11u8
-                }
-            });
-            assert!(!handle.is_finished());
-            // Awaiting by reference leaves the handle usable afterwards
-            // (JoinHandle is Unpin).
-            assert_eq!((&mut handle).await, 11);
-            // Regression: the value has been taken, but the task is still
-            // finished — the doc promises is_finished stays true.
-            assert!(handle.is_finished());
-            checked2.set(true);
-        });
-        sim.run();
-        assert!(checked.get());
-    }
-
-    #[test]
     fn reset_reuses_a_sim_deterministically() {
         let workload = |sim: &mut Sim| {
             let ctx = sim.context();
@@ -1237,9 +1076,9 @@ mod tests {
             }
         }
         let marker = SetOnDrop(Rc::clone(&dropped));
-        // The task blocks on an event nobody sets, so `run` returns with it
-        // still pending.
-        let never = crate::sync::Event::new();
+        // The task blocks on a latch nobody signals, so `run` returns with
+        // it still pending.
+        let never = crate::sync::CountdownEvent::new(1);
         sim.spawn(async move {
             let _marker = marker;
             never.wait().await;
@@ -1295,43 +1134,34 @@ mod tests {
     }
 
     #[test]
-    fn foreign_thread_wakes_are_adopted_on_resume() {
-        // A waker cloned out of a task and woken from another thread must
-        // still mark the task runnable (via the mutex-protected fallback).
-        use std::sync::mpsc;
-
-        struct HandOut {
-            sent: bool,
-            tx: mpsc::Sender<Waker>,
-        }
-        impl Future for HandOut {
+    #[should_panic(expected = "wake through TaskRef")]
+    fn std_waker_wakes_panic() {
+        // A future that wakes itself through the standard `Waker` instead of
+        // a `TaskRef` is a bug the executor reports rather than hides.
+        struct WakeByStdWaker;
+        impl Future for WakeByStdWaker {
             type Output = ();
-            fn poll(mut self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<()> {
-                if self.sent {
-                    return Poll::Ready(());
-                }
-                self.sent = true;
-                self.tx.send(cx.waker().clone()).expect("receiver alive");
+            fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<()> {
+                cx.waker().wake_by_ref();
                 Poll::Pending
             }
         }
-
         let mut sim = Sim::new();
-        let (tx, rx) = mpsc::channel::<Waker>();
-        let done = Rc::new(Cell::new(false));
-        let done2 = Rc::clone(&done);
-        sim.spawn(async move {
-            HandOut { sent: false, tx }.await;
-            done2.set(true);
-        });
+        sim.spawn(WakeByStdWaker);
         sim.run();
-        assert!(!done.get(), "task parked waiting for the foreign wake");
-        let waker = rx.recv().expect("waker handed out");
-        std::thread::spawn(move || waker.wake())
-            .join()
-            .expect("wake thread");
-        sim.run();
-        assert!(done.get(), "foreign wake resumed the task");
+    }
+
+    #[test]
+    #[should_panic(expected = "from within a task spawned on the simulation")]
+    fn sync_wait_outside_a_sim_panics() {
+        struct Ignore;
+        impl Wake for Ignore {
+            fn wake(self: Arc<Self>) {}
+        }
+        let latch = crate::sync::CountdownEvent::new(1);
+        let mut wait = std::pin::pin!(latch.wait());
+        let waker = Waker::from(Arc::new(Ignore));
+        let _ = wait.as_mut().poll(&mut Context::from_waker(&waker));
     }
 
     #[test]

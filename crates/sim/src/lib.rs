@@ -11,8 +11,9 @@
 //! * [`Sim`] / [`SimContext`] — the executor and the handle tasks use to read
 //!   the clock, sleep, and spawn further tasks.
 //! * [`SimTime`] / [`SimDuration`] — integer-nanosecond simulated time.
-//! * [`sync`] — FIFO-fair primitives: channels, semaphores, barriers, events,
-//!   and served [`sync::Resource`]s (buses, DMA engines, CPUs).
+//! * [`sync`] — FIFO-fair primitives: single-server [`sync::Resource`]s
+//!   (buses, NIs, CPUs), the [`sync::CountdownEvent`] latch, barriers, and
+//!   channels.
 //! * [`SimRng`] — seeded randomness, one stream per trial.
 //! * [`stats`] — counters and trial summaries.
 //! * [`policy_enum!`] — the name vocabulary every policy enum shares.

@@ -83,11 +83,6 @@ impl Barrier {
         }
     }
 
-    /// Number of parties the barrier synchronizes.
-    pub fn parties(&self) -> u64 {
-        self.inner.borrow().parties
-    }
-
     /// Waits for all parties to arrive.
     pub fn wait(&self) -> BarrierWait {
         BarrierWait {
@@ -112,7 +107,7 @@ pub struct BarrierWait {
 impl Future for BarrierWait {
     type Output = BarrierWaitResult;
 
-    fn poll(mut self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<BarrierWaitResult> {
+    fn poll(mut self: Pin<&mut Self>, _cx: &mut Context<'_>) -> Poll<BarrierWaitResult> {
         let this = &mut *self;
         loop {
             match this.state {
@@ -129,7 +124,7 @@ impl Future for BarrierWait {
                         .inner
                         .borrow_mut()
                         .waiters
-                        .push(TaskRef::capture(cx));
+                        .push(TaskRef::capture());
                     return Poll::Pending;
                 }
                 WaitState::NotArrived => {

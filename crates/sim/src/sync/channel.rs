@@ -191,7 +191,7 @@ pub struct Recv<'a, T> {
 impl<T> Future for Recv<'_, T> {
     type Output = Option<T>;
 
-    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Option<T>> {
+    fn poll(self: Pin<&mut Self>, _cx: &mut Context<'_>) -> Poll<Option<T>> {
         let mut inner = self.receiver.inner.borrow_mut();
         if let Some(v) = inner.queue.pop_front() {
             return Poll::Ready(Some(v));
@@ -199,7 +199,7 @@ impl<T> Future for Recv<'_, T> {
         if inner.senders == 0 {
             return Poll::Ready(None);
         }
-        inner.recv_waiters.push(TaskRef::capture(cx));
+        inner.recv_waiters.push(TaskRef::capture());
         Poll::Pending
     }
 }
@@ -269,7 +269,7 @@ pub mod oneshot {
     impl<T> Future for OneReceiver<T> {
         type Output = Option<T>;
 
-        fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Option<T>> {
+        fn poll(self: Pin<&mut Self>, _cx: &mut Context<'_>) -> Poll<Option<T>> {
             let mut inner = self.inner.borrow_mut();
             if let Some(v) = inner.value.take() {
                 return Poll::Ready(Some(v));
@@ -277,7 +277,7 @@ pub mod oneshot {
             if inner.sender_dropped {
                 return Poll::Ready(None);
             }
-            inner.waker = Some(TaskRef::capture(cx));
+            inner.waker = Some(TaskRef::capture());
             Poll::Pending
         }
     }

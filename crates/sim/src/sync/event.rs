@@ -1,4 +1,4 @@
-//! One-shot events and countdown latches.
+//! The counting latch.
 
 use std::cell::RefCell;
 use std::future::Future;
@@ -8,97 +8,20 @@ use std::task::{Context, Poll};
 
 use crate::TaskRef;
 
-struct EventInner {
-    set: bool,
-    waiters: Vec<TaskRef>,
-}
-
-/// A one-shot broadcast event: once [`Event::set`] is called, every current
-/// and future [`Event::wait`] completes immediately.
-///
-/// Used for "all buffers are ready" style conditions in the file-system
-/// implementations.
-#[derive(Clone)]
-pub struct Event {
-    inner: Rc<RefCell<EventInner>>,
-}
-
-impl std::fmt::Debug for Event {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Event")
-            .field("set", &self.is_set())
-            .finish()
-    }
-}
-
-impl Default for Event {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Event {
-    /// Creates an unset event.
-    pub fn new() -> Self {
-        Event {
-            inner: Rc::new(RefCell::new(EventInner {
-                set: false,
-                waiters: Vec::new(),
-            })),
-        }
-    }
-
-    /// Fires the event, waking all waiters. Idempotent.
-    pub fn set(&self) {
-        let mut inner = self.inner.borrow_mut();
-        inner.set = true;
-        for w in inner.waiters.drain(..) {
-            w.wake();
-        }
-    }
-
-    /// Returns true if the event has fired.
-    pub fn is_set(&self) -> bool {
-        self.inner.borrow().set
-    }
-
-    /// Waits until the event fires.
-    pub fn wait(&self) -> EventWait {
-        EventWait {
-            event: self.clone(),
-        }
-    }
-}
-
-/// Future returned by [`Event::wait`].
-pub struct EventWait {
-    event: Event,
-}
-
-impl Future for EventWait {
-    type Output = ();
-
-    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<()> {
-        let mut inner = self.event.inner.borrow_mut();
-        if inner.set {
-            Poll::Ready(())
-        } else {
-            inner.waiters.push(TaskRef::capture(cx));
-            Poll::Pending
-        }
-    }
-}
-
 struct CountdownInner {
     remaining: u64,
     waiters: Vec<TaskRef>,
 }
 
-/// A latch that opens after being counted down `n` times.
+/// A latch that is open while its count is zero.
 ///
 /// Models "wait for all IOPs to respond that they are finished" (Figure 1c of
 /// the paper): the requesting CP creates a countdown of `n_iops` and each IOP
-/// completion counts it down once.
+/// completion counts it down once. The same latch with a count of one is a
+/// one-shot event (a cache fill), and started at zero and raised with
+/// [`CountdownEvent::add`] it counts outstanding background work.
+///
+/// Waiters wake in registration order at the moment the count reaches zero.
 #[derive(Clone)]
 pub struct CountdownEvent {
     inner: Rc<RefCell<CountdownInner>>,
@@ -116,17 +39,22 @@ impl CountdownEvent {
         }
     }
 
+    /// Raises the count by `n`, closing an open latch.
+    pub fn add(&self, n: u64) {
+        self.inner.borrow_mut().remaining += n;
+    }
+
     /// Counts down once; opens the latch when the count reaches zero.
     ///
     /// # Panics
     ///
-    /// Panics if signalled more times than the initial count — that would mean
-    /// a protocol error (e.g. an IOP acknowledging a request twice).
+    /// Panics if signalled more times than its count — that would mean a
+    /// protocol error (e.g. an IOP acknowledging a request twice).
     pub fn signal(&self) {
         let mut inner = self.inner.borrow_mut();
         assert!(
             inner.remaining > 0,
-            "CountdownEvent signalled more times than its initial count"
+            "CountdownEvent signalled more times than its count"
         );
         inner.remaining -= 1;
         if inner.remaining == 0 {
@@ -157,12 +85,12 @@ pub struct CountdownWait {
 impl Future for CountdownWait {
     type Output = ();
 
-    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<()> {
+    fn poll(self: Pin<&mut Self>, _cx: &mut Context<'_>) -> Poll<()> {
         let mut inner = self.latch.inner.borrow_mut();
         if inner.remaining == 0 {
             Poll::Ready(())
         } else {
-            inner.waiters.push(TaskRef::capture(cx));
+            inner.waiters.push(TaskRef::capture());
             Poll::Pending
         }
     }
@@ -176,17 +104,19 @@ mod tests {
 
     #[test]
     fn event_wakes_waiters() {
+        // A latch of one is a one-shot event: one signal releases every
+        // waiter, in registration order.
         let mut sim = Sim::new();
         let ctx = sim.context();
-        let ev = Event::new();
-        let woken_at = Rc::new(Cell::new(0u64));
-        for _ in 0..3 {
+        let ev = CountdownEvent::new(1);
+        let woken = Rc::new(RefCell::new(Vec::new()));
+        for i in 0..3 {
             let ev = ev.clone();
             let ctx = ctx.clone();
-            let woken_at = Rc::clone(&woken_at);
+            let woken = Rc::clone(&woken);
             sim.spawn(async move {
                 ev.wait().await;
-                woken_at.set(ctx.now().as_nanos());
+                woken.borrow_mut().push((i, ctx.now().as_nanos()));
             });
         }
         {
@@ -194,19 +124,22 @@ mod tests {
             let ctx = ctx.clone();
             sim.spawn(async move {
                 ctx.sleep(SimDuration::from_millis(2)).await;
-                ev.set();
+                ev.signal();
             });
         }
         sim.run();
-        assert_eq!(woken_at.get(), 2_000_000);
-        assert!(ev.is_set());
+        assert_eq!(
+            *woken.borrow(),
+            vec![(0, 2_000_000), (1, 2_000_000), (2, 2_000_000)]
+        );
+        assert_eq!(ev.remaining(), 0);
     }
 
     #[test]
     fn wait_after_set_is_immediate() {
         let mut sim = Sim::new();
-        let ev = Event::new();
-        ev.set();
+        let ev = CountdownEvent::new(1);
+        ev.signal();
         let done = Rc::new(Cell::new(false));
         let done2 = Rc::clone(&done);
         let ev2 = ev.clone();
@@ -266,5 +199,52 @@ mod tests {
         let latch = CountdownEvent::new(1);
         latch.signal();
         latch.signal();
+    }
+
+    #[test]
+    fn add_counts_background_work() {
+        // Started at zero and raised per job, the latch waits for all
+        // background work, including jobs started while others run.
+        let mut sim = Sim::new();
+        let ctx = sim.context();
+        let pending = CountdownEvent::new(0);
+        let idle_at = Rc::new(Cell::new(0u64));
+        for d in [3u64, 1, 2] {
+            pending.add(1);
+            let ctx = ctx.clone();
+            let pending = pending.clone();
+            sim.spawn(async move {
+                ctx.sleep(SimDuration::from_millis(d)).await;
+                if d == 1 {
+                    // A job that spawns a follow-up before it finishes.
+                    pending.add(1);
+                    let ctx = ctx.clone();
+                    let follow = pending.clone();
+                    ctx.clone().spawn_detached(async move {
+                        ctx.sleep(SimDuration::from_millis(4)).await;
+                        follow.signal();
+                    });
+                }
+                pending.signal();
+            });
+        }
+        {
+            let ctx = ctx.clone();
+            let pending = pending.clone();
+            let idle_at = Rc::clone(&idle_at);
+            sim.spawn(async move {
+                pending.wait().await;
+                idle_at.set(ctx.now().as_nanos());
+            });
+        }
+        sim.run();
+        assert_eq!(idle_at.get(), 5_000_000);
+        assert_eq!(pending.remaining(), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "more times")]
+    fn signal_without_add_panics() {
+        CountdownEvent::new(0).signal();
     }
 }

@@ -1,17 +1,19 @@
-//! A served resource: a facility with limited concurrency and a service time.
+//! A served resource: a single server with a FIFO queue and a service time.
 //!
-//! Buses, DMA engines and CPUs are all "use me for this long" facilities with
-//! FIFO queueing. [`Resource`] wraps a [`Semaphore`] with convenience helpers
-//! and utilization accounting, which the experiment harness reports.
+//! Buses, NIs and CPUs are all "use me for this long" facilities that serve
+//! one request at a time in arrival order. [`Resource`] is that server, with
+//! the usage accounting the experiment harness reports.
 
 use std::cell::RefCell;
+use std::collections::VecDeque;
 use std::fmt;
+use std::future::Future;
+use std::pin::Pin;
 use std::rc::Rc;
+use std::task::{Context, Poll};
 
-use crate::executor::SimContext;
+use crate::executor::{SimContext, TaskRef};
 use crate::time::{SimDuration, SimTime};
-
-use super::semaphore::Semaphore;
 
 /// A lazily rendered resource name.
 ///
@@ -65,16 +67,11 @@ impl fmt::Display for ResourceName {
     }
 }
 
-#[derive(Default)]
-struct Stats {
-    acquisitions: u64,
-    busy: SimDuration,
-    queue_wait: SimDuration,
-    first_use: Option<SimTime>,
-    last_release: SimTime,
-}
-
-/// A limited-concurrency facility with FIFO queueing and usage statistics.
+/// A single server with a FIFO queue and usage statistics.
+///
+/// Users are served one at a time in arrival order. A release hands the
+/// server straight to the head of the queue, so a newcomer never overtakes a
+/// queued user.
 ///
 /// # Example
 ///
@@ -84,7 +81,7 @@ struct Stats {
 /// let mut sim = Sim::new();
 /// let ctx = sim.context();
 /// // A 10 MB/s bus shared by two talkers.
-/// let bus = Resource::new(ctx.clone(), "scsi-bus", 1);
+/// let bus = Resource::new(ctx.clone(), "scsi-bus");
 /// for _ in 0..2 {
 ///     let bus = bus.clone();
 ///     sim.spawn(async move {
@@ -97,37 +94,60 @@ struct Stats {
 /// ```
 #[derive(Clone)]
 pub struct Resource {
-    /// One shared allocation for everything: cloning a handle (and building a
-    /// guard) is a single refcount bump, and the stats live next to the
-    /// semaphore pointer — resources are acquired on every bus transfer and
-    /// disk service, so handle traffic is a hot path.
+    /// One shared allocation for everything: cloning a handle is a single
+    /// refcount bump — resources are used on every bus transfer, NI
+    /// occupancy and CPU charge, so handle traffic is a hot path.
     inner: Rc<ResourceInner>,
 }
 
 struct ResourceInner {
     ctx: SimContext,
     name: ResourceName,
-    capacity: u64,
-    sem: Semaphore,
-    stats: RefCell<Stats>,
+    state: RefCell<State>,
+}
+
+#[derive(Default)]
+struct State {
+    /// True while a user holds the server, including a queued user it was
+    /// handed to that has not run yet.
+    busy: bool,
+    /// Queued users in arrival order, each with the ticket it queued under.
+    /// The deque keeps its capacity, so steady-state queueing never
+    /// allocates.
+    queue: VecDeque<(u64, TaskRef)>,
+    /// The ticket the next queued user takes.
+    next_ticket: u64,
+    /// The ticket the server was last handed to, until that user runs.
+    handed_to: Option<u64>,
+    acquisitions: u64,
+    busy_time: SimDuration,
+    queue_wait: SimDuration,
+    first_use: Option<SimTime>,
+    last_release: SimTime,
+}
+
+impl State {
+    /// Frees the server, or hands it to the head of the queue.
+    fn release(&mut self) {
+        match self.queue.pop_front() {
+            Some((ticket, waiter)) => {
+                self.handed_to = Some(ticket);
+                waiter.wake();
+            }
+            None => self.busy = false,
+        }
+    }
 }
 
 impl Resource {
-    /// Creates a resource with `capacity` concurrent servers. The name is
-    /// stored un-rendered; see [`ResourceName`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity` is zero.
-    pub fn new(ctx: SimContext, name: impl Into<ResourceName>, capacity: u64) -> Self {
-        assert!(capacity > 0, "resource capacity must be non-zero");
+    /// Creates an idle resource. The name is stored un-rendered; see
+    /// [`ResourceName`].
+    pub fn new(ctx: SimContext, name: impl Into<ResourceName>) -> Self {
         Resource {
             inner: Rc::new(ResourceInner {
                 ctx,
                 name: name.into(),
-                capacity,
-                sem: Semaphore::new(capacity),
-                stats: RefCell::new(Stats::default()),
+                state: RefCell::new(State::default()),
             }),
         }
     }
@@ -137,27 +157,22 @@ impl Resource {
         self.inner.name
     }
 
-    /// The configured concurrency.
-    pub fn capacity(&self) -> u64 {
-        self.inner.capacity
-    }
-
-    /// Acquires one server of the resource; the guard releases it on drop.
-    pub async fn acquire(&self) -> ResourceGuard {
-        let inner = &self.inner;
+    /// Waits for the server; the guard releases it on drop.
+    async fn acquire(&self) -> ResourceGuard<'_> {
+        let inner = &*self.inner;
         let requested = inner.ctx.now();
-        // The guard returns the server via `add_permits` itself, so the
-        // permit's own guard object is not kept around.
-        inner.sem.acquire(1).await.forget();
-        let granted = inner.ctx.now();
-        {
-            let mut st = inner.stats.borrow_mut();
-            st.acquisitions += 1;
-            st.queue_wait += granted - requested;
-            st.first_use.get_or_insert(granted);
+        ServerWait {
+            inner,
+            ticket: None,
         }
+        .await;
+        let granted = inner.ctx.now();
+        let mut st = inner.state.borrow_mut();
+        st.acquisitions += 1;
+        st.queue_wait += granted - requested;
+        st.first_use.get_or_insert(granted);
         ResourceGuard {
-            inner: Rc::clone(inner),
+            inner,
             acquired_at: granted,
         }
     }
@@ -165,35 +180,29 @@ impl Resource {
     /// Acquires the resource, holds it for `duration` of simulated time, and
     /// releases it. This is the common "transfer n bytes over the bus" call.
     pub async fn use_for(&self, duration: SimDuration) {
-        let guard = self.acquire().await;
+        let _guard = self.acquire().await;
         self.inner.ctx.sleep(duration).await;
-        drop(guard);
     }
 
     /// Number of completed or in-progress acquisitions.
     pub fn acquisitions(&self) -> u64 {
-        self.inner.stats.borrow().acquisitions
+        self.inner.state.borrow().acquisitions
     }
 
-    /// Total simulated time the resource's servers have been held.
+    /// Total simulated time the server has been held.
     pub fn busy_time(&self) -> SimDuration {
-        self.inner.stats.borrow().busy
+        self.inner.state.borrow().busy_time
     }
 
-    /// Total time acquirers spent queued before being served.
+    /// Total time users spent queued before being served.
     pub fn total_queue_wait(&self) -> SimDuration {
-        self.inner.stats.borrow().queue_wait
+        self.inner.state.borrow().queue_wait
     }
 
-    /// Number of tasks currently waiting for the resource.
-    pub fn queue_len(&self) -> usize {
-        self.inner.sem.queue_len()
-    }
-
-    /// Utilization over the window from first use to last release:
-    /// busy time divided by (capacity × window). Returns zero before any use.
+    /// Busy time divided by the window from first use to last release.
+    /// Returns zero before any use.
     pub fn utilization(&self) -> f64 {
-        let st = self.inner.stats.borrow();
+        let st = self.inner.state.borrow();
         let Some(first) = st.first_use else {
             return 0.0;
         };
@@ -201,42 +210,94 @@ impl Resource {
         if window.is_zero() {
             return 0.0;
         }
-        st.busy.as_secs_f64() / (self.inner.capacity as f64 * window.as_secs_f64())
+        st.busy_time.as_secs_f64() / window.as_secs_f64()
     }
 }
 
-/// Guard for an acquired [`Resource`] server.
-pub struct ResourceGuard {
-    inner: Rc<ResourceInner>,
+/// Future of one user waiting for the server.
+struct ServerWait<'a> {
+    inner: &'a ResourceInner,
+    /// The ticket this user queued under; `None` before queueing and once
+    /// served.
+    ticket: Option<u64>,
+}
+
+impl Future for ServerWait<'_> {
+    type Output = ();
+
+    fn poll(mut self: Pin<&mut Self>, _cx: &mut Context<'_>) -> Poll<()> {
+        let mut st = self.inner.state.borrow_mut();
+        let Some(ticket) = self.ticket else {
+            if !st.busy {
+                st.busy = true;
+                return Poll::Ready(());
+            }
+            let ticket = st.next_ticket;
+            st.next_ticket += 1;
+            st.queue.push_back((ticket, TaskRef::capture()));
+            drop(st);
+            self.ticket = Some(ticket);
+            return Poll::Pending;
+        };
+        if st.handed_to == Some(ticket) {
+            st.handed_to = None;
+            drop(st);
+            self.ticket = None;
+            return Poll::Ready(());
+        }
+        // Polled again while still queued: the queued `TaskRef` already
+        // names this task.
+        Poll::Pending
+    }
+}
+
+impl Drop for ServerWait<'_> {
+    /// A dropped waiter never takes the server: if the server was already
+    /// handed to it, it passes on; otherwise the waiter leaves the queue.
+    fn drop(&mut self) {
+        let Some(ticket) = self.ticket else {
+            return;
+        };
+        let mut st = self.inner.state.borrow_mut();
+        if st.handed_to == Some(ticket) {
+            st.handed_to = None;
+            st.release();
+        } else if let Some(pos) = st.queue.iter().position(|(t, _)| *t == ticket) {
+            st.queue.remove(pos);
+        }
+    }
+}
+
+/// Holds the server of a [`Resource`]; dropping it releases the server.
+struct ResourceGuard<'a> {
+    inner: &'a ResourceInner,
     acquired_at: SimTime,
 }
 
-impl Drop for ResourceGuard {
+impl Drop for ResourceGuard<'_> {
     fn drop(&mut self) {
         let now = self.inner.ctx.now();
-        {
-            let mut st = self.inner.stats.borrow_mut();
-            st.busy += now - self.acquired_at;
-            if now > st.last_release {
-                st.last_release = now;
-            }
+        let mut st = self.inner.state.borrow_mut();
+        st.busy_time += now - self.acquired_at;
+        if now > st.last_release {
+            st.last_release = now;
         }
-        // Same FIFO hand-off as dropping the permit: the stats are settled
-        // first, then the next waiter is granted.
-        self.inner.sem.add_permits(1);
+        st.release();
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sync::CountdownEvent;
     use crate::Sim;
+    use std::cell::Cell;
 
     #[test]
     fn serializes_when_capacity_one() {
         let mut sim = Sim::new();
         let ctx = sim.context();
-        let bus = Resource::new(ctx, "bus", 1);
+        let bus = Resource::new(ctx, "bus");
         for _ in 0..3 {
             let bus = bus.clone();
             sim.spawn(async move {
@@ -250,25 +311,10 @@ mod tests {
     }
 
     #[test]
-    fn parallel_when_capacity_allows() {
-        let mut sim = Sim::new();
-        let ctx = sim.context();
-        let r = Resource::new(ctx, "dual", 2);
-        for _ in 0..4 {
-            let r = r.clone();
-            sim.spawn(async move {
-                r.use_for(SimDuration::from_millis(5)).await;
-            });
-        }
-        assert_eq!(sim.run().as_nanos(), 10_000_000);
-        assert!((r.utilization() - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
     fn queue_wait_is_tracked() {
         let mut sim = Sim::new();
         let ctx = sim.context();
-        let r = Resource::new(ctx, "single", 1);
+        let r = Resource::new(ctx, "single");
         for _ in 0..2 {
             let r = r.clone();
             sim.spawn(async move {
@@ -284,16 +330,134 @@ mod tests {
     fn utilization_zero_when_unused() {
         let mut sim = Sim::new();
         let ctx = sim.context();
-        let r = Resource::new(ctx, "idle", 1);
+        let r = Resource::new(ctx, "idle");
         sim.run();
         assert_eq!(r.utilization(), 0.0);
         assert_eq!(r.acquisitions(), 0);
     }
 
     #[test]
-    #[should_panic(expected = "capacity must be non-zero")]
-    fn zero_capacity_panics() {
-        let sim = Sim::new();
-        let _ = Resource::new(sim.context(), "bad", 0);
+    fn utilization_counts_idle_gaps() {
+        let mut sim = Sim::new();
+        let ctx = sim.context();
+        let r = Resource::new(ctx.clone(), "gappy");
+        let r2 = r.clone();
+        sim.spawn(async move {
+            r2.use_for(SimDuration::from_millis(1)).await;
+            ctx.sleep(SimDuration::from_millis(2)).await;
+            r2.use_for(SimDuration::from_millis(1)).await;
+        });
+        sim.run();
+        assert!((r.utilization() - 0.5).abs() < 1e-9);
+    }
+
+    #[test]
+    fn uncontended_acquire_is_immediate() {
+        let mut sim = Sim::new();
+        let ctx = sim.context();
+        let r = Resource::new(ctx.clone(), "free");
+        let r2 = r.clone();
+        let held_at = Rc::new(Cell::new(u64::MAX));
+        let held_at2 = Rc::clone(&held_at);
+        sim.spawn(async move {
+            let _guard = r2.acquire().await;
+            held_at2.set(ctx.now().as_nanos());
+        });
+        sim.run();
+        assert_eq!(held_at.get(), 0);
+        assert_eq!(r.total_queue_wait(), SimDuration::ZERO);
+        assert_eq!(r.acquisitions(), 1);
+    }
+
+    #[test]
+    fn fifo_ordering() {
+        let mut sim = Sim::new();
+        let ctx = sim.context();
+        let r = Resource::new(ctx.clone(), "fifo");
+        let order = Rc::new(RefCell::new(Vec::new()));
+        // A holder keeps the server while the others queue up.
+        {
+            let r = r.clone();
+            sim.spawn(async move {
+                r.use_for(SimDuration::from_micros(1)).await;
+            });
+        }
+        for i in 0..4u32 {
+            let r = r.clone();
+            let order = Rc::clone(&order);
+            let ctx = ctx.clone();
+            sim.spawn(async move {
+                // Stagger arrival so queue order is well-defined, and
+                // against spawn order so only arrival decides.
+                ctx.sleep(SimDuration::from_nanos(4 - i as u64)).await;
+                let _guard = r.acquire().await;
+                order.borrow_mut().push(i);
+            });
+        }
+        sim.run();
+        assert_eq!(*order.borrow(), vec![3, 2, 1, 0]);
+    }
+
+    #[test]
+    fn no_barging_on_release() {
+        // A newcomer that arrives at the very instant the server is released
+        // queues behind the user the server was handed to.
+        let mut sim = Sim::new();
+        let ctx = sim.context();
+        let r = Resource::new(ctx.clone(), "handoff");
+        let order = Rc::new(RefCell::new(Vec::new()));
+        for (name, arrive_ns) in [("holder", 0u64), ("queued", 1), ("newcomer", 10)] {
+            let r = r.clone();
+            let ctx = ctx.clone();
+            let order = Rc::clone(&order);
+            sim.spawn(async move {
+                ctx.sleep(SimDuration::from_nanos(arrive_ns)).await;
+                let _guard = r.acquire().await;
+                order.borrow_mut().push((name, ctx.now().as_nanos()));
+                ctx.sleep(SimDuration::from_nanos(10)).await;
+            });
+        }
+        sim.run();
+        assert_eq!(
+            *order.borrow(),
+            vec![("holder", 0), ("queued", 10), ("newcomer", 20)]
+        );
+    }
+
+    #[test]
+    fn reset_cancels_queued_acquirers() {
+        let mut sim = Sim::new();
+        let ctx = sim.context();
+        let r = Resource::new(ctx.clone(), "cancel");
+        let never = CountdownEvent::new(1);
+        {
+            // The holder parks forever while holding the server.
+            let r = r.clone();
+            let never = never.clone();
+            sim.spawn(async move {
+                let _guard = r.acquire().await;
+                never.wait().await;
+            });
+        }
+        let served = Rc::new(Cell::new(false));
+        {
+            let r = r.clone();
+            let served = Rc::clone(&served);
+            sim.spawn(async move {
+                r.use_for(SimDuration::from_millis(1)).await;
+                served.set(true);
+            });
+        }
+        sim.run();
+        assert_eq!(sim.live_tasks(), 2, "holder and queued acquirer parked");
+        sim.reset();
+        assert!(!served.get(), "a dropped acquirer never takes the server");
+        // A new user is served at once.
+        let r2 = r.clone();
+        sim.spawn(async move {
+            r2.use_for(SimDuration::from_millis(5)).await;
+        });
+        assert_eq!(sim.run().as_nanos(), 5_000_000);
+        assert_eq!(r.total_queue_wait(), SimDuration::ZERO);
     }
 }

@@ -1,13 +1,10 @@
 //! Property-based tests of the simulation engine: timing composition,
-//! determinism, and resource-capacity invariants hold for arbitrary task
+//! determinism, and single-server serialization hold for arbitrary task
 //! sets.
-
-use std::cell::Cell;
-use std::rc::Rc;
 
 use proptest::prelude::*;
 
-use ddio_sim::sync::{Resource, Semaphore};
+use ddio_sim::sync::Resource;
 use ddio_sim::{Sim, SimDuration, SimTime};
 
 proptest! {
@@ -50,13 +47,13 @@ proptest! {
         prop_assert_eq!(run(&delays), run(&delays));
     }
 
-    /// A capacity-1 resource serializes its users: total elapsed time equals
+    /// A resource serializes its users: total elapsed time equals
     /// the sum of the individual service times.
     #[test]
     fn unit_resource_serializes_exactly(services in prop::collection::vec(1u64..500, 1..30)) {
         let mut sim = Sim::new();
         let ctx = sim.context();
-        let bus = Resource::new(ctx.clone(), "bus", 1);
+        let bus = Resource::new(ctx.clone(), "bus");
         for &s in &services {
             let bus = bus.clone();
             sim.spawn(async move {
@@ -67,35 +64,5 @@ proptest! {
         let total: u64 = services.iter().sum();
         prop_assert_eq!(end, SimTime::ZERO + SimDuration::from_micros(total));
         prop_assert_eq!(bus.acquisitions(), services.len() as u64);
-    }
-
-    /// A semaphore never admits more concurrent holders than its capacity.
-    #[test]
-    fn semaphore_never_exceeds_capacity(
-        capacity in 1u64..5,
-        tasks in 1usize..40,
-        hold_us in 1u64..50,
-    ) {
-        let mut sim = Sim::new();
-        let ctx = sim.context();
-        let sem = Semaphore::new(capacity);
-        let inside = Rc::new(Cell::new(0u64));
-        let max_inside = Rc::new(Cell::new(0u64));
-        for _ in 0..tasks {
-            let sem = sem.clone();
-            let ctx = ctx.clone();
-            let inside = Rc::clone(&inside);
-            let max_inside = Rc::clone(&max_inside);
-            sim.spawn(async move {
-                let _p = sem.acquire(1).await;
-                inside.set(inside.get() + 1);
-                max_inside.set(max_inside.get().max(inside.get()));
-                ctx.sleep(SimDuration::from_micros(hold_us)).await;
-                inside.set(inside.get() - 1);
-            });
-        }
-        sim.run();
-        prop_assert!(max_inside.get() <= capacity);
-        prop_assert_eq!(inside.get(), 0);
     }
 }
