@@ -5,7 +5,7 @@ use ddio_sim::sync::{unbounded, Resource};
 use ddio_sim::{Sim, SimDuration};
 
 /// Thousands of interleaved sleeping tasks: measures raw event throughput.
-fn bench_timer_wheel(c: &mut Criterion) {
+fn bench_timers(c: &mut Criterion) {
     let mut group = c.benchmark_group("simulator/timers");
     for tasks in [100u64, 1000] {
         group.bench_with_input(BenchmarkId::from_parameter(tasks), &tasks, |b, &tasks| {
@@ -92,10 +92,10 @@ fn bench_wake_queue(c: &mut Criterion) {
 }
 
 /// Timer registration across widely spread deadlines: nanoseconds to seconds
-/// in one run, exercising every wheel level and the overflow heap rather
-/// than the near-future slots the throughput benches concentrate on.
-fn bench_timer_wheel_spread(c: &mut Criterion) {
-    c.bench_function("simulator/timer_wheel_spread", |b| {
+/// in one run, rather than the near-future deadlines the throughput benches
+/// concentrate on.
+fn bench_timer_spread(c: &mut Criterion) {
+    c.bench_function("simulator/timer_spread", |b| {
         b.iter(|| {
             let mut sim = Sim::new();
             let ctx = sim.context();
@@ -103,7 +103,7 @@ fn bench_timer_wheel_spread(c: &mut Criterion) {
                 let ctx = ctx.clone();
                 sim.spawn(async move {
                     // 1 ns .. ~512 s: deadline magnitude doubles with the
-                    // task index bucket, hitting a different wheel level.
+                    // task index bucket.
                     let nanos = 1u64 << (i % 40);
                     ctx.sleep(SimDuration::from_nanos(nanos)).await;
                 });
@@ -144,11 +144,11 @@ fn bench_spawn(c: &mut Criterion) {
 
 criterion_group!(
     benches,
-    bench_timer_wheel,
+    bench_timers,
     bench_channel_pipeline,
     bench_resource_contention,
     bench_wake_queue,
-    bench_timer_wheel_spread,
+    bench_timer_spread,
     bench_spawn
 );
 criterion_main!(benches);

@@ -212,7 +212,7 @@ fn serve_storm(
 fn steady_state_allocations_per_event_stay_bounded() {
     // --- Executor ---
     let mut sim = Sim::new();
-    executor_storm(&mut sim); // warm-up: slab + timer wheel growth
+    executor_storm(&mut sim); // warm-up: slab + timer heap growth
     let before = allocs();
     let events = executor_storm(&mut sim);
     let exec_rate = (allocs() - before) as f64 / events as f64;

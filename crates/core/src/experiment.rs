@@ -83,8 +83,8 @@ pub fn run_data_point(
     let mut throughputs = Vec::with_capacity(trials);
     let mut last = None;
     // One arena serves every trial of every cell this worker thread runs:
-    // `run_transfer_in` resets it between uses, so executor task slots,
-    // timer-wheel levels, and layout tables are paid for once per thread.
+    // `run_transfer_in` resets it between uses, so executor task slots, the
+    // timer heap, and layout tables are paid for once per thread.
     thread_local! {
         static ARENA: std::cell::RefCell<MachineArena> =
             std::cell::RefCell::new(MachineArena::new());

@@ -23,9 +23,9 @@
 //!   `VecDeque::push_back`, no locking or allocation. `Future::poll` still
 //!   needs a standard `Waker`, so every task is polled with one shared per
 //!   [`Sim`]; waking it panics.
-//! * **A hierarchical timer wheel** — 8 levels × 64 slots with 1 ns bottom
-//!   resolution and a `(deadline, seq)`-ordered overflow heap beyond the
-//!   2^48 ns horizon. Entries store a `TaskId`, not a boxed `Waker`.
+//! * **One event calendar** — a binary min-heap of `(deadline, registration
+//!   seq, TaskId)` holds every pending timer. Entries store a `TaskId`, not a
+//!   boxed `Waker`, and the heap keeps its capacity across [`Sim::reset`].
 //!
 //! # Determinism
 //!
@@ -168,224 +168,6 @@ impl Drop for CurrentGuard {
     }
 }
 
-/// Number of levels in the timer wheel; level `l` slots are `2^(6l)` ns wide.
-const LEVELS: usize = 8;
-/// Slots per level.
-const SLOTS: usize = 64;
-/// Deadlines at least this far past the wheel base go to the overflow heap.
-/// 2^48 ns is about 3.3 days of simulated time.
-const HORIZON: u64 = 1 << (6 * LEVELS);
-
-/// A timer registered on the wheel. No `Waker` is stored: firing pushes the
-/// task id onto the ready queue directly.
-struct TimerEntry {
-    deadline: u64,
-    seq: u64,
-    task: TaskId,
-}
-
-/// A hierarchical timer wheel with a sorted overflow heap.
-///
-/// Level 0 slots are 1 ns wide, so a fully cascaded earliest slot holds
-/// entries of exactly one deadline; each higher level is 64× coarser. The
-/// wheel's `base` only ever advances to a proven lower bound of every pending
-/// deadline, which is what lets [`TimerWheel::next_deadline`] cascade safely
-/// while preserving exact `(deadline, seq)` firing order.
-struct TimerWheel {
-    /// Lower bound of every pending deadline (wheel and overflow alike).
-    base: u64,
-    /// Entries currently stored in wheel slots (excludes the overflow heap).
-    wheel_len: usize,
-    /// Per-level occupancy bitmaps: bit `s` set iff slot `s` is non-empty.
-    occupied: [u64; LEVELS],
-    /// Flattened `LEVELS × SLOTS` slot storage.
-    slots: Box<[Vec<TimerEntry>]>,
-    /// Entries beyond the horizon, ordered by `(deadline, seq)`.
-    overflow: BinaryHeap<Reverse<(u64, u64, TaskId)>>,
-}
-
-impl TimerWheel {
-    fn new() -> TimerWheel {
-        TimerWheel {
-            base: 0,
-            wheel_len: 0,
-            occupied: [0; LEVELS],
-            slots: (0..LEVELS * SLOTS).map(|_| Vec::new()).collect(),
-            overflow: BinaryHeap::new(),
-        }
-    }
-
-    fn is_empty(&self) -> bool {
-        self.wheel_len == 0 && self.overflow.is_empty()
-    }
-
-    fn clear(&mut self) {
-        self.base = 0;
-        self.wheel_len = 0;
-        self.occupied = [0; LEVELS];
-        for slot in self.slots.iter_mut() {
-            slot.clear();
-        }
-        self.overflow.clear();
-    }
-
-    /// Registers a timer. `now` re-anchors the base when the wheel is empty,
-    /// keeping deltas (and therefore levels) small.
-    fn insert(&mut self, deadline: u64, seq: u64, task: TaskId, now: u64) {
-        if self.is_empty() {
-            self.base = now;
-        }
-        debug_assert!(deadline >= self.base, "timer registered before wheel base");
-        // XOR, not subtraction: a small delta that straddles a 2^48-aligned
-        // boundary still differs from the base in a high bit and must wait in
-        // the overflow heap until the base catches up.
-        if (deadline ^ self.base) >= HORIZON {
-            self.overflow.push(Reverse((deadline, seq, task)));
-        } else {
-            self.insert_raw(TimerEntry {
-                deadline,
-                seq,
-                task,
-            });
-            self.wheel_len += 1;
-        }
-    }
-
-    /// Places an entry in its slot; does not touch `wheel_len`.
-    fn insert_raw(&mut self, entry: TimerEntry) {
-        // Level selection uses the highest bit where the deadline *differs
-        // from the base* (not the delta): that is the coarsest level at which
-        // the entry's slot index is strictly ahead of the base cursor within
-        // the same rotation, which keeps slot → window reconstruction exact.
-        let diff = entry.deadline ^ self.base;
-        // diff == 0 (deadline == base) can only come from overflow migration
-        // and lands in level 0.
-        let level = if diff == 0 {
-            0
-        } else {
-            (63 - diff.leading_zeros() as usize) / 6
-        };
-        let slot = ((entry.deadline >> (6 * level)) & 63) as usize;
-        self.occupied[level] |= 1 << slot;
-        self.slots[level * SLOTS + slot].push(entry);
-    }
-
-    /// For each occupied level, the first slot in rotation order from the
-    /// base cursor and a lower bound on the deadlines it holds. Returns the
-    /// winner `(bound, level, slot)`, preferring the **highest** level on
-    /// ties so entries sharing a deadline are cascaded together before L0
-    /// fires.
-    fn best_wheel_slot(&self) -> Option<(u64, usize, usize)> {
-        let mut best: Option<(u64, usize, usize)> = None;
-        for level in (0..LEVELS).rev() {
-            let bitmap = self.occupied[level];
-            if bitmap == 0 {
-                continue;
-            }
-            let shift = 6 * level;
-            let cursor = ((self.base >> shift) & 63) as u32;
-            let at_or_after = bitmap & (u64::MAX << cursor);
-            let (slot, wrapped) = if at_or_after != 0 {
-                (at_or_after.trailing_zeros() as u64, false)
-            } else {
-                (bitmap.trailing_zeros() as u64, true)
-            };
-            let mut high = self.base >> (shift + 6);
-            if wrapped {
-                high += 1;
-            }
-            let window_start = ((high << 6) | slot) << shift;
-            let bound = window_start.max(self.base);
-            match best {
-                Some((b, _, _)) if b <= bound => {}
-                _ => best = Some((bound, level, slot as usize)),
-            }
-        }
-        best
-    }
-
-    /// Returns the earliest pending deadline, cascading higher-level slots
-    /// and migrating overflow entries as needed so that when `Some(d)` is
-    /// returned every entry with deadline `d` sits in the level-0 slot for
-    /// `d`.
-    fn next_deadline(&mut self) -> Option<u64> {
-        loop {
-            let wheel_best = if self.wheel_len == 0 {
-                None
-            } else {
-                self.best_wheel_slot()
-            };
-            let overflow_min = self.overflow.peek().map(|Reverse((d, _, _))| *d);
-            let migrate = match (overflow_min, wheel_best) {
-                (None, None) => return None,
-                (Some(d), Some((b, _, _))) => d <= b,
-                (Some(_), None) => true,
-                (None, Some(_)) => false,
-            };
-            if migrate {
-                // The overflow minimum is a lower bound of everything
-                // pending, so the base may advance to it; entries now within
-                // the horizon move into the wheel.
-                self.base = overflow_min.expect("migrate implies overflow entry");
-                loop {
-                    let within = match self.overflow.peek() {
-                        Some(Reverse((d, _, _))) => (*d ^ self.base) < HORIZON,
-                        None => false,
-                    };
-                    if !within {
-                        break;
-                    }
-                    let Reverse((deadline, seq, task)) =
-                        self.overflow.pop().expect("peeked entry vanished");
-                    self.insert_raw(TimerEntry {
-                        deadline,
-                        seq,
-                        task,
-                    });
-                    self.wheel_len += 1;
-                }
-                continue;
-            }
-            let (bound, level, slot) = wheel_best.expect("no migration implies a wheel slot");
-            if level == 0 {
-                // 1 ns slots: the bound is the exact (and unique) deadline.
-                return Some(bound);
-            }
-            // Cascade: `bound` lower-bounds every pending deadline, so the
-            // base may advance to it, and each drained entry re-inserts at a
-            // strictly lower level (its delta is now below the old slot
-            // width), which guarantees termination.
-            self.base = bound;
-            let index = level * SLOTS + slot;
-            self.occupied[level] &= !(1 << slot);
-            let mut drained = std::mem::take(&mut self.slots[index]);
-            for entry in drained.drain(..) {
-                self.insert_raw(entry);
-            }
-            self.slots[index] = drained;
-        }
-    }
-
-    /// Fires every entry at `deadline` (which [`TimerWheel::next_deadline`]
-    /// has fully cascaded into level 0) in registration-sequence order,
-    /// pushing the woken task ids onto `ready`. Returns the number fired.
-    fn fire_at(&mut self, deadline: u64, ready: &mut VecDeque<TaskId>) -> u64 {
-        let slot = (deadline & 63) as usize;
-        self.occupied[0] &= !(1 << slot);
-        let fired = self.slots[slot].len();
-        self.wheel_len -= fired;
-        let entries = &mut self.slots[slot];
-        // Cascading can interleave entries out of registration order; one
-        // sort at fire time restores the `(deadline, seq)` contract.
-        entries.sort_unstable_by_key(|e| e.seq);
-        for entry in entries.drain(..) {
-            debug_assert_eq!(entry.deadline, deadline, "foreign deadline in L0 slot");
-            ready.push_back(entry.task);
-        }
-        fired as u64
-    }
-}
-
 /// A slab slot owning one task.
 struct Slot {
     gen: u32,
@@ -407,7 +189,9 @@ struct SimCore {
 
 /// Mutable simulation state shared between the executor and [`SimContext`]s.
 struct SimState {
-    timers: TimerWheel,
+    /// Pending timers as a min-heap of `(deadline ns, registration seq,
+    /// task)`, so they pop in exactly the order they must fire.
+    timers: BinaryHeap<Reverse<(u64, u64, TaskId)>>,
     timer_seq: u64,
     /// Slab of task slots; `free` holds recyclable indices.
     slots: Vec<Slot>,
@@ -423,7 +207,7 @@ struct SimState {
 impl SimState {
     fn new() -> Self {
         SimState {
-            timers: TimerWheel::new(),
+            timers: BinaryHeap::new(),
             timer_seq: 0,
             slots: Vec::new(),
             free: Vec::new(),
@@ -453,11 +237,10 @@ impl SimState {
         id
     }
 
-    fn register_timer(&mut self, deadline: SimTime, task: TaskId, now: SimTime) {
+    fn register_timer(&mut self, deadline: SimTime, task: TaskId) {
         let seq = self.timer_seq;
         self.timer_seq += 1;
-        self.timers
-            .insert(deadline.as_nanos(), seq, task, now.as_nanos());
+        self.timers.push(Reverse((deadline.as_nanos(), seq, task)));
     }
 }
 
@@ -491,7 +274,7 @@ impl Sim {
 
     /// Returns the simulation to its initial state — time zero, no tasks, no
     /// timers, zeroed event counter — while keeping the slab, queue, and
-    /// wheel allocations for reuse. Any still-pending tasks are dropped.
+    /// timer heap allocations for reuse. Any still-pending tasks are dropped.
     ///
     /// This is what lets the experiment harness run many transfers on one
     /// `Sim` without paying allocation and teardown per transfer.
@@ -598,19 +381,23 @@ impl Sim {
             // Nothing runnable: advance the clock to the next timer.
             let mut st = self.core.state.borrow_mut();
             let st = &mut *st;
-            match st.timers.next_deadline() {
-                None => break,
-                Some(deadline) => {
-                    let deadline = SimTime::from_nanos(deadline);
-                    debug_assert!(
-                        deadline >= self.core.clock.get(),
-                        "event calendar went backwards"
-                    );
-                    self.core.clock.set(deadline);
-                    // Fire every timer with this deadline before polling, so
-                    // simultaneous events are handled in registration order.
-                    st.events_processed += st.timers.fire_at(deadline.as_nanos(), &mut st.ready);
+            let Some(&Reverse((deadline, _, _))) = st.timers.peek() else {
+                break;
+            };
+            debug_assert!(
+                deadline >= self.core.clock.get().as_nanos(),
+                "event calendar went backwards"
+            );
+            self.core.clock.set(SimTime::from_nanos(deadline));
+            // Fire every timer with this deadline before polling, so
+            // simultaneous events are handled in registration order.
+            while let Some(&Reverse((d, _, task))) = st.timers.peek() {
+                if d != deadline {
+                    break;
                 }
+                st.timers.pop();
+                st.ready.push_back(task);
+                st.events_processed += 1;
             }
         }
         self.now()
@@ -682,17 +469,6 @@ impl SimContext {
         }
     }
 
-    /// Suspends the calling task until the absolute instant `deadline`.
-    ///
-    /// Completes immediately if `deadline` is in the past.
-    pub fn sleep_until(&self, deadline: SimTime) -> Sleep {
-        Sleep {
-            ctx: self.clone(),
-            deadline,
-            registered: false,
-        }
-    }
-
     /// Yields once, letting every other currently-runnable task run before
     /// this task continues (at the same simulated time).
     pub fn yield_now(&self) -> YieldNow {
@@ -725,8 +501,8 @@ impl SimContext {
             }
         };
         let task: BoxedTask = Box::pin(wrapped);
-        let id = self.core.state.borrow_mut().spawn_boxed(task);
-        JoinHandle { id, slot }
+        self.core.state.borrow_mut().spawn_boxed(task);
+        JoinHandle { slot }
     }
 
     /// Spawns a fire-and-forget task: runnable immediately, exactly like
@@ -752,8 +528,7 @@ impl SimContext {
     /// Panics if registration is needed outside a simulation task: timers
     /// wake by task id, so there must be a current task to wake.
     pub(crate) fn poll_sleep(&self, deadline: SimTime, registered: &mut bool) -> Poll<()> {
-        let now = self.core.clock.get();
-        if now >= deadline {
+        if self.core.clock.get() >= deadline {
             return Poll::Ready(());
         }
         if !*registered {
@@ -770,10 +545,7 @@ impl SimContext {
                     .is_some_and(|(_, state)| state.ptr_eq(&self.core.self_weak))),
                 "sleep future polled by a task belonging to a different Sim"
             );
-            self.core
-                .state
-                .borrow_mut()
-                .register_timer(deadline, id, now);
+            self.core.state.borrow_mut().register_timer(deadline, id);
         }
         Poll::Pending
     }
@@ -823,15 +595,7 @@ struct JoinSlot<T> {
 
 /// Handle to a spawned task; awaiting it yields the task's return value.
 pub struct JoinHandle<T> {
-    id: TaskId,
     slot: Rc<RefCell<JoinSlot<T>>>,
-}
-
-impl<T> JoinHandle<T> {
-    /// The id of the task this handle refers to.
-    pub fn id(&self) -> TaskId {
-        self.id
-    }
 }
 
 impl<T> Future for JoinHandle<T> {
@@ -1011,18 +775,6 @@ mod tests {
     }
 
     #[test]
-    fn sleep_until_past_deadline_is_immediate() {
-        let mut sim = Sim::new();
-        let ctx = sim.context();
-        sim.spawn(async move {
-            ctx.sleep(SimDuration::from_millis(1)).await;
-            // Deadline already passed; must not deadlock or rewind.
-            ctx.sleep_until(SimTime::ZERO).await;
-        });
-        assert_eq!(sim.run(), SimTime::ZERO + SimDuration::from_millis(1));
-    }
-
-    #[test]
     fn deterministic_event_counts() {
         let run = || {
             let mut sim = Sim::new();
@@ -1097,8 +849,39 @@ mod tests {
     }
 
     #[test]
-    fn timer_wheel_handles_wide_deadline_spreads() {
-        // Deadlines spanning every wheel level plus the overflow heap, with
+    fn reset_discards_timers_left_by_an_unwound_run() {
+        let sleeper = |sim: &mut Sim| {
+            let ctx = sim.context();
+            sim.spawn(async move {
+                ctx.sleep(SimDuration::from_millis(2)).await;
+            });
+            (sim.run(), sim.events_processed())
+        };
+        let expected = sleeper(&mut Sim::new());
+        assert_eq!(expected.0, SimTime::ZERO + SimDuration::from_millis(2));
+
+        // A run that unwinds with a 10 ms timer still pending, the way a
+        // harness that catches a panicking transfer leaves its `Sim`.
+        let mut sim = Sim::new();
+        let ctx = sim.context();
+        sim.spawn(async move {
+            ctx.sleep(SimDuration::from_millis(10)).await;
+        });
+        sim.spawn(async move {
+            panic!("transfer failed");
+        });
+        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| sim.run()));
+        assert!(unwound.is_err());
+        assert_eq!(sim.now(), SimTime::ZERO);
+
+        sim.reset();
+        assert_eq!(sleeper(&mut sim), expected);
+        assert_eq!(sim.live_tasks(), 0);
+    }
+
+    #[test]
+    fn timers_fire_in_order_across_wide_deadline_spreads() {
+        // Deadlines from a few nanoseconds to 2^50 ns (about 13 days), with
         // deliberate same-deadline collisions; completion order must be
         // (deadline, registration) order.
         let mut sim = Sim::new();
@@ -1111,7 +894,7 @@ mod tests {
             delays.push(base + 3); // collision
             delays.push(base.saturating_mul(17) + 1);
         }
-        delays.push(1 << 50); // beyond the 2^48 horizon
+        delays.push(1 << 50);
         delays.push((1 << 50) + 1);
         let mut expected: Vec<(u64, usize)> = delays
             .iter()
@@ -1172,9 +955,9 @@ mod tests {
         let ids2 = Rc::clone(&ids);
         sim.spawn(async move {
             for _ in 0..4 {
-                let h = ctx.spawn(async move {});
-                ids2.borrow_mut().push(h.id());
-                h.await;
+                ids2.borrow_mut().push(ctx.spawn_detached(async move {}));
+                // Let the child complete and free its slot for the next one.
+                ctx.yield_now().await;
             }
         });
         sim.run();

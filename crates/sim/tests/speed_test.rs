@@ -3,9 +3,9 @@
 //! Drives the runtime through its three hot paths — task spawning, timer
 //! registration/firing, and channel handoff — with a workload of roughly
 //! 100k events, and prints the measured events/sec so `--nocapture` runs
-//! double as a quick profile. The assertions are correctness-only (the
-//! numbers land in `BENCH_PR6.json` and the criterion benches instead):
-//! a wall-clock floor here would flake on loaded CI machines.
+//! double as a quick profile (CI runs it that way, so every log shows the
+//! executor's events/sec). The assertions are correctness-only: a
+//! wall-clock floor here would flake on loaded CI machines.
 
 use std::time::Instant;
 
@@ -24,7 +24,7 @@ fn spawn_sleep_channel_workload(sim: &mut Sim, workers: u64, rounds: u64) {
         sim.spawn(async move {
             for r in 0..rounds {
                 // Deterministic pseudo-random spread of deadlines so the
-                // timer structure sees many distinct buckets.
+                // timer heap holds many distinct deadlines.
                 ctx.sleep(SimDuration::from_nanos(
                     (w * 2654435761 + r * 40503) % 50_000 + 1,
                 ))
