@@ -6,72 +6,39 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use ddio_core::{run_transfer, AccessPattern, LayoutPolicy, MachineConfig, Method};
 
-fn small_config(layout: LayoutPolicy) -> MachineConfig {
-    MachineConfig {
-        file_bytes: 2 * 1024 * 1024, // 2 MiB keeps Criterion iterations quick
-        layout,
-        ..MachineConfig::default()
+/// (group, layout, pattern, record size, methods) of each benchmark group:
+/// Figure 4 in miniature, Figure 3 in miniature, and a collective write
+/// with small records (the Memget-heavy DDIO path).
+#[rustfmt::skip]
+const GROUPS: [(&str, LayoutPolicy, &str, u64, &[Method]); 3] = [
+    ("figures/contiguous_rb_8k", LayoutPolicy::Contiguous, "rb", 8192,
+        &[Method::TC, Method::DDIO_SORTED]),
+    ("figures/random_rc_8k", LayoutPolicy::RandomBlocks, "rc", 8192,
+        &[Method::TC, Method::DDIO, Method::DDIO_SORTED]),
+    ("figures/contiguous_wcc_1k", LayoutPolicy::Contiguous, "wcc", 1024,
+        &[Method::TC, Method::DDIO_SORTED]),
+];
+
+fn bench_figures(c: &mut Criterion) {
+    for (name, layout, pattern, record_bytes, methods) in GROUPS {
+        let mut group = c.benchmark_group(name);
+        group.sample_size(10);
+        let config = MachineConfig {
+            file_bytes: 2 * 1024 * 1024, // 2 MiB keeps Criterion iterations quick
+            layout,
+            ..MachineConfig::default()
+        };
+        let pattern = AccessPattern::parse(pattern).unwrap();
+        for &method in methods {
+            group.bench_with_input(
+                BenchmarkId::from_parameter(method.label()),
+                &method,
+                |b, &method| b.iter(|| run_transfer(&config, method, pattern, record_bytes, 1)),
+            );
+        }
+        group.finish();
     }
 }
 
-/// Figure 4 in miniature: contiguous layout, 8 KB records, rb pattern.
-fn bench_contiguous_transfers(c: &mut Criterion) {
-    let mut group = c.benchmark_group("figures/contiguous_rb_8k");
-    group.sample_size(10);
-    for method in [Method::TC, Method::DDIO_SORTED] {
-        group.bench_with_input(
-            BenchmarkId::from_parameter(method.label()),
-            &method,
-            |b, &method| {
-                let config = small_config(LayoutPolicy::Contiguous);
-                let pattern = AccessPattern::parse("rb").unwrap();
-                b.iter(|| run_transfer(&config, method, pattern, 8192, 1));
-            },
-        );
-    }
-    group.finish();
-}
-
-/// Figure 3 in miniature: random-blocks layout, 8 KB records, rc pattern.
-fn bench_random_layout_transfers(c: &mut Criterion) {
-    let mut group = c.benchmark_group("figures/random_rc_8k");
-    group.sample_size(10);
-    for method in [Method::TC, Method::DDIO, Method::DDIO_SORTED] {
-        group.bench_with_input(
-            BenchmarkId::from_parameter(method.label()),
-            &method,
-            |b, &method| {
-                let config = small_config(LayoutPolicy::RandomBlocks);
-                let pattern = AccessPattern::parse("rc").unwrap();
-                b.iter(|| run_transfer(&config, method, pattern, 8192, 1));
-            },
-        );
-    }
-    group.finish();
-}
-
-/// A collective write with small records: the Memget-heavy DDIO path.
-fn bench_write_transfers(c: &mut Criterion) {
-    let mut group = c.benchmark_group("figures/contiguous_wcc_1k");
-    group.sample_size(10);
-    for method in [Method::TC, Method::DDIO_SORTED] {
-        group.bench_with_input(
-            BenchmarkId::from_parameter(method.label()),
-            &method,
-            |b, &method| {
-                let config = small_config(LayoutPolicy::Contiguous);
-                let pattern = AccessPattern::parse("wcc").unwrap();
-                b.iter(|| run_transfer(&config, method, pattern, 1024, 1));
-            },
-        );
-    }
-    group.finish();
-}
-
-criterion_group!(
-    benches,
-    bench_contiguous_transfers,
-    bench_random_layout_transfers,
-    bench_write_transfers
-);
+criterion_group!(benches, bench_figures);
 criterion_main!(benches);

@@ -150,8 +150,8 @@ OPTIONS (run):
                           the values; repeatable, and a cell without AXIS
                           always runs (e.g. `--where sched=fcfs,presort`,
                           `--where topology=mesh --where net=link`). Axes:
-                          pattern, method, sched, layout, topology, net,
-                          faults, redundancy, arrival, qos; replacement,
+                          pattern, method, sched, record, layout, topology,
+                          net, faults, redundancy, arrival, qos; replacement,
                           prefetch, write (cells that run a cache); and each
                           scenario's sweep axes (cps, bufs, load, ...)
 
@@ -687,6 +687,17 @@ mod tests {
                 parse_run(&args(&["sched-sweep", "--where", malformed]), smoke_env).unwrap_err();
             assert!(err.contains("expected AXIS=VALUE"), "{malformed}: {err}");
         }
+    }
+
+    #[test]
+    fn where_selects_a_record_size_of_a_pattern_sweep() {
+        let argv = args(&["fig3", "--small-records", "1", "--where", "record=8"]);
+        let cmd = parse_run(&argv, smoke_env).unwrap();
+        let cells = (cmd.scenarios[0].build)(&cmd.params);
+        let kept: Vec<&Cell> = cells.iter().filter(|c| cmd.filters[0].keeps(c)).collect();
+        // 19 patterns x {TC, DDIO, DDIO(sort)} at 8-byte records.
+        assert_eq!(kept.len(), 57);
+        assert!(kept.iter().all(|c| c.record_bytes == 8));
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //!
 //! | variable          | default | meaning                                   |
 //! |-------------------|---------|-------------------------------------------|
-//! | `DDIO_FILE_MB`    | `10`    | file size in MiB (must be ≥ 1)            |
+//! | `DDIO_FILE_MB`    | `10`    | file size in MiB (≥ 1, < 2^44)            |
 //! | `DDIO_TRIALS`     | `5`     | independent trials per data point (≥ 1)   |
 //! | `DDIO_SMALL_RECORDS` | `1`  | also run the 8-byte-record sweep (0 = skip) |
 //! | `DDIO_SEED`       | `1994`  | base random seed                          |
@@ -134,7 +134,11 @@ pub fn params_from_lookup(
     let mut p = SweepParams::default();
     let base = &mut p.base;
     if let Some(v) = parse_knob(lookup, "DDIO_FILE_MB", 1)? {
-        base.file_bytes = v << 20;
+        base.file_bytes = v.checked_mul(1 << 20).ok_or_else(|| ScaleError {
+            var: "DDIO_FILE_MB".to_owned(),
+            value: v.to_string(),
+            reason: "the file size in bytes must fit in 64 bits".to_owned(),
+        })?;
     }
     if let Some(v) = parse_knob(lookup, "DDIO_TRIALS", 1)? {
         p.trials = v as usize;
@@ -307,6 +311,16 @@ mod tests {
     fn zero_file_size_is_rejected() {
         let err = parse(&[("DDIO_FILE_MB", "0")]).unwrap_err();
         assert_eq!(err.var, "DDIO_FILE_MB");
+    }
+
+    #[test]
+    fn oversized_file_size_is_rejected() {
+        // 2^44 MiB is 2^64 bytes, one past the largest size that fits.
+        let err = parse(&[("DDIO_FILE_MB", "17592186044416")]).unwrap_err();
+        assert_eq!(err.var, "DDIO_FILE_MB");
+        assert!(err.to_string().contains("64 bits"), "{err}");
+        let p = parse(&[("DDIO_FILE_MB", "17592186044415")]).unwrap();
+        assert_eq!(p.base.file_bytes, 17592186044415 << 20);
     }
 
     #[test]

@@ -2,12 +2,14 @@
 //! new sweep — as a named, declarative entry that expands to independent
 //! simulation cells.
 //!
-//! A [`Scenario`] is (name, description, report shape, cell builder). The
-//! builder maps a set of [`SweepParams`] (base machine, trials, seed) to a
-//! flat list of [`Cell`]s; each cell is one (config, method, pattern, record
-//! size) data point with its own deterministic seed, so cells are
-//! embarrassingly parallel and [`run_scenario`] can execute them across all
-//! cores via [`pool::run_parallel`] without changing a single number.
+//! A [`Scenario`] is (name, description, report shape, cell builder), and
+//! every cell builder is one [`Grid`]: a base machine crossed with the
+//! scenario's axes (patterns, methods, record sizes, machine counts,
+//! policies), outermost axis first, ending in one seed rule. Each cell is
+//! one (config, method, pattern, record size) data point with its own
+//! deterministic seed, so cells are embarrassingly parallel and
+//! [`run_scenario`] can execute them across all cores via
+//! [`pool::run_parallel`] without changing a single number.
 //!
 //! The registry captures Table 1 and Figures 3–8 of the paper plus new
 //! scenarios (mixed read/write phases, the scheduling / cache /
@@ -21,14 +23,14 @@ pub use ddio_sim::stats::Summary;
 
 use crate::cache::{CacheConfig, PrefetchPolicy, ReplacementPolicy, WritePolicy};
 use crate::config::{
-    CacheParams, ContentionModel, FaultPolicy, LayoutPolicy, MachineConfig, Method, NetConfig,
-    RedundancyPolicy, SchedPolicy, TopologyKind,
+    ContentionModel, FaultPolicy, LayoutPolicy, MachineConfig, Method, RedundancyPolicy,
+    SchedPolicy, TopologyKind,
 };
 use crate::experiment::pool;
 use crate::experiment::{
     format_pattern_table, format_sensitivity_table, run_data_point, DataPoint,
 };
-use crate::serve::{ArrivalProcess, QosPolicy, ServeParams};
+use crate::serve::{ArrivalProcess, QosPolicy};
 
 /// The coordinate of one sweep-axis point: numeric for counts and sizes,
 /// symbolic for swept policy names (e.g. `topology=mesh` in the net sweep).
@@ -117,16 +119,17 @@ pub struct Cell {
 
 impl Cell {
     /// The cell's named coordinates, the vocabulary of `ddio-bench run
-    /// --where`: `pattern`, `method`, `sched`, `layout`, `topology`, `net`,
-    /// `faults`, `redundancy`, `arrival`, and `qos`; then `replacement`,
-    /// `prefetch`, and `write` when the method runs a cache; then every
-    /// explicit sweep axis not already named.
+    /// --where`: `pattern`, `method`, `sched`, `record`, `layout`,
+    /// `topology`, `net`, `faults`, `redundancy`, `arrival`, and `qos`; then
+    /// `replacement`, `prefetch`, and `write` when the method runs a cache;
+    /// then every explicit sweep axis not already named.
     pub fn coordinates(&self) -> Vec<(&'static str, String)> {
         let c = &self.config;
         let mut coords = vec![
             ("pattern", self.pattern.name()),
             ("method", self.method.label()),
             ("sched", self.method.sched().name().to_owned()),
+            ("record", self.record_bytes.to_string()),
             ("layout", c.layout.short_name().to_owned()),
             ("topology", c.fabric.topology.name().to_owned()),
             ("net", c.fabric.contention.name().to_owned()),
@@ -497,187 +500,207 @@ pub fn find(name: &str) -> Option<Scenario> {
     registry().into_iter().find(|s| s.name == name)
 }
 
-/// The record sizes a pattern sweep runs at this scale: the paper's 8 KB
-/// half always, the 8-byte half when `small_records` is set.
-fn pattern_record_sizes(params: &SweepParams) -> Vec<u64> {
-    if params.small_records {
-        vec![8192, 8]
-    } else {
-        vec![8192]
-    }
-}
+/// A scenario's cells as a cross product of axes.
+///
+/// A grid starts from one cell — the scenario's base machine, pattern `rb`,
+/// 8 KB records, TC — and each [`cross`](Grid::cross) multiplies every cell
+/// by one axis, outermost first, so the cells come out in nested-loop
+/// order. A grid ends by choosing its seed rule: [`run_seed`](Grid::run_seed)
+/// (the paper exhibits, whose cells all share the run seed) or
+/// [`derived_seeds`](Grid::derived_seeds).
+#[derive(Debug)]
+pub struct Grid(Vec<Cell>);
 
-/// Figures 3 and 4 share this grid: every paper pattern × `methods` at each
-/// record size, on one layout. Cell seeds equal the run seed, exactly as the
-/// pre-registry figure binaries behaved, so the numbers are unchanged.
-fn pattern_sweep_cells(
-    scenario: &'static str,
-    params: &SweepParams,
-    layout: LayoutPolicy,
-    methods: &[Method],
-) -> Vec<Cell> {
-    let config = MachineConfig {
-        layout,
-        ..params.base.clone()
-    };
-    let mut cells = Vec::new();
-    for record_bytes in pattern_record_sizes(params) {
-        for pattern in AccessPattern::paper_all_patterns() {
-            for &method in methods {
-                cells.push(Cell {
-                    scenario,
-                    config: config.clone(),
-                    method,
-                    pattern,
-                    record_bytes,
-                    axes: Vec::new(),
-                    seed: params.seed,
-                });
+impl Grid {
+    /// One cell of `scenario` on `params.base` after `edit`, seeded with
+    /// the run seed.
+    pub fn new(
+        scenario: &'static str,
+        params: &SweepParams,
+        edit: impl FnOnce(&mut MachineConfig),
+    ) -> Grid {
+        let mut config = params.base.clone();
+        edit(&mut config);
+        Grid(vec![Cell {
+            scenario,
+            config,
+            method: Method::TC,
+            pattern: known_pattern("rb"),
+            record_bytes: 8192,
+            axes: Vec::new(),
+            seed: params.seed,
+        }])
+    }
+
+    /// Multiplies every cell by `values`: each cell becomes one copy per
+    /// value, in order, with `set` applying the value (and pushing any
+    /// [`Axis`] it names).
+    pub fn cross<V: Copy>(
+        self,
+        values: impl IntoIterator<Item = V>,
+        set: impl Fn(&mut Cell, V),
+    ) -> Grid {
+        let values: Vec<V> = values.into_iter().collect();
+        let mut cells = Vec::with_capacity(self.0.len() * values.len());
+        for cell in &self.0 {
+            for &value in &values {
+                let mut cell = cell.clone();
+                set(&mut cell, value);
+                cells.push(cell);
             }
         }
+        Grid(cells)
     }
-    cells
+
+    /// Crosses with an access-pattern axis.
+    pub fn patterns(self, patterns: impl IntoIterator<Item = AccessPattern>) -> Grid {
+        self.cross(patterns, |c, pattern| c.pattern = pattern)
+    }
+
+    /// Crosses with a file-system-method axis.
+    pub fn methods(self, methods: impl IntoIterator<Item = Method>) -> Grid {
+        self.cross(methods, |c, method| c.method = method)
+    }
+
+    /// The cells, every one seeded with the run seed.
+    pub fn run_seed(self) -> Vec<Cell> {
+        self.0
+    }
+
+    /// The cells, each seeded by [`derive_seed`] from the run seed and its
+    /// identity: the tags are the scenario, the pattern name when the grid
+    /// varies the pattern, the method label, then each symbolic axis value
+    /// in order; the values are each numeric axis value in order.
+    pub fn derived_seeds(mut self) -> Vec<Cell> {
+        let varies_pattern = self.0.windows(2).any(|w| w[0].pattern != w[1].pattern);
+        for cell in &mut self.0 {
+            let pattern = cell.pattern.name();
+            let method = cell.method.label();
+            let mut tags = vec![cell.scenario];
+            if varies_pattern {
+                tags.push(&pattern);
+            }
+            tags.push(&method);
+            let mut values = Vec::new();
+            for axis in &cell.axes {
+                match axis.value {
+                    AxisValue::Name(name) => tags.push(name),
+                    AxisValue::Num(v) => values.push(v),
+                }
+            }
+            cell.seed = derive_seed(cell.seed, &tags, &values);
+        }
+        self.0
+    }
 }
 
+/// A pattern the registry names by its paper name.
+fn known_pattern(name: &str) -> AccessPattern {
+    AccessPattern::parse(name).expect("known pattern")
+}
+
+/// Figures 3 and 4: every paper pattern × the figure's methods at each
+/// record size (the 8-byte half only with `small_records`), on one layout.
 fn build_fig3(params: &SweepParams) -> Vec<Cell> {
-    pattern_sweep_cells(
-        "fig3",
-        params,
-        LayoutPolicy::RandomBlocks,
-        &[Method::TC, Method::DDIO, Method::DDIO_SORTED],
-    )
+    let records: &[u64] = if params.small_records {
+        &[8192, 8]
+    } else {
+        &[8192]
+    };
+    Grid::new("fig3", params, |c| c.layout = LayoutPolicy::RandomBlocks)
+        .cross(records.iter().copied(), |c, r| c.record_bytes = r)
+        .patterns(AccessPattern::paper_all_patterns())
+        .methods([Method::TC, Method::DDIO, Method::DDIO_SORTED])
+        .run_seed()
 }
 
 fn build_fig4(params: &SweepParams) -> Vec<Cell> {
     // Presorting is irrelevant on the contiguous layout (the block list is
     // already in physical order), so the figure has just two series.
-    pattern_sweep_cells(
-        "fig4",
-        params,
-        LayoutPolicy::Contiguous,
-        &[Method::TC, Method::DDIO_SORTED],
-    )
+    let records: &[u64] = if params.small_records {
+        &[8192, 8]
+    } else {
+        &[8192]
+    };
+    Grid::new("fig4", params, |c| c.layout = LayoutPolicy::Contiguous)
+        .cross(records.iter().copied(), |c, r| c.record_bytes = r)
+        .patterns(AccessPattern::paper_all_patterns())
+        .methods([Method::TC, Method::DDIO_SORTED])
+        .run_seed()
 }
 
-/// Figures 5–8 share this grid: the sensitivity patterns × both methods at
-/// 8 KB records, one cell per swept value. `prepare` shapes the base machine
-/// (layout and any fixed counts) and `mutate` applies the swept value — the
-/// whole per-figure difference, so the four builders below are one-liners
-/// instead of four copies of the config-cloning scaffolding.
-fn sensitivity_cells(
-    scenario: &'static str,
-    params: &SweepParams,
-    prepare: fn(&mut MachineConfig),
-    axis: &'static str,
-    values: &[usize],
-    mutate: fn(&mut MachineConfig, usize),
-) -> Vec<Cell> {
-    let methods = [Method::TC, Method::DDIO_SORTED];
-    let mut base = params.base.clone();
-    prepare(&mut base);
-    let mut cells = Vec::new();
-    for &value in values {
-        let mut config = base.clone();
-        mutate(&mut config, value);
-        for pattern in AccessPattern::sensitivity_patterns() {
-            for &method in &methods {
-                cells.push(Cell {
-                    scenario,
-                    config: config.clone(),
-                    method,
-                    pattern,
-                    record_bytes: 8192,
-                    axes: vec![Axis::new(axis, value as u64)],
-                    seed: params.seed,
-                });
-            }
-        }
-    }
-    cells
-}
-
+/// Figures 5–8: one swept machine count × the sensitivity patterns × both
+/// methods at 8 KB records.
 fn build_fig5(params: &SweepParams) -> Vec<Cell> {
-    sensitivity_cells(
-        "fig5",
-        params,
-        |c| c.layout = LayoutPolicy::Contiguous,
-        "cps",
-        &[1, 2, 4, 8, 16],
-        |c, v| c.n_cps = v,
-    )
+    Grid::new("fig5", params, |c| c.layout = LayoutPolicy::Contiguous)
+        .cross([1, 2, 4, 8, 16], |c, n| {
+            c.config.n_cps = n;
+            c.axes.push(Axis::new("cps", n as u64));
+        })
+        .patterns(AccessPattern::sensitivity_patterns())
+        .methods([Method::TC, Method::DDIO_SORTED])
+        .run_seed()
 }
 
 fn build_fig6(params: &SweepParams) -> Vec<Cell> {
     // IOP counts that divide 16 disks evenly.
-    sensitivity_cells(
-        "fig6",
-        params,
-        |c| {
-            c.layout = LayoutPolicy::Contiguous;
-            c.n_disks = 16;
-        },
-        "iops",
-        &[1, 2, 4, 8, 16],
-        |c, v| c.n_iops = v,
-    )
+    Grid::new("fig6", params, |c| {
+        c.layout = LayoutPolicy::Contiguous;
+        c.n_disks = 16;
+    })
+    .cross([1, 2, 4, 8, 16], |c, n| {
+        c.config.n_iops = n;
+        c.axes.push(Axis::new("iops", n as u64));
+    })
+    .patterns(AccessPattern::sensitivity_patterns())
+    .methods([Method::TC, Method::DDIO_SORTED])
+    .run_seed()
 }
 
 fn build_fig7(params: &SweepParams) -> Vec<Cell> {
-    sensitivity_cells(
-        "fig7",
-        params,
-        |c| {
-            c.layout = LayoutPolicy::Contiguous;
-            c.n_iops = 1;
-            c.n_cps = 16;
-        },
-        "disks",
-        &[1, 2, 4, 8, 16, 32],
-        |c, v| c.n_disks = v,
-    )
+    Grid::new("fig7", params, |c| {
+        c.layout = LayoutPolicy::Contiguous;
+        c.n_iops = 1;
+        c.n_cps = 16;
+    })
+    .cross([1, 2, 4, 8, 16, 32], |c, n| {
+        c.config.n_disks = n;
+        c.axes.push(Axis::new("disks", n as u64));
+    })
+    .patterns(AccessPattern::sensitivity_patterns())
+    .methods([Method::TC, Method::DDIO_SORTED])
+    .run_seed()
 }
 
 fn build_fig8(params: &SweepParams) -> Vec<Cell> {
-    sensitivity_cells(
-        "fig8",
-        params,
-        |c| {
-            c.layout = LayoutPolicy::RandomBlocks;
-            c.n_iops = 1;
-            c.n_cps = 16;
-        },
-        "disks",
-        &[1, 2, 4, 8, 16, 32],
-        |c, v| c.n_disks = v,
-    )
+    Grid::new("fig8", params, |c| {
+        c.layout = LayoutPolicy::RandomBlocks;
+        c.n_iops = 1;
+        c.n_cps = 16;
+    })
+    .cross([1, 2, 4, 8, 16, 32], |c, n| {
+        c.config.n_disks = n;
+        c.axes.push(Axis::new("disks", n as u64));
+    })
+    .patterns(AccessPattern::sensitivity_patterns())
+    .methods([Method::TC, Method::DDIO_SORTED])
+    .run_seed()
 }
 
 /// Alternating read and write phases over the same file, as an out-of-core
 /// computation would issue them. Each phase is one collective transfer; the
 /// axis is the phase index.
 fn build_mixed_rw(params: &SweepParams) -> Vec<Cell> {
-    let phases = ["rb", "wb", "rc", "wc"];
-    let methods = [Method::TC, Method::DDIO_SORTED];
-    let mut cells = Vec::new();
-    for (i, name) in phases.iter().enumerate() {
-        let pattern = AccessPattern::parse(name).expect("known pattern");
-        for &method in &methods {
-            cells.push(Cell {
-                scenario: "mixed-rw",
-                config: params.base.clone(),
-                method,
-                pattern,
-                record_bytes: 8192,
-                axes: vec![Axis::new("phase", i as u64)],
-                seed: derive_seed(
-                    params.seed,
-                    &["mixed-rw", name, &method.label()],
-                    &[i as u64],
-                ),
-            });
-        }
-    }
-    cells
+    Grid::new("mixed-rw", params, |_| {})
+        .cross(
+            ["rb", "wb", "rc", "wc"].into_iter().enumerate(),
+            |c, (i, name)| {
+                c.pattern = known_pattern(name);
+                c.axes.push(Axis::new("phase", i as u64));
+            },
+        )
+        .methods([Method::TC, Method::DDIO_SORTED])
+        .derived_seeds()
 }
 
 /// The scheduling-policy sweep: every [`SchedPolicy`] for both file systems
@@ -689,32 +712,17 @@ fn build_mixed_rw(params: &SweepParams) -> Vec<Cell> {
 /// This is the experiment the paper's §6 gestures at: how much of DDIO's
 /// advantage survives once the disk queue itself gets smart?
 fn build_sched_sweep(params: &SweepParams) -> Vec<Cell> {
-    let config = MachineConfig {
-        layout: LayoutPolicy::RandomBlocks,
-        ddio_buffers_per_disk: 8,
-        ..params.base.clone()
-    };
-    let mut cells = Vec::new();
-    for pattern in AccessPattern::sensitivity_patterns() {
-        for sched in SchedPolicy::ALL {
-            for method in [Method::TC.with_sched(sched), Method::DiskDirected(sched)] {
-                cells.push(Cell {
-                    scenario: "sched-sweep",
-                    config: config.clone(),
-                    method,
-                    pattern,
-                    record_bytes: 8192,
-                    axes: Vec::new(),
-                    seed: derive_seed(
-                        params.seed,
-                        &["sched-sweep", &pattern.name(), &method.label()],
-                        &[],
-                    ),
-                });
-            }
-        }
-    }
-    cells
+    Grid::new("sched-sweep", params, |c| {
+        c.layout = LayoutPolicy::RandomBlocks;
+        c.ddio_buffers_per_disk = 8;
+    })
+    .patterns(AccessPattern::sensitivity_patterns())
+    .methods(
+        SchedPolicy::ALL
+            .into_iter()
+            .flat_map(|s| [Method::TC.with_sched(s), Method::DiskDirected(s)]),
+    )
+    .derived_seeds()
 }
 
 /// The TC cache compositions the cache sweep explores: the paper's default
@@ -753,54 +761,27 @@ pub fn cache_sweep_compositions() -> Vec<CacheConfig> {
 /// "could smarter caching close the gap?" question in §4/§6.
 fn build_cache_sweep(params: &SweepParams) -> Vec<Cell> {
     let mut patterns = AccessPattern::sensitivity_patterns();
-    patterns.push(AccessPattern::parse("wb").expect("known pattern"));
-    let sizes = [1usize, 8];
-    let mut cells = Vec::new();
-    for pattern in patterns {
-        // The cacheless baseline the compositions are judged against.
-        let baseline = Method::DDIO_SORTED;
-        cells.push(Cell {
-            scenario: "cache-sweep",
-            config: MachineConfig {
-                layout: LayoutPolicy::RandomBlocks,
-                ..params.base.clone()
-            },
-            method: baseline,
-            pattern,
-            record_bytes: 8192,
-            axes: Vec::new(),
-            seed: derive_seed(
-                params.seed,
-                &["cache-sweep", &pattern.name(), &baseline.label()],
-                &[],
-            ),
-        });
-        for &bufs in &sizes {
-            for comp in cache_sweep_compositions() {
-                let method = Method::TC.with_cache(comp);
-                cells.push(Cell {
-                    scenario: "cache-sweep",
-                    config: MachineConfig {
-                        layout: LayoutPolicy::RandomBlocks,
-                        cache: CacheParams {
-                            buffers_per_disk_per_cp: bufs,
-                        },
-                        ..params.base.clone()
-                    },
-                    method,
-                    pattern,
-                    record_bytes: 8192,
-                    axes: vec![Axis::new("bufs", bufs as u64)],
-                    seed: derive_seed(
-                        params.seed,
-                        &["cache-sweep", &pattern.name(), &method.label()],
-                        &[bufs as u64],
-                    ),
-                });
-            }
+    patterns.push(known_pattern("wb"));
+    let comps = cache_sweep_compositions();
+    // `None` is the cacheless baseline the compositions are judged against.
+    let points = std::iter::once(None).chain(
+        [1usize, 8]
+            .into_iter()
+            .flat_map(|bufs| comps.iter().map(move |&comp| Some((bufs, comp)))),
+    );
+    Grid::new("cache-sweep", params, |c| {
+        c.layout = LayoutPolicy::RandomBlocks
+    })
+    .patterns(patterns)
+    .cross(points, |c, point| match point {
+        None => c.method = Method::DDIO_SORTED,
+        Some((bufs, comp)) => {
+            c.config.cache.buffers_per_disk_per_cp = bufs;
+            c.method = Method::TC.with_cache(comp);
+            c.axes.push(Axis::new("bufs", bufs as u64));
         }
-    }
-    cells
+    })
+    .derived_seeds()
 }
 
 /// The interconnect fabric sweep: every topology × contention-model
@@ -812,50 +793,18 @@ fn build_cache_sweep(params: &SweepParams) -> Vec<Cell> {
 /// ideal one (crossbar), and — under the `link` model — genuine link-level
 /// contention, where overlapping minimal routes serialize.
 fn build_net_sweep(params: &SweepParams) -> Vec<Cell> {
-    let methods = [Method::TC, Method::DDIO_SORTED];
-    let base = MachineConfig {
-        layout: LayoutPolicy::Contiguous,
-        ..params.base.clone()
-    };
-    let mut cells = Vec::new();
-    for pattern in AccessPattern::sensitivity_patterns() {
-        for topology in TopologyKind::ALL {
-            for contention in ContentionModel::ALL {
-                let config = MachineConfig {
-                    fabric: NetConfig {
-                        topology,
-                        contention,
-                    },
-                    ..base.clone()
-                };
-                for &method in &methods {
-                    cells.push(Cell {
-                        scenario: "net-sweep",
-                        config: config.clone(),
-                        method,
-                        pattern,
-                        record_bytes: 8192,
-                        axes: vec![
-                            Axis::new("topology", topology.name()),
-                            Axis::new("net", contention.name()),
-                        ],
-                        seed: derive_seed(
-                            params.seed,
-                            &[
-                                "net-sweep",
-                                &pattern.name(),
-                                &method.label(),
-                                topology.name(),
-                                contention.name(),
-                            ],
-                            &[],
-                        ),
-                    });
-                }
-            }
-        }
-    }
-    cells
+    Grid::new("net-sweep", params, |c| c.layout = LayoutPolicy::Contiguous)
+        .patterns(AccessPattern::sensitivity_patterns())
+        .cross(TopologyKind::ALL, |c, topology| {
+            c.config.fabric.topology = topology;
+            c.axes.push(Axis::new("topology", topology.name()));
+        })
+        .cross(ContentionModel::ALL, |c, contention| {
+            c.config.fabric.contention = contention;
+            c.axes.push(Axis::new("net", contention.name()));
+        })
+        .methods([Method::TC, Method::DDIO_SORTED])
+        .derived_seeds()
 }
 
 /// The fault-injection sweep: degraded drives and timed fault storms, the
@@ -867,139 +816,75 @@ fn build_net_sweep(params: &SweepParams) -> Vec<Cell> {
 /// compositions. A cell that loses data reports zero throughput, so
 /// "survives the fault" is visible directly in the numbers.
 fn build_fault_sweep(params: &SweepParams) -> Vec<Cell> {
-    let methods = [Method::TC, Method::DDIO_SORTED];
-    let rb = AccessPattern::parse("rb").expect("known pattern");
-    let ra = AccessPattern::parse("ra").expect("known pattern");
-    let mut grid: Vec<(AccessPattern, &'static str, FaultPolicy, RedundancyPolicy)> = Vec::new();
-    for faults in FaultPolicy::ALL {
-        grid.push((rb, "rb", faults, RedundancyPolicy::None));
-    }
-    for redundancy in [RedundancyPolicy::Mirrored, RedundancyPolicy::Parity] {
-        for faults in [FaultPolicy::Transient, FaultPolicy::Failure] {
-            grid.push((rb, "rb", faults, redundancy));
-        }
-    }
-    grid.push((ra, "ra", FaultPolicy::None, RedundancyPolicy::None));
-    grid.push((ra, "ra", FaultPolicy::Failure, RedundancyPolicy::Mirrored));
-    grid.push((ra, "ra", FaultPolicy::Failure, RedundancyPolicy::Parity));
-    let mut cells = Vec::new();
-    for (pattern, pattern_name, faults, redundancy) in grid {
-        let config = MachineConfig {
-            faults,
-            redundancy,
-            ..params.base.clone()
-        };
-        for &method in &methods {
-            cells.push(Cell {
-                scenario: "fault-sweep",
-                config: config.clone(),
-                method,
-                pattern,
-                record_bytes: 8192,
-                axes: vec![
-                    Axis::new("faults", faults.name()),
-                    Axis::new("redundancy", redundancy.name()),
-                ],
-                seed: derive_seed(
-                    params.seed,
-                    &[
-                        "fault-sweep",
-                        pattern_name,
-                        &method.label(),
-                        faults.name(),
-                        redundancy.name(),
-                    ],
-                    &[],
-                ),
-            });
-        }
-    }
-    cells
+    use FaultPolicy::{Failure, Transient};
+    use RedundancyPolicy::{Mirrored, Parity};
+    let (rb, ra) = (known_pattern("rb"), known_pattern("ra"));
+    let bare = FaultPolicy::ALL.map(|faults| (rb, faults, RedundancyPolicy::None));
+    let redundant = [Mirrored, Parity]
+        .into_iter()
+        .flat_map(|redundancy| [Transient, Failure].map(|faults| (rb, faults, redundancy)));
+    let per_cp = [
+        (ra, FaultPolicy::None, RedundancyPolicy::None),
+        (ra, Failure, Mirrored),
+        (ra, Failure, Parity),
+    ];
+    Grid::new("fault-sweep", params, |_| {})
+        .cross(
+            bare.into_iter().chain(redundant).chain(per_cp),
+            |c, (pattern, faults, redundancy)| {
+                c.pattern = pattern;
+                c.config.faults = faults;
+                c.config.redundancy = redundancy;
+                c.axes.push(Axis::new("faults", faults.name()));
+                c.axes.push(Axis::new("redundancy", redundancy.name()));
+            },
+        )
+        .methods([Method::TC, Method::DDIO_SORTED])
+        .derived_seeds()
 }
 
 /// Offered-load ladder crossed with arrival process and QoS policy, served
 /// by each file system: where does disk-directed I/O's collective win
 /// survive many independent clients?
 fn build_serve_sweep(params: &SweepParams) -> Vec<Cell> {
-    let methods = [Method::TC, Method::DDIO_SORTED];
-    let pattern = AccessPattern::parse("rb").expect("known pattern");
-    let loads_permille = [500u64, 1000, 1500];
-    let arrivals = [ArrivalProcess::Poisson, ArrivalProcess::Bursty];
-    let mut cells = Vec::new();
-    for &method in &methods {
-        for &arrival in &arrivals {
-            for &qos in &QosPolicy::ALL {
-                for &load in &loads_permille {
-                    let config = MachineConfig {
-                        serve: ServeParams {
-                            arrival,
-                            qos,
-                            offered_load: load as f64 / 1000.0,
-                            ..params.base.serve
-                        },
-                        ..params.base.clone()
-                    };
-                    let record_bytes = config.block_bytes;
-                    cells.push(Cell {
-                        scenario: "serve-sweep",
-                        config,
-                        method,
-                        pattern,
-                        record_bytes,
-                        axes: vec![
-                            Axis::new("arrival", arrival.name()),
-                            Axis::new("qos", qos.name()),
-                            Axis::new("load", load),
-                        ],
-                        seed: derive_seed(
-                            params.seed,
-                            &["serve-sweep", &method.label(), arrival.name(), qos.name()],
-                            &[load],
-                        ),
-                    });
-                }
-            }
-        }
-    }
-    cells
+    Grid::new("serve-sweep", params, |_| {})
+        .methods([Method::TC, Method::DDIO_SORTED])
+        .cross(
+            [ArrivalProcess::Poisson, ArrivalProcess::Bursty],
+            |c, arrival| {
+                c.config.serve.arrival = arrival;
+                c.axes.push(Axis::new("arrival", arrival.name()));
+            },
+        )
+        .cross(QosPolicy::ALL, |c, qos| {
+            c.config.serve.qos = qos;
+            c.axes.push(Axis::new("qos", qos.name()));
+        })
+        .cross([500u64, 1000, 1500], |c, load_permille| {
+            c.config.serve.offered_load = load_permille as f64 / 1000.0;
+            // Each request is one block.
+            c.record_bytes = c.config.block_bytes;
+            c.axes.push(Axis::new("load", load_permille));
+        })
+        .derived_seeds()
 }
 
 /// Record size crossed with CP count for the block-distributed read, the
 /// grid the paper's Figures 3 and 5 each slice one axis of.
 fn build_record_cp_cross(params: &SweepParams) -> Vec<Cell> {
-    let records = [1024u64, 8192, 65536];
-    let cps = [4usize, 16];
-    let methods = [Method::TC, Method::DDIO_SORTED];
-    let pattern = AccessPattern::parse("rb").expect("known pattern");
-    let mut cells = Vec::new();
-    for &n_cps in &cps {
-        for &record_bytes in &records {
-            let config = MachineConfig {
-                n_cps,
-                layout: LayoutPolicy::Contiguous,
-                ..params.base.clone()
-            };
-            for &method in &methods {
-                cells.push(Cell {
-                    scenario: "record-cp-cross",
-                    config: config.clone(),
-                    method,
-                    pattern,
-                    record_bytes,
-                    axes: vec![
-                        Axis::new("cps", n_cps as u64),
-                        Axis::new("record", record_bytes),
-                    ],
-                    seed: derive_seed(
-                        params.seed,
-                        &["record-cp-cross", &method.label()],
-                        &[n_cps as u64, record_bytes],
-                    ),
-                });
-            }
-        }
-    }
-    cells
+    Grid::new("record-cp-cross", params, |c| {
+        c.layout = LayoutPolicy::Contiguous
+    })
+    .cross([4usize, 16], |c, n_cps| {
+        c.config.n_cps = n_cps;
+        c.axes.push(Axis::new("cps", n_cps as u64));
+    })
+    .cross([1024u64, 8192, 65536], |c, record_bytes| {
+        c.record_bytes = record_bytes;
+        c.axes.push(Axis::new("record", record_bytes));
+    })
+    .methods([Method::TC, Method::DDIO_SORTED])
+    .derived_seeds()
 }
 
 /// Renders a scenario's full report: heading, scale line (not for the
@@ -1194,6 +1079,7 @@ pub fn format_machine_table(config: &MachineConfig) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::NetConfig;
 
     fn tiny_params() -> SweepParams {
         SweepParams {

@@ -23,25 +23,22 @@ impl IntervalSet {
             return;
         }
         let end = start + len;
-        // Find insertion point by start offset.
+        // Find the insertion point by start offset: only the interval before
+        // it can start earlier and still reach `start`.
         let idx = self.intervals.partition_point(|&(s, _)| s < start);
-        // Check overlap with neighbours.
-        if idx > 0 && self.intervals[idx - 1].1 > start {
-            self.overlapped = true;
-        }
-        if idx < self.intervals.len() && self.intervals[idx].0 < end {
-            self.overlapped = true;
-        }
-        self.intervals.insert(idx, (start, end));
-        // Merge adjacent/overlapping intervals to keep the vector small.
-        let mut merged: Vec<(u64, u64)> = Vec::with_capacity(self.intervals.len());
-        for &(s, e) in &self.intervals {
-            match merged.last_mut() {
-                Some(last) if s <= last.1 => last.1 = last.1.max(e),
-                _ => merged.push((s, e)),
-            }
-        }
-        self.intervals = merged;
+        let before = idx.checked_sub(1).map(|i| self.intervals[i]);
+        let after = self.intervals.get(idx);
+        self.overlapped |=
+            before.is_some_and(|(_, e)| e > start) || after.is_some_and(|&(s, _)| s < end);
+        // Merge in place with every interval the new one overlaps or abuts.
+        let lo = idx - usize::from(before.is_some_and(|(_, e)| e >= start));
+        let hi = idx + self.intervals[idx..].partition_point(|&(s, _)| s <= end);
+        let touched = &self.intervals[lo..hi];
+        let merged = (
+            touched.first().map_or(start, |&(s, _)| s.min(start)),
+            touched.last().map_or(end, |&(_, e)| e.max(end)),
+        );
+        self.intervals.splice(lo..hi, [merged]);
     }
 
     /// Total bytes covered (overlaps counted once).
@@ -65,6 +62,7 @@ impl IntervalSet {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn disjoint_pieces_merge_to_full_coverage() {
@@ -96,6 +94,54 @@ mod tests {
         assert!(!s.has_overlap());
         assert!(!s.covers_exactly(30));
         assert_eq!(s.covered_bytes(), 20);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Insertions in any order, overlapping and adjacent ones included,
+        /// leave exactly the maximal runs of a byte-set reference.
+        #[test]
+        fn add_matches_a_byte_set(pieces in prop::collection::vec((0u64..96, 0u64..24), 0..24)) {
+            let mut set = IntervalSet::new();
+            let mut bytes = [false; 128];
+            let mut overlapped = false;
+            for &(start, len) in &pieces {
+                set.add(start, len);
+                for b in &mut bytes[start as usize..(start + len) as usize] {
+                    overlapped |= std::mem::replace(b, true);
+                }
+            }
+            let mut runs: Vec<(u64, u64)> = Vec::new();
+            for i in (0..bytes.len()).filter(|&i| bytes[i]).map(|i| i as u64) {
+                match runs.last_mut() {
+                    Some(run) if run.1 == i => run.1 += 1,
+                    _ => runs.push((i, i + 1)),
+                }
+            }
+            prop_assert_eq!(&set.intervals, &runs);
+            prop_assert_eq!(set.has_overlap(), overlapped);
+        }
+
+        /// A tiling of `[0, total)` inserted in any order covers it exactly.
+        #[test]
+        fn shuffled_tilings_cover_exactly(
+            pieces in prop::collection::vec((0u64..1000, 1u64..16), 1..16),
+        ) {
+            let mut total = 0;
+            let mut tiles: Vec<(u64, u64, u64)> = pieces.iter().map(|&(key, len)| {
+                total += len;
+                (key, total - len, len)
+            }).collect();
+            tiles.sort_unstable();
+            let mut set = IntervalSet::new();
+            for &(_, start, len) in &tiles {
+                set.add(start, len);
+            }
+            prop_assert!(set.covers_exactly(total));
+            set.add(total - 1, 1);
+            prop_assert!(set.has_overlap() && !set.covers_exactly(total));
+        }
     }
 
     #[test]

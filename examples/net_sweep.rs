@@ -1,16 +1,16 @@
 //! Drive the interconnect-fabric sweep programmatically: run the registered
 //! `net-sweep` scenario in parallel, then pivot its cells into one
 //! topology × contention matrix per method for the paper's headline
-//! pattern, and finish with a custom ad-hoc cell list comparing fabrics at
+//! pattern, and finish with a custom ad-hoc grid comparing fabrics at
 //! a larger CP count — the same registry machinery `ddio-bench` uses.
 //!
 //! Run with: `cargo run --release --example net_sweep`
 
 use disk_directed_io::core::experiment::scenario::{
-    find, run_cells, run_scenario, Axis, Cell, CellResult, SweepParams,
+    find, run_cells, run_scenario, Axis, CellResult, Grid, SweepParams,
 };
 use disk_directed_io::{
-    AccessPattern, ContentionModel, LayoutPolicy, MachineConfig, Method, NetConfig, TopologyKind,
+    ContentionModel, LayoutPolicy, MachineConfig, Method, NetConfig, TopologyKind,
 };
 
 fn mean_of(results: &[CellResult], pattern: &str, label: &str, fabric: NetConfig) -> Option<f64> {
@@ -67,33 +67,25 @@ fn main() {
         println!();
     }
 
-    // 3. Ad-hoc cells through the same pool: the link-contended torus vs
+    // 3. An ad-hoc grid through the same pool: the link-contended torus vs
     //    the ideal crossbar as CPs multiply, where fabric pressure grows.
-    let mut cells = Vec::new();
-    for topology in [TopologyKind::Torus, TopologyKind::Crossbar] {
-        for n_cps in [4usize, 16] {
-            cells.push(Cell {
-                scenario: "adhoc-net",
-                config: MachineConfig {
-                    n_cps,
-                    layout: LayoutPolicy::Contiguous,
-                    fabric: NetConfig {
-                        topology,
-                        contention: ContentionModel::Link,
-                    },
-                    ..params.base.clone()
-                },
-                method: Method::DDIO_SORTED,
-                pattern: AccessPattern::parse("rb").expect("known pattern"),
-                record_bytes: 8192,
-                axes: vec![
-                    Axis::new("topology", topology.name()),
-                    Axis::new("cps", n_cps as u64),
-                ],
-                seed: params.seed,
-            });
-        }
-    }
+    let cells = Grid::new("adhoc-net", &params, |c| {
+        c.layout = LayoutPolicy::Contiguous;
+        c.fabric.contention = ContentionModel::Link;
+    })
+    .cross(
+        [TopologyKind::Torus, TopologyKind::Crossbar],
+        |c, topology| {
+            c.config.fabric.topology = topology;
+            c.axes.push(Axis::new("topology", topology.name()));
+        },
+    )
+    .cross([4usize, 16], |c, n_cps| {
+        c.config.n_cps = n_cps;
+        c.axes.push(Axis::new("cps", n_cps as u64));
+    })
+    .methods([Method::DDIO_SORTED])
+    .run_seed();
     println!("Ad-hoc: DDIO(sort) on rb under link contention");
     println!(
         "{:<12}{:>6}{:>12}{:>16}",

@@ -1,11 +1,11 @@
 //! Drive the scenario registry directly: run one registered scenario in
-//! parallel and print its report, then build a custom ad-hoc cell list and
-//! run it through the same pool.
+//! parallel and print its report, then build a custom ad-hoc grid of cells
+//! and run it through the same pool.
 //!
 //! Run with: `cargo run --release --example scenario_runner`
 
 use disk_directed_io::core::experiment::scenario::{
-    find, render, run_cells, run_scenario, Axis, Cell, SweepParams,
+    find, render, run_cells, run_scenario, Axis, Grid, SweepParams,
 };
 use disk_directed_io::{AccessPattern, LayoutPolicy, MachineConfig, Method};
 
@@ -28,25 +28,21 @@ fn main() {
     print!("{}", render(&scenario, &params, &results));
     println!();
 
-    // 2. The same machinery runs ad-hoc cells: here, one custom comparison
-    //    of both layouts under the cyclic read at two record sizes.
-    let mut cells = Vec::new();
-    for layout in [LayoutPolicy::Contiguous, LayoutPolicy::RandomBlocks] {
-        for record_bytes in [4096u64, 32768] {
-            cells.push(Cell {
-                scenario: "adhoc",
-                config: MachineConfig {
-                    layout,
-                    ..params.base.clone()
-                },
-                method: Method::DDIO_SORTED,
-                pattern: AccessPattern::parse("rc").expect("known pattern"),
-                record_bytes,
-                axes: vec![Axis::new("record", record_bytes)],
-                seed: params.seed,
-            });
-        }
-    }
+    // 2. The same grid builder makes ad-hoc cells: here, one custom
+    //    comparison of both layouts under the cyclic read at two record
+    //    sizes.
+    let cells = Grid::new("adhoc", &params, |_| {})
+        .cross(
+            [LayoutPolicy::Contiguous, LayoutPolicy::RandomBlocks],
+            |c, layout| c.config.layout = layout,
+        )
+        .cross([4096u64, 32768], |c, record_bytes| {
+            c.record_bytes = record_bytes;
+            c.axes.push(Axis::new("record", record_bytes));
+        })
+        .patterns([AccessPattern::parse("rc").expect("known pattern")])
+        .methods([Method::DDIO_SORTED])
+        .run_seed();
     println!("Ad-hoc: DDIO(sort) on rc, both layouts, two record sizes");
     println!("{:<10}{:>10}{:>12}", "layout", "record", "MiB/s");
     for r in run_cells(cells, params.trials, 4) {
