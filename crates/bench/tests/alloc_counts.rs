@@ -16,7 +16,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use ddio_core::cache::{BlockCache, CacheConfig, FillReason, Lookup};
 use ddio_core::{AdmissionQueue, LatencyHistogram, QosPolicy};
-use ddio_net::{Envelope, NetConfig, Network, NetworkParams};
+use ddio_net::{ContentionModel, Envelope, NetConfig, Network, NetworkParams};
 use ddio_sim::sync::{Receiver, Resource};
 use ddio_sim::{Sim, SimDuration};
 
@@ -131,21 +131,25 @@ fn cache_hit_storm(cache: &mut BlockCache) -> u64 {
     ops
 }
 
+/// Nodes on the fabric storm's network.
+const NODES: usize = 8;
+
+/// The fabric storm's network and its nodes' inboxes.
+type Fabric = (Network<u64>, Vec<Receiver<Envelope<u64>>>);
+
+/// Builds the fabric storm's network on `sim` with the given fabric.
+fn fabric(sim: &Sim, config: NetConfig) -> Fabric {
+    Network::new(sim.context(), config, NetworkParams::default(), NODES)
+}
+
 /// Fabric storm: every node hammering node 0 (sends) while node 0 posts
 /// fire-and-forget back — both network hot paths at once. Returns executor
-/// events processed.
-fn fabric_storm(sim: &mut Sim) -> u64 {
-    const NODES: usize = 8;
+/// events processed and messages carried.
+fn fabric_storm(sim: &mut Sim, (net, inboxes): &Fabric) -> (u64, u64) {
     // Divisible by NODES - 1, so the round-robin posts land evenly and every
     // drain's expectation is exact.
     const MSGS: usize = 56;
     sim.reset();
-    let (net, mut inboxes) = Network::<u64>::new(
-        sim.context(),
-        NetConfig::DEFAULT,
-        NetworkParams::default(),
-        NODES,
-    );
     fn drain(sim: &mut Sim, rx: Receiver<Envelope<u64>>, expect: usize) {
         sim.spawn(async move {
             let mut got = 0;
@@ -156,10 +160,10 @@ fn fabric_storm(sim: &mut Sim) -> u64 {
             }
         });
     }
-    for to in (1..NODES).rev() {
-        drain(sim, inboxes.remove(to), MSGS / (NODES - 1));
+    for rx in inboxes[1..].iter().rev() {
+        drain(sim, rx.clone(), MSGS / (NODES - 1));
     }
-    drain(sim, inboxes.remove(0), (NODES - 1) * MSGS);
+    drain(sim, inboxes[0].clone(), (NODES - 1) * MSGS);
     for from in 1..NODES {
         let net = net.clone();
         sim.spawn(async move {
@@ -178,7 +182,7 @@ fn fabric_storm(sim: &mut Sim) -> u64 {
         });
     }
     sim.run();
-    sim.events_processed()
+    (sim.events_processed(), (NODES * MSGS) as u64)
 }
 
 /// Serving storm: the per-request admission path — push into the QoS queue,
@@ -240,12 +244,24 @@ fn steady_state_allocations_per_event_stay_bounded() {
     let hit_ops = cache_hit_storm(&mut cache);
     let hit_rate = (allocs() - before) as f64 / hit_ops as f64;
 
-    // --- Fabric ---
+    // --- Fabric, NI-only (the paper's) and link-level contention ---
     let mut sim = Sim::new();
-    fabric_storm(&mut sim); // warm-up: NI resources + channel buffers
+    let net = fabric(&sim, NetConfig::DEFAULT);
+    fabric_storm(&mut sim, &net); // warm-up: NI queues + channel buffers
     let before = allocs();
-    let events = fabric_storm(&mut sim);
+    let (events, messages) = fabric_storm(&mut sim, &net);
     let fabric_rate = (allocs() - before) as f64 / events as f64;
+    let fabric_per_msg = (allocs() - before) as f64 / messages as f64;
+    let mut sim = Sim::new();
+    let link = NetConfig {
+        contention: ContentionModel::Link,
+        ..NetConfig::DEFAULT
+    };
+    let net = fabric(&sim, link);
+    fabric_storm(&mut sim, &net); // warm-up: also creates the link resources
+    let before = allocs();
+    let (_, messages) = fabric_storm(&mut sim, &net);
+    let link_per_msg = (allocs() - before) as f64 / messages as f64;
 
     // --- Serving (admission queues + latency histograms) ---
     let mut queues: Vec<AdmissionQueue> = [
@@ -271,6 +287,8 @@ fn steady_state_allocations_per_event_stay_bounded() {
     println!("alloc_counts: cache_miss_storm {cache_rate:.4} allocs/op");
     println!("alloc_counts: cache_hit_storm {hit_rate:.4} allocs/op");
     println!("alloc_counts: fabric_storm {fabric_rate:.4} allocs/event");
+    println!("alloc_counts: fabric_storm {fabric_per_msg:.4} allocs/message");
+    println!("alloc_counts: fabric_storm_link {link_per_msg:.4} allocs/message");
     println!("alloc_counts: serve_storm {serve_rate:.4} allocs/op");
 
     // Steady-state bounds. The executor storm re-boxes each spawned future
@@ -279,7 +297,8 @@ fn steady_state_allocations_per_event_stay_bounded() {
     // cache hit path is allocation-free once the slab and map reach size,
     // while each miss-insert still pays one `CountdownEvent` allocation for
     // its fill (waiters must be able to clone it); the fabric pays one boxed
-    // task per fire-and-forget post plus channel wakes. Generous headroom
+    // task per fire-and-forget post plus channel wakes, and walking a
+    // link-model route adds nothing to that. Generous headroom
     // over the measured rates so only a real regression (per-event churn)
     // trips them.
     assert!(
@@ -302,6 +321,11 @@ fn steady_state_allocations_per_event_stay_bounded() {
     assert!(
         fabric_rate < 0.5,
         "fabric storm allocates {fabric_rate:.4}/event — send/post churn"
+    );
+    assert!(
+        link_per_msg <= fabric_per_msg,
+        "link-model fabric storm allocates {link_per_msg:.4}/message, more than \
+         NI-only's {fabric_per_msg:.4} — routing a message must not allocate"
     );
     assert!(
         serve_rate == 0.0,

@@ -498,8 +498,9 @@ pub struct BlockCache {
     /// Live entries (occupied slots).
     len: usize,
     /// Open-addressed block → slot map (Fibonacci hashing, linear probing,
-    /// backward-shift deletion). Power-of-two sized, pre-sized from the
-    /// capacity so steady state never rehashes.
+    /// backward-shift deletion). Power-of-two sized: it starts at
+    /// [`BlockCache::MAP_START`] cells and doubles at 75% load, so its size
+    /// follows the blocks actually cached, not the capacity.
     map: Vec<MapCell>,
     /// `64 - log2(map.len())`: the Fibonacci-hash shift.
     map_shift: u32,
@@ -519,6 +520,9 @@ pub struct BlockCache {
 }
 
 impl BlockCache {
+    /// Cells in a new cache's block map (a power of two).
+    const MAP_START: usize = 8;
+
     /// Creates a cache holding at most `capacity` blocks (soft limit; see
     /// [`CacheStats::overflows`]) under the paper's default policies.
     ///
@@ -536,17 +540,18 @@ impl BlockCache {
     /// Panics if `capacity` is zero.
     pub fn with_config(capacity: usize, config: CacheConfig) -> Self {
         assert!(capacity > 0, "cache capacity must be non-zero");
-        // Pre-size for the capacity plus the occasional pinned overflow; the
-        // map stays under ~50% load at capacity.
-        let map_size = (capacity * 2).next_power_of_two().max(8);
+        // Start small and grow on demand: the paper's capacity scales with
+        // the machine (2 buffers per disk per CP), but a transfer caches at
+        // most the file's blocks, so sizing from the capacity would zero
+        // memory that a large machine never touches.
         BlockCache {
             capacity,
             config,
-            slots: Vec::with_capacity(capacity + 1),
+            slots: Vec::new(),
             free: Vec::new(),
             len: 0,
-            map: vec![EMPTY_CELL; map_size],
-            map_shift: 64 - map_size.trailing_zeros(),
+            map: vec![EMPTY_CELL; Self::MAP_START],
+            map_shift: 64 - Self::MAP_START.trailing_zeros(),
             map_len: 0,
             lru_head: NIL,
             lru_tail: NIL,
@@ -1166,6 +1171,71 @@ mod tests {
             assert_eq!(c.len(), 2, "cache allowed a temporary overflow");
             assert_eq!(c.stats().overflows, 1);
         }
+    }
+
+    #[test]
+    fn block_map_starts_small_and_grows_with_the_blocks_cached() {
+        use std::collections::HashMap;
+
+        // A machine-sized capacity costs nothing up front.
+        let c = BlockCache::with_config(1 << 20, CacheConfig::DEFAULT);
+        assert_eq!(c.map.len(), BlockCache::MAP_START);
+        assert_eq!(c.slots.capacity(), 0);
+
+        // Every resident block, with the handle its insert returned.
+        fn agrees(c: &BlockCache, model: &HashMap<u64, EntryId>) {
+            assert_eq!(c.len(), model.len());
+            for block in 0..4096 {
+                assert_eq!(
+                    c.contains(block),
+                    model.contains_key(&block),
+                    "block {block}"
+                );
+            }
+            for &id in model.values() {
+                c.fill_event(id); // panics on a stale handle
+            }
+        }
+        let mut c = BlockCache::new(48);
+        let mut model = HashMap::new();
+        // Fill past capacity with entries still filling (pinned), so every
+        // insert past the 48th overflows and the map must grow.
+        let blocks: Vec<u64> = (0..300).map(|i| i * 37 % 4001).collect();
+        for &block in &blocks {
+            let (id, evicted) = c.insert_filling(block, FillReason::Demand);
+            assert!(evicted.is_none(), "evicted a pinned block");
+            model.insert(block, id);
+        }
+        assert_eq!(c.stats().overflows, 300 - 48);
+        assert!(c.map.len() >= 512, "300 blocks in {} cells", c.map.len());
+        agrees(&c, &model);
+        // Drain, exercising backward-shift deletion from a crowded map.
+        for (i, &block) in blocks.iter().enumerate() {
+            c.mark_present(block);
+            c.unpin(block);
+            c.remove(block);
+            model.remove(&block);
+            if i % 50 == 0 {
+                agrees(&c, &model);
+            }
+        }
+        assert!(c.is_empty());
+        // Refill with other blocks, now evicting at capacity.
+        for block in (1..400).map(|i| i * 11 % 4093) {
+            let (id, evicted) = c.insert_filling(block, FillReason::Demand);
+            c.mark_present(block);
+            c.unpin(block);
+            if let Some(e) = evicted {
+                assert!(
+                    model.remove(&e.block).is_some(),
+                    "evicted uncached {}",
+                    e.block
+                );
+            }
+            model.insert(block, id);
+        }
+        assert_eq!(c.len(), 48);
+        agrees(&c, &model);
     }
 
     #[test]

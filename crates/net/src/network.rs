@@ -314,10 +314,13 @@ impl<M: 'static> Network<M> {
                 // message's serialization time, so overlapping routes
                 // serialize on their shared links.
                 let occupancy = s.params.link_occupancy(bytes);
-                for link in s.topology.route(from, to) {
+                let mut at = from;
+                while at != to {
+                    let next = s.topology.next_hop(at, to);
                     s.ctx.sleep(s.params.router_latency).await;
-                    let resource = self.link_resource(link);
+                    let resource = self.link_resource((at, next));
                     resource.use_for(occupancy).await;
+                    at = next;
                 }
             }
         }

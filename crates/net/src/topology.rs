@@ -6,7 +6,7 @@
 //! router positions are unused. Following the disk-scheduling and IOP-cache
 //! precedents, the topology is a policy: a [`TopologyKind`] names it, a
 //! [`Topology`] object answers placement ([`Topology::size`]), distance
-//! ([`Topology::hops`]) and routing ([`Topology::route`]) questions, and the
+//! ([`Topology::hops`]) and routing ([`Topology::next_hop`]) questions, and the
 //! [`Network`](crate::Network) consults it for every message. The torus
 //! remains the bit-identical default; `mesh` removes the wraparound links,
 //! `hypercube` rewires the same nodes with logarithmic diameter, and
@@ -55,14 +55,32 @@ pub trait Topology {
     /// Panics if either node is outside the topology.
     fn hops(&self, a: NodeId, b: NodeId) -> usize;
 
-    /// The directed links of one minimal route from `a` to `b`, in traversal
-    /// order (empty when `a == b`). The route is deterministic and its length
-    /// equals [`Topology::hops`].
+    /// The node one step from `at` along the minimal route to `dst`
+    /// (`at != dst`). Following it from `a` until `dst` crosses exactly
+    /// [`Topology::hops`]`(a, dst)` links, and the same `(at, dst)` always
+    /// gives the same step.
     ///
     /// # Panics
     ///
     /// Panics if either node is outside the topology.
-    fn route(&self, a: NodeId, b: NodeId) -> Vec<Link>;
+    fn next_hop(&self, at: NodeId, dst: NodeId) -> NodeId;
+
+    /// The directed links of one minimal route from `a` to `b`, in traversal
+    /// order (empty when `a == b`): the [`Topology::next_hop`] steps, listed.
+    ///
+    /// # Panics
+    ///
+    /// Panics if either node is outside the topology.
+    fn route(&self, a: NodeId, b: NodeId) -> Vec<Link> {
+        let mut links = Vec::with_capacity(self.hops(a, b));
+        let mut at = a;
+        while at != b {
+            let next = self.next_hop(at, b);
+            links.push((at, next));
+            at = next;
+        }
+        links
+    }
 
     /// The largest hop count between any two nodes (the network diameter).
     fn diameter(&self) -> usize;
@@ -212,23 +230,16 @@ impl Topology for Torus {
         Self::ring_distance(ax, bx, self.width) + Self::ring_distance(ay, by, self.height)
     }
 
-    fn route(&self, a: NodeId, b: NodeId) -> Vec<Link> {
-        let (mut x, mut y) = self.coords(a);
-        let (bx, by) = self.coords(b);
-        let mut links = Vec::with_capacity(self.hops(a, b));
+    fn next_hop(&self, at: NodeId, dst: NodeId) -> NodeId {
+        let (x, y) = self.coords(at);
+        let (bx, by) = self.coords(dst);
         // Dimension-order (X then Y) wormhole routing, each axis taking the
         // shorter way around its ring.
-        while x != bx {
-            let nx = Self::ring_step(x, bx, self.width);
-            links.push((self.node_at(x, y), self.node_at(nx, y)));
-            x = nx;
+        if x != bx {
+            self.node_at(Self::ring_step(x, bx, self.width), y)
+        } else {
+            self.node_at(x, Self::ring_step(y, by, self.height))
         }
-        while y != by {
-            let ny = Self::ring_step(y, by, self.height);
-            links.push((self.node_at(x, y), self.node_at(x, ny)));
-            y = ny;
-        }
-        links
     }
 
     fn diameter(&self) -> usize {
@@ -284,22 +295,16 @@ impl Topology for Mesh {
         ax.abs_diff(bx) + ay.abs_diff(by)
     }
 
-    fn route(&self, a: NodeId, b: NodeId) -> Vec<Link> {
-        let (mut x, mut y) = self.coords(a);
-        let (bx, by) = self.coords(b);
-        let mut links = Vec::with_capacity(self.hops(a, b));
+    fn next_hop(&self, at: NodeId, dst: NodeId) -> NodeId {
+        let (x, y) = self.coords(at);
+        let (bx, by) = self.coords(dst);
+        let step = |from: usize, to: usize| if to > from { from + 1 } else { from - 1 };
         // Dimension-order (X then Y) routing along the Manhattan path.
-        while x != bx {
-            let nx = if bx > x { x + 1 } else { x - 1 };
-            links.push((self.node_at(x, y), self.node_at(nx, y)));
-            x = nx;
+        if x != bx {
+            self.node_at(step(x, bx), y)
+        } else {
+            self.node_at(x, step(y, by))
         }
-        while y != by {
-            let ny = if by > y { y + 1 } else { y - 1 };
-            links.push((self.node_at(x, y), self.node_at(x, ny)));
-            y = ny;
-        }
-        links
     }
 
     fn diameter(&self) -> usize {
@@ -359,20 +364,12 @@ impl Topology for Hypercube {
         (a ^ b).count_ones() as usize
     }
 
-    fn route(&self, a: NodeId, b: NodeId) -> Vec<Link> {
-        self.check(a);
-        self.check(b);
-        let mut links = Vec::with_capacity(self.hops(a, b));
-        let mut at = a;
-        for bit in 0..self.dims {
-            let mask = 1usize << bit;
-            if (at ^ b) & mask != 0 {
-                let next = at ^ mask;
-                links.push((at, next));
-                at = next;
-            }
-        }
-        links
+    fn next_hop(&self, at: NodeId, dst: NodeId) -> NodeId {
+        self.check(at);
+        self.check(dst);
+        // Fix the lowest differing address bit first (e-cube routing).
+        let diff = at ^ dst;
+        at ^ (diff & diff.wrapping_neg())
     }
 
     fn diameter(&self) -> usize {
@@ -424,14 +421,10 @@ impl Topology for Crossbar {
         usize::from(a != b)
     }
 
-    fn route(&self, a: NodeId, b: NodeId) -> Vec<Link> {
-        self.check(a);
-        self.check(b);
-        if a == b {
-            Vec::new()
-        } else {
-            vec![(a, b)]
-        }
+    fn next_hop(&self, at: NodeId, dst: NodeId) -> NodeId {
+        self.check(at);
+        self.check(dst);
+        dst
     }
 
     fn diameter(&self) -> usize {
@@ -507,6 +500,26 @@ mod tests {
                             assert_eq!(pair[0].1, pair[1].0, "route breaks at {pair:?}");
                         }
                     }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn grid_routes_finish_the_x_axis_before_the_y_axis() {
+        for (kind, width) in [(TopologyKind::Torus, 6), (TopologyKind::Mesh, 6)] {
+            let topo = kind.build(36);
+            for a in 0..topo.size() {
+                for b in 0..topo.size() {
+                    let rows: Vec<bool> = topo
+                        .route(a, b)
+                        .iter()
+                        .map(|&(from, to)| from / width != to / width)
+                        .collect();
+                    assert!(
+                        rows.windows(2).all(|w| w[0] <= w[1]),
+                        "{kind} {a}->{b} moves along X after Y"
+                    );
                 }
             }
         }

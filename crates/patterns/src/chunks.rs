@@ -35,6 +35,9 @@ impl PatternInstance {
     /// The chunks destined for CP `cp`, in file order.
     ///
     /// For the ALL pattern this is a single chunk covering the whole file.
+    /// Otherwise the cost is O(records `cp` owns): the walk visits only that
+    /// CP's records, never the rest of the file, so listing every CP's
+    /// chunks costs one pass over the file however many CPs there are.
     pub fn chunks_for_cp(&self, cp: usize) -> Vec<Chunk> {
         assert!(cp < self.n_cps(), "CP {cp} out of range");
         if self.is_all() {
@@ -48,11 +51,7 @@ impl PatternInstance {
         let rs = self.record_bytes();
         let mut chunks = Vec::new();
         let mut current: Option<Chunk> = None;
-        for r in 0..self.n_records() {
-            let (owner, local) = self.owner_of(r);
-            if owner != cp {
-                continue;
-            }
+        for (r, local) in self.owned_records(cp) {
             let file_offset = r * rs;
             let mem_offset = local * rs;
             match current.as_mut() {

@@ -97,6 +97,27 @@ impl Dist {
             }
         }
     }
+
+    /// The elements of a dimension of extent `n` that processor `owner` (of
+    /// `p`) receives, as `(index, local_index)` pairs in index order: the
+    /// elements [`Dist::map`] sends to `owner`, listed without visiting the
+    /// others. Yields [`Dist::count`] pairs for every `owner < p`.
+    pub fn owned(self, n: u64, p: usize, owner: usize) -> impl Iterator<Item = (u64, u64)> {
+        assert!(p > 0, "cannot distribute over zero processors");
+        // Every distribution hands an owner an arithmetic progression of
+        // indices, and its local indices count along that progression.
+        let (start, end, step) = match self {
+            Dist::None if owner == 0 => (0, n, 1),
+            Dist::None => (n, n, 1),
+            Dist::Block => {
+                let b = n.div_ceil(p as u64);
+                let start = (owner as u64 * b).min(n);
+                (start, (start + b).min(n), 1)
+            }
+            Dist::Cyclic => ((owner as u64).min(n), n, p),
+        };
+        (start..end).step_by(step).zip(0..)
+    }
 }
 
 /// Chooses the processor-grid shape `(rows, cols)` for a 2-D distribution
@@ -205,6 +226,25 @@ mod tests {
                         if counted[owner] > 0 {
                             assert_eq!(max_local[owner], Some(counted[owner] - 1));
                         }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn owned_lists_exactly_what_map_sends_to_the_owner() {
+        for dist in [Dist::None, Dist::Block, Dist::Cyclic] {
+            for n in 1u64..=20 {
+                for p in 1usize..=7 {
+                    for owner in 0..p {
+                        let owned: Vec<(u64, u64)> = dist.owned(n, p, owner).collect();
+                        let scanned: Vec<(u64, u64)> = (0..n)
+                            .filter(|&i| dist.map(i, n, p).0 == owner)
+                            .map(|i| (i, dist.map(i, n, p).1))
+                            .collect();
+                        assert_eq!(owned, scanned, "dist={dist:?} n={n} p={p} owner={owner}");
+                        assert_eq!(owned.len() as u64, dist.count(n, p, owner));
                     }
                 }
             }

@@ -332,6 +332,37 @@ impl PatternInstance {
         }
     }
 
+    /// The records CP `cp` owns, as `(record, local index)` pairs in file
+    /// order: exactly the records [`PatternInstance::owner_of`] maps to `cp`,
+    /// found by arithmetic instead of a scan. A 2-D pattern yields the CP's
+    /// owned rows × owned columns, row-major; a 1-D pattern is the same walk
+    /// over a one-row matrix on a one-row processor grid.
+    ///
+    /// # Panics
+    ///
+    /// Panics for the ALL distribution, like [`PatternInstance::owner_of`].
+    pub(crate) fn owned_records(&self, cp: usize) -> impl Iterator<Item = (u64, u64)> {
+        let (rows, cols, nr, nc) = match self.pattern.distribution {
+            Distribution::All => {
+                panic!("owned_records is not single-valued for the ALL distribution")
+            }
+            Distribution::OneDim(d) => (Dist::None, d, 1, self.n_records()),
+            Distribution::TwoDim { rows, cols } => {
+                let ArrayShape::TwoDim { rows: nr, cols: nc } = self.shape else {
+                    panic!("2-D distribution bound to a 1-D shape");
+                };
+                (rows, cols, nr, nc)
+            }
+        };
+        let (pr, pc) = self.grid;
+        let (owner_r, owner_c) = (cp / pc, cp % pc);
+        let local_width = cols.count(nc, pc, owner_c);
+        rows.owned(nr, pr, owner_r).flat_map(move |(r, local_r)| {
+            cols.owned(nc, pc, owner_c)
+                .map(move |(c, local_c)| (r * nc + c, local_r * local_width + local_c))
+        })
+    }
+
     /// Number of records CP `cp` holds in its memory.
     pub fn cp_record_count(&self, cp: usize) -> u64 {
         assert!(cp < self.n_cps, "CP {cp} out of range");

@@ -1,10 +1,11 @@
 //! Property-based tests of the access-pattern machinery: for any pattern,
-//! machine size, and record size, the chunks partition the file and the
-//! per-block pieces agree with the per-CP chunks.
+//! machine size, and record size, the chunks partition the file, the
+//! per-block pieces agree with the per-CP chunks, and the owned-record walk
+//! of `chunks_for_cp` gives the same chunks as a scan of every record.
 
 use proptest::prelude::*;
 
-use ddio_patterns::{AccessPattern, PatternInstance};
+use ddio_patterns::{AccessPattern, ArrayShape, Chunk, PatternInstance};
 
 fn arb_pattern() -> impl Strategy<Value = AccessPattern> {
     prop::sample::select(AccessPattern::paper_all_patterns())
@@ -165,6 +166,113 @@ proptest! {
             _ => {
                 prop_assert_eq!(r * c, p, "grid must cover all processors");
                 prop_assert!(r <= c, "rows exceed cols: {}x{}", r, c);
+            }
+        }
+    }
+}
+
+/// The reference `chunks_for_cp`: scan every record of the file, ask
+/// `owner_of` who holds it, and merge each CP's records into chunks with
+/// the same rule the owned-record walk uses. One pass serves every CP.
+fn full_scan_chunks(inst: &PatternInstance) -> Vec<Vec<Chunk>> {
+    if inst.is_all() {
+        return (0..inst.n_cps())
+            .map(|cp| {
+                vec![Chunk {
+                    cp,
+                    file_offset: 0,
+                    bytes: inst.file_bytes(),
+                    mem_offset: 0,
+                }]
+            })
+            .collect();
+    }
+    let rs = inst.record_bytes();
+    let mut chunks: Vec<Vec<Chunk>> = vec![Vec::new(); inst.n_cps()];
+    for r in 0..inst.n_records() {
+        let (cp, local) = inst.owner_of(r);
+        let file_offset = r * rs;
+        let mem_offset = local * rs;
+        match chunks[cp].last_mut() {
+            Some(c) if c.file_end() == file_offset && c.mem_offset + c.bytes == mem_offset => {
+                c.bytes += rs;
+            }
+            _ => chunks[cp].push(Chunk {
+                cp,
+                file_offset,
+                bytes: rs,
+                mem_offset,
+            }),
+        }
+    }
+    chunks
+}
+
+/// Asserts that every CP's `chunks_for_cp` equals the full-scan reference.
+fn assert_walk_matches_scan(inst: &PatternInstance) {
+    let reference = full_scan_chunks(inst);
+    for (cp, expected) in reference.iter().enumerate() {
+        assert_eq!(
+            &inst.chunks_for_cp(cp),
+            expected,
+            "{} over {} CPs, shape {:?}, CP {cp}",
+            inst.pattern().name(),
+            inst.n_cps(),
+            inst.shape()
+        );
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// For every paper pattern, the owned-record walk gives each CP exactly
+    /// the chunks a scan of the whole file would, on the default shape.
+    #[test]
+    fn chunk_walk_matches_full_scan(
+        n_cps in 1usize..=1024,
+        n_records in 1u64..=6000,
+        record_bytes in prop::sample::select(vec![8u64, 24, 512, 8192]),
+    ) {
+        for pattern in AccessPattern::paper_all_patterns() {
+            assert_walk_matches_scan(&PatternInstance::new(pattern, n_cps, n_records, record_bytes));
+        }
+    }
+
+    /// The same on explicit matrix shapes, whose row and column counts the
+    /// processor grid usually does not divide (and may be smaller than).
+    #[test]
+    fn chunk_walk_matches_full_scan_on_ragged_matrices(
+        n_cps in 1usize..=1024,
+        rows in 1u64..=80,
+        cols in 1u64..=80,
+    ) {
+        for pattern in AccessPattern::paper_all_patterns() {
+            if pattern.is_two_dim() {
+                let shape = ArrayShape::TwoDim { rows, cols };
+                assert_walk_matches_scan(&PatternInstance::with_shape(pattern, n_cps, 8, shape));
+            }
+        }
+    }
+}
+
+#[test]
+fn chunk_walk_matches_full_scan_when_the_grid_does_not_divide_the_matrix() {
+    // (CPs, rows, cols). Where both dimensions are distributed, 6 CPs form a
+    // 2x3 grid over 7x10; 12 CPs a 3x4 grid over 5x5; 16 CPs a 4x4 grid over
+    // only 3 rows; 30 CPs a 5x6 grid over 11x13; and 7 CPs (prime) a 1x7 grid
+    // over 9x4, leaving CPs without columns.
+    for (n_cps, rows, cols) in [
+        (6, 7, 10),
+        (12, 5, 5),
+        (16, 3, 100),
+        (30, 11, 13),
+        (7, 9, 4),
+    ] {
+        for pattern in AccessPattern::paper_all_patterns() {
+            if pattern.is_two_dim() {
+                let shape = ArrayShape::TwoDim { rows, cols };
+                assert_walk_matches_scan(&PatternInstance::with_shape(pattern, n_cps, 64, shape));
             }
         }
     }
