@@ -19,7 +19,7 @@ fn bench_miss_stream(c: &mut Criterion) {
                 let mut cache = BlockCache::with_config(32, config);
                 for block in 0..1000u64 {
                     if let Lookup::Miss = cache.lookup(block) {
-                        let (_e, _evicted) = cache.insert_filling(block, FillReason::Demand);
+                        cache.insert_filling(block, FillReason::Demand);
                         cache.mark_present(block);
                     }
                     cache.unpin(block);
@@ -41,7 +41,7 @@ fn bench_hit_stream(c: &mut Criterion) {
             b.iter(|| {
                 let mut cache = BlockCache::with_config(32, config);
                 for block in 0..32u64 {
-                    let (_e, _) = cache.insert_filling(block, FillReason::Demand);
+                    cache.insert_filling(block, FillReason::Demand);
                     cache.mark_present(block);
                     cache.unpin(block);
                 }
@@ -64,7 +64,7 @@ fn bench_write_stream(c: &mut Criterion) {
             let mut cache = BlockCache::new(32);
             for block in 0..500u64 {
                 if let Lookup::Miss = cache.lookup(block) {
-                    let (_e, _) = cache.insert_filling(block, FillReason::WriteAllocate);
+                    cache.insert_filling(block, FillReason::WriteAllocate);
                     cache.mark_present(block);
                 }
                 cache.record_write(block, 8192);

@@ -14,7 +14,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use ddio_core::cache::{BlockCache, CacheConfig, FillReason, Lookup};
+use ddio_core::cache::{BlockCache, CacheConfig, FillReason, Lookup, ReplacementPolicy};
 use ddio_core::{AdmissionQueue, LatencyHistogram, QosPolicy};
 use ddio_net::{ContentionModel, Envelope, NetConfig, Network, NetworkParams};
 use ddio_sim::sync::{Receiver, Resource};
@@ -96,7 +96,7 @@ fn cache_storm(cache: &mut BlockCache) -> u64 {
             match cache.lookup(block) {
                 Lookup::Hit(_) => {}
                 Lookup::Miss => {
-                    let (_e, _evicted) = cache.insert_filling(block, FillReason::Demand);
+                    cache.insert_filling(block, FillReason::Demand);
                     cache.mark_present(block);
                 }
             }
@@ -118,7 +118,7 @@ fn cache_hit_storm(cache: &mut BlockCache) -> u64 {
             match cache.lookup(block) {
                 Lookup::Hit(_) => {}
                 Lookup::Miss => {
-                    let (_e, _evicted) = cache.insert_filling(block, FillReason::Demand);
+                    cache.insert_filling(block, FillReason::Demand);
                     cache.mark_present(block);
                 }
             }
@@ -230,12 +230,25 @@ fn steady_state_allocations_per_event_stay_bounded() {
     let spawned = resource_storm(&mut sim, &bus);
     let resource_allocs = allocs() - before;
 
-    // --- Cache, miss-heavy (evict + refill every round) ---
-    let mut cache = BlockCache::with_config(256, CacheConfig::DEFAULT);
-    cache_storm(&mut cache); // warm-up: slab + block-map growth
-    let before = allocs();
-    let ops = cache_storm(&mut cache);
-    let cache_rate = (allocs() - before) as f64 / ops as f64;
+    // --- Cache, miss-heavy (evict + refill every round), LRU and clock ---
+    // Allocations per op and per miss: the policies hit at different rates
+    // on this op mix, so only the per-miss figures compare across them.
+    let miss_storm = |config: CacheConfig| {
+        let mut cache = BlockCache::with_config(256, config);
+        cache_storm(&mut cache); // warm-up: slab + block-map growth
+        let (before, misses) = (allocs(), cache.stats().misses);
+        let ops = cache_storm(&mut cache);
+        let spent = (allocs() - before) as f64;
+        (
+            spent / ops as f64,
+            spent / (cache.stats().misses - misses) as f64,
+        )
+    };
+    let (cache_rate, lru_per_miss) = miss_storm(CacheConfig::DEFAULT);
+    let (_, clock_per_miss) = miss_storm(CacheConfig {
+        replacement: ReplacementPolicy::Clock,
+        ..CacheConfig::DEFAULT
+    });
 
     // --- Cache, pure hits (working set fits) ---
     let mut cache = BlockCache::with_config(1024, CacheConfig::DEFAULT);
@@ -285,6 +298,8 @@ fn steady_state_allocations_per_event_stay_bounded() {
     println!("alloc_counts: executor_storm {exec_rate:.4} allocs/event");
     println!("alloc_counts: resource_storm {resource_allocs} allocs for {spawned} spawned tasks");
     println!("alloc_counts: cache_miss_storm {cache_rate:.4} allocs/op");
+    println!("alloc_counts: cache_miss_storm {lru_per_miss:.4} allocs/miss");
+    println!("alloc_counts: cache_miss_storm_clock {clock_per_miss:.4} allocs/miss");
     println!("alloc_counts: cache_hit_storm {hit_rate:.4} allocs/op");
     println!("alloc_counts: fabric_storm {fabric_rate:.4} allocs/event");
     println!("alloc_counts: fabric_storm {fabric_per_msg:.4} allocs/message");
@@ -313,6 +328,11 @@ fn steady_state_allocations_per_event_stay_bounded() {
     assert!(
         cache_rate < 0.25,
         "cache miss storm allocates {cache_rate:.4}/op — more than the fill event"
+    );
+    assert!(
+        clock_per_miss <= lru_per_miss,
+        "clock cache miss storm allocates {clock_per_miss:.4}/miss, more than LRU's \
+         {lru_per_miss:.4} — a clock eviction must not allocate"
     );
     assert!(
         hit_rate == 0.0,

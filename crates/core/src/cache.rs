@@ -33,13 +33,15 @@
 //! other interested request threads wait on.
 //!
 //! Internally the cache is allocation-free on its hot paths (see DESIGN.md
-//! §10): entries live in a slab (`Vec` + free list) addressed by
-//! generation-checked [`EntryId`] handles like the executor's `TaskId`, an
-//! open-addressed block map replaces the old
-//! `HashMap<u64, Rc<RefCell<CacheEntry>>>`, and recency is an intrusive
-//! doubly-linked list threaded through the slab — the list order *is* the
-//! recency order, so LRU/MRU pick their victim by walking it instead of
-//! scanning and ranking every entry.
+//! §10) and built from three mechanisms: entries live in a slab (`Vec` +
+//! free list), std's `HashMap` maps each block to its slot, and one
+//! intrusive doubly-linked list threads the slab. Under LRU and MRU the list
+//! is in recency order, so both pick their victim by walking it from one
+//! end; under clock a hit does not move an entry, so the list stays in
+//! insertion order and the clock hand sweeps it.
+
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 use ddio_sim::sync::CountdownEvent;
 
@@ -111,8 +113,11 @@ ddio_sim::policy_enum! {
 pub enum WriteAction {
     /// Keep the data cached; nothing to flush yet.
     None,
-    /// Flush the block that was just written.
-    FlushBlock,
+    /// Flush this request's bytes of the block before replying
+    /// (write-through).
+    FlushNow,
+    /// Flush the now-full block in the background (write-behind).
+    FlushBehind,
     /// Start a sweep flushing dirty blocks until the low watermark.
     FlushDirty,
 }
@@ -141,10 +146,10 @@ impl WritePolicy {
         capacity: usize,
     ) -> WriteAction {
         match self {
-            WritePolicy::Through => WriteAction::FlushBlock,
+            WritePolicy::Through => WriteAction::FlushNow,
             WritePolicy::FlushOnFull => {
                 if written >= valid {
-                    WriteAction::FlushBlock
+                    WriteAction::FlushBehind
                 } else {
                     WriteAction::None
                 }
@@ -251,33 +256,12 @@ pub enum FillReason {
     WriteAllocate,
 }
 
-/// A generation-checked handle to a cache slot, packed like the executor's
-/// `TaskId`: slot index in the low 32 bits, slot generation in the high 32.
-/// A handle goes stale when its entry is evicted or removed; the accessors
-/// that take one panic on a stale handle (using one is a protocol bug).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct EntryId(u64);
-
-impl EntryId {
-    fn pack(index: u32, generation: u32) -> EntryId {
-        EntryId(((generation as u64) << 32) | index as u64)
-    }
-
-    fn index(self) -> usize {
-        self.0 as u32 as usize
-    }
-
-    fn generation(self) -> u32 {
-        (self.0 >> 32) as u32
-    }
-}
-
 /// Outcome of a lookup.
 pub enum Lookup {
-    /// The block is resident (or being filled); the entry is pinned for the
-    /// caller. Waiters for an in-flight fill get the event via
-    /// [`BlockCache::fill_event`].
-    Hit(EntryId),
+    /// The block is resident or being filled; the entry is pinned for the
+    /// caller. A block still being filled carries its fill latch, which the
+    /// caller waits on before using the data.
+    Hit(Option<CountdownEvent>),
     /// The block is absent; the caller should call
     /// [`BlockCache::insert_filling`] and fetch it.
     Miss,
@@ -419,14 +403,12 @@ impl Prefetcher for StridedPrefetcher {
     }
 }
 
-/// Sentinel for "no slot" in the slab's intrusive links and map cells.
+/// Sentinel for "no slot" in the intrusive list links and the clock hand.
 const NIL: u32 = u32::MAX;
 
-/// One slab slot: a cached block's bookkeeping plus the intrusive links the
-/// replacement policies thread through the slab.
+/// One slab slot: a cached block's bookkeeping plus its links in the
+/// intrusive list.
 struct Slot {
-    /// Bumped every time the slot is freed, invalidating old [`EntryId`]s.
-    generation: u32,
     /// True while the slot holds a live entry.
     occupied: bool,
     /// File block number.
@@ -446,73 +428,64 @@ struct Slot {
     /// The fill latch (a count of one) while a disk read is in flight;
     /// `None` once present.
     fill: Option<CountdownEvent>,
-    /// Intrusive recency list: previous (less recent) slot, or [`NIL`].
+    /// Intrusive list: previous (older) slot, or [`NIL`].
     prev: u32,
-    /// Intrusive recency list: next (more recent) slot, or [`NIL`].
+    /// Intrusive list: next (newer) slot, or [`NIL`].
     next: u32,
 }
 
 impl Slot {
-    fn vacant() -> Slot {
-        Slot {
-            generation: 0,
-            occupied: false,
-            block: 0,
-            written_bytes: 0,
-            pins: 0,
-            dirty: false,
-            referenced: false,
-            reason: FillReason::Demand,
-            fill: None,
-            prev: NIL,
-            next: NIL,
-        }
-    }
-
     /// Evictability under every policy: unpinned and fully fetched.
     fn evictable(&self) -> bool {
         self.pins == 0 && self.fill.is_none()
     }
 }
 
-/// One cell of the open-addressed block map; `slot == NIL` means empty.
-#[derive(Clone, Copy)]
-struct MapCell {
-    block: u64,
-    slot: u32,
-}
+/// The block map's hasher: a Fibonacci multiply of the block number, with
+/// the high half folded into the low half. std's map takes the bucket from
+/// the low bits of the hash and a tag from its top seven, and the blocks on
+/// one disk differ by `n_disks`, often a power of two: unfolded, the product
+/// of such a stride has constant low bits and would crowd a few buckets.
+/// There is no per-process random seed, so the simulator stays
+/// deterministic.
+#[derive(Default)]
+struct BlockHasher(u64);
 
-const EMPTY_CELL: MapCell = MapCell {
-    block: 0,
-    slot: NIL,
-};
+impl Hasher for BlockHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, _bytes: &[u8]) {
+        unreachable!("the block map hashes only u64 block numbers")
+    }
+
+    fn write_u64(&mut self, block: u64) {
+        let h = block.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        self.0 = h ^ (h >> 32);
+    }
+}
 
 /// The policy-composed block cache.
 pub struct BlockCache {
     capacity: usize,
     config: CacheConfig,
-    /// Entry slab; freed slots are recycled via `free` with a generation
-    /// bump, so the steady state allocates nothing per insert/evict.
+    /// Entry slab; freed slots are recycled via `free`, so the steady state
+    /// allocates nothing per insert/evict.
     slots: Vec<Slot>,
     free: Vec<u32>,
-    /// Live entries (occupied slots).
-    len: usize,
-    /// Open-addressed block → slot map (Fibonacci hashing, linear probing,
-    /// backward-shift deletion). Power-of-two sized: it starts at
-    /// [`BlockCache::MAP_START`] cells and doubles at 75% load, so its size
-    /// follows the blocks actually cached, not the capacity.
-    map: Vec<MapCell>,
-    /// `64 - log2(map.len())`: the Fibonacci-hash shift.
-    map_shift: u32,
-    map_len: usize,
-    /// Intrusive recency list: least recently touched slot.
-    lru_head: u32,
-    /// Intrusive recency list: most recently touched slot.
-    lru_tail: u32,
-    /// Clock-policy state: blocks in insertion order and the sweep hand
-    /// (empty/unused under LRU and MRU).
-    clock_ring: Vec<u64>,
-    clock_hand: usize,
+    /// Block → slot for every live entry. It allocates nothing until the
+    /// first insert and grows with the blocks actually cached, not with the
+    /// capacity.
+    map: HashMap<u64, u32, BuildHasherDefault<BlockHasher>>,
+    /// Intrusive list: the least recently touched slot (LRU/MRU), or the
+    /// oldest insert (clock).
+    head: u32,
+    /// Intrusive list: the other end.
+    tail: u32,
+    /// Clock hand: the next slot the sweep examines, [`NIL`] meaning the
+    /// list head (always `NIL` under LRU and MRU).
+    hand: u32,
     /// Number of entries currently dirty, maintained incrementally so the
     /// per-write-request [`BlockCache::dirty_count`] is O(1).
     dirty: usize,
@@ -520,9 +493,6 @@ pub struct BlockCache {
 }
 
 impl BlockCache {
-    /// Cells in a new cache's block map (a power of two).
-    const MAP_START: usize = 8;
-
     /// Creates a cache holding at most `capacity` blocks (soft limit; see
     /// [`CacheStats::overflows`]) under the paper's default policies.
     ///
@@ -540,169 +510,64 @@ impl BlockCache {
     /// Panics if `capacity` is zero.
     pub fn with_config(capacity: usize, config: CacheConfig) -> Self {
         assert!(capacity > 0, "cache capacity must be non-zero");
-        // Start small and grow on demand: the paper's capacity scales with
-        // the machine (2 buffers per disk per CP), but a transfer caches at
-        // most the file's blocks, so sizing from the capacity would zero
-        // memory that a large machine never touches.
+        // Nothing is sized from the capacity: the paper's capacity scales
+        // with the machine (2 buffers per disk per CP), but a transfer caches
+        // at most the file's blocks, so the slab and map grow on demand.
         BlockCache {
             capacity,
             config,
             slots: Vec::new(),
             free: Vec::new(),
-            len: 0,
-            map: vec![EMPTY_CELL; Self::MAP_START],
-            map_shift: 64 - Self::MAP_START.trailing_zeros(),
-            map_len: 0,
-            lru_head: NIL,
-            lru_tail: NIL,
-            clock_ring: Vec::new(),
-            clock_hand: 0,
+            map: HashMap::default(),
+            head: NIL,
+            tail: NIL,
+            hand: NIL,
             dirty: 0,
             stats: CacheStats::default(),
         }
     }
 
-    // ---- open-addressed block map ------------------------------------
-
-    fn map_home(&self, block: u64) -> usize {
-        (block.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> self.map_shift) as usize
-    }
-
-    fn map_get(&self, block: u64) -> Option<u32> {
-        let mask = self.map.len() - 1;
-        let mut i = self.map_home(block);
-        loop {
-            let cell = self.map[i];
-            if cell.slot == NIL {
-                return None;
-            }
-            if cell.block == block {
-                return Some(cell.slot);
-            }
-            i = (i + 1) & mask;
-        }
-    }
-
-    /// Inserts a `block → slot` binding; the block must not be present.
-    fn map_insert(&mut self, block: u64, slot: u32) {
-        if (self.map_len + 1) * 4 > self.map.len() * 3 {
-            self.map_grow();
-        }
-        let mask = self.map.len() - 1;
-        let mut i = self.map_home(block);
-        while self.map[i].slot != NIL {
-            i = (i + 1) & mask;
-        }
-        self.map[i] = MapCell { block, slot };
-        self.map_len += 1;
-    }
-
-    fn map_grow(&mut self) {
-        let new_size = self.map.len() * 2;
-        let old = std::mem::replace(&mut self.map, vec![EMPTY_CELL; new_size]);
-        self.map_shift = 64 - new_size.trailing_zeros();
-        let mask = new_size - 1;
-        for cell in old {
-            if cell.slot == NIL {
-                continue;
-            }
-            let mut i = self.map_home(cell.block);
-            while self.map[i].slot != NIL {
-                i = (i + 1) & mask;
-            }
-            self.map[i] = cell;
-        }
-    }
-
-    /// Removes `block`'s binding (backward-shift deletion keeps probe chains
-    /// intact without tombstones), returning its slot if it was present.
-    fn map_remove(&mut self, block: u64) -> Option<u32> {
-        let mask = self.map.len() - 1;
-        let mut i = self.map_home(block);
-        loop {
-            let cell = self.map[i];
-            if cell.slot == NIL {
-                return None;
-            }
-            if cell.block == block {
-                break;
-            }
-            i = (i + 1) & mask;
-        }
-        let removed = self.map[i].slot;
-        let mut j = i;
-        loop {
-            j = (j + 1) & mask;
-            let cell = self.map[j];
-            if cell.slot == NIL {
-                break;
-            }
-            let home = self.map_home(cell.block);
-            // `cell` may fill the hole at `i` iff its probe chain passes
-            // through `i` (its home is cyclically no later than `i`).
-            if (j.wrapping_sub(home) & mask) >= (j.wrapping_sub(i) & mask) {
-                self.map[i] = cell;
-                i = j;
-            }
-        }
-        self.map[i] = EMPTY_CELL;
-        self.map_len -= 1;
-        Some(removed)
-    }
-
-    // ---- intrusive recency list --------------------------------------
+    // ---- intrusive list ----------------------------------------------
 
     fn list_detach(&mut self, idx: u32) {
-        let (prev, next) = {
-            let s = &self.slots[idx as usize];
-            (s.prev, s.next)
-        };
+        let Slot { prev, next, .. } = self.slots[idx as usize];
         if prev == NIL {
-            self.lru_head = next;
+            self.head = next;
         } else {
             self.slots[prev as usize].next = next;
         }
         if next == NIL {
-            self.lru_tail = prev;
+            self.tail = prev;
         } else {
             self.slots[next as usize].prev = prev;
         }
     }
 
     fn list_push_tail(&mut self, idx: u32) {
-        let old_tail = self.lru_tail;
-        {
-            let s = &mut self.slots[idx as usize];
-            s.prev = old_tail;
-            s.next = NIL;
-        }
+        let old_tail = self.tail;
+        let slot = &mut self.slots[idx as usize];
+        slot.prev = old_tail;
+        slot.next = NIL;
         if old_tail == NIL {
-            self.lru_head = idx;
+            self.head = idx;
         } else {
             self.slots[old_tail as usize].next = idx;
         }
-        self.lru_tail = idx;
+        self.tail = idx;
     }
 
-    // ---- slab --------------------------------------------------------
-
-    /// Frees a slot (after its map binding and list links are gone).
-    fn slot_free(&mut self, idx: u32) {
-        let slot = &mut self.slots[idx as usize];
-        slot.occupied = false;
-        slot.generation = slot.generation.wrapping_add(1);
-        slot.fill = None;
-        self.free.push(idx);
-        self.len -= 1;
-    }
-
-    fn slot_of(&self, id: EntryId) -> &Slot {
-        let slot = &self.slots[id.index()];
-        assert!(
-            slot.occupied && slot.generation == id.generation(),
-            "stale cache handle"
-        );
-        slot
+    /// The slot of a block the caller holds; `op` names the caller in the
+    /// panic.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `block` is not cached (a protocol bug: the IOP server only
+    /// touches blocks it has pinned).
+    fn slot_mut(&mut self, block: u64, op: &str) -> &mut Slot {
+        match self.map.get(&block) {
+            Some(&idx) => &mut self.slots[idx as usize],
+            None => panic!("{op} on uncached block {block}"),
+        }
     }
 
     /// The configured capacity in blocks.
@@ -717,12 +582,12 @@ impl BlockCache {
 
     /// Number of blocks currently cached (including ones being filled).
     pub fn len(&self) -> usize {
-        self.len
+        self.map.len()
     }
 
     /// True if nothing is cached.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.map.is_empty()
     }
 
     /// Statistics so far.
@@ -745,33 +610,33 @@ impl BlockCache {
     /// Returns true if `block` is resident or being filled (without touching
     /// recency or stats) — used by the prefetcher to avoid duplicate fetches.
     pub fn contains(&self, block: u64) -> bool {
-        self.map_get(block).is_some()
+        self.map.contains_key(&block)
     }
 
     /// Looks up `block`, updating recency and hit/miss statistics. On a hit
     /// the entry is pinned; the caller must call [`BlockCache::unpin`] when
     /// done with it.
     pub fn lookup(&mut self, block: u64) -> Lookup {
-        match self.map_get(block) {
-            Some(idx) => {
-                self.stats.hits += 1;
-                let slot = &mut self.slots[idx as usize];
-                if slot.reason == FillReason::Prefetch {
-                    self.stats.prefetch_used += 1;
-                    slot.reason = FillReason::Demand;
-                }
-                slot.pins += 1;
-                slot.referenced = true;
-                let generation = slot.generation;
-                self.list_detach(idx);
-                self.list_push_tail(idx);
-                Lookup::Hit(EntryId::pack(idx, generation))
-            }
-            None => {
-                self.stats.misses += 1;
-                Lookup::Miss
-            }
+        let Some(&idx) = self.map.get(&block) else {
+            self.stats.misses += 1;
+            return Lookup::Miss;
+        };
+        self.stats.hits += 1;
+        let slot = &mut self.slots[idx as usize];
+        if slot.reason == FillReason::Prefetch {
+            self.stats.prefetch_used += 1;
+            slot.reason = FillReason::Demand;
         }
+        slot.pins += 1;
+        slot.referenced = true;
+        let fill = slot.fill.clone();
+        // Clock keeps the list in insertion order (the order its hand
+        // sweeps); LRU and MRU keep it in recency order.
+        if self.config.replacement != ReplacementPolicy::Clock {
+            self.list_detach(idx);
+            self.list_push_tail(idx);
+        }
+        Lookup::Hit(fill)
     }
 
     /// Inserts a new entry in the filling state (pinned), evicting a block
@@ -782,92 +647,86 @@ impl BlockCache {
     /// # Panics
     ///
     /// Panics if the block is already cached.
-    pub fn insert_filling(&mut self, block: u64, reason: FillReason) -> (EntryId, Option<Evicted>) {
-        assert!(
-            self.map_get(block).is_none(),
-            "block {block} already cached"
-        );
+    pub fn insert_filling(&mut self, block: u64, reason: FillReason) -> Option<Evicted> {
+        assert!(!self.contains(block), "block {block} already cached");
         let evicted = self.make_room();
         if reason == FillReason::Prefetch {
             self.stats.prefetches += 1;
         }
+        let slot = Slot {
+            occupied: true,
+            block,
+            written_bytes: 0,
+            pins: 1,
+            dirty: false,
+            referenced: false,
+            reason,
+            fill: Some(CountdownEvent::new(1)),
+            prev: NIL,
+            next: NIL,
+        };
         let idx = match self.free.pop() {
-            Some(idx) => idx,
+            Some(idx) => {
+                self.slots[idx as usize] = slot;
+                idx
+            }
             None => {
-                self.slots.push(Slot::vacant());
+                self.slots.push(slot);
                 (self.slots.len() - 1) as u32
             }
         };
-        let slot = &mut self.slots[idx as usize];
-        slot.occupied = true;
-        slot.block = block;
-        slot.written_bytes = 0;
-        slot.pins = 1;
-        slot.dirty = false;
-        slot.referenced = false;
-        slot.reason = reason;
-        slot.fill = Some(CountdownEvent::new(1));
-        let generation = slot.generation;
         self.list_push_tail(idx);
-        self.map_insert(block, idx);
-        self.len += 1;
-        if self.config.replacement == ReplacementPolicy::Clock {
-            self.clock_ring.push(block);
-        }
-        (EntryId::pack(idx, generation), evicted)
-    }
-
-    /// The fill event of an entry still being filled (`None` once present).
-    /// Waiters clone the event and block on it.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the handle is stale (its entry was evicted or removed).
-    pub fn fill_event(&self, id: EntryId) -> Option<CountdownEvent> {
-        self.slot_of(id).fill.clone()
+        self.map.insert(block, idx);
+        evicted
     }
 
     /// Marks a filling entry as resident and wakes every waiter.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `block` is not cached.
     pub fn mark_present(&mut self, block: u64) {
-        let idx = self
-            .map_get(block)
-            .unwrap_or_else(|| panic!("mark_present on uncached block {block}"));
-        if let Some(event) = self.slots[idx as usize].fill.take() {
+        if let Some(event) = self.slot_mut(block, "mark_present").fill.take() {
             event.signal();
         }
     }
 
     /// Unpins an entry previously returned by [`BlockCache::lookup`] or
     /// [`BlockCache::insert_filling`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `block` is not cached or not pinned: a pinned entry is
+    /// never evicted, so either is a protocol bug.
     pub fn unpin(&mut self, block: u64) {
-        if let Some(idx) = self.map_get(block) {
-            let slot = &mut self.slots[idx as usize];
-            assert!(slot.pins > 0, "unpin of unpinned block {block}");
-            slot.pins -= 1;
-        }
+        let slot = self.slot_mut(block, "unpin");
+        assert!(slot.pins > 0, "unpin of unpinned block {block}");
+        slot.pins -= 1;
     }
 
     /// Records `len` bytes written into `block`; returns the total distinct
     /// bytes written so far (the write policy decides what to flush when).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `block` is not cached.
     pub fn record_write(&mut self, block: u64, len: u64) -> u64 {
-        let idx = self
-            .map_get(block)
-            .unwrap_or_else(|| panic!("record_write on uncached block {block}"));
-        let slot = &mut self.slots[idx as usize];
+        let slot = self.slot_mut(block, "record_write");
         slot.written_bytes += len;
-        if !slot.dirty {
-            slot.dirty = true;
+        let written = slot.written_bytes;
+        if !std::mem::replace(&mut slot.dirty, true) {
             self.dirty += 1;
         }
-        slot.written_bytes
+        written
     }
 
     /// Marks `block` clean again after *all* of its dirty data reached the
     /// disk (full-block write-behind, the end-of-transfer sync). For a flush
     /// of a point-in-time snapshot that concurrent writes may have outrun,
-    /// use [`BlockCache::complete_flush`].
+    /// use [`BlockCache::complete_flush`]. No-op if the block is no longer
+    /// cached.
     pub fn mark_clean(&mut self, block: u64) {
-        if let Some(idx) = self.map_get(block) {
+        if let Some(&idx) = self.map.get(&block) {
             let slot = &mut self.slots[idx as usize];
             if slot.dirty {
                 self.dirty -= 1;
@@ -883,7 +742,7 @@ impl BlockCache {
     /// flush). No-op if the block was evicted mid-flight (the eviction path
     /// flushed it again itself).
     pub fn complete_flush(&mut self, block: u64, flushed: u64) {
-        if let Some(idx) = self.map_get(block) {
+        if let Some(&idx) = self.map.get(&block) {
             let slot = &mut self.slots[idx as usize];
             slot.written_bytes = slot.written_bytes.saturating_sub(flushed);
             let still_dirty = slot.written_bytes > 0;
@@ -891,21 +750,6 @@ impl BlockCache {
                 self.dirty -= 1;
             }
             slot.dirty = still_dirty;
-        }
-    }
-
-    /// Removes `block` from the cache entirely (used after write-behind of a
-    /// full block, freeing the buffer immediately).
-    pub fn remove(&mut self, block: u64) {
-        if let Some(idx) = self.map_remove(block) {
-            if self.slots[idx as usize].dirty {
-                self.dirty -= 1;
-            }
-            self.list_detach(idx);
-            self.slot_free(idx);
-            if self.config.replacement == ReplacementPolicy::Clock {
-                self.clock_remove(block);
-            }
         }
     }
 
@@ -927,95 +771,73 @@ impl BlockCache {
     /// entries if the cache is at capacity. Returns what was evicted, or
     /// `None` if nothing needed to be (or could be) evicted.
     fn make_room(&mut self) -> Option<Evicted> {
-        if self.len < self.capacity {
+        if self.len() < self.capacity {
             return None;
         }
         let victim = match self.config.replacement {
-            // The recency list is ordered least→most recent, so the first
-            // evictable slot from the head is exactly the minimum-recency
-            // candidate the old stamp-ranking pass picked (stamps were
-            // unique, so there were never ties to break).
-            ReplacementPolicy::Lru => {
-                let mut i = self.lru_head;
-                loop {
-                    if i == NIL {
-                        break None;
-                    }
-                    let s = &self.slots[i as usize];
-                    if s.evictable() {
-                        break Some(s.block);
-                    }
-                    i = s.next;
-                }
-            }
-            ReplacementPolicy::Mru => {
-                let mut i = self.lru_tail;
-                loop {
-                    if i == NIL {
-                        break None;
-                    }
-                    let s = &self.slots[i as usize];
-                    if s.evictable() {
-                        break Some(s.block);
-                    }
-                    i = s.prev;
-                }
-            }
+            // The list runs least → most recent, so LRU's victim is the
+            // first evictable slot from the head and MRU's from the tail.
+            ReplacementPolicy::Lru => self.first_evictable(self.head, |s| s.next),
+            ReplacementPolicy::Mru => self.first_evictable(self.tail, |s| s.prev),
             ReplacementPolicy::Clock => self.clock_pick(),
         };
-        match victim {
-            Some(block) => {
-                let idx = self
-                    .map_remove(block)
-                    .unwrap_or_else(|| panic!("replacer picked uncached block {block}"));
-                let slot = &self.slots[idx as usize];
-                self.stats.evictions += 1;
-                if slot.dirty {
-                    self.stats.dirty_evictions += 1;
-                    self.dirty -= 1;
-                }
-                if slot.reason == FillReason::Prefetch {
-                    self.stats.prefetch_wasted += 1;
-                }
-                let evicted = Evicted {
-                    block,
-                    dirty: slot.dirty,
-                    written_bytes: slot.written_bytes,
-                };
-                self.list_detach(idx);
-                self.slot_free(idx);
-                if self.config.replacement == ReplacementPolicy::Clock {
-                    self.clock_remove(block);
-                }
-                Some(evicted)
-            }
-            None => {
-                // Everything is pinned or in flight; allow a temporary
-                // overflow rather than deadlocking.
-                self.stats.overflows += 1;
-                None
-            }
+        let Some(idx) = victim else {
+            // Everything is pinned or in flight; allow a temporary overflow
+            // rather than deadlocking.
+            self.stats.overflows += 1;
+            return None;
+        };
+        let slot = &mut self.slots[idx as usize];
+        slot.occupied = false;
+        let evicted = Evicted {
+            block: slot.block,
+            dirty: slot.dirty,
+            written_bytes: slot.written_bytes,
+        };
+        self.stats.evictions += 1;
+        if slot.dirty {
+            self.stats.dirty_evictions += 1;
+            self.dirty -= 1;
         }
+        if slot.reason == FillReason::Prefetch {
+            self.stats.prefetch_wasted += 1;
+        }
+        self.map.remove(&evicted.block);
+        self.list_detach(idx);
+        self.free.push(idx);
+        Some(evicted)
     }
 
-    /// Clock / second chance: the hand sweeps the ring in insertion order;
-    /// an evictable entry referenced since the last sweep gets its bit
-    /// cleared and one more lap, the first unreferenced evictable entry is
-    /// the victim. With no evictable entry at all the hand does not move
-    /// (exactly the pre-slab behavior).
-    fn clock_pick(&mut self) -> Option<u64> {
-        if self.clock_ring.is_empty() || !self.any_evictable() {
-            return None;
+    /// The first evictable slot on the list from `start`, following `step`.
+    fn first_evictable(&self, start: u32, step: fn(&Slot) -> u32) -> Option<u32> {
+        let mut i = start;
+        while i != NIL {
+            let s = &self.slots[i as usize];
+            if s.evictable() {
+                return Some(i);
+            }
+            i = step(s);
         }
+        None
+    }
+
+    /// Clock / second chance: the hand sweeps the list in insertion order,
+    /// wrapping at the tail; an evictable entry referenced since the last
+    /// sweep gets its bit cleared and one more lap, the first unreferenced
+    /// evictable entry is the victim. The victim is the slot the hand just
+    /// passed, so unlinking it never moves the hand.
+    fn clock_pick(&mut self) -> Option<u32> {
         // At most two laps: the first clears every referenced bit among the
-        // evictable entries, so the second must find a victim.
-        for _ in 0..2 * self.clock_ring.len() {
-            let block = self.clock_ring[self.clock_hand];
-            self.clock_hand = (self.clock_hand + 1) % self.clock_ring.len();
-            let idx = self
-                .map_get(block)
-                .expect("clock ring holds an uncached block");
+        // evictable entries, so the second must find a victim. Two laps
+        // with nothing evictable clear no bit and end where they began.
+        for _ in 0..2 * self.len() {
+            let idx = if self.hand == NIL {
+                self.head
+            } else {
+                self.hand
+            };
             let slot = &mut self.slots[idx as usize];
+            self.hand = slot.next;
             if !slot.evictable() {
                 continue;
             }
@@ -1023,37 +845,9 @@ impl BlockCache {
                 slot.referenced = false; // second chance
                 continue;
             }
-            return Some(block);
+            return Some(idx);
         }
         None
-    }
-
-    fn any_evictable(&self) -> bool {
-        let mut i = self.lru_head;
-        while i != NIL {
-            let s = &self.slots[i as usize];
-            if s.evictable() {
-                return true;
-            }
-            i = s.next;
-        }
-        false
-    }
-
-    /// Drops `block` from the clock ring, keeping the hand on the entry it
-    /// was about to examine.
-    fn clock_remove(&mut self, block: u64) {
-        if let Some(idx) = self.clock_ring.iter().position(|&b| b == block) {
-            self.clock_ring.remove(idx);
-            if idx < self.clock_hand {
-                self.clock_hand -= 1;
-            }
-            if self.clock_ring.is_empty() {
-                self.clock_hand = 0;
-            } else {
-                self.clock_hand %= self.clock_ring.len();
-            }
-        }
     }
 }
 
@@ -1065,14 +859,14 @@ mod tests {
     fn lookup_miss_then_hit() {
         let mut c = BlockCache::new(4);
         assert!(matches!(c.lookup(7), Lookup::Miss));
-        let (_e, evicted) = c.insert_filling(7, FillReason::Demand);
+        let evicted = c.insert_filling(7, FillReason::Demand);
         assert!(evicted.is_none());
         c.mark_present(7);
         c.unpin(7);
-        match c.lookup(7) {
-            Lookup::Hit(id) => assert!(c.fill_event(id).is_none(), "present entry has no fill"),
-            Lookup::Miss => panic!("expected hit"),
-        }
+        assert!(
+            matches!(c.lookup(7), Lookup::Hit(None)),
+            "a present entry hits with no fill latch"
+        );
         let s = c.stats();
         assert_eq!(s.hits, 1);
         assert_eq!(s.misses, 1);
@@ -1082,7 +876,7 @@ mod tests {
     fn lru_eviction_picks_the_oldest_unpinned_block() {
         let mut c = BlockCache::new(2);
         for b in [1u64, 2] {
-            let (_e, _) = c.insert_filling(b, FillReason::Demand);
+            c.insert_filling(b, FillReason::Demand);
             c.mark_present(b);
             c.unpin(b);
         }
@@ -1090,7 +884,7 @@ mod tests {
         if let Lookup::Hit(_) = c.lookup(1) {
             c.unpin(1);
         }
-        let (_e, evicted) = c.insert_filling(3, FillReason::Demand);
+        let evicted = c.insert_filling(3, FillReason::Demand);
         assert_eq!(
             evicted,
             Some(Evicted {
@@ -1113,7 +907,7 @@ mod tests {
             },
         );
         for b in [1u64, 2] {
-            let (_e, _) = c.insert_filling(b, FillReason::Demand);
+            c.insert_filling(b, FillReason::Demand);
             c.mark_present(b);
             c.unpin(b);
         }
@@ -1121,7 +915,7 @@ mod tests {
         if let Lookup::Hit(_) = c.lookup(1) {
             c.unpin(1);
         }
-        let (_e, evicted) = c.insert_filling(3, FillReason::Demand);
+        let evicted = c.insert_filling(3, FillReason::Demand);
         assert_eq!(evicted.map(|e| e.block), Some(1));
         assert!(c.contains(2));
     }
@@ -1136,7 +930,7 @@ mod tests {
             },
         );
         for b in [1u64, 2, 3] {
-            let (_e, _) = c.insert_filling(b, FillReason::Demand);
+            c.insert_filling(b, FillReason::Demand);
             c.mark_present(b);
             c.unpin(b);
         }
@@ -1145,12 +939,12 @@ mod tests {
         if let Lookup::Hit(_) = c.lookup(1) {
             c.unpin(1);
         }
-        let (_e, evicted) = c.insert_filling(4, FillReason::Demand);
+        let evicted = c.insert_filling(4, FillReason::Demand);
         assert_eq!(evicted.map(|e| e.block), Some(2));
         assert!(c.contains(1) && c.contains(3));
         // Next eviction continues the sweep from the hand: 3 is next and
         // unreferenced.
-        let (_e, evicted) = c.insert_filling(5, FillReason::Demand);
+        let evicted = c.insert_filling(5, FillReason::Demand);
         assert_eq!(evicted.map(|e| e.block), Some(3));
     }
 
@@ -1164,9 +958,9 @@ mod tests {
                     ..CacheConfig::DEFAULT
                 },
             );
-            let (_e, _) = c.insert_filling(1, FillReason::Demand);
+            c.insert_filling(1, FillReason::Demand);
             c.mark_present(1); // still pinned (never unpinned)
-            let (_e2, evicted) = c.insert_filling(2, FillReason::Demand);
+            let evicted = c.insert_filling(2, FillReason::Demand);
             assert!(evicted.is_none(), "{policy} evicted a pinned block");
             assert_eq!(c.len(), 2, "cache allowed a temporary overflow");
             assert_eq!(c.stats().overflows, 1);
@@ -1175,78 +969,69 @@ mod tests {
 
     #[test]
     fn block_map_starts_small_and_grows_with_the_blocks_cached() {
-        use std::collections::HashMap;
+        use std::collections::HashSet;
 
         // A machine-sized capacity costs nothing up front.
         let c = BlockCache::with_config(1 << 20, CacheConfig::DEFAULT);
-        assert_eq!(c.map.len(), BlockCache::MAP_START);
+        assert_eq!(c.map.capacity(), 0);
         assert_eq!(c.slots.capacity(), 0);
 
-        // Every resident block, with the handle its insert returned.
-        fn agrees(c: &BlockCache, model: &HashMap<u64, EntryId>) {
+        // The cache holds exactly the model's blocks.
+        fn agrees(c: &BlockCache, model: &HashSet<u64>) {
             assert_eq!(c.len(), model.len());
-            for block in 0..4096 {
-                assert_eq!(
-                    c.contains(block),
-                    model.contains_key(&block),
-                    "block {block}"
-                );
-            }
-            for &id in model.values() {
-                c.fill_event(id); // panics on a stale handle
+            for block in 0..10_000 {
+                assert_eq!(c.contains(block), model.contains(&block), "block {block}");
             }
         }
         let mut c = BlockCache::new(48);
-        let mut model = HashMap::new();
+        let mut model = HashSet::new();
         // Fill past capacity with entries still filling (pinned), so every
         // insert past the 48th overflows and the map must grow.
         let blocks: Vec<u64> = (0..300).map(|i| i * 37 % 4001).collect();
         for &block in &blocks {
-            let (id, evicted) = c.insert_filling(block, FillReason::Demand);
-            assert!(evicted.is_none(), "evicted a pinned block");
-            model.insert(block, id);
+            assert!(
+                c.insert_filling(block, FillReason::Demand).is_none(),
+                "evicted a pinned block"
+            );
+            model.insert(block);
         }
         assert_eq!(c.stats().overflows, 300 - 48);
-        assert!(c.map.len() >= 512, "300 blocks in {} cells", c.map.len());
+        assert!(
+            c.map.capacity() >= 300,
+            "300 blocks in {}",
+            c.map.capacity()
+        );
         agrees(&c, &model);
-        // Drain, exercising backward-shift deletion from a crowded map.
+        // Drain: release every pin, so each entry becomes evictable.
         for (i, &block) in blocks.iter().enumerate() {
             c.mark_present(block);
             c.unpin(block);
-            c.remove(block);
-            model.remove(&block);
             if i % 50 == 0 {
                 agrees(&c, &model);
             }
         }
-        assert!(c.is_empty());
-        // Refill with other blocks, now evicting at capacity.
-        for block in (1..400).map(|i| i * 11 % 4093) {
-            let (id, evicted) = c.insert_filling(block, FillReason::Demand);
+        // Refill with other blocks, now evicting one per insert.
+        for block in (1..400).map(|i| 5000 + i * 11 % 4093) {
+            let evicted = c.insert_filling(block, FillReason::Demand);
             c.mark_present(block);
             c.unpin(block);
-            if let Some(e) = evicted {
-                assert!(
-                    model.remove(&e.block).is_some(),
-                    "evicted uncached {}",
-                    e.block
-                );
-            }
-            model.insert(block, id);
+            let e = evicted.expect("an over-full cache with unpinned entries evicts");
+            assert!(model.remove(&e.block), "evicted uncached {}", e.block);
+            model.insert(block);
         }
-        assert_eq!(c.len(), 48);
+        assert_eq!(c.len(), 300);
         agrees(&c, &model);
     }
 
     #[test]
     fn dirty_blocks_report_dirty_on_eviction() {
         let mut c = BlockCache::new(1);
-        let (_e, _) = c.insert_filling(5, FillReason::WriteAllocate);
+        c.insert_filling(5, FillReason::WriteAllocate);
         c.mark_present(5);
         c.record_write(5, 4096);
         c.unpin(5);
         assert_eq!(c.dirty_count(), 1);
-        let (_e2, evicted) = c.insert_filling(6, FillReason::Demand);
+        let evicted = c.insert_filling(6, FillReason::Demand);
         assert_eq!(
             evicted,
             Some(Evicted {
@@ -1262,7 +1047,7 @@ mod tests {
     #[test]
     fn complete_flush_keeps_overlapped_writes_dirty() {
         let mut c = BlockCache::new(2);
-        let (_e, _) = c.insert_filling(9, FillReason::WriteAllocate);
+        c.insert_filling(9, FillReason::WriteAllocate);
         c.mark_present(9);
         c.record_write(9, 4096);
         assert_eq!(c.dirty_count(), 1);
@@ -1278,67 +1063,103 @@ mod tests {
         assert!(c.dirty_blocks().is_empty());
         // A flush completing after its block was evicted is a no-op.
         c.complete_flush(42, 4096);
-        c.unpin(9);
-        c.remove(9);
         assert_eq!(c.dirty_count(), 0);
     }
 
     #[test]
     fn dirty_count_tracks_evictions_and_removals() {
         let mut c = BlockCache::new(1);
-        let (_e, _) = c.insert_filling(1, FillReason::WriteAllocate);
+        c.insert_filling(1, FillReason::WriteAllocate);
         c.mark_present(1);
         c.record_write(1, 8);
         c.unpin(1);
         assert_eq!(c.dirty_count(), 1);
         // Evicting the dirty block drops the counter with it.
-        let (_e2, evicted) = c.insert_filling(2, FillReason::Demand);
+        let evicted = c.insert_filling(2, FillReason::Demand);
         assert!(evicted.unwrap().dirty);
         assert_eq!(c.dirty_count(), 0);
         c.mark_present(2);
         c.record_write(2, 8);
         c.unpin(2);
         assert_eq!(c.dirty_count(), 1);
-        c.remove(2);
+        // Cleaning an uncached block changes nothing; cleaning 2 drops it.
+        c.mark_clean(1);
+        assert_eq!(c.dirty_count(), 1);
+        c.mark_clean(2);
         assert_eq!(c.dirty_count(), 0);
     }
 
     #[test]
     fn record_write_accumulates_until_full() {
         let mut c = BlockCache::new(2);
-        let (_e, _) = c.insert_filling(9, FillReason::WriteAllocate);
+        c.insert_filling(9, FillReason::WriteAllocate);
         c.mark_present(9);
         assert_eq!(c.record_write(9, 4096), 4096);
         assert_eq!(c.record_write(9, 4096), 8192);
         c.mark_clean(9);
         assert_eq!(c.record_write(9, 8), 8);
-        c.remove(9);
-        assert!(!c.contains(9));
+        assert_eq!(c.dirty_blocks(), vec![(9, 8)]);
     }
 
     #[test]
     fn filling_entries_expose_their_event_to_waiters() {
         let mut c = BlockCache::new(2);
-        let (entry, _) = c.insert_filling(3, FillReason::Demand);
-        let event = c.fill_event(entry).expect("fresh insert is filling");
+        c.insert_filling(3, FillReason::Demand);
+        let Lookup::Hit(Some(event)) = c.lookup(3) else {
+            panic!("a filling entry hits with its fill latch");
+        };
         assert_eq!(event.remaining(), 1);
         c.mark_present(3);
         assert_eq!(event.remaining(), 0);
-        assert!(c.fill_event(entry).is_none(), "present entry has no fill");
+        assert!(
+            matches!(c.lookup(3), Lookup::Hit(None)),
+            "present entry has no fill"
+        );
     }
 
     #[test]
-    #[should_panic(expected = "stale cache handle")]
-    fn stale_handles_are_rejected() {
-        let mut c = BlockCache::new(1);
-        let (entry, _) = c.insert_filling(3, FillReason::Demand);
+    fn clock_sweeps_in_insertion_order_and_an_idle_sweep_changes_nothing() {
+        let mut c = BlockCache::with_config(
+            2,
+            CacheConfig {
+                replacement: ReplacementPolicy::Clock,
+                ..CacheConfig::DEFAULT
+            },
+        );
+        for b in [1u64, 2] {
+            c.insert_filling(b, FillReason::Demand);
+            c.mark_present(b);
+            c.unpin(b);
+        }
+        // Hit 2 then 1, keeping both pinned: hits do not reorder the sweep,
+        // and with nothing evictable the next insert overflows.
+        for b in [2u64, 1] {
+            assert!(matches!(c.lookup(b), Lookup::Hit(None)));
+        }
+        assert!(c.insert_filling(3, FillReason::Demand).is_none());
+        assert_eq!(c.stats().overflows, 1);
+        for b in [1u64, 2] {
+            c.unpin(b);
+        }
         c.mark_present(3);
         c.unpin(3);
-        c.remove(3);
-        // The slot was recycled (generation bumped); the old handle must not
-        // silently alias the new occupant.
-        let (_e2, _) = c.insert_filling(4, FillReason::Demand);
-        let _ = c.fill_event(entry);
+        // The idle sweep cleared no bit and left the hand at the head: 1 and
+        // 2 get their second chance, and 3 (never hit) is the victim.
+        let evicted = c.insert_filling(4, FillReason::Demand);
+        assert_eq!(evicted.map(|e| e.block), Some(3));
+        // 3 was the tail, so the hand wraps to the head: 1, its bit now
+        // clear, goes next.
+        c.mark_present(4);
+        c.unpin(4);
+        let evicted = c.insert_filling(5, FillReason::Demand);
+        assert_eq!(evicted.map(|e| e.block), Some(1));
+    }
+
+    #[test]
+    #[should_panic(expected = "unpin on uncached block 3")]
+    fn unpin_of_an_uncached_block_panics() {
+        let mut c = BlockCache::new(2);
+        c.unpin(3);
     }
 
     #[test]
@@ -1346,14 +1167,14 @@ mod tests {
         let mut c = BlockCache::new(2);
         // Prefetch two blocks; use one, then evict the other untouched.
         for b in [1u64, 2] {
-            let (_e, _) = c.insert_filling(b, FillReason::Prefetch);
+            c.insert_filling(b, FillReason::Prefetch);
             c.mark_present(b);
             c.unpin(b);
         }
         if let Lookup::Hit(_) = c.lookup(1) {
             c.unpin(1);
         }
-        let (_e, evicted) = c.insert_filling(3, FillReason::Demand);
+        let evicted = c.insert_filling(3, FillReason::Demand);
         assert_eq!(evicted.map(|e| e.block), Some(2));
         let s = c.stats();
         assert_eq!(s.prefetches, 2);
@@ -1407,11 +1228,11 @@ mod tests {
     #[test]
     fn write_policy_actions() {
         use WriteAction::*;
-        assert_eq!(WritePolicy::Through.on_write(8, 8192, 0, 8), FlushBlock);
+        assert_eq!(WritePolicy::Through.on_write(8, 8192, 0, 8), FlushNow);
         assert_eq!(WritePolicy::FlushOnFull.on_write(8191, 8192, 7, 8), None);
         assert_eq!(
             WritePolicy::FlushOnFull.on_write(8192, 8192, 1, 8),
-            FlushBlock
+            FlushBehind
         );
         assert_eq!(WritePolicy::Watermark.on_write(8192, 8192, 5, 8), None);
         assert_eq!(

@@ -90,11 +90,6 @@ impl CostModel {
     pub fn memcpy_time(&self, bytes: u64) -> SimDuration {
         SimDuration::for_bytes(bytes, self.memcpy_bytes_per_sec)
     }
-
-    /// Total per-request IOP CPU cost on the traditional-caching path.
-    pub fn tc_iop_request_cpu(&self) -> SimDuration {
-        self.iop_dispatch_cpu + self.iop_cache_cpu + self.iop_reply_cpu
-    }
 }
 
 /// Which file-system implementation services the transfer, and the policies
@@ -508,7 +503,6 @@ mod tests {
     fn cost_model_helpers() {
         let m = CostModel::default();
         assert_eq!(m.memcpy_time(400_000_000).as_secs_f64(), 1.0);
-        assert_eq!(m.tc_iop_request_cpu(), SimDuration::from_micros(70),);
     }
 
     #[test]

@@ -277,12 +277,6 @@ impl FileLayout {
             .unwrap_or_else(|| panic!("file block {block} out of range"))
     }
 
-    /// The file block containing byte `offset`.
-    pub fn block_of_offset(&self, offset: u64) -> u64 {
-        assert!(offset < self.file_bytes, "offset {offset} past end of file");
-        offset / self.block_bytes
-    }
-
     /// Byte range `[start, end)` of the file covered by `block` (the last
     /// block may be short).
     pub fn block_byte_range(&self, block: u64) -> (u64, u64) {
@@ -439,9 +433,6 @@ mod tests {
             covered = e;
         }
         assert_eq!(covered, 100_000);
-        assert_eq!(layout.block_of_offset(0), 0);
-        assert_eq!(layout.block_of_offset(8192), 1);
-        assert_eq!(layout.block_of_offset(99_999), 12);
     }
 
     #[test]

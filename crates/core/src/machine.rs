@@ -376,14 +376,6 @@ impl TransferOutcome {
         hits as f64 / total as f64
     }
 
-    /// Mean per-drive utilization (busy time / elapsed time) across disks.
-    pub fn mean_disk_utilization(&self) -> f64 {
-        if self.disk_utilization.is_empty() {
-            return 0.0;
-        }
-        self.disk_utilization.iter().sum::<f64>() / self.disk_utilization.len() as f64
-    }
-
     /// Mean pending-queue depth observed at dispatch, pooled over all disks.
     pub fn mean_disk_queue_depth(&self) -> f64 {
         let requests: u64 = self.disk_stats.iter().map(|s| s.requests).sum();

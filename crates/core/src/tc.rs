@@ -83,50 +83,40 @@ struct IopServer {
 }
 
 impl IopServer {
-    /// Reads `block` from its disk into an IOP cache buffer.
-    async fn fetch_block(&self, block: u64) {
-        self.run.read_block(&self.parts, block).await;
-    }
-
     /// Writes `bytes` of `block` from the cache buffer back to its disk.
     async fn flush_block(&self, block: u64, bytes: u64) {
         self.cache.borrow_mut().note_flush();
         self.run.write_block(&self.parts, block, bytes).await;
     }
 
-    /// Ensures `block` is resident (waiting on a fill in progress, or reading
-    /// it from disk), leaving it pinned. `allocate_only` is used for writes,
-    /// which need a buffer but not the old contents (the collective patterns
-    /// always overwrite whole blocks by the end of the transfer).
-    async fn ensure_block(&self, block: u64, allocate_only: bool) {
+    /// Brings the uncached `block` in for `reason`, leaving it pinned:
+    /// inserts it as filling, flushes the victim it displaced if dirty,
+    /// reads it from disk (unless it is a write allocation, which needs a
+    /// buffer but not the old contents: the collective patterns always
+    /// overwrite whole blocks by the end of the transfer), then wakes its
+    /// waiters.
+    async fn fill(&self, block: u64, reason: FillReason) {
+        let evicted = self.cache.borrow_mut().insert_filling(block, reason);
+        if let Some(victim) = evicted.filter(|v| v.dirty) {
+            self.flush_block(victim.block, victim.written_bytes.max(1))
+                .await;
+        }
+        if reason != FillReason::WriteAllocate {
+            self.run.read_block(&self.parts, block).await;
+        }
+        self.cache.borrow_mut().mark_present(block);
+    }
+
+    /// Ensures `block` is resident (waiting on a fill in progress, or
+    /// filling it for `reason`), leaving it pinned.
+    async fn ensure_block(&self, block: u64, reason: FillReason) {
         let costs = self.run.config.costs;
         self.parts.cpu.use_for(costs.iop_cache_cpu).await;
         let lookup = self.cache.borrow_mut().lookup(block);
         match lookup {
-            Lookup::Hit(entry) => {
-                let fill = self.cache.borrow().fill_event(entry);
-                if let Some(ev) = fill {
-                    ev.wait().await;
-                }
-            }
-            Lookup::Miss => {
-                let reason = if allocate_only {
-                    FillReason::WriteAllocate
-                } else {
-                    FillReason::Demand
-                };
-                let (_entry, evicted) = self.cache.borrow_mut().insert_filling(block, reason);
-                if let Some(victim) = evicted {
-                    if victim.dirty {
-                        self.flush_block(victim.block, victim.written_bytes.max(1))
-                            .await;
-                    }
-                }
-                if !allocate_only {
-                    self.fetch_block(block).await;
-                }
-                self.cache.borrow_mut().mark_present(block);
-            }
+            Lookup::Hit(Some(fill)) => fill.wait().await,
+            Lookup::Hit(None) => {}
+            Lookup::Miss => self.fill(block, reason).await,
         }
     }
 
@@ -153,19 +143,7 @@ impl IopServer {
                 // Re-check: another request may have brought the block in
                 // while we were charged for the cache access.
                 if !server.cache.borrow().contains(next) {
-                    let (_e, evicted) = server
-                        .cache
-                        .borrow_mut()
-                        .insert_filling(next, FillReason::Prefetch);
-                    if let Some(victim) = evicted {
-                        if victim.dirty {
-                            server
-                                .flush_block(victim.block, victim.written_bytes.max(1))
-                                .await;
-                        }
-                    }
-                    server.fetch_block(next).await;
-                    server.cache.borrow_mut().mark_present(next);
+                    server.fill(next, FillReason::Prefetch).await;
                     server.cache.borrow_mut().unpin(next);
                 }
                 server.background.signal();
@@ -219,11 +197,11 @@ impl IopServer {
         self.parts.cpu.use_for(costs.iop_dispatch_cpu).await;
         match op {
             AccessKind::Read => {
-                self.ensure_block(block, false).await;
+                self.ensure_block(block, FillReason::Demand).await;
                 self.maybe_prefetch(&ctx, block);
             }
             AccessKind::Write => {
-                self.ensure_block(block, true).await;
+                self.ensure_block(block, FillReason::WriteAllocate).await;
                 // Copy the arriving data into the cache buffer (the one
                 // memory-memory copy of the traditional path).
                 self.parts.cpu.use_for(costs.memcpy_time(len as u64)).await;
@@ -232,14 +210,13 @@ impl IopServer {
                     len as u64,
                 );
                 let written = self.cache.borrow_mut().record_write(block, len as u64);
-                let policy = self.cache.borrow().config().write;
-                let (dirty, capacity) = {
+                let (policy, dirty, capacity) = {
                     let c = self.cache.borrow();
-                    (c.dirty_count(), c.capacity())
+                    (c.config().write, c.dirty_count(), c.capacity())
                 };
                 match policy.on_write(written, self.run.block_bytes(block), dirty, capacity) {
                     WriteAction::None => {}
-                    WriteAction::FlushBlock if policy == WritePolicy::Through => {
+                    WriteAction::FlushNow => {
                         // Write-through: this request's bytes reach the disk
                         // before the reply is composed. Only this request's
                         // `len` is flushed — a concurrent writer's bytes are
@@ -247,7 +224,7 @@ impl IopServer {
                         self.flush_block(block, len as u64).await;
                         self.cache.borrow_mut().complete_flush(block, len as u64);
                     }
-                    WriteAction::FlushBlock => {
+                    WriteAction::FlushBehind => {
                         // Write-behind: flush the now-full block in the
                         // background.
                         let server = Rc::clone(&self);

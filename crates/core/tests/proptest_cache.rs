@@ -6,13 +6,14 @@
 //! Two drivers run here:
 //!
 //! * `run_script` mirrors the IOP server's usage against a shadow model:
-//!   inserts pin, lookups pin on hit, unpins release, and the evicted block
+//!   inserts pin, lookups pin on hit (handing out the fill latch exactly
+//!   while the block is filling), unpins release, and the evicted block
 //!   returned by `insert_filling` is checked against the model's idea of
 //!   evictability.
 //! * `run_equivalence` replays the same random scripts against a naive
 //!   `HashMap` + recency-stamp reference implementing the pre-slab
 //!   algorithms verbatim (stamp ranking for LRU/MRU, ring + referenced-set
-//!   for clock), asserting the slab/open-addressed rewrite is
+//!   for clock), asserting the slab/`HashMap`/one-list cache is
 //!   *behavior-identical*: same hits, same victims, same overflows, same
 //!   dirty set — the bit-identical-goldens argument in executable form.
 
@@ -34,20 +35,18 @@ enum Op {
     Write,
     Clean,
     CompleteFlush,
-    Remove,
 }
 
 impl Op {
     fn from_code(code: u8) -> Op {
-        match code % 8 {
+        match code % 7 {
             0 => Op::Lookup,
             1 => Op::Insert,
             2 => Op::MarkPresent,
             3 => Op::Unpin,
             4 => Op::Write,
             5 => Op::Clean,
-            6 => Op::CompleteFlush,
-            _ => Op::Remove,
+            _ => Op::CompleteFlush,
         }
     }
 }
@@ -57,8 +56,11 @@ struct ModelEntry {
     pins: u32,
     /// Distinct dirty bytes the model believes are unwritten.
     written: u64,
-    /// The fill event while filling (to check it resolves exactly once).
-    filling: Option<CountdownEvent>,
+    /// True until `mark_present`.
+    filling: bool,
+    /// The fill latch a lookup handed out while filling (to check that
+    /// `mark_present` resolves it).
+    latch: Option<CountdownEvent>,
 }
 
 fn run_script(policy: ReplacementPolicy, capacity: usize, script: &[(u8, u64)]) {
@@ -75,9 +77,18 @@ fn run_script(policy: ReplacementPolicy, capacity: usize, script: &[(u8, u64)]) 
             Op::Lookup => {
                 lookups += 1;
                 match cache.lookup(block) {
-                    Lookup::Hit(_) => {
+                    Lookup::Hit(fill) => {
                         let entry = model.get_mut(&block).expect("hit on unmodeled block");
                         entry.pins += 1;
+                        assert_eq!(
+                            fill.is_some(),
+                            entry.filling,
+                            "a hit carries the fill latch exactly while filling"
+                        );
+                        if let Some(event) = fill {
+                            assert_eq!(event.remaining(), 1, "fill latch already resolved");
+                            entry.latch = Some(event);
+                        }
                     }
                     Lookup::Miss => {
                         assert!(!model.contains_key(&block), "miss on a modeled block");
@@ -88,18 +99,13 @@ fn run_script(policy: ReplacementPolicy, capacity: usize, script: &[(u8, u64)]) 
                 if model.contains_key(&block) {
                     continue;
                 }
-                let had_candidates = model.values().any(|e| e.pins == 0 && e.filling.is_none());
+                let had_candidates = model.values().any(|e| e.pins == 0 && !e.filling);
                 let at_capacity = model.len() >= capacity;
-                let (entry, evicted) = cache.insert_filling(block, FillReason::Demand);
-                let event = cache.fill_event(entry).expect("fresh insert not filling");
-                assert_eq!(event.remaining(), 1, "fresh fill event already resolved");
+                let evicted = cache.insert_filling(block, FillReason::Demand);
                 if let Some(ev) = evicted {
                     let victim = model.remove(&ev.block).expect("evicted unmodeled block");
                     assert_eq!(victim.pins, 0, "{policy} evicted a pinned block");
-                    assert!(
-                        victim.filling.is_none(),
-                        "{policy} evicted a block mid-fill"
-                    );
+                    assert!(!victim.filling, "{policy} evicted a block mid-fill");
                 } else if at_capacity {
                     assert!(
                         !had_candidates,
@@ -111,7 +117,8 @@ fn run_script(policy: ReplacementPolicy, capacity: usize, script: &[(u8, u64)]) 
                     ModelEntry {
                         pins: 1,
                         written: 0,
-                        filling: Some(event),
+                        filling: true,
+                        latch: None,
                     },
                 );
             }
@@ -119,20 +126,17 @@ fn run_script(policy: ReplacementPolicy, capacity: usize, script: &[(u8, u64)]) 
                 let Some(entry) = model.get_mut(&block) else {
                     continue;
                 };
-                let Some(event) = entry.filling.take() else {
+                if !std::mem::replace(&mut entry.filling, false) {
                     continue;
-                };
-                assert_eq!(
-                    event.remaining(),
-                    1,
-                    "fill event resolved before mark_present"
-                );
+                }
                 cache.mark_present(block);
-                assert_eq!(
-                    event.remaining(),
-                    0,
-                    "mark_present did not resolve the fill"
-                );
+                if let Some(event) = entry.latch.take() {
+                    assert_eq!(
+                        event.remaining(),
+                        0,
+                        "mark_present did not resolve the fill"
+                    );
+                }
             }
             Op::Unpin => {
                 let Some(entry) = model.get_mut(&block) else {
@@ -162,13 +166,6 @@ fn run_script(policy: ReplacementPolicy, capacity: usize, script: &[(u8, u64)]) 
                 cache.complete_flush(block, 64);
                 if let Some(entry) = model.get_mut(&block) {
                     entry.written = entry.written.saturating_sub(64);
-                }
-            }
-            Op::Remove => {
-                // The IOP server only removes blocks it no longer uses.
-                if model.get(&block).is_some_and(|e| e.pins == 0) {
-                    cache.remove(block);
-                    model.remove(&block);
                 }
             }
         }
@@ -375,7 +372,7 @@ fn run_equivalence(policy: ReplacementPolicy, capacity: usize, script: &[(u8, u6
                 if reference.entries.contains_key(&block) {
                     continue;
                 }
-                let (_, evicted) = cache.insert_filling(block, FillReason::Demand);
+                let evicted = cache.insert_filling(block, FillReason::Demand);
                 let ref_victim = reference.insert(block);
                 assert_eq!(
                     evicted.map(|e| e.block),
@@ -418,12 +415,6 @@ fn run_equivalence(policy: ReplacementPolicy, capacity: usize, script: &[(u8, u6
                     e.dirty = e.written > 0;
                 }
             }
-            Op::Remove => {
-                if reference.entries.get(&block).is_some_and(|e| e.pins == 0) {
-                    cache.remove(block);
-                    reference.drop_block(block);
-                }
-            }
         }
 
         assert_eq!(cache.len(), reference.entries.len(), "len diverged");
@@ -461,7 +452,7 @@ proptest! {
         run_script(ReplacementPolicy::Clock, capacity, &script);
     }
 
-    /// The slab/open-addressed rewrite is behavior-identical to the naive
+    /// The slab/`HashMap`/one-list cache is behavior-identical to the naive
     /// reference under every policy, including overflow (tiny capacities),
     /// pinned entries, and mid-fill states.
     #[test]
@@ -504,7 +495,7 @@ proptest! {
                 }
                 continue;
             }
-            let (_e, _) = cache.insert_filling(b, FillReason::Demand);
+            cache.insert_filling(b, FillReason::Demand);
             cache.mark_present(b);
             cache.unpin(b);
             prop_assert!(cache.len() <= capacity, "{} exceeded capacity", policy);

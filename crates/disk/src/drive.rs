@@ -119,13 +119,6 @@ impl DiskHandle {
         done_rx.await.expect("disk server dropped a request")
     }
 
-    /// Number of requests currently queued at the drive (excluding the one in
-    /// service): commands still in flight to the server plus everything held
-    /// by the scheduler.
-    pub fn queue_len(&self) -> usize {
-        self.tx.len() + self.pending.borrow().len()
-    }
-
     /// The scheduling policy ordering this drive's queue.
     pub fn sched(&self) -> SchedPolicy {
         self.pending.borrow().policy()
@@ -393,7 +386,6 @@ mod tests {
         assert_eq!(s.queue_depth_sum, 3 + 2 + 1);
         assert_eq!(s.max_queue_depth, 3);
         assert_eq!(s.mean_queue_depth(), 6.0 / 4.0);
-        assert_eq!(disk.queue_len(), 0);
     }
 
     #[test]

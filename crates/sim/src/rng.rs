@@ -82,12 +82,6 @@ impl SimRng {
         ((u128::from(self.inner.borrow_mut().next_u64()) * u128::from(bound)) >> 64) as u64
     }
 
-    /// Uniform integer in `[lo, hi)`.
-    pub fn gen_range_between(&self, lo: u64, hi: u64) -> u64 {
-        assert!(lo < hi, "empty range [{lo}, {hi})");
-        lo + self.gen_range(hi - lo)
-    }
-
     /// Uniform float in `[0, 1)`.
     pub fn gen_f64(&self) -> f64 {
         // 53 uniform mantissa bits, as rand's StandardUniform does.
@@ -152,15 +146,6 @@ mod tests {
         let d0b = root.derive(0);
         let v0b: Vec<u64> = (0..10).map(|_| d0b.gen_range(1_000_000)).collect();
         assert_eq!(v0, v0b);
-    }
-
-    #[test]
-    fn gen_range_between_stays_in_bounds() {
-        let rng = SimRng::seed_from_u64(5);
-        for _ in 0..1000 {
-            let v = rng.gen_range_between(10, 20);
-            assert!((10..20).contains(&v));
-        }
     }
 
     #[test]

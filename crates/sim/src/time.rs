@@ -107,11 +107,6 @@ impl SimDuration {
         Self::from_secs_f64(millis / 1e3)
     }
 
-    /// Creates a duration from fractional microseconds.
-    pub fn from_micros_f64(micros: f64) -> Self {
-        Self::from_secs_f64(micros / 1e6)
-    }
-
     /// Returns the raw nanosecond count.
     pub const fn as_nanos(self) -> u64 {
         self.0
@@ -272,7 +267,6 @@ mod tests {
         assert!((d.as_millis_f64() - 1.5).abs() < 1e-9);
         assert_eq!(SimDuration::from_secs_f64(-1.0), SimDuration::ZERO);
         assert_eq!(SimDuration::from_millis_f64(2.5).as_nanos(), 2_500_000);
-        assert_eq!(SimDuration::from_micros_f64(2.5).as_nanos(), 2_500);
     }
 
     #[test]
