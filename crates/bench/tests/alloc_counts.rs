@@ -14,8 +14,11 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use ddio_core::cache::{BlockCache, CacheConfig, FillReason, Lookup, ReplacementPolicy};
+use ddio_core::cache::{
+    BlockCache, CacheConfig, FillReason, Lookup, PrefetchPolicy, Prefetcher, ReplacementPolicy,
+};
 use ddio_core::{AdmissionQueue, LatencyHistogram, QosPolicy};
+use ddio_disk::{DiskQueue, DiskRequest, Geometry, SchedPolicy};
 use ddio_net::{ContentionModel, Envelope, NetConfig, Network, NetworkParams};
 use ddio_sim::sync::{Receiver, Resource};
 use ddio_sim::{Sim, SimDuration};
@@ -126,6 +129,46 @@ fn cache_hit_storm(cache: &mut BlockCache) -> u64 {
             cache.mark_clean(block);
             cache.unpin(block);
             ops += 4;
+        }
+    }
+    ops
+}
+
+/// Drive-queue storm: on each queue, bursts of 32 requests at scattered
+/// cylinders pushed, then popped until empty with the arm following each
+/// served request. Returns ops performed (a push or a pop).
+fn disk_queue_storm(queues: &mut [DiskQueue<u64>]) -> u64 {
+    let g = Geometry::HP_97560;
+    let mut ops = 0u64;
+    for queue in queues.iter_mut() {
+        let mut arm = 0u32;
+        for round in 0..64u64 {
+            for i in 0..32u64 {
+                let cylinder = (round * 977 + i * 7919) % u64::from(g.cylinders);
+                queue.push(
+                    DiskRequest::read(cylinder * g.sectors_per_cylinder(), 16),
+                    i,
+                );
+            }
+            while let Some((request, _)) = queue.pop_next(arm) {
+                arm = g.lbn_to_chs(request.start_sector).cylinder;
+                ops += 2;
+            }
+        }
+    }
+    ops
+}
+
+/// Prefetch-plan storm: on each prefetcher, a strided demand stream on each
+/// of 16 disks, every read planned into one reused buffer (so `strided`
+/// locks on and plans its full depth). Returns plans made.
+fn prefetch_storm(prefetchers: &mut [Prefetcher], out: &mut Vec<u64>) -> u64 {
+    let mut ops = 0u64;
+    for prefetcher in prefetchers.iter_mut() {
+        for block in 0..1024u64 {
+            out.clear();
+            prefetcher.plan((block % 16) as usize, block, 16, out);
+            ops += 1;
         }
     }
     ops
@@ -257,6 +300,19 @@ fn steady_state_allocations_per_event_stay_bounded() {
     let hit_ops = cache_hit_storm(&mut cache);
     let hit_rate = (allocs() - before) as f64 / hit_ops as f64;
 
+    // --- Drive queues and prefetch planning, every policy ---
+    let mut queues = SchedPolicy::ALL.map(|p| DiskQueue::new(p, Geometry::HP_97560));
+    disk_queue_storm(&mut queues); // warm-up: each queue reaches its burst size
+    let before = allocs();
+    let queue_ops = disk_queue_storm(&mut queues);
+    let queue_rate = (allocs() - before) as f64 / queue_ops as f64;
+    let mut prefetchers = PrefetchPolicy::ALL.map(Prefetcher::new);
+    let mut out = Vec::new();
+    prefetch_storm(&mut prefetchers, &mut out); // warm-up: per-disk history + buffer
+    let before = allocs();
+    let plan_ops = prefetch_storm(&mut prefetchers, &mut out);
+    let plan_rate = (allocs() - before) as f64 / plan_ops as f64;
+
     // --- Fabric, NI-only (the paper's) and link-level contention ---
     let mut sim = Sim::new();
     let net = fabric(&sim, NetConfig::DEFAULT);
@@ -301,6 +357,8 @@ fn steady_state_allocations_per_event_stay_bounded() {
     println!("alloc_counts: cache_miss_storm {lru_per_miss:.4} allocs/miss");
     println!("alloc_counts: cache_miss_storm_clock {clock_per_miss:.4} allocs/miss");
     println!("alloc_counts: cache_hit_storm {hit_rate:.4} allocs/op");
+    println!("alloc_counts: disk_queue_storm {queue_rate:.4} allocs/op");
+    println!("alloc_counts: prefetch_storm {plan_rate:.4} allocs/op");
     println!("alloc_counts: fabric_storm {fabric_rate:.4} allocs/event");
     println!("alloc_counts: fabric_storm {fabric_per_msg:.4} allocs/message");
     println!("alloc_counts: fabric_storm_link {link_per_msg:.4} allocs/message");
@@ -311,7 +369,8 @@ fn steady_state_allocations_per_event_stay_bounded() {
     // beyond those boxes, since its waiter queue keeps its capacity; the
     // cache hit path is allocation-free once the slab and map reach size,
     // while each miss-insert still pays one `CountdownEvent` allocation for
-    // its fill (waiters must be able to clone it); the fabric pays one boxed
+    // its fill (waiters must be able to clone it); a drive queue and a
+    // prefetcher keep their storage, so neither allocates; the fabric pays one boxed
     // task per fire-and-forget post plus channel wakes, and walking a
     // link-model route adds nothing to that. Generous headroom
     // over the measured rates so only a real regression (per-event churn)
@@ -337,6 +396,15 @@ fn steady_state_allocations_per_event_stay_bounded() {
     assert!(
         hit_rate == 0.0,
         "cache hit storm allocates {hit_rate:.4}/op — the hit path must be allocation-free"
+    );
+    assert!(
+        queue_rate == 0.0,
+        "drive-queue storm allocates {queue_rate:.4}/op — push and pop must reuse \
+         the queue's storage"
+    );
+    assert!(
+        plan_rate == 0.0,
+        "prefetch storm allocates {plan_rate:.4}/op — planning must reuse the buffer"
     );
     assert!(
         fabric_rate < 0.5,

@@ -73,19 +73,8 @@ ddio_sim::policy_enum! {
         OneAhead = "one",
         /// Infer each disk stream's stride from consecutive demand reads and,
         /// once the stride repeats, prefetch four blocks ahead along it (the
-        /// `StridedPrefetcher` pipeline depth).
+        /// [`Prefetcher::DEPTH`] pipeline depth).
         Strided = "strided",
-    }
-}
-
-impl PrefetchPolicy {
-    /// Builds the prefetcher implementing this policy.
-    pub fn prefetcher(self) -> Box<dyn Prefetcher> {
-        match self {
-            PrefetchPolicy::None => Box::new(NoPrefetcher),
-            PrefetchPolicy::OneAhead => Box::new(OneAheadPrefetcher),
-            PrefetchPolicy::Strided => Box::new(StridedPrefetcher { last: Vec::new() }),
-        }
     }
 }
 
@@ -328,10 +317,27 @@ impl CacheStats {
 }
 
 /// The prefetch half of the cache: observes the stream of demand reads and
-/// names the blocks worth reading ahead.
-pub trait Prefetcher {
-    /// The policy this prefetcher implements.
-    fn policy(&self) -> PrefetchPolicy;
+/// names the blocks worth reading ahead, as its [`PrefetchPolicy`] says.
+#[derive(Debug, Clone)]
+pub struct Prefetcher {
+    policy: PrefetchPolicy,
+    /// `strided` only, per disk (dense, indexed by disk id): the last demand
+    /// block and the stride that led to it.
+    last: Vec<Option<(u64, i64)>>,
+}
+
+impl Prefetcher {
+    /// How many strides ahead `strided` prefetches once the stride is
+    /// confirmed.
+    pub const DEPTH: i64 = 4;
+
+    /// A prefetcher for `policy` that has seen no demand read yet.
+    pub fn new(policy: PrefetchPolicy) -> Self {
+        Prefetcher {
+            policy,
+            last: Vec::new(),
+        }
+    }
 
     /// Called after each demand read of `block`, which lives on disk stream
     /// `disk`; `base_stride` is the file's striping interval (consecutive
@@ -339,65 +345,25 @@ pub trait Prefetcher {
     /// blocks to prefetch, in issue order, to `out` (cleared by the caller —
     /// a reusable buffer, so planning allocates nothing in steady state);
     /// the caller drops candidates that are past EOF or already cached.
-    fn plan(&mut self, disk: usize, block: u64, base_stride: u64, out: &mut Vec<u64>);
-}
-
-/// No prefetching.
-struct NoPrefetcher;
-
-impl Prefetcher for NoPrefetcher {
-    fn policy(&self) -> PrefetchPolicy {
-        PrefetchPolicy::None
-    }
-
-    fn plan(&mut self, _disk: usize, _block: u64, _base_stride: u64, _out: &mut Vec<u64>) {}
-}
-
-/// The paper's one-block-ahead prefetcher: the next file block on the same
-/// disk.
-struct OneAheadPrefetcher;
-
-impl Prefetcher for OneAheadPrefetcher {
-    fn policy(&self) -> PrefetchPolicy {
-        PrefetchPolicy::OneAhead
-    }
-
-    fn plan(&mut self, _disk: usize, block: u64, base_stride: u64, out: &mut Vec<u64>) {
-        out.push(block + base_stride);
-    }
-}
-
-/// Stride detection per disk stream: once two consecutive demand reads on a
-/// disk repeat the same nonzero stride, prefetch [`Self::DEPTH`] blocks
-/// ahead along it.
-struct StridedPrefetcher {
-    /// Per disk (dense, indexed by disk id): the last demand block and the
-    /// stride that led to it.
-    last: Vec<Option<(u64, i64)>>,
-}
-
-impl StridedPrefetcher {
-    /// How many strides ahead to prefetch once the stride is confirmed.
-    pub const DEPTH: i64 = 4;
-}
-
-impl Prefetcher for StridedPrefetcher {
-    fn policy(&self) -> PrefetchPolicy {
-        PrefetchPolicy::Strided
-    }
-
-    fn plan(&mut self, disk: usize, block: u64, _base_stride: u64, out: &mut Vec<u64>) {
-        if disk >= self.last.len() {
-            self.last.resize(disk + 1, None);
-        }
-        let prev = self.last[disk];
-        let stride = prev.map(|(b, _)| block as i64 - b as i64);
-        self.last[disk] = Some((block, stride.unwrap_or(0)));
-        if let (Some((_, prev_stride)), Some(stride)) = (prev, stride) {
-            if stride == prev_stride && stride != 0 {
-                out.extend(
-                    (1..=Self::DEPTH).filter_map(|k| u64::try_from(block as i64 + stride * k).ok()),
-                );
+    pub fn plan(&mut self, disk: usize, block: u64, base_stride: u64, out: &mut Vec<u64>) {
+        match self.policy {
+            PrefetchPolicy::None => {}
+            PrefetchPolicy::OneAhead => out.push(block + base_stride),
+            PrefetchPolicy::Strided => {
+                if disk >= self.last.len() {
+                    self.last.resize(disk + 1, None);
+                }
+                let prev = self.last[disk];
+                let stride = prev.map(|(b, _)| block as i64 - b as i64);
+                self.last[disk] = Some((block, stride.unwrap_or(0)));
+                if let (Some((_, prev_stride)), Some(stride)) = (prev, stride) {
+                    if stride == prev_stride && stride != 0 {
+                        out.extend(
+                            (1..=Self::DEPTH)
+                                .filter_map(|k| u64::try_from(block as i64 + stride * k).ok()),
+                        );
+                    }
+                }
             }
         }
     }
@@ -1188,7 +1154,7 @@ mod tests {
     }
 
     /// Test shim: collect a prefetcher's plan into a fresh Vec.
-    fn plan(p: &mut dyn Prefetcher, disk: usize, block: u64, base_stride: u64) -> Vec<u64> {
+    fn plan(p: &mut Prefetcher, disk: usize, block: u64, base_stride: u64) -> Vec<u64> {
         let mut out = Vec::new();
         p.plan(disk, block, base_stride, &mut out);
         out
@@ -1196,18 +1162,17 @@ mod tests {
 
     #[test]
     fn one_ahead_prefetcher_matches_the_paper() {
-        let mut p = PrefetchPolicy::OneAhead.prefetcher();
-        assert_eq!(plan(p.as_mut(), 0, 10, 16), vec![26]);
+        let mut p = Prefetcher::new(PrefetchPolicy::OneAhead);
+        assert_eq!(plan(&mut p, 0, 10, 16), vec![26]);
         assert_eq!(
-            plan(PrefetchPolicy::None.prefetcher().as_mut(), 0, 10, 16),
+            plan(&mut Prefetcher::new(PrefetchPolicy::None), 0, 10, 16),
             vec![]
         );
     }
 
     #[test]
     fn strided_prefetcher_locks_onto_a_repeating_stride() {
-        let mut p = PrefetchPolicy::Strided.prefetcher();
-        let p = p.as_mut();
+        let p = &mut Prefetcher::new(PrefetchPolicy::Strided);
         assert_eq!(plan(p, 0, 0, 16), vec![], "first read: no history");
         assert_eq!(plan(p, 0, 16, 16), vec![], "one stride seen: tentative");
         assert_eq!(

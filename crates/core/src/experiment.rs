@@ -30,9 +30,10 @@ pub mod scenario;
 
 use ddio_patterns::AccessPattern;
 use ddio_sim::stats::Summary;
+use ddio_sim::Sim;
 
 use crate::config::{LayoutPolicy, MachineConfig, Method};
-use crate::machine::{run_transfer_in, MachineArena, TransferOutcome};
+use crate::machine::{run_transfer_in, TransferOutcome};
 use scenario::CellResult;
 
 /// One data point: a (pattern, method, record size) cell averaged over
@@ -82,18 +83,17 @@ pub fn run_data_point(
     assert!(trials > 0, "need at least one trial");
     let mut throughputs = Vec::with_capacity(trials);
     let mut last = None;
-    // One arena serves every trial of every cell this worker thread runs:
-    // `run_transfer_in` resets it between uses, so executor task slots, the
-    // timer heap, and layout tables are paid for once per thread.
+    // One simulator serves every trial of every cell this worker thread
+    // runs: `run_transfer_in` resets it between uses, so executor task slots
+    // and the timer heap are paid for once per thread.
     thread_local! {
-        static ARENA: std::cell::RefCell<MachineArena> =
-            std::cell::RefCell::new(MachineArena::new());
+        static SIM: std::cell::RefCell<Sim> = std::cell::RefCell::new(Sim::new());
     }
-    ARENA.with(|arena| {
-        let arena = &mut *arena.borrow_mut();
+    SIM.with(|sim| {
+        let sim = &mut *sim.borrow_mut();
         for t in 0..trials {
             let outcome = run_transfer_in(
-                arena,
+                sim,
                 config,
                 method,
                 pattern,

@@ -49,43 +49,21 @@ pub struct FileLayout {
     parity: Vec<BlockLocation>,
 }
 
-/// Recycled backing storage for [`FileLayout::generate_in`]: the location
-/// tables of a retired layout, kept so back-to-back trials regenerate into
-/// the same allocations instead of growing fresh ones.
-#[derive(Debug, Default)]
-pub struct LayoutStorage {
-    locations: Vec<BlockLocation>,
-    mirrors: Vec<BlockLocation>,
-    parity: Vec<BlockLocation>,
-}
-
 impl FileLayout {
     /// Builds the layout for `config`, drawing physical positions from `rng`
     /// (each disk gets an independent stream so varying the disk count does
     /// not reshuffle the others).
     pub fn generate(config: &MachineConfig, rng: &SimRng) -> FileLayout {
-        Self::generate_in(config, rng, LayoutStorage::default())
-    }
-
-    /// [`FileLayout::generate`], regenerating into `storage`'s allocations.
-    /// The produced layout is bit-identical to a fresh `generate`.
-    pub fn generate_in(config: &MachineConfig, rng: &SimRng, storage: LayoutStorage) -> FileLayout {
         config.validate();
         let n_blocks = config.n_blocks();
         let n_disks = config.n_disks;
         let sectors_per_block = config.sectors_per_block() as u64;
         let disk_blocks = config.disk.geometry.capacity_bytes() / config.block_bytes;
+        let n = n_disks as u64;
 
         // How many of the file's blocks land on each disk under round-robin
         // striping.
-        let per_disk = |disk: usize| -> u64 {
-            let d = disk as u64;
-            if d < n_blocks % n_disks as u64 {
-                n_blocks / n_disks as u64 + 1
-            } else {
-                n_blocks / n_disks as u64
-            }
-        };
+        let per_disk = |disk: usize| (n_blocks + n - 1 - disk as u64) / n;
 
         // Choose the physical block positions for each disk.
         let mut per_disk_positions: Vec<Vec<u64>> = Vec::with_capacity(n_disks);
@@ -117,27 +95,20 @@ impl FileLayout {
             per_disk_positions.push(positions);
         }
 
-        // Assign positions to file blocks in stripe order.
-        let mut next_on_disk = vec![0usize; n_disks];
-        let LayoutStorage {
-            mut locations,
-            mut mirrors,
-            mut parity,
-        } = storage;
-        locations.clear();
-        locations.reserve(n_blocks as usize);
-        mirrors.clear();
-        parity.clear();
-        for block in 0..n_blocks {
-            let disk = (block % n_disks as u64) as usize;
-            let slot = next_on_disk[disk];
-            next_on_disk[disk] += 1;
-            let physical_block = per_disk_positions[disk][slot];
-            locations.push(BlockLocation {
-                disk,
-                start_sector: physical_block * sectors_per_block,
-            });
-        }
+        // Assign positions to file blocks in stripe order: block `b` takes
+        // position `b / n_disks` of disk `b % n_disks`.
+        let locations: Vec<BlockLocation> = (0..n_blocks)
+            .map(|block| {
+                let disk = (block % n) as usize;
+                let physical_block = per_disk_positions[disk][(block / n) as usize];
+                BlockLocation {
+                    disk,
+                    start_sector: physical_block * sectors_per_block,
+                }
+            })
+            .collect();
+        let mut mirrors = Vec::new();
+        let mut parity = Vec::new();
 
         // Place the redundant copies, if any. Their positions come from RNG
         // streams disjoint from the primary streams (`derive` is a pure
@@ -197,19 +168,6 @@ impl FileLayout {
             redundancy: config.redundancy,
             mirrors,
             parity,
-        }
-    }
-
-    /// Retires the layout, reclaiming its backing allocations for a future
-    /// [`FileLayout::generate_in`].
-    pub fn into_storage(mut self) -> LayoutStorage {
-        self.locations.clear();
-        self.mirrors.clear();
-        self.parity.clear();
-        LayoutStorage {
-            locations: self.locations,
-            mirrors: self.mirrors,
-            parity: self.parity,
         }
     }
 
@@ -332,13 +290,13 @@ impl FileLayout {
     }
 
     /// The file blocks stored on `disk`, in file order, with their physical
-    /// start sectors.
+    /// start sectors. Striping is round-robin, so they are blocks `disk`,
+    /// `disk + n_disks`, and so on.
     pub fn blocks_on_disk(&self, disk: usize) -> Vec<(u64, u64)> {
-        self.locations
-            .iter()
-            .enumerate()
-            .filter(|(_, loc)| loc.disk == disk)
-            .map(|(block, loc)| (block as u64, loc.start_sector))
+        assert!(disk < self.n_disks, "disk {disk} outside the stripe");
+        (disk..self.locations.len())
+            .step_by(self.n_disks)
+            .map(|block| (block as u64, self.locations[block].start_sector))
             .collect()
     }
 }

@@ -91,8 +91,8 @@ pub use config::{
 };
 pub use ddio_net::LinkStat;
 pub use fault::{FaultConfig, FaultEvent, FaultKind, FaultPolicy, FaultStats, RedundancyPolicy};
-pub use layout::{BlockLocation, FileLayout, LayoutStorage};
-pub use machine::{run_transfer, MachineArena, TransferOutcome, VerifyReport};
+pub use layout::{BlockLocation, FileLayout};
+pub use machine::{run_transfer, TransferOutcome, VerifyReport};
 pub use msg::FsMessage;
 pub use serve::{
     AdmissionQueue, ArrivalProcess, LatencyHistogram, QosPolicy, ServeConfig, ServeParams,

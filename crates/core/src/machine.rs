@@ -8,7 +8,7 @@
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
-use ddio_disk::{spawn_disk_faulty, DiskHandle, DiskRequest, DiskStats, ScsiBus};
+use ddio_disk::{spawn_disk, DiskHandle, DiskRequest, DiskStats, ScsiBus};
 use ddio_net::{Envelope, LinkStat, NetConfig, Network};
 use ddio_patterns::{AccessKind, AccessPattern, PatternInstance};
 use ddio_sim::stats::throughput_mibs;
@@ -438,44 +438,21 @@ pub fn run_transfer(
     record_bytes: u64,
     seed: u64,
 ) -> TransferOutcome {
-    let mut arena = MachineArena::new();
-    run_transfer_in(&mut arena, config, method, pattern, record_bytes, seed)
+    run_transfer_in(&mut Sim::new(), config, method, pattern, record_bytes, seed)
 }
 
-/// Reusable cross-transfer state: the simulator plus recycled machine
-/// allocations. The harness runs many trials and many cells back to back;
-/// routing them through one arena reuses the executor's task slots and
-/// timers ([`Sim::reset`]) and regenerates the file layout into the previous
-/// trial's tables instead of growing fresh ones.
-#[derive(Default)]
-pub struct MachineArena {
-    sim: Sim,
-    /// The previous transfer's layout, held until the next [`Sim::reset`]
-    /// drops the task futures that still reference it — only then can its
-    /// storage be reclaimed.
-    last_layout: Option<Rc<FileLayout>>,
-}
-
-impl MachineArena {
-    /// An empty arena; the first transfer through it pays all allocations.
-    pub fn new() -> MachineArena {
-        MachineArena::default()
-    }
-}
-
-/// Runs one collective transfer on a caller-provided arena.
+/// Runs one collective transfer on a caller-provided simulator.
 ///
-/// The arena's simulator is [`Sim::reset`] before use and its recycled
-/// allocations are regenerated in place, so back-to-back transfers reuse
-/// task slots, timers, and layout tables. Semantics are identical to
-/// [`run_transfer`].
+/// The simulator is [`Sim::reset`] before use, so back-to-back transfers
+/// through one `Sim` reuse its task slots and timer heap. Semantics are
+/// identical to [`run_transfer`].
 ///
 /// # Panics
 ///
 /// Panics if the configuration is invalid or the record size does not divide
 /// the file size.
 pub fn run_transfer_in(
-    arena: &mut MachineArena,
+    sim: &mut Sim,
     config: &MachineConfig,
     method: Method,
     pattern: AccessPattern,
@@ -483,16 +460,7 @@ pub fn run_transfer_in(
     seed: u64,
 ) -> TransferOutcome {
     let wall_start = std::time::Instant::now();
-    let sim = &mut arena.sim;
     sim.reset();
-    // The reset above dropped any still-pending task futures from the last
-    // transfer, releasing their layout references: reclaim the tables.
-    let layout_storage = arena
-        .last_layout
-        .take()
-        .and_then(|rc| Rc::try_unwrap(rc).ok())
-        .map(FileLayout::into_storage)
-        .unwrap_or_default();
     config.validate();
     assert!(
         config.file_bytes % record_bytes == 0,
@@ -503,11 +471,7 @@ pub fn run_transfer_in(
     let pattern_instance = PatternInstance::new(pattern, config.n_cps, n_records, record_bytes);
 
     let rng = SimRng::seed_from_u64(seed);
-    let layout = Rc::new(FileLayout::generate_in(
-        config,
-        &rng.derive(0xD15C),
-        layout_storage,
-    ));
+    let layout = Rc::new(FileLayout::generate(config, &rng.derive(0xD15C)));
 
     // The fault schedule comes from its own derived stream, so enabling
     // faults never perturbs the layout (and vice versa). Static and absent
@@ -578,7 +542,7 @@ pub fn run_transfer_in(
             .disks_of_iop(iop)
             .map(|disk| {
                 let plan = fault_schedule.plan(disk);
-                let handle = spawn_disk_faulty(&ctx, disk, drive_params, method.sched(), plan);
+                let handle = spawn_disk(&ctx, disk, drive_params, method.sched(), plan);
                 (disk, handle)
             })
             .collect();
@@ -727,7 +691,6 @@ pub fn run_transfer_in(
     let ni_recv_utilization = (0..config.n_nodes())
         .map(|n| net.recv_utilization(n))
         .collect();
-    arena.last_layout = Some(Rc::clone(&layout));
     TransferOutcome {
         method,
         pattern: pattern.name(),
@@ -760,7 +723,7 @@ pub fn run_transfer_in(
         bus_utilization,
         cache_stats,
         verify: verify_report,
-        sim_events: arena.sim.events_processed(),
+        sim_events: sim.events_processed(),
         host_wall_secs: wall_start.elapsed().as_secs_f64(),
         build_wall_secs,
         run_wall_secs,

@@ -72,7 +72,7 @@ struct IopServer {
     run: Rc<RunContext>,
     cache: RefCell<BlockCache>,
     /// The prefetcher observing this IOP's demand-read stream.
-    prefetcher: RefCell<Box<dyn Prefetcher>>,
+    prefetcher: RefCell<Prefetcher>,
     /// Reusable buffer the prefetcher plans into (no per-read allocation).
     prefetch_buf: RefCell<Vec<u64>>,
     /// True while a watermark flush sweep is running (at most one at a time).
@@ -399,7 +399,7 @@ pub(crate) fn spawn_transfer(
             parts: Rc::clone(iop_parts),
             run: Rc::clone(run),
             cache: RefCell::new(BlockCache::with_config(cache_capacity, cache)),
-            prefetcher: RefCell::new(cache.prefetch.prefetcher()),
+            prefetcher: RefCell::new(Prefetcher::new(cache.prefetch)),
             prefetch_buf: RefCell::new(Vec::new()),
             sweeping: Cell::new(false),
             background: CountdownEvent::new(0),

@@ -70,6 +70,21 @@ proptest! {
         }
     }
 
+    /// `blocks_on_disk` walks the disk's stripe positions; a scan of every
+    /// block's location, keeping those on the disk, must give the same list.
+    #[test]
+    fn blocks_on_disk_matches_a_full_scan(config in arb_config(), seed in 0u64..10_000) {
+        let layout = FileLayout::generate(&config, &SimRng::seed_from_u64(seed));
+        for disk in 0..config.n_disks {
+            let scan: Vec<(u64, u64)> = (0..layout.n_blocks())
+                .map(|block| (block, layout.location(block)))
+                .filter(|(_, loc)| loc.disk == disk)
+                .map(|(block, loc)| (block, loc.start_sector))
+                .collect();
+            prop_assert_eq!(layout.blocks_on_disk(disk), scan, "disk {}", disk);
+        }
+    }
+
     /// Block byte ranges tile the file exactly.
     #[test]
     fn block_ranges_tile_the_file(config in arb_config(), seed in 0u64..10_000) {

@@ -2,12 +2,11 @@
 //! ("Each disk had a thread permanently running on its IOP, that controlled
 //! access to the disk").
 //!
-//! The server's pending queue is owned by a pluggable [`DiskScheduler`]
-//! (the [`SchedPolicy`] the drive is spawned with): arriving requests are
-//! moved from the command channel into the scheduler, and every time the
-//! mechanism goes idle the scheduler picks the next request using the arm's
-//! current cylinder. The FCFS policy reproduces the original hardwired FIFO
-//! exactly.
+//! The server task owns the drive's [`DiskQueue`], ordered by the
+//! [`SchedPolicy`] the drive is spawned with: arriving requests are moved
+//! from the command channel into the queue, and every time the mechanism
+//! goes idle the queue picks the next request using the arm's current
+//! cylinder. The FCFS policy reproduces the original hardwired FIFO exactly.
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -17,7 +16,7 @@ use ddio_sim::{SimContext, SimDuration, SimTime};
 
 use crate::model::{DiskModel, DiskParams, DiskStats};
 use crate::request::{DiskRequest, ServiceBreakdown};
-use crate::sched::{DiskScheduler, SchedPolicy};
+use crate::sched::{DiskQueue, SchedPolicy};
 
 /// Timed faults injected into one drive's server loop.
 ///
@@ -26,7 +25,7 @@ use crate::sched::{DiskScheduler, SchedPolicy};
 /// (the error reply), a stalled drive holds its queue until the window ends
 /// (an IOP crash + restart), and a slowed drive stretches each service by a
 /// factor (a drive in internal recovery). The default (empty) plan adds no
-/// awaits and no branches taken, so `spawn_disk` with no faults is
+/// awaits and no branches taken, so a drive with no faults is
 /// event-for-event identical to the pre-fault server.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct DriveFaultPlan {
@@ -73,11 +72,8 @@ impl DriveFaultPlan {
     }
 }
 
-/// The payload a drive threads through its scheduler: the completion channel.
+/// The payload a drive threads through its queue: the completion channel.
 type Done = oneshot::OneSender<ServiceBreakdown>;
-
-/// The shared pending queue of one drive.
-type SharedQueue = Rc<RefCell<Box<dyn DiskScheduler<Done>>>>;
 
 /// A command sent to a disk server: the request plus a completion channel.
 struct DiskCommand {
@@ -94,7 +90,6 @@ struct DiskCommand {
 pub struct DiskHandle {
     tx: Sender<DiskCommand>,
     model: Rc<RefCell<DiskModel>>,
-    pending: SharedQueue,
     id: usize,
 }
 
@@ -119,45 +114,19 @@ impl DiskHandle {
         done_rx.await.expect("disk server dropped a request")
     }
 
-    /// The scheduling policy ordering this drive's queue.
-    pub fn sched(&self) -> SchedPolicy {
-        self.pending.borrow().policy()
-    }
-
     /// Statistics accumulated by the drive so far.
     pub fn stats(&self) -> DiskStats {
         self.model.borrow().stats()
-    }
-
-    /// The drive's parameters.
-    pub fn params(&self) -> DiskParams {
-        *self.model.borrow().params()
-    }
-
-    /// Cylinder the arm currently sits on (used by schedulers that sort by
-    /// physical location).
-    pub fn current_cylinder(&self) -> u32 {
-        self.model.borrow().current_cylinder()
     }
 }
 
 /// Spawns a disk-server task on the simulation and returns a handle to it.
 ///
-/// The drive serves its pending queue in the order `sched` picks. The
-/// server runs until every [`DiskHandle`] clone has been dropped.
+/// The drive serves its pending queue in the order `sched` picks, with
+/// `plan`'s faults injected into its dispatch loop (the empty
+/// [`DriveFaultPlan::default`] takes no fault branch and adds no events).
+/// The server runs until every [`DiskHandle`] clone has been dropped.
 pub fn spawn_disk(
-    ctx: &SimContext,
-    id: usize,
-    params: DiskParams,
-    sched: SchedPolicy,
-) -> DiskHandle {
-    spawn_disk_faulty(ctx, id, params, sched, DriveFaultPlan::default())
-}
-
-/// Spawns a disk-server task with a [`DriveFaultPlan`] injected into its
-/// dispatch loop. `spawn_disk` is this with the empty plan, which takes no
-/// fault branch and adds no events.
-pub fn spawn_disk_faulty(
     ctx: &SimContext,
     id: usize,
     params: DiskParams,
@@ -166,39 +135,34 @@ pub fn spawn_disk_faulty(
 ) -> DiskHandle {
     let (tx, rx): (Sender<DiskCommand>, Receiver<DiskCommand>) = unbounded();
     let model = Rc::new(RefCell::new(DiskModel::new(params)));
-    let pending: SharedQueue = Rc::new(RefCell::new(sched.scheduler(params.geometry)));
+    let mut pending = DiskQueue::new(sched, params.geometry);
     let handle = DiskHandle {
         tx,
         model: Rc::clone(&model),
-        pending: Rc::clone(&pending),
         id,
     };
     let server_ctx = ctx.clone();
     ctx.spawn_detached(async move {
         loop {
-            // Move every command that has already arrived into the scheduler
-            // so the policy sees the whole pending set.
+            // Move every command that has already arrived into the queue so
+            // the policy sees the whole pending set.
             while let Some(cmd) = rx.try_recv() {
-                pending.borrow_mut().push(cmd.request, cmd.done);
+                pending.push(cmd.request, cmd.done);
             }
-            if pending.borrow().is_empty() {
+            if pending.is_empty() {
                 // Idle: block for the next arrival, or shut down once every
                 // handle clone has been dropped.
                 match rx.recv().await {
                     Some(cmd) => {
-                        pending.borrow_mut().push(cmd.request, cmd.done);
+                        pending.push(cmd.request, cmd.done);
                         continue;
                     }
                     None => break,
                 }
             }
             let current = model.borrow().current_cylinder();
-            let (request, done, depth) = {
-                let mut queue = pending.borrow_mut();
-                let (request, done) = queue.pop_next(current).expect("queue checked non-empty");
-                (request, done, queue.len() as u64)
-            };
-            model.borrow_mut().record_queue_depth(depth);
+            let (request, done) = pending.pop_next(current).expect("queue checked non-empty");
+            model.borrow_mut().record_queue_depth(pending.len() as u64);
             let mut now: SimTime = server_ctx.now();
             // A stall window (IOP crash + restart) holds the dispatch until
             // the window closes; the request then proceeds normally.
@@ -241,11 +205,16 @@ mod tests {
     use ddio_sim::{Sim, SimDuration};
     use std::cell::Cell;
 
+    /// An FCFS HP 97560 drive with `plan`'s faults.
+    fn fcfs_drive(ctx: &SimContext, plan: DriveFaultPlan) -> DiskHandle {
+        spawn_disk(ctx, 0, DiskParams::hp_97560(), SchedPolicy::Fcfs, plan)
+    }
+
     #[test]
     fn serves_requests_in_fifo_order_one_at_a_time() {
         let mut sim = Sim::new();
         let ctx = sim.context();
-        let disk = spawn_disk(&ctx, 0, DiskParams::hp_97560(), SchedPolicy::Fcfs);
+        let disk = fcfs_drive(&ctx, DriveFaultPlan::default());
         let completions = Rc::new(RefCell::new(Vec::new()));
         for i in 0..4u64 {
             let disk = disk.clone();
@@ -275,7 +244,13 @@ mod tests {
     fn concurrent_clients_share_one_mechanism() {
         let mut sim = Sim::new();
         let ctx = sim.context();
-        let disk = spawn_disk(&ctx, 3, DiskParams::hp_97560(), SchedPolicy::Fcfs);
+        let disk = spawn_disk(
+            &ctx,
+            3,
+            DiskParams::hp_97560(),
+            SchedPolicy::Fcfs,
+            DriveFaultPlan::default(),
+        );
         assert_eq!(disk.id(), 3);
         let total_busy = Rc::new(Cell::new(SimDuration::ZERO));
         for client in 0..2u64 {
@@ -300,13 +275,14 @@ mod tests {
     }
 
     /// Queues one read per cylinder in `cylinders` (all at time zero) on a
-    /// drive with the given policy and returns the cylinder completion order.
-    fn completion_order(policy: SchedPolicy, cylinders: &[u64]) -> Vec<u64> {
+    /// drive with the given policy and returns the cylinder completion order
+    /// and the time the last read finished.
+    fn serve_batch(policy: SchedPolicy, cylinders: &[u64]) -> (Vec<u64>, SimDuration) {
         let mut sim = Sim::new();
         let ctx = sim.context();
         let params = DiskParams::hp_97560();
         let spc = params.geometry.sectors_per_cylinder();
-        let disk = spawn_disk(&ctx, 0, params, policy);
+        let disk = spawn_disk(&ctx, 0, params, policy, DriveFaultPlan::default());
         let order = Rc::new(RefCell::new(Vec::new()));
         // One task per request, spawned after the (already waiting) server
         // task: the whole batch is enqueued before the first dispatch.
@@ -318,48 +294,29 @@ mod tests {
                 order.borrow_mut().push(c);
             });
         }
-        sim.run();
+        let end = sim.run();
         assert_eq!(disk.stats().requests, cylinders.len() as u64);
-        assert_eq!(disk.sched(), policy);
         let order = order.borrow().clone();
-        order
+        (order, end.duration_since(SimTime::ZERO))
     }
 
     #[test]
     fn policies_reorder_a_queued_batch() {
         let batch = [1500u64, 100, 900, 120];
+        let order = |policy| serve_batch(policy, &batch).0;
         // FCFS (and drive-level Presort) serve in arrival order.
-        assert_eq!(completion_order(SchedPolicy::Fcfs, &batch), batch);
-        assert_eq!(completion_order(SchedPolicy::Presort, &batch), batch);
+        assert_eq!(order(SchedPolicy::Fcfs), batch);
+        assert_eq!(order(SchedPolicy::Presort), batch);
         // SSTF walks nearest-first from cylinder 0.
-        assert_eq!(
-            completion_order(SchedPolicy::Sstf, &batch),
-            vec![100, 120, 900, 1500]
-        );
+        assert_eq!(order(SchedPolicy::Sstf), vec![100, 120, 900, 1500]);
         // CSCAN sweeps upward from cylinder 0.
-        assert_eq!(
-            completion_order(SchedPolicy::Cscan, &batch),
-            vec![100, 120, 900, 1500]
-        );
+        assert_eq!(order(SchedPolicy::Cscan), vec![100, 120, 900, 1500]);
     }
 
     #[test]
     fn scheduling_a_batch_beats_fifo_on_scrambled_cylinders() {
         let batch = [1800u64, 40, 1300, 200, 950, 600, 1550, 90];
-        let elapsed = |policy| {
-            let mut sim = Sim::new();
-            let ctx = sim.context();
-            let params = DiskParams::hp_97560();
-            let spc = params.geometry.sectors_per_cylinder();
-            let disk = spawn_disk(&ctx, 0, params, policy);
-            for &c in &batch {
-                let disk = disk.clone();
-                sim.spawn(async move {
-                    disk.io(DiskRequest::read(c * spc, 16)).await;
-                });
-            }
-            sim.run().duration_since(ddio_sim::SimTime::ZERO)
-        };
+        let elapsed = |policy| serve_batch(policy, &batch).1;
         let fcfs = elapsed(SchedPolicy::Fcfs);
         assert!(elapsed(SchedPolicy::Sstf) < fcfs);
         assert!(elapsed(SchedPolicy::Cscan) < fcfs);
@@ -367,12 +324,12 @@ mod tests {
 
     #[test]
     fn queue_depth_counters_accumulate() {
-        let order = completion_order(SchedPolicy::Fcfs, &[10, 20, 30, 40]);
+        let (order, _) = serve_batch(SchedPolicy::Fcfs, &[10, 20, 30, 40]);
         assert_eq!(order.len(), 4);
         // Reuse the harness but inspect stats directly for a fresh run.
         let mut sim = Sim::new();
         let ctx = sim.context();
-        let disk = spawn_disk(&ctx, 0, DiskParams::hp_97560(), SchedPolicy::Fcfs);
+        let disk = fcfs_drive(&ctx, DriveFaultPlan::default());
         for i in 0..4u64 {
             let disk = disk.clone();
             sim.spawn(async move {
@@ -396,7 +353,7 @@ mod tests {
             dead_at: Some(SimTime::ZERO + SimDuration::from_millis(50)),
             ..DriveFaultPlan::default()
         };
-        let disk = spawn_disk_faulty(&ctx, 0, DiskParams::hp_97560(), SchedPolicy::Fcfs, plan);
+        let disk = fcfs_drive(&ctx, plan);
         let results = Rc::new(RefCell::new(Vec::new()));
         {
             let disk = disk.clone();
@@ -427,7 +384,7 @@ mod tests {
             stalls: vec![(SimTime::ZERO, until)],
             ..DriveFaultPlan::default()
         };
-        let disk = spawn_disk_faulty(&ctx, 0, DiskParams::hp_97560(), SchedPolicy::Fcfs, plan);
+        let disk = fcfs_drive(&ctx, plan);
         let done_at = Rc::new(Cell::new(SimTime::ZERO));
         {
             let disk = disk.clone();
@@ -448,7 +405,7 @@ mod tests {
         let elapsed = |plan: DriveFaultPlan| {
             let mut sim = Sim::new();
             let ctx = sim.context();
-            let disk = spawn_disk_faulty(&ctx, 0, DiskParams::hp_97560(), SchedPolicy::Fcfs, plan);
+            let disk = fcfs_drive(&ctx, plan);
             sim.spawn(async move {
                 disk.io(DiskRequest::read(0, 16)).await;
             });
@@ -468,20 +425,19 @@ mod tests {
 
     #[test]
     fn empty_plan_is_event_identical_to_spawn_disk() {
-        let run = |faulty: bool| {
+        // A plan whose windows all open after the run has ended is consulted
+        // at every dispatch but never fires: it must cost exactly what the
+        // empty plan costs, event for event.
+        let later = SimTime::ZERO + SimDuration::from_secs(1000);
+        let idle_plan = DriveFaultPlan {
+            dead_at: Some(later),
+            stalls: vec![(later, later + SimDuration::from_secs(1))],
+            slows: vec![(later, later + SimDuration::from_secs(1), 4.0)],
+        };
+        let run = |plan: DriveFaultPlan| {
             let mut sim = Sim::new();
             let ctx = sim.context();
-            let disk = if faulty {
-                spawn_disk_faulty(
-                    &ctx,
-                    0,
-                    DiskParams::hp_97560(),
-                    SchedPolicy::Fcfs,
-                    DriveFaultPlan::default(),
-                )
-            } else {
-                spawn_disk(&ctx, 0, DiskParams::hp_97560(), SchedPolicy::Fcfs)
-            };
+            let disk = fcfs_drive(&ctx, plan);
             for i in 0..4u64 {
                 let disk = disk.clone();
                 sim.spawn(async move {
@@ -491,14 +447,22 @@ mod tests {
             let end = sim.run();
             (end, sim.events_processed())
         };
-        assert_eq!(run(false), run(true));
+        let (end, events) = run(DriveFaultPlan::default());
+        assert!(end < later);
+        assert_eq!(run(idle_plan), (end, events));
     }
 
     #[test]
     fn stats_visible_through_handle() {
         let mut sim = Sim::new();
         let ctx = sim.context();
-        let disk = spawn_disk(&ctx, 0, DiskParams::tiny_test(), SchedPolicy::Fcfs);
+        let disk = spawn_disk(
+            &ctx,
+            0,
+            DiskParams::tiny_test(),
+            SchedPolicy::Fcfs,
+            DriveFaultPlan::default(),
+        );
         {
             let disk = disk.clone();
             sim.spawn(async move {

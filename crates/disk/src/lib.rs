@@ -15,8 +15,8 @@
 //! * [`SeekCurve`] — the two-regime HP 97560 seek-time curve.
 //! * [`DiskModel`] — the pure service-time model (seek + rotation + transfer
 //!   + read-ahead cache).
-//! * [`DiskScheduler`] / [`SchedPolicy`] — the pluggable queue-scheduling
-//!   subsystem (FCFS, SSTF, CSCAN, and the paper's presort).
+//! * [`DiskQueue`] / [`SchedPolicy`] — a drive's pending queue and the
+//!   policy ordering it (FCFS, SSTF, CSCAN, and the paper's presort).
 //! * [`DiskHandle`] / [`spawn_disk`] — the async disk-server task.
 //! * [`ScsiBus`] — the shared 10 MB/s bus between an IOP and its drives.
 
@@ -32,9 +32,9 @@ mod sched;
 mod seek;
 
 pub use bus::{ScsiBus, SCSI_ARBITRATION, SCSI_BUS_BANDWIDTH};
-pub use drive::{spawn_disk, spawn_disk_faulty, DiskHandle, DriveFaultPlan};
+pub use drive::{spawn_disk, DiskHandle, DriveFaultPlan};
 pub use geometry::{Chs, Geometry};
 pub use model::{DiskModel, DiskParams, DiskStats};
 pub use request::{DiskOp, DiskRequest, ServiceBreakdown};
-pub use sched::{DiskScheduler, SchedPolicy};
+pub use sched::{DiskQueue, SchedPolicy};
 pub use seek::SeekCurve;

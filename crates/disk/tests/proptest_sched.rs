@@ -6,14 +6,14 @@
 
 use proptest::prelude::*;
 
-use ddio_disk::{DiskRequest, Geometry, SchedPolicy};
+use ddio_disk::{DiskQueue, DiskRequest, Geometry, SchedPolicy};
 
 const G: Geometry = Geometry::HP_97560;
 
 /// Builds one request per (cylinder, sector-offset) pair and pushes the
 /// whole batch, tagging each with its arrival index.
-fn load(policy: SchedPolicy, cylinders: &[u32]) -> Box<dyn ddio_disk::DiskScheduler<usize>> {
-    let mut sched = policy.scheduler::<usize>(G);
+fn load(policy: SchedPolicy, cylinders: &[u32]) -> DiskQueue<usize> {
+    let mut sched = DiskQueue::new(policy, G);
     for (i, &c) in cylinders.iter().enumerate() {
         sched.push(
             DiskRequest::read(c as u64 * G.sectors_per_cylinder(), 16),
@@ -23,10 +23,10 @@ fn load(policy: SchedPolicy, cylinders: &[u32]) -> Box<dyn ddio_disk::DiskSchedu
     sched
 }
 
-/// Drains the scheduler, tracking the arm: after serving a request the arm
+/// Drains the queue, tracking the arm: after serving a request the arm
 /// sits on its start cylinder (single-cylinder test requests). Returns the
 /// served (cylinder, arrival-index) sequence.
-fn drain(sched: &mut dyn ddio_disk::DiskScheduler<usize>, mut current: u32) -> Vec<(u32, usize)> {
+fn drain(sched: &mut DiskQueue<usize>, mut current: u32) -> Vec<(u32, usize)> {
     let mut served = Vec::new();
     while let Some((req, idx)) = sched.pop_next(current) {
         current = G.lbn_to_chs(req.start_sector).cylinder;
@@ -51,7 +51,7 @@ proptest! {
     ) {
         for policy in SchedPolicy::ALL {
             let mut sched = load(policy, &cylinders);
-            let served = drain(sched.as_mut(), start);
+            let served = drain(&mut sched, start);
             prop_assert_eq!(served.len(), cylinders.len(), "{} dropped requests", policy);
             prop_assert!(sched.is_empty());
             let mut indices: Vec<usize> = served.iter().map(|&(_, i)| i).collect();
@@ -99,7 +99,7 @@ proptest! {
         start in 0u32..1962,
     ) {
         let mut sched = load(SchedPolicy::Cscan, &cylinders);
-        let served = drain(sched.as_mut(), start);
+        let served = drain(&mut sched, start);
         let cyls: Vec<u32> = served.iter().map(|&(c, _)| c).collect();
         let descents = cyls.windows(2).filter(|w| w[1] < w[0]).count();
         prop_assert!(
@@ -123,7 +123,7 @@ proptest! {
     ) {
         for policy in [SchedPolicy::Fcfs, SchedPolicy::Presort] {
             let mut sched = load(policy, &cylinders);
-            let served = drain(sched.as_mut(), start);
+            let served = drain(&mut sched, start);
             let indices: Vec<usize> = served.iter().map(|&(_, i)| i).collect();
             let expected: Vec<usize> = (0..cylinders.len()).collect();
             prop_assert_eq!(indices, expected, "{} reordered arrivals", policy);

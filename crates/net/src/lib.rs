@@ -7,9 +7,9 @@
 //! pluggable fabric subsystem:
 //!
 //! * [`Topology`] — node placement, hop counts, and minimal routes, built
-//!   from a named [`TopologyKind`]: [`Torus`] (the paper's machine and the
-//!   bit-identical default), [`Mesh`] (no wraparound links), [`Hypercube`]
-//!   (logarithmic diameter), [`Crossbar`] (every pair one hop apart).
+//!   from a named [`TopologyKind`]: `torus` (the paper's machine and the
+//!   bit-identical default), `mesh` (no wraparound links), `hypercube`
+//!   (logarithmic diameter), `crossbar` (every pair one hop apart).
 //! * [`ContentionModel`] — what messages pay for the fabric between the
 //!   network interfaces: `ni-only` (the default: NIs serialize, the fabric
 //!   is an ideal pipe) or `link` (each message also charges serialization
@@ -56,4 +56,4 @@ mod topology;
 pub use fabric::{ContentionModel, NetConfig};
 pub use latency::NetworkParams;
 pub use network::{Envelope, LinkStat, Network, NiOutage};
-pub use topology::{Crossbar, Hypercube, Link, Mesh, NodeId, Topology, TopologyKind, Torus};
+pub use topology::{Link, NodeId, Topology, TopologyKind};

@@ -78,7 +78,7 @@ struct Endpoint<M> {
 struct Shared<M> {
     ctx: SimContext,
     config: NetConfig,
-    topology: Box<dyn Topology>,
+    topology: Topology,
     params: NetworkParams,
     endpoints: Vec<Endpoint<M>>,
     /// One serializing resource per directed link, created on first use
@@ -87,8 +87,6 @@ struct Shared<M> {
     /// same deterministic `(from, to)` reporting order the old `BTreeMap`
     /// produced, without per-insert node allocation. Empty under `ni-only`.
     links: RefCell<Vec<Option<Resource>>>,
-    /// Row stride of `links` (the topology size).
-    link_stride: usize,
     /// Injected NI-down windows (empty on the healthy fabric; the empty
     /// vector adds no awaits anywhere).
     outages: RefCell<Vec<NiOutage>>,
@@ -154,10 +152,9 @@ impl<M: 'static> Network<M> {
         }
         // Only the link model ever touches per-link resources; don't pay the
         // size² table under ni-only.
-        let link_stride = topology.size();
         let link_table = match config.contention {
             ContentionModel::NiOnly => Vec::new(),
-            ContentionModel::Link => vec![None; link_stride * link_stride],
+            ContentionModel::Link => vec![None; topology.size() * topology.size()],
         };
         let net = Network {
             shared: Rc::new(Shared {
@@ -167,7 +164,6 @@ impl<M: 'static> Network<M> {
                 params,
                 endpoints,
                 links: RefCell::new(link_table),
-                link_stride,
                 outages: RefCell::new(Vec::new()),
                 have_outages: Cell::new(false),
                 messages: Counter::new(),
@@ -188,8 +184,8 @@ impl<M: 'static> Network<M> {
     }
 
     /// The topology the nodes sit on.
-    pub fn topology(&self) -> &dyn Topology {
-        self.shared.topology.as_ref()
+    pub fn topology(&self) -> Topology {
+        self.shared.topology
     }
 
     /// The hardware parameters in use.
@@ -330,7 +326,7 @@ impl<M: 'static> Network<M> {
     /// in the pre-sized table.
     fn link_resource(&self, link: Link) -> Resource {
         let s = &self.shared;
-        let idx = link.0 * s.link_stride + link.1;
+        let idx = link.0 * s.topology.size() + link.1;
         s.links.borrow_mut()[idx]
             .get_or_insert_with(|| {
                 Resource::new(
@@ -380,7 +376,7 @@ impl<M: 'static> Network<M> {
     /// under the `ni-only` model (no link is ever charged) and for links no
     /// message crossed.
     pub fn link_stats(&self) -> Vec<LinkStat> {
-        let stride = self.shared.link_stride;
+        let stride = self.shared.topology.size();
         self.shared
             .links
             .borrow()

@@ -1,12 +1,12 @@
-//! Pluggable interconnect topologies: node placement, hop counts, and
-//! minimal routes.
+//! Interconnect topologies: node placement, hop counts, and minimal routes.
 //!
 //! Table 1: "Interconnect topology 6x6 torus ... Routing wormhole". The paper
 //! places 32 processors (16 CPs + 16 IOPs) on a 6x6 torus; the remaining four
 //! router positions are unused. Following the disk-scheduling and IOP-cache
-//! precedents, the topology is a policy: a [`TopologyKind`] names it, a
-//! [`Topology`] object answers placement ([`Topology::size`]), distance
-//! ([`Topology::hops`]) and routing ([`Topology::next_hop`]) questions, and the
+//! precedents, the topology is a policy: a [`TopologyKind`] names it, and
+//! [`TopologyKind::build`] sizes a [`Topology`] value that answers placement
+//! ([`Topology::size`]), distance ([`Topology::hops`]) and routing
+//! ([`Topology::next_hop`]) questions by matching on its kind. The
 //! [`Network`](crate::Network) consults it for every message. The torus
 //! remains the bit-identical default; `mesh` removes the wraparound links,
 //! `hypercube` rewires the same nodes with logarithmic diameter, and
@@ -33,62 +33,6 @@ pub type NodeId = usize;
 /// A directed router-to-router link, identified by its endpoints.
 pub type Link = (NodeId, NodeId);
 
-/// The interconnect wiring of the simulated machine.
-///
-/// A topology owns node placement and distance: how many router positions
-/// exist, how many hops a minimal route takes, and which physical links that
-/// route crosses (used by the link-level contention model). Implementations
-/// must be deterministic — the same `(a, b)` always yields the same route —
-/// so the simulation stays a pure function of its seed.
-pub trait Topology {
-    /// Which named topology this is.
-    fn kind(&self) -> TopologyKind;
-
-    /// Total router positions (at least the number of endpoints requested).
-    fn size(&self) -> usize;
-
-    /// Number of router-to-router hops on a minimal route from `a` to `b`
-    /// (0 when `a == b`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if either node is outside the topology.
-    fn hops(&self, a: NodeId, b: NodeId) -> usize;
-
-    /// The node one step from `at` along the minimal route to `dst`
-    /// (`at != dst`). Following it from `a` until `dst` crosses exactly
-    /// [`Topology::hops`]`(a, dst)` links, and the same `(at, dst)` always
-    /// gives the same step.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either node is outside the topology.
-    fn next_hop(&self, at: NodeId, dst: NodeId) -> NodeId;
-
-    /// The directed links of one minimal route from `a` to `b`, in traversal
-    /// order (empty when `a == b`): the [`Topology::next_hop`] steps, listed.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either node is outside the topology.
-    fn route(&self, a: NodeId, b: NodeId) -> Vec<Link> {
-        let mut links = Vec::with_capacity(self.hops(a, b));
-        let mut at = a;
-        while at != b {
-            let next = self.next_hop(at, b);
-            links.push((at, next));
-            at = next;
-        }
-        links
-    }
-
-    /// The largest hop count between any two nodes (the network diameter).
-    fn diameter(&self) -> usize;
-
-    /// A short human-readable description, e.g. `"6x6 torus"`.
-    fn describe(&self) -> String;
-}
-
 ddio_sim::policy_enum! {
     /// The named topology families the interconnect can be built as.
     pub enum TopologyKind: "topology" {
@@ -108,6 +52,8 @@ ddio_sim::policy_enum! {
     }
 }
 
+use TopologyKind::{Crossbar, Hypercube, Mesh, Torus};
+
 impl TopologyKind {
     /// Builds the smallest instance of this topology with at least `nodes`
     /// positions, mirroring how the paper sizes a 6x6 torus for 32
@@ -116,323 +62,173 @@ impl TopologyKind {
     /// # Panics
     ///
     /// Panics if `nodes` is zero.
-    pub fn build(self, nodes: usize) -> Box<dyn Topology> {
-        assert!(nodes > 0, "need at least one node");
-        match self {
-            TopologyKind::Torus => {
-                let (w, h) = grid_fitting(nodes);
-                Box::new(Torus::new(w, h))
+    pub fn build(self, nodes: usize) -> Topology {
+        assert!(nodes > 0, "topology node count must be non-zero");
+        let (width, height) = match self {
+            Torus | Mesh => {
+                let mut w = 1usize;
+                while w * w < nodes {
+                    w += 1;
+                }
+                // Prefer w x w; shrink the height if a full square overshoots
+                // by a row.
+                (w, nodes.div_ceil(w))
             }
-            TopologyKind::Mesh => {
-                let (w, h) = grid_fitting(nodes);
-                Box::new(Mesh::new(w, h))
-            }
-            TopologyKind::Hypercube => Box::new(Hypercube::fitting(nodes)),
-            TopologyKind::Crossbar => Box::new(Crossbar::new(nodes)),
+            Hypercube => (nodes.next_power_of_two(), 1),
+            Crossbar => (nodes, 1),
+        };
+        Topology {
+            kind: self,
+            width,
+            height,
         }
     }
 }
 
-/// The smallest square-ish `w x h` grid with at least `nodes` positions
-/// (shared by the torus and mesh builders).
-fn grid_fitting(nodes: usize) -> (usize, usize) {
-    assert!(nodes > 0, "need at least one node");
-    let mut w = 1usize;
-    while w * w < nodes {
-        w += 1;
-    }
-    // Prefer w x w; shrink the height if a full square overshoots by a row.
-    let h = nodes.div_ceil(w);
-    (w, h.max(1))
-}
-
-/// (column, row) coordinates of a node on a `width`-column grid.
-fn grid_coords(width: usize, height: usize, node: NodeId) -> (usize, usize) {
-    assert!(node < width * height, "node {node} outside topology");
-    (node % width, node / width)
-}
-
-/// A k x m torus with minimal (shortest-path) dimension-order routing.
+/// The interconnect wiring of the simulated machine.
+///
+/// A topology owns node placement and distance: how many router positions
+/// exist, how many hops a minimal route takes, and which physical links that
+/// route crosses (used by the link-level contention model). Nodes sit
+/// row-major on a `width x height` grid; the hypercube is `2^d x 1` and the
+/// crossbar `n x 1`. Routes are deterministic — the same `(a, b)` always
+/// yields the same route — so the simulation stays a pure function of its
+/// seed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Torus {
-    /// Number of columns.
-    pub width: usize,
-    /// Number of rows.
-    pub height: usize,
+pub struct Topology {
+    kind: TopologyKind,
+    width: usize,
+    height: usize,
 }
 
-impl Torus {
-    /// Creates a torus of the given dimensions.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either dimension is zero.
-    pub fn new(width: usize, height: usize) -> Self {
-        assert!(width > 0 && height > 0, "torus dimensions must be non-zero");
-        Torus { width, height }
+impl Topology {
+    /// Which named topology this is.
+    pub fn kind(&self) -> TopologyKind {
+        self.kind
     }
 
-    /// The smallest square-ish torus with at least `nodes` positions,
-    /// mirroring how the paper sizes a 6x6 torus for 32 processors.
-    pub fn fitting(nodes: usize) -> Self {
-        let (w, h) = grid_fitting(nodes);
-        Torus::new(w, h)
+    /// Total router positions (at least the number of endpoints requested).
+    pub fn size(&self) -> usize {
+        self.width * self.height
     }
 
     /// (column, row) coordinates of a node.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `node` is outside the torus.
-    pub fn coords(&self, node: NodeId) -> (usize, usize) {
-        grid_coords(self.width, self.height, node)
-    }
-
-    /// Node at the given (column, row).
-    pub fn node_at(&self, x: usize, y: usize) -> NodeId {
-        assert!(x < self.width && y < self.height, "coords outside torus");
-        y * self.width + x
-    }
-
-    /// Distance on a ring of `n` positions.
-    fn ring_distance(a: usize, b: usize, n: usize) -> usize {
-        let d = a.abs_diff(b);
-        d.min(n - d)
-    }
-
-    /// The next position one minimal step from `a` toward `b` on a ring of
-    /// `n` positions (ties broken toward increasing coordinates, so routes
-    /// are deterministic).
-    fn ring_step(a: usize, b: usize, n: usize) -> usize {
-        debug_assert_ne!(a, b);
-        let up = (b + n - a) % n;
-        let down = n - up;
-        if up <= down {
-            (a + 1) % n
-        } else {
-            (a + n - 1) % n
-        }
-    }
-}
-
-impl Topology for Torus {
-    fn kind(&self) -> TopologyKind {
-        TopologyKind::Torus
-    }
-
-    fn size(&self) -> usize {
-        self.width * self.height
-    }
-
-    fn hops(&self, a: NodeId, b: NodeId) -> usize {
-        let (ax, ay) = self.coords(a);
-        let (bx, by) = self.coords(b);
-        Self::ring_distance(ax, bx, self.width) + Self::ring_distance(ay, by, self.height)
-    }
-
-    fn next_hop(&self, at: NodeId, dst: NodeId) -> NodeId {
-        let (x, y) = self.coords(at);
-        let (bx, by) = self.coords(dst);
-        // Dimension-order (X then Y) wormhole routing, each axis taking the
-        // shorter way around its ring.
-        if x != bx {
-            self.node_at(Self::ring_step(x, bx, self.width), y)
-        } else {
-            self.node_at(x, Self::ring_step(y, by, self.height))
-        }
-    }
-
-    fn diameter(&self) -> usize {
-        self.width / 2 + self.height / 2
-    }
-
-    fn describe(&self) -> String {
-        format!("{}x{} torus", self.width, self.height)
-    }
-}
-
-/// A k x m mesh: the torus grid without its wraparound links.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Mesh {
-    /// Number of columns.
-    pub width: usize,
-    /// Number of rows.
-    pub height: usize,
-}
-
-impl Mesh {
-    /// Creates a mesh of the given dimensions.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either dimension is zero.
-    pub fn new(width: usize, height: usize) -> Self {
-        assert!(width > 0 && height > 0, "mesh dimensions must be non-zero");
-        Mesh { width, height }
-    }
-
     fn coords(&self, node: NodeId) -> (usize, usize) {
-        grid_coords(self.width, self.height, node)
-    }
-
-    fn node_at(&self, x: usize, y: usize) -> NodeId {
-        y * self.width + x
-    }
-}
-
-impl Topology for Mesh {
-    fn kind(&self) -> TopologyKind {
-        TopologyKind::Mesh
-    }
-
-    fn size(&self) -> usize {
-        self.width * self.height
-    }
-
-    fn hops(&self, a: NodeId, b: NodeId) -> usize {
-        let (ax, ay) = self.coords(a);
-        let (bx, by) = self.coords(b);
-        ax.abs_diff(bx) + ay.abs_diff(by)
-    }
-
-    fn next_hop(&self, at: NodeId, dst: NodeId) -> NodeId {
-        let (x, y) = self.coords(at);
-        let (bx, by) = self.coords(dst);
-        let step = |from: usize, to: usize| if to > from { from + 1 } else { from - 1 };
-        // Dimension-order (X then Y) routing along the Manhattan path.
-        if x != bx {
-            self.node_at(step(x, bx), y)
-        } else {
-            self.node_at(x, step(y, by))
-        }
-    }
-
-    fn diameter(&self) -> usize {
-        (self.width - 1) + (self.height - 1)
-    }
-
-    fn describe(&self) -> String {
-        format!("{}x{} mesh", self.width, self.height)
-    }
-}
-
-/// A binary hypercube of dimension `dims` (`2^dims` router positions).
-///
-/// Hop count between two nodes is the Hamming distance of their ids; routes
-/// fix differing address bits from least to most significant (the classic
-/// dimension-order e-cube route).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Hypercube {
-    /// Number of dimensions (routers have one link per dimension).
-    pub dims: u32,
-}
-
-impl Hypercube {
-    /// Creates a hypercube of the given dimension.
-    pub fn new(dims: u32) -> Self {
-        assert!(dims < usize::BITS, "hypercube dimension too large");
-        Hypercube { dims }
-    }
-
-    /// The smallest hypercube with at least `nodes` positions.
-    pub fn fitting(nodes: usize) -> Self {
-        assert!(nodes > 0, "need at least one node");
-        let mut dims = 0u32;
-        while 1usize << dims < nodes {
-            dims += 1;
-        }
-        Hypercube::new(dims)
-    }
-
-    fn check(&self, node: NodeId) {
         assert!(node < self.size(), "node {node} outside topology");
-    }
-}
-
-impl Topology for Hypercube {
-    fn kind(&self) -> TopologyKind {
-        TopologyKind::Hypercube
+        (node % self.width, node / self.width)
     }
 
-    fn size(&self) -> usize {
-        1usize << self.dims
-    }
-
-    fn hops(&self, a: NodeId, b: NodeId) -> usize {
-        self.check(a);
-        self.check(b);
-        (a ^ b).count_ones() as usize
-    }
-
-    fn next_hop(&self, at: NodeId, dst: NodeId) -> NodeId {
-        self.check(at);
-        self.check(dst);
-        // Fix the lowest differing address bit first (e-cube routing).
-        let diff = at ^ dst;
-        at ^ (diff & diff.wrapping_neg())
-    }
-
-    fn diameter(&self) -> usize {
-        self.dims as usize
-    }
-
-    fn describe(&self) -> String {
-        format!("{}-node hypercube (d={})", self.size(), self.dims)
-    }
-}
-
-/// A full crossbar: every pair of ports is joined by a dedicated link, so
-/// any message crosses exactly one hop and never shares a link with traffic
-/// between other pairs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Crossbar {
-    /// Number of ports.
-    pub ports: usize,
-}
-
-impl Crossbar {
-    /// Creates a crossbar with the given number of ports.
+    /// Number of router-to-router hops on a minimal route from `a` to `b`
+    /// (0 when `a == b`).
     ///
     /// # Panics
     ///
-    /// Panics if `ports` is zero.
-    pub fn new(ports: usize) -> Self {
-        assert!(ports > 0, "crossbar needs at least one port");
-        Crossbar { ports }
+    /// Panics if either node is outside the topology.
+    pub fn hops(&self, a: NodeId, b: NodeId) -> usize {
+        let (ax, ay) = self.coords(a);
+        let (bx, by) = self.coords(b);
+        match self.kind {
+            Torus | Mesh => {
+                self.axis_distance(ax, bx, self.width) + self.axis_distance(ay, by, self.height)
+            }
+            Hypercube => (a ^ b).count_ones() as usize,
+            Crossbar => usize::from(a != b),
+        }
     }
 
-    fn check(&self, node: NodeId) {
-        assert!(node < self.ports, "node {node} outside topology");
-    }
-}
-
-impl Topology for Crossbar {
-    fn kind(&self) -> TopologyKind {
-        TopologyKind::Crossbar
-    }
-
-    fn size(&self) -> usize {
-        self.ports
-    }
-
-    fn hops(&self, a: NodeId, b: NodeId) -> usize {
-        self.check(a);
-        self.check(b);
-        usize::from(a != b)
-    }
-
-    fn next_hop(&self, at: NodeId, dst: NodeId) -> NodeId {
-        self.check(at);
-        self.check(dst);
-        dst
-    }
-
-    fn diameter(&self) -> usize {
-        1
+    /// The node one step from `at` along the minimal route to `dst`
+    /// (`at != dst`). Following it from `a` until `dst` crosses exactly
+    /// [`Topology::hops`]`(a, dst)` links, and the same `(at, dst)` always
+    /// gives the same step.
+    ///
+    /// The torus and mesh route in dimension order (X, then Y); the
+    /// hypercube fixes the lowest differing address bit first (e-cube).
+    ///
+    /// # Panics
+    ///
+    /// Panics if either node is outside the topology.
+    pub fn next_hop(&self, at: NodeId, dst: NodeId) -> NodeId {
+        let (x, y) = self.coords(at);
+        let (bx, by) = self.coords(dst);
+        match self.kind {
+            Torus | Mesh if x != bx => y * self.width + self.axis_step(x, bx, self.width),
+            Torus | Mesh => self.axis_step(y, by, self.height) * self.width + x,
+            Hypercube => {
+                let diff = at ^ dst;
+                at ^ (diff & diff.wrapping_neg())
+            }
+            Crossbar => dst,
+        }
     }
 
-    fn describe(&self) -> String {
-        format!("{}-port crossbar", self.ports)
+    /// Distance between positions `a` and `b` of one grid axis of `n`
+    /// positions: around the ring on the torus, straight on the mesh.
+    fn axis_distance(&self, a: usize, b: usize, n: usize) -> usize {
+        let d = a.abs_diff(b);
+        if self.kind == Torus {
+            d.min(n - d)
+        } else {
+            d
+        }
+    }
+
+    /// The position one minimal step from `a` toward `b` on a grid axis of
+    /// `n` positions. On the torus a half-ring tie goes toward increasing
+    /// coordinates, so routes are deterministic.
+    fn axis_step(&self, a: usize, b: usize, n: usize) -> usize {
+        debug_assert_ne!(a, b);
+        if self.kind == Torus {
+            let up = (b + n - a) % n;
+            if up <= n - up {
+                (a + 1) % n
+            } else {
+                (a + n - 1) % n
+            }
+        } else if b > a {
+            a + 1
+        } else {
+            a - 1
+        }
+    }
+
+    /// The directed links of one minimal route from `a` to `b`, in traversal
+    /// order (empty when `a == b`): the [`Topology::next_hop`] steps, listed.
+    ///
+    /// # Panics
+    ///
+    /// Panics if either node is outside the topology.
+    pub fn route(&self, a: NodeId, b: NodeId) -> Vec<Link> {
+        let mut links = Vec::with_capacity(self.hops(a, b));
+        let mut at = a;
+        while at != b {
+            let next = self.next_hop(at, b);
+            links.push((at, next));
+            at = next;
+        }
+        links
+    }
+
+    /// The largest hop count between any two nodes (the network diameter).
+    pub fn diameter(&self) -> usize {
+        match self.kind {
+            Torus => self.width / 2 + self.height / 2,
+            Mesh => (self.width - 1) + (self.height - 1),
+            Hypercube => self.width.trailing_zeros() as usize,
+            Crossbar => 1,
+        }
+    }
+
+    /// A short human-readable description, e.g. `"6x6 torus"`.
+    pub fn describe(&self) -> String {
+        match self.kind {
+            Torus | Mesh => {
+                format!("{}x{} {}", self.width, self.height, self.kind)
+            }
+            Hypercube => {
+                format!("{}-node hypercube (d={})", self.size(), self.diameter())
+            }
+            Crossbar => format!("{}-port crossbar", self.size()),
+        }
     }
 }
 
@@ -440,9 +236,14 @@ impl Topology for Crossbar {
 mod tests {
     use super::*;
 
+    /// The paper's 6x6 torus.
+    fn torus() -> Topology {
+        TopologyKind::Torus.build(36)
+    }
+
     #[test]
     fn six_by_six_matches_table_1() {
-        let t = Torus::new(6, 6);
+        let t = torus();
         assert_eq!(t.size(), 36);
         assert_eq!(t.diameter(), 6);
         assert_eq!(t.describe(), "6x6 torus");
@@ -450,31 +251,36 @@ mod tests {
 
     #[test]
     fn fitting_produces_a_compact_torus() {
-        assert_eq!(Torus::fitting(32), Torus::new(6, 6));
-        assert_eq!(Torus::fitting(36), Torus::new(6, 6));
-        assert_eq!(Torus::fitting(2), Torus::new(2, 1));
-        assert_eq!(Torus::fitting(17), Torus::new(5, 4));
-        assert!(Torus::fitting(1).size() >= 1);
+        let fit = |nodes| TopologyKind::Torus.build(nodes).describe();
+        assert_eq!(fit(32), "6x6 torus");
+        assert_eq!(fit(36), "6x6 torus");
+        assert_eq!(fit(2), "2x1 torus");
+        assert_eq!(fit(17), "5x4 torus");
+        assert!(TopologyKind::Torus.build(1).size() >= 1);
     }
 
     #[test]
     fn coords_round_trip() {
-        let t = Torus::new(6, 6);
-        for n in 0..t.size() {
-            let (x, y) = t.coords(n);
-            assert_eq!(t.node_at(x, y), n);
+        // Nodes sit row-major: a mesh route from node 0 to node n steps
+        // n % 6 columns along X (+1 each), then n / 6 rows along Y (+6 each).
+        let mesh = TopologyKind::Mesh.build(36);
+        for n in 0..mesh.size() {
+            let steps: Vec<usize> = mesh.route(0, n).iter().map(|&(a, b)| b - a).collect();
+            let mut expected = vec![1; n % 6];
+            expected.extend(vec![6; n / 6]);
+            assert_eq!(steps, expected, "node {n}");
         }
     }
 
     #[test]
     fn hop_counts_use_wraparound() {
-        let t = Torus::new(6, 6);
+        let t = torus();
         // Adjacent nodes.
         assert_eq!(t.hops(0, 1), 1);
         // Opposite corners wrap around: (0,0) to (5,5) is 1+1 via the wrap links.
-        assert_eq!(t.hops(t.node_at(0, 0), t.node_at(5, 5)), 2);
-        // Maximum distance on a ring of 6 is 3.
-        assert_eq!(t.hops(t.node_at(0, 0), t.node_at(3, 3)), 6);
+        assert_eq!(t.hops(0, 35), 2);
+        // Maximum distance on a ring of 6 is 3: (0,0) to (3,3).
+        assert_eq!(t.hops(0, 21), 6);
         // Distance to self is zero and symmetric in general.
         for a in 0..t.size() {
             assert_eq!(t.hops(a, a), 0);
@@ -483,6 +289,31 @@ mod tests {
                 assert!(t.hops(a, b) <= t.diameter());
             }
         }
+    }
+
+    #[test]
+    fn half_ring_routes_break_ties_toward_increasing_coordinates() {
+        let t = torus();
+        // Three steps either way round a ring of six: go up.
+        assert_eq!(t.route(0, 3), vec![(0, 1), (1, 2), (2, 3)]);
+        assert_eq!(t.route(0, 18), vec![(0, 6), (6, 12), (12, 18)]);
+        assert_eq!(t.route(3, 0), vec![(3, 4), (4, 5), (5, 0)]);
+        assert_eq!(t.route(18, 0), vec![(18, 24), (24, 30), (30, 0)]);
+        // A shorter way round is taken whichever direction it is.
+        assert_eq!(t.route(0, 5), vec![(0, 5)]);
+        assert_eq!(t.route(0, 30), vec![(0, 30)]);
+    }
+
+    #[test]
+    fn mesh_routes_step_straight_toward_the_target() {
+        let mesh = TopologyKind::Mesh.build(36);
+        let links =
+            |path: &[usize]| -> Vec<Link> { path.windows(2).map(|w| (w[0], w[1])).collect() };
+        assert_eq!(mesh.route(0, 5), links(&[0, 1, 2, 3, 4, 5]));
+        assert_eq!(
+            mesh.route(35, 0),
+            links(&[35, 34, 33, 32, 31, 30, 24, 18, 12, 6, 0])
+        );
     }
 
     #[test]
@@ -527,10 +358,11 @@ mod tests {
 
     #[test]
     fn mesh_pays_full_manhattan_distance() {
-        let mesh = Mesh::new(6, 6);
-        let torus = Torus::new(6, 6);
+        let mesh = TopologyKind::Mesh.build(36);
+        let torus = torus();
         assert_eq!(mesh.hops(0, 35), 10);
         assert_eq!(mesh.diameter(), 10);
+        assert_eq!(mesh.describe(), "6x6 mesh");
         for a in 0..mesh.size() {
             for b in 0..mesh.size() {
                 assert!(torus.hops(a, b) <= mesh.hops(a, b));
@@ -540,10 +372,10 @@ mod tests {
 
     #[test]
     fn hypercube_hops_are_hamming_distance() {
-        let h = Hypercube::fitting(32);
-        assert_eq!(h.dims, 5);
+        let h = TopologyKind::Hypercube.build(32);
         assert_eq!(h.size(), 32);
         assert_eq!(h.diameter(), 5);
+        assert_eq!(h.describe(), "32-node hypercube (d=5)");
         assert_eq!(h.hops(0, 0b10110), 3);
         // Routes fix low bits first.
         assert_eq!(h.route(0, 0b101), vec![(0, 0b001), (0b001, 0b101)]);
@@ -551,9 +383,10 @@ mod tests {
 
     #[test]
     fn crossbar_is_always_one_hop() {
-        let x = Crossbar::new(32);
+        let x = TopologyKind::Crossbar.build(32);
         assert_eq!(x.size(), 32);
         assert_eq!(x.diameter(), 1);
+        assert_eq!(x.describe(), "32-port crossbar");
         for a in 0..x.size() {
             for b in 0..x.size() {
                 assert_eq!(x.hops(a, b), usize::from(a != b));
@@ -587,12 +420,12 @@ mod tests {
     #[test]
     #[should_panic(expected = "outside topology")]
     fn out_of_range_node_panics() {
-        Torus::new(2, 2).coords(4);
+        TopologyKind::Torus.build(4).hops(0, 4);
     }
 
     #[test]
     #[should_panic(expected = "must be non-zero")]
     fn zero_dimension_panics() {
-        Torus::new(0, 3);
+        TopologyKind::Torus.build(0);
     }
 }
