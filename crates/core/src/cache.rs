@@ -181,51 +181,6 @@ impl CacheConfig {
     pub fn label(self) -> String {
         format!("{}+{}+{}", self.replacement, self.prefetch, self.write)
     }
-
-    /// Parses a `+`-separated composition. Each part names a replacement,
-    /// prefetch, or write policy (`"mru+strided"`); unnamed dimensions keep
-    /// their defaults, so `"mru"` is MRU with the default prefetch and
-    /// write-back. `"default"` is the paper's composition.
-    pub fn parse(s: &str) -> Result<CacheConfig, String> {
-        const DIMENSIONS: [&str; 3] = ["replacement", "prefetch", "write"];
-        let mut config = CacheConfig::DEFAULT;
-        // Pinning the same dimension twice (`"lru+mru"`, `"default+clock"`)
-        // is rejected rather than letting the later name win.
-        let mut pinned = [false; 3];
-        let mut pin = |dim: usize, part: &str| {
-            if std::mem::replace(&mut pinned[dim], true) {
-                Err(format!(
-                    "{part:?} would pin the {} policy twice in {s:?}",
-                    DIMENSIONS[dim]
-                ))
-            } else {
-                Ok(())
-            }
-        };
-        for part in s.split('+').map(str::trim).filter(|p| !p.is_empty()) {
-            if part == "default" {
-                (0..3).try_for_each(|dim| pin(dim, part))?;
-            } else if let Some(p) = ReplacementPolicy::parse(part) {
-                pin(0, part)?;
-                config.replacement = p;
-            } else if let Some(p) = PrefetchPolicy::parse(part) {
-                pin(1, part)?;
-                config.prefetch = p;
-            } else if let Some(p) = WritePolicy::parse(part) {
-                pin(2, part)?;
-                config.write = p;
-            } else {
-                return Err(format!(
-                    "unknown cache policy {part:?} (expected a replacement policy: {}; a \
-                     prefetch policy: {}; a write policy: {}; or default)",
-                    ReplacementPolicy::expected(),
-                    PrefetchPolicy::expected(),
-                    WritePolicy::expected()
-                ));
-            }
-        }
-        Ok(config)
-    }
 }
 
 impl std::fmt::Display for CacheConfig {
@@ -1228,9 +1183,18 @@ mod tests {
                 .map(|c| c.method.cache())
                 .collect()
         };
-        let mru = CacheConfig::parse("mru").unwrap();
-        let clock = CacheConfig::parse("clock").unwrap();
-        let strided = CacheConfig::parse("strided").unwrap();
+        let mru = CacheConfig {
+            replacement: ReplacementPolicy::Mru,
+            ..CacheConfig::DEFAULT
+        };
+        let clock = CacheConfig {
+            replacement: ReplacementPolicy::Clock,
+            ..CacheConfig::DEFAULT
+        };
+        let strided = CacheConfig {
+            prefetch: PrefetchPolicy::Strided,
+            ..CacheConfig::DEFAULT
+        };
         let union = kept("replacement", &["mru", "clock"]);
         assert!(union.contains(&Some(mru)) && union.contains(&Some(clock)));
         assert!(union.contains(&None), "the cacheless baseline survives");
@@ -1249,32 +1213,13 @@ mod tests {
     fn cache_config_labels_and_parsing() {
         assert_eq!(CacheConfig::DEFAULT.label(), "lru+one+onfull");
         assert_eq!(CacheConfig::default(), CacheConfig::DEFAULT);
-        assert_eq!(
-            CacheConfig::parse("mru+strided+watermark").unwrap().label(),
-            "mru+strided+watermark"
-        );
-        // Partial specs keep the defaults; order does not matter.
-        assert_eq!(
-            CacheConfig::parse("strided").unwrap(),
-            CacheConfig {
-                prefetch: PrefetchPolicy::Strided,
-                ..CacheConfig::DEFAULT
-            }
-        );
-        assert_eq!(
-            CacheConfig::parse("watermark+clock").unwrap(),
-            CacheConfig {
-                replacement: ReplacementPolicy::Clock,
-                write: WritePolicy::Watermark,
-                ..CacheConfig::DEFAULT
-            }
-        );
-        assert_eq!(CacheConfig::parse("default").unwrap(), CacheConfig::DEFAULT);
-        assert!(CacheConfig::parse("arc").is_err());
-        // Doubly-pinned dimensions are conflicts, not silent overwrites.
-        assert!(CacheConfig::parse("lru+mru").unwrap_err().contains("twice"));
-        assert!(CacheConfig::parse("one+one").is_err());
-        assert!(CacheConfig::parse("default+clock").is_err());
+        let composed = CacheConfig {
+            replacement: ReplacementPolicy::Mru,
+            prefetch: PrefetchPolicy::Strided,
+            write: WritePolicy::Watermark,
+        };
+        assert_eq!(composed.label(), "mru+strided+watermark");
+        assert_eq!(composed.to_string(), composed.label());
         for p in ReplacementPolicy::ALL {
             assert_eq!(ReplacementPolicy::parse(p.name()), Some(p));
         }

@@ -432,6 +432,7 @@ impl MachineConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cache::ReplacementPolicy;
 
     #[test]
     fn default_matches_table_1() {
@@ -541,7 +542,10 @@ mod tests {
     fn method_cache_composition() {
         // The paper-configuration labels stay suffix-free: seeds and golden
         // snapshots derive from them.
-        let mru = CacheConfig::parse("mru").unwrap();
+        let mru = CacheConfig {
+            replacement: ReplacementPolicy::Mru,
+            ..CacheConfig::DEFAULT
+        };
         assert_eq!(Method::TC.cache(), Some(CacheConfig::DEFAULT));
         assert_eq!(Method::DDIO.cache(), None);
         assert_eq!(Method::TC.with_cache(mru).label(), "TC[mru+one+onfull]");

@@ -3,7 +3,9 @@
 //! Follows the pseudo-code of Figure 1c and the description in §4:
 //!
 //! * The CPs barrier, then one of them multicasts a single collective request
-//!   to every IOP.
+//!   to every IOP. Each of the paper's two barriers is a latch here: every CP
+//!   signals it and waits on it, and the last to arrive is the CP that
+//!   multicasts.
 //! * Each IOP determines which of the file's blocks live on its disks, sorts
 //!   the list by physical location when the scheduling policy is
 //!   [`SchedPolicy::Presort`] (the paper's sorted variant; other policies
@@ -15,15 +17,17 @@
 //!   Memgets and the CPs reply with the data, which then goes to disk.
 //! * When an IOP finishes its share it notifies the requesting CP; the CPs
 //!   barrier once more and the transfer is complete.
+//! * The collective request and every Memget carry the latch their answers
+//!   signal, so neither side keeps a table of outstanding requests.
 
-use std::cell::{Cell, RefCell};
-use std::collections::{HashMap, VecDeque};
+use std::cell::RefCell;
+use std::collections::VecDeque;
 use std::rc::Rc;
 
 use ddio_disk::SchedPolicy;
 use ddio_patterns::AccessKind;
-use ddio_sim::sync::{Barrier, CountdownEvent};
-use ddio_sim::{join_all, Sim, SimContext};
+use ddio_sim::sync::CountdownEvent;
+use ddio_sim::{Sim, SimContext};
 
 use crate::machine::{CpParts, Inbox, IopParts, RunContext};
 use crate::msg::FsMessage;
@@ -32,9 +36,6 @@ use crate::msg::FsMessage;
 struct IopServer {
     parts: Rc<IopParts>,
     run: Rc<RunContext>,
-    /// Routes Memget replies back to the waiting buffer task.
-    pending_gets: RefCell<HashMap<u64, CountdownEvent>>,
-    next_get_id: Cell<u64>,
 }
 
 impl IopServer {
@@ -75,13 +76,10 @@ impl IopServer {
         let arrived = CountdownEvent::new(pieces.len() as u64);
         for piece in pieces {
             self.parts.cpu.use_for(costs.memget_cpu).await;
-            let id = self.next_get_id.get();
-            self.next_get_id.set(id + 1);
-            self.pending_gets.borrow_mut().insert(id, arrived.clone());
             let msg = FsMessage::Memget {
-                id,
                 iop: self.parts.iop,
                 piece,
+                done: arrived.clone(),
             };
             let bytes = costs.message_header_bytes + msg.payload_bytes();
             self.run
@@ -104,18 +102,21 @@ impl IopServer {
 
     /// Runs the whole collective operation on this IOP: build (and, under
     /// the presort policy, sort) each disk's block list, run the buffer
-    /// tasks, then notify the requesting CP.
+    /// tasks, then notify the requesting CP by handing back its `done`
+    /// latch.
     async fn run_collective(
         self: Rc<Self>,
         ctx: SimContext,
         requesting_cp: usize,
         op: AccessKind,
         sched: SchedPolicy,
+        done: CountdownEvent,
     ) {
         let costs = self.run.config.costs;
         self.parts.cpu.use_for(costs.collective_setup_cpu).await;
 
-        let mut buffer_tasks = Vec::new();
+        // Counts the running buffer tasks; each signals as its last step.
+        let buffers = CountdownEvent::new(0);
         for (disk, _) in &self.parts.disks {
             let mut blocks: Vec<(u64, u64)> = self.run.layout.blocks_on_disk(*disk);
             if sched == SchedPolicy::Presort {
@@ -128,7 +129,9 @@ impl IopServer {
             for _ in 0..self.run.config.ddio_buffers_per_disk {
                 let server = Rc::clone(&self);
                 let queue = Rc::clone(&queue);
-                buffer_tasks.push(ctx.spawn(async move {
+                let buffers2 = buffers.clone();
+                buffers.add(1);
+                ctx.spawn(async move {
                     loop {
                         let block = queue.borrow_mut().pop_front();
                         let Some(block) = block else { break };
@@ -137,14 +140,13 @@ impl IopServer {
                             AccessKind::Write => server.write_block(block).await,
                         }
                     }
-                }));
+                    buffers2.signal();
+                });
             }
         }
-        join_all(buffer_tasks).await;
+        buffers.wait().await;
 
-        let msg = FsMessage::CollectiveDone {
-            iop: self.parts.iop,
-        };
+        let msg = FsMessage::CollectiveDone { done };
         self.run
             .net
             .send(
@@ -161,14 +163,11 @@ impl IopServer {
 struct CpClient {
     parts: Rc<CpParts>,
     run: Rc<RunContext>,
-    /// Set when this CP is the one that multicast the request; counts
-    /// CollectiveDone messages.
-    completions: RefCell<Option<CountdownEvent>>,
 }
 
 impl CpClient {
-    /// The CP's inbox dispatcher: absorbs Memputs, answers Memgets, counts
-    /// completions.
+    /// The CP's inbox dispatcher: absorbs Memputs, answers Memgets, and
+    /// signals the latch each IOP's `CollectiveDone` hands back.
     async fn dispatch(self: Rc<Self>, inbox: Inbox) {
         let costs = self.run.config.costs;
         while let Some(env) = inbox.recv().await {
@@ -178,9 +177,9 @@ impl CpClient {
                     self.run
                         .record_cp_bytes(self.parts.cp, piece.mem_offset, piece.bytes);
                 }
-                FsMessage::Memget { id, iop, piece } => {
+                FsMessage::Memget { iop, piece, done } => {
                     self.parts.cpu.use_for(costs.cp_mem_msg_cpu).await;
-                    let reply = FsMessage::MemgetReply { id, piece };
+                    let reply = FsMessage::MemgetReply { piece, done };
                     let bytes = costs.message_header_bytes + reply.payload_bytes();
                     self.run
                         .record_cp_bytes(self.parts.cp, piece.mem_offset, piece.bytes);
@@ -189,16 +188,7 @@ impl CpClient {
                         .post(self.parts.node, self.run.config.iop_node(iop), bytes, reply)
                         .await;
                 }
-                FsMessage::CollectiveDone { .. } => {
-                    if let Some(cd) = self.completions.borrow().as_ref() {
-                        cd.signal();
-                    } else {
-                        panic!(
-                            "CP {} received CollectiveDone but did not issue the request",
-                            self.parts.cp
-                        );
-                    }
-                }
+                FsMessage::CollectiveDone { done } => done.signal(),
                 other => panic!(
                     "CP {} received unexpected message under disk-directed I/O: {other:?}",
                     self.parts.cp
@@ -210,19 +200,17 @@ impl CpClient {
 
 /// Spawns every task of a disk-directed transfer. Each CP's application
 /// task signals `finished` as its last step.
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn spawn_transfer(
     sim: &mut Sim,
-    ctx: &SimContext,
     run: &Rc<RunContext>,
     cps: &[Rc<CpParts>],
-    iops: &[Rc<IopParts>],
     cp_inboxes: Vec<Inbox>,
     iop_inboxes: Vec<Inbox>,
     sched: SchedPolicy,
     finished: &CountdownEvent,
 ) {
     let config = &run.config;
+    let ctx = sim.context();
     let op = if run.pattern.is_write() {
         AccessKind::Write
     } else {
@@ -230,34 +218,26 @@ pub(crate) fn spawn_transfer(
     };
 
     // IOP dispatchers.
-    for (iop_parts, inbox) in iops.iter().zip(iop_inboxes) {
+    for (iop_parts, inbox) in run.iops.iter().zip(iop_inboxes) {
         let server = Rc::new(IopServer {
             parts: Rc::clone(iop_parts),
             run: Rc::clone(run),
-            pending_gets: RefCell::new(HashMap::new()),
-            next_get_id: Cell::new(0),
         });
         let server_ctx = ctx.clone();
         sim.spawn(async move {
             while let Some(env) = inbox.recv().await {
                 match env.payload {
-                    FsMessage::CollectiveRequest { cp, op } => {
+                    FsMessage::CollectiveRequest { cp, op, done } => {
                         let server = Rc::clone(&server);
                         let task_ctx = server_ctx.clone();
-                        server_ctx.spawn_detached(async move {
-                            server.run_collective(task_ctx, cp, op, sched).await;
+                        server_ctx.spawn(async move {
+                            server.run_collective(task_ctx, cp, op, sched, done).await;
                         });
                     }
                     // Reconstruction data: the recovering task awaited the
                     // delivery itself; nothing to route.
                     FsMessage::Reconstructed { .. } => {}
-                    FsMessage::MemgetReply { id, .. } => {
-                        let waiter = server.pending_gets.borrow_mut().remove(&id);
-                        match waiter {
-                            Some(cd) => cd.signal(),
-                            None => panic!("IOP received MemgetReply for unknown id {id}"),
-                        }
-                    }
+                    FsMessage::MemgetReply { done, .. } => done.signal(),
                     other => {
                         panic!("IOP received unexpected message under disk-directed I/O: {other:?}")
                     }
@@ -266,13 +246,14 @@ pub(crate) fn spawn_transfer(
         });
     }
 
-    // CP dispatchers and application tasks.
-    let barrier = Barrier::new(config.n_cps as u64);
+    // CP dispatchers and application tasks. The paper's two barriers are
+    // two latches every CP signals once.
+    let ready = CountdownEvent::new(config.n_cps as u64);
+    let done = CountdownEvent::new(config.n_cps as u64);
     for (cp_parts, inbox) in cps.iter().zip(cp_inboxes) {
         let client = Rc::new(CpClient {
             parts: Rc::clone(cp_parts),
             run: Rc::clone(run),
-            completions: RefCell::new(None),
         });
         {
             let client = Rc::clone(&client);
@@ -282,23 +263,26 @@ pub(crate) fn spawn_transfer(
         }
 
         let run2 = Rc::clone(run);
-        let barrier = barrier.clone();
+        let (ready, done) = (ready.clone(), done.clone());
         let finished = finished.clone();
         let n_iops = config.n_iops;
         sim.spawn(async move {
-            // Barrier: ensure every CP's buffers are ready before any data
-            // can arrive.
-            let result = barrier.wait().await;
-            if result.is_leader() {
-                // Any one CP multicasts the collective request to all IOPs.
+            // First barrier: ensure every CP's buffers are ready before any
+            // data can arrive.
+            ready.signal();
+            let last = ready.remaining() == 0;
+            ready.wait().await;
+            if last {
+                // Any one CP (the last to arrive) multicasts the collective
+                // request to all IOPs.
                 let costs = run2.config.costs;
-                let countdown = CountdownEvent::new(n_iops as u64);
-                *client.completions.borrow_mut() = Some(countdown.clone());
+                let iops_done = CountdownEvent::new(n_iops as u64);
                 for iop in 0..n_iops {
                     client.parts.cpu.use_for(costs.cp_request_cpu).await;
                     let msg = FsMessage::CollectiveRequest {
                         cp: client.parts.cp,
                         op,
+                        done: iops_done.clone(),
                     };
                     client
                         .run
@@ -312,10 +296,11 @@ pub(crate) fn spawn_transfer(
                         .await;
                 }
                 // Wait for all IOPs to report completion.
-                countdown.wait().await;
+                iops_done.wait().await;
             }
             // Final barrier: all CPs wait for the transfer to complete.
-            barrier.wait().await;
+            done.signal();
+            done.wait().await;
             finished.signal();
         });
     }

@@ -13,6 +13,8 @@
 //! free physical blocks, drawn from RNG streams independent of the primary
 //! streams, so enabling redundancy never moves a primary block.
 
+use std::collections::HashSet;
+
 use ddio_sim::SimRng;
 
 use crate::config::{LayoutPolicy, MachineConfig};
@@ -81,7 +83,7 @@ impl FileLayout {
                     (0..count).map(|i| start + i).collect()
                 }
                 LayoutPolicy::RandomBlocks => {
-                    let mut chosen = std::collections::HashSet::with_capacity(count as usize);
+                    let mut chosen = HashSet::with_capacity(count as usize);
                     let mut positions = Vec::with_capacity(count as usize);
                     while positions.len() < count as usize {
                         let p = disk_rng.gen_range(disk_blocks);
@@ -107,57 +109,45 @@ impl FileLayout {
                 }
             })
             .collect();
-        let mut mirrors = Vec::new();
-        let mut parity = Vec::new();
 
-        // Place the redundant copies, if any. Their positions come from RNG
-        // streams disjoint from the primary streams (`derive` is a pure
-        // function of the root seed), so the primary placement above is
-        // bit-identical whether or not redundancy is enabled.
-        let mut occupied: Vec<std::collections::HashSet<u64>> =
-            vec![std::collections::HashSet::new(); n_disks];
-        if config.redundancy != RedundancyPolicy::None {
+        // Place the redundant copies, if any: one on each disk `copy_disks`
+        // names, in order, at a block position drawn from that disk's own
+        // stream and free of every primary and earlier copy. The streams are
+        // disjoint from the primary streams (`derive` is a pure function of
+        // the root seed), so the primary placement above is bit-identical
+        // whether or not redundancy is enabled.
+        let place_copies = |stream: u64, copy_disks: &mut dyn Iterator<Item = usize>| {
+            let streams: Vec<SimRng> = (0..n_disks)
+                .map(|d| rng.derive(stream + d as u64))
+                .collect();
+            let mut occupied = vec![HashSet::new(); n_disks];
             for loc in &locations {
                 occupied[loc.disk].insert(loc.start_sector / sectors_per_block);
             }
-        }
-        let mut pick_free = |disk: usize, disk_rng: &SimRng| -> u64 {
-            loop {
-                let p = disk_rng.gen_range(disk_blocks);
-                if occupied[disk].insert(p) {
-                    return p;
-                }
-            }
+            copy_disks
+                .map(|disk| loop {
+                    let p = streams[disk].gen_range(disk_blocks);
+                    if occupied[disk].insert(p) {
+                        break BlockLocation {
+                            disk,
+                            start_sector: p * sectors_per_block,
+                        };
+                    }
+                })
+                .collect::<Vec<_>>()
         };
-        match config.redundancy {
-            RedundancyPolicy::None => {}
+        let (mirrors, parity) = match config.redundancy {
+            RedundancyPolicy::None => (Vec::new(), Vec::new()),
             RedundancyPolicy::Mirrored => {
-                let streams: Vec<SimRng> = (0..n_disks)
-                    .map(|d| rng.derive(MIRROR_STREAM + d as u64))
-                    .collect();
-                for block in 0..n_blocks {
-                    let mirror_disk = locations[block as usize].disk ^ 1;
-                    let p = pick_free(mirror_disk, &streams[mirror_disk]);
-                    mirrors.push(BlockLocation {
-                        disk: mirror_disk,
-                        start_sector: p * sectors_per_block,
-                    });
-                }
+                let mut mirror_disks = locations.iter().map(|loc| loc.disk ^ 1);
+                (place_copies(MIRROR_STREAM, &mut mirror_disks), Vec::new())
             }
             RedundancyPolicy::Parity => {
-                let streams: Vec<SimRng> = (0..n_disks)
-                    .map(|d| rng.derive(PARITY_STREAM + d as u64))
-                    .collect();
-                for group in 0..Self::parity_groups(n_blocks, n_disks) {
-                    let parity_disk = Self::parity_disk(group, n_disks);
-                    let p = pick_free(parity_disk, &streams[parity_disk]);
-                    parity.push(BlockLocation {
-                        disk: parity_disk,
-                        start_sector: p * sectors_per_block,
-                    });
-                }
+                let mut parity_disks = (0..Self::parity_groups(n_blocks, n_disks))
+                    .map(|group| Self::parity_disk(group, n_disks));
+                (Vec::new(), place_copies(PARITY_STREAM, &mut parity_disks))
             }
-        }
+        };
 
         FileLayout {
             block_bytes: config.block_bytes,

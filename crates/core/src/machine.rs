@@ -588,10 +588,8 @@ pub fn run_transfer_in(
     let serve_session = if serve_schedule.is_active() {
         Some(serve::spawn_serving(
             sim,
-            &ctx,
             &run,
             &cps,
-            &iops,
             cp_inboxes,
             iop_inboxes,
             method,
@@ -602,10 +600,8 @@ pub fn run_transfer_in(
             Method::TraditionalCaching(sched, cache) => {
                 tc::spawn_transfer(
                     sim,
-                    &ctx,
                     &run,
                     &cps,
-                    &iops,
                     cp_inboxes,
                     iop_inboxes,
                     sched,
@@ -614,17 +610,7 @@ pub fn run_transfer_in(
                 );
             }
             Method::DiskDirected(sched) => {
-                ddio::spawn_transfer(
-                    sim,
-                    &ctx,
-                    &run,
-                    &cps,
-                    &iops,
-                    cp_inboxes,
-                    iop_inboxes,
-                    sched,
-                    &finished,
-                );
+                ddio::spawn_transfer(sim, &run, &cps, cp_inboxes, iop_inboxes, sched, &finished);
             }
         }
         None
@@ -792,6 +778,7 @@ fn verify_transfer(pattern: &PatternInstance, v: &VerifyState) -> VerifyReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cache::ReplacementPolicy;
     use crate::config::{CacheConfig, LayoutPolicy, SchedPolicy};
     use ddio_patterns::AccessPattern;
 
@@ -810,7 +797,10 @@ mod tests {
     fn matching_config_cache_is_accepted_and_reports_stats() {
         // The Method alone carries the cache composition.
         let config = tiny_config();
-        let mru = CacheConfig::parse("mru").unwrap();
+        let mru = CacheConfig {
+            replacement: ReplacementPolicy::Mru,
+            ..CacheConfig::DEFAULT
+        };
         let outcome = run_transfer(
             &config,
             Method::TC.with_cache(mru),

@@ -22,13 +22,12 @@
 //! every cell can report p50/p99/p999 without storing per-request samples.
 
 use std::cell::{Cell, RefCell};
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::rc::Rc;
-use std::task::Poll;
 
 use ddio_disk::SchedPolicy;
-use ddio_sim::sync::{oneshot, CountdownEvent};
-use ddio_sim::{Sim, SimContext, SimDuration, SimRng, SimTime, TaskRef};
+use ddio_sim::sync::{unbounded, CountdownEvent};
+use ddio_sim::{Sim, SimDuration, SimRng, SimTime};
 
 use crate::config::{MachineConfig, Method};
 use crate::machine::{CpParts, Inbox, IopParts, RunContext};
@@ -487,86 +486,6 @@ impl AdmissionQueue {
     }
 }
 
-/// The shared arrival→admission queue: the injector pushes, the admission
-/// workers pop (awaiting new arrivals), and closing it releases the workers.
-#[derive(Clone)]
-pub(crate) struct SharedQueue {
-    inner: Rc<RefCell<SharedInner>>,
-}
-
-struct SharedInner {
-    queue: AdmissionQueue,
-    closed: bool,
-    waiters: Vec<TaskRef>,
-}
-
-impl SharedQueue {
-    fn new(qos: QosPolicy, tenants: usize) -> SharedQueue {
-        SharedQueue {
-            inner: Rc::new(RefCell::new(SharedInner {
-                queue: AdmissionQueue::new(qos, tenants),
-                closed: false,
-                waiters: Vec::new(),
-            })),
-        }
-    }
-
-    fn push(&self, tenant: usize, id: u64) {
-        let mut inner = self.inner.borrow_mut();
-        inner.queue.push(tenant, id);
-        for w in inner.waiters.drain(..) {
-            w.wake();
-        }
-    }
-
-    /// Marks the stream complete: pending pops drain the queue, then resolve
-    /// to `None`.
-    fn close(&self) {
-        let mut inner = self.inner.borrow_mut();
-        inner.closed = true;
-        for w in inner.waiters.drain(..) {
-            w.wake();
-        }
-    }
-
-    /// Admits the next request if one is pending (never waits).
-    fn try_pop(&self) -> Option<(usize, u64)> {
-        self.inner.borrow_mut().queue.pop()
-    }
-
-    /// Admits the next request, waiting for an arrival; `None` once the
-    /// stream is closed and drained.
-    fn pop(&self) -> PopFuture {
-        PopFuture {
-            queue: self.clone(),
-        }
-    }
-}
-
-/// Future returned by [`SharedQueue::pop`].
-struct PopFuture {
-    queue: SharedQueue,
-}
-
-impl std::future::Future for PopFuture {
-    type Output = Option<(usize, u64)>;
-
-    fn poll(
-        self: std::pin::Pin<&mut Self>,
-        _cx: &mut std::task::Context<'_>,
-    ) -> Poll<Self::Output> {
-        let mut inner = self.queue.inner.borrow_mut();
-        if let Some(next) = inner.queue.pop() {
-            return Poll::Ready(Some(next));
-        }
-        if inner.closed {
-            return Poll::Ready(None);
-        }
-        inner.waiters.push(TaskRef::capture());
-        Poll::Pending
-    }
-}
-
 /// One tenant's share of a serving run, surfaced per JSON cell.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TenantStats {
@@ -709,30 +628,27 @@ impl ServeSession {
 /// (the batch shares one collective setup per IOP).
 const SERVE_BATCH: usize = 8;
 
-/// Per-CP client state: issues admitted requests and routes replies back.
+/// Per-CP client state: issues admitted requests.
 struct ServeClient {
     parts: Rc<CpParts>,
     run: Rc<RunContext>,
     session: Rc<ServeSession>,
-    pending: RefCell<HashMap<u64, oneshot::OneSender<FsMessage>>>,
 }
 
 impl ServeClient {
     /// Issues one admitted request to the IOP owning its block and records
     /// its completion when the data comes back.
-    async fn drive(self: Rc<Self>, spec: ServeRequestSpec, id: u64, setup: bool) {
+    async fn drive(self: Rc<Self>, spec: ServeRequestSpec, setup: bool) {
         let costs = self.run.config.costs;
-        let (tx, rx) = oneshot::channel();
-        self.pending.borrow_mut().insert(id, tx);
-
         self.parts.cpu.use_for(costs.cp_request_cpu).await;
         let disk = self.run.layout.disk_of_block(spec.block);
         let iop = self.run.config.iop_of_disk(disk);
+        let done = CountdownEvent::new(1);
         let request = FsMessage::ServeRequest {
-            id,
             cp: self.parts.cp,
             block: spec.block,
             setup,
+            done: done.clone(),
         };
         let bytes = costs.message_header_bytes + request.payload_bytes();
         self.run
@@ -745,26 +661,20 @@ impl ServeClient {
             )
             .await;
 
-        let reply = rx.await.expect("IOP dropped a serve request");
+        done.wait().await;
         self.parts.cpu.use_for(costs.cp_mem_msg_cpu).await;
-        let FsMessage::ServeReply { len, .. } = reply else {
-            panic!("serve client routed a non-reply: {reply:?}");
-        };
+        // The reply carries the whole block.
         let now = self.run.fault.ctx.now();
         let latency = now.saturating_duration_since(spec.arrival);
         self.session
-            .record_completion(spec.tenant, latency, len as u64);
+            .record_completion(spec.tenant, latency, self.run.block_bytes(spec.block));
     }
 
     /// The CP's inbox dispatcher.
     async fn dispatch(self: Rc<Self>, inbox: Inbox) {
         while let Some(env) = inbox.recv().await {
             match env.payload {
-                FsMessage::ServeReply { id, .. } => {
-                    if let Some(tx) = self.pending.borrow_mut().remove(&id) {
-                        tx.send(env.payload);
-                    }
-                }
+                FsMessage::ServeReply { done, .. } => done.signal(),
                 // Reconstruction data: the recovering task awaited the
                 // delivery itself; nothing to route.
                 FsMessage::Reconstructed { .. } => {}
@@ -788,8 +698,9 @@ struct ServeServer {
 
 impl ServeServer {
     /// Serves one request: CPU costs per the method, the disk read, the SCSI
-    /// bus, and the data-carrying reply.
-    async fn handle(self: Rc<Self>, id: u64, cp: usize, block: u64, setup: bool) {
+    /// bus, and the data-carrying reply, which hands back the request's
+    /// `done` latch.
+    async fn handle(self: Rc<Self>, cp: usize, block: u64, setup: bool, done: CountdownEvent) {
         let costs = self.run.config.costs;
         if self.ddio {
             // Disk-directed: the first request of a batch's per-IOP group
@@ -811,8 +722,8 @@ impl ServeServer {
             self.parts.cpu.use_for(costs.iop_reply_cpu).await;
         }
         let reply = FsMessage::ServeReply {
-            id,
             len: bytes as u32,
+            done,
         };
         let wire = costs.message_header_bytes + reply.payload_bytes();
         self.run
@@ -825,24 +736,22 @@ impl ServeServer {
 /// Spawns every task of an open-loop serving run: per-IOP servers, per-CP
 /// clients, the arrival injector, and the admission workers. Returns the
 /// session whose recorders accumulate the run's statistics.
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn spawn_serving(
     sim: &mut Sim,
-    ctx: &SimContext,
     run: &Rc<RunContext>,
     cps: &[Rc<CpParts>],
-    iops: &[Rc<IopParts>],
     cp_inboxes: Vec<Inbox>,
     iop_inboxes: Vec<Inbox>,
     method: Method,
     schedule: ServeConfig,
 ) -> Rc<ServeSession> {
+    let ctx = sim.context();
     let session = Rc::new(ServeSession::new(schedule.tenants, schedule.requests.len()));
     let ddio = method.is_disk_directed();
     let presort = method.sched() == SchedPolicy::Presort;
 
     // IOP servers.
-    for (iop_parts, inbox) in iops.iter().zip(iop_inboxes) {
+    for (iop_parts, inbox) in run.iops.iter().zip(iop_inboxes) {
         let server = Rc::new(ServeServer {
             parts: Rc::clone(iop_parts),
             run: Rc::clone(run),
@@ -853,14 +762,14 @@ pub(crate) fn spawn_serving(
             while let Some(env) = inbox.recv().await {
                 match env.payload {
                     FsMessage::ServeRequest {
-                        id,
                         cp,
                         block,
                         setup,
+                        done,
                     } => {
                         let server = Rc::clone(&server);
-                        server_ctx.spawn_detached(async move {
-                            server.handle(id, cp, block, setup).await;
+                        server_ctx.spawn(async move {
+                            server.handle(cp, block, setup, done).await;
                         });
                     }
                     FsMessage::Reconstructed { .. } => {}
@@ -877,7 +786,6 @@ pub(crate) fn spawn_serving(
             parts: Rc::clone(cp_parts),
             run: Rc::clone(run),
             session: Rc::clone(&session),
-            pending: RefCell::new(HashMap::new()),
         });
         {
             let client = Rc::clone(&client);
@@ -889,11 +797,17 @@ pub(crate) fn spawn_serving(
     }
 
     // The arrival injector: requests enter the shared admission queue at
-    // their scheduled virtual times, in schedule order.
-    let queue = SharedQueue::new(schedule.qos, schedule.tenants);
+    // their scheduled virtual times, in schedule order, each announced by
+    // one token on the arrivals channel. Dropping the sender at the end of
+    // the schedule closes the channel, which releases the workers.
+    let queue = Rc::new(RefCell::new(AdmissionQueue::new(
+        schedule.qos,
+        schedule.tenants,
+    )));
+    let (arrived, arrivals) = unbounded::<()>();
     let specs = Rc::new(schedule.requests);
     {
-        let queue = queue.clone();
+        let queue = Rc::clone(&queue);
         let specs = Rc::clone(&specs);
         let inject_ctx = ctx.clone();
         sim.spawn(async move {
@@ -901,9 +815,11 @@ pub(crate) fn spawn_serving(
                 inject_ctx
                     .sleep(spec.arrival.saturating_duration_since(inject_ctx.now()))
                     .await;
-                queue.push(spec.tenant, id as u64);
+                queue.borrow_mut().push(spec.tenant, id as u64);
+                arrived
+                    .try_send(())
+                    .expect("admission workers outlive arrivals");
             }
-            queue.close();
         });
     }
 
@@ -917,7 +833,8 @@ pub(crate) fn spawn_serving(
     let layout = Rc::clone(&run.layout);
     let config = Rc::clone(&run.config);
     for _ in 0..workers {
-        let queue = queue.clone();
+        let queue = Rc::clone(&queue);
+        let arrivals = arrivals.clone();
         let specs = Rc::clone(&specs);
         let session = Rc::clone(&session);
         let clients = clients.clone();
@@ -926,18 +843,15 @@ pub(crate) fn spawn_serving(
         let worker_ctx = ctx.clone();
         sim.spawn(async move {
             let mut batch: Vec<(usize, u64)> = Vec::with_capacity(SERVE_BATCH);
-            loop {
-                let Some(first) = queue.pop().await else {
-                    break;
-                };
+            // One token per queued request: holding a token entitles a
+            // worker to one pop.
+            let pop = || queue.borrow_mut().pop().expect("a token per request");
+            while arrivals.recv().await.is_some() {
                 batch.clear();
-                batch.push(first);
+                batch.push(pop());
                 if ddio {
-                    while batch.len() < SERVE_BATCH {
-                        let Some(next) = queue.try_pop() else {
-                            break;
-                        };
-                        batch.push(next);
+                    while batch.len() < SERVE_BATCH && arrivals.try_recv().is_some() {
+                        batch.push(pop());
                     }
                     // Group per IOP so each group shares one collective
                     // setup; the sorted variant additionally orders each
@@ -967,8 +881,8 @@ pub(crate) fn spawn_serving(
                     let client = Rc::clone(&clients[id as usize % clients.len()]);
                     let inflight2 = inflight.clone();
                     inflight.add(1);
-                    worker_ctx.spawn_detached(async move {
-                        client.drive(spec, id, setup).await;
+                    worker_ctx.spawn(async move {
+                        client.drive(spec, setup).await;
                         inflight2.signal();
                     });
                 }

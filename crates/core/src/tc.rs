@@ -14,15 +14,18 @@
 //!   [`CacheConfig`] selects the replacement, prefetch, and write-back
 //!   policies actually run (see [`crate::cache`]).
 //! * The measured transfer ends only when all write-behind and prefetch
-//!   activity has drained (the CPs issue an explicit sync at the end).
+//!   activity has drained: the CPs meet at the paper's barrier (here a latch
+//!   every CP signals and waits on), and the last to arrive issues an
+//!   explicit sync to every IOP.
+//! * Every request carries the latch its reply signals, so neither side
+//!   keeps a table of outstanding requests.
 
 use std::cell::{Cell, RefCell};
-use std::collections::HashMap;
 use std::rc::Rc;
 
 use ddio_disk::SchedPolicy;
 use ddio_patterns::AccessKind;
-use ddio_sim::sync::{oneshot, Barrier, CountdownEvent};
+use ddio_sim::sync::CountdownEvent;
 use ddio_sim::{Sim, SimContext};
 
 use crate::cache::{
@@ -137,7 +140,7 @@ impl IopServer {
             }
             let server = Rc::clone(self);
             self.background.add(1);
-            ctx.spawn_detached(async move {
+            ctx.spawn(async move {
                 let costs = server.run.config.costs;
                 server.parts.cpu.use_for(costs.iop_cache_cpu).await;
                 // Re-check: another request may have brought the block in
@@ -161,7 +164,7 @@ impl IopServer {
         }
         let server = Rc::clone(self);
         self.background.add(1);
-        ctx.spawn_detached(async move {
+        ctx.spawn(async move {
             let low = WritePolicy::low_watermark(server.cache.borrow().capacity());
             loop {
                 let dirty = server.cache.borrow().dirty_blocks();
@@ -181,17 +184,18 @@ impl IopServer {
     }
 
     /// Handles one CP request (runs as its own task, like the paper's
-    /// per-request IOP threads).
+    /// per-request IOP threads); the reply hands back the request's `done`
+    /// latch.
     #[allow(clippy::too_many_arguments)] // mirrors the on-the-wire request fields
     async fn handle_request(
         self: Rc<Self>,
         ctx: SimContext,
-        id: u64,
         cp: usize,
         op: AccessKind,
         block: u64,
         offset: u32,
         len: u32,
+        done: CountdownEvent,
     ) {
         let costs = self.run.config.costs;
         self.parts.cpu.use_for(costs.iop_dispatch_cpu).await;
@@ -230,7 +234,7 @@ impl IopServer {
                         let server = Rc::clone(&self);
                         let bytes = self.run.block_bytes(block);
                         self.background.add(1);
-                        ctx.spawn_detached(async move {
+                        ctx.spawn(async move {
                             server.flush_block(block, bytes).await;
                             server.cache.borrow_mut().mark_clean(block);
                             server.background.signal();
@@ -242,7 +246,7 @@ impl IopServer {
         }
         self.parts.cpu.use_for(costs.iop_reply_cpu).await;
         self.cache.borrow_mut().unpin(block);
-        let reply = FsMessage::TcReply { id, op, len };
+        let reply = FsMessage::TcReply { op, len, done };
         let bytes = costs.message_header_bytes + reply.payload_bytes();
         self.run
             .net
@@ -251,8 +255,9 @@ impl IopServer {
     }
 
     /// Handles an end-of-transfer sync: flush every remaining dirty block and
-    /// wait for all background activity, then acknowledge.
-    async fn handle_sync(self: Rc<Self>, cp: usize) {
+    /// wait for all background activity, then acknowledge with the sync's
+    /// `done` latch.
+    async fn handle_sync(self: Rc<Self>, cp: usize, done: CountdownEvent) {
         // Flush partial blocks that never filled (possible when dirty blocks
         // were evicted mid-stream and re-written, or when the file's last
         // block is short).
@@ -266,7 +271,7 @@ impl IopServer {
         // publish this IOP's final cache counters for the report.
         self.run
             .publish_cache_stats(self.parts.iop, self.cache.borrow().stats());
-        let reply = FsMessage::TcSyncDone;
+        let reply = FsMessage::TcSyncDone { done };
         let bytes = self.run.config.costs.message_header_bytes;
         self.run
             .net
@@ -275,39 +280,27 @@ impl IopServer {
     }
 }
 
-/// Per-CP client state: routes replies back to the request tasks.
+/// Per-CP client state.
 struct CpClient {
     parts: Rc<CpParts>,
     run: Rc<RunContext>,
-    pending: RefCell<HashMap<u64, oneshot::OneSender<FsMessage>>>,
-    sync_done: RefCell<Option<CountdownEvent>>,
-    next_id: std::cell::Cell<u64>,
 }
 
 impl CpClient {
-    fn allocate_id(&self) -> u64 {
-        let id = self.next_id.get();
-        self.next_id.set(id + 1);
-        id
-    }
-
     /// Sends one sub-request to the owning IOP and waits for the reply.
     async fn do_request(self: Rc<Self>, sub: SubRequest, op: AccessKind) {
         let costs = self.run.config.costs;
-        let id = self.allocate_id();
-        let (tx, rx) = oneshot::channel();
-        self.pending.borrow_mut().insert(id, tx);
-
         self.parts.cpu.use_for(costs.cp_request_cpu).await;
         let disk = self.run.layout.disk_of_block(sub.block);
         let iop = self.run.config.iop_of_disk(disk);
+        let done = CountdownEvent::new(1);
         let request = FsMessage::TcRequest {
-            id,
             cp: self.parts.cp,
             op,
             block: sub.block,
             offset: sub.offset,
             len: sub.len,
+            done: done.clone(),
         };
         let bytes = costs.message_header_bytes + request.payload_bytes();
         self.run
@@ -320,35 +313,22 @@ impl CpClient {
             )
             .await;
 
-        let reply = rx.await.expect("IOP dropped a request");
+        done.wait().await;
         self.parts.cpu.use_for(costs.cp_mem_msg_cpu).await;
-        if let FsMessage::TcReply {
-            op: AccessKind::Read,
-            len,
-            ..
-        } = reply
-        {
-            self.run
-                .record_cp_bytes(self.parts.cp, sub.mem_offset, len as u64);
-        } else {
-            self.run.record_cp_bytes(self.parts.cp, sub.mem_offset, 0);
-        }
+        // A read reply carries the requested bytes; a write reply none.
+        let received = match op {
+            AccessKind::Read => sub.len as u64,
+            AccessKind::Write => 0,
+        };
+        self.run
+            .record_cp_bytes(self.parts.cp, sub.mem_offset, received);
     }
 
     /// The CP's inbox dispatcher.
     async fn dispatch(self: Rc<Self>, inbox: Inbox) {
         while let Some(env) = inbox.recv().await {
             match env.payload {
-                FsMessage::TcReply { id, .. } => {
-                    if let Some(tx) = self.pending.borrow_mut().remove(&id) {
-                        tx.send(env.payload);
-                    }
-                }
-                FsMessage::TcSyncDone => {
-                    if let Some(cd) = self.sync_done.borrow().as_ref() {
-                        cd.signal();
-                    }
-                }
+                FsMessage::TcReply { done, .. } | FsMessage::TcSyncDone { done } => done.signal(),
                 other => panic!(
                     "CP {} received unexpected message under traditional caching: {other:?}",
                     self.parts.cp
@@ -375,10 +355,8 @@ impl CpClient {
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn spawn_transfer(
     sim: &mut Sim,
-    ctx: &SimContext,
     run: &Rc<RunContext>,
     cps: &[Rc<CpParts>],
-    iops: &[Rc<IopParts>],
     cp_inboxes: Vec<Inbox>,
     iop_inboxes: Vec<Inbox>,
     sched: SchedPolicy,
@@ -386,6 +364,7 @@ pub(crate) fn spawn_transfer(
     finished: &CountdownEvent,
 ) {
     let config = &run.config;
+    let ctx = sim.context();
     let op = if run.pattern.is_write() {
         AccessKind::Write
     } else {
@@ -393,7 +372,7 @@ pub(crate) fn spawn_transfer(
     };
 
     // IOP servers.
-    for (iop_parts, inbox) in iops.iter().zip(iop_inboxes) {
+    for (iop_parts, inbox) in run.iops.iter().zip(iop_inboxes) {
         let cache_capacity = config.cache.capacity(config.n_cps, iop_parts.disks.len());
         let server = Rc::new(IopServer {
             parts: Rc::clone(iop_parts),
@@ -409,25 +388,25 @@ pub(crate) fn spawn_transfer(
             while let Some(env) = inbox.recv().await {
                 match env.payload {
                     FsMessage::TcRequest {
-                        id,
                         cp,
                         op,
                         block,
                         offset,
                         len,
+                        done,
                     } => {
                         let server = Rc::clone(&server);
                         let task_ctx = server_ctx.clone();
-                        server_ctx.spawn_detached(async move {
+                        server_ctx.spawn(async move {
                             server
-                                .handle_request(task_ctx, id, cp, op, block, offset, len)
+                                .handle_request(task_ctx, cp, op, block, offset, len, done)
                                 .await;
                         });
                     }
-                    FsMessage::TcSync { cp } => {
+                    FsMessage::TcSync { cp, done } => {
                         let server = Rc::clone(&server);
-                        server_ctx.spawn_detached(async move {
-                            server.handle_sync(cp).await;
+                        server_ctx.spawn(async move {
+                            server.handle_sync(cp, done).await;
                         });
                     }
                     // Reconstruction data: the recovering task awaited the
@@ -442,14 +421,13 @@ pub(crate) fn spawn_transfer(
     }
 
     // CP clients and application workers.
-    let barrier = Barrier::new(config.n_cps as u64);
+    // The paper's barrier of the CPs using this file: a latch every CP
+    // signals once.
+    let issued = CountdownEvent::new(config.n_cps as u64);
     for (cp_parts, inbox) in cps.iter().zip(cp_inboxes) {
         let client = Rc::new(CpClient {
             parts: Rc::clone(cp_parts),
             run: Rc::clone(run),
-            pending: RefCell::new(HashMap::new()),
-            sync_done: RefCell::new(None),
-            next_id: std::cell::Cell::new(0),
         });
 
         // Inbox dispatcher.
@@ -462,7 +440,7 @@ pub(crate) fn spawn_transfer(
 
         // Application worker.
         let run2 = Rc::clone(run);
-        let barrier = barrier.clone();
+        let issued = issued.clone();
         let finished = finished.clone();
         let worker_ctx = ctx.clone();
         let n_disks = config.n_disks;
@@ -492,7 +470,7 @@ pub(crate) fn spawn_transfer(
                 inflight.add(1);
                 let client = Rc::clone(&client);
                 let inflight2 = inflight.clone();
-                worker_ctx.spawn_detached(async move {
+                worker_ctx.spawn(async move {
                     for sub in stream {
                         Rc::clone(&client).do_request(sub, op).await;
                     }
@@ -501,17 +479,20 @@ pub(crate) fn spawn_transfer(
             }
             inflight.wait().await;
 
-            // Wait for every CP to finish issuing its requests, then have one
-            // CP ask the IOPs to drain their background work so the measured
-            // time includes outstanding write-behind and prefetch requests.
-            let result = barrier.wait().await;
-            if result.is_leader() {
+            // Wait for every CP to finish issuing its requests, then have the
+            // last to arrive ask the IOPs to drain their background work so
+            // the measured time includes outstanding write-behind and
+            // prefetch requests.
+            issued.signal();
+            let last = issued.remaining() == 0;
+            issued.wait().await;
+            if last {
                 let costs = run2.config.costs;
-                let countdown = CountdownEvent::new(n_iops as u64);
-                *client.sync_done.borrow_mut() = Some(countdown.clone());
+                let synced = CountdownEvent::new(n_iops as u64);
                 for iop in 0..n_iops {
                     let msg = FsMessage::TcSync {
                         cp: client.parts.cp,
+                        done: synced.clone(),
                     };
                     client
                         .run
@@ -524,7 +505,7 @@ pub(crate) fn spawn_transfer(
                         )
                         .await;
                 }
-                countdown.wait().await;
+                synced.wait().await;
             }
             finished.signal();
         });

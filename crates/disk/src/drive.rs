@@ -142,7 +142,7 @@ pub fn spawn_disk(
         id,
     };
     let server_ctx = ctx.clone();
-    ctx.spawn_detached(async move {
+    ctx.spawn(async move {
         loop {
             // Move every command that has already arrived into the queue so
             // the policy sees the whole pending set.
@@ -215,20 +215,18 @@ mod tests {
         let mut sim = Sim::new();
         let ctx = sim.context();
         let disk = fcfs_drive(&ctx, DriveFaultPlan::default());
-        let completions = Rc::new(RefCell::new(Vec::new()));
+        let finished = Rc::new(RefCell::new(Vec::new()));
         for i in 0..4u64 {
             let disk = disk.clone();
             let ctx = ctx.clone();
-            let completions = Rc::clone(&completions);
+            let finished = Rc::clone(&finished);
             sim.spawn(async move {
                 let b = disk.io(DiskRequest::read(i * 16, 16)).await;
-                completions
-                    .borrow_mut()
-                    .push((i, ctx.now(), b.sequential_hit));
+                finished.borrow_mut().push((i, ctx.now(), b.sequential_hit));
             });
         }
         sim.run();
-        let comps = completions.borrow();
+        let comps = finished.borrow();
         assert_eq!(comps.len(), 4);
         // FIFO: completion order matches issue order, times strictly increase.
         for w in comps.windows(2) {

@@ -49,50 +49,6 @@ impl NetConfig {
     pub fn label(self) -> String {
         format!("{}+{}", self.topology.name(), self.contention.name())
     }
-
-    /// Parses a `topology+contention` label (either half may be omitted, so
-    /// `"mesh"`, `"link"`, and `"mesh+link"` are all valid; `"default"` is
-    /// the paper's fabric). Pinning the same dimension twice
-    /// (`"mesh+torus"`, `"link+ni-only"`) is rejected rather than silently
-    /// letting the later name win — mirroring `CacheConfig::parse`, a
-    /// doubled dimension is always a mistake.
-    pub fn parse(s: &str) -> Result<NetConfig, String> {
-        if s.trim() == "default" {
-            return Ok(NetConfig::DEFAULT);
-        }
-        let mut topology: Option<TopologyKind> = None;
-        let mut contention: Option<ContentionModel> = None;
-        for part in s.split('+') {
-            let part = part.trim();
-            if part.is_empty() {
-                continue;
-            }
-            if let Some(t) = TopologyKind::parse(part) {
-                if topology.is_some() {
-                    return Err(format!("{part:?} names the topology twice in {s:?}"));
-                }
-                topology = Some(t);
-            } else if let Some(m) = ContentionModel::parse(part) {
-                if contention.is_some() {
-                    return Err(format!(
-                        "{part:?} names the contention model twice in {s:?}"
-                    ));
-                }
-                contention = Some(m);
-            } else {
-                return Err(format!(
-                    "unknown fabric policy {part:?} (expected a topology: {}; or a contention \
-                     model: {})",
-                    TopologyKind::expected(),
-                    ContentionModel::expected()
-                ));
-            }
-        }
-        Ok(NetConfig {
-            topology: topology.unwrap_or_default(),
-            contention: contention.unwrap_or_default(),
-        })
-    }
 }
 
 impl std::fmt::Display for NetConfig {
@@ -121,41 +77,14 @@ mod tests {
                     topology,
                     contention,
                 };
-                assert_eq!(NetConfig::parse(&config.label()), Ok(config));
+                let label = config.label();
+                let (t, c) = label.split_once('+').expect("two halves");
+                assert_eq!(TopologyKind::parse(t), Some(topology));
+                assert_eq!(ContentionModel::parse(c), Some(contention));
             }
         }
         assert_eq!(ContentionModel::parse("link"), Some(ContentionModel::Link));
         assert_eq!(ContentionModel::parse("flit"), None);
-    }
-
-    #[test]
-    fn parse_accepts_partial_compositions() {
-        assert_eq!(
-            NetConfig::parse("mesh").unwrap(),
-            NetConfig {
-                topology: TopologyKind::Mesh,
-                ..NetConfig::DEFAULT
-            }
-        );
-        assert_eq!(
-            NetConfig::parse("link").unwrap(),
-            NetConfig {
-                contention: ContentionModel::Link,
-                ..NetConfig::DEFAULT
-            }
-        );
-        assert_eq!(NetConfig::parse("default").unwrap(), NetConfig::DEFAULT);
-        assert!(NetConfig::parse("banyan").is_err());
-    }
-
-    #[test]
-    fn parse_rejects_doubled_dimensions() {
-        let err = NetConfig::parse("mesh+torus").unwrap_err();
-        assert!(err.contains("topology twice"), "{err}");
-        let err = NetConfig::parse("link+ni-only").unwrap_err();
-        assert!(err.contains("contention model twice"), "{err}");
-        // A topology plus a contention model is still one of each.
-        assert!(NetConfig::parse("crossbar+link").is_ok());
     }
 
     #[test]

@@ -282,7 +282,7 @@ impl<M: 'static> Network<M> {
             .await;
 
         let net = self.clone();
-        s.ctx.spawn_detached(async move {
+        s.ctx.spawn(async move {
             net.traverse(from, to, bytes).await;
             net.wait_out_outage(to).await;
             let s = &net.shared;

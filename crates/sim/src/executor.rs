@@ -476,42 +476,12 @@ impl SimContext {
     }
 
     /// Spawns a new task. The task becomes runnable immediately (at the
-    /// current simulated time) and runs concurrently with the caller.
+    /// current simulated time) and runs concurrently with the caller; boxing
+    /// the future is the only allocation. Returns the new task's id.
     ///
-    /// Returns a [`JoinHandle`] that can be awaited for the task's result.
-    pub fn spawn<F, T>(&self, future: F) -> JoinHandle<T>
-    where
-        F: Future<Output = T> + 'static,
-        T: 'static,
-    {
-        let slot: Rc<RefCell<JoinSlot<T>>> = Rc::new(RefCell::new(JoinSlot {
-            value: None,
-            waiter: None,
-        }));
-        let slot2 = Rc::clone(&slot);
-        let wrapped = async move {
-            let value = future.await;
-            let waiter = {
-                let mut s = slot2.borrow_mut();
-                s.value = Some(value);
-                s.waiter.take()
-            };
-            if let Some(w) = waiter {
-                w.wake();
-            }
-        };
-        let task: BoxedTask = Box::pin(wrapped);
-        self.core.state.borrow_mut().spawn_boxed(task);
-        JoinHandle { slot }
-    }
-
-    /// Spawns a fire-and-forget task: runnable immediately, exactly like
-    /// [`SimContext::spawn`], but with none of the join machinery — boxing
-    /// the future is the only allocation. Wake ordering and event counts are
-    /// identical to `spawn` (both go through the same slot installer), so the
-    /// two are interchangeable wherever the [`JoinHandle`] is unused; the
-    /// per-message and per-request hot paths use this one.
-    pub fn spawn_detached<F>(&self, future: F) -> TaskId
+    /// A task that must be waited for signals a
+    /// [`CountdownEvent`](crate::sync::CountdownEvent) as its last step.
+    pub fn spawn<F>(&self, future: F) -> TaskId
     where
         F: Future<Output = ()> + 'static,
     {
@@ -586,47 +556,10 @@ impl Future for YieldNow {
     }
 }
 
-/// A spawned task's result and its awaiting task, shared between the task
-/// and its [`JoinHandle`].
-struct JoinSlot<T> {
-    value: Option<T>,
-    waiter: Option<TaskRef>,
-}
-
-/// Handle to a spawned task; awaiting it yields the task's return value.
-pub struct JoinHandle<T> {
-    slot: Rc<RefCell<JoinSlot<T>>>,
-}
-
-impl<T> Future for JoinHandle<T> {
-    type Output = T;
-
-    fn poll(self: Pin<&mut Self>, _cx: &mut Context<'_>) -> Poll<T> {
-        let mut slot = self.slot.borrow_mut();
-        if let Some(v) = slot.value.take() {
-            Poll::Ready(v)
-        } else {
-            slot.waiter = Some(TaskRef::capture());
-            Poll::Pending
-        }
-    }
-}
-
-/// Awaits every join handle in `handles`, in order, returning their results.
-///
-/// Because the simulator is cooperative this is equivalent to a "join all":
-/// all spawned tasks keep running concurrently while the caller waits.
-pub async fn join_all<T>(handles: Vec<JoinHandle<T>>) -> Vec<T> {
-    let mut out = Vec::with_capacity(handles.len());
-    for h in handles {
-        out.push(h.await);
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sync::CountdownEvent;
     use std::cell::Cell;
 
     #[test]
@@ -683,41 +616,77 @@ mod tests {
         let result = Rc::new(Cell::new(0u64));
         let result2 = Rc::clone(&result);
         sim.spawn(async move {
-            let child = ctx.spawn({
-                let ctx = ctx.clone();
-                async move {
-                    ctx.sleep(SimDuration::from_micros(5)).await;
-                    42u64
-                }
+            let done = CountdownEvent::new(1);
+            let (child_ctx, child_done) = (ctx.clone(), done.clone());
+            let child_result = Rc::clone(&result2);
+            ctx.spawn(async move {
+                child_ctx.sleep(SimDuration::from_micros(5)).await;
+                child_result.set(42);
+                child_done.signal();
             });
-            result2.set(child.await);
+            done.wait().await;
+            // The parent resumes when its child signals, and not before.
+            assert_eq!(result2.get(), 42);
+            assert_eq!(ctx.now(), SimTime::ZERO + SimDuration::from_micros(5));
         });
         sim.run();
         assert_eq!(result.get(), 42);
+        assert_eq!(sim.live_tasks(), 0);
     }
 
     #[test]
-    fn join_all_waits_for_every_child() {
+    fn a_latch_waits_for_every_child() {
         let mut sim = Sim::new();
         let ctx = sim.context();
         let total = Rc::new(Cell::new(0u64));
         let total2 = Rc::clone(&total);
         sim.spawn(async move {
-            let handles: Vec<_> = (0..8u64)
-                .map(|i| {
-                    let child_ctx = ctx.clone();
-                    ctx.spawn(async move {
-                        child_ctx.sleep(SimDuration::from_micros(i)).await;
-                        i
-                    })
-                })
-                .collect();
-            let results = join_all(handles).await;
-            total2.set(results.iter().sum());
+            let children = CountdownEvent::new(0);
+            for i in 0..8u64 {
+                children.add(1);
+                let child_ctx = ctx.clone();
+                let children = children.clone();
+                let total = Rc::clone(&total2);
+                ctx.spawn(async move {
+                    child_ctx.sleep(SimDuration::from_micros(i)).await;
+                    total.set(total.get() + i);
+                    children.signal();
+                });
+            }
+            children.wait().await;
+            assert_eq!(total2.get(), 28, "every child finished first");
         });
         let end = sim.run();
         assert_eq!(total.get(), 28);
         assert_eq!(end, SimTime::ZERO + SimDuration::from_micros(7));
+    }
+
+    #[test]
+    fn a_latch_wakes_its_waiter_once_however_many_children_finish() {
+        // Waiting on one latch costs the parent one poll to block and one to
+        // resume, however many children count it down.
+        let events = |children: u64| {
+            let mut sim = Sim::new();
+            let ctx = sim.context();
+            sim.spawn(async move {
+                let done = CountdownEvent::new(children);
+                for i in 0..children {
+                    let child_ctx = ctx.clone();
+                    let done = done.clone();
+                    ctx.spawn(async move {
+                        child_ctx.sleep(SimDuration::from_micros(i + 1)).await;
+                        done.signal();
+                    });
+                }
+                done.wait().await;
+            });
+            sim.run();
+            sim.events_processed()
+        };
+        // Each extra child adds its own first poll, its timer and its resumed
+        // poll: three events, and nothing for the parent.
+        assert_eq!(events(5) - events(4), 3);
+        assert_eq!(events(1), 2 + 3);
     }
 
     #[test]
@@ -830,7 +799,7 @@ mod tests {
         let marker = SetOnDrop(Rc::clone(&dropped));
         // The task blocks on a latch nobody signals, so `run` returns with
         // it still pending.
-        let never = crate::sync::CountdownEvent::new(1);
+        let never = CountdownEvent::new(1);
         sim.spawn(async move {
             let _marker = marker;
             never.wait().await;
@@ -941,7 +910,7 @@ mod tests {
         impl Wake for Ignore {
             fn wake(self: Arc<Self>) {}
         }
-        let latch = crate::sync::CountdownEvent::new(1);
+        let latch = CountdownEvent::new(1);
         let mut wait = std::pin::pin!(latch.wait());
         let waker = Waker::from(Arc::new(Ignore));
         let _ = wait.as_mut().poll(&mut Context::from_waker(&waker));
@@ -955,7 +924,7 @@ mod tests {
         let ids2 = Rc::clone(&ids);
         sim.spawn(async move {
             for _ in 0..4 {
-                ids2.borrow_mut().push(ctx.spawn_detached(async move {}));
+                ids2.borrow_mut().push(ctx.spawn(async move {}));
                 // Let the child complete and free its slot for the next one.
                 ctx.yield_now().await;
             }

@@ -11,9 +11,10 @@
 //! * [`Sim`] / [`SimContext`] — the executor and the handle tasks use to read
 //!   the clock, sleep, and spawn further tasks.
 //! * [`SimTime`] / [`SimDuration`] — integer-nanosecond simulated time.
-//! * [`sync`] — FIFO-fair primitives: single-server [`sync::Resource`]s
-//!   (buses, NIs, CPUs), the [`sync::CountdownEvent`] latch, barriers, and
-//!   channels.
+//! * [`sync`] — FIFO-fair primitives and the three ways to wait: a
+//!   single-server [`sync::Resource`] (buses, NIs, CPUs), the
+//!   [`sync::CountdownEvent`] latch (every completion, rendezvous and reply),
+//!   and a channel (every queue).
 //! * [`SimRng`] — seeded randomness, one stream per trial.
 //! * [`stats`] — counters and trial summaries.
 //! * [`policy_enum!`] — the name vocabulary every policy enum shares.
@@ -57,6 +58,6 @@ pub mod stats;
 pub mod sync;
 mod time;
 
-pub use executor::{join_all, JoinHandle, Sim, SimContext, Sleep, TaskId, TaskRef, YieldNow};
+pub use executor::{Sim, SimContext, Sleep, TaskId, TaskRef, YieldNow};
 pub use rng::{mix64, SimRng};
 pub use time::{SimDuration, SimTime};

@@ -18,10 +18,39 @@ struct CountdownInner {
 /// Models "wait for all IOPs to respond that they are finished" (Figure 1c of
 /// the paper): the requesting CP creates a countdown of `n_iops` and each IOP
 /// completion counts it down once. The same latch with a count of one is a
-/// one-shot event (a cache fill), and started at zero and raised with
-/// [`CountdownEvent::add`] it counts outstanding background work.
+/// one-shot event (a cache fill, or the reply to one request, which carries
+/// the latch back for its receiver to signal); started at zero and raised
+/// with [`CountdownEvent::add`] it counts outstanding background work; and
+/// with one count per party it is the paper's barrier: each party signals,
+/// the one that sees [`CountdownEvent::remaining`] reach zero is the last
+/// arriver, and every party waits.
 ///
 /// Waiters wake in registration order at the moment the count reaches zero.
+///
+/// # Example
+///
+/// ```
+/// use ddio_sim::{Sim, SimDuration, sync::CountdownEvent};
+///
+/// let mut sim = Sim::new();
+/// let ctx = sim.context();
+/// let arrived = CountdownEvent::new(4);
+/// for i in 0..4u64 {
+///     let ctx = ctx.clone();
+///     let arrived = arrived.clone();
+///     sim.spawn(async move {
+///         ctx.sleep(SimDuration::from_millis(i)).await;
+///         arrived.signal();
+///         let last = arrived.remaining() == 0;
+///         arrived.wait().await;
+///         // Everyone is released when the last task arrives, and the last
+///         // arriver is the one that saw the count reach zero.
+///         assert_eq!(ctx.now().as_nanos(), 3_000_000);
+///         assert_eq!(last, i == 3);
+///     });
+/// }
+/// sim.run();
+/// ```
 #[derive(Clone)]
 pub struct CountdownEvent {
     inner: Rc<RefCell<CountdownInner>>,
@@ -74,6 +103,14 @@ impl CountdownEvent {
         CountdownWait {
             latch: self.clone(),
         }
+    }
+}
+
+impl std::fmt::Debug for CountdownEvent {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("CountdownEvent")
+            .field("remaining", &self.remaining())
+            .finish()
     }
 }
 
@@ -220,7 +257,7 @@ mod tests {
                     pending.add(1);
                     let ctx = ctx.clone();
                     let follow = pending.clone();
-                    ctx.clone().spawn_detached(async move {
+                    ctx.clone().spawn(async move {
                         ctx.sleep(SimDuration::from_millis(4)).await;
                         follow.signal();
                     });
@@ -246,5 +283,107 @@ mod tests {
     #[should_panic(expected = "more times")]
     fn signal_without_add_panics() {
         CountdownEvent::new(0).signal();
+    }
+
+    /// One party's arrival at a latch used as a barrier: signal, note
+    /// whether this arrival opened it, then wait for the others.
+    async fn arrive(latch: &CountdownEvent) -> bool {
+        latch.signal();
+        let last = latch.remaining() == 0;
+        latch.wait().await;
+        last
+    }
+
+    #[test]
+    fn barrier_releases_everyone_at_the_last_arrival_in_registration_order() {
+        let mut sim = Sim::new();
+        let ctx = sim.context();
+        let arrived = CountdownEvent::new(3);
+        let released = Rc::new(RefCell::new(Vec::new()));
+        // Parties arrive in the order 2, 0, 1.
+        for (i, delay) in [(0u64, 10u64), (1, 20), (2, 0)] {
+            let ctx = ctx.clone();
+            let arrived = arrived.clone();
+            let released = Rc::clone(&released);
+            sim.spawn(async move {
+                ctx.sleep(SimDuration::from_millis(delay)).await;
+                arrive(&arrived).await;
+                released.borrow_mut().push((i, ctx.now().as_nanos()));
+            });
+        }
+        sim.run();
+        // The last arriver (1) runs on without blocking; the waiters resume
+        // in the order they registered.
+        assert_eq!(
+            *released.borrow(),
+            vec![(1, 20_000_000), (2, 20_000_000), (0, 20_000_000)]
+        );
+    }
+
+    #[test]
+    fn exactly_one_signaller_sees_the_latch_open() {
+        let mut sim = Sim::new();
+        let arrived = CountdownEvent::new(5);
+        let last = Rc::new(RefCell::new(Vec::new()));
+        for i in 0..5 {
+            let arrived = arrived.clone();
+            let last = Rc::clone(&last);
+            sim.spawn(async move {
+                if arrive(&arrived).await {
+                    last.borrow_mut().push(i);
+                }
+            });
+        }
+        sim.run();
+        assert_eq!(*last.borrow(), vec![4], "the last arriver, alone");
+    }
+
+    #[test]
+    fn two_latches_give_two_barrier_rounds() {
+        // The disk-directed protocol's pattern: every party meets at `ready`,
+        // the last arriver does some work, then every party meets at `done`,
+        // which cannot open before that work is over.
+        let mut sim = Sim::new();
+        let ctx = sim.context();
+        let (ready, done) = (CountdownEvent::new(3), CountdownEvent::new(3));
+        let released = Rc::new(RefCell::new(Vec::new()));
+        for i in 0..3u64 {
+            let ctx = ctx.clone();
+            let (ready, done) = (ready.clone(), done.clone());
+            let released = Rc::clone(&released);
+            sim.spawn(async move {
+                ctx.sleep(SimDuration::from_millis(i)).await;
+                if arrive(&ready).await {
+                    assert_eq!(ctx.now().as_nanos(), 2_000_000);
+                    ctx.sleep(SimDuration::from_millis(5)).await;
+                }
+                arrive(&done).await;
+                released.borrow_mut().push(ctx.now().as_nanos());
+            });
+        }
+        sim.run();
+        assert_eq!(*released.borrow(), vec![7_000_000; 3]);
+    }
+
+    #[test]
+    fn a_one_party_latch_never_blocks() {
+        let mut sim = Sim::new();
+        let done = Rc::new(Cell::new(false));
+        let done2 = Rc::clone(&done);
+        sim.spawn(async move {
+            for _ in 0..10 {
+                assert!(arrive(&CountdownEvent::new(1)).await);
+            }
+            done2.set(true);
+        });
+        assert_eq!(sim.run(), crate::SimTime::ZERO);
+        assert!(done.get());
+    }
+
+    #[test]
+    fn debug_prints_the_remaining_count() {
+        let latch = CountdownEvent::new(3);
+        latch.signal();
+        assert_eq!(format!("{latch:?}"), "CountdownEvent { remaining: 2 }");
     }
 }

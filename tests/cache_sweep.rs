@@ -12,6 +12,7 @@
 use disk_directed_io::core::experiment::scenario::{find, run_scenario, CellResult, SweepParams};
 use disk_directed_io::{
     run_transfer, AccessPattern, CacheConfig, CacheParams, LayoutPolicy, MachineConfig, Method,
+    ReplacementPolicy,
 };
 
 fn sweep_params() -> SweepParams {
@@ -174,7 +175,10 @@ fn golden_lru_vs_mru_snapshot() {
     let lru = run_transfer(&config, Method::TC, pattern, 8192, 1994);
     let mru = run_transfer(
         &config,
-        Method::TC.with_cache(CacheConfig::parse("mru").unwrap()),
+        Method::TC.with_cache(CacheConfig {
+            replacement: ReplacementPolicy::Mru,
+            ..CacheConfig::DEFAULT
+        }),
         pattern,
         8192,
         1994,
