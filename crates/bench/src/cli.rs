@@ -5,8 +5,7 @@
 //! ddio-bench list [--format table|json]
 //! ddio-bench run <scenario>|all [--jobs N] [--format table|json|csv]
 //!                [--out FILE] [--trials N] [--seed N] [--file-mb N]
-//!                [--small-records 0|1] [--cache-bufs N]
-//!                [--where AXIS=V1,V2 ...]
+//!                [--small-records 0|1] [--where AXIS=V1,V2 ...]
 //! ```
 //!
 //! The `DDIO_*` environment variables provide the defaults (see the crate
@@ -19,11 +18,8 @@ use std::io::Write;
 
 use ddio_core::experiment::pool;
 use ddio_core::experiment::scenario::{self, Cell, Scenario, SweepParams};
-use ddio_core::{
-    ArrivalProcess, ContentionModel, FaultPolicy, QosPolicy, RedundancyPolicy, TopologyKind,
-};
 
-use crate::report::{self, ScenarioRun};
+use crate::report::{self, Json, ScenarioRun};
 
 /// Output format of `ddio-bench run`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -124,8 +120,8 @@ impl Where {
     }
 }
 
-/// The `--help` text. The policy names and the scenario list come from the
-/// enums and the registry, so they cannot drift from what the CLI accepts.
+/// The `--help` text. The scenario list comes from the registry, so it
+/// cannot drift from what the CLI accepts.
 fn usage() -> String {
     let scenarios: Vec<&str> = scenario::registry().iter().map(|s| s.name).collect();
     format!(
@@ -144,8 +140,6 @@ OPTIONS (run):
     --seed N              base random seed (default: env DDIO_SEED or 1994)
     --file-mb N           file size in MiB (default: env DDIO_FILE_MB or 10)
     --small-records 0|1   run the 8-byte-record half of fig3/fig4
-    --cache-bufs N        TC cache buffers per disk per CP (default:
-                          env DDIO_CACHE_BUFS or 2)
     --where AXIS=V1,V2    run only the cells whose AXIS coordinate is one of
                           the values; repeatable, and a cell without AXIS
                           always runs (e.g. `--where sched=fcfs,presort`,
@@ -155,30 +149,8 @@ OPTIONS (run):
                           prefetch, write (cells that run a cache); and each
                           scenario's sweep axes (cps, bufs, load, ...)
 
-The machine-wide composition of every scenario that does not sweep it comes
-from the environment:
-    DDIO_NET_TOPOLOGY      {} (default {})
-    DDIO_NET_CONTENTION    {} (default {})
-    DDIO_FAULT_POLICY      {} (default {})
-    DDIO_FAULT_REDUNDANCY  {} (default {})
-    DDIO_ARRIVAL_PROCESS   {} (default {})
-    DDIO_ARRIVAL_QOS       {} (default {})
-with DDIO_ARRIVAL_TENANTS and DDIO_ARRIVAL_REQUESTS sizing open-loop serving.
-
 Scenarios (see `ddio-bench list` for descriptions and headline results):
 {}",
-        TopologyKind::expected(),
-        TopologyKind::default(),
-        ContentionModel::expected(),
-        ContentionModel::default(),
-        FaultPolicy::expected(),
-        FaultPolicy::default(),
-        RedundancyPolicy::expected(),
-        RedundancyPolicy::default(),
-        ArrivalProcess::expected(),
-        ArrivalProcess::default(),
-        QosPolicy::expected(),
-        QosPolicy::default(),
         scenarios.join(" "),
     )
 }
@@ -192,12 +164,11 @@ fn usage_err(message: impl Into<String>) -> String {
 type KnobFlag = (&'static str, &'static str, &'static str, fn(&str) -> bool);
 
 #[rustfmt::skip]
-const KNOB_FLAGS: [KnobFlag; 5] = [
+const KNOB_FLAGS: [KnobFlag; 4] = [
     ("--trials",        "DDIO_TRIALS",        "an integer >= 1",     at_least_one),
     ("--seed",          "DDIO_SEED",          "an unsigned integer", unsigned),
     ("--file-mb",       "DDIO_FILE_MB",       "an integer >= 1",     at_least_one),
     ("--small-records", "DDIO_SMALL_RECORDS", "0 or 1",              zero_or_one),
-    ("--cache-bufs",    "DDIO_CACHE_BUFS",    "an integer >= 1",     at_least_one),
 ];
 
 fn unsigned(v: &str) -> bool {
@@ -368,20 +339,15 @@ pub fn render_list() -> String {
 /// table. Schema:
 /// `{"scenarios":[{"name","title","description","headline"}...]}`.
 pub fn render_list_json() -> String {
-    let entries = scenario::registry()
-        .iter()
-        .map(|s| {
-            format!(
-                "{{\"name\":\"{}\",\"title\":\"{}\",\"description\":\"{}\",\"headline\":\"{}\"}}",
-                report::json_escape(s.name),
-                report::json_escape(s.title),
-                report::json_escape(s.description),
-                report::json_escape(s.headline)
-            )
-        })
-        .collect::<Vec<_>>()
-        .join(",");
-    format!("{{\"scenarios\":[{entries}]}}\n")
+    let scenarios = scenario::registry().into_iter().map(|s| {
+        Json::Obj(vec![
+            ("name", s.name.into()),
+            ("title", s.title.into()),
+            ("description", s.description.into()),
+            ("headline", s.headline.into()),
+        ])
+    });
+    format!("{}\n", Json::Obj(vec![("scenarios", scenarios.collect())]))
 }
 
 /// Parses the arguments of `list`: no flags for the table, or
@@ -477,7 +443,10 @@ pub fn main_from_args(args: Vec<String>) -> i32 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ddio_core::{ReplacementPolicy, SchedPolicy};
+    use ddio_core::{
+        ArrivalProcess, ContentionModel, FaultPolicy, QosPolicy, RedundancyPolicy,
+        ReplacementPolicy, SchedPolicy, TopologyKind,
+    };
 
     fn args(list: &[&str]) -> Vec<String> {
         list.iter().map(|s| (*s).to_owned()).collect()
@@ -701,19 +670,11 @@ mod tests {
     }
 
     #[test]
-    fn cache_bufs_flag_resizes_the_cache() {
-        let cmd = parse_run(&args(&["fig5", "--cache-bufs", "4"]), smoke_env).unwrap();
-        assert_eq!(cmd.params.base.cache.buffers_per_disk_per_cp, 4);
-        assert!(parse_run(&args(&["fig5", "--cache-bufs", "0"]), smoke_env)
-            .unwrap_err()
-            .contains("--cache-bufs"));
-    }
-
-    #[test]
     fn list_json_is_valid_and_complete() {
         let json = render_list_json();
         assert!(
-            crate::report::json_is_valid(json.trim()),
+            json.starts_with(r#"{"scenarios":[{"name":"table1","title":"#)
+                && json.ends_with("}]}\n"),
             "bad JSON:\n{json}"
         );
         for s in scenario::registry() {
@@ -740,7 +701,10 @@ mod tests {
         )
         .unwrap();
         let out = execute_run(&cmd).unwrap();
-        assert!(crate::report::json_is_valid(out.trim()), "bad JSON:\n{out}");
+        assert!(
+            out.starts_with(r#"{"scale":{"file_mib":1,"#) && out.ends_with("]}\n"),
+            "bad JSON:\n{out}"
+        );
         assert!(out.contains("\"table1\""));
         assert!(out.contains("\"mixed-rw\""));
     }
@@ -772,10 +736,7 @@ mod tests {
         let json = render_list_json();
         for s in scenario::registry() {
             assert!(
-                json.contains(&format!(
-                    "\"headline\":\"{}\"",
-                    report::json_escape(s.headline)
-                )),
+                json.contains(&format!("\"headline\":{}", Json::from(s.headline))),
                 "JSON listing missing headline of {}",
                 s.name
             );

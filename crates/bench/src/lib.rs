@@ -18,21 +18,13 @@
 //! | `DDIO_TRIALS`     | `5`     | independent trials per data point (≥ 1)   |
 //! | `DDIO_SMALL_RECORDS` | `1`  | also run the 8-byte-record sweep (0 = skip) |
 //! | `DDIO_SEED`       | `1994`  | base random seed                          |
-//! | `DDIO_CACHE_BUFS` | `2`     | TC cache buffers per disk per CP (≥ 1)    |
-//! | `DDIO_NET_TOPOLOGY` | `torus` | interconnect topology: torus, mesh, hypercube, crossbar |
-//! | `DDIO_NET_CONTENTION` | `ni-only` | fabric contention model: ni-only or link |
-//! | `DDIO_FAULT_POLICY` | `none` | machine-wide fault injection: none, cacheless, worn, transient, failure |
-//! | `DDIO_FAULT_REDUNDANCY` | `none` | redundant block placement: none, mirror, parity |
-//! | `DDIO_ARRIVAL_PROCESS` | `closed-loop` | request arrivals: closed-loop, poisson, bursty |
-//! | `DDIO_ARRIVAL_QOS` | `fifo` | serving admission policy: fifo, fair-share, weighted, tenant-priority |
-//! | `DDIO_ARRIVAL_TENANTS` | `4` | independent open-loop tenants (≥ 1)  |
-//! | `DDIO_ARRIVAL_REQUESTS` | `64` | open-loop requests per tenant (≥ 1)  |
 //!
 //! The variables write straight into the run's [`SweepParams`] (see
-//! [`params_from_lookup`]): `DDIO_TRIALS`, `DDIO_SEED` and
-//! `DDIO_SMALL_RECORDS` into its own fields, the rest into its base
-//! [`MachineConfig`](ddio_core::MachineConfig). Zero or unparseable values
-//! are rejected at startup with a clear error instead of panicking mid-run.
+//! [`params_from_lookup`]). Zero or unparseable values are rejected at
+//! startup with a clear error instead of panicking mid-run. The machine's
+//! cache, fabric, fault and serving compositions are not knobs: the
+//! `cache-sweep`, `net-sweep`, `fault-sweep` and `serve-sweep` scenarios
+//! sweep them, and `run --where` selects among their cells.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
@@ -43,9 +35,6 @@ pub mod report;
 use std::fmt;
 
 use ddio_core::experiment::scenario::SweepParams;
-use ddio_core::{
-    ArrivalProcess, ContentionModel, FaultPolicy, QosPolicy, RedundancyPolicy, TopologyKind,
-};
 
 /// A rejected `DDIO_*` environment variable (or CLI override).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -100,41 +89,50 @@ fn parse_knob(lookup: Lookup, var: &str, min: u64) -> Result<Option<u64>, ScaleE
     Ok(Some(parsed))
 }
 
-/// Parses one policy knob: unset or blank yields `None`; anything else must
-/// be one of the policy's names, and the error lists them.
-fn parse_policy<P>(
-    lookup: Lookup,
-    var: &str,
-    from_name: fn(&str) -> Result<P, String>,
-) -> Result<Option<P>, ScaleError> {
-    let Some(raw) = non_blank(lookup, var) else {
-        return Ok(None);
-    };
-    from_name(raw.trim())
-        .map(Some)
-        .map_err(|reason| ScaleError {
-            var: var.to_owned(),
-            value: raw,
-            reason,
-        })
-}
+/// The retired machine-wide composition knobs, each with the scenario that
+/// covers its axis. One that is still set is rejected, so a stale
+/// environment fails at startup instead of quietly running the paper's
+/// machine.
+#[rustfmt::skip]
+const RETIRED: [(&str, &str); 9] = [
+    ("DDIO_CACHE_BUFS",       "cache-sweep"),
+    ("DDIO_NET_TOPOLOGY",     "net-sweep"),
+    ("DDIO_NET_CONTENTION",   "net-sweep"),
+    ("DDIO_FAULT_POLICY",     "fault-sweep"),
+    ("DDIO_FAULT_REDUNDANCY", "fault-sweep"),
+    ("DDIO_ARRIVAL_PROCESS",  "serve-sweep"),
+    ("DDIO_ARRIVAL_QOS",      "serve-sweep"),
+    ("DDIO_ARRIVAL_TENANTS",  "serve-sweep"),
+    ("DDIO_ARRIVAL_REQUESTS", "serve-sweep"),
+];
 
 /// Reads the run configuration (see the crate docs) from `lookup`, the
 /// environment in the CLI and an injectable source in tests, on top of
 /// [`SweepParams::default`] (the paper's full-fidelity run).
 ///
-/// Unset or blank variables keep their defaults. Garbage (`DDIO_TRIALS=x`)
-/// and out-of-range values (`DDIO_TRIALS=0`, `DDIO_FILE_MB=0`) are rejected
-/// here, at startup, rather than reaching an assertion deep in the
-/// experiment harness.
+/// Unset or blank variables keep their defaults. Garbage (`DDIO_TRIALS=x`),
+/// out-of-range values (`DDIO_TRIALS=0`, `DDIO_FILE_MB=0`) and any set
+/// retired knob (`DDIO_NET_TOPOLOGY=mesh`) are rejected here, at startup,
+/// rather than reaching an assertion deep in the experiment harness.
 pub fn params_from_lookup(
     lookup: impl Fn(&str) -> Option<String>,
 ) -> Result<SweepParams, ScaleError> {
     let lookup: Lookup = &lookup;
+    for (var, scenario) in RETIRED {
+        if let Some(value) = non_blank(lookup, var) {
+            return Err(ScaleError {
+                var: var.to_owned(),
+                value,
+                reason: format!(
+                    "this knob is retired; the {scenario} scenario covers its axis \
+                     (select cells with `run {scenario} --where AXIS=VALUE`)"
+                ),
+            });
+        }
+    }
     let mut p = SweepParams::default();
-    let base = &mut p.base;
     if let Some(v) = parse_knob(lookup, "DDIO_FILE_MB", 1)? {
-        base.file_bytes = v.checked_mul(1 << 20).ok_or_else(|| ScaleError {
+        p.base.file_bytes = v.checked_mul(1 << 20).ok_or_else(|| ScaleError {
             var: "DDIO_FILE_MB".to_owned(),
             value: v.to_string(),
             reason: "the file size in bytes must fit in 64 bits".to_owned(),
@@ -149,40 +147,12 @@ pub fn params_from_lookup(
     if let Some(v) = parse_knob(lookup, "DDIO_SEED", 0)? {
         p.seed = v;
     }
-    if let Some(v) = parse_knob(lookup, "DDIO_CACHE_BUFS", 1)? {
-        base.cache.buffers_per_disk_per_cp = v as usize;
-    }
-    if let Some(v) = parse_policy(lookup, "DDIO_NET_TOPOLOGY", TopologyKind::from_name)? {
-        base.fabric.topology = v;
-    }
-    if let Some(v) = parse_policy(lookup, "DDIO_NET_CONTENTION", ContentionModel::from_name)? {
-        base.fabric.contention = v;
-    }
-    if let Some(v) = parse_policy(lookup, "DDIO_FAULT_POLICY", FaultPolicy::from_name)? {
-        base.faults = v;
-    }
-    if let Some(v) = parse_policy(lookup, "DDIO_FAULT_REDUNDANCY", RedundancyPolicy::from_name)? {
-        base.redundancy = v;
-    }
-    if let Some(v) = parse_policy(lookup, "DDIO_ARRIVAL_PROCESS", ArrivalProcess::from_name)? {
-        base.serve.arrival = v;
-    }
-    if let Some(v) = parse_policy(lookup, "DDIO_ARRIVAL_QOS", QosPolicy::from_name)? {
-        base.serve.qos = v;
-    }
-    if let Some(v) = parse_knob(lookup, "DDIO_ARRIVAL_TENANTS", 1)? {
-        base.serve.tenants = v as usize;
-    }
-    if let Some(v) = parse_knob(lookup, "DDIO_ARRIVAL_REQUESTS", 1)? {
-        base.serve.requests_per_tenant = v as usize;
-    }
     Ok(p)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ddio_core::{NetConfig, ServeParams};
 
     fn lookup_of<'a>(pairs: &'a [(&'a str, &'a str)]) -> impl Fn(&str) -> Option<String> + 'a {
         move |var| {
@@ -215,83 +185,25 @@ mod tests {
             ("DDIO_TRIALS", "3"),
             ("DDIO_SMALL_RECORDS", "0"),
             ("DDIO_SEED", "42"),
-            ("DDIO_CACHE_BUFS", "4"),
         ])
         .unwrap();
         assert_eq!(p.base.file_bytes, 2 * 1024 * 1024);
         assert_eq!(p.trials, 3);
         assert!(!p.small_records);
         assert_eq!(p.seed, 42);
-        assert_eq!(p.base.cache.buffers_per_disk_per_cp, 4);
     }
 
     #[test]
-    fn net_knobs_select_the_fabric() {
-        let p = parse(&[
-            ("DDIO_NET_TOPOLOGY", "mesh"),
-            ("DDIO_NET_CONTENTION", "link"),
-        ])
-        .unwrap();
-        assert_eq!(p.base.fabric.topology, TopologyKind::Mesh);
-        assert_eq!(p.base.fabric.contention, ContentionModel::Link);
-        // Blank values keep the defaults; garbage is rejected at startup.
-        let p = parse(&[("DDIO_NET_TOPOLOGY", " ")]).unwrap();
-        assert_eq!(p.base.fabric, NetConfig::DEFAULT);
-        let err = parse(&[("DDIO_NET_TOPOLOGY", "ring")]).unwrap_err();
-        assert_eq!(err.var, "DDIO_NET_TOPOLOGY");
-        let err = parse(&[("DDIO_NET_CONTENTION", "flit")]).unwrap_err();
-        assert_eq!(err.var, "DDIO_NET_CONTENTION");
-    }
-
-    #[test]
-    fn fault_knobs_select_the_composition() {
-        let p = parse(&[
-            ("DDIO_FAULT_POLICY", "transient"),
-            ("DDIO_FAULT_REDUNDANCY", "mirror"),
-        ])
-        .unwrap();
-        assert_eq!(p.base.faults, FaultPolicy::Transient);
-        assert_eq!(p.base.redundancy, RedundancyPolicy::Mirrored);
-        // Blank keeps the healthy defaults; garbage is rejected at startup.
-        let p = parse(&[("DDIO_FAULT_POLICY", " ")]).unwrap();
-        assert_eq!(p.base.faults, FaultPolicy::None);
-        let err = parse(&[("DDIO_FAULT_POLICY", "meteor")]).unwrap_err();
-        assert_eq!(err.var, "DDIO_FAULT_POLICY");
-        let err = parse(&[("DDIO_FAULT_REDUNDANCY", "raid9")]).unwrap_err();
-        assert_eq!(err.var, "DDIO_FAULT_REDUNDANCY");
-    }
-
-    #[test]
-    fn arrival_knobs_select_the_serving_composition() {
-        let p = parse(&[
-            ("DDIO_ARRIVAL_PROCESS", "bursty"),
-            ("DDIO_ARRIVAL_QOS", "fair-share"),
-            ("DDIO_ARRIVAL_TENANTS", "8"),
-            ("DDIO_ARRIVAL_REQUESTS", "32"),
-        ])
-        .unwrap();
-        let serve = p.base.serve;
-        assert_eq!(serve.arrival, ArrivalProcess::Bursty);
-        assert_eq!(serve.qos, QosPolicy::FairShare);
-        assert_eq!(serve.tenants, 8);
-        assert_eq!(serve.requests_per_tenant, 32);
-        // Blank keeps the closed-loop defaults; garbage is rejected.
-        let p = parse(&[("DDIO_ARRIVAL_PROCESS", " ")]).unwrap();
-        assert_eq!(p.base.serve, ServeParams::default());
-        let err = parse(&[("DDIO_ARRIVAL_PROCESS", "sneaky")]).unwrap_err();
-        assert_eq!(err.var, "DDIO_ARRIVAL_PROCESS");
-        let err = parse(&[("DDIO_ARRIVAL_QOS", "anarchy")]).unwrap_err();
-        assert_eq!(err.var, "DDIO_ARRIVAL_QOS");
-        let err = parse(&[("DDIO_ARRIVAL_TENANTS", "0")]).unwrap_err();
-        assert_eq!(err.var, "DDIO_ARRIVAL_TENANTS");
-        let err = parse(&[("DDIO_ARRIVAL_REQUESTS", "0")]).unwrap_err();
-        assert_eq!(err.var, "DDIO_ARRIVAL_REQUESTS");
-    }
-
-    #[test]
-    fn zero_cache_bufs_is_rejected() {
-        let err = parse(&[("DDIO_CACHE_BUFS", "0")]).unwrap_err();
-        assert_eq!(err.var, "DDIO_CACHE_BUFS");
+    fn retired_knobs_are_rejected_naming_their_scenario() {
+        for (var, scenario) in RETIRED {
+            // Any value fails, even one the old knob accepted.
+            let err = parse(&[("DDIO_TRIALS", "1"), (var, "1")]).unwrap_err();
+            assert_eq!(err.var, var);
+            assert!(err.to_string().contains(scenario), "{err}");
+            // Blank counts as unset, as for every knob.
+            let p = parse(&[(var, " ")]).unwrap();
+            assert_eq!(p.base, ddio_core::MachineConfig::default());
+        }
     }
 
     #[test]

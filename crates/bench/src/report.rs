@@ -1,9 +1,12 @@
 //! Machine-readable output for scenario runs: JSON and CSV renderers with a
-//! stable schema, plus a small JSON syntax checker used by the smoke tests.
+//! stable schema.
 //!
-//! Everything here is hand-rolled (the build environment has no serde); the
-//! JSON renderer escapes strings per RFC 8259 and refuses to emit NaN or
-//! infinity (they render as `null`), so the output always parses.
+//! Everything here is hand-rolled (the build environment has no serde). Every
+//! JSON document is built as a [`Json`] value, whose writer escapes strings
+//! per RFC 8259 and renders NaN or infinity as `null`, so the output always
+//! parses.
+
+use std::fmt::{self, Write as _};
 
 use ddio_core::experiment::scenario::{
     aggregate, AxisValue, CellResult, Scenario, Summary, SweepParams,
@@ -17,32 +20,124 @@ pub struct ScenarioRun {
     pub results: Vec<CellResult>,
 }
 
-/// Escapes `s` as the contents of a JSON string literal.
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
+/// A JSON value, and through its `Display` the one JSON writer: strings are
+/// escaped per RFC 8259, a non-finite [`Json::Num`] is written as `null`, and
+/// an object's fields are written in the order they are listed.
+#[derive(Debug)]
+pub enum Json {
+    /// `null`.
+    Null,
+    /// `true` or `false`.
+    Bool(bool),
+    /// An unsigned integer, written exactly.
+    Int(u64),
+    /// A float, written as Rust's `{}` prints it (`5` for 5.0), or `null`
+    /// for NaN and the infinities, which JSON cannot represent.
+    Num(f64),
+    /// A string.
+    Str(String),
+    /// An array.
+    Arr(Vec<Json>),
+    /// An object, its fields in order.
+    Obj(Vec<(&'static str, Json)>),
 }
 
-/// Renders an `f64` as a JSON number (`null` for NaN/infinity, which JSON
-/// cannot represent).
-fn json_f64(v: f64) -> String {
-    if v.is_finite() {
-        let s = format!("{v}");
-        // `{}` prints integral floats as "5"; that is still a JSON number.
-        s
-    } else {
-        "null".to_owned()
+impl From<bool> for Json {
+    fn from(v: bool) -> Json {
+        Json::Bool(v)
+    }
+}
+
+impl From<u64> for Json {
+    fn from(v: u64) -> Json {
+        Json::Int(v)
+    }
+}
+
+impl From<usize> for Json {
+    fn from(v: usize) -> Json {
+        Json::Int(v as u64)
+    }
+}
+
+impl From<f64> for Json {
+    fn from(v: f64) -> Json {
+        Json::Num(v)
+    }
+}
+
+impl From<&str> for Json {
+    fn from(v: &str) -> Json {
+        Json::Str(v.to_owned())
+    }
+}
+
+impl From<String> for Json {
+    fn from(v: String) -> Json {
+        Json::Str(v)
+    }
+}
+
+impl<T: Into<Json>> From<Option<T>> for Json {
+    fn from(v: Option<T>) -> Json {
+        v.map_or(Json::Null, Into::into)
+    }
+}
+
+impl<T: Into<Json>> FromIterator<T> for Json {
+    fn from_iter<I: IntoIterator<Item = T>>(items: I) -> Json {
+        Json::Arr(items.into_iter().map(Into::into).collect())
+    }
+}
+
+/// Writes `s` as a JSON string literal.
+fn write_str(f: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
+    f.write_char('"')?;
+    for c in s.chars() {
+        match c {
+            '"' => f.write_str("\\\"")?,
+            '\\' => f.write_str("\\\\")?,
+            '\n' => f.write_str("\\n")?,
+            '\r' => f.write_str("\\r")?,
+            '\t' => f.write_str("\\t")?,
+            c if (c as u32) < 0x20 => write!(f, "\\u{:04x}", c as u32)?,
+            c => f.write_char(c)?,
+        }
+    }
+    f.write_char('"')
+}
+
+impl fmt::Display for Json {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Json::Null => f.write_str("null"),
+            Json::Bool(v) => write!(f, "{v}"),
+            Json::Int(v) => write!(f, "{v}"),
+            Json::Num(v) if v.is_finite() => write!(f, "{v}"),
+            Json::Num(_) => f.write_str("null"),
+            Json::Str(s) => write_str(f, s),
+            Json::Arr(items) => {
+                f.write_char('[')?;
+                for (i, item) in items.iter().enumerate() {
+                    if i > 0 {
+                        f.write_char(',')?;
+                    }
+                    write!(f, "{item}")?;
+                }
+                f.write_char(']')
+            }
+            Json::Obj(fields) => {
+                f.write_char('{')?;
+                for (i, (name, value)) in fields.iter().enumerate() {
+                    if i > 0 {
+                        f.write_char(',')?;
+                    }
+                    write_str(f, name)?;
+                    write!(f, ":{value}")?;
+                }
+                f.write_char('}')
+            }
+        }
     }
 }
 
@@ -58,8 +153,8 @@ fn csv_field(s: &str) -> String {
     }
 }
 
-/// Renders an `f64` for a CSV cell: `null` for NaN/infinity, mirroring
-/// [`json_f64`], so a pathological column never rots into a bare `NaN`
+/// Renders an `f64` for a CSV cell: `null` for NaN/infinity, as
+/// [`Json::Num`] does, so a pathological column never rots into a bare `NaN`
 /// token that most CSV readers refuse to type.
 fn csv_f64(v: f64) -> String {
     if v.is_finite() {
@@ -69,262 +164,185 @@ fn csv_f64(v: f64) -> String {
     }
 }
 
-fn json_summary(s: &Summary) -> String {
-    format!(
-        "{{\"n\":{},\"mean\":{},\"std_dev\":{},\"cv\":{},\"min\":{},\"max\":{}}}",
-        s.n,
-        json_f64(s.mean),
-        json_f64(s.std_dev),
-        json_f64(s.cv()),
-        json_f64(s.min),
-        json_f64(s.max)
-    )
+fn json_summary(s: &Summary) -> Json {
+    Json::Obj(vec![
+        ("n", s.n.into()),
+        ("mean", s.mean.into()),
+        ("std_dev", s.std_dev.into()),
+        ("cv", s.cv().into()),
+        ("min", s.min.into()),
+        ("max", s.max.into()),
+    ])
 }
 
-/// The per-drive diagnostics of a cell's last trial: queue-depth and
-/// utilization counters, one object per drive.
-fn json_drives(r: &CellResult) -> String {
-    let outcome = &r.point.last_outcome;
-    outcome
+/// One cell as a JSON object. Besides its identity, trials and summary it
+/// carries its last trial's diagnostics: the fault counters, the serving
+/// statistics (latency percentiles from the streaming log-bucket histogram,
+/// per-tenant throughput), one object per drive, one per IOP that ran a
+/// cache, and the fabric's per-node NI and — under the `link` contention
+/// model — per-link counters.
+fn json_cell(r: &CellResult) -> Json {
+    let point = &r.point;
+    let outcome = &point.last_outcome;
+    let axes = r.axes.iter().map(|a| {
+        let value = match a.value {
+            AxisValue::Num(v) => v.into(),
+            AxisValue::Name(s) => s.into(),
+        };
+        Json::Obj(vec![("name", a.name.into()), ("value", value)])
+    });
+    let fault = &outcome.fault_stats;
+    let serve = &outcome.serve;
+    let tenants = serve.per_tenant.iter().map(|t| {
+        Json::Obj(vec![
+            ("tenant", t.tenant.into()),
+            ("requests", t.requests.into()),
+            ("bytes", t.bytes.into()),
+            ("mibs", t.mibs.into()),
+        ])
+    });
+    let drives = outcome
         .disk_stats
         .iter()
         .zip(&outcome.disk_utilization)
         .map(|(s, u)| {
-            format!(
-                "{{\"requests\":{},\"sequential_hits\":{},\"queue_depth_mean\":{},\
-                 \"queue_depth_max\":{},\"utilization\":{}}}",
-                s.requests,
-                s.sequential_hits,
-                json_f64(s.mean_queue_depth()),
-                s.max_queue_depth,
-                json_f64(*u)
-            )
-        })
-        .collect::<Vec<_>>()
-        .join(",")
-}
-
-/// The interconnect diagnostics of a cell's last trial: the fabric
-/// composition, per-node NI send/receive utilization, and — under the
-/// `link` contention model — per-link busy-time counters.
-fn json_net(r: &CellResult) -> String {
-    let outcome = &r.point.last_outcome;
+            Json::Obj(vec![
+                ("requests", s.requests.into()),
+                ("sequential_hits", s.sequential_hits.into()),
+                ("queue_depth_mean", s.mean_queue_depth().into()),
+                ("queue_depth_max", s.max_queue_depth.into()),
+                ("utilization", (*u).into()),
+            ])
+        });
+    let cache = outcome
+        .cache_stats
+        .iter()
+        .enumerate()
+        .filter_map(|(iop, stats)| {
+            let s = stats.as_ref()?;
+            Some(Json::Obj(vec![
+                ("iop", iop.into()),
+                ("hits", s.hits.into()),
+                ("misses", s.misses.into()),
+                ("hit_rate", s.hit_rate().into()),
+                ("prefetch_issued", s.prefetches.into()),
+                ("prefetch_used", s.prefetch_used.into()),
+                ("prefetch_wasted", s.prefetch_wasted.into()),
+                ("evictions", s.evictions.into()),
+                ("dirty_evictions", s.dirty_evictions.into()),
+                ("overflows", s.overflows.into()),
+                ("flushes", s.flushes.into()),
+            ]))
+        });
     let ni = outcome
         .ni_send_utilization
         .iter()
         .zip(&outcome.ni_recv_utilization)
         .enumerate()
         .map(|(node, (send, recv))| {
-            format!(
-                "{{\"node\":{node},\"send_util\":{},\"recv_util\":{}}}",
-                json_f64(*send),
-                json_f64(*recv)
-            )
-        })
-        .collect::<Vec<_>>()
-        .join(",");
-    let links = outcome
-        .link_stats
-        .iter()
-        .map(|l| {
-            format!(
-                "{{\"from\":{},\"to\":{},\"messages\":{},\"busy_s\":{}}}",
-                l.from,
-                l.to,
-                l.messages,
-                json_f64(l.busy.as_secs_f64())
-            )
-        })
-        .collect::<Vec<_>>()
-        .join(",");
-    format!(
-        "{{\"topology\":\"{}\",\"contention\":\"{}\",\"ni\":[{ni}],\"links\":[{links}]}}",
-        outcome.fabric.topology.name(),
-        outcome.fabric.contention.name()
-    )
+            Json::Obj(vec![
+                ("node", node.into()),
+                ("send_util", (*send).into()),
+                ("recv_util", (*recv).into()),
+            ])
+        });
+    let links = outcome.link_stats.iter().map(|l| {
+        Json::Obj(vec![
+            ("from", l.from.into()),
+            ("to", l.to.into()),
+            ("messages", l.messages.into()),
+            ("busy_s", l.busy.as_secs_f64().into()),
+        ])
+    });
+    Json::Obj(vec![
+        ("pattern", point.pattern.as_str().into()),
+        ("method", point.method.label().into()),
+        ("sched", point.method.sched().name().into()),
+        (
+            "cache_policies",
+            point.method.cache().map(|c| c.label()).into(),
+        ),
+        ("record_bytes", point.record_bytes.into()),
+        ("layout", point.layout.short_name().into()),
+        ("faults", outcome.faults.name().into()),
+        ("redundancy", outcome.redundancy.name().into()),
+        ("axes", axes.collect()),
+        ("seed", r.seed.into()),
+        ("trials", point.trials.iter().copied().collect()),
+        ("summary", json_summary(&point.summary)),
+        ("hardware_limit_mibs", r.hardware_limit_mibs.into()),
+        (
+            "fault",
+            Json::Obj(vec![
+                ("events_fired", fault.events_fired.into()),
+                ("reconstruction_reads", fault.reconstruction_reads.into()),
+                ("degraded_s", fault.degraded_secs.into()),
+                ("lost_blocks", fault.lost_blocks.into()),
+            ]),
+        ),
+        (
+            "serve",
+            Json::Obj(vec![
+                ("requests", serve.requests.into()),
+                ("served_bytes", serve.served_bytes.into()),
+                ("p50_ms", serve.p50_ms.into()),
+                ("p99_ms", serve.p99_ms.into()),
+                ("p999_ms", serve.p999_ms.into()),
+                ("mean_ms", serve.mean_ms.into()),
+                ("max_ms", serve.max_ms.into()),
+                ("mean_queue_ms", serve.mean_queue_ms.into()),
+                ("tenants", tenants.collect()),
+            ]),
+        ),
+        ("drives", drives.collect()),
+        ("cache", cache.collect()),
+        (
+            "net",
+            Json::Obj(vec![
+                ("topology", outcome.fabric.topology.name().into()),
+                ("contention", outcome.fabric.contention.name().into()),
+                ("ni", ni.collect()),
+                ("links", links.collect()),
+            ]),
+        ),
+    ])
 }
 
-/// The serving statistics of a cell's last trial: request count, latency
-/// percentiles from the streaming log-bucket histogram, and per-tenant
-/// throughput. Under the default closed-loop composition no requests are
-/// served, so every percentile is NaN and renders as `null` — the same
-/// rule [`json_f64`]/[`csv_f64`] apply everywhere else.
-fn json_serve(r: &CellResult) -> String {
-    let s = &r.point.last_outcome.serve;
-    let tenants = s
-        .per_tenant
-        .iter()
-        .map(|t| {
-            format!(
-                "{{\"tenant\":{},\"requests\":{},\"bytes\":{},\"mibs\":{}}}",
-                t.tenant,
-                t.requests,
-                t.bytes,
-                json_f64(t.mibs)
-            )
-        })
-        .collect::<Vec<_>>()
-        .join(",");
-    format!(
-        "{{\"requests\":{},\"served_bytes\":{},\"p50_ms\":{},\"p99_ms\":{},\"p999_ms\":{},\
-         \"mean_ms\":{},\"max_ms\":{},\"mean_queue_ms\":{},\"tenants\":[{tenants}]}}",
-        s.requests,
-        s.served_bytes,
-        json_f64(s.p50_ms),
-        json_f64(s.p99_ms),
-        json_f64(s.p999_ms),
-        json_f64(s.mean_ms),
-        json_f64(s.max_ms),
-        json_f64(s.mean_queue_ms)
-    )
-}
-
-/// The per-IOP cache counters of a cell's last trial (empty for cacheless
-/// methods like disk-directed I/O), one object per IOP that ran a cache.
-fn json_cache(r: &CellResult) -> String {
-    r.point
-        .last_outcome
-        .cache_stats
-        .iter()
-        .enumerate()
-        .filter_map(|(iop, stats)| {
-            stats.map(|s| {
-                format!(
-                    "{{\"iop\":{iop},\"hits\":{},\"misses\":{},\"hit_rate\":{},\
-                     \"prefetch_issued\":{},\"prefetch_used\":{},\"prefetch_wasted\":{},\
-                     \"evictions\":{},\"dirty_evictions\":{},\"overflows\":{},\"flushes\":{}}}",
-                    s.hits,
-                    s.misses,
-                    json_f64(s.hit_rate()),
-                    s.prefetches,
-                    s.prefetch_used,
-                    s.prefetch_wasted,
-                    s.evictions,
-                    s.dirty_evictions,
-                    s.overflows,
-                    s.flushes
-                )
-            })
-        })
-        .collect::<Vec<_>>()
-        .join(",")
-}
-
-fn json_cell(r: &CellResult) -> String {
-    let axes = r
-        .axes
-        .iter()
-        .map(|a| {
-            let value = match a.value {
-                AxisValue::Num(v) => v.to_string(),
-                AxisValue::Name(s) => format!("\"{}\"", json_escape(s)),
-            };
-            format!("{{\"name\":\"{}\",\"value\":{value}}}", json_escape(a.name))
-        })
-        .collect::<Vec<_>>()
-        .join(",");
-    let trials = r
-        .point
-        .trials
-        .iter()
-        .map(|t| json_f64(*t))
-        .collect::<Vec<_>>()
-        .join(",");
-    let cache_policies = match r.point.method.cache() {
-        Some(cfg) => format!("\"{}\"", json_escape(&cfg.label())),
-        None => "null".to_owned(),
-    };
-    let outcome = &r.point.last_outcome;
-    let fault = format!(
-        "{{\"events_fired\":{},\"reconstruction_reads\":{},\"degraded_s\":{},\"lost_blocks\":{}}}",
-        outcome.fault_stats.events_fired,
-        outcome.fault_stats.reconstruction_reads,
-        json_f64(outcome.fault_stats.degraded_secs),
-        outcome.fault_stats.lost_blocks
-    );
-    format!(
-        "{{\"pattern\":\"{}\",\"method\":\"{}\",\"sched\":\"{}\",\"cache_policies\":{},\
-         \"record_bytes\":{},\
-         \"layout\":\"{}\",\"faults\":\"{}\",\"redundancy\":\"{}\",\
-         \"axes\":[{}],\"seed\":{},\"trials\":[{}],\"summary\":{},\
-         \"hardware_limit_mibs\":{},\"fault\":{},\"serve\":{},\"drives\":[{}],\"cache\":[{}],\
-         \"net\":{}}}",
-        json_escape(&r.point.pattern),
-        json_escape(&r.point.method.label()),
-        r.point.method.sched().name(),
-        cache_policies,
-        r.point.record_bytes,
-        r.point.layout.short_name(),
-        outcome.faults.name(),
-        outcome.redundancy.name(),
-        axes,
-        r.seed,
-        trials,
-        json_summary(&r.point.summary),
-        json_f64(r.hardware_limit_mibs),
-        fault,
-        json_serve(r),
-        json_drives(r),
-        json_cache(r),
-        json_net(r)
-    )
-}
-
-/// Renders a whole run — scale header plus every scenario's cells and pooled
-/// aggregate — as one JSON document. The schema is stable: scripts may rely
-/// on `scale`, `scenarios[].name`, `scenarios[].cells[]`, and the cell
-/// fields emitted by this version, including each cell's `sched` policy
-/// name, its `cache_policies` composition label (`null` for cacheless
-/// methods), the per-drive `drives[]` queue-depth/utilization counters from
-/// its last trial, the per-IOP `cache[]` hit/prefetch/flush counters (empty
-/// for cacheless methods), the cell's `faults`/`redundancy` policy names
-/// with a `fault` counter object (`events_fired`, `reconstruction_reads`,
-/// `degraded_s`, `lost_blocks` — all zero under the default healthy
-/// composition), the `serve` object (`requests`, `served_bytes`, the
-/// `p50_ms`/`p99_ms`/`p999_ms`/`mean_ms`/`max_ms`/`mean_queue_ms` latency
-/// summary, and the per-tenant `tenants[]` throughput counters — under the
-/// default closed-loop composition `requests` is zero and every latency
-/// field is `null`), and the `net` object (fabric
-/// topology/contention, per-node NI `ni[]` send/receive utilization, and
-/// per-link `links[]` busy-time counters — links are empty under the
-/// default `ni-only` model). Axis values are numbers for numeric axes and
-/// strings for symbolic ones (e.g. `topology`). The `scale` header carries
-/// the run's `file_mib` (the base machine's file size in whole MiB),
-/// `trials`, `small_records`, and `seed`.
+/// Renders a whole run as one JSON document: the `scale` header
+/// (`file_mib`, the base machine's file size in whole MiB; `trials`;
+/// `small_records`; `seed`), then each scenario's `name`, `title`, `cells`
+/// and pooled `aggregate` (`null` without cells). The schema is stable:
+/// scripts may rely on every field `json_cell` writes. Axis values are
+/// numbers for numeric axes and strings for symbolic ones (e.g. `topology`).
+/// Under the default composition a cell's `fault` counters are zero, its
+/// `serve` has zero requests and `null` latencies, its `net.links` is empty
+/// (`ni-only`), and a cacheless method has an empty `cache` and a `null`
+/// `cache_policies`.
 pub fn render_json(params: &SweepParams, runs: &[ScenarioRun]) -> String {
-    let mut out = String::from("{");
-    out.push_str(&format!(
-        "\"scale\":{{\"file_mib\":{},\"trials\":{},\"small_records\":{},\"seed\":{}}},",
-        params.base.file_bytes >> 20,
-        params.trials,
-        params.small_records,
-        params.seed
-    ));
-    out.push_str("\"scenarios\":[");
-    for (i, run) in runs.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let cells = run
-            .results
-            .iter()
-            .map(json_cell)
-            .collect::<Vec<_>>()
-            .join(",");
-        let agg = match aggregate(&run.results) {
-            Some(s) => json_summary(&s),
-            None => "null".to_owned(),
-        };
-        out.push_str(&format!(
-            "{{\"name\":\"{}\",\"title\":\"{}\",\"cells\":[{}],\"aggregate\":{}}}",
-            json_escape(run.scenario.name),
-            json_escape(run.scenario.title),
-            cells,
-            agg
-        ));
-    }
-    out.push_str("]}");
-    out
+    let scenarios = runs.iter().map(|run| {
+        Json::Obj(vec![
+            ("name", run.scenario.name.into()),
+            ("title", run.scenario.title.into()),
+            ("cells", run.results.iter().map(json_cell).collect()),
+            (
+                "aggregate",
+                aggregate(&run.results).as_ref().map(json_summary).into(),
+            ),
+        ])
+    });
+    Json::Obj(vec![
+        (
+            "scale",
+            Json::Obj(vec![
+                ("file_mib", (params.base.file_bytes >> 20).into()),
+                ("trials", params.trials.into()),
+                ("small_records", params.small_records.into()),
+                ("seed", params.seed.into()),
+            ]),
+        ),
+        ("scenarios", scenarios.collect()),
+    ])
+    .to_string()
 }
 
 /// Renders a run as CSV: one header row, then one row per cell across all
@@ -390,167 +408,6 @@ pub fn render_table(params: &SweepParams, runs: &[ScenarioRun]) -> String {
     out
 }
 
-/// A minimal recursive-descent JSON syntax checker: returns true iff `s` is
-/// one complete, well-formed JSON value. Used by the smoke tests (and CI) to
-/// guarantee the `--format json` output never rots into non-JSON.
-pub fn json_is_valid(s: &str) -> bool {
-    let bytes = s.as_bytes();
-    let mut pos = 0usize;
-    let ok = parse_value(bytes, &mut pos);
-    skip_ws(bytes, &mut pos);
-    ok && pos == bytes.len()
-}
-
-fn skip_ws(b: &[u8], pos: &mut usize) {
-    while *pos < b.len() && matches!(b[*pos], b' ' | b'\t' | b'\n' | b'\r') {
-        *pos += 1;
-    }
-}
-
-fn eat(b: &[u8], pos: &mut usize, c: u8) -> bool {
-    if *pos < b.len() && b[*pos] == c {
-        *pos += 1;
-        true
-    } else {
-        false
-    }
-}
-
-fn parse_value(b: &[u8], pos: &mut usize) -> bool {
-    skip_ws(b, pos);
-    match b.get(*pos) {
-        Some(b'{') => parse_object(b, pos),
-        Some(b'[') => parse_array(b, pos),
-        Some(b'"') => parse_string(b, pos),
-        Some(b't') => parse_lit(b, pos, b"true"),
-        Some(b'f') => parse_lit(b, pos, b"false"),
-        Some(b'n') => parse_lit(b, pos, b"null"),
-        Some(_) => parse_number(b, pos),
-        None => false,
-    }
-}
-
-fn parse_lit(b: &[u8], pos: &mut usize, lit: &[u8]) -> bool {
-    if b[*pos..].starts_with(lit) {
-        *pos += lit.len();
-        true
-    } else {
-        false
-    }
-}
-
-fn parse_object(b: &[u8], pos: &mut usize) -> bool {
-    *pos += 1; // '{'
-    skip_ws(b, pos);
-    if eat(b, pos, b'}') {
-        return true;
-    }
-    loop {
-        skip_ws(b, pos);
-        if !parse_string(b, pos) {
-            return false;
-        }
-        skip_ws(b, pos);
-        if !eat(b, pos, b':') || !parse_value(b, pos) {
-            return false;
-        }
-        skip_ws(b, pos);
-        if eat(b, pos, b'}') {
-            return true;
-        }
-        if !eat(b, pos, b',') {
-            return false;
-        }
-    }
-}
-
-fn parse_array(b: &[u8], pos: &mut usize) -> bool {
-    *pos += 1; // '['
-    skip_ws(b, pos);
-    if eat(b, pos, b']') {
-        return true;
-    }
-    loop {
-        if !parse_value(b, pos) {
-            return false;
-        }
-        skip_ws(b, pos);
-        if eat(b, pos, b']') {
-            return true;
-        }
-        if !eat(b, pos, b',') {
-            return false;
-        }
-    }
-}
-
-fn parse_string(b: &[u8], pos: &mut usize) -> bool {
-    if !eat(b, pos, b'"') {
-        return false;
-    }
-    while *pos < b.len() {
-        match b[*pos] {
-            b'"' => {
-                *pos += 1;
-                return true;
-            }
-            b'\\' => {
-                *pos += 1;
-                match b.get(*pos) {
-                    Some(b'"' | b'\\' | b'/' | b'b' | b'f' | b'n' | b'r' | b't') => *pos += 1,
-                    Some(b'u') => {
-                        if b.len() < *pos + 5
-                            || !b[*pos + 1..*pos + 5].iter().all(u8::is_ascii_hexdigit)
-                        {
-                            return false;
-                        }
-                        *pos += 5;
-                    }
-                    _ => return false,
-                }
-            }
-            0x00..=0x1f => return false,
-            _ => *pos += 1,
-        }
-    }
-    false
-}
-
-fn parse_number(b: &[u8], pos: &mut usize) -> bool {
-    let start = *pos;
-    let _ = eat(b, pos, b'-');
-    let digits_start = *pos;
-    while *pos < b.len() && b[*pos].is_ascii_digit() {
-        *pos += 1;
-    }
-    if *pos == digits_start {
-        return false;
-    }
-    if eat(b, pos, b'.') {
-        let frac_start = *pos;
-        while *pos < b.len() && b[*pos].is_ascii_digit() {
-            *pos += 1;
-        }
-        if *pos == frac_start {
-            return false;
-        }
-    }
-    if *pos < b.len() && (b[*pos] == b'e' || b[*pos] == b'E') {
-        *pos += 1;
-        if *pos < b.len() && (b[*pos] == b'+' || b[*pos] == b'-') {
-            *pos += 1;
-        }
-        let exp_start = *pos;
-        while *pos < b.len() && b[*pos].is_ascii_digit() {
-            *pos += 1;
-        }
-        if *pos == exp_start {
-            return false;
-        }
-    }
-    *pos > start
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -576,30 +433,37 @@ mod tests {
     }
 
     #[test]
-    fn json_validator_accepts_and_rejects() {
-        for good in [
-            "{}",
-            "[]",
-            "null",
-            "-1.5e-3",
-            "[1,2,3]",
-            r#"{"a":[true,false,null],"b":"x\né"}"#,
-            "  { \"k\" : 1 }  ",
-        ] {
-            assert!(json_is_valid(good), "rejected {good:?}");
-        }
-        for bad in [
-            "",
-            "{",
-            "[1,]",
-            "{\"a\":}",
-            "{'a':1}",
-            "NaN",
-            "1 2",
-            "{\"a\":1,}",
-            "\"unterminated",
-        ] {
-            assert!(!json_is_valid(bad), "accepted {bad:?}");
+    fn json_writer_matches_literal_strings() {
+        let cases = [
+            (Json::from("say \"hi\""), r#""say \"hi\"""#),
+            (Json::from("a\\b"), r#""a\\b""#),
+            (Json::from("two\nlines\ttab\r"), r#""two\nlines\ttab\r""#),
+            (Json::from("\u{1}é"), r#""\u0001é""#),
+            (Json::Num(f64::NAN), "null"),
+            (Json::Num(f64::INFINITY), "null"),
+            (Json::Num(f64::NEG_INFINITY), "null"),
+            (Json::Num(2.5), "2.5"),
+            (Json::Num(5.0), "5"),
+            (Json::from(u64::MAX), "18446744073709551615"),
+            (Json::from(true), "true"),
+            (Json::from(false), "false"),
+            (Json::from(None::<u64>), "null"),
+            (Json::Arr(vec![]), "[]"),
+            (Json::Obj(vec![]), "{}"),
+            (
+                Json::Obj(vec![
+                    ("a", [1u64, 2].into_iter().collect()),
+                    (
+                        "b",
+                        Json::Obj(vec![("c", Json::Null), ("d", Json::Arr(vec![]))]),
+                    ),
+                    ("e", vec![Json::Obj(vec![])].into_iter().collect()),
+                ]),
+                r#"{"a":[1,2],"b":{"c":null,"d":[]},"e":[{}]}"#,
+            ),
+        ];
+        for (value, expected) in cases {
+            assert_eq!(value.to_string(), expected, "{value:?}");
         }
     }
 
@@ -607,7 +471,6 @@ mod tests {
     fn rendered_json_is_valid_and_has_the_schema_landmarks() {
         let (params, run) = tiny_run("mixed-rw");
         let json = render_json(&params, &[run]);
-        assert!(json_is_valid(&json), "invalid JSON:\n{json}");
         for landmark in [
             "\"scale\"",
             "\"scenarios\"",
@@ -638,7 +501,6 @@ mod tests {
     fn net_sweep_cells_carry_symbolic_axes_and_link_counters() {
         let (params, run) = tiny_run("net-sweep");
         let json = render_json(&params, &[run]);
-        assert!(json_is_valid(&json), "invalid JSON:\n{json}");
         // Symbolic axes render as JSON strings...
         assert!(json.contains("{\"name\":\"topology\",\"value\":\"mesh\"}"));
         assert!(json.contains("{\"name\":\"net\",\"value\":\"link\"}"));
@@ -669,7 +531,6 @@ mod tests {
     fn table1_renders_with_empty_cells_and_null_aggregate() {
         let (_, run) = tiny_run("table1");
         let json = render_json(&SweepParams::default(), &[run]);
-        assert!(json_is_valid(&json));
         assert!(json.contains("\"cells\":[]"));
         assert!(json.contains("\"aggregate\":null"));
     }
@@ -713,7 +574,6 @@ mod tests {
         // must emit `null`.
         let (params, run) = tiny_run("mixed-rw");
         let json = render_json(&params, &[run]);
-        assert!(json_is_valid(&json), "invalid JSON:\n{json}");
         assert!(
             json.contains(
                 "\"serve\":{\"requests\":0,\"served_bytes\":0,\"p50_ms\":null,\
@@ -737,7 +597,6 @@ mod tests {
     fn serve_sweep_cells_report_tail_latency_and_tenant_throughput() {
         let (params, run) = tiny_run("serve-sweep");
         let json = render_json(&params, std::slice::from_ref(&run));
-        assert!(json_is_valid(&json), "invalid JSON:\n{json}");
         // Open-loop cells carry real latencies: no nulls in the percentile
         // fields and a non-empty tenants array.
         assert!(
@@ -764,9 +623,9 @@ mod tests {
 
     #[test]
     fn escaping_handles_quotes_and_controls() {
-        assert_eq!(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-        assert_eq!(json_escape("\u{1}"), "\\u0001");
-        assert_eq!(json_f64(f64::NAN), "null");
-        assert_eq!(json_f64(2.5), "2.5");
+        // Keys go through the same escaping as values; U+001F is the last
+        // control character and is escaped, the space after it is not.
+        let field = Json::Obj(vec![("k\"", Json::from("\u{1f} "))]);
+        assert_eq!(field.to_string(), r#"{"k\"":"\u001f "}"#);
     }
 }

@@ -3,11 +3,10 @@
 //! Each of the simulator's policy knobs (drive scheduling, fabric topology
 //! and contention, faults, redundancy, arrivals, admission, and the three
 //! cache dimensions) is a fieldless enum whose variants have a stable
-//! lower-case name used by CLI filters, environment variables, reports, and
-//! cell seeds. [`policy_enum!`](crate::policy_enum) generates that surface
-//! once: the enum itself (with its docs and `#[default]` variant), `ALL`,
-//! `name`, `parse`, `Display`, and a parse-error message listing the valid
-//! names.
+//! lower-case name used by CLI filters, reports, and cell seeds.
+//! [`policy_enum!`](crate::policy_enum) generates that surface once: the enum
+//! itself (with its docs and `#[default]` variant), `ALL`, `name`, `parse`,
+//! `Display`, and a parse-error message listing the valid names.
 
 /// Defines a policy enum and its name vocabulary.
 ///
@@ -68,8 +67,7 @@ macro_rules! policy_enum {
             /// listings).
             pub const ALL: [$name; [$($label),+].len()] = [$($name::$variant),+];
 
-            /// The lower-case name used by CLI filters, environment
-            /// variables, and reports.
+            /// The lower-case name used by CLI filters and reports.
             pub fn name(self) -> &'static str {
                 match self {
                     $($name::$variant => $label,)+

@@ -15,17 +15,9 @@ use crate::TaskRef;
 
 struct Inner<T> {
     queue: VecDeque<T>,
-    recv_waiters: Vec<TaskRef>,
+    recv_waiters: VecDeque<TaskRef>,
     senders: usize,
     receivers: usize,
-}
-
-impl<T> Inner<T> {
-    fn wake_receivers(&mut self) {
-        for w in self.recv_waiters.drain(..) {
-            w.wake();
-        }
-    }
 }
 
 /// Error returned by [`Sender::send`] / [`Sender::try_send`] when every
@@ -44,7 +36,7 @@ impl std::error::Error for SendError {}
 pub fn unbounded<T>() -> (Sender<T>, Receiver<T>) {
     let inner = Rc::new(RefCell::new(Inner {
         queue: VecDeque::new(),
-        recv_waiters: Vec::new(),
+        recv_waiters: VecDeque::new(),
         senders: 1,
         receivers: 1,
     }));
@@ -75,7 +67,9 @@ impl<T> Drop for Sender<T> {
         let mut inner = self.inner.borrow_mut();
         inner.senders -= 1;
         if inner.senders == 0 {
-            inner.wake_receivers();
+            for w in inner.recv_waiters.drain(..) {
+                w.wake();
+            }
         }
     }
 }
@@ -93,14 +87,17 @@ impl<T> Sender<T> {
     }
 
     /// Sends without waiting; the value comes back in `Err` if every
-    /// receiver has been dropped.
+    /// receiver has been dropped. Wakes only the longest-parked receiver:
+    /// one message feeds one receiver (see [`Receiver::recv`]).
     pub fn try_send(&self, value: T) -> Result<(), T> {
         let mut inner = self.inner.borrow_mut();
         if inner.receivers == 0 {
             return Err(value);
         }
         inner.queue.push_back(value);
-        inner.wake_receivers();
+        if let Some(w) = inner.recv_waiters.pop_front() {
+            w.wake();
+        }
         Ok(())
     }
 
@@ -163,6 +160,12 @@ impl<T> Receiver<T> {
     ///
     /// Returns `None` once the channel is empty and every sender has been
     /// dropped.
+    ///
+    /// A send wakes one parked receiver, not all of them, so each pending
+    /// `recv` must be polled again once woken, and must not be dropped
+    /// while parked: a woken receiver that never polls would strand the
+    /// message it was woken for while other receivers stay parked. Every
+    /// receive loop in this workspace awaits `recv` to completion.
     pub fn recv(&self) -> Recv<'_, T> {
         Recv { receiver: self }
     }
@@ -199,7 +202,7 @@ impl<T> Future for Recv<'_, T> {
         if inner.senders == 0 {
             return Poll::Ready(None);
         }
-        inner.recv_waiters.push(TaskRef::capture());
+        inner.recv_waiters.push_back(TaskRef::capture());
         Poll::Pending
     }
 }
@@ -364,6 +367,69 @@ mod tests {
         });
         sim.run();
         assert_eq!(count.get(), 30);
+    }
+
+    #[test]
+    fn a_send_wakes_one_parked_receiver_and_close_wakes_all() {
+        const N: usize = 4;
+        let mut sim = Sim::new();
+        let ctx = sim.context();
+        let (tx, rx) = unbounded::<u32>();
+        // (receiver, value) of every delivery; polls of a parked `recv` that
+        // found nothing (a receiver woken in vain); receivers that saw close.
+        // A receiver spends `work` on each message before it asks again, so
+        // the first one woken cannot drain the queue for the others.
+        let (work, step) = (SimDuration::from_micros(1), SimDuration::from_micros(10));
+        let got = Rc::new(RefCell::new(Vec::new()));
+        let vain = Rc::new(Cell::new(0));
+        let closed = Rc::new(Cell::new(0));
+        for i in 0..N {
+            let (rx, got, vain, closed) = (rx.clone(), got.clone(), vain.clone(), closed.clone());
+            let ctx = ctx.clone();
+            sim.spawn(async move {
+                loop {
+                    let mut recv = rx.recv();
+                    let mut parked = false;
+                    let next = std::future::poll_fn(|cx| {
+                        let poll = Pin::new(&mut recv).poll(cx);
+                        if poll.is_pending() {
+                            vain.set(vain.get() + usize::from(parked));
+                            parked = true;
+                        }
+                        poll
+                    })
+                    .await;
+                    match next {
+                        Some(v) => got.borrow_mut().push((i, v)),
+                        None => break closed.set(closed.get() + 1),
+                    }
+                    ctx.sleep(work).await;
+                }
+            });
+        }
+        drop(rx);
+        let (got2, vain2, closed2) = (got.clone(), vain.clone(), closed.clone());
+        sim.spawn(async move {
+            ctx.sleep(step).await;
+            tx.try_send(0).unwrap();
+            ctx.sleep(step).await;
+            assert_eq!(*got2.borrow(), [(0, 0)]);
+            assert_eq!(vain2.get(), 0, "one push woke more than one receiver");
+            for v in 1..=N as u32 {
+                tx.try_send(v).unwrap();
+            }
+            ctx.sleep(step).await;
+            let mut receivers: Vec<usize> = got2.borrow()[1..].iter().map(|&(i, _)| i).collect();
+            receivers.sort_unstable();
+            assert_eq!(receivers, [0, 1, 2, 3], "N pushes must reach N receivers");
+            assert_eq!(vain2.get(), 0);
+            drop(tx);
+            ctx.sleep(step).await;
+            assert_eq!(closed2.get(), N, "close must wake every receiver");
+        });
+        sim.run();
+        assert_eq!(closed.get(), N);
+        assert_eq!(vain.get(), 0);
     }
 
     #[test]
