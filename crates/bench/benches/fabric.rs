@@ -4,7 +4,7 @@
 //! construction cost of the fabric itself.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use ddio_net::{ContentionModel, Envelope, NetConfig, Network, NetworkParams};
+use ddio_net::{ContentionModel, Delivery, NetConfig, Network, NetworkParams};
 use ddio_sim::sync::Receiver;
 use ddio_sim::Sim;
 
@@ -24,7 +24,7 @@ fn fabrics() -> [(&'static str, NetConfig); 2] {
     ]
 }
 
-fn drain(sim: &mut Sim, rx: Receiver<Envelope<u64>>, expect: usize) {
+fn drain(sim: &mut Sim, rx: Receiver<u64>, expect: usize) {
     sim.spawn(async move {
         let mut got = 0;
         while got < expect {
@@ -43,14 +43,13 @@ fn bench_send_storm(c: &mut Criterion) {
             let mut sim = Sim::new();
             b.iter(|| {
                 sim.reset();
-                let (net, mut inboxes) =
+                let (net, _inboxes) =
                     Network::<u64>::new(sim.context(), config, NetworkParams::default(), NODES);
-                drain(&mut sim, inboxes.remove(0), (NODES - 1) * MSGS_PER_SENDER);
                 for from in 1..NODES {
                     let net = net.clone();
                     sim.spawn(async move {
-                        for i in 0..MSGS_PER_SENDER {
-                            net.send(from, 0, 8192, i as u64).await;
+                        for _ in 0..MSGS_PER_SENDER {
+                            net.send(from, 0, 8192).await;
                         }
                     });
                 }
@@ -79,7 +78,7 @@ fn bench_post_storm(c: &mut Criterion) {
                     sim.spawn(async move {
                         for i in 0..(NODES - 1) * MSGS_PER_SENDER {
                             let to = 1 + i % (NODES - 1);
-                            net.post(0, to, 8192, i as u64).await;
+                            net.post(0, to, 8192, Delivery::Inbox(i as u64)).await;
                         }
                     });
                 }

@@ -19,7 +19,7 @@ use ddio_core::cache::{
 };
 use ddio_core::{AdmissionQueue, LatencyHistogram, QosPolicy};
 use ddio_disk::{DiskQueue, DiskRequest, Geometry, SchedPolicy};
-use ddio_net::{ContentionModel, Envelope, NetConfig, Network, NetworkParams};
+use ddio_net::{ContentionModel, Delivery, NetConfig, Network, NetworkParams};
 use ddio_sim::sync::{Receiver, Resource};
 use ddio_sim::{Sim, SimDuration};
 
@@ -178,7 +178,7 @@ fn prefetch_storm(prefetchers: &mut [Prefetcher], out: &mut Vec<u64>) -> u64 {
 const NODES: usize = 8;
 
 /// The fabric storm's network and its nodes' inboxes.
-type Fabric = (Network<u64>, Vec<Receiver<Envelope<u64>>>);
+type Fabric = (Network<u64>, Vec<Receiver<u64>>);
 
 /// Builds the fabric storm's network on `sim` with the given fabric.
 fn fabric(sim: &Sim, config: NetConfig) -> Fabric {
@@ -193,7 +193,7 @@ fn fabric_storm(sim: &mut Sim, (net, inboxes): &Fabric) -> (u64, u64) {
     // drain's expectation is exact.
     const MSGS: usize = 56;
     sim.reset();
-    fn drain(sim: &mut Sim, rx: Receiver<Envelope<u64>>, expect: usize) {
+    fn drain(sim: &mut Sim, rx: Receiver<u64>, expect: usize) {
         sim.spawn(async move {
             let mut got = 0;
             while got < expect {
@@ -206,12 +206,11 @@ fn fabric_storm(sim: &mut Sim, (net, inboxes): &Fabric) -> (u64, u64) {
     for rx in inboxes[1..].iter().rev() {
         drain(sim, rx.clone(), MSGS / (NODES - 1));
     }
-    drain(sim, inboxes[0].clone(), (NODES - 1) * MSGS);
     for from in 1..NODES {
         let net = net.clone();
         sim.spawn(async move {
-            for i in 0..MSGS {
-                net.send(from, 0, 8192, i as u64).await;
+            for _ in 0..MSGS {
+                net.send(from, 0, 8192).await;
             }
         });
     }
@@ -220,7 +219,7 @@ fn fabric_storm(sim: &mut Sim, (net, inboxes): &Fabric) -> (u64, u64) {
         sim.spawn(async move {
             for i in 0..MSGS {
                 let to = 1 + i % (NODES - 1);
-                net.post(0, to, 1024, i as u64).await;
+                net.post(0, to, 1024, Delivery::Inbox(i as u64)).await;
             }
         });
     }

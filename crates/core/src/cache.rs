@@ -47,7 +47,7 @@ use ddio_sim::sync::CountdownEvent;
 
 ddio_sim::policy_enum! {
     /// The replacement policy: which unpinned resident block makes room.
-    pub enum ReplacementPolicy: "replacement policy" {
+    pub enum ReplacementPolicy {
         /// Least recently used — the paper's choice.
         #[default]
         Lru = "lru",
@@ -65,7 +65,7 @@ ddio_sim::policy_enum! {
 
 ddio_sim::policy_enum! {
     /// The prefetch policy: what to read ahead after each demand read.
-    pub enum PrefetchPolicy: "prefetch policy" {
+    pub enum PrefetchPolicy {
         /// No prefetching.
         None = "none",
         /// One block ahead on the same disk — the paper's choice.
@@ -80,7 +80,7 @@ ddio_sim::policy_enum! {
 
 ddio_sim::policy_enum! {
     /// The write-back policy: when dirty cache data is flushed to disk.
-    pub enum WritePolicy: "write policy" {
+    pub enum WritePolicy {
         /// Synchronous write-through: every write request's data goes to disk
         /// before the reply. No write-behind overlap, but nothing is ever lost
         /// to a late flush.

@@ -17,22 +17,48 @@
 //!   Memgets and the CPs reply with the data, which then goes to disk.
 //! * When an IOP finishes its share it notifies the requesting CP; the CPs
 //!   barrier once more and the transfer is complete.
-//! * The collective request and every Memget carry the latch their answers
-//!   signal, so neither side keeps a table of outstanding requests.
+//! * The collective request starts its IOP's work where it lands: the CP
+//!   whose send just returned spawns the IOP's collective task, which
+//!   opens the CP's latch once its notification lands. A Memget carries the
+//!   latch its reply opens on landing, so neither side keeps a table of
+//!   outstanding requests.
+//! * Memputs and Memgets are the only messages that queue at a node: each
+//!   CP's dispatcher takes them from its inbox one at a time, and blocks on
+//!   its sending NI while it answers a Memget, as one CP's message handler
+//!   would.
 
 use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::rc::Rc;
 
 use ddio_disk::SchedPolicy;
-use ddio_patterns::AccessKind;
-use ddio_sim::sync::CountdownEvent;
-use ddio_sim::{Sim, SimContext};
+use ddio_net::Delivery;
+use ddio_patterns::{AccessKind, Chunk};
+use ddio_sim::sync::{CountdownEvent, Receiver};
+use ddio_sim::Sim;
 
-use crate::machine::{CpParts, Inbox, IopParts, RunContext};
-use crate::msg::FsMessage;
+use crate::machine::{CpParts, IopParts, RunContext};
 
-/// Per-IOP state shared between the dispatcher and the buffer tasks.
+/// A message that lands in a CP's inbox during a disk-directed transfer.
+#[derive(Debug)]
+pub(crate) enum CpMessage {
+    /// Data moved from IOP memory directly into CP memory.
+    Memput {
+        /// The piece of the file this data corresponds to.
+        piece: Chunk,
+    },
+    /// An IOP asks the CP to send it a piece of data.
+    Memget {
+        /// The requesting IOP.
+        iop: usize,
+        /// The piece of the file being requested.
+        piece: Chunk,
+        /// Counted down by the landing of the reply carrying the data.
+        done: CountdownEvent,
+    },
+}
+
+/// Per-IOP state shared by the collective task and its buffer tasks.
 struct IopServer {
     parts: Rc<IopParts>,
     run: Rc<RunContext>,
@@ -50,16 +76,14 @@ impl IopServer {
         let pieces = self.run.pattern.pieces_in(bstart, bend - bstart);
         for piece in pieces {
             self.parts.cpu.use_for(costs.memput_cpu).await;
-            let msg = FsMessage::Memput { piece };
-            let bytes = costs.message_header_bytes + msg.payload_bytes();
             // Fire-and-forget so Memputs to many CPs proceed concurrently.
             self.run
                 .net
                 .post(
                     self.parts.node,
                     self.run.config.cp_node(piece.cp),
-                    bytes,
-                    msg,
+                    costs.message_header_bytes + piece.bytes,
+                    Delivery::Inbox(CpMessage::Memput { piece }),
                 )
                 .await;
         }
@@ -76,19 +100,18 @@ impl IopServer {
         let arrived = CountdownEvent::new(pieces.len() as u64);
         for piece in pieces {
             self.parts.cpu.use_for(costs.memget_cpu).await;
-            let msg = FsMessage::Memget {
+            let msg = CpMessage::Memget {
                 iop: self.parts.iop,
                 piece,
                 done: arrived.clone(),
             };
-            let bytes = costs.message_header_bytes + msg.payload_bytes();
             self.run
                 .net
                 .post(
                     self.parts.node,
                     self.run.config.cp_node(piece.cp),
-                    bytes,
-                    msg,
+                    costs.message_header_bytes,
+                    Delivery::Inbox(msg),
                 )
                 .await;
         }
@@ -102,11 +125,10 @@ impl IopServer {
 
     /// Runs the whole collective operation on this IOP: build (and, under
     /// the presort policy, sort) each disk's block list, run the buffer
-    /// tasks, then notify the requesting CP by handing back its `done`
-    /// latch.
+    /// tasks, then notify the requesting CP, whose landing counts `done`
+    /// down.
     async fn run_collective(
         self: Rc<Self>,
-        ctx: SimContext,
         requesting_cp: usize,
         op: AccessKind,
         sched: SchedPolicy,
@@ -131,7 +153,7 @@ impl IopServer {
                 let queue = Rc::clone(&queue);
                 let buffers2 = buffers.clone();
                 buffers.add(1);
-                ctx.spawn(async move {
+                self.run.ctx.spawn(async move {
                     loop {
                         let block = queue.borrow_mut().pop_front();
                         let Some(block) = block else { break };
@@ -146,16 +168,15 @@ impl IopServer {
         }
         buffers.wait().await;
 
-        let msg = FsMessage::CollectiveDone { done };
         self.run
             .net
             .send(
                 self.parts.node,
                 self.run.config.cp_node(requesting_cp),
                 costs.message_header_bytes,
-                msg,
             )
             .await;
+        done.signal();
     }
 }
 
@@ -166,33 +187,30 @@ struct CpClient {
 }
 
 impl CpClient {
-    /// The CP's inbox dispatcher: absorbs Memputs, answers Memgets, and
-    /// signals the latch each IOP's `CollectiveDone` hands back.
-    async fn dispatch(self: Rc<Self>, inbox: Inbox) {
+    /// The CP's inbox dispatcher: absorbs Memputs and answers Memgets with
+    /// the data, whose landing opens the Memget's latch.
+    async fn dispatch(self: Rc<Self>, inbox: Receiver<CpMessage>) {
         let costs = self.run.config.costs;
-        while let Some(env) = inbox.recv().await {
-            match env.payload {
-                FsMessage::Memput { piece } => {
-                    self.parts.cpu.use_for(costs.cp_mem_msg_cpu).await;
+        while let Some(msg) = inbox.recv().await {
+            self.parts.cpu.use_for(costs.cp_mem_msg_cpu).await;
+            match msg {
+                CpMessage::Memput { piece } => {
                     self.run
                         .record_cp_bytes(self.parts.cp, piece.mem_offset, piece.bytes);
                 }
-                FsMessage::Memget { iop, piece, done } => {
-                    self.parts.cpu.use_for(costs.cp_mem_msg_cpu).await;
-                    let reply = FsMessage::MemgetReply { piece, done };
-                    let bytes = costs.message_header_bytes + reply.payload_bytes();
+                CpMessage::Memget { iop, piece, done } => {
                     self.run
                         .record_cp_bytes(self.parts.cp, piece.mem_offset, piece.bytes);
                     self.run
                         .net
-                        .post(self.parts.node, self.run.config.iop_node(iop), bytes, reply)
+                        .post(
+                            self.parts.node,
+                            self.run.config.iop_node(iop),
+                            costs.message_header_bytes + piece.bytes,
+                            Delivery::Open(done),
+                        )
                         .await;
                 }
-                FsMessage::CollectiveDone { done } => done.signal(),
-                other => panic!(
-                    "CP {} received unexpected message under disk-directed I/O: {other:?}",
-                    self.parts.cp
-                ),
             }
         }
     }
@@ -204,47 +222,28 @@ pub(crate) fn spawn_transfer(
     sim: &mut Sim,
     run: &Rc<RunContext>,
     cps: &[Rc<CpParts>],
-    cp_inboxes: Vec<Inbox>,
-    iop_inboxes: Vec<Inbox>,
+    cp_inboxes: Vec<Receiver<CpMessage>>,
     sched: SchedPolicy,
     finished: &CountdownEvent,
 ) {
     let config = &run.config;
-    let ctx = sim.context();
     let op = if run.pattern.is_write() {
         AccessKind::Write
     } else {
         AccessKind::Read
     };
 
-    // IOP dispatchers.
-    for (iop_parts, inbox) in run.iops.iter().zip(iop_inboxes) {
-        let server = Rc::new(IopServer {
-            parts: Rc::clone(iop_parts),
-            run: Rc::clone(run),
-        });
-        let server_ctx = ctx.clone();
-        sim.spawn(async move {
-            while let Some(env) = inbox.recv().await {
-                match env.payload {
-                    FsMessage::CollectiveRequest { cp, op, done } => {
-                        let server = Rc::clone(&server);
-                        let task_ctx = server_ctx.clone();
-                        server_ctx.spawn(async move {
-                            server.run_collective(task_ctx, cp, op, sched, done).await;
-                        });
-                    }
-                    // Reconstruction data: the recovering task awaited the
-                    // delivery itself; nothing to route.
-                    FsMessage::Reconstructed { .. } => {}
-                    FsMessage::MemgetReply { done, .. } => done.signal(),
-                    other => {
-                        panic!("IOP received unexpected message under disk-directed I/O: {other:?}")
-                    }
-                }
-            }
-        });
-    }
+    // IOP servers, started by the collective request's landing.
+    let servers: Rc<[Rc<IopServer>]> = run
+        .iops
+        .iter()
+        .map(|iop_parts| {
+            Rc::new(IopServer {
+                parts: Rc::clone(iop_parts),
+                run: Rc::clone(run),
+            })
+        })
+        .collect();
 
     // CP dispatchers and application tasks. The paper's two barriers are
     // two latches every CP signals once.
@@ -263,6 +262,7 @@ pub(crate) fn spawn_transfer(
         }
 
         let run2 = Rc::clone(run);
+        let servers = Rc::clone(&servers);
         let (ready, done) = (ready.clone(), done.clone());
         let finished = finished.clone();
         let n_iops = config.n_iops;
@@ -277,13 +277,8 @@ pub(crate) fn spawn_transfer(
                 // request to all IOPs.
                 let costs = run2.config.costs;
                 let iops_done = CountdownEvent::new(n_iops as u64);
-                for iop in 0..n_iops {
+                for (iop, server) in servers.iter().enumerate() {
                     client.parts.cpu.use_for(costs.cp_request_cpu).await;
-                    let msg = FsMessage::CollectiveRequest {
-                        cp: client.parts.cp,
-                        op,
-                        done: iops_done.clone(),
-                    };
                     client
                         .run
                         .net
@@ -291,9 +286,14 @@ pub(crate) fn spawn_transfer(
                             client.parts.node,
                             run2.config.iop_node(iop),
                             costs.message_header_bytes,
-                            msg,
                         )
                         .await;
+                    run2.ctx.spawn(Rc::clone(server).run_collective(
+                        client.parts.cp,
+                        op,
+                        sched,
+                        iops_done.clone(),
+                    ));
                 }
                 // Wait for all IOPs to report completion.
                 iops_done.wait().await;

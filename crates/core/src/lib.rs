@@ -78,7 +78,6 @@ pub mod experiment;
 pub mod fault;
 mod layout;
 mod machine;
-mod msg;
 pub mod serve;
 mod tc;
 mod util;
@@ -93,7 +92,6 @@ pub use ddio_net::LinkStat;
 pub use fault::{FaultConfig, FaultEvent, FaultKind, FaultPolicy, FaultStats, RedundancyPolicy};
 pub use layout::{BlockLocation, FileLayout};
 pub use machine::{run_transfer, TransferOutcome, VerifyReport};
-pub use msg::FsMessage;
 pub use serve::{
     AdmissionQueue, ArrivalProcess, LatencyHistogram, QosPolicy, ServeConfig, ServeParams,
     ServeRequestSpec, ServeStats, TenantStats,

@@ -9,10 +9,10 @@ use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
 use ddio_disk::{spawn_disk, DiskHandle, DiskRequest, DiskStats, ScsiBus};
-use ddio_net::{Envelope, LinkStat, NetConfig, Network};
+use ddio_net::{LinkStat, NetConfig, Network};
 use ddio_patterns::{AccessKind, AccessPattern, PatternInstance};
 use ddio_sim::stats::throughput_mibs;
-use ddio_sim::sync::{CountdownEvent, Receiver, Resource, ResourceName};
+use ddio_sim::sync::{CountdownEvent, Resource, ResourceName};
 use ddio_sim::{Sim, SimContext, SimDuration, SimRng};
 
 use crate::cache::CacheStats;
@@ -20,7 +20,6 @@ use crate::config::{MachineConfig, Method};
 use crate::ddio;
 use crate::fault::{FaultConfig, FaultPolicy, FaultStats, RedundancyPolicy};
 use crate::layout::{BlockLocation, FileLayout};
-use crate::msg::FsMessage;
 use crate::serve::{self, ServeConfig, ServeStats};
 use crate::tc;
 use crate::util::IntervalSet;
@@ -31,9 +30,6 @@ const FAULT_STREAM: u64 = 0xFA17;
 /// RNG stream tag of the serving request schedule (disjoint from the layout
 /// and fault streams).
 const SERVE_STREAM: u64 = 0x5E12;
-
-/// Inbox type used by every node.
-pub(crate) type Inbox = Receiver<Envelope<FsMessage>>;
 
 /// Per-CP simulation state shared with the file-system implementations.
 pub(crate) struct CpParts {
@@ -70,8 +66,6 @@ pub(crate) struct VerifyState {
 /// The fault subsystem's per-run state: the compiled schedule and the
 /// recovery counters.
 pub(crate) struct FaultSession {
-    /// Simulation clock access (liveness checks are time-dependent).
-    pub ctx: SimContext,
     /// The compiled schedule (empty under `FaultPolicy::None` and the
     /// static policies).
     pub schedule: FaultConfig,
@@ -89,14 +83,17 @@ impl FaultSession {
 
 /// Everything the file-system implementations need to know about the run.
 pub(crate) struct RunContext {
+    /// The simulation: its clock, and where landing messages spawn their
+    /// handlers.
+    pub ctx: SimContext,
     /// The machine configuration.
     pub config: Rc<MachineConfig>,
     /// The bound access pattern.
     pub pattern: PatternInstance,
     /// The file's physical layout.
     pub layout: Rc<FileLayout>,
-    /// The interconnect.
-    pub net: Network<FsMessage>,
+    /// The interconnect. Only disk-directed CPs read an inbox.
+    pub net: Network<ddio::CpMessage>,
     /// Every IOP, indexed by IOP number: block I/O reaches any drive (a
     /// reconstruction source may live on another IOP) through its owner.
     pub iops: Vec<Rc<IopParts>>,
@@ -201,7 +198,7 @@ impl RunContext {
         let sources = self.layout.reconstruction_sources(block);
         let mut complete = !sources.is_empty();
         for loc in sources {
-            if f.schedule.is_dead(loc.disk, f.ctx.now())
+            if f.schedule.is_dead(loc.disk, self.ctx.now())
                 || !self.drive_io(AccessKind::Read, loc, bytes).await
             {
                 complete = false;
@@ -210,7 +207,7 @@ impl RunContext {
             let source = self.owner_of(loc.disk);
             source.bus.transfer(bytes).await;
             if source.node != requester_node {
-                self.ship_reconstruction(source.node, requester_node, block, bytes)
+                self.ship_reconstruction(source.node, requester_node, bytes)
                     .await;
             }
             f.reconstruction_reads.set(f.reconstruction_reads.get() + 1);
@@ -232,10 +229,10 @@ impl RunContext {
         let Some(loc) = self.layout.redundant_location(block) else {
             return;
         };
-        if f.schedule.is_dead(loc.disk, f.ctx.now()) {
+        if f.schedule.is_dead(loc.disk, self.ctx.now()) {
             return;
         }
-        self.write_copy(block, loc, requester_node, bytes).await;
+        self.write_copy(loc, requester_node, bytes).await;
     }
 
     /// Redirects a write whose primary disk is dead to the block's redundant
@@ -245,10 +242,10 @@ impl RunContext {
         let live = self
             .layout
             .redundant_location(block)
-            .filter(|loc| !f.schedule.is_dead(loc.disk, f.ctx.now()));
+            .filter(|loc| !f.schedule.is_dead(loc.disk, self.ctx.now()));
         match live {
             Some(loc) => {
-                if !self.write_copy(block, loc, requester_node, bytes).await {
+                if !self.write_copy(loc, requester_node, bytes).await {
                     f.count_lost();
                 }
             }
@@ -258,27 +255,23 @@ impl RunContext {
 
     /// Ships `bytes` to the IOP owning `loc` (if remote), charges its bus,
     /// and writes the copy. True on success.
-    async fn write_copy(
-        &self,
-        block: u64,
-        loc: BlockLocation,
-        requester_node: usize,
-        bytes: u64,
-    ) -> bool {
+    async fn write_copy(&self, loc: BlockLocation, requester_node: usize, bytes: u64) -> bool {
         let target = self.owner_of(loc.disk);
         if target.node != requester_node {
-            self.ship_reconstruction(requester_node, target.node, block, bytes)
+            self.ship_reconstruction(requester_node, target.node, bytes)
                 .await;
         }
         target.bus.transfer(bytes).await;
         self.drive_io(AccessKind::Write, loc, bytes).await
     }
 
-    /// One cross-IOP hop of reconstruction data over the fabric.
-    async fn ship_reconstruction(&self, from: usize, to: usize, block: u64, bytes: u64) {
-        let msg = FsMessage::Reconstructed { block, bytes };
-        let wire = self.config.costs.message_header_bytes + msg.payload_bytes();
-        self.net.send(from, to, wire, msg).await;
+    /// One cross-IOP hop of reconstruction data (a mirror copy, a
+    /// surviving parity-group member, or a redirected write) over the
+    /// fabric. The recovering task continues once it lands; nothing at the
+    /// receiver handles it.
+    async fn ship_reconstruction(&self, from: usize, to: usize, bytes: u64) {
+        let wire = self.config.costs.message_header_bytes + bytes;
+        self.net.send(from, to, wire).await;
     }
 }
 
@@ -486,8 +479,8 @@ pub fn run_transfer_in(
 
     // Interconnect: CPs occupy nodes [0, n_cps), IOPs the next n_iops nodes,
     // placed on the configured fabric (the paper's torus by default).
-    let (net, mut inboxes) =
-        Network::<FsMessage>::new(ctx.clone(), config.fabric, config.net, config.n_nodes());
+    let (net, mut cp_inboxes) =
+        Network::<ddio::CpMessage>::new(ctx.clone(), config.fabric, config.net, config.n_nodes());
     net.set_outages(fault_schedule.outages.clone());
 
     let verify = config.verify.then(|| {
@@ -497,9 +490,9 @@ pub fn run_transfer_in(
         }))
     });
 
-    // Inboxes are numbered like the nodes: CPs first, then IOPs.
-    let iop_inboxes = inboxes.split_off(config.n_cps);
-    let cp_inboxes = inboxes;
+    // Inboxes are numbered like the nodes: CPs first, then IOPs, which
+    // never read theirs.
+    cp_inboxes.truncate(config.n_cps);
 
     // Build the CPs.
     let mut cps = Vec::with_capacity(config.n_cps);
@@ -563,6 +556,7 @@ pub fn run_transfer_in(
     }
 
     let run = Rc::new(RunContext {
+        ctx: ctx.clone(),
         config: Rc::new(config.clone()),
         pattern: pattern_instance,
         layout: Rc::clone(&layout),
@@ -571,7 +565,6 @@ pub fn run_transfer_in(
         verify,
         cache_stats: RefCell::new(vec![None; config.n_iops]),
         fault: FaultSession {
-            ctx: ctx.clone(),
             schedule: fault_schedule,
             reconstruction_reads: Cell::new(0),
             lost_blocks: Cell::new(0),
@@ -590,27 +583,16 @@ pub fn run_transfer_in(
             sim,
             &run,
             &cps,
-            cp_inboxes,
-            iop_inboxes,
             method,
             serve_schedule,
         ))
     } else {
         match method {
             Method::TraditionalCaching(sched, cache) => {
-                tc::spawn_transfer(
-                    sim,
-                    &run,
-                    &cps,
-                    cp_inboxes,
-                    iop_inboxes,
-                    sched,
-                    cache,
-                    &finished,
-                );
+                tc::spawn_transfer(sim, &run, &cps, sched, cache, &finished);
             }
             Method::DiskDirected(sched) => {
-                ddio::spawn_transfer(sim, &run, &cps, cp_inboxes, iop_inboxes, sched, &finished);
+                ddio::spawn_transfer(sim, &run, &cps, cp_inboxes, sched, &finished);
             }
         }
         None

@@ -20,6 +20,12 @@
 //! Latency is recorded into a fixed-log-bucket [`LatencyHistogram`] —
 //! streaming, allocation-free after construction, and deterministic — so
 //! every cell can report p50/p99/p999 without storing per-request samples.
+//!
+//! An admitted request travels like a traditional-caching request: it
+//! starts its IOP handler where it lands (the issuing CP task, whose send
+//! just returned, spawns it), and the handler's reply carries the block
+//! back and then opens the latch the CP waits on. No node runs a message
+//! dispatcher.
 
 use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
@@ -30,12 +36,11 @@ use ddio_sim::sync::{unbounded, CountdownEvent};
 use ddio_sim::{Sim, SimDuration, SimRng, SimTime};
 
 use crate::config::{MachineConfig, Method};
-use crate::machine::{CpParts, Inbox, IopParts, RunContext};
-use crate::msg::FsMessage;
+use crate::machine::{CpParts, IopParts, RunContext};
 
 ddio_sim::policy_enum! {
     /// How client requests arrive at the file system.
-    pub enum ArrivalProcess: "arrival process" {
+    pub enum ArrivalProcess {
         /// No open-loop clients: the scenario's single collective transfer runs
         /// instead. The bit-identical default.
         #[default]
@@ -61,7 +66,7 @@ impl ArrivalProcess {
 
 ddio_sim::policy_enum! {
     /// The order in which pending requests are admitted to the file system.
-    pub enum QosPolicy: "QoS policy" {
+    pub enum QosPolicy {
         /// Global arrival order, tenant-blind. The default.
         #[default]
         Fifo = "fifo",
@@ -633,6 +638,8 @@ struct ServeClient {
     parts: Rc<CpParts>,
     run: Rc<RunContext>,
     session: Rc<ServeSession>,
+    /// Every IOP's server, indexed by IOP number.
+    servers: Rc<[Rc<ServeServer>]>,
 }
 
 impl ServeClient {
@@ -643,47 +650,27 @@ impl ServeClient {
         self.parts.cpu.use_for(costs.cp_request_cpu).await;
         let disk = self.run.layout.disk_of_block(spec.block);
         let iop = self.run.config.iop_of_disk(disk);
-        let done = CountdownEvent::new(1);
-        let request = FsMessage::ServeRequest {
-            cp: self.parts.cp,
-            block: spec.block,
-            setup,
-            done: done.clone(),
-        };
-        let bytes = costs.message_header_bytes + request.payload_bytes();
+        // Serving is read-only: the request carries no data.
         self.run
             .net
             .send(
                 self.parts.node,
                 self.run.config.iop_node(iop),
-                bytes,
-                request,
+                costs.message_header_bytes,
             )
             .await;
-
+        let done = CountdownEvent::new(1);
+        let server = Rc::clone(&self.servers[iop]);
+        self.run
+            .ctx
+            .spawn(server.handle(self.parts.cp, spec.block, setup, done.clone()));
         done.wait().await;
         self.parts.cpu.use_for(costs.cp_mem_msg_cpu).await;
         // The reply carries the whole block.
-        let now = self.run.fault.ctx.now();
+        let now = self.run.ctx.now();
         let latency = now.saturating_duration_since(spec.arrival);
         self.session
             .record_completion(spec.tenant, latency, self.run.block_bytes(spec.block));
-    }
-
-    /// The CP's inbox dispatcher.
-    async fn dispatch(self: Rc<Self>, inbox: Inbox) {
-        while let Some(env) = inbox.recv().await {
-            match env.payload {
-                FsMessage::ServeReply { done, .. } => done.signal(),
-                // Reconstruction data: the recovering task awaited the
-                // delivery itself; nothing to route.
-                FsMessage::Reconstructed { .. } => {}
-                other => panic!(
-                    "CP {} received unexpected message while serving: {other:?}",
-                    self.parts.cp
-                ),
-            }
-        }
     }
 }
 
@@ -698,8 +685,7 @@ struct ServeServer {
 
 impl ServeServer {
     /// Serves one request: CPU costs per the method, the disk read, the SCSI
-    /// bus, and the data-carrying reply, which hands back the request's
-    /// `done` latch.
+    /// bus, and the data-carrying reply, whose landing opens `done`.
     async fn handle(self: Rc<Self>, cp: usize, block: u64, setup: bool, done: CountdownEvent) {
         let costs = self.run.config.costs;
         if self.ddio {
@@ -721,15 +707,12 @@ impl ServeServer {
         } else {
             self.parts.cpu.use_for(costs.iop_reply_cpu).await;
         }
-        let reply = FsMessage::ServeReply {
-            len: bytes as u32,
-            done,
-        };
-        let wire = costs.message_header_bytes + reply.payload_bytes();
+        let wire = costs.message_header_bytes + bytes;
         self.run
             .net
-            .send(self.parts.node, self.run.config.cp_node(cp), wire, reply)
+            .send(self.parts.node, self.run.config.cp_node(cp), wire)
             .await;
+        done.signal();
     }
 }
 
@@ -740,8 +723,6 @@ pub(crate) fn spawn_serving(
     sim: &mut Sim,
     run: &Rc<RunContext>,
     cps: &[Rc<CpParts>],
-    cp_inboxes: Vec<Inbox>,
-    iop_inboxes: Vec<Inbox>,
     method: Method,
     schedule: ServeConfig,
 ) -> Rc<ServeSession> {
@@ -750,51 +731,29 @@ pub(crate) fn spawn_serving(
     let ddio = method.is_disk_directed();
     let presort = method.sched() == SchedPolicy::Presort;
 
-    // IOP servers.
-    for (iop_parts, inbox) in run.iops.iter().zip(iop_inboxes) {
-        let server = Rc::new(ServeServer {
-            parts: Rc::clone(iop_parts),
-            run: Rc::clone(run),
-            ddio,
-        });
-        let server_ctx = ctx.clone();
-        sim.spawn(async move {
-            while let Some(env) = inbox.recv().await {
-                match env.payload {
-                    FsMessage::ServeRequest {
-                        cp,
-                        block,
-                        setup,
-                        done,
-                    } => {
-                        let server = Rc::clone(&server);
-                        server_ctx.spawn(async move {
-                            server.handle(cp, block, setup, done).await;
-                        });
-                    }
-                    FsMessage::Reconstructed { .. } => {}
-                    other => panic!("IOP received unexpected message while serving: {other:?}"),
-                }
-            }
-        });
-    }
-
-    // CP clients.
-    let mut clients = Vec::with_capacity(cps.len());
-    for (cp_parts, inbox) in cps.iter().zip(cp_inboxes) {
-        let client = Rc::new(ServeClient {
-            parts: Rc::clone(cp_parts),
-            run: Rc::clone(run),
-            session: Rc::clone(&session),
-        });
-        {
-            let client = Rc::clone(&client);
-            sim.spawn(async move {
-                client.dispatch(inbox).await;
-            });
-        }
-        clients.push(client);
-    }
+    // IOP servers and CP clients.
+    let servers: Rc<[Rc<ServeServer>]> = run
+        .iops
+        .iter()
+        .map(|iop_parts| {
+            Rc::new(ServeServer {
+                parts: Rc::clone(iop_parts),
+                run: Rc::clone(run),
+                ddio,
+            })
+        })
+        .collect();
+    let clients: Vec<Rc<ServeClient>> = cps
+        .iter()
+        .map(|cp_parts| {
+            Rc::new(ServeClient {
+                parts: Rc::clone(cp_parts),
+                run: Rc::clone(run),
+                session: Rc::clone(&session),
+                servers: Rc::clone(&servers),
+            })
+        })
+        .collect();
 
     // The arrival injector: requests enter the shared admission queue at
     // their scheduled virtual times, in schedule order, each announced by
@@ -932,24 +891,18 @@ mod tests {
 
     #[test]
     fn sets_parse_and_filter() {
-        let arrivals = ["poisson", "bursty"].map(|n| ArrivalProcess::from_name(n).unwrap());
+        let arrivals = ["poisson", "bursty"].map(|n| ArrivalProcess::parse(n).unwrap());
         assert_eq!(arrivals, [ArrivalProcess::Poisson, ArrivalProcess::Bursty]);
         let open: Vec<_> = ArrivalProcess::ALL
             .into_iter()
             .filter(|a| a.is_open_loop())
             .collect();
         assert_eq!(open, arrivals);
-        assert_eq!(
-            ArrivalProcess::from_name("meteor").unwrap_err(),
-            "unknown arrival process \"meteor\" (expected closed-loop, poisson, or bursty)"
-        );
-        let qos = ["fifo", "tenant-priority"].map(|n| QosPolicy::from_name(n).unwrap());
+        assert_eq!(ArrivalProcess::parse("meteor"), None);
+        let qos = ["fifo", "tenant-priority"].map(|n| QosPolicy::parse(n).unwrap());
         assert_eq!(qos, [QosPolicy::Fifo, QosPolicy::TenantPriority]);
         assert_eq!(QosPolicy::ALL.len(), 4);
-        assert_eq!(
-            QosPolicy::from_name("edf").unwrap_err(),
-            "unknown QoS policy \"edf\" (expected fifo, fair-share, weighted, or tenant-priority)"
-        );
+        assert_eq!(QosPolicy::parse("edf"), None);
     }
 
     #[test]

@@ -17,8 +17,11 @@
 //!   activity has drained: the CPs meet at the paper's barrier (here a latch
 //!   every CP signals and waits on), and the last to arrive issues an
 //!   explicit sync to every IOP.
-//! * Every request carries the latch its reply signals, so neither side
-//!   keeps a table of outstanding requests.
+//! * A request (or a sync) starts its IOP handler where it lands: the CP
+//!   task whose send just returned spawns the handler, so no dispatcher
+//!   sits between the NI and the work. The handler sends the reply and then
+//!   opens the latch the CP waits on, so neither side keeps a table of
+//!   outstanding requests.
 
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
@@ -26,13 +29,12 @@ use std::rc::Rc;
 use ddio_disk::SchedPolicy;
 use ddio_patterns::AccessKind;
 use ddio_sim::sync::CountdownEvent;
-use ddio_sim::{Sim, SimContext};
+use ddio_sim::Sim;
 
 use crate::cache::{
     BlockCache, CacheConfig, FillReason, Lookup, Prefetcher, WriteAction, WritePolicy,
 };
-use crate::machine::{CpParts, Inbox, IopParts, RunContext};
-use crate::msg::FsMessage;
+use crate::machine::{CpParts, IopParts, RunContext};
 
 /// A chunk split at block boundaries: the unit of one CP request.
 #[derive(Debug, Clone, Copy)]
@@ -126,7 +128,7 @@ impl IopServer {
     /// Feeds the demand read of `block` to the prefetch policy and starts a
     /// background fetch for every planned block that exists and is not
     /// already cached.
-    fn maybe_prefetch(self: &Rc<Self>, ctx: &SimContext, block: u64) {
+    fn maybe_prefetch(self: &Rc<Self>, block: u64) {
         let stride = self.run.config.n_disks as u64;
         let disk = self.run.layout.disk_of_block(block);
         let mut buf = self.prefetch_buf.borrow_mut();
@@ -140,7 +142,7 @@ impl IopServer {
             }
             let server = Rc::clone(self);
             self.background.add(1);
-            ctx.spawn(async move {
+            self.run.ctx.spawn(async move {
                 let costs = server.run.config.costs;
                 server.parts.cpu.use_for(costs.iop_cache_cpu).await;
                 // Re-check: another request may have brought the block in
@@ -158,13 +160,13 @@ impl IopServer {
     /// to disk lowest-block-first until the cache is back at the low
     /// watermark (re-reading the dirty set each step, so writes that land
     /// mid-sweep extend it).
-    fn start_flush_sweep(self: &Rc<Self>, ctx: &SimContext) {
+    fn start_flush_sweep(self: &Rc<Self>) {
         if self.sweeping.replace(true) {
             return;
         }
         let server = Rc::clone(self);
         self.background.add(1);
-        ctx.spawn(async move {
+        self.run.ctx.spawn(async move {
             let low = WritePolicy::low_watermark(server.cache.borrow().capacity());
             loop {
                 let dirty = server.cache.borrow().dirty_blocks();
@@ -184,25 +186,23 @@ impl IopServer {
     }
 
     /// Handles one CP request (runs as its own task, like the paper's
-    /// per-request IOP threads); the reply hands back the request's `done`
-    /// latch.
-    #[allow(clippy::too_many_arguments)] // mirrors the on-the-wire request fields
+    /// per-request IOP threads); the reply's landing opens `done`.
     async fn handle_request(
         self: Rc<Self>,
-        ctx: SimContext,
         cp: usize,
         op: AccessKind,
-        block: u64,
-        offset: u32,
-        len: u32,
+        sub: SubRequest,
         done: CountdownEvent,
     ) {
+        let SubRequest {
+            block, offset, len, ..
+        } = sub;
         let costs = self.run.config.costs;
         self.parts.cpu.use_for(costs.iop_dispatch_cpu).await;
         match op {
             AccessKind::Read => {
                 self.ensure_block(block, FillReason::Demand).await;
-                self.maybe_prefetch(&ctx, block);
+                self.maybe_prefetch(block);
             }
             AccessKind::Write => {
                 self.ensure_block(block, FillReason::WriteAllocate).await;
@@ -234,29 +234,34 @@ impl IopServer {
                         let server = Rc::clone(&self);
                         let bytes = self.run.block_bytes(block);
                         self.background.add(1);
-                        ctx.spawn(async move {
+                        self.run.ctx.spawn(async move {
                             server.flush_block(block, bytes).await;
                             server.cache.borrow_mut().mark_clean(block);
                             server.background.signal();
                         });
                     }
-                    WriteAction::FlushDirty => self.start_flush_sweep(&ctx),
+                    WriteAction::FlushDirty => self.start_flush_sweep(),
                 }
             }
         }
         self.parts.cpu.use_for(costs.iop_reply_cpu).await;
         self.cache.borrow_mut().unpin(block);
-        let reply = FsMessage::TcReply { op, len, done };
-        let bytes = costs.message_header_bytes + reply.payload_bytes();
+        // A read reply carries the data.
+        let data = match op {
+            AccessKind::Read => len as u64,
+            AccessKind::Write => 0,
+        };
+        let bytes = costs.message_header_bytes + data;
         self.run
             .net
-            .send(self.parts.node, self.run.config.cp_node(cp), bytes, reply)
+            .send(self.parts.node, self.run.config.cp_node(cp), bytes)
             .await;
+        done.signal();
     }
 
     /// Handles an end-of-transfer sync: flush every remaining dirty block and
-    /// wait for all background activity, then acknowledge with the sync's
-    /// `done` latch.
+    /// wait for all background activity, then acknowledge; the
+    /// acknowledgement's landing counts `done` down.
     async fn handle_sync(self: Rc<Self>, cp: usize, done: CountdownEvent) {
         // Flush partial blocks that never filled (possible when dirty blocks
         // were evicted mid-stream and re-written, or when the file's last
@@ -271,12 +276,12 @@ impl IopServer {
         // publish this IOP's final cache counters for the report.
         self.run
             .publish_cache_stats(self.parts.iop, self.cache.borrow().stats());
-        let reply = FsMessage::TcSyncDone { done };
         let bytes = self.run.config.costs.message_header_bytes;
         self.run
             .net
-            .send(self.parts.node, self.run.config.cp_node(cp), bytes, reply)
+            .send(self.parts.node, self.run.config.cp_node(cp), bytes)
             .await;
+        done.signal();
     }
 }
 
@@ -284,6 +289,8 @@ impl IopServer {
 struct CpClient {
     parts: Rc<CpParts>,
     run: Rc<RunContext>,
+    /// Every IOP's server, indexed by IOP number.
+    servers: Rc<[Rc<IopServer>]>,
 }
 
 impl CpClient {
@@ -293,26 +300,21 @@ impl CpClient {
         self.parts.cpu.use_for(costs.cp_request_cpu).await;
         let disk = self.run.layout.disk_of_block(sub.block);
         let iop = self.run.config.iop_of_disk(disk);
-        let done = CountdownEvent::new(1);
-        let request = FsMessage::TcRequest {
-            cp: self.parts.cp,
-            op,
-            block: sub.block,
-            offset: sub.offset,
-            len: sub.len,
-            done: done.clone(),
+        // A write request carries the data.
+        let data = match op {
+            AccessKind::Read => 0,
+            AccessKind::Write => sub.len as u64,
         };
-        let bytes = costs.message_header_bytes + request.payload_bytes();
+        let bytes = costs.message_header_bytes + data;
         self.run
             .net
-            .send(
-                self.parts.node,
-                self.run.config.iop_node(iop),
-                bytes,
-                request,
-            )
+            .send(self.parts.node, self.run.config.iop_node(iop), bytes)
             .await;
-
+        let done = CountdownEvent::new(1);
+        let server = Rc::clone(&self.servers[iop]);
+        self.run
+            .ctx
+            .spawn(server.handle_request(self.parts.cp, op, sub, done.clone()));
         done.wait().await;
         self.parts.cpu.use_for(costs.cp_mem_msg_cpu).await;
         // A read reply carries the requested bytes; a write reply none.
@@ -322,19 +324,6 @@ impl CpClient {
         };
         self.run
             .record_cp_bytes(self.parts.cp, sub.mem_offset, received);
-    }
-
-    /// The CP's inbox dispatcher.
-    async fn dispatch(self: Rc<Self>, inbox: Inbox) {
-        while let Some(env) = inbox.recv().await {
-            match env.payload {
-                FsMessage::TcReply { done, .. } | FsMessage::TcSyncDone { done } => done.signal(),
-                other => panic!(
-                    "CP {} received unexpected message under traditional caching: {other:?}",
-                    self.parts.cp
-                ),
-            }
-        }
     }
 }
 
@@ -357,8 +346,6 @@ pub(crate) fn spawn_transfer(
     sim: &mut Sim,
     run: &Rc<RunContext>,
     cps: &[Rc<CpParts>],
-    cp_inboxes: Vec<Inbox>,
-    iop_inboxes: Vec<Inbox>,
     sched: SchedPolicy,
     cache: CacheConfig,
     finished: &CountdownEvent,
@@ -372,71 +359,33 @@ pub(crate) fn spawn_transfer(
     };
 
     // IOP servers.
-    for (iop_parts, inbox) in run.iops.iter().zip(iop_inboxes) {
-        let cache_capacity = config.cache.capacity(config.n_cps, iop_parts.disks.len());
-        let server = Rc::new(IopServer {
-            parts: Rc::clone(iop_parts),
-            run: Rc::clone(run),
-            cache: RefCell::new(BlockCache::with_config(cache_capacity, cache)),
-            prefetcher: RefCell::new(Prefetcher::new(cache.prefetch)),
-            prefetch_buf: RefCell::new(Vec::new()),
-            sweeping: Cell::new(false),
-            background: CountdownEvent::new(0),
-        });
-        let server_ctx = ctx.clone();
-        sim.spawn(async move {
-            while let Some(env) = inbox.recv().await {
-                match env.payload {
-                    FsMessage::TcRequest {
-                        cp,
-                        op,
-                        block,
-                        offset,
-                        len,
-                        done,
-                    } => {
-                        let server = Rc::clone(&server);
-                        let task_ctx = server_ctx.clone();
-                        server_ctx.spawn(async move {
-                            server
-                                .handle_request(task_ctx, cp, op, block, offset, len, done)
-                                .await;
-                        });
-                    }
-                    FsMessage::TcSync { cp, done } => {
-                        let server = Rc::clone(&server);
-                        server_ctx.spawn(async move {
-                            server.handle_sync(cp, done).await;
-                        });
-                    }
-                    // Reconstruction data: the recovering task awaited the
-                    // delivery itself; nothing to route.
-                    FsMessage::Reconstructed { .. } => {}
-                    other => panic!(
-                        "IOP received unexpected message under traditional caching: {other:?}"
-                    ),
-                }
-            }
-        });
-    }
+    let servers: Rc<[Rc<IopServer>]> = run
+        .iops
+        .iter()
+        .map(|iop_parts| {
+            let cache_capacity = config.cache.capacity(config.n_cps, iop_parts.disks.len());
+            Rc::new(IopServer {
+                parts: Rc::clone(iop_parts),
+                run: Rc::clone(run),
+                cache: RefCell::new(BlockCache::with_config(cache_capacity, cache)),
+                prefetcher: RefCell::new(Prefetcher::new(cache.prefetch)),
+                prefetch_buf: RefCell::new(Vec::new()),
+                sweeping: Cell::new(false),
+                background: CountdownEvent::new(0),
+            })
+        })
+        .collect();
 
     // CP clients and application workers.
     // The paper's barrier of the CPs using this file: a latch every CP
     // signals once.
     let issued = CountdownEvent::new(config.n_cps as u64);
-    for (cp_parts, inbox) in cps.iter().zip(cp_inboxes) {
+    for cp_parts in cps {
         let client = Rc::new(CpClient {
             parts: Rc::clone(cp_parts),
             run: Rc::clone(run),
+            servers: Rc::clone(&servers),
         });
-
-        // Inbox dispatcher.
-        {
-            let client = Rc::clone(&client);
-            sim.spawn(async move {
-                client.dispatch(inbox).await;
-            });
-        }
 
         // Application worker.
         let run2 = Rc::clone(run);
@@ -489,11 +438,7 @@ pub(crate) fn spawn_transfer(
             if last {
                 let costs = run2.config.costs;
                 let synced = CountdownEvent::new(n_iops as u64);
-                for iop in 0..n_iops {
-                    let msg = FsMessage::TcSync {
-                        cp: client.parts.cp,
-                        done: synced.clone(),
-                    };
+                for (iop, server) in client.servers.iter().enumerate() {
                     client
                         .run
                         .net
@@ -501,9 +446,10 @@ pub(crate) fn spawn_transfer(
                             client.parts.node,
                             run2.config.iop_node(iop),
                             costs.message_header_bytes,
-                            msg,
                         )
                         .await;
+                    worker_ctx
+                        .spawn(Rc::clone(server).handle_sync(client.parts.cp, synced.clone()));
                 }
                 synced.wait().await;
             }

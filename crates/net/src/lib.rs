@@ -16,9 +16,12 @@
 //!   on every link of its route, so overlapping routes contend).
 //! * [`NetConfig`] — the topology × contention composition a machine runs.
 //! * [`NetworkParams`] — bandwidth, router latency, DMA setup costs.
-//! * [`Network`] — typed message fabric with [`Network::send`] (wait for
-//!   delivery) and [`Network::post`] (fire-and-forget, used for concurrent
-//!   Memput/Memget traffic).
+//! * [`Network`] — the message fabric. [`Network::send`] returns when the
+//!   message has landed, so the caller's next statement does the landing
+//!   (starts the receiver's handler, or opens the latch a waiter sleeps
+//!   on). [`Network::post`] returns once the sender's NI is free and lands
+//!   a [`Delivery`] in the background — a message into the destination's
+//!   inbox, or a latch opened — for concurrent Memput/Memget traffic.
 //!
 //! # Worked example: hop counts and uncontended latency
 //!
@@ -55,5 +58,5 @@ mod topology;
 
 pub use fabric::{ContentionModel, NetConfig};
 pub use latency::NetworkParams;
-pub use network::{Envelope, LinkStat, Network, NiOutage};
+pub use network::{Delivery, LinkStat, Network, NiOutage};
 pub use topology::{Link, NodeId, Topology, TopologyKind};

@@ -1,5 +1,12 @@
-//! The message fabric: typed messages between nodes with modeled latency and
+//! The message fabric: messages between nodes with modeled latency and
 //! configurable contention.
+//!
+//! A message is a size on the wire plus what its landing does. A
+//! [`Network::send`] returns once the message has landed, so the sender's
+//! next statement is the landing: it starts the receiver's handler or opens
+//! the latch a waiter sleeps on. A [`Network::post`] returns once the
+//! sender's NI is free, and its [`Delivery`] lands in the background: a
+//! message into the destination's inbox, or a latch opened.
 //!
 //! Contention is a policy ([`ContentionModel`]): under the default `ni-only`
 //! model each node has one sending and one receiving DMA engine (network
@@ -18,26 +25,20 @@ use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
 use ddio_sim::stats::Counter;
-use ddio_sim::sync::{unbounded, Receiver, Resource, ResourceName, Sender};
+use ddio_sim::sync::{unbounded, CountdownEvent, Receiver, Resource, ResourceName, Sender};
 use ddio_sim::{SimContext, SimDuration, SimTime};
 
 use crate::fabric::{ContentionModel, NetConfig};
 use crate::latency::NetworkParams;
 use crate::topology::{Link, NodeId, Topology};
 
-/// A delivered message: payload plus transport metadata.
+/// What a [`Network::post`]ed message does when it lands.
 #[derive(Debug)]
-pub struct Envelope<M> {
-    /// Sending node.
-    pub from: NodeId,
-    /// Destination node.
-    pub to: NodeId,
-    /// Size on the wire in bytes (header + payload).
-    pub bytes: u64,
-    /// Simulated time at which the sender handed the message to its NI.
-    pub sent_at: SimTime,
-    /// The payload.
-    pub payload: M,
+pub enum Delivery<M> {
+    /// Deposit the message in the destination node's inbox.
+    Inbox(M),
+    /// Signal a latch: the answer a waiting task sleeps on.
+    Open(CountdownEvent),
 }
 
 /// Usage counters of one directed router-to-router link (only populated
@@ -72,7 +73,7 @@ pub struct NiOutage {
 struct Endpoint<M> {
     send_nic: Resource,
     recv_nic: Resource,
-    inbox: Sender<Envelope<M>>,
+    inbox: Sender<M>,
 }
 
 struct Shared<M> {
@@ -115,14 +116,14 @@ impl<M> Clone for Network<M> {
 impl<M: 'static> Network<M> {
     /// Builds a network of `nodes` endpoints on the configured fabric and
     /// returns it together with each node's inbox receiver (index = node
-    /// id). The topology is built to fit `nodes` (the paper's 32 processors
-    /// land on a 6x6 torus).
+    /// id), which only [`Delivery::Inbox`] posts fill. The topology is built
+    /// to fit `nodes` (the paper's 32 processors land on a 6x6 torus).
     pub fn new(
         ctx: SimContext,
         config: NetConfig,
         params: NetworkParams,
         nodes: usize,
-    ) -> (Self, Vec<Receiver<Envelope<M>>>) {
+    ) -> (Self, Vec<Receiver<M>>) {
         let topology = config.topology.build(nodes);
         debug_assert!(topology.size() >= nodes);
         let mut endpoints = Vec::with_capacity(nodes);
@@ -178,22 +179,12 @@ impl<M: 'static> Network<M> {
         self.shared.endpoints.len()
     }
 
-    /// The fabric composition in use.
-    pub fn config(&self) -> NetConfig {
-        self.shared.config
-    }
-
     /// The topology the nodes sit on.
     pub fn topology(&self) -> Topology {
         self.shared.topology
     }
 
-    /// The hardware parameters in use.
-    pub fn params(&self) -> NetworkParams {
-        self.shared.params
-    }
-
-    /// Total messages delivered to any inbox so far.
+    /// Total messages landed so far.
     pub fn messages_sent(&self) -> u64 {
         self.shared.messages.get()
     }
@@ -231,67 +222,74 @@ impl<M: 'static> Network<M> {
         }
     }
 
-    /// Sends a message and waits until it has been deposited in the
-    /// destination node's inbox (sender NI serialization, fabric traversal,
-    /// receiver NI deposit).
+    /// Sends a message and returns once it has landed at `to` (sender NI
+    /// serialization, fabric traversal, receiver NI deposit). The caller's
+    /// next statement is the landing: whatever the message starts or
+    /// answers at the receiver.
     ///
     /// # Panics
     ///
     /// Panics if either node id is out of range.
-    pub async fn send(&self, from: NodeId, to: NodeId, bytes: u64, payload: M) {
+    pub async fn send(&self, from: NodeId, to: NodeId, bytes: u64) {
+        self.inject(from, to, bytes).await;
+        self.land(from, to, bytes).await;
+    }
+
+    /// Sends a message without waiting for it to land: the caller resumes
+    /// once the sending NI has finished serializing the message; a
+    /// background task pays the fabric and receive-side costs, then lands
+    /// `delivery`.
+    ///
+    /// This is the primitive used for "concurrent Memput / Memget messages to
+    /// many CPs" (§4 of the paper).
+    ///
+    /// # Panics
+    ///
+    /// Panics if either node id is out of range.
+    pub async fn post(&self, from: NodeId, to: NodeId, bytes: u64, delivery: Delivery<M>) {
+        self.inject(from, to, bytes).await;
+        let net = self.clone();
+        self.shared.ctx.spawn(async move {
+            net.land(from, to, bytes).await;
+            match delivery {
+                // Inboxes are unbounded; failure means the receiving node was
+                // torn down while traffic was still in flight, which is a
+                // protocol bug.
+                Delivery::Inbox(msg) => net.shared.endpoints[to]
+                    .inbox
+                    .try_send(msg)
+                    .unwrap_or_else(|_| {
+                        panic!("node {to} dropped its inbox with traffic in flight")
+                    }),
+                Delivery::Open(done) => done.signal(),
+            }
+        });
+    }
+
+    /// Occupies the sending NI while the message streams onto the link.
+    async fn inject(&self, from: NodeId, to: NodeId, bytes: u64) {
         let s = &self.shared;
         assert!(from < s.endpoints.len(), "sender {from} out of range");
         assert!(to < s.endpoints.len(), "destination {to} out of range");
-        let sent_at = s.ctx.now();
-
-        // Occupy the sending NI while the message streams onto the link.
         self.wait_out_outage(from).await;
         s.endpoints[from]
             .send_nic
             .use_for(s.params.send_occupancy(bytes))
             .await;
+    }
 
+    /// Crosses the fabric, occupies the receiving NI while the message is
+    /// deposited in memory, and counts the landed message.
+    async fn land(&self, from: NodeId, to: NodeId, bytes: u64) {
+        let s = &self.shared;
         self.traverse(from, to, bytes).await;
-
-        // Occupy the receiving NI while the message is deposited in memory.
         self.wait_out_outage(to).await;
         s.endpoints[to]
             .recv_nic
             .use_for(s.params.recv_occupancy(bytes))
             .await;
-
-        self.deliver(from, to, bytes, sent_at, payload);
-    }
-
-    /// Sends a message without waiting for delivery: the caller resumes once
-    /// the sending NI has finished serializing the message; the fabric and
-    /// receive-side costs are paid by a background task.
-    ///
-    /// This is the primitive used for "concurrent Memput / Memget messages to
-    /// many CPs" (§4 of the paper).
-    pub async fn post(&self, from: NodeId, to: NodeId, bytes: u64, payload: M) {
-        let s = &self.shared;
-        assert!(from < s.endpoints.len(), "sender {from} out of range");
-        assert!(to < s.endpoints.len(), "destination {to} out of range");
-        let sent_at = s.ctx.now();
-
-        self.wait_out_outage(from).await;
-        s.endpoints[from]
-            .send_nic
-            .use_for(s.params.send_occupancy(bytes))
-            .await;
-
-        let net = self.clone();
-        s.ctx.spawn(async move {
-            net.traverse(from, to, bytes).await;
-            net.wait_out_outage(to).await;
-            let s = &net.shared;
-            s.endpoints[to]
-                .recv_nic
-                .use_for(s.params.recv_occupancy(bytes))
-                .await;
-            net.deliver(from, to, bytes, sent_at, payload);
-        });
+        s.messages.incr();
+        s.bytes.add(bytes);
     }
 
     /// Crosses the fabric from `from` to `to` per the contention model:
@@ -340,26 +338,6 @@ impl<M: 'static> Network<M> {
                 )
             })
             .clone()
-    }
-
-    /// Counts the message and pushes it into the destination inbox.
-    fn deliver(&self, from: NodeId, to: NodeId, bytes: u64, sent_at: SimTime, payload: M) {
-        let s = &self.shared;
-        s.messages.incr();
-        s.bytes.add(bytes);
-        let envelope = Envelope {
-            from,
-            to,
-            bytes,
-            sent_at,
-            payload,
-        };
-        // Inboxes are unbounded; failure means the receiving node was torn
-        // down while traffic was still in flight, which is a protocol bug.
-        s.endpoints[to]
-            .inbox
-            .try_send(envelope)
-            .unwrap_or_else(|_| panic!("node {to} dropped its inbox with traffic in flight"));
     }
 
     /// Utilization of a node's receiving NI over its active window.
@@ -412,7 +390,7 @@ mod tests {
     use ddio_sim::Sim;
     use std::cell::Cell;
 
-    fn build(sim: &Sim, nodes: usize) -> (Network<u64>, Vec<Receiver<Envelope<u64>>>) {
+    fn build(sim: &Sim, nodes: usize) -> (Network<u64>, Vec<Receiver<u64>>) {
         build_fabric(sim, nodes, NetConfig::DEFAULT)
     }
 
@@ -420,65 +398,83 @@ mod tests {
         sim: &Sim,
         nodes: usize,
         config: NetConfig,
-    ) -> (Network<u64>, Vec<Receiver<Envelope<u64>>>) {
+    ) -> (Network<u64>, Vec<Receiver<u64>>) {
         Network::new(sim.context(), config, NetworkParams::default(), nodes)
+    }
+
+    /// Spawns a task that sends one message and records when it landed.
+    fn send_and_time(
+        sim: &mut Sim,
+        net: &Network<u64>,
+        from: NodeId,
+        to: NodeId,
+        bytes: u64,
+    ) -> Rc<Cell<SimTime>> {
+        let landed_at = Rc::new(Cell::new(SimTime::ZERO));
+        let (net, ctx, at) = (net.clone(), sim.context(), Rc::clone(&landed_at));
+        sim.spawn(async move {
+            net.send(from, to, bytes).await;
+            at.set(ctx.now());
+        });
+        landed_at
     }
 
     #[test]
     fn round_trip_latency_is_modeled() {
         let mut sim = Sim::new();
-        let ctx = sim.context();
-        let (net, mut inboxes) = build(&sim, 4);
-        let rx1 = inboxes.remove(1);
-        let delivered_at = Rc::new(Cell::new(SimTime::ZERO));
-        {
-            let net = net.clone();
-            sim.spawn(async move {
-                net.send(0, 1, 8192, 7).await;
-            });
-        }
-        {
-            let ctx = ctx.clone();
-            let delivered_at = Rc::clone(&delivered_at);
-            sim.spawn(async move {
-                let env = rx1.recv().await.expect("message arrives");
-                assert_eq!(env.payload, 7);
-                assert_eq!(env.from, 0);
-                assert_eq!(env.bytes, 8192);
-                delivered_at.set(ctx.now());
-            });
-        }
+        let (net, _inboxes) = build(&sim, 4);
+        let landed_at = send_and_time(&mut sim, &net, 0, 1, 8192);
         sim.run();
-        let t = delivered_at.get().as_nanos();
+        let t = landed_at.get().as_nanos();
         // ~84 us: two 41 us NI occupancies plus wire latency.
-        assert!(t > 80_000 && t < 90_000, "delivery at {t} ns");
+        assert!(t > 80_000 && t < 90_000, "landed at {t} ns");
+        // A send counts its message and bytes.
         assert_eq!(net.messages_sent(), 1);
         assert_eq!(net.bytes_sent(), 8192);
         // NI-only contention never touches a link resource.
         assert!(net.link_stats().is_empty());
-        assert_eq!(net.config(), NetConfig::DEFAULT);
+    }
+
+    #[test]
+    fn open_delivery_lands_when_a_send_would_return() {
+        let sent = {
+            let mut sim = Sim::new();
+            let (net, _inboxes) = build(&sim, 4);
+            let landed_at = send_and_time(&mut sim, &net, 0, 3, 8192);
+            sim.run();
+            landed_at.get()
+        };
+        let mut sim = Sim::new();
+        let ctx = sim.context();
+        let (net, _inboxes) = build(&sim, 4);
+        let done = CountdownEvent::new(1);
+        let opened_at = Rc::new(Cell::new(SimTime::ZERO));
+        {
+            // The waiter sits at the sender; no task runs at node 3.
+            let (done, opened_at) = (done.clone(), Rc::clone(&opened_at));
+            sim.spawn(async move {
+                done.wait().await;
+                opened_at.set(ctx.now());
+            });
+        }
+        sim.spawn(async move {
+            net.post(0, 3, 8192, Delivery::Open(done)).await;
+        });
+        sim.run();
+        assert_eq!(opened_at.get(), sent);
     }
 
     #[test]
     fn receiver_nic_serializes_concurrent_senders() {
         let mut sim = Sim::new();
-        let (net, mut inboxes) = build(&sim, 8);
-        let rx = inboxes.remove(0);
+        let (net, _inboxes) = build(&sim, 8);
         // 7 nodes each send 1 MB to node 0 concurrently.
         for from in 1..8 {
             let net = net.clone();
             sim.spawn(async move {
-                net.send(from, 0, 1 << 20, from as u64).await;
+                net.send(from, 0, 1 << 20).await;
             });
         }
-        sim.spawn(async move {
-            let mut got = 0;
-            while got < 7 {
-                if rx.recv().await.is_some() {
-                    got += 1;
-                }
-            }
-        });
         let end = sim.run();
         // 7 MB into one 200 MB/s interface takes at least 36.7 ms even though
         // the senders all started at once.
@@ -494,19 +490,10 @@ mod tests {
             contention: ContentionModel::Link,
             ..NetConfig::DEFAULT
         };
-        let (net, mut inboxes) = build_fabric(&sim, 4, config);
-        let rx = inboxes.remove(3);
+        let (net, _inboxes) = build_fabric(&sim, 4, config);
         // 4 nodes fit a 2x2 torus; 0 -> 3 is a 2-hop route.
         assert_eq!(net.topology().hops(0, 3), 2);
-        {
-            let net = net.clone();
-            sim.spawn(async move {
-                net.send(0, 3, 8192, 1).await;
-            });
-        }
-        sim.spawn(async move {
-            rx.recv().await.expect("message arrives");
-        });
+        send_and_time(&mut sim, &net, 0, 3, 8192);
         sim.run();
         let stats = net.link_stats();
         assert_eq!(stats.len(), 2, "one resource per route link: {stats:?}");
@@ -525,24 +512,12 @@ mod tests {
             topology: TopologyKind::Crossbar,
             contention: ContentionModel::Link,
         };
-        let (net, mut inboxes) = build_fabric(&sim, 4, config);
-        let rx = inboxes.remove(1);
+        let (net, _inboxes) = build_fabric(&sim, 4, config);
         // Two messages over the same crossbar link must serialize: total
         // link busy time is twice one serialization.
         for _ in 0..2 {
-            let net = net.clone();
-            sim.spawn(async move {
-                net.send(0, 1, 1 << 20, 0).await;
-            });
+            send_and_time(&mut sim, &net, 0, 1, 1 << 20);
         }
-        sim.spawn(async move {
-            let mut got = 0;
-            while got < 2 {
-                if rx.recv().await.is_some() {
-                    got += 1;
-                }
-            }
-        });
         sim.run();
         let stats = net.link_stats();
         assert_eq!(stats.len(), 1, "a crossbar pair shares one link");
@@ -565,7 +540,7 @@ mod tests {
             let posted_at = Rc::clone(&posted_at);
             sim.spawn(async move {
                 for i in 0..4u64 {
-                    net.post(0, 3, 8192, i).await;
+                    net.post(0, 3, 8192, Delivery::Inbox(i)).await;
                 }
                 posted_at.set(ctx.now());
             });
@@ -595,7 +570,7 @@ mod tests {
             let net = net.clone();
             sim.spawn(async move {
                 for i in 0..10u64 {
-                    net.send(0, 1, 64, i).await;
+                    net.post(0, 1, 64, Delivery::Inbox(i)).await;
                 }
             });
         }
@@ -603,8 +578,8 @@ mod tests {
         {
             let seen = Rc::clone(&seen);
             sim.spawn(async move {
-                while let Some(env) = rx.recv().await {
-                    seen.borrow_mut().push(env.payload);
+                while let Some(msg) = rx.recv().await {
+                    seen.borrow_mut().push(msg);
                 }
             });
         }
@@ -615,34 +590,18 @@ mod tests {
     #[test]
     fn ni_outage_delays_traffic_until_the_window_closes() {
         let mut sim = Sim::new();
-        let ctx = sim.context();
-        let (net, mut inboxes) = build(&sim, 4);
+        let (net, _inboxes) = build(&sim, 4);
         let until = SimTime::ZERO + SimDuration::from_millis(5);
         net.set_outages(vec![NiOutage {
             node: 1,
             from: SimTime::ZERO,
             until,
         }]);
-        let rx1 = inboxes.remove(1);
-        let delivered_at = Rc::new(Cell::new(SimTime::ZERO));
-        {
-            let net = net.clone();
-            sim.spawn(async move {
-                net.send(0, 1, 8192, 7).await;
-            });
-        }
-        {
-            let ctx = ctx.clone();
-            let delivered_at = Rc::clone(&delivered_at);
-            sim.spawn(async move {
-                rx1.recv().await.expect("message arrives");
-                delivered_at.set(ctx.now());
-            });
-        }
+        let landed_at = send_and_time(&mut sim, &net, 0, 1, 8192);
         sim.run();
         assert!(
-            delivered_at.get() >= until,
-            "delivered inside the receiver's outage window"
+            landed_at.get() >= until,
+            "landed inside the receiver's outage window"
         );
         assert_eq!(net.messages_sent(), 1, "outages delay, never drop");
     }
@@ -651,25 +610,14 @@ mod tests {
     fn no_outages_is_event_identical_to_a_faultless_fabric() {
         let run = |install_empty: bool| {
             let mut sim = Sim::new();
-            let (net, mut inboxes) = build(&sim, 4);
+            let (net, _inboxes) = build(&sim, 4);
             if install_empty {
                 net.set_outages(Vec::new());
             }
-            let rx = inboxes.remove(1);
-            {
-                let net = net.clone();
-                sim.spawn(async move {
-                    net.send(0, 1, 8192, 0).await;
-                    net.post(0, 1, 8192, 1).await;
-                });
-            }
             sim.spawn(async move {
-                let mut got = 0;
-                while got < 2 {
-                    if rx.recv().await.is_some() {
-                        got += 1;
-                    }
-                }
+                net.send(0, 1, 8192).await;
+                net.post(0, 1, 8192, Delivery::Open(CountdownEvent::new(1)))
+                    .await;
             });
             let end = sim.run();
             (end, sim.events_processed())
@@ -683,7 +631,7 @@ mod tests {
         let mut sim = Sim::new();
         let (net, _inboxes) = build(&sim, 2);
         sim.spawn(async move {
-            net.send(0, 9, 8, 0).await;
+            net.send(0, 9, 8).await;
         });
         sim.run();
     }

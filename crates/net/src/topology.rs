@@ -35,7 +35,7 @@ pub type Link = (NodeId, NodeId);
 
 ddio_sim::policy_enum! {
     /// The named topology families the interconnect can be built as.
-    pub enum TopologyKind: "topology" {
+    pub enum TopologyKind {
         /// 2-D torus with wraparound links (the paper's machine, and the
         /// default).
         #[default]

@@ -6,8 +6,7 @@
 
 use proptest::prelude::*;
 
-use ddio_net::{ContentionModel, Envelope, NetConfig, Network, NetworkParams, TopologyKind};
-use ddio_sim::sync::Receiver;
+use ddio_net::{ContentionModel, NetConfig, Network, NetworkParams, TopologyKind};
 use ddio_sim::Sim;
 
 fn node_counts() -> impl Strategy<Value = usize> {
@@ -107,8 +106,7 @@ proptest! {
             contention: ContentionModel::Link,
         };
         let params = NetworkParams::default();
-        let (net, inboxes): (Network<usize>, Vec<Receiver<Envelope<usize>>>) =
-            Network::new(sim.context(), config, params, 8);
+        let (net, _inboxes) = Network::<()>::new(sim.context(), config, params, 8);
         let mut ni_serialization = ddio_sim::SimDuration::ZERO;
         for &(from, to, bytes) in &sends {
             if from != to {
@@ -116,15 +114,10 @@ proptest! {
             }
             let net = net.clone();
             sim.spawn(async move {
-                net.send(from, to, bytes, 0).await;
+                net.send(from, to, bytes).await;
             });
         }
         let expected = sends.len();
-        for rx in inboxes {
-            sim.spawn(async move {
-                while rx.recv().await.is_some() {}
-            });
-        }
         sim.run();
         prop_assert_eq!(net.messages_sent() as usize, expected);
         let total_busy = net.link_busy_total();

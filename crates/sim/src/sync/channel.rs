@@ -100,16 +100,6 @@ impl<T> Sender<T> {
         }
         Ok(())
     }
-
-    /// Number of messages currently queued.
-    pub fn len(&self) -> usize {
-        self.inner.borrow().queue.len()
-    }
-
-    /// Returns true if no messages are queued.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
 }
 
 /// Future returned by [`Sender::send`].
@@ -173,16 +163,6 @@ impl<T> Receiver<T> {
     /// Receives without waiting.
     pub fn try_recv(&self) -> Option<T> {
         self.inner.borrow_mut().queue.pop_front()
-    }
-
-    /// Number of messages currently queued.
-    pub fn len(&self) -> usize {
-        self.inner.borrow().queue.len()
-    }
-
-    /// Returns true if no messages are queued.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 }
 
@@ -465,14 +445,13 @@ mod tests {
     }
 
     #[test]
-    fn len_and_is_empty_track_queue() {
+    fn try_recv_takes_queued_messages_in_order() {
         let (tx, rx) = unbounded::<u32>();
-        assert!(tx.is_empty() && rx.is_empty());
+        assert_eq!(rx.try_recv(), None);
         tx.try_send(1).unwrap();
         tx.try_send(2).unwrap();
-        assert_eq!(tx.len(), 2);
-        assert_eq!(rx.len(), 2);
         assert_eq!(rx.try_recv(), Some(1));
-        assert_eq!(rx.len(), 1);
+        assert_eq!(rx.try_recv(), Some(2));
+        assert_eq!(rx.try_recv(), None);
     }
 }
