@@ -43,7 +43,7 @@ fn bench_send_storm(c: &mut Criterion) {
             let mut sim = Sim::new();
             b.iter(|| {
                 sim.reset();
-                let (net, _inboxes) =
+                let net =
                     Network::<u64>::new(sim.context(), config, NetworkParams::default(), NODES);
                 for from in 1..NODES {
                     let net = net.clone();
@@ -68,10 +68,10 @@ fn bench_post_storm(c: &mut Criterion) {
             let mut sim = Sim::new();
             b.iter(|| {
                 sim.reset();
-                let (net, mut inboxes) =
+                let net =
                     Network::<u64>::new(sim.context(), config, NetworkParams::default(), NODES);
                 for to in (1..NODES).rev() {
-                    drain(&mut sim, inboxes.remove(to), MSGS_PER_SENDER);
+                    drain(&mut sim, net.inbox(to), MSGS_PER_SENDER);
                 }
                 {
                     let net = net.clone();
@@ -90,19 +90,19 @@ fn bench_post_storm(c: &mut Criterion) {
 }
 
 /// Fabric construction alone: what every cell pays before a single message
-/// moves (endpoint NIs, inboxes, topology tables).
+/// moves (endpoint NIs, topology tables).
 fn bench_build(c: &mut Criterion) {
     c.bench_function("fabric/ni-only/build_36_nodes", |b| {
         let mut sim = Sim::new();
         b.iter(|| {
             sim.reset();
-            let (net, inboxes) = Network::<u64>::new(
+            let net = Network::<u64>::new(
                 sim.context(),
                 NetConfig::DEFAULT,
                 NetworkParams::default(),
                 36,
             );
-            (net.nodes(), inboxes.len())
+            net.nodes()
         });
     });
 }

@@ -113,6 +113,32 @@ fn bench_timer_spread(c: &mut Criterion) {
     });
 }
 
+/// A deep calendar: 1,000 tasks re-sleeping over deadlines spread from a
+/// microsecond to a millisecond keep about 1,000 timers pending, the depth
+/// a 512-node machine runs at (the rows above keep the calendar shallow).
+/// Reuses one simulator across iterations, as the experiment harness does.
+fn bench_timer_depth(c: &mut Criterion) {
+    c.bench_function("simulator/timer_depth_1k", |b| {
+        let mut sim = Sim::new();
+        b.iter(|| {
+            sim.reset();
+            let ctx = sim.context();
+            for i in 0..1_000u64 {
+                let ctx = ctx.clone();
+                sim.spawn(async move {
+                    for round in 0..20u64 {
+                        let micros = 1u64 << ((i * 7 + round * 3) % 11);
+                        let jitter = (i * 131 + round * 17) % 997;
+                        ctx.sleep(SimDuration::from_nanos(micros * 1_000 + jitter))
+                            .await;
+                    }
+                });
+            }
+            sim.run()
+        });
+    });
+}
+
 /// Spawn-path cost: create and drain thousands of trivial tasks, measuring
 /// slab slot reuse; the reset variant reuses one simulator's allocations the
 /// way the experiment harness does across trials.
@@ -149,6 +175,7 @@ criterion_group!(
     bench_resource_contention,
     bench_wake_queue,
     bench_timer_spread,
+    bench_timer_depth,
     bench_spawn
 );
 criterion_main!(benches);

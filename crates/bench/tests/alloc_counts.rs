@@ -20,8 +20,10 @@ use ddio_core::cache::{
 use ddio_core::{AdmissionQueue, LatencyHistogram, QosPolicy};
 use ddio_disk::{DiskQueue, DiskRequest, Geometry, SchedPolicy};
 use ddio_net::{ContentionModel, Delivery, NetConfig, Network, NetworkParams};
-use ddio_sim::sync::{Receiver, Resource};
+use ddio_sim::sync::{CountdownEvent, Receiver, Resource};
 use ddio_sim::{Sim, SimDuration};
+use std::cell::RefCell;
+use std::rc::Rc;
 
 /// Counts every allocation and reallocation; frees are not interesting here.
 struct CountingAlloc;
@@ -71,6 +73,62 @@ fn executor_storm(sim: &mut Sim) -> u64 {
     }
     sim.run();
     sim.events_processed()
+}
+
+/// Latch waits: one task waits on a fresh one-count latch `WAITS` times,
+/// and a second task signals each a nanosecond later, so every wait blocks
+/// with a single waiter — the shape of a reply, a cache fill or a block's
+/// arrival. Spawns before `before` is read and returns the waits counted
+/// from there.
+fn latch_waits(sim: &mut Sim, before: &mut u64) -> u64 {
+    const WAITS: u64 = 1024;
+    sim.reset();
+    let ctx = sim.context();
+    let slot: Rc<RefCell<Option<CountdownEvent>>> = Rc::default();
+    {
+        let slot = Rc::clone(&slot);
+        sim.spawn(async move {
+            for _ in 0..WAITS {
+                let latch = CountdownEvent::new(1);
+                *slot.borrow_mut() = Some(latch.clone());
+                latch.wait().await;
+            }
+        });
+    }
+    sim.spawn(async move {
+        for _ in 0..WAITS {
+            ctx.sleep(SimDuration::from_nanos(1)).await;
+            slot.borrow_mut().take().expect("a latch to open").signal();
+        }
+    });
+    *before = allocs();
+    sim.run();
+    WAITS
+}
+
+/// Timer depth: 1,000 tasks re-sleeping over deadlines spread from a
+/// microsecond to a millisecond, about 1,000 timers pending at once (a
+/// large machine's calendar). Spawns before `before` is read and returns
+/// the timers fired from there.
+fn timer_depth(sim: &mut Sim, before: &mut u64) -> u64 {
+    const TASKS: u64 = 1_000;
+    const ROUNDS: u64 = 20;
+    sim.reset();
+    let ctx = sim.context();
+    for i in 0..TASKS {
+        let ctx = ctx.clone();
+        sim.spawn(async move {
+            for round in 0..ROUNDS {
+                let micros = 1u64 << ((i * 7 + round * 3) % 11);
+                let jitter = (i * 131 + round * 17) % 997;
+                ctx.sleep(SimDuration::from_nanos(micros * 1_000 + jitter))
+                    .await;
+            }
+        });
+    }
+    *before = allocs();
+    sim.run();
+    TASKS * ROUNDS
 }
 
 /// Resource storm: 64 tasks queueing for one server — the bus, NI and CPU
@@ -177,12 +235,14 @@ fn prefetch_storm(prefetchers: &mut [Prefetcher], out: &mut Vec<u64>) -> u64 {
 /// Nodes on the fabric storm's network.
 const NODES: usize = 8;
 
-/// The fabric storm's network and its nodes' inboxes.
+/// The fabric storm's network and the inboxes of nodes `1..NODES`.
 type Fabric = (Network<u64>, Vec<Receiver<u64>>);
 
 /// Builds the fabric storm's network on `sim` with the given fabric.
 fn fabric(sim: &Sim, config: NetConfig) -> Fabric {
-    Network::new(sim.context(), config, NetworkParams::default(), NODES)
+    let net = Network::new(sim.context(), config, NetworkParams::default(), NODES);
+    let inboxes = (1..NODES).map(|node| net.inbox(node)).collect();
+    (net, inboxes)
 }
 
 /// Fabric storm: every node hammering node 0 (sends) while node 0 posts
@@ -203,7 +263,7 @@ fn fabric_storm(sim: &mut Sim, (net, inboxes): &Fabric) -> (u64, u64) {
             }
         });
     }
-    for rx in inboxes[1..].iter().rev() {
+    for rx in inboxes.iter().rev() {
         drain(sim, rx.clone(), MSGS / (NODES - 1));
     }
     for from in 1..NODES {
@@ -258,10 +318,19 @@ fn serve_storm(
 fn steady_state_allocations_per_event_stay_bounded() {
     // --- Executor ---
     let mut sim = Sim::new();
-    executor_storm(&mut sim); // warm-up: slab + timer heap growth
+    executor_storm(&mut sim); // warm-up: slab + calendar growth
     let before = allocs();
     let events = executor_storm(&mut sim);
     let exec_rate = (allocs() - before) as f64 / events as f64;
+
+    // --- Latch waits and a deep calendar ---
+    let (mut sim, mut before) = (Sim::new(), 0);
+    latch_waits(&mut sim, &mut before); // warm-up: slab + ready queue growth
+    let waits = latch_waits(&mut sim, &mut before);
+    let latch_rate = (allocs() - before) as f64 / waits as f64;
+    timer_depth(&mut sim, &mut before); // warm-up: slab + calendar growth
+    let timers = timer_depth(&mut sim, &mut before);
+    let timer_rate = (allocs() - before) as f64 / timers as f64;
 
     // --- Contended resource ---
     let mut sim = Sim::new();
@@ -351,6 +420,8 @@ fn steady_state_allocations_per_event_stay_bounded() {
     let serve_rate = (allocs() - before) as f64 / serve_ops as f64;
 
     println!("alloc_counts: executor_storm {exec_rate:.4} allocs/event");
+    println!("alloc_counts: latch_wait {latch_rate:.4} allocs/wait");
+    println!("alloc_counts: timer_depth {timer_rate:.4} allocs/timer");
     println!("alloc_counts: resource_storm {resource_allocs} allocs for {spawned} spawned tasks");
     println!("alloc_counts: cache_miss_storm {cache_rate:.4} allocs/op");
     println!("alloc_counts: cache_miss_storm {lru_per_miss:.4} allocs/miss");
@@ -365,7 +436,10 @@ fn steady_state_allocations_per_event_stay_bounded() {
 
     // Steady-state bounds. The executor storm re-boxes each spawned future
     // (64 spawns per ~18k events); the contended resource pays nothing
-    // beyond those boxes, since its waiter queue keeps its capacity; the
+    // beyond those boxes, since its waiter queue keeps its capacity; a
+    // single-waiter latch wait pays only the latch's own `Rc`, its waiter
+    // kept inline; a deep calendar reuses its buckets, so timers cost
+    // nothing once warm; the
     // cache hit path is allocation-free once the slab and map reach size,
     // while each miss-insert still pays one `CountdownEvent` allocation for
     // its fill (waiters must be able to clone it); a drive queue and a
@@ -377,6 +451,16 @@ fn steady_state_allocations_per_event_stay_bounded() {
     assert!(
         exec_rate < 0.05,
         "executor storm allocates {exec_rate:.4}/event — hot loop churn"
+    );
+    assert!(
+        latch_rate <= 1.0,
+        "latch wait allocates {latch_rate:.4}/wait — a single waiter must not \
+         allocate beyond the latch's Rc"
+    );
+    assert!(
+        timer_rate == 0.0,
+        "timer depth storm allocates {timer_rate:.4}/timer — the calendar must \
+         reuse its buckets"
     );
     assert!(
         resource_allocs <= spawned,

@@ -222,7 +222,6 @@ pub(crate) fn spawn_transfer(
     sim: &mut Sim,
     run: &Rc<RunContext>,
     cps: &[Rc<CpParts>],
-    cp_inboxes: Vec<Receiver<CpMessage>>,
     sched: SchedPolicy,
     finished: &CountdownEvent,
 ) {
@@ -249,13 +248,14 @@ pub(crate) fn spawn_transfer(
     // two latches every CP signals once.
     let ready = CountdownEvent::new(config.n_cps as u64);
     let done = CountdownEvent::new(config.n_cps as u64);
-    for (cp_parts, inbox) in cps.iter().zip(cp_inboxes) {
+    for cp_parts in cps {
         let client = Rc::new(CpClient {
             parts: Rc::clone(cp_parts),
             run: Rc::clone(run),
         });
         {
             let client = Rc::clone(&client);
+            let inbox = run.net.inbox(cp_parts.node);
             sim.spawn(async move {
                 client.dispatch(inbox).await;
             });

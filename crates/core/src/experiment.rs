@@ -85,7 +85,7 @@ pub fn run_data_point(
     let mut last = None;
     // One simulator serves every trial of every cell this worker thread
     // runs: `run_transfer_in` resets it between uses, so executor task slots
-    // and the timer heap are paid for once per thread.
+    // and the event calendar are paid for once per thread.
     thread_local! {
         static SIM: std::cell::RefCell<Sim> = std::cell::RefCell::new(Sim::new());
     }

@@ -437,7 +437,7 @@ pub fn run_transfer(
 /// Runs one collective transfer on a caller-provided simulator.
 ///
 /// The simulator is [`Sim::reset`] before use, so back-to-back transfers
-/// through one `Sim` reuse its task slots and timer heap. Semantics are
+/// through one `Sim` reuse its task slots and event calendar. Semantics are
 /// identical to [`run_transfer`].
 ///
 /// # Panics
@@ -479,7 +479,7 @@ pub fn run_transfer_in(
 
     // Interconnect: CPs occupy nodes [0, n_cps), IOPs the next n_iops nodes,
     // placed on the configured fabric (the paper's torus by default).
-    let (net, mut cp_inboxes) =
+    let net =
         Network::<ddio::CpMessage>::new(ctx.clone(), config.fabric, config.net, config.n_nodes());
     net.set_outages(fault_schedule.outages.clone());
 
@@ -489,10 +489,6 @@ pub fn run_transfer_in(
             file_written: IntervalSet::new(),
         }))
     });
-
-    // Inboxes are numbered like the nodes: CPs first, then IOPs, which
-    // never read theirs.
-    cp_inboxes.truncate(config.n_cps);
 
     // Build the CPs.
     let mut cps = Vec::with_capacity(config.n_cps);
@@ -592,7 +588,7 @@ pub fn run_transfer_in(
                 tc::spawn_transfer(sim, &run, &cps, sched, cache, &finished);
             }
             Method::DiskDirected(sched) => {
-                ddio::spawn_transfer(sim, &run, &cps, cp_inboxes, sched, &finished);
+                ddio::spawn_transfer(sim, &run, &cps, sched, &finished);
             }
         }
         None

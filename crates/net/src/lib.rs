@@ -21,7 +21,8 @@
 //!   (starts the receiver's handler, or opens the latch a waiter sleeps
 //!   on). [`Network::post`] returns once the sender's NI is free and lands
 //!   a [`Delivery`] in the background — a message into the destination's
-//!   inbox, or a latch opened — for concurrent Memput/Memget traffic.
+//!   inbox, which only a node that reads one opens ([`Network::inbox`]), or
+//!   a latch opened — for concurrent Memput/Memget traffic.
 //!
 //! # Worked example: hop counts and uncontended latency
 //!

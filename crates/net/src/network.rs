@@ -21,7 +21,7 @@
 //! directed link), so overlapping routes serialize and the fabric itself can
 //! become the bottleneck.
 
-use std::cell::{Cell, RefCell};
+use std::cell::{Cell, OnceCell, RefCell};
 use std::rc::Rc;
 
 use ddio_sim::stats::Counter;
@@ -35,7 +35,8 @@ use crate::topology::{Link, NodeId, Topology};
 /// What a [`Network::post`]ed message does when it lands.
 #[derive(Debug)]
 pub enum Delivery<M> {
-    /// Deposit the message in the destination node's inbox.
+    /// Deposit the message in the destination node's inbox, which must be
+    /// open ([`Network::inbox`]).
     Inbox(M),
     /// Signal a latch: the answer a waiting task sleeps on.
     Open(CountdownEvent),
@@ -73,7 +74,8 @@ pub struct NiOutage {
 struct Endpoint<M> {
     send_nic: Resource,
     recv_nic: Resource,
-    inbox: Sender<M>,
+    /// Set once the node opens its inbox; most nodes never do.
+    inbox: OnceCell<Sender<M>>,
 }
 
 struct Shared<M> {
@@ -114,22 +116,15 @@ impl<M> Clone for Network<M> {
 }
 
 impl<M: 'static> Network<M> {
-    /// Builds a network of `nodes` endpoints on the configured fabric and
-    /// returns it together with each node's inbox receiver (index = node
-    /// id), which only [`Delivery::Inbox`] posts fill. The topology is built
-    /// to fit `nodes` (the paper's 32 processors land on a 6x6 torus).
-    pub fn new(
-        ctx: SimContext,
-        config: NetConfig,
-        params: NetworkParams,
-        nodes: usize,
-    ) -> (Self, Vec<Receiver<M>>) {
+    /// Builds a network of `nodes` endpoints on the configured fabric. The
+    /// topology is built to fit `nodes` (the paper's 32 processors land on a
+    /// 6x6 torus). No node has an inbox until it opens one with
+    /// [`Network::inbox`].
+    pub fn new(ctx: SimContext, config: NetConfig, params: NetworkParams, nodes: usize) -> Self {
         let topology = config.topology.build(nodes);
         debug_assert!(topology.size() >= nodes);
         let mut endpoints = Vec::with_capacity(nodes);
-        let mut inboxes = Vec::with_capacity(nodes);
         for node in 0..nodes {
-            let (tx, rx) = unbounded();
             endpoints.push(Endpoint {
                 send_nic: Resource::new(
                     ctx.clone(),
@@ -147,9 +142,8 @@ impl<M: 'static> Network<M> {
                         suffix: ".recv-nic",
                     },
                 ),
-                inbox: tx,
+                inbox: OnceCell::new(),
             });
-            inboxes.push(rx);
         }
         // Only the link model ever touches per-link resources; don't pay the
         // size² table under ni-only.
@@ -157,7 +151,7 @@ impl<M: 'static> Network<M> {
             ContentionModel::NiOnly => Vec::new(),
             ContentionModel::Link => vec![None; topology.size() * topology.size()],
         };
-        let net = Network {
+        Network {
             shared: Rc::new(Shared {
                 ctx,
                 config,
@@ -170,8 +164,21 @@ impl<M: 'static> Network<M> {
                 messages: Counter::new(),
                 bytes: Counter::new(),
             }),
-        };
-        (net, inboxes)
+        }
+    }
+
+    /// Opens `node`'s inbox and returns its receiving end, which
+    /// [`Delivery::Inbox`] posts to the node fill.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `node` is out of range or has already opened its inbox.
+    pub fn inbox(&self, node: NodeId) -> Receiver<M> {
+        let (tx, rx) = unbounded();
+        if self.shared.endpoints[node].inbox.set(tx).is_err() {
+            panic!("node {node} opened its inbox twice");
+        }
+        rx
     }
 
     /// Number of endpoints.
@@ -257,6 +264,8 @@ impl<M: 'static> Network<M> {
                 // protocol bug.
                 Delivery::Inbox(msg) => net.shared.endpoints[to]
                     .inbox
+                    .get()
+                    .unwrap_or_else(|| panic!("node {to} has no inbox"))
                     .try_send(msg)
                     .unwrap_or_else(|_| {
                         panic!("node {to} dropped its inbox with traffic in flight")
@@ -390,15 +399,11 @@ mod tests {
     use ddio_sim::Sim;
     use std::cell::Cell;
 
-    fn build(sim: &Sim, nodes: usize) -> (Network<u64>, Vec<Receiver<u64>>) {
+    fn build(sim: &Sim, nodes: usize) -> Network<u64> {
         build_fabric(sim, nodes, NetConfig::DEFAULT)
     }
 
-    fn build_fabric(
-        sim: &Sim,
-        nodes: usize,
-        config: NetConfig,
-    ) -> (Network<u64>, Vec<Receiver<u64>>) {
+    fn build_fabric(sim: &Sim, nodes: usize, config: NetConfig) -> Network<u64> {
         Network::new(sim.context(), config, NetworkParams::default(), nodes)
     }
 
@@ -422,7 +427,7 @@ mod tests {
     #[test]
     fn round_trip_latency_is_modeled() {
         let mut sim = Sim::new();
-        let (net, _inboxes) = build(&sim, 4);
+        let net = build(&sim, 4);
         let landed_at = send_and_time(&mut sim, &net, 0, 1, 8192);
         sim.run();
         let t = landed_at.get().as_nanos();
@@ -439,14 +444,14 @@ mod tests {
     fn open_delivery_lands_when_a_send_would_return() {
         let sent = {
             let mut sim = Sim::new();
-            let (net, _inboxes) = build(&sim, 4);
+            let net = build(&sim, 4);
             let landed_at = send_and_time(&mut sim, &net, 0, 3, 8192);
             sim.run();
             landed_at.get()
         };
         let mut sim = Sim::new();
         let ctx = sim.context();
-        let (net, _inboxes) = build(&sim, 4);
+        let net = build(&sim, 4);
         let done = CountdownEvent::new(1);
         let opened_at = Rc::new(Cell::new(SimTime::ZERO));
         {
@@ -467,7 +472,7 @@ mod tests {
     #[test]
     fn receiver_nic_serializes_concurrent_senders() {
         let mut sim = Sim::new();
-        let (net, _inboxes) = build(&sim, 8);
+        let net = build(&sim, 8);
         // 7 nodes each send 1 MB to node 0 concurrently.
         for from in 1..8 {
             let net = net.clone();
@@ -490,7 +495,7 @@ mod tests {
             contention: ContentionModel::Link,
             ..NetConfig::DEFAULT
         };
-        let (net, _inboxes) = build_fabric(&sim, 4, config);
+        let net = build_fabric(&sim, 4, config);
         // 4 nodes fit a 2x2 torus; 0 -> 3 is a 2-hop route.
         assert_eq!(net.topology().hops(0, 3), 2);
         send_and_time(&mut sim, &net, 0, 3, 8192);
@@ -512,7 +517,7 @@ mod tests {
             topology: TopologyKind::Crossbar,
             contention: ContentionModel::Link,
         };
-        let (net, _inboxes) = build_fabric(&sim, 4, config);
+        let net = build_fabric(&sim, 4, config);
         // Two messages over the same crossbar link must serialize: total
         // link busy time is twice one serialization.
         for _ in 0..2 {
@@ -530,8 +535,8 @@ mod tests {
     fn post_returns_after_sender_side_only() {
         let mut sim = Sim::new();
         let ctx = sim.context();
-        let (net, mut inboxes) = build(&sim, 4);
-        let rx3 = inboxes.remove(3);
+        let net = build(&sim, 4);
+        let rx3 = net.inbox(3);
         let posted_at = Rc::new(Cell::new(SimTime::ZERO));
         let received = Rc::new(Cell::new(0u32));
         {
@@ -564,8 +569,8 @@ mod tests {
     #[test]
     fn messages_between_same_pair_preserve_order() {
         let mut sim = Sim::new();
-        let (net, mut inboxes) = build(&sim, 2);
-        let rx = inboxes.remove(1);
+        let net = build(&sim, 2);
+        let rx = net.inbox(1);
         {
             let net = net.clone();
             sim.spawn(async move {
@@ -590,7 +595,7 @@ mod tests {
     #[test]
     fn ni_outage_delays_traffic_until_the_window_closes() {
         let mut sim = Sim::new();
-        let (net, _inboxes) = build(&sim, 4);
+        let net = build(&sim, 4);
         let until = SimTime::ZERO + SimDuration::from_millis(5);
         net.set_outages(vec![NiOutage {
             node: 1,
@@ -610,7 +615,7 @@ mod tests {
     fn no_outages_is_event_identical_to_a_faultless_fabric() {
         let run = |install_empty: bool| {
             let mut sim = Sim::new();
-            let (net, _inboxes) = build(&sim, 4);
+            let net = build(&sim, 4);
             if install_empty {
                 net.set_outages(Vec::new());
             }
@@ -629,10 +634,30 @@ mod tests {
     #[should_panic(expected = "out of range")]
     fn sending_to_unknown_node_panics() {
         let mut sim = Sim::new();
-        let (net, _inboxes) = build(&sim, 2);
+        let net = build(&sim, 2);
         sim.spawn(async move {
             net.send(0, 9, 8).await;
         });
         sim.run();
+    }
+
+    #[test]
+    #[should_panic(expected = "node 1 has no inbox")]
+    fn posting_to_a_node_without_an_inbox_panics() {
+        let mut sim = Sim::new();
+        let net = build(&sim, 2);
+        let _rx = net.inbox(0);
+        sim.spawn(async move {
+            net.post(0, 1, 8, Delivery::Inbox(7)).await;
+        });
+        sim.run();
+    }
+
+    #[test]
+    #[should_panic(expected = "node 1 opened its inbox twice")]
+    fn opening_an_inbox_twice_panics() {
+        let net = build(&Sim::new(), 2);
+        let _rx = net.inbox(1);
+        let _again = net.inbox(1);
     }
 }

@@ -23,16 +23,22 @@
 //!   `VecDeque::push_back`, no locking or allocation. `Future::poll` still
 //!   needs a standard `Waker`, so every task is polled with one shared per
 //!   [`Sim`]; waking it panics.
-//! * **One event calendar** — a binary min-heap of `(deadline, registration
-//!   seq, TaskId)` holds every pending timer. Entries store a `TaskId`, not a
-//!   boxed `Waker`, and the heap keeps its capacity across [`Sim::reset`].
+//! * **One event calendar** — a monotone radix heap of `(deadline, TaskId)`
+//!   entries holds every pending timer: 64 buckets keyed by the highest bit
+//!   in which a deadline differs from the last deadline fired. A push is one
+//!   append; a timer moves down at most 64 buckets in its life, so popping
+//!   is amortized constant however many timers are pending. Entries store a
+//!   `TaskId`, not a boxed `Waker`, and every bucket keeps its capacity
+//!   across [`Sim::reset`].
 //!
 //! # Determinism
 //!
 //! The run loop is deterministic: ready tasks run in FIFO order of wake-up,
-//! and timers fire in `(deadline, registration sequence)` order. Two runs of
-//! the same simulation with the same seeds produce identical event orders and
-//! identical final clocks. The test suite checks this property.
+//! and timers fire in `(deadline, registration)` order, which the calendar
+//! keeps by construction rather than by a sequence number (see `Calendar`).
+//! Two runs of the same simulation with the same seeds produce identical
+//! event orders and identical final clocks. The test suite checks this
+//! property.
 //!
 //! # Example
 //!
@@ -49,8 +55,7 @@
 //! ```
 
 use std::cell::{Cell, RefCell};
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::VecDeque;
 use std::future::Future;
 use std::pin::Pin;
 use std::rc::{Rc, Weak};
@@ -187,12 +192,106 @@ struct SimCore {
     self_weak: Weak<SimCore>,
 }
 
+/// The event calendar: a monotone radix heap of pending timers (Ahuja,
+/// Mehlhorn, Orlin & Tarjan, "Faster algorithms for the shortest path
+/// problem", JACM 1990), which suits a clock that never goes backwards.
+///
+/// A timer with deadline `d > last` sits in bucket `63 - (d ^ last)
+/// .leading_zeros()`: the highest bit in which `d` differs from the last
+/// deadline fired. Every entry of a higher bucket is later than every entry
+/// of a lower one, so the earliest pending deadline is the minimum of the
+/// lowest occupied bucket. [`Calendar::advance`] sets `last` to that minimum
+/// and re-appends the bucket's entries in order: those equal to `last` land
+/// in `due`, the rest in lower buckets, which were empty.
+///
+/// Timers fire in `(deadline, registration)` order with no sequence number:
+///
+/// * equal deadlines always sit in the same bucket, because a bucket's index
+///   depends only on the deadline and `last`;
+/// * advancing `last` to the minimum of the lowest occupied bucket leaves
+///   every higher bucket's index unchanged (the new `last` agrees with the
+///   old one on every bit above that bucket), so only the emptied bucket's
+///   entries move;
+/// * pushes and redistribution both append in order.
+///
+/// So two timers with one deadline keep their registration order from push
+/// to `due`.
+struct Calendar {
+    /// The deadline fired last, in nanoseconds; equals the clock whenever
+    /// tasks run.
+    last: u64,
+    /// The timers due at `last`, in registration order.
+    due: Vec<TaskId>,
+    /// Bucket `b` holds the timers whose deadline first differs from `last`
+    /// at bit `b`, in registration order per deadline.
+    buckets: [Vec<(u64, TaskId)>; 64],
+    /// Bit `b` is set while bucket `b` is non-empty.
+    occupied: u64,
+}
+
+impl Calendar {
+    fn new() -> Self {
+        Calendar {
+            last: 0,
+            due: Vec::new(),
+            buckets: std::array::from_fn(|_| Vec::new()),
+            occupied: 0,
+        }
+    }
+
+    /// Registers a timer firing `task` at `deadline`, which must be later
+    /// than the last deadline fired.
+    fn push(&mut self, deadline: u64, task: TaskId) {
+        debug_assert!(deadline > self.last, "event calendar went backwards");
+        let bucket = 63 - (deadline ^ self.last).leading_zeros() as usize;
+        self.buckets[bucket].push((deadline, task));
+        self.occupied |= 1 << bucket;
+    }
+
+    /// Moves the next deadline's timers into `due`, which must be empty, and
+    /// returns that deadline; `None` if no timer is pending.
+    fn advance(&mut self) -> Option<u64> {
+        debug_assert!(self.due.is_empty(), "advanced with timers still due");
+        if self.occupied == 0 {
+            return None;
+        }
+        let lowest = self.occupied.trailing_zeros() as usize;
+        self.occupied &= !(1 << lowest);
+        // Take the bucket out so its entries can be re-appended into lower
+        // buckets, then put its (emptied) allocation back.
+        let mut entries = std::mem::take(&mut self.buckets[lowest]);
+        self.last = entries
+            .iter()
+            .map(|&(deadline, _)| deadline)
+            .min()
+            .expect("an occupied bucket holds a timer");
+        for &(deadline, task) in &entries {
+            if deadline == self.last {
+                self.due.push(task);
+            } else {
+                self.push(deadline, task);
+            }
+        }
+        entries.clear();
+        self.buckets[lowest] = entries;
+        Some(self.last)
+    }
+
+    /// Drops every timer and rewinds to time zero, keeping the allocations.
+    fn reset(&mut self) {
+        self.last = 0;
+        self.due.clear();
+        for bucket in &mut self.buckets {
+            bucket.clear();
+        }
+        self.occupied = 0;
+    }
+}
+
 /// Mutable simulation state shared between the executor and [`SimContext`]s.
 struct SimState {
-    /// Pending timers as a min-heap of `(deadline ns, registration seq,
-    /// task)`, so they pop in exactly the order they must fire.
-    timers: BinaryHeap<Reverse<(u64, u64, TaskId)>>,
-    timer_seq: u64,
+    /// Pending timers, in the order they must fire.
+    timers: Calendar,
     /// Slab of task slots; `free` holds recyclable indices.
     slots: Vec<Slot>,
     free: Vec<u32>,
@@ -207,8 +306,7 @@ struct SimState {
 impl SimState {
     fn new() -> Self {
         SimState {
-            timers: BinaryHeap::new(),
-            timer_seq: 0,
+            timers: Calendar::new(),
             slots: Vec::new(),
             free: Vec::new(),
             live: 0,
@@ -235,12 +333,6 @@ impl SimState {
         self.live += 1;
         self.ready.push_back(id);
         id
-    }
-
-    fn register_timer(&mut self, deadline: SimTime, task: TaskId) {
-        let seq = self.timer_seq;
-        self.timer_seq += 1;
-        self.timers.push(Reverse((deadline.as_nanos(), seq, task)));
     }
 }
 
@@ -274,7 +366,7 @@ impl Sim {
 
     /// Returns the simulation to its initial state — time zero, no tasks, no
     /// timers, zeroed event counter — while keeping the slab, queue, and
-    /// timer heap allocations for reuse. Any still-pending tasks are dropped.
+    /// calendar allocations for reuse. Any still-pending tasks are dropped.
     ///
     /// This is what lets the experiment harness run many transfers on one
     /// `Sim` without paying allocation and teardown per transfer.
@@ -293,9 +385,8 @@ impl Sim {
         }
         st.live = 0;
         st.ready.clear();
-        st.timer_seq = 0;
         st.events_processed = 0;
-        st.timers.clear();
+        st.timers.reset();
     }
 
     /// Takes every live task out of the slab, bumping slot generations so
@@ -381,24 +472,14 @@ impl Sim {
             // Nothing runnable: advance the clock to the next timer.
             let mut st = self.core.state.borrow_mut();
             let st = &mut *st;
-            let Some(&Reverse((deadline, _, _))) = st.timers.peek() else {
+            let Some(deadline) = st.timers.advance() else {
                 break;
             };
-            debug_assert!(
-                deadline >= self.core.clock.get().as_nanos(),
-                "event calendar went backwards"
-            );
             self.core.clock.set(SimTime::from_nanos(deadline));
             // Fire every timer with this deadline before polling, so
             // simultaneous events are handled in registration order.
-            while let Some(&Reverse((d, _, task))) = st.timers.peek() {
-                if d != deadline {
-                    break;
-                }
-                st.timers.pop();
-                st.ready.push_back(task);
-                st.events_processed += 1;
-            }
+            st.events_processed += st.timers.due.len() as u64;
+            st.ready.extend(st.timers.due.drain(..));
         }
         self.now()
     }
@@ -515,7 +596,11 @@ impl SimContext {
                     .is_some_and(|(_, state)| state.ptr_eq(&self.core.self_weak))),
                 "sleep future polled by a task belonging to a different Sim"
             );
-            self.core.state.borrow_mut().register_timer(deadline, id);
+            self.core
+                .state
+                .borrow_mut()
+                .timers
+                .push(deadline.as_nanos(), id);
         }
         Poll::Pending
     }
@@ -883,6 +968,88 @@ mod tests {
         sim.run();
         assert_eq!(*order.borrow(), expected);
         assert_eq!(sim.live_tasks(), 0);
+    }
+
+    /// Checks that bit `b` of `occupied` is set exactly when bucket `b`
+    /// holds a timer.
+    fn assert_occupancy(cal: &Calendar) {
+        for (b, bucket) in cal.buckets.iter().enumerate() {
+            assert_eq!(cal.occupied >> b & 1 == 1, !bucket.is_empty(), "bucket {b}");
+        }
+    }
+
+    /// The reference model of the calendar: a min-heap of `(deadline,
+    /// registration seq, id)`.
+    type Model = std::collections::BinaryHeap<std::cmp::Reverse<(u64, u64, TaskId)>>;
+
+    /// Takes the next due timer (the first `taken` of `due` are gone),
+    /// advancing the calendar once `due` is used up, and checks it is the
+    /// model's next timer. False once both are empty.
+    fn fire(cal: &mut Calendar, model: &mut Model, taken: &mut usize) -> bool {
+        if *taken == cal.due.len() {
+            cal.due.clear();
+            *taken = 0;
+            let Some(deadline) = cal.advance() else {
+                assert!(model.is_empty(), "the calendar lost a timer");
+                return false;
+            };
+            assert_eq!(deadline, cal.last);
+        }
+        let std::cmp::Reverse((deadline, _, id)) = model.pop().expect("a timer fired twice");
+        assert_eq!((cal.last, cal.due[*taken]), (deadline, id));
+        *taken += 1;
+        true
+    }
+
+    #[test]
+    fn calendar_fires_like_a_sequenced_heap() {
+        // Random monotone scripts against the reference model, a min-heap of
+        // (deadline, registration seq, id): many equal deadlines, deadlines
+        // from 1 ns to 2^63, pushes interleaved with draining `due`, and
+        // resets mid-script.
+        use crate::rng::SimRng;
+        use std::cmp::Reverse;
+
+        for seed in 0..32 {
+            let rng = SimRng::seed_from_u64(seed);
+            let mut cal = Calendar::new();
+            let mut model = Model::new();
+            let (mut seq, mut taken, mut fired) = (0u64, 0usize, 0usize);
+            for _ in 0..3_000 {
+                match rng.gen_range(64) {
+                    // Near deadlines, so many collide.
+                    0..=23 => {
+                        let deadline = cal.last + 1 + rng.gen_range(4);
+                        cal.push(deadline, TaskId(seq));
+                        model.push(Reverse((deadline, seq, TaskId(seq))));
+                        seq += 1;
+                    }
+                    // Far deadlines, up to 2^63 ns.
+                    24..=35 if cal.last < 1 << 62 => {
+                        let deadline = match rng.gen_range(8) {
+                            0 => 1 << 63,
+                            _ => cal.last + (1 << rng.gen_range(62)) + rng.gen_range(2),
+                        };
+                        cal.push(deadline, TaskId(seq));
+                        model.push(Reverse((deadline, seq, TaskId(seq))));
+                        seq += 1;
+                    }
+                    36 => {
+                        cal.reset();
+                        model.clear();
+                        taken = 0;
+                        assert_eq!(cal.advance(), None);
+                    }
+                    _ => fired += usize::from(fire(&mut cal, &mut model, &mut taken)),
+                }
+                assert_occupancy(&cal);
+            }
+            while fire(&mut cal, &mut model, &mut taken) {
+                fired += 1;
+            }
+            assert_occupancy(&cal);
+            assert!(fired > 1_000, "seed {seed} fired only {fired} timers");
+        }
     }
 
     #[test]

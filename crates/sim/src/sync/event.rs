@@ -10,7 +10,11 @@ use crate::TaskRef;
 
 struct CountdownInner {
     remaining: u64,
-    waiters: Vec<TaskRef>,
+    /// The first waiter, kept inline so a single-waiter latch (a reply, a
+    /// cache fill) allocates nothing beyond its `Rc`.
+    first: Option<TaskRef>,
+    /// The second waiter and beyond, in registration order.
+    rest: Vec<TaskRef>,
 }
 
 /// A latch that is open while its count is zero.
@@ -63,7 +67,8 @@ impl CountdownEvent {
         CountdownEvent {
             inner: Rc::new(RefCell::new(CountdownInner {
                 remaining: count,
-                waiters: Vec::new(),
+                first: None,
+                rest: Vec::new(),
             })),
         }
     }
@@ -87,7 +92,10 @@ impl CountdownEvent {
         );
         inner.remaining -= 1;
         if inner.remaining == 0 {
-            for w in inner.waiters.drain(..) {
+            if let Some(w) = inner.first.take() {
+                w.wake();
+            }
+            for w in inner.rest.drain(..) {
                 w.wake();
             }
         }
@@ -127,7 +135,12 @@ impl Future for CountdownWait {
         if inner.remaining == 0 {
             Poll::Ready(())
         } else {
-            inner.waiters.push(TaskRef::capture());
+            let waiter = TaskRef::capture();
+            if inner.first.is_none() {
+                inner.first = Some(waiter);
+            } else {
+                inner.rest.push(waiter);
+            }
             Poll::Pending
         }
     }

@@ -24,7 +24,7 @@ fn spawn_sleep_channel_workload(sim: &mut Sim, workers: u64, rounds: u64) {
         sim.spawn(async move {
             for r in 0..rounds {
                 // Deterministic pseudo-random spread of deadlines so the
-                // timer heap holds many distinct deadlines.
+                // event calendar holds many distinct deadlines.
                 ctx.sleep(SimDuration::from_nanos(
                     (w * 2654435761 + r * 40503) % 50_000 + 1,
                 ))
