@@ -37,7 +37,7 @@ fn bench_channel_pipeline(c: &mut Criterion) {
             let (tx, rx) = unbounded::<u64>();
             sim.spawn(async move {
                 for i in 0..10_000u64 {
-                    tx.send(i).await.unwrap();
+                    tx.try_send(i).unwrap();
                 }
             });
             let ctx2 = ctx.clone();

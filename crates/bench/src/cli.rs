@@ -288,23 +288,22 @@ pub fn parse_run(
     })
 }
 
-/// Executes a parsed `run`: all cells of all requested scenarios go through
-/// one parallel pass, then the report is rendered whole.
-pub fn execute_run(cmd: &RunCommand) -> Result<String, String> {
-    let params = &cmd.params;
+/// Runs every cell of `cmd`'s scenarios that its filters keep in one
+/// parallel pass, and returns each scenario's results in registry order.
+pub fn run_pass(cmd: &RunCommand) -> Vec<ScenarioRun> {
     // Flatten every scenario's cells into one work list so small scenarios
     // can't leave workers idle while a big one still has cells queued.
     let mut cells = Vec::new();
     let mut spans = Vec::new();
     for s in &cmd.scenarios {
-        let mut scenario_cells = (s.build)(params);
+        let mut scenario_cells = (s.build)(&cmd.params);
         // Each cell's seed derives from its own identity, so dropping cells
         // never moves the numbers of the cells that remain.
         scenario_cells.retain(|c| cmd.filters.iter().all(|f| f.keeps(c)));
         spans.push(scenario_cells.len());
         cells.extend(scenario_cells);
     }
-    let mut results = scenario::run_cells(cells, params.trials, cmd.jobs);
+    let mut results = scenario::run_cells(cells, cmd.params.trials, cmd.jobs);
     let mut runs = Vec::with_capacity(cmd.scenarios.len());
     for (s, span) in cmd.scenarios.iter().zip(spans) {
         let rest = results.split_off(span);
@@ -314,11 +313,23 @@ pub fn execute_run(cmd: &RunCommand) -> Result<String, String> {
         });
         results = rest;
     }
-    Ok(match cmd.format {
-        Format::Table => report::render_table(params, &runs),
-        Format::Json => report::render_json(params, &runs) + "\n",
-        Format::Csv => report::render_csv(&runs),
-    })
+    runs
+}
+
+/// Renders the results of [`run_pass`] whole, byte for byte as `ddio-bench
+/// run` prints them in `format`.
+pub fn render(format: Format, params: &SweepParams, runs: &[ScenarioRun]) -> String {
+    match format {
+        Format::Table => report::render_table(params, runs),
+        Format::Json => report::render_json(params, runs) + "\n",
+        Format::Csv => report::render_csv(runs),
+    }
+}
+
+/// Executes a parsed `run`: [`run_pass`], then [`render`] in the chosen
+/// format.
+pub fn execute_run(cmd: &RunCommand) -> String {
+    render(cmd.format, &cmd.params, &run_pass(cmd))
 }
 
 /// The registry listing printed by `ddio-bench list`: each scenario's name,
@@ -406,13 +417,7 @@ pub fn main_from_args(args: Vec<String>) -> i32 {
                     return 2;
                 }
             };
-            let rendered = match execute_run(&cmd) {
-                Ok(r) => r,
-                Err(e) => {
-                    eprintln!("ddio-bench: {e}");
-                    return 1;
-                }
-            };
+            let rendered = execute_run(&cmd);
             match &cmd.out {
                 Some(path) => {
                     if let Err(e) = std::fs::write(path, rendered) {
@@ -562,13 +567,13 @@ mod tests {
             .find(|(scenario, _, _)| *scenario == name)
             .unwrap();
         let mut argv = vec![name, "--format", "csv", "--jobs", "2"];
-        let full = execute_run(&parse_run(&args(&argv), smoke_env).unwrap()).unwrap();
+        let full = execute_run(&parse_run(&args(&argv), smoke_env).unwrap());
         for clause in clauses {
             argv.extend(["--where", clause]);
         }
         let cmd = parse_run(&args(&argv), smoke_env).unwrap();
         assert_eq!(cmd.filters.len(), clauses.len());
-        let filtered = execute_run(&cmd).unwrap();
+        let filtered = execute_run(&cmd);
 
         let cells = (scenario::find(name).unwrap().build)(&cmd.params);
         let expected = cells.iter().filter(|c| keep(c)).count();
@@ -619,7 +624,7 @@ mod tests {
             smoke_env,
         )
         .unwrap();
-        let out = execute_run(&cmd).unwrap();
+        let out = execute_run(&cmd);
         assert!(out.contains("TC[mru+one+onfull]"));
         assert!(!out.contains("clock"), "filtered composition ran:\n{out}");
         let baselines = out
@@ -700,7 +705,7 @@ mod tests {
             smoke_env,
         )
         .unwrap();
-        let out = execute_run(&cmd).unwrap();
+        let out = execute_run(&cmd);
         assert!(
             out.starts_with(r#"{"scale":{"file_mib":1,"#) && out.ends_with("]}\n"),
             "bad JSON:\n{out}"
@@ -712,7 +717,7 @@ mod tests {
     #[test]
     fn execute_run_table_splits_results_per_scenario() {
         let cmd = parse_run(&args(&["mixed-rw", "record-cp-cross"]), smoke_env).unwrap();
-        let out = execute_run(&cmd).unwrap();
+        let out = execute_run(&cmd);
         assert!(out.contains("Mixed read/write phases"));
         assert!(out.contains("Record size x CP count"));
     }

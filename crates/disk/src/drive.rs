@@ -105,12 +105,11 @@ impl DiskHandle {
     pub async fn io(&self, request: DiskRequest) -> ServiceBreakdown {
         let (done_tx, done_rx) = oneshot::channel();
         self.tx
-            .send(DiskCommand {
+            .try_send(DiskCommand {
                 request,
                 done: done_tx,
             })
-            .await
-            .expect("disk server task terminated while clients still exist");
+            .unwrap_or_else(|_| panic!("disk server task terminated while clients still exist"));
         done_rx.await.expect("disk server dropped a request")
     }
 

@@ -40,7 +40,7 @@
 //! // A client issuing three requests.
 //! sim.spawn(async move {
 //!     for block in 0..3 {
-//!         tx.send(block).await.unwrap();
+//!         tx.try_send(block).unwrap();
 //!     }
 //! });
 //!

@@ -20,18 +20,6 @@ struct Inner<T> {
     receivers: usize,
 }
 
-/// Error returned by [`Sender::send`] / [`Sender::try_send`] when every
-/// [`Receiver`] has been dropped.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SendError;
-
-impl std::fmt::Display for SendError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "channel closed: all receivers dropped")
-    }
-}
-impl std::error::Error for SendError {}
-
 /// Creates an unbounded FIFO channel.
 pub fn unbounded<T>() -> (Sender<T>, Receiver<T>) {
     let inner = Rc::new(RefCell::new(Inner {
@@ -75,20 +63,10 @@ impl<T> Drop for Sender<T> {
 }
 
 impl<T> Sender<T> {
-    /// Sends a message. The channel is unbounded, so the returned future is
-    /// ready at its first poll.
-    ///
-    /// Returns an error if all receivers have been dropped.
-    pub fn send(&self, value: T) -> Send<'_, T> {
-        Send {
-            sender: self,
-            value: Some(value),
-        }
-    }
-
-    /// Sends without waiting; the value comes back in `Err` if every
-    /// receiver has been dropped. Wakes only the longest-parked receiver:
-    /// one message feeds one receiver (see [`Receiver::recv`]).
+    /// Sends a message. The channel is unbounded, so this never waits; the
+    /// value comes back in `Err` if every receiver has been dropped. Wakes
+    /// only the longest-parked receiver: one message feeds one receiver (see
+    /// [`Receiver::recv`]).
     pub fn try_send(&self, value: T) -> Result<(), T> {
         let mut inner = self.inner.borrow_mut();
         if inner.receivers == 0 {
@@ -99,29 +77,6 @@ impl<T> Sender<T> {
             w.wake();
         }
         Ok(())
-    }
-}
-
-/// Future returned by [`Sender::send`].
-pub struct Send<'a, T> {
-    sender: &'a Sender<T>,
-    value: Option<T>,
-}
-
-// The future stores no self-references, so it can be moved freely even while
-// pending; this lets `poll` use `Pin::get_mut` without an `Unpin` bound on T.
-impl<T> Unpin for Send<'_, T> {}
-
-impl<T> Future for Send<'_, T> {
-    type Output = Result<(), SendError>;
-
-    fn poll(self: Pin<&mut Self>, _cx: &mut Context<'_>) -> Poll<Self::Output> {
-        let this = self.get_mut();
-        let value = match this.value.take() {
-            Some(v) => v,
-            None => return Poll::Ready(Ok(())), // polled after completion
-        };
-        Poll::Ready(this.sender.try_send(value).map_err(|_| SendError))
     }
 }
 
@@ -280,7 +235,7 @@ mod tests {
         let received2 = Rc::clone(&received);
         sim.spawn(async move {
             for i in 0..5 {
-                tx.send(i).await.unwrap();
+                tx.try_send(i).unwrap();
             }
         });
         sim.spawn(async move {
@@ -299,7 +254,7 @@ mod tests {
         let saw_none = Rc::new(Cell::new(false));
         let saw_none2 = Rc::clone(&saw_none);
         sim.spawn(async move {
-            tx.send(7).await.unwrap();
+            tx.try_send(7).unwrap();
             // tx dropped here
         });
         sim.spawn(async move {
@@ -313,16 +268,9 @@ mod tests {
 
     #[test]
     fn send_errors_when_receiver_dropped() {
-        let mut sim = Sim::new();
         let (tx, rx) = unbounded::<u32>();
         drop(rx);
-        let got_err = Rc::new(Cell::new(false));
-        let got_err2 = Rc::clone(&got_err);
-        sim.spawn(async move {
-            got_err2.set(tx.send(1).await.is_err());
-        });
-        sim.run();
-        assert!(got_err.get());
+        assert_eq!(tx.try_send(1), Err(1));
     }
 
     #[test]
@@ -342,7 +290,7 @@ mod tests {
         drop(rx);
         sim.spawn(async move {
             for i in 0..30 {
-                tx.send(i).await.unwrap();
+                tx.try_send(i).unwrap();
             }
         });
         sim.run();

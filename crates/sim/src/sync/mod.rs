@@ -11,6 +11,6 @@ mod channel;
 mod event;
 mod resource;
 
-pub use channel::{oneshot, unbounded, Receiver, SendError, Sender};
+pub use channel::{oneshot, unbounded, Receiver, Sender};
 pub use event::CountdownEvent;
 pub use resource::{Resource, ResourceName};

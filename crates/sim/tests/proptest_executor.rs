@@ -50,7 +50,7 @@ fn run_scripts(sim: &mut Sim, scripts: &[Vec<Op>]) -> (u64, u64) {
                     Op::Sleep(ns) => ctx.sleep(SimDuration::from_nanos(ns)).await,
                     Op::Yield => ctx.yield_now().await,
                     Op::Send => {
-                        let _ = tx.send(1).await;
+                        let _ = tx.try_send(1);
                     }
                     Op::Recv => {
                         let _ = rx.try_recv();

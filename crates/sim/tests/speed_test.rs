@@ -29,7 +29,7 @@ fn spawn_sleep_channel_workload(sim: &mut Sim, workers: u64, rounds: u64) {
                     (w * 2654435761 + r * 40503) % 50_000 + 1,
                 ))
                 .await;
-                tx.send(w * rounds + r).await.unwrap();
+                tx.try_send(w * rounds + r).unwrap();
             }
         });
     }

@@ -32,6 +32,14 @@ fn run_sweep(jobs: usize) -> Vec<CellResult> {
     run_scenario(&scenario, &sweep_params(), jobs)
 }
 
+/// The parallel sweep, computed once and shared by every read-only test
+/// (the jobs-invariance test proves any jobs count gives these exact
+/// results, so re-simulating per test would only burn time).
+fn sweep_results() -> &'static [CellResult] {
+    static RESULTS: std::sync::OnceLock<Vec<CellResult>> = std::sync::OnceLock::new();
+    RESULTS.get_or_init(|| run_sweep(8))
+}
+
 fn mean_of(results: &[CellResult], pattern: &str, label: &str, bufs: u64) -> f64 {
     results
         .iter()
@@ -48,9 +56,9 @@ fn mean_of(results: &[CellResult], pattern: &str, label: &str, bufs: u64) -> f64
 #[test]
 fn cache_sweep_is_jobs_invariant() {
     let serial = run_sweep(1);
-    let parallel = run_sweep(8);
+    let parallel = sweep_results();
     assert_eq!(serial.len(), parallel.len());
-    for (s, p) in serial.iter().zip(&parallel) {
+    for (s, p) in serial.iter().zip(parallel) {
         assert_eq!(s.point.pattern, p.point.pattern);
         assert_eq!(s.point.method, p.point.method);
         let s_bits: Vec<u64> = s.point.trials.iter().map(|t| t.to_bits()).collect();
@@ -71,11 +79,11 @@ fn cache_sweep_is_jobs_invariant() {
 /// "Smarter caching narrows but does not close the gap."
 #[test]
 fn watermark_write_back_beats_default_but_loses_to_ddio() {
-    let results = run_sweep(8);
-    let ddio = mean_of(&results, "wb", "DDIO(sort)", 0);
+    let results = sweep_results();
+    let ddio = mean_of(results, "wb", "DDIO(sort)", 0);
     for bufs in [1u64, 8] {
-        let default = mean_of(&results, "wb", "TC", bufs);
-        let watermark = mean_of(&results, "wb", "TC[lru+one+watermark]", bufs);
+        let default = mean_of(results, "wb", "TC", bufs);
+        let watermark = mean_of(results, "wb", "TC[lru+one+watermark]", bufs);
         assert!(
             watermark > default * 1.2,
             "bufs={bufs}: watermark {watermark:.3} not measurably above default {default:.3}"
@@ -92,7 +100,7 @@ fn watermark_write_back_beats_default_but_loses_to_ddio() {
 /// DDIO baseline reports nothing.
 #[test]
 fn cache_counters_reach_the_outcome() {
-    let results = run_sweep(8);
+    let results = sweep_results();
     // The cyclic read: each CP walks one disk's blocks serially, so the
     // one-ahead prefetch genuinely runs ahead of the demand stream (on rb
     // every candidate is already being demand-fetched by a neighboring CP).

@@ -26,6 +26,14 @@ fn run_sweep(jobs: usize) -> Vec<CellResult> {
     run_scenario(&scenario, &sweep_params(), jobs)
 }
 
+/// The parallel sweep, computed once and shared by every read-only test
+/// (the jobs-invariance test proves any jobs count gives these exact
+/// results, so re-simulating per test would only burn time).
+fn sweep_results() -> &'static [CellResult] {
+    static RESULTS: std::sync::OnceLock<Vec<CellResult>> = std::sync::OnceLock::new();
+    RESULTS.get_or_init(|| run_sweep(8))
+}
+
 fn mean_of(results: &[CellResult], pattern: &str, label: &str) -> f64 {
     results
         .iter()
@@ -38,9 +46,9 @@ fn mean_of(results: &[CellResult], pattern: &str, label: &str) -> f64 {
 #[test]
 fn sched_sweep_is_jobs_invariant() {
     let serial = run_sweep(1);
-    let parallel = run_sweep(8);
+    let parallel = sweep_results();
     assert_eq!(serial.len(), parallel.len());
-    for (s, p) in serial.iter().zip(&parallel) {
+    for (s, p) in serial.iter().zip(parallel) {
         assert_eq!(s.point.pattern, p.point.pattern);
         assert_eq!(s.point.method, p.point.method);
         let s_bits: Vec<u64> = s.point.trials.iter().map(|t| t.to_bits()).collect();
@@ -57,11 +65,11 @@ fn sched_sweep_is_jobs_invariant() {
 
 #[test]
 fn presort_and_cscan_beat_fcfs_on_random_layout_reads() {
-    let results = run_sweep(8);
+    let results = sweep_results();
     for pattern in ["ra", "rn", "rb", "rc"] {
-        let fcfs = mean_of(&results, pattern, "DDIO");
-        let presort = mean_of(&results, pattern, "DDIO(sort)");
-        let cscan = mean_of(&results, pattern, "DDIO(cscan)");
+        let fcfs = mean_of(results, pattern, "DDIO");
+        let presort = mean_of(results, pattern, "DDIO(sort)");
+        let cscan = mean_of(results, pattern, "DDIO(cscan)");
         assert!(
             presort > fcfs,
             "{pattern}: presort {presort:.3} did not beat FCFS {fcfs:.3}"
@@ -75,7 +83,7 @@ fn presort_and_cscan_beat_fcfs_on_random_layout_reads() {
 
 #[test]
 fn drive_counters_reach_the_outcome() {
-    let results = run_sweep(8);
+    let results = sweep_results();
     // Deep DDIO queues: some drive must have seen a non-trivial queue, and
     // every drive was busy for a positive fraction of the run.
     let ddio = results
