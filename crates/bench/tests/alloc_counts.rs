@@ -8,6 +8,9 @@
 //! in steady state: a warm-up pass first pays one-time growth (executor
 //! slabs, cache maps, channel buffers), then the measured pass counts.
 //!
+//! The allocator also tracks live bytes and their peak, so one row bounds
+//! what a large transfer holds in flight at once.
+//!
 //! Print the `allocs/event` figures with
 //! `cargo test -p ddio-bench --release --test alloc_counts -- --nocapture`.
 
@@ -17,7 +20,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use ddio_core::cache::{
     BlockCache, CacheConfig, FillReason, Lookup, PrefetchPolicy, Prefetcher, ReplacementPolicy,
 };
-use ddio_core::{AdmissionQueue, LatencyHistogram, QosPolicy};
+use ddio_core::{
+    run_transfer, AccessPattern, AdmissionQueue, LatencyHistogram, MachineConfig, Method, QosPolicy,
+};
 use ddio_disk::{DiskQueue, DiskRequest, Geometry, SchedPolicy};
 use ddio_net::{ContentionModel, Delivery, NetConfig, Network, NetworkParams};
 use ddio_sim::sync::{CountdownEvent, Receiver, Resource};
@@ -25,28 +30,49 @@ use ddio_sim::{Sim, SimDuration};
 use std::cell::RefCell;
 use std::rc::Rc;
 
-/// Counts every allocation and reallocation; frees are not interesting here.
+/// Counts every allocation and reallocation, and tracks the bytes live and
+/// their peak.
 struct CountingAlloc;
 
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
+static LIVE: AtomicU64 = AtomicU64::new(0);
+static PEAK: AtomicU64 = AtomicU64::new(0);
+
+/// Adds `grown` live bytes and raises the peak to match.
+fn grow(grown: usize) {
+    let live = LIVE.fetch_add(grown as u64, Ordering::Relaxed) + grown as u64;
+    PEAK.fetch_max(live, Ordering::Relaxed);
+}
+
+fn shrink(shrunk: usize) {
+    LIVE.fetch_sub(shrunk as u64, Ordering::Relaxed);
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCS.fetch_add(1, Ordering::Relaxed);
+        grow(layout.size());
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        shrink(layout.size());
         unsafe { System.dealloc(ptr, layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         ALLOCS.fetch_add(1, Ordering::Relaxed);
+        if new_size >= layout.size() {
+            grow(new_size - layout.size());
+        } else {
+            shrink(layout.size() - new_size);
+        }
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
         ALLOCS.fetch_add(1, Ordering::Relaxed);
+        grow(layout.size());
         unsafe { System.alloc_zeroed(layout) }
     }
 }
@@ -56,6 +82,27 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 
 fn allocs() -> u64 {
     ALLOCS.load(Ordering::Relaxed)
+}
+
+/// In-flight state: one traditional-caching `rb` transfer of a 16 MiB file
+/// on 256 CPs, IOPs and disks at seed 1994, where every CP keeps one
+/// request per disk outstanding (§4), so tens of thousands of request
+/// tasks are alive at once. Returns the peak heap bytes the transfer held
+/// beyond what was live when it started.
+fn in_flight_bytes() -> u64 {
+    let config = MachineConfig {
+        n_cps: 256,
+        n_iops: 256,
+        n_disks: 256,
+        file_bytes: 16 << 20,
+        ..MachineConfig::default()
+    };
+    let rb = AccessPattern::parse("rb").expect("a paper pattern");
+    let before = LIVE.load(Ordering::Relaxed);
+    PEAK.store(before, Ordering::Relaxed);
+    let outcome = run_transfer(&config, Method::TC, rb, 8192, 1994);
+    assert!(outcome.throughput_mibs > 0.0, "the transfer completed");
+    PEAK.load(Ordering::Relaxed) - before
 }
 
 /// Executor storm: tasks ping-ponging through timers — the pure event loop
@@ -419,6 +466,9 @@ fn steady_state_allocations_per_event_stay_bounded() {
     let serve_ops = serve_storm(&mut queues, &mut latency, &mut queue_wait);
     let serve_rate = (allocs() - before) as f64 / serve_ops as f64;
 
+    // --- In-flight state of a large traditional-caching transfer ---
+    let in_flight = in_flight_bytes();
+
     println!("alloc_counts: executor_storm {exec_rate:.4} allocs/event");
     println!("alloc_counts: latch_wait {latch_rate:.4} allocs/wait");
     println!("alloc_counts: timer_depth {timer_rate:.4} allocs/timer");
@@ -433,6 +483,7 @@ fn steady_state_allocations_per_event_stay_bounded() {
     println!("alloc_counts: fabric_storm {fabric_per_msg:.4} allocs/message");
     println!("alloc_counts: fabric_storm_link {link_per_msg:.4} allocs/message");
     println!("alloc_counts: serve_storm {serve_rate:.4} allocs/op");
+    println!("alloc_counts: in_flight_bytes {in_flight} bytes peak");
 
     // Steady-state bounds. The executor storm re-boxes each spawned future
     // (64 spawns per ~18k events); the contended resource pays nothing
@@ -497,6 +548,16 @@ fn steady_state_allocations_per_event_stay_bounded() {
         link_per_msg <= fabric_per_msg,
         "link-model fabric storm allocates {link_per_msg:.4}/message, more than \
          NI-only's {fabric_per_msg:.4} — routing a message must not allocate"
+    );
+    // A request task used to reserve room for every branch it might take
+    // (a queue wait and a guard beside the hold, the outage waits, fault
+    // recovery and redundant copies), and the transfer peaked at 5,458,136
+    // bytes; holding only what a healthy request needs must keep it under
+    // three quarters of that.
+    assert!(
+        in_flight <= 5_458_136 * 3 / 4,
+        "a 256-node TC rb transfer peaks at {in_flight} bytes in flight — \
+         in-flight tasks grew back"
     );
     assert!(
         serve_rate == 0.0,

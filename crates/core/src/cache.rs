@@ -675,8 +675,7 @@ impl BlockCache {
     }
 
     /// Blocks that still hold unwritten (dirty) data, with their written byte
-    /// counts, in block order. Used by the end-of-transfer sync and the
-    /// watermark sweep.
+    /// counts, in block order. Used by the end-of-transfer sync.
     pub fn dirty_blocks(&self) -> Vec<(u64, u64)> {
         let mut v: Vec<(u64, u64)> = self
             .slots
@@ -686,6 +685,17 @@ impl BlockCache {
             .collect();
         v.sort_unstable();
         v
+    }
+
+    /// The lowest-numbered block that still holds dirty data, with its
+    /// written byte count: the first of [`BlockCache::dirty_blocks`],
+    /// without building the list.
+    pub fn lowest_dirty(&self) -> Option<(u64, u64)> {
+        self.slots
+            .iter()
+            .filter(|s| s.occupied && s.dirty)
+            .map(|s| (s.block, s.written_bytes))
+            .min()
     }
 
     /// Evicts the replacement policy's victim among the unpinned, non-filling

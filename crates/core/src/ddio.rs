@@ -68,7 +68,7 @@ impl IopServer {
     /// Processes one block of a collective read: disk, bus, then Memputs to
     /// the owning CPs.
     async fn read_block(&self, block: u64) {
-        let costs = self.run.config.costs;
+        let costs = &self.run.config.costs;
         self.parts.cpu.use_for(costs.ddio_block_cpu).await;
         self.run.read_block(&self.parts, block).await;
 
@@ -92,7 +92,7 @@ impl IopServer {
     /// Processes one block of a collective write: concurrent Memgets, then
     /// bus and disk.
     async fn write_block(&self, block: u64) {
-        let costs = self.run.config.costs;
+        let costs = &self.run.config.costs;
         self.parts.cpu.use_for(costs.ddio_block_cpu).await;
 
         let (bstart, bend) = self.run.layout.block_byte_range(block);
@@ -134,7 +134,7 @@ impl IopServer {
         sched: SchedPolicy,
         done: CountdownEvent,
     ) {
-        let costs = self.run.config.costs;
+        let costs = &self.run.config.costs;
         self.parts.cpu.use_for(costs.collective_setup_cpu).await;
 
         // Counts the running buffer tasks; each signals as its last step.
@@ -190,7 +190,7 @@ impl CpClient {
     /// The CP's inbox dispatcher: absorbs Memputs and answers Memgets with
     /// the data, whose landing opens the Memget's latch.
     async fn dispatch(self: Rc<Self>, inbox: Receiver<CpMessage>) {
-        let costs = self.run.config.costs;
+        let costs = &self.run.config.costs;
         while let Some(msg) = inbox.recv().await {
             self.parts.cpu.use_for(costs.cp_mem_msg_cpu).await;
             match msg {
@@ -275,7 +275,7 @@ pub(crate) fn spawn_transfer(
             if last {
                 // Any one CP (the last to arrive) multicasts the collective
                 // request to all IOPs.
-                let costs = run2.config.costs;
+                let costs = &run2.config.costs;
                 let iops_done = CountdownEvent::new(n_iops as u64);
                 for (iop, server) in servers.iter().enumerate() {
                     client.parts.cpu.use_for(costs.cp_request_cpu).await;

@@ -137,13 +137,18 @@ impl RunContext {
     /// Reads `block` into a buffer of `iop`, the IOP owning its primary
     /// copy: the drive, then reconstruction if the drive failed, then the
     /// IOP's SCSI bus. Returns the block's valid bytes.
+    ///
+    /// Here and in [`RunContext::write_block`] the fault and redundancy
+    /// branches are boxed where they are taken, so an in-flight block I/O
+    /// does not carry room for their (much larger) state; a healthy run
+    /// without redundancy never takes them.
     pub async fn read_block(&self, iop: &IopParts, block: u64) -> u64 {
         let bytes = self.block_bytes(block);
         if !self
             .drive_io(AccessKind::Read, self.layout.location(block), bytes)
             .await
         {
-            self.recover_block_read(block, bytes, iop.node).await;
+            Box::pin(self.recover_block_read(block, bytes, iop.node)).await;
         }
         iop.bus.transfer(bytes).await;
         bytes
@@ -154,13 +159,13 @@ impl RunContext {
     /// the redundant location (the drive failed) or the redundant copy.
     pub async fn write_block(&self, iop: &IopParts, block: u64, bytes: u64) {
         iop.bus.transfer(bytes).await;
-        if self
+        if !self
             .drive_io(AccessKind::Write, self.layout.location(block), bytes)
             .await
         {
-            self.redundant_write(block, iop.node, bytes).await;
-        } else {
-            self.redirect_failed_write(block, iop.node, bytes).await;
+            Box::pin(self.redirect_failed_write(block, iop.node, bytes)).await;
+        } else if self.layout.redundancy() != RedundancyPolicy::None {
+            Box::pin(self.redundant_write(block, iop.node, bytes)).await;
         }
     }
 
@@ -219,17 +224,13 @@ impl RunContext {
 
     /// Updates `block`'s redundant copy (mirror or parity) after a
     /// successful primary write — the steady-state cost of running
-    /// redundancy. A no-op under `RedundancyPolicy::None`; a copy whose
-    /// disk has died is skipped (the primary survives).
+    /// redundancy. A copy whose disk has died is skipped (the primary
+    /// survives).
     async fn redundant_write(&self, block: u64, requester_node: usize, bytes: u64) {
-        if self.layout.redundancy() == RedundancyPolicy::None {
-            return;
-        }
-        let f = &self.fault;
         let Some(loc) = self.layout.redundant_location(block) else {
             return;
         };
-        if f.schedule.is_dead(loc.disk, self.ctx.now()) {
+        if self.fault.schedule.is_dead(loc.disk, self.ctx.now()) {
             return;
         }
         self.write_copy(loc, requester_node, bytes).await;

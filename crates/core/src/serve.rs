@@ -646,7 +646,7 @@ impl ServeClient {
     /// Issues one admitted request to the IOP owning its block and records
     /// its completion when the data comes back.
     async fn drive(self: Rc<Self>, spec: ServeRequestSpec, setup: bool) {
-        let costs = self.run.config.costs;
+        let costs = &self.run.config.costs;
         self.parts.cpu.use_for(costs.cp_request_cpu).await;
         let disk = self.run.layout.disk_of_block(spec.block);
         let iop = self.run.config.iop_of_disk(disk);
@@ -687,7 +687,7 @@ impl ServeServer {
     /// Serves one request: CPU costs per the method, the disk read, the SCSI
     /// bus, and the data-carrying reply, whose landing opens `done`.
     async fn handle(self: Rc<Self>, cp: usize, block: u64, setup: bool, done: CountdownEvent) {
-        let costs = self.run.config.costs;
+        let costs = &self.run.config.costs;
         if self.ddio {
             // Disk-directed: the first request of a batch's per-IOP group
             // pays the collective setup; every request pays the block-task

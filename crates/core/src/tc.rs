@@ -115,7 +115,7 @@ impl IopServer {
     /// Ensures `block` is resident (waiting on a fill in progress, or
     /// filling it for `reason`), leaving it pinned.
     async fn ensure_block(&self, block: u64, reason: FillReason) {
-        let costs = self.run.config.costs;
+        let costs = &self.run.config.costs;
         self.parts.cpu.use_for(costs.iop_cache_cpu).await;
         let lookup = self.cache.borrow_mut().lookup(block);
         match lookup {
@@ -143,7 +143,7 @@ impl IopServer {
             let server = Rc::clone(self);
             self.background.add(1);
             self.run.ctx.spawn(async move {
-                let costs = server.run.config.costs;
+                let costs = &server.run.config.costs;
                 server.parts.cpu.use_for(costs.iop_cache_cpu).await;
                 // Re-check: another request may have brought the block in
                 // while we were charged for the cache access.
@@ -168,12 +168,9 @@ impl IopServer {
         self.background.add(1);
         self.run.ctx.spawn(async move {
             let low = WritePolicy::low_watermark(server.cache.borrow().capacity());
-            loop {
-                let dirty = server.cache.borrow().dirty_blocks();
-                if dirty.len() <= low {
-                    break;
-                }
-                let (block, written) = dirty[0];
+            while server.cache.borrow().dirty_count() > low {
+                let lowest = server.cache.borrow().lowest_dirty();
+                let (block, written) = lowest.expect("a dirty count above zero");
                 server.flush_block(block, written.max(1)).await;
                 // Subtract only the snapshot that was flushed: bytes written
                 // into the block while the flush was in flight stay dirty
@@ -197,7 +194,7 @@ impl IopServer {
         let SubRequest {
             block, offset, len, ..
         } = sub;
-        let costs = self.run.config.costs;
+        let costs = &self.run.config.costs;
         self.parts.cpu.use_for(costs.iop_dispatch_cpu).await;
         match op {
             AccessKind::Read => {
@@ -296,7 +293,7 @@ struct CpClient {
 impl CpClient {
     /// Sends one sub-request to the owning IOP and waits for the reply.
     async fn do_request(self: Rc<Self>, sub: SubRequest, op: AccessKind) {
-        let costs = self.run.config.costs;
+        let costs = &self.run.config.costs;
         self.parts.cpu.use_for(costs.cp_request_cpu).await;
         let disk = self.run.layout.disk_of_block(sub.block);
         let iop = self.run.config.iop_of_disk(disk);
@@ -392,35 +389,42 @@ pub(crate) fn spawn_transfer(
         let issued = issued.clone();
         let finished = finished.clone();
         let worker_ctx = ctx.clone();
-        let n_disks = config.n_disks;
         let n_iops = config.n_iops;
         sim.spawn(async move {
-            let subs = split_chunks(&run2, client.parts.cp);
+            let mut subs = split_chunks(&run2, client.parts.cp);
             // "The CP sent concurrent requests to all the relevant IOPs, with
             // up to one outstanding request per disk per CP" (§4): requests
-            // are grouped by disk, each disk's stream proceeds one request at
-            // a time, and all streams run concurrently.
-            let mut per_disk: Vec<Vec<SubRequest>> = vec![Vec::new(); n_disks];
-            for sub in subs {
-                per_disk[run2.layout.disk_of_block(sub.block)].push(sub);
-            }
+            // are grouped by disk in ascending disk order (a stable sort
+            // keeps each disk's requests in request order), each disk's
+            // stream proceeds one request at a time, and all streams run
+            // concurrently.
+            let layout = &run2.layout;
             if sched == SchedPolicy::Presort {
                 // The baseline's presort: each disk stream is issued in
                 // physical-location order instead of request order.
-                for stream in &mut per_disk {
-                    stream.sort_by_key(|sub| run2.layout.location(sub.block).start_sector);
-                }
+                subs.sort_by_key(|sub| {
+                    let loc = layout.location(sub.block);
+                    (loc.disk, loc.start_sector)
+                });
+            } else {
+                subs.sort_by_key(|sub| layout.disk_of_block(sub.block));
             }
+            let subs = Rc::new(subs);
             let inflight = CountdownEvent::new(0);
-            for stream in per_disk {
-                if stream.is_empty() {
-                    continue;
-                }
+            let mut start = 0;
+            while start < subs.len() {
+                let disk = layout.disk_of_block(subs[start].block);
+                let len = subs[start..]
+                    .iter()
+                    .take_while(|sub| layout.disk_of_block(sub.block) == disk)
+                    .count();
+                let stream = start..start + len;
+                start = stream.end;
                 inflight.add(1);
-                let client = Rc::clone(&client);
+                let (client, subs) = (Rc::clone(&client), Rc::clone(&subs));
                 let inflight2 = inflight.clone();
                 worker_ctx.spawn(async move {
-                    for sub in stream {
+                    for &sub in &subs[stream] {
                         Rc::clone(&client).do_request(sub, op).await;
                     }
                     inflight2.signal();
@@ -436,7 +440,7 @@ pub(crate) fn spawn_transfer(
             let last = issued.remaining() == 0;
             issued.wait().await;
             if last {
-                let costs = run2.config.costs;
+                let costs = &run2.config.costs;
                 let synced = CountdownEvent::new(n_iops as u64);
                 for (iop, server) in client.servers.iter().enumerate() {
                     client

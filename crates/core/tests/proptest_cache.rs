@@ -15,7 +15,9 @@
 //!   algorithms verbatim (stamp ranking for LRU/MRU, ring + referenced-set
 //!   for clock), asserting the slab/`HashMap`/one-list cache is
 //!   *behavior-identical*: same hits, same victims, same overflows, same
-//!   dirty set — the bit-identical-goldens argument in executable form.
+//!   dirty set (and so the same lowest dirty block and dirty count the
+//!   watermark sweep reads) — the bit-identical-goldens argument in
+//!   executable form.
 
 use std::collections::{HashMap, HashSet};
 
@@ -418,11 +420,14 @@ fn run_equivalence(policy: ReplacementPolicy, capacity: usize, script: &[(u8, u6
         }
 
         assert_eq!(cache.len(), reference.entries.len(), "len diverged");
+        let dirty = reference.dirty_blocks();
+        assert_eq!(cache.dirty_blocks(), dirty, "dirty set diverged");
         assert_eq!(
-            cache.dirty_blocks(),
-            reference.dirty_blocks(),
-            "dirty set diverged"
+            cache.lowest_dirty(),
+            dirty.first().copied(),
+            "lowest dirty block diverged"
         );
+        assert_eq!(cache.dirty_count(), dirty.len(), "dirty count diverged");
     }
 
     let s = cache.stats();

@@ -100,6 +100,93 @@ struct Shared<M> {
     bytes: Counter,
 }
 
+/// The per-message path: what a send or a post pays, in order.
+impl<M> Shared<M> {
+    /// How long `node` must wait out an outage window covering it at the
+    /// current time; `None` when it need not wait. The healthy path (no
+    /// outages installed) is one flag check, not even a `RefCell` borrow.
+    fn outage_wait(&self, node: NodeId) -> Option<SimDuration> {
+        if !self.have_outages.get() {
+            return None;
+        }
+        let now = self.ctx.now();
+        self.outages
+            .borrow()
+            .iter()
+            .find(|o| o.node == node && now >= o.from && now < o.until)
+            .map(|o| o.until - now)
+    }
+
+    /// Occupies the sending NI while the message streams onto the link.
+    async fn inject(&self, from: NodeId, to: NodeId, bytes: u64) {
+        assert!(from < self.endpoints.len(), "sender {from} out of range");
+        assert!(to < self.endpoints.len(), "destination {to} out of range");
+        if let Some(delay) = self.outage_wait(from) {
+            self.ctx.sleep(delay).await;
+        }
+        self.endpoints[from]
+            .send_nic
+            .use_for(self.params.send_occupancy(bytes))
+            .await;
+    }
+
+    /// Crosses the fabric per the contention model, occupies the receiving
+    /// NI while the message is deposited in memory, and counts the landed
+    /// message.
+    async fn land(&self, from: NodeId, to: NodeId, bytes: u64) {
+        match self.config.contention {
+            // Pure head-flit latency.
+            ContentionModel::NiOnly => {
+                let hops = self.topology.hops(from, to);
+                self.ctx.sleep(self.params.wire_latency(hops)).await;
+            }
+            ContentionModel::Link => {
+                // The head flit pays one router latency per hop; the body
+                // then occupies each link of the minimal route for the
+                // message's serialization time, so overlapping routes
+                // serialize on their shared links.
+                let occupancy = self.params.link_occupancy(bytes);
+                let mut at = from;
+                while at != to {
+                    let next = self.topology.next_hop(at, to);
+                    self.ctx.sleep(self.params.router_latency).await;
+                    let resource = self.link_resource((at, next));
+                    resource.use_for(occupancy).await;
+                    at = next;
+                }
+            }
+        }
+        if let Some(delay) = self.outage_wait(to) {
+            self.ctx.sleep(delay).await;
+        }
+        self.endpoints[to]
+            .recv_nic
+            .use_for(self.params.recv_occupancy(bytes))
+            .await;
+        self.messages.incr();
+        self.bytes.add(bytes);
+    }
+
+    /// The serializing resource of one directed link, created on first use
+    /// in the pre-sized table.
+    fn link_resource(&self, link: Link) -> Resource {
+        let idx = link.0 * self.topology.size() + link.1;
+        self.links.borrow_mut()[idx]
+            .get_or_insert_with(|| {
+                Resource::new(
+                    self.ctx.clone(),
+                    ResourceName::Pair {
+                        prefix: "link",
+                        a: link.0,
+                        sep: "-",
+                        b: link.1,
+                    },
+                )
+            })
+            .clone()
+    }
+}
+
 /// The interconnection network connecting `n` nodes.
 ///
 /// Cloning is cheap; all clones refer to the same fabric.
@@ -209,26 +296,6 @@ impl<M: 'static> Network<M> {
         *self.shared.outages.borrow_mut() = outages;
     }
 
-    /// Waits out any outage window covering `node` at the current time.
-    /// The healthy path (no outages installed, or none covering `node` now)
-    /// performs no await at all — not even a `RefCell` borrow.
-    async fn wait_out_outage(&self, node: NodeId) {
-        if !self.shared.have_outages.get() {
-            return;
-        }
-        let wait = {
-            let outages = self.shared.outages.borrow();
-            let now = self.shared.ctx.now();
-            outages
-                .iter()
-                .find(|o| o.node == node && now >= o.from && now < o.until)
-                .map(|o| o.until - now)
-        };
-        if let Some(delay) = wait {
-            self.shared.ctx.sleep(delay).await;
-        }
-    }
-
     /// Sends a message and returns once it has landed at `to` (sender NI
     /// serialization, fabric traversal, receiver NI deposit). The caller's
     /// next statement is the landing: whatever the message starts or
@@ -238,8 +305,8 @@ impl<M: 'static> Network<M> {
     ///
     /// Panics if either node id is out of range.
     pub async fn send(&self, from: NodeId, to: NodeId, bytes: u64) {
-        self.inject(from, to, bytes).await;
-        self.land(from, to, bytes).await;
+        self.shared.inject(from, to, bytes).await;
+        self.shared.land(from, to, bytes).await;
     }
 
     /// Sends a message without waiting for it to land: the caller resumes
@@ -254,10 +321,10 @@ impl<M: 'static> Network<M> {
     ///
     /// Panics if either node id is out of range.
     pub async fn post(&self, from: NodeId, to: NodeId, bytes: u64, delivery: Delivery<M>) {
-        self.inject(from, to, bytes).await;
+        self.shared.inject(from, to, bytes).await;
         let net = self.clone();
         self.shared.ctx.spawn(async move {
-            net.land(from, to, bytes).await;
+            net.shared.land(from, to, bytes).await;
             match delivery {
                 // Inboxes are unbounded; failure means the receiving node was
                 // torn down while traffic was still in flight, which is a
@@ -273,80 +340,6 @@ impl<M: 'static> Network<M> {
                 Delivery::Open(done) => done.signal(),
             }
         });
-    }
-
-    /// Occupies the sending NI while the message streams onto the link.
-    async fn inject(&self, from: NodeId, to: NodeId, bytes: u64) {
-        let s = &self.shared;
-        assert!(from < s.endpoints.len(), "sender {from} out of range");
-        assert!(to < s.endpoints.len(), "destination {to} out of range");
-        self.wait_out_outage(from).await;
-        s.endpoints[from]
-            .send_nic
-            .use_for(s.params.send_occupancy(bytes))
-            .await;
-    }
-
-    /// Crosses the fabric, occupies the receiving NI while the message is
-    /// deposited in memory, and counts the landed message.
-    async fn land(&self, from: NodeId, to: NodeId, bytes: u64) {
-        let s = &self.shared;
-        self.traverse(from, to, bytes).await;
-        self.wait_out_outage(to).await;
-        s.endpoints[to]
-            .recv_nic
-            .use_for(s.params.recv_occupancy(bytes))
-            .await;
-        s.messages.incr();
-        s.bytes.add(bytes);
-    }
-
-    /// Crosses the fabric from `from` to `to` per the contention model:
-    /// pure head-flit latency under `ni-only`, per-link serialization under
-    /// `link`.
-    async fn traverse(&self, from: NodeId, to: NodeId, bytes: u64) {
-        let s = &self.shared;
-        match s.config.contention {
-            ContentionModel::NiOnly => {
-                let hops = s.topology.hops(from, to);
-                s.ctx.sleep(s.params.wire_latency(hops)).await;
-            }
-            ContentionModel::Link => {
-                // The head flit pays one router latency per hop; the body
-                // then occupies each link of the minimal route for the
-                // message's serialization time, so overlapping routes
-                // serialize on their shared links.
-                let occupancy = s.params.link_occupancy(bytes);
-                let mut at = from;
-                while at != to {
-                    let next = s.topology.next_hop(at, to);
-                    s.ctx.sleep(s.params.router_latency).await;
-                    let resource = self.link_resource((at, next));
-                    resource.use_for(occupancy).await;
-                    at = next;
-                }
-            }
-        }
-    }
-
-    /// The serializing resource of one directed link, created on first use
-    /// in the pre-sized table.
-    fn link_resource(&self, link: Link) -> Resource {
-        let s = &self.shared;
-        let idx = link.0 * s.topology.size() + link.1;
-        s.links.borrow_mut()[idx]
-            .get_or_insert_with(|| {
-                Resource::new(
-                    s.ctx.clone(),
-                    ResourceName::Pair {
-                        prefix: "link",
-                        a: link.0,
-                        sep: "-",
-                        b: link.1,
-                    },
-                )
-            })
-            .clone()
     }
 
     /// Utilization of a node's receiving NI over its active window.
@@ -628,6 +621,17 @@ mod tests {
             (end, sim.events_processed())
         };
         assert_eq!(run(false), run(true));
+    }
+
+    #[test]
+    fn send_future_stays_small() {
+        let net = build(&Sim::new(), 2);
+        let send = net.send(0, 1, 8);
+        assert!(
+            std::mem::size_of_val(&send) <= 208,
+            "send future is {} bytes",
+            std::mem::size_of_val(&send)
+        );
     }
 
     #[test]

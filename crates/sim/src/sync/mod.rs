@@ -13,4 +13,4 @@ mod resource;
 
 pub use channel::{oneshot, unbounded, Receiver, Sender};
 pub use event::CountdownEvent;
-pub use resource::{Resource, ResourceName};
+pub use resource::{Resource, ResourceName, UseFor};

@@ -127,8 +127,25 @@ struct State {
 }
 
 impl State {
+    /// Grants the server to a user that asked for it at `requested`.
+    fn grant(&mut self, requested: SimTime, now: SimTime) {
+        self.acquisitions += 1;
+        self.queue_wait += now - requested;
+        self.first_use.get_or_insert(now);
+    }
+
+    /// Ends a hold that began at `acquired_at`: records its busy time, then
+    /// frees the server or hands it to the head of the queue.
+    fn release(&mut self, acquired_at: SimTime, now: SimTime) {
+        self.busy_time += now - acquired_at;
+        if now > self.last_release {
+            self.last_release = now;
+        }
+        self.pass_on();
+    }
+
     /// Frees the server, or hands it to the head of the queue.
-    fn release(&mut self) {
+    fn pass_on(&mut self) {
         match self.queue.pop_front() {
             Some((ticket, waiter)) => {
                 self.handed_to = Some(ticket);
@@ -157,31 +174,14 @@ impl Resource {
         self.inner.name
     }
 
-    /// Waits for the server; the guard releases it on drop.
-    async fn acquire(&self) -> ResourceGuard<'_> {
-        let inner = &*self.inner;
-        let requested = inner.ctx.now();
-        ServerWait {
-            inner,
-            ticket: None,
-        }
-        .await;
-        let granted = inner.ctx.now();
-        let mut st = inner.state.borrow_mut();
-        st.acquisitions += 1;
-        st.queue_wait += granted - requested;
-        st.first_use.get_or_insert(granted);
-        ResourceGuard {
-            inner,
-            acquired_at: granted,
-        }
-    }
-
     /// Acquires the resource, holds it for `duration` of simulated time, and
     /// releases it. This is the common "transfer n bytes over the bus" call.
-    pub async fn use_for(&self, duration: SimDuration) {
-        let _guard = self.acquire().await;
-        self.inner.ctx.sleep(duration).await;
+    pub fn use_for(&self, duration: SimDuration) -> UseFor<'_> {
+        UseFor {
+            inner: &self.inner,
+            duration,
+            hold: Hold::Start,
+        }
     }
 
     /// Number of completed or in-progress acquisitions.
@@ -214,82 +214,110 @@ impl Resource {
     }
 }
 
-/// Future of one user waiting for the server.
-struct ServerWait<'a> {
+/// Future returned by [`Resource::use_for`]: queues for the server, holds it
+/// for the duration, and releases it, as one state machine.
+///
+/// Dropping it part-way never strands the server: a queued user leaves the
+/// queue, a user the server was already handed to passes it on, and a
+/// holder releases it (recording the time it held).
+pub struct UseFor<'a> {
     inner: &'a ResourceInner,
-    /// The ticket this user queued under; `None` before queueing and once
-    /// served.
-    ticket: Option<u64>,
+    duration: SimDuration,
+    hold: Hold,
 }
 
-impl Future for ServerWait<'_> {
+/// Where one [`UseFor`] stands.
+enum Hold {
+    /// Holds nothing: not polled yet, or finished.
+    Start,
+    /// Waiting in the queue under `ticket` since `requested`.
+    Queued { ticket: u64, requested: SimTime },
+    /// Holding the server since `acquired_at`, with the timer that ends the
+    /// hold set by the poll that granted it.
+    Holding { acquired_at: SimTime },
+}
+
+impl Future for UseFor<'_> {
     type Output = ();
 
     fn poll(mut self: Pin<&mut Self>, _cx: &mut Context<'_>) -> Poll<()> {
-        let mut st = self.inner.state.borrow_mut();
-        let Some(ticket) = self.ticket else {
-            if !st.busy {
+        let this = &mut *self;
+        let inner = this.inner;
+        // When the hold began, and whether an earlier poll set its timer.
+        let (acquired_at, mut registered) = match this.hold {
+            Hold::Start => {
+                let now = inner.ctx.now();
+                let mut st = inner.state.borrow_mut();
+                if st.busy {
+                    let ticket = st.next_ticket;
+                    st.next_ticket += 1;
+                    st.queue.push_back((ticket, TaskRef::capture()));
+                    this.hold = Hold::Queued {
+                        ticket,
+                        requested: now,
+                    };
+                    return Poll::Pending;
+                }
                 st.busy = true;
-                return Poll::Ready(());
+                st.grant(now, now);
+                (now, false)
             }
-            let ticket = st.next_ticket;
-            st.next_ticket += 1;
-            st.queue.push_back((ticket, TaskRef::capture()));
-            drop(st);
-            self.ticket = Some(ticket);
+            Hold::Queued { ticket, requested } => {
+                let mut st = inner.state.borrow_mut();
+                // Polled again while still queued: the queued `TaskRef`
+                // already names this task.
+                if st.handed_to != Some(ticket) {
+                    return Poll::Pending;
+                }
+                st.handed_to = None;
+                let now = inner.ctx.now();
+                st.grant(requested, now);
+                (now, false)
+            }
+            Hold::Holding { acquired_at } => (acquired_at, true),
+        };
+        this.hold = Hold::Holding { acquired_at };
+        if inner
+            .ctx
+            .poll_sleep(acquired_at + this.duration, &mut registered)
+            .is_pending()
+        {
             return Poll::Pending;
-        };
-        if st.handed_to == Some(ticket) {
-            st.handed_to = None;
-            drop(st);
-            self.ticket = None;
-            return Poll::Ready(());
         }
-        // Polled again while still queued: the queued `TaskRef` already
-        // names this task.
-        Poll::Pending
+        this.hold = Hold::Start;
+        inner
+            .state
+            .borrow_mut()
+            .release(acquired_at, inner.ctx.now());
+        Poll::Ready(())
     }
 }
 
-impl Drop for ServerWait<'_> {
-    /// A dropped waiter never takes the server: if the server was already
-    /// handed to it, it passes on; otherwise the waiter leaves the queue.
+impl Drop for UseFor<'_> {
     fn drop(&mut self) {
-        let Some(ticket) = self.ticket else {
-            return;
-        };
-        let mut st = self.inner.state.borrow_mut();
-        if st.handed_to == Some(ticket) {
-            st.handed_to = None;
-            st.release();
-        } else if let Some(pos) = st.queue.iter().position(|(t, _)| *t == ticket) {
-            st.queue.remove(pos);
+        let inner = self.inner;
+        match self.hold {
+            Hold::Start => {}
+            Hold::Queued { ticket, .. } => {
+                let mut st = inner.state.borrow_mut();
+                if st.handed_to == Some(ticket) {
+                    st.handed_to = None;
+                    st.pass_on();
+                } else if let Some(pos) = st.queue.iter().position(|(t, _)| *t == ticket) {
+                    st.queue.remove(pos);
+                }
+            }
+            Hold::Holding { acquired_at } => inner
+                .state
+                .borrow_mut()
+                .release(acquired_at, inner.ctx.now()),
         }
-    }
-}
-
-/// Holds the server of a [`Resource`]; dropping it releases the server.
-struct ResourceGuard<'a> {
-    inner: &'a ResourceInner,
-    acquired_at: SimTime,
-}
-
-impl Drop for ResourceGuard<'_> {
-    fn drop(&mut self) {
-        let now = self.inner.ctx.now();
-        let mut st = self.inner.state.borrow_mut();
-        st.busy_time += now - self.acquired_at;
-        if now > st.last_release {
-            st.last_release = now;
-        }
-        st.release();
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sync::CountdownEvent;
     use crate::Sim;
     use std::cell::Cell;
 
@@ -360,7 +388,8 @@ mod tests {
         let held_at = Rc::new(Cell::new(u64::MAX));
         let held_at2 = Rc::clone(&held_at);
         sim.spawn(async move {
-            let _guard = r2.acquire().await;
+            // A zero-length use is served and released in its first poll.
+            r2.use_for(SimDuration::ZERO).await;
             held_at2.set(ctx.now().as_nanos());
         });
         sim.run();
@@ -390,7 +419,7 @@ mod tests {
                 // Stagger arrival so queue order is well-defined, and
                 // against spawn order so only arrival decides.
                 ctx.sleep(SimDuration::from_nanos(4 - i as u64)).await;
-                let _guard = r.acquire().await;
+                r.use_for(SimDuration::from_micros(1)).await;
                 order.borrow_mut().push(i);
             });
         }
@@ -412,9 +441,9 @@ mod tests {
             let order = Rc::clone(&order);
             sim.spawn(async move {
                 ctx.sleep(SimDuration::from_nanos(arrive_ns)).await;
-                let _guard = r.acquire().await;
-                order.borrow_mut().push((name, ctx.now().as_nanos()));
-                ctx.sleep(SimDuration::from_nanos(10)).await;
+                r.use_for(SimDuration::from_nanos(10)).await;
+                // Each user held the server for the 10 ns just ended.
+                order.borrow_mut().push((name, ctx.now().as_nanos() - 10));
             });
         }
         sim.run();
@@ -429,14 +458,11 @@ mod tests {
         let mut sim = Sim::new();
         let ctx = sim.context();
         let r = Resource::new(ctx.clone(), "cancel");
-        let never = CountdownEvent::new(1);
         {
-            // The holder parks forever while holding the server.
+            // The holder is still holding the server when the run unwinds.
             let r = r.clone();
-            let never = never.clone();
             sim.spawn(async move {
-                let _guard = r.acquire().await;
-                never.wait().await;
+                r.use_for(SimDuration::from_millis(10)).await;
             });
         }
         let served = Rc::new(Cell::new(false));
@@ -448,8 +474,19 @@ mod tests {
                 served.set(true);
             });
         }
-        sim.run();
-        assert_eq!(sim.live_tasks(), 2, "holder and queued acquirer parked");
+        // A run that unwinds at time zero, the way a harness that catches a
+        // panicking transfer leaves its `Sim`: the holder and the queued
+        // user stay parked.
+        sim.spawn(async move {
+            panic!("transfer failed");
+        });
+        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| sim.run()));
+        assert!(unwound.is_err());
+        assert_eq!(
+            sim.live_tasks(),
+            3,
+            "holder and queued acquirer parked, beside the task that unwound"
+        );
         sim.reset();
         assert!(!served.get(), "a dropped acquirer never takes the server");
         // A new user is served at once.
@@ -459,5 +496,17 @@ mod tests {
         });
         assert_eq!(sim.run().as_nanos(), 5_000_000);
         assert_eq!(r.total_queue_wait(), SimDuration::ZERO);
+    }
+
+    #[test]
+    fn use_for_future_stays_small() {
+        let sim = Sim::new();
+        let r = Resource::new(sim.context(), "small");
+        let use_for = r.use_for(SimDuration::from_nanos(1));
+        assert!(
+            std::mem::size_of_val(&use_for) <= 48,
+            "use_for future is {} bytes",
+            std::mem::size_of_val(&use_for)
+        );
     }
 }
