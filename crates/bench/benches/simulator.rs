@@ -51,7 +51,7 @@ fn bench_channel_pipeline(c: &mut Criterion) {
     });
 }
 
-/// Contention on one resource: measures the FIFO queue and its hand-off.
+/// Contention on one resource: 200 users booking one server in turn.
 fn bench_resource_contention(c: &mut Criterion) {
     c.bench_function("simulator/resource_contention", |b| {
         b.iter(|| {

@@ -178,7 +178,7 @@ fn timer_depth(sim: &mut Sim, before: &mut u64) -> u64 {
     TASKS * ROUNDS
 }
 
-/// Resource storm: 64 tasks queueing for one server — the bus, NI and CPU
+/// Resource storm: 64 tasks booking one server — the bus, NI and CPU
 /// path. Returns the number of tasks spawned.
 fn resource_storm(sim: &mut Sim, bus: &Resource) -> u64 {
     const TASKS: u64 = 64;
@@ -382,7 +382,7 @@ fn steady_state_allocations_per_event_stay_bounded() {
     // --- Contended resource ---
     let mut sim = Sim::new();
     let bus = Resource::new(sim.context(), "bus");
-    resource_storm(&mut sim, &bus); // warm-up: slab + waiter queue growth
+    resource_storm(&mut sim, &bus); // warm-up: slab growth
     sim.reset(); // outside the count: the reset pays one drop list
     let before = allocs();
     let spawned = resource_storm(&mut sim, &bus);
@@ -487,7 +487,7 @@ fn steady_state_allocations_per_event_stay_bounded() {
 
     // Steady-state bounds. The executor storm re-boxes each spawned future
     // (64 spawns per ~18k events); the contended resource pays nothing
-    // beyond those boxes, since its waiter queue keeps its capacity; a
+    // beyond those boxes, since a booking touches no collection; a
     // single-waiter latch wait pays only the latch's own `Rc`, its waiter
     // kept inline; a deep calendar reuses its buckets, so timers cost
     // nothing once warm; the
@@ -516,7 +516,7 @@ fn steady_state_allocations_per_event_stay_bounded() {
     assert!(
         resource_allocs <= spawned,
         "resource storm allocates {resource_allocs} for {spawned} spawned tasks — \
-         queueing for the server must not allocate"
+         booking the server must not allocate"
     );
     assert!(
         cache_rate < 0.25,

@@ -24,6 +24,7 @@
 //!   outstanding requests.
 
 use std::cell::{Cell, RefCell};
+use std::future::Future;
 use std::rc::Rc;
 
 use ddio_disk::SchedPolicy;
@@ -184,76 +185,93 @@ impl IopServer {
 
     /// Handles one CP request (runs as its own task, like the paper's
     /// per-request IOP threads); the reply's landing opens `done`.
-    async fn handle_request(
+    ///
+    /// An `async move` block rather than an `async fn`: the future then
+    /// holds each argument once, where an `async fn` keeps both the argument
+    /// and its moved copy.
+    #[expect(
+        clippy::manual_async_fn,
+        reason = "an async fn stores every argument twice"
+    )]
+    fn handle_request(
         self: Rc<Self>,
         cp: usize,
         op: AccessKind,
         sub: SubRequest,
         done: CountdownEvent,
-    ) {
-        let SubRequest {
-            block, offset, len, ..
-        } = sub;
-        let costs = &self.run.config.costs;
-        self.parts.cpu.use_for(costs.iop_dispatch_cpu).await;
-        match op {
-            AccessKind::Read => {
-                self.ensure_block(block, FillReason::Demand).await;
-                self.maybe_prefetch(block);
-            }
-            AccessKind::Write => {
-                self.ensure_block(block, FillReason::WriteAllocate).await;
-                // Copy the arriving data into the cache buffer (the one
-                // memory-memory copy of the traditional path).
-                self.parts.cpu.use_for(costs.memcpy_time(len as u64)).await;
-                self.run.record_file_bytes(
-                    block * self.run.layout.block_bytes() + offset as u64,
-                    len as u64,
-                );
-                let written = self.cache.borrow_mut().record_write(block, len as u64);
-                let (policy, dirty, capacity) = {
-                    let c = self.cache.borrow();
-                    (c.config().write, c.dirty_count(), c.capacity())
-                };
-                match policy.on_write(written, self.run.block_bytes(block), dirty, capacity) {
-                    WriteAction::None => {}
-                    WriteAction::FlushNow => {
-                        // Write-through: this request's bytes reach the disk
-                        // before the reply is composed. Only this request's
-                        // `len` is flushed — a concurrent writer's bytes are
-                        // its own flush's responsibility.
-                        self.flush_block(block, len as u64).await;
-                        self.cache.borrow_mut().complete_flush(block, len as u64);
+    ) -> impl Future<Output = ()> {
+        async move {
+            let costs = &self.run.config.costs;
+            self.parts.cpu.use_for(costs.iop_dispatch_cpu).await;
+            match op {
+                AccessKind::Read => {
+                    self.ensure_block(sub.block, FillReason::Demand).await;
+                    self.maybe_prefetch(sub.block);
+                }
+                AccessKind::Write => {
+                    self.ensure_block(sub.block, FillReason::WriteAllocate)
+                        .await;
+                    // Copy the arriving data into the cache buffer (the one
+                    // memory-memory copy of the traditional path).
+                    self.parts
+                        .cpu
+                        .use_for(costs.memcpy_time(sub.len as u64))
+                        .await;
+                    self.run.record_file_bytes(
+                        sub.block * self.run.layout.block_bytes() + sub.offset as u64,
+                        sub.len as u64,
+                    );
+                    let written = self
+                        .cache
+                        .borrow_mut()
+                        .record_write(sub.block, sub.len as u64);
+                    let (policy, dirty, capacity) = {
+                        let c = self.cache.borrow();
+                        (c.config().write, c.dirty_count(), c.capacity())
+                    };
+                    match policy.on_write(written, self.run.block_bytes(sub.block), dirty, capacity)
+                    {
+                        WriteAction::None => {}
+                        WriteAction::FlushNow => {
+                            // Write-through: this request's bytes reach the disk
+                            // before the reply is composed. Only this request's
+                            // `len` is flushed — a concurrent writer's bytes are
+                            // its own flush's responsibility.
+                            self.flush_block(sub.block, sub.len as u64).await;
+                            self.cache
+                                .borrow_mut()
+                                .complete_flush(sub.block, sub.len as u64);
+                        }
+                        WriteAction::FlushBehind => {
+                            // Write-behind: flush the now-full block in the
+                            // background.
+                            let server = Rc::clone(&self);
+                            let bytes = self.run.block_bytes(sub.block);
+                            self.background.add(1);
+                            self.run.ctx.spawn(async move {
+                                server.flush_block(sub.block, bytes).await;
+                                server.cache.borrow_mut().mark_clean(sub.block);
+                                server.background.signal();
+                            });
+                        }
+                        WriteAction::FlushDirty => self.start_flush_sweep(),
                     }
-                    WriteAction::FlushBehind => {
-                        // Write-behind: flush the now-full block in the
-                        // background.
-                        let server = Rc::clone(&self);
-                        let bytes = self.run.block_bytes(block);
-                        self.background.add(1);
-                        self.run.ctx.spawn(async move {
-                            server.flush_block(block, bytes).await;
-                            server.cache.borrow_mut().mark_clean(block);
-                            server.background.signal();
-                        });
-                    }
-                    WriteAction::FlushDirty => self.start_flush_sweep(),
                 }
             }
+            self.parts.cpu.use_for(costs.iop_reply_cpu).await;
+            self.cache.borrow_mut().unpin(sub.block);
+            // A read reply carries the data.
+            let data = match op {
+                AccessKind::Read => sub.len as u64,
+                AccessKind::Write => 0,
+            };
+            let bytes = costs.message_header_bytes + data;
+            self.run
+                .net
+                .send(self.parts.node, self.run.config.cp_node(cp), bytes)
+                .await;
+            done.signal();
         }
-        self.parts.cpu.use_for(costs.iop_reply_cpu).await;
-        self.cache.borrow_mut().unpin(block);
-        // A read reply carries the data.
-        let data = match op {
-            AccessKind::Read => len as u64,
-            AccessKind::Write => 0,
-        };
-        let bytes = costs.message_header_bytes + data;
-        self.run
-            .net
-            .send(self.parts.node, self.run.config.cp_node(cp), bytes)
-            .await;
-        done.signal();
     }
 
     /// Handles an end-of-transfer sync: flush every remaining dirty block and
@@ -291,36 +309,43 @@ struct CpClient {
 }
 
 impl CpClient {
-    /// Sends one sub-request to the owning IOP and waits for the reply.
-    async fn do_request(self: Rc<Self>, sub: SubRequest, op: AccessKind) {
-        let costs = &self.run.config.costs;
-        self.parts.cpu.use_for(costs.cp_request_cpu).await;
-        let disk = self.run.layout.disk_of_block(sub.block);
-        let iop = self.run.config.iop_of_disk(disk);
-        // A write request carries the data.
-        let data = match op {
-            AccessKind::Read => 0,
-            AccessKind::Write => sub.len as u64,
-        };
-        let bytes = costs.message_header_bytes + data;
-        self.run
-            .net
-            .send(self.parts.node, self.run.config.iop_node(iop), bytes)
-            .await;
-        let done = CountdownEvent::new(1);
-        let server = Rc::clone(&self.servers[iop]);
-        self.run
-            .ctx
-            .spawn(server.handle_request(self.parts.cp, op, sub, done.clone()));
-        done.wait().await;
-        self.parts.cpu.use_for(costs.cp_mem_msg_cpu).await;
-        // A read reply carries the requested bytes; a write reply none.
-        let received = match op {
-            AccessKind::Read => sub.len as u64,
-            AccessKind::Write => 0,
-        };
-        self.run
-            .record_cp_bytes(self.parts.cp, sub.mem_offset, received);
+    /// Sends one sub-request to the owning IOP and waits for the reply (an
+    /// `async move` block, like [`IopServer::handle_request`]).
+    #[expect(
+        clippy::manual_async_fn,
+        reason = "an async fn stores every argument twice"
+    )]
+    fn do_request(self: Rc<Self>, sub: SubRequest, op: AccessKind) -> impl Future<Output = ()> {
+        async move {
+            let costs = &self.run.config.costs;
+            self.parts.cpu.use_for(costs.cp_request_cpu).await;
+            let disk = self.run.layout.disk_of_block(sub.block);
+            let iop = self.run.config.iop_of_disk(disk);
+            // A write request carries the data.
+            let data = match op {
+                AccessKind::Read => 0,
+                AccessKind::Write => sub.len as u64,
+            };
+            let bytes = costs.message_header_bytes + data;
+            self.run
+                .net
+                .send(self.parts.node, self.run.config.iop_node(iop), bytes)
+                .await;
+            let done = CountdownEvent::new(1);
+            let server = Rc::clone(&self.servers[iop]);
+            self.run
+                .ctx
+                .spawn(server.handle_request(self.parts.cp, op, sub, done.clone()));
+            done.wait().await;
+            self.parts.cpu.use_for(costs.cp_mem_msg_cpu).await;
+            // A read reply carries the requested bytes; a write reply none.
+            let received = match op {
+                AccessKind::Read => sub.len as u64,
+                AccessKind::Write => 0,
+            };
+            self.run
+                .record_cp_bytes(self.parts.cp, sub.mem_offset, received);
+        }
     }
 }
 
@@ -459,5 +484,31 @@ pub(crate) fn spawn_transfer(
             }
             finished.signal();
         });
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn request_futures_store_each_argument_once() {
+        // The size of the future a function returns, read off its signature
+        // without calling it.
+        fn handler<A, B, C, D, E, F: std::future::Future>(_: fn(A, B, C, D, E) -> F) -> usize {
+            std::mem::size_of::<F>()
+        }
+        fn request<A, B, C, F: std::future::Future>(_: fn(A, B, C) -> F) -> usize {
+            std::mem::size_of::<F>()
+        }
+        // An `async fn` held 400 and 288 bytes: every argument twice.
+        let sizes = (
+            handler(IopServer::handle_request),
+            request(CpClient::do_request),
+        );
+        assert!(
+            sizes.0 <= 352 && sizes.1 <= 256,
+            "request handler and CP request futures are {sizes:?} bytes"
+        );
     }
 }

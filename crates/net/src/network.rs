@@ -100,7 +100,10 @@ struct Shared<M> {
     bytes: Counter,
 }
 
-/// The per-message path: what a send or a post pays, in order.
+/// The per-message path: what a send or a post pays, in order. Each NI and
+/// link is booked when the message reaches it, and the message sleeps
+/// straight to the end of the booking (plus any latency after it), so a
+/// message wakes once per resource it crosses.
 impl<M> Shared<M> {
     /// How long `node` must wait out an outage window covering it at the
     /// current time; `None` when it need not wait. The healthy path (no
@@ -117,8 +120,9 @@ impl<M> Shared<M> {
             .map(|o| o.until - now)
     }
 
-    /// Occupies the sending NI while the message streams onto the link.
-    async fn inject(&self, from: NodeId, to: NodeId, bytes: u64) {
+    /// Books the sending NI for the time the message takes to stream onto
+    /// the link, and returns when it is done.
+    async fn inject(&self, from: NodeId, to: NodeId, bytes: u64) -> SimTime {
         assert!(from < self.endpoints.len(), "sender {from} out of range");
         assert!(to < self.endpoints.len(), "destination {to} out of range");
         if let Some(delay) = self.outage_wait(from) {
@@ -126,50 +130,55 @@ impl<M> Shared<M> {
         }
         self.endpoints[from]
             .send_nic
-            .use_for(self.params.send_occupancy(bytes))
-            .await;
+            .book(self.params.send_occupancy(bytes))
     }
 
-    /// Crosses the fabric per the contention model, occupies the receiving
-    /// NI while the message is deposited in memory, and counts the landed
-    /// message.
-    async fn land(&self, from: NodeId, to: NodeId, bytes: u64) {
-        match self.config.contention {
+    /// Carries a message whose sending NI is done at `sent` across the
+    /// fabric per the contention model, books the receiving NI while the
+    /// message is deposited in memory, and counts the landed message once
+    /// the deposit is done.
+    async fn land(&self, from: NodeId, to: NodeId, bytes: u64, sent: SimTime) {
+        let arrived = match self.config.contention {
             // Pure head-flit latency.
             ContentionModel::NiOnly => {
                 let hops = self.topology.hops(from, to);
-                self.ctx.sleep(self.params.wire_latency(hops)).await;
+                sent + self.params.wire_latency(hops)
             }
             ContentionModel::Link => {
                 // The head flit pays one router latency per hop; the body
                 // then occupies each link of the minimal route for the
                 // message's serialization time, so overlapping routes
-                // serialize on their shared links.
+                // serialize on their shared links. Each link is booked when
+                // the message reaches it, so a link serves its messages in
+                // the order they arrive.
                 let occupancy = self.params.link_occupancy(bytes);
-                let mut at = from;
+                let (mut at, mut done) = (from, sent);
                 while at != to {
                     let next = self.topology.next_hop(at, to);
-                    self.ctx.sleep(self.params.router_latency).await;
-                    let resource = self.link_resource((at, next));
-                    resource.use_for(occupancy).await;
+                    self.ctx
+                        .sleep_until(done + self.params.router_latency)
+                        .await;
+                    done = self.book_link((at, next), occupancy);
                     at = next;
                 }
+                done
             }
-        }
+        };
+        self.ctx.sleep_until(arrived).await;
         if let Some(delay) = self.outage_wait(to) {
             self.ctx.sleep(delay).await;
         }
-        self.endpoints[to]
+        let deposited = self.endpoints[to]
             .recv_nic
-            .use_for(self.params.recv_occupancy(bytes))
-            .await;
+            .book(self.params.recv_occupancy(bytes));
+        self.ctx.sleep_until(deposited).await;
         self.messages.incr();
         self.bytes.add(bytes);
     }
 
-    /// The serializing resource of one directed link, created on first use
-    /// in the pre-sized table.
-    fn link_resource(&self, link: Link) -> Resource {
+    /// Books one directed link, whose resource is created on first use in
+    /// the pre-sized table, and returns when the booking ends.
+    fn book_link(&self, link: Link, occupancy: SimDuration) -> SimTime {
         let idx = link.0 * self.topology.size() + link.1;
         self.links.borrow_mut()[idx]
             .get_or_insert_with(|| {
@@ -183,7 +192,7 @@ impl<M> Shared<M> {
                     },
                 )
             })
-            .clone()
+            .book(occupancy)
     }
 }
 
@@ -305,8 +314,8 @@ impl<M: 'static> Network<M> {
     ///
     /// Panics if either node id is out of range.
     pub async fn send(&self, from: NodeId, to: NodeId, bytes: u64) {
-        self.shared.inject(from, to, bytes).await;
-        self.shared.land(from, to, bytes).await;
+        let sent = self.shared.inject(from, to, bytes).await;
+        self.shared.land(from, to, bytes, sent).await;
     }
 
     /// Sends a message without waiting for it to land: the caller resumes
@@ -321,10 +330,11 @@ impl<M: 'static> Network<M> {
     ///
     /// Panics if either node id is out of range.
     pub async fn post(&self, from: NodeId, to: NodeId, bytes: u64, delivery: Delivery<M>) {
-        self.shared.inject(from, to, bytes).await;
+        let sent = self.shared.inject(from, to, bytes).await;
+        self.shared.ctx.sleep_until(sent).await;
         let net = self.clone();
         self.shared.ctx.spawn(async move {
-            net.shared.land(from, to, bytes).await;
+            net.shared.land(from, to, bytes, sent).await;
             match delivery {
                 // Inboxes are unbounded; failure means the receiving node was
                 // torn down while traffic was still in flight, which is a
@@ -491,11 +501,19 @@ mod tests {
         let net = build_fabric(&sim, 4, config);
         // 4 nodes fit a 2x2 torus; 0 -> 3 is a 2-hop route.
         assert_eq!(net.topology().hops(0, 3), 2);
-        send_and_time(&mut sim, &net, 0, 3, 8192);
+        let landed_at = send_and_time(&mut sim, &net, 0, 3, 8192);
         sim.run();
         let stats = net.link_stats();
         assert_eq!(stats.len(), 2, "one resource per route link: {stats:?}");
-        let per_link = NetworkParams::default().link_occupancy(8192);
+        let p = NetworkParams::default();
+        let per_link = p.link_occupancy(8192);
+        // The sending NI, then a router and a link per hop, then the
+        // receiving NI, one after another.
+        let path = p.send_occupancy(8192) + (p.router_latency + per_link) * 2;
+        assert_eq!(
+            landed_at.get(),
+            SimTime::ZERO + path + p.recv_occupancy(8192)
+        );
         for stat in &stats {
             assert_eq!(stat.messages, 1);
             assert_eq!(stat.busy, per_link);
@@ -624,11 +642,26 @@ mod tests {
     }
 
     #[test]
+    fn an_uncontended_send_wakes_once_per_ni() {
+        let mut sim = Sim::new();
+        let net = build(&sim, 4);
+        sim.spawn(async move {
+            net.send(0, 1, 8192).await;
+        });
+        sim.run();
+        // After the sender's first poll, which books the sending NI and
+        // sleeps to the message's arrival: that timer and its poll, which
+        // books the receiving NI, then the deposit's timer and the poll
+        // that lands the message.
+        assert_eq!(sim.events_processed(), 1 + 4);
+    }
+
+    #[test]
     fn send_future_stays_small() {
         let net = build(&Sim::new(), 2);
         let send = net.send(0, 1, 8);
         assert!(
-            std::mem::size_of_val(&send) <= 208,
+            std::mem::size_of_val(&send) <= 192,
             "send future is {} bytes",
             std::mem::size_of_val(&send)
         );

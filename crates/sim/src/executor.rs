@@ -186,6 +186,10 @@ struct Slot {
 /// per event), and everything else behind the `RefCell`.
 struct SimCore {
     clock: Cell<SimTime>,
+    /// How many times the simulation has been reset: a primitive that
+    /// outlives [`Sim::reset`] compares it with the epoch it last saw to
+    /// know that the clock restarted at zero.
+    epoch: Cell<u64>,
     state: RefCell<SimState>,
     /// A weak self-reference (set at construction), so [`TaskRef::capture`]
     /// can mint waiter handles from the `CURRENT` marker.
@@ -334,6 +338,15 @@ impl SimState {
         self.ready.push_back(id);
         id
     }
+
+    /// Frees the slot of a task that finished (or unwound), so its id goes
+    /// stale and it no longer counts as live.
+    fn free_slot(&mut self, index: usize) {
+        let slot = &mut self.slots[index];
+        slot.gen = slot.gen.wrapping_add(1);
+        self.free.push(index as u32);
+        self.live -= 1;
+    }
 }
 
 /// The discrete-event simulator: owns the clock, the event calendar, and all
@@ -355,6 +368,7 @@ impl Sim {
     pub fn new() -> Self {
         let core = Rc::new_cyclic(|self_weak| SimCore {
             clock: Cell::new(SimTime::ZERO),
+            epoch: Cell::new(0),
             state: RefCell::new(SimState::new()),
             self_weak: self_weak.clone(),
         });
@@ -376,6 +390,7 @@ impl Sim {
         // tasks or drop sync primitives that call back into the state.
         drop(doomed);
         self.core.clock.set(SimTime::ZERO);
+        self.core.epoch.set(self.core.epoch.get() + 1);
         let mut st = self.core.state.borrow_mut();
         let st = &mut *st;
         st.free.clear();
@@ -492,25 +507,36 @@ impl Sim {
 
     /// Polls a task already checked out of its slot by the run loop.
     fn poll_task(&mut self, id: TaskId, mut task: BoxedTask) {
+        /// Frees the slot of a task whose poll unwinds, so the task stops
+        /// counting as live; disarmed by `mem::forget` once the poll
+        /// returns. The unwound task borrows nothing by the time this runs,
+        /// but a drop must not panic, so a borrowed state is left alone.
+        struct FreeOnUnwind<'a>(&'a SimCore, usize);
+        impl Drop for FreeOnUnwind<'_> {
+            fn drop(&mut self) {
+                if let Ok(mut st) = self.0.state.try_borrow_mut() {
+                    st.free_slot(self.1);
+                }
+            }
+        }
+
         let index = id.index();
         let poll = {
+            let unwind = FreeOnUnwind(&self.core, index);
             let _current = CurrentGuard::enter(id, &self.core);
             let mut cx = Context::from_waker(&self.waker);
-            task.as_mut().poll(&mut cx)
+            let poll = task.as_mut().poll(&mut cx);
+            std::mem::forget(unwind);
+            poll
         };
         {
             let mut st = self.core.state.borrow_mut();
-            let slot = &mut st.slots[index];
             match poll {
                 Poll::Pending => {
-                    slot.task = Some(task);
+                    st.slots[index].task = Some(task);
                     return;
                 }
-                Poll::Ready(()) => {
-                    slot.gen = slot.gen.wrapping_add(1);
-                    st.free.push(index as u32);
-                    st.live -= 1;
-                }
+                Poll::Ready(()) => st.free_slot(index),
             }
         }
         // Completed: drop the task body with the state unborrowed —
@@ -543,11 +569,22 @@ impl SimContext {
 
     /// Suspends the calling task for `duration` of simulated time.
     pub fn sleep(&self, duration: SimDuration) -> Sleep {
+        self.sleep_until(self.now() + duration)
+    }
+
+    /// Suspends the calling task until the clock reaches `deadline`; a
+    /// deadline already passed completes at once.
+    pub fn sleep_until(&self, deadline: SimTime) -> Sleep {
         Sleep {
             ctx: self.clone(),
-            deadline: self.now() + duration,
+            deadline,
             registered: false,
         }
+    }
+
+    /// How many times the simulation has been [reset](Sim::reset).
+    pub(crate) fn epoch(&self) -> u64 {
+        self.core.epoch.get()
     }
 
     /// Yields once, letting every other currently-runnable task run before
@@ -930,6 +967,25 @@ mod tests {
 
         sim.reset();
         assert_eq!(sleeper(&mut sim), expected);
+        assert_eq!(sim.live_tasks(), 0);
+    }
+
+    #[test]
+    fn a_task_that_panics_is_not_counted_live() {
+        let mut sim = Sim::new();
+        let ctx = sim.context();
+        sim.spawn(async move {
+            ctx.sleep(SimDuration::from_millis(1)).await;
+        });
+        sim.spawn(async move {
+            panic!("transfer failed");
+        });
+        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| sim.run()));
+        assert!(unwound.is_err());
+        assert_eq!(sim.live_tasks(), 1, "only the sleeper is still live");
+        // The unwound task's slot is free again: the run carries on with the
+        // sleeper alone.
+        assert_eq!(sim.run(), SimTime::ZERO + SimDuration::from_millis(1));
         assert_eq!(sim.live_tasks(), 0);
     }
 

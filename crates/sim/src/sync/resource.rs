@@ -1,18 +1,18 @@
-//! A served resource: a single server with a FIFO queue and a service time.
+//! A served resource: a single server, used in arrival order for a service
+//! time per use.
 //!
 //! Buses, NIs and CPUs are all "use me for this long" facilities that serve
 //! one request at a time in arrival order. [`Resource`] is that server, with
 //! the usage accounting the experiment harness reports.
 
 use std::cell::RefCell;
-use std::collections::VecDeque;
 use std::fmt;
 use std::future::Future;
 use std::pin::Pin;
 use std::rc::Rc;
 use std::task::{Context, Poll};
 
-use crate::executor::{SimContext, TaskRef};
+use crate::executor::SimContext;
 use crate::time::{SimDuration, SimTime};
 
 /// A lazily rendered resource name.
@@ -67,11 +67,15 @@ impl fmt::Display for ResourceName {
     }
 }
 
-/// A single server with a FIFO queue and usage statistics.
+/// A single server, served in arrival order, with usage statistics.
 ///
-/// Users are served one at a time in arrival order. A release hands the
-/// server straight to the head of the queue, so a newcomer never overtakes a
-/// queued user.
+/// Each use has a known length, so the server needs no queue: a user that
+/// arrives at `now` is served from `max(now, free_at)` for its duration,
+/// and the server is free again from there. [`Resource::book`] reserves
+/// that slot and returns its end; [`Resource::use_for`] books at its first
+/// poll and sleeps to the end, one timer per use however busy the server.
+/// Users are served in the order they book, so a newcomer never overtakes
+/// an earlier user, and after a `Sim::reset` the server is free at zero.
 ///
 /// # Example
 ///
@@ -108,52 +112,15 @@ struct ResourceInner {
 
 #[derive(Default)]
 struct State {
-    /// True while a user holds the server, including a queued user it was
-    /// handed to that has not run yet.
-    busy: bool,
-    /// Queued users in arrival order, each with the ticket it queued under.
-    /// The deque keeps its capacity, so steady-state queueing never
-    /// allocates.
-    queue: VecDeque<(u64, TaskRef)>,
-    /// The ticket the next queued user takes.
-    next_ticket: u64,
-    /// The ticket the server was last handed to, until that user runs.
-    handed_to: Option<u64>,
+    /// When the last booking ends: the server is free from then on, and
+    /// its usage window closes there.
+    free_at: SimTime,
+    /// The simulation's reset epoch `free_at` was booked in.
+    epoch: u64,
     acquisitions: u64,
     busy_time: SimDuration,
     queue_wait: SimDuration,
     first_use: Option<SimTime>,
-    last_release: SimTime,
-}
-
-impl State {
-    /// Grants the server to a user that asked for it at `requested`.
-    fn grant(&mut self, requested: SimTime, now: SimTime) {
-        self.acquisitions += 1;
-        self.queue_wait += now - requested;
-        self.first_use.get_or_insert(now);
-    }
-
-    /// Ends a hold that began at `acquired_at`: records its busy time, then
-    /// frees the server or hands it to the head of the queue.
-    fn release(&mut self, acquired_at: SimTime, now: SimTime) {
-        self.busy_time += now - acquired_at;
-        if now > self.last_release {
-            self.last_release = now;
-        }
-        self.pass_on();
-    }
-
-    /// Frees the server, or hands it to the head of the queue.
-    fn pass_on(&mut self) {
-        match self.queue.pop_front() {
-            Some((ticket, waiter)) => {
-                self.handed_to = Some(ticket);
-                waiter.wake();
-            }
-            None => self.busy = false,
-        }
-    }
 }
 
 impl Resource {
@@ -174,39 +141,82 @@ impl Resource {
         self.inner.name
     }
 
-    /// Acquires the resource, holds it for `duration` of simulated time, and
-    /// releases it. This is the common "transfer n bytes over the bus" call.
-    pub fn use_for(&self, duration: SimDuration) -> UseFor<'_> {
-        UseFor {
-            inner: &self.inner,
-            duration,
-            hold: Hold::Start,
+    /// Books the server for `duration` from the first instant it is free,
+    /// behind every earlier booking, and returns when the booking ends: the
+    /// instant the caller's use is done and the server is free for the next
+    /// user. The caller sleeps to that instant, or past it.
+    pub fn book(&self, duration: SimDuration) -> SimTime {
+        let now = self.inner.ctx.now();
+        let mut st = self.inner.state.borrow_mut();
+        let epoch = self.inner.ctx.epoch();
+        if st.epoch != epoch {
+            // The clock restarted at zero: bookings from before the reset
+            // were dropped with their tasks.
+            st.epoch = epoch;
+            st.free_at = SimTime::ZERO;
+        }
+        let start = now.max(st.free_at);
+        let end = start + duration;
+        st.free_at = end;
+        st.acquisitions += 1;
+        st.busy_time += duration;
+        st.queue_wait += start - now;
+        st.first_use.get_or_insert(start);
+        end
+    }
+
+    /// Takes back the part of a booking ending at `end` that has not
+    /// happened yet: its service not yet given and its wait not yet
+    /// waited, and the whole use if it has not started. The slot itself
+    /// stays booked, so users booked behind it keep their times.
+    fn cancel(&self, end: SimTime, duration: SimDuration) {
+        let now = self.inner.ctx.now();
+        if now >= end {
+            return;
+        }
+        let start = end - duration;
+        let mut st = self.inner.state.borrow_mut();
+        st.busy_time -= end - now.max(start);
+        if now < start {
+            st.queue_wait -= start - now;
+            st.acquisitions -= 1;
         }
     }
 
-    /// Number of completed or in-progress acquisitions.
+    /// Uses the resource for `duration` of simulated time: books it at the
+    /// first poll and completes when the booking ends. This is the common
+    /// "transfer n bytes over the bus" call.
+    pub fn use_for(&self, duration: SimDuration) -> UseFor<'_> {
+        UseFor {
+            resource: self,
+            duration,
+            end: None,
+        }
+    }
+
+    /// Number of uses booked, less those dropped before they started.
     pub fn acquisitions(&self) -> u64 {
         self.inner.state.borrow().acquisitions
     }
 
-    /// Total simulated time the server has been held.
+    /// Total simulated time the server has been booked for.
     pub fn busy_time(&self) -> SimDuration {
         self.inner.state.borrow().busy_time
     }
 
-    /// Total time users spent queued before being served.
+    /// Total time users waited for the server before being served.
     pub fn total_queue_wait(&self) -> SimDuration {
         self.inner.state.borrow().queue_wait
     }
 
-    /// Busy time divided by the window from first use to last release.
-    /// Returns zero before any use.
+    /// Busy time divided by the window from first use to the end of the
+    /// last booking. Returns zero before any use.
     pub fn utilization(&self) -> f64 {
         let st = self.inner.state.borrow();
         let Some(first) = st.first_use else {
             return 0.0;
         };
-        let window = st.last_release.saturating_duration_since(first);
+        let window = st.free_at.saturating_duration_since(first);
         if window.is_zero() {
             return 0.0;
         }
@@ -214,27 +224,18 @@ impl Resource {
     }
 }
 
-/// Future returned by [`Resource::use_for`]: queues for the server, holds it
-/// for the duration, and releases it, as one state machine.
+/// Future returned by [`Resource::use_for`]: books the server at its first
+/// poll and completes when the booking ends, with one timer in between.
 ///
-/// Dropping it part-way never strands the server: a queued user leaves the
-/// queue, a user the server was already handed to passes it on, and a
-/// holder releases it (recording the time it held).
+/// Dropping it before then takes back the part of the booking that has not
+/// happened yet (see [`Resource::busy_time`] and
+/// [`Resource::total_queue_wait`]).
 pub struct UseFor<'a> {
-    inner: &'a ResourceInner,
+    resource: &'a Resource,
     duration: SimDuration,
-    hold: Hold,
-}
-
-/// Where one [`UseFor`] stands.
-enum Hold {
-    /// Holds nothing: not polled yet, or finished.
-    Start,
-    /// Waiting in the queue under `ticket` since `requested`.
-    Queued { ticket: u64, requested: SimTime },
-    /// Holding the server since `acquired_at`, with the timer that ends the
-    /// hold set by the poll that granted it.
-    Holding { acquired_at: SimTime },
+    /// When the booking ends, once the first poll has made it (and set the
+    /// timer for it).
+    end: Option<SimTime>,
 }
 
 impl Future for UseFor<'_> {
@@ -242,75 +243,18 @@ impl Future for UseFor<'_> {
 
     fn poll(mut self: Pin<&mut Self>, _cx: &mut Context<'_>) -> Poll<()> {
         let this = &mut *self;
-        let inner = this.inner;
-        // When the hold began, and whether an earlier poll set its timer.
-        let (acquired_at, mut registered) = match this.hold {
-            Hold::Start => {
-                let now = inner.ctx.now();
-                let mut st = inner.state.borrow_mut();
-                if st.busy {
-                    let ticket = st.next_ticket;
-                    st.next_ticket += 1;
-                    st.queue.push_back((ticket, TaskRef::capture()));
-                    this.hold = Hold::Queued {
-                        ticket,
-                        requested: now,
-                    };
-                    return Poll::Pending;
-                }
-                st.busy = true;
-                st.grant(now, now);
-                (now, false)
-            }
-            Hold::Queued { ticket, requested } => {
-                let mut st = inner.state.borrow_mut();
-                // Polled again while still queued: the queued `TaskRef`
-                // already names this task.
-                if st.handed_to != Some(ticket) {
-                    return Poll::Pending;
-                }
-                st.handed_to = None;
-                let now = inner.ctx.now();
-                st.grant(requested, now);
-                (now, false)
-            }
-            Hold::Holding { acquired_at } => (acquired_at, true),
-        };
-        this.hold = Hold::Holding { acquired_at };
-        if inner
-            .ctx
-            .poll_sleep(acquired_at + this.duration, &mut registered)
-            .is_pending()
-        {
-            return Poll::Pending;
-        }
-        this.hold = Hold::Start;
-        inner
-            .state
-            .borrow_mut()
-            .release(acquired_at, inner.ctx.now());
-        Poll::Ready(())
+        let mut registered = this.end.is_some();
+        let end = *this
+            .end
+            .get_or_insert_with(|| this.resource.book(this.duration));
+        this.resource.inner.ctx.poll_sleep(end, &mut registered)
     }
 }
 
 impl Drop for UseFor<'_> {
     fn drop(&mut self) {
-        let inner = self.inner;
-        match self.hold {
-            Hold::Start => {}
-            Hold::Queued { ticket, .. } => {
-                let mut st = inner.state.borrow_mut();
-                if st.handed_to == Some(ticket) {
-                    st.handed_to = None;
-                    st.pass_on();
-                } else if let Some(pos) = st.queue.iter().position(|(t, _)| *t == ticket) {
-                    st.queue.remove(pos);
-                }
-            }
-            Hold::Holding { acquired_at } => inner
-                .state
-                .borrow_mut()
-                .release(acquired_at, inner.ctx.now()),
+        if let Some(end) = self.end {
+            self.resource.cancel(end, self.duration);
         }
     }
 }
@@ -404,7 +348,7 @@ mod tests {
         let ctx = sim.context();
         let r = Resource::new(ctx.clone(), "fifo");
         let order = Rc::new(RefCell::new(Vec::new()));
-        // A holder keeps the server while the others queue up.
+        // A holder keeps the server while the others book behind it.
         {
             let r = r.clone();
             sim.spawn(async move {
@@ -416,7 +360,7 @@ mod tests {
             let order = Rc::clone(&order);
             let ctx = ctx.clone();
             sim.spawn(async move {
-                // Stagger arrival so queue order is well-defined, and
+                // Stagger arrival so booking order is well-defined, and
                 // against spawn order so only arrival decides.
                 ctx.sleep(SimDuration::from_nanos(4 - i as u64)).await;
                 r.use_for(SimDuration::from_micros(1)).await;
@@ -429,8 +373,8 @@ mod tests {
 
     #[test]
     fn no_barging_on_release() {
-        // A newcomer that arrives at the very instant the server is released
-        // queues behind the user the server was handed to.
+        // A newcomer that arrives at the very instant the holder's use ends
+        // is served after the user already booked behind the holder.
         let mut sim = Sim::new();
         let ctx = sim.context();
         let r = Resource::new(ctx.clone(), "handoff");
@@ -475,8 +419,8 @@ mod tests {
             });
         }
         // A run that unwinds at time zero, the way a harness that catches a
-        // panicking transfer leaves its `Sim`: the holder and the queued
-        // user stay parked.
+        // panicking transfer leaves its `Sim`: the holder and the user
+        // booked behind it stay parked.
         sim.spawn(async move {
             panic!("transfer failed");
         });
@@ -484,12 +428,13 @@ mod tests {
         assert!(unwound.is_err());
         assert_eq!(
             sim.live_tasks(),
-            3,
-            "holder and queued acquirer parked, beside the task that unwound"
+            2,
+            "holder and queued acquirer parked; the task that unwound is gone"
         );
         sim.reset();
         assert!(!served.get(), "a dropped acquirer never takes the server");
-        // A new user is served at once.
+        // A new user is served at once, and the booking dropped before its
+        // start added no queue wait.
         let r2 = r.clone();
         sim.spawn(async move {
             r2.use_for(SimDuration::from_millis(5)).await;
@@ -499,12 +444,65 @@ mod tests {
     }
 
     #[test]
+    fn a_contended_use_costs_no_more_events_than_an_uncontended_one() {
+        // Events of `users` tasks each using one server once, all arriving
+        // at time zero.
+        let events = |users: u64| {
+            let mut sim = Sim::new();
+            let r = Resource::new(sim.context(), "booked");
+            for _ in 0..users {
+                let r = r.clone();
+                sim.spawn(async move {
+                    r.use_for(SimDuration::from_micros(3)).await;
+                });
+            }
+            assert_eq!(sim.run().as_nanos(), 3_000 * users);
+            sim.events_processed()
+        };
+        // A use is its first poll, its timer and the poll that ends it,
+        // however many users are booked ahead of it.
+        assert_eq!(events(1), 3);
+        assert_eq!(events(4), 4 * events(1));
+    }
+
+    #[test]
+    fn a_use_dropped_part_way_gives_back_what_it_did_not_use() {
+        let mut sim = Sim::new();
+        let ctx = sim.context();
+        let r = Resource::new(ctx.clone(), "dropped");
+        {
+            let r = r.clone();
+            sim.spawn(async move {
+                r.use_for(SimDuration::from_millis(10)).await;
+            });
+        }
+        {
+            let r = r.clone();
+            sim.spawn(async move {
+                r.use_for(SimDuration::from_millis(4)).await;
+            });
+        }
+        // Unwind 3 ms in: the holder has served 3 ms of its 10, and the user
+        // booked behind it has waited 3 ms of its 10.
+        sim.spawn(async move {
+            ctx.sleep(SimDuration::from_millis(3)).await;
+            panic!("transfer failed");
+        });
+        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| sim.run()));
+        assert!(unwound.is_err());
+        sim.reset();
+        assert_eq!(r.busy_time(), SimDuration::from_millis(3));
+        assert_eq!(r.total_queue_wait(), SimDuration::from_millis(3));
+        assert_eq!(r.acquisitions(), 1, "the waiting user never started");
+    }
+
+    #[test]
     fn use_for_future_stays_small() {
         let sim = Sim::new();
         let r = Resource::new(sim.context(), "small");
         let use_for = r.use_for(SimDuration::from_nanos(1));
         assert!(
-            std::mem::size_of_val(&use_for) <= 48,
+            std::mem::size_of_val(&use_for) <= 32,
             "use_for future is {} bytes",
             std::mem::size_of_val(&use_for)
         );
