@@ -8,7 +8,7 @@
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
-use ddio_disk::{spawn_disk, DiskHandle, DiskRequest, DiskStats, ScsiBus};
+use ddio_disk::{DiskHandle, DiskRequest, DiskStats, ScsiBus};
 use ddio_net::{LinkStat, NetConfig, Network};
 use ddio_patterns::{AccessKind, AccessPattern, PatternInstance};
 use ddio_sim::stats::throughput_mibs;
@@ -532,7 +532,7 @@ pub fn run_transfer_in(
             .disks_of_iop(iop)
             .map(|disk| {
                 let plan = fault_schedule.plan(disk);
-                let handle = spawn_disk(&ctx, disk, drive_params, method.sched(), plan);
+                let handle = DiskHandle::new(&ctx, disk, drive_params, method.sched(), plan);
                 (disk, handle)
             })
             .collect();

@@ -21,11 +21,10 @@
 //! streaming, allocation-free after construction, and deterministic — so
 //! every cell can report p50/p99/p999 without storing per-request samples.
 //!
-//! An admitted request travels like a traditional-caching request: it
-//! starts its IOP handler where it lands (the issuing CP task, whose send
-//! just returned, spawns it), and the handler's reply carries the block
-//! back and then opens the latch the CP waits on. No node runs a message
-//! dispatcher.
+//! An admitted request travels like a traditional-caching request: it runs
+//! its IOP handler where it lands (the issuing CP task calls it once its
+//! send returns), and the request completes when the handler's reply has
+//! carried the block back. No node runs a message dispatcher.
 
 use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
@@ -639,7 +638,7 @@ struct ServeClient {
     run: Rc<RunContext>,
     session: Rc<ServeSession>,
     /// Every IOP's server, indexed by IOP number.
-    servers: Rc<[Rc<ServeServer>]>,
+    servers: Rc<[ServeServer]>,
 }
 
 impl ServeClient {
@@ -659,12 +658,9 @@ impl ServeClient {
                 costs.message_header_bytes,
             )
             .await;
-        let done = CountdownEvent::new(1);
-        let server = Rc::clone(&self.servers[iop]);
-        self.run
-            .ctx
-            .spawn(server.handle(self.parts.cp, spec.block, setup, done.clone()));
-        done.wait().await;
+        self.servers[iop]
+            .handle(self.parts.cp, spec.block, setup)
+            .await;
         self.parts.cpu.use_for(costs.cp_mem_msg_cpu).await;
         // The reply carries the whole block.
         let now = self.run.ctx.now();
@@ -685,8 +681,9 @@ struct ServeServer {
 
 impl ServeServer {
     /// Serves one request: CPU costs per the method, the disk read, the SCSI
-    /// bus, and the data-carrying reply, whose landing opens `done`.
-    async fn handle(self: Rc<Self>, cp: usize, block: u64, setup: bool, done: CountdownEvent) {
+    /// bus, and the data-carrying reply; completes when the reply has
+    /// landed.
+    async fn handle(&self, cp: usize, block: u64, setup: bool) {
         let costs = &self.run.config.costs;
         if self.ddio {
             // Disk-directed: the first request of a batch's per-IOP group
@@ -712,7 +709,6 @@ impl ServeServer {
             .net
             .send(self.parts.node, self.run.config.cp_node(cp), wire)
             .await;
-        done.signal();
     }
 }
 
@@ -732,15 +728,13 @@ pub(crate) fn spawn_serving(
     let presort = method.sched() == SchedPolicy::Presort;
 
     // IOP servers and CP clients.
-    let servers: Rc<[Rc<ServeServer>]> = run
+    let servers: Rc<[ServeServer]> = run
         .iops
         .iter()
-        .map(|iop_parts| {
-            Rc::new(ServeServer {
-                parts: Rc::clone(iop_parts),
-                run: Rc::clone(run),
-                ddio,
-            })
+        .map(|iop_parts| ServeServer {
+            parts: Rc::clone(iop_parts),
+            run: Rc::clone(run),
+            ddio,
         })
         .collect();
     let clients: Vec<Rc<ServeClient>> = cps
@@ -784,10 +778,11 @@ pub(crate) fn spawn_serving(
 
     // Admission workers: each admits the QoS policy's next request (for
     // disk-directed runs, an opportunistic batch sharing one collective
-    // setup per IOP) and issues it through the block's home CP, waiting for
-    // the whole batch before admitting more. The bounded window is what
-    // makes fair-share starvation-free: a pending tenant is admitted within
-    // `workers × SERVE_BATCH` admissions.
+    // setup per IOP) and issues it through CP `id % n_cps`, the request's
+    // schedule index spread round-robin over the CPs (not the block's
+    // owner), waiting for the whole batch before admitting more. The
+    // bounded window is what makes fair-share starvation-free: a pending
+    // tenant is admitted within `workers × SERVE_BATCH` admissions.
     let workers = (2 * cps.len()).max(1);
     let layout = Rc::clone(&run.layout);
     let config = Rc::clone(&run.config);

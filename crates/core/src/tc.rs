@@ -17,11 +17,14 @@
 //!   activity has drained: the CPs meet at the paper's barrier (here a latch
 //!   every CP signals and waits on), and the last to arrive issues an
 //!   explicit sync to every IOP.
-//! * A request (or a sync) starts its IOP handler where it lands: the CP
-//!   task whose send just returned spawns the handler, so no dispatcher
-//!   sits between the NI and the work. The handler sends the reply and then
-//!   opens the latch the CP waits on, so neither side keeps a table of
-//!   outstanding requests.
+//! * A request runs its IOP handler where it lands: the paper's "new
+//!   thread" at the IOP runs in parallel with nothing, since its CP waits
+//!   for the reply, so the CP's request calls the handler once its send
+//!   returns and resumes when the handler's reply has landed. No
+//!   dispatcher sits between the NI and the work, and neither side keeps a
+//!   table of outstanding requests. A sync to every IOP does run in
+//!   parallel: the CP spawns each IOP's handler, whose acknowledgement
+//!   opens the latch the CP waits on.
 
 use std::cell::{Cell, RefCell};
 use std::future::Future;
@@ -183,8 +186,8 @@ impl IopServer {
         });
     }
 
-    /// Handles one CP request (runs as its own task, like the paper's
-    /// per-request IOP threads); the reply's landing opens `done`.
+    /// Handles one CP request, the paper's per-request IOP thread, called by
+    /// the requesting CP; completes when the reply has landed.
     ///
     /// An `async move` block rather than an `async fn`: the future then
     /// holds each argument once, where an `async fn` keeps both the argument
@@ -194,12 +197,11 @@ impl IopServer {
         reason = "an async fn stores every argument twice"
     )]
     fn handle_request(
-        self: Rc<Self>,
+        self: &Rc<Self>,
         cp: usize,
         op: AccessKind,
         sub: SubRequest,
-        done: CountdownEvent,
-    ) -> impl Future<Output = ()> {
+    ) -> impl Future<Output = ()> + '_ {
         async move {
             let costs = &self.run.config.costs;
             self.parts.cpu.use_for(costs.iop_dispatch_cpu).await;
@@ -245,7 +247,7 @@ impl IopServer {
                         WriteAction::FlushBehind => {
                             // Write-behind: flush the now-full block in the
                             // background.
-                            let server = Rc::clone(&self);
+                            let server = Rc::clone(self);
                             let bytes = self.run.block_bytes(sub.block);
                             self.background.add(1);
                             self.run.ctx.spawn(async move {
@@ -270,7 +272,6 @@ impl IopServer {
                 .net
                 .send(self.parts.node, self.run.config.cp_node(cp), bytes)
                 .await;
-            done.signal();
         }
     }
 
@@ -309,13 +310,14 @@ struct CpClient {
 }
 
 impl CpClient {
-    /// Sends one sub-request to the owning IOP and waits for the reply (an
-    /// `async move` block, like [`IopServer::handle_request`]).
+    /// Sends one sub-request to the owning IOP and runs its handler there,
+    /// which ends when the reply lands (an `async move` block, like
+    /// [`IopServer::handle_request`]).
     #[expect(
         clippy::manual_async_fn,
         reason = "an async fn stores every argument twice"
     )]
-    fn do_request(self: Rc<Self>, sub: SubRequest, op: AccessKind) -> impl Future<Output = ()> {
+    fn do_request(&self, sub: SubRequest, op: AccessKind) -> impl Future<Output = ()> + '_ {
         async move {
             let costs = &self.run.config.costs;
             self.parts.cpu.use_for(costs.cp_request_cpu).await;
@@ -331,12 +333,9 @@ impl CpClient {
                 .net
                 .send(self.parts.node, self.run.config.iop_node(iop), bytes)
                 .await;
-            let done = CountdownEvent::new(1);
-            let server = Rc::clone(&self.servers[iop]);
-            self.run
-                .ctx
-                .spawn(server.handle_request(self.parts.cp, op, sub, done.clone()));
-            done.wait().await;
+            self.servers[iop]
+                .handle_request(self.parts.cp, op, sub)
+                .await;
             self.parts.cpu.use_for(costs.cp_mem_msg_cpu).await;
             // A read reply carries the requested bytes; a write reply none.
             let received = match op {
@@ -450,7 +449,7 @@ pub(crate) fn spawn_transfer(
                 let inflight2 = inflight.clone();
                 worker_ctx.spawn(async move {
                     for &sub in &subs[stream] {
-                        Rc::clone(&client).do_request(sub, op).await;
+                        client.do_request(sub, op).await;
                     }
                     inflight2.signal();
                 });
@@ -492,23 +491,45 @@ mod tests {
     use super::*;
 
     #[test]
+    fn a_one_block_read_costs_an_exact_number_of_events() {
+        // One CP reads a one-block file from one disk: a single uncontended
+        // request. Its handler runs inside it and the drive has no task; a
+        // handler task whose reply opened a latch would add two events (its
+        // first poll and the CP's wake), and a drive task two more (its
+        // first poll and its wake by the request).
+        let config = crate::MachineConfig {
+            n_cps: 1,
+            n_iops: 1,
+            n_disks: 1,
+            file_bytes: 8192,
+            ..crate::MachineConfig::default()
+        };
+        let rb = ddio_patterns::AccessPattern::parse("rb").expect("a paper pattern");
+        let outcome = crate::run_transfer(&config, crate::Method::TC, rb, 8192, 1994);
+        assert_eq!((outcome.transferred_bytes, outcome.sim_events), (8192, 36));
+    }
+
+    #[test]
     fn request_futures_store_each_argument_once() {
         // The size of the future a function returns, read off its signature
         // without calling it.
-        fn handler<A, B, C, D, E, F: std::future::Future>(_: fn(A, B, C, D, E) -> F) -> usize {
+        fn handler<A, B, C, D, F: std::future::Future>(_: fn(A, B, C, D) -> F) -> usize {
             std::mem::size_of::<F>()
         }
         fn request<A, B, C, F: std::future::Future>(_: fn(A, B, C) -> F) -> usize {
             std::mem::size_of::<F>()
         }
-        // An `async fn` held 400 and 288 bytes: every argument twice.
-        let sizes = (
+        // As `async fn`s, the handler (then with a latch) held 400 bytes and
+        // the request 288: every argument twice. The request now awaits the
+        // handler in place, so it holds the handler's future once beside
+        // its own few words.
+        let (handler, request) = (
             handler(IopServer::handle_request),
             request(CpClient::do_request),
         );
         assert!(
-            sizes.0 <= 352 && sizes.1 <= 256,
-            "request handler and CP request futures are {sizes:?} bytes"
+            handler <= 344 && request <= handler + 64,
+            "request handler and CP request futures are {handler} and {request} bytes"
         );
     }
 }

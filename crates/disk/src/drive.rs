@@ -1,39 +1,44 @@
-//! The asynchronous disk server: one task per drive, as in the paper
-//! ("Each disk had a thread permanently running on its IOP, that controlled
-//! access to the disk").
+//! A drive served without a task. The paper gives each disk "a thread
+//! permanently running on its IOP, that controlled access to the disk"; here
+//! the requests do that thread's work, since a drive's whole service is
+//! known the moment it takes a request up.
 //!
-//! The server task owns the drive's [`DiskQueue`], ordered by the
-//! [`SchedPolicy`] the drive is spawned with: arriving requests are moved
-//! from the command channel into the queue, and every time the mechanism
-//! goes idle the queue picks the next request using the arm's current
-//! cylinder. The FCFS policy reproduces the original hardwired FIFO exactly.
-
+//! A request enters the drive's [`DiskQueue`], ordered by the drive's
+//! [`SchedPolicy`]. At an idle drive the requester yields once, so every
+//! request arriving in that instant is queued, and then takes the drive up:
+//! the queue picks a request by the arm's current cylinder, and the drive
+//! works out its whole service and wakes its requester at the end. That
+//! requester hands the drive to the next pick before it returns. The FCFS
+//! policy reproduces the original hardwired FIFO exactly.
 use std::cell::RefCell;
+use std::future::Future;
+use std::pin::Pin;
 use std::rc::Rc;
+use std::task::{Context, Poll};
 
-use ddio_sim::sync::{oneshot, unbounded, Receiver, Sender};
-use ddio_sim::{SimContext, SimDuration, SimTime};
+use ddio_sim::{SimContext, SimDuration, SimTime, TaskRef};
 
 use crate::model::{DiskModel, DiskParams, DiskStats};
 use crate::request::{DiskRequest, ServiceBreakdown};
 use crate::sched::{DiskQueue, SchedPolicy};
 
-/// Timed faults injected into one drive's server loop.
+/// Timed faults injected into one drive's service.
 ///
-/// The plan is consulted at every dispatch, against the simulated clock: a
-/// dead drive fails requests after paying the controller overhead
+/// The plan is consulted each time the drive takes a request up, against
+/// the simulated clock: a dead drive fails requests after paying the
+/// controller overhead
 /// (the error reply), a stalled drive holds its queue until the window ends
 /// (an IOP crash + restart), and a slowed drive stretches each service by a
-/// factor (a drive in internal recovery). The default (empty) plan adds no
-/// awaits and no branches taken, so a drive with no faults is
-/// event-for-event identical to the pre-fault server.
+/// factor (a drive in internal recovery). The default (empty) plan takes no
+/// fault branch, and no plan adds an event: a request's whole service,
+/// stall and stretch included, ends on one timer.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct DriveFaultPlan {
-    /// The drive fails permanently at this instant: every request dispatched
+    /// The drive fails permanently at this instant: every request taken up
     /// at or after it returns `failed: true` after the controller overhead.
     pub dead_at: Option<SimTime>,
-    /// Windows `[from, until)` during which the server holds dispatches and
-    /// resumes when the window closes (IOP crash + restart).
+    /// Windows `[from, until)` during which the drive holds the requests it
+    /// takes up, serving them when the window closes (IOP crash + restart).
     pub stalls: Vec<(SimTime, SimTime)>,
     /// Windows `[from, until, factor)` during which service is degraded:
     /// any service overlapping a window is stretched by `factor` (≥ 1).
@@ -61,8 +66,8 @@ impl DriveFaultPlan {
 
     /// The stretch factor for a service occupying `[start, end)`: the
     /// largest factor of any window the service overlaps (1.0 when healthy).
-    /// Overlap — not the dispatch instant — so a degradation that begins and
-    /// ends mid-service still costs time.
+    /// Overlap — not the instant the request is taken up — so a degradation
+    /// that begins and ends mid-service still costs time.
     pub fn slow_factor(&self, start: SimTime, end: SimTime) -> f64 {
         self.slows
             .iter()
@@ -72,13 +77,65 @@ impl DriveFaultPlan {
     }
 }
 
-/// The payload a drive threads through its queue: the completion channel.
-type Done = oneshot::OneSender<ServiceBreakdown>;
+/// One drive: the mechanism, its queue and the request it is serving.
+struct Drive {
+    ctx: SimContext,
+    id: usize,
+    plan: DriveFaultPlan,
+    model: DiskModel,
+    /// The queued requests, each with its ticket and its requester.
+    queue: DiskQueue<(u64, TaskRef)>,
+    /// The ticket of the next request to arrive.
+    next_ticket: u64,
+    /// The request taken up: its ticket, the end of its service, and where
+    /// that service's time went.
+    serving: Option<(u64, SimTime, ServiceBreakdown)>,
+    /// True from the instant a request reaches an idle drive until the
+    /// drive finishes with nothing queued.
+    busy: bool,
+}
 
-/// A command sent to a disk server: the request plus a completion channel.
-struct DiskCommand {
-    request: DiskRequest,
-    done: Done,
+impl Drive {
+    /// Takes up the request the policy picks next: works out its whole
+    /// service now (stall, failure, model, slowdown) and wakes its requester
+    /// when that ends. With nothing queued the drive goes idle.
+    fn take_up(&mut self) {
+        let cylinder = self.model.current_cylinder();
+        let Some((request, (ticket, requester))) = self.queue.pop_next(cylinder) else {
+            self.busy = false;
+            return;
+        };
+        // A stall window (IOP crash + restart) holds the request until the
+        // window closes; it then proceeds normally.
+        let now = self.ctx.now();
+        let start = self.plan.stall_until(now).unwrap_or(now);
+        let breakdown = if self.plan.is_dead(start) {
+            // The dead drive answers with an error after the controller
+            // overhead; no media transfer, no mechanism movement.
+            let overhead = self.model.params().controller_overhead;
+            ServiceBreakdown {
+                overhead,
+                total: overhead,
+                failed: true,
+                ..ServiceBreakdown::default()
+            }
+        } else {
+            let mut breakdown = self.model.service(request, start);
+            let factor = self.plan.slow_factor(start, start + breakdown.total);
+            if factor > 1.0 {
+                // The stretch is charged to the requester (and the simulated
+                // clock), not to `DiskStats::busy_time`, which keeps counting
+                // healthy service time only.
+                breakdown.total =
+                    SimDuration::from_secs_f64(breakdown.total.as_secs_f64() * factor);
+            }
+            breakdown
+        };
+        self.model.record_queue_depth(self.queue.len() as u64);
+        let end = start + breakdown.total;
+        self.serving = Some((ticket, end, breakdown));
+        requester.wake_at(end);
+    }
 }
 
 /// Handle used by file-system code to issue requests to one drive.
@@ -88,114 +145,122 @@ struct DiskCommand {
 /// the configured [`SchedPolicy`].
 #[derive(Clone)]
 pub struct DiskHandle {
-    tx: Sender<DiskCommand>,
-    model: Rc<RefCell<DiskModel>>,
-    id: usize,
+    drive: Rc<RefCell<Drive>>,
 }
 
 impl DiskHandle {
-    /// This drive's index within its I/O processor.
+    /// An idle drive with `params`, serving its queue in the order `sched`
+    /// picks, with `plan`'s faults injected into its service (the empty
+    /// [`DriveFaultPlan::default`] takes no fault branch).
+    pub fn new(
+        ctx: &SimContext,
+        id: usize,
+        params: DiskParams,
+        sched: SchedPolicy,
+        plan: DriveFaultPlan,
+    ) -> DiskHandle {
+        let drive = Drive {
+            ctx: ctx.clone(),
+            id,
+            plan,
+            model: DiskModel::new(params),
+            queue: DiskQueue::new(sched, params.geometry),
+            next_ticket: 0,
+            serving: None,
+            busy: false,
+        };
+        DiskHandle {
+            drive: Rc::new(RefCell::new(drive)),
+        }
+    }
+
+    /// The number this drive was built with (in a machine, its global disk
+    /// index).
     pub fn id(&self) -> usize {
-        self.id
+        self.drive.borrow().id
     }
 
     /// Issues a request and waits for the drive to complete it.
     ///
     /// The returned breakdown says where the service time went.
-    pub async fn io(&self, request: DiskRequest) -> ServiceBreakdown {
-        let (done_tx, done_rx) = oneshot::channel();
-        self.tx
-            .try_send(DiskCommand {
-                request,
-                done: done_tx,
-            })
-            .unwrap_or_else(|_| panic!("disk server task terminated while clients still exist"));
-        done_rx.await.expect("disk server dropped a request")
+    pub fn io(&self, request: DiskRequest) -> DiskIo<'_> {
+        DiskIo {
+            disk: self,
+            step: Step::Arrive(request),
+        }
     }
 
     /// Statistics accumulated by the drive so far.
     pub fn stats(&self) -> DiskStats {
-        self.model.borrow().stats()
+        self.drive.borrow().model.stats()
     }
 }
 
-/// Spawns a disk-server task on the simulation and returns a handle to it.
+/// Future returned by [`DiskHandle::io`]: queues the request at its first
+/// poll and completes, with the request's [`ServiceBreakdown`], at the end
+/// of its service. A request that finds the drive idle costs a yield, a
+/// timer and the poll that ends it; a queued one only the timer and that
+/// poll. Nothing is allocated: the queue keeps its storage.
 ///
-/// The drive serves its pending queue in the order `sched` picks, with
-/// `plan`'s faults injected into its dispatch loop (the empty
-/// [`DriveFaultPlan::default`] takes no fault branch and adds no events).
-/// The server runs until every [`DiskHandle`] clone has been dropped.
-pub fn spawn_disk(
-    ctx: &SimContext,
-    id: usize,
-    params: DiskParams,
-    sched: SchedPolicy,
-    plan: DriveFaultPlan,
-) -> DiskHandle {
-    let (tx, rx): (Sender<DiskCommand>, Receiver<DiskCommand>) = unbounded();
-    let model = Rc::new(RefCell::new(DiskModel::new(params)));
-    let mut pending = DiskQueue::new(sched, params.geometry);
-    let handle = DiskHandle {
-        tx,
-        model: Rc::clone(&model),
-        id,
-    };
-    let server_ctx = ctx.clone();
-    ctx.spawn(async move {
-        loop {
-            // Move every command that has already arrived into the queue so
-            // the policy sees the whole pending set.
-            while let Some(cmd) = rx.try_recv() {
-                pending.push(cmd.request, cmd.done);
+/// A drive never outlives its transfer (every transfer builds its own
+/// drives), so a request keeps no reset epoch and has no cancel path: one
+/// dropped before it completes stays queued, and once taken up keeps the
+/// drive busy for good.
+pub struct DiskIo<'a> {
+    disk: &'a DiskHandle,
+    step: Step,
+}
+
+enum Step {
+    /// Not polled yet.
+    Arrive(DiskRequest),
+    /// Queued with this ticket at an idle drive, which it takes up at its
+    /// next poll.
+    TakeUp(u64),
+    /// Queued, or taken up, with this ticket.
+    Wait(u64),
+}
+
+// A drive request is no larger than the `async fn` it replaced.
+const _: () = assert!(std::mem::size_of::<DiskIo<'static>>() <= 40);
+
+impl Future for DiskIo<'_> {
+    type Output = ServiceBreakdown;
+
+    fn poll(mut self: Pin<&mut Self>, _cx: &mut Context<'_>) -> Poll<ServiceBreakdown> {
+        let this = &mut *self;
+        let mut drive = this.disk.drive.borrow_mut();
+        match this.step {
+            Step::Arrive(request) => {
+                let ticket = drive.next_ticket;
+                drive.next_ticket += 1;
+                drive.queue.push(request, (ticket, TaskRef::capture()));
+                this.step = if drive.busy {
+                    Step::Wait(ticket)
+                } else {
+                    // Yield once, so every request reaching the idle drive
+                    // in this instant is queued before the policy picks.
+                    drive.busy = true;
+                    TaskRef::capture().wake();
+                    Step::TakeUp(ticket)
+                };
+                Poll::Pending
             }
-            if pending.is_empty() {
-                // Idle: block for the next arrival, or shut down once every
-                // handle clone has been dropped.
-                match rx.recv().await {
-                    Some(cmd) => {
-                        pending.push(cmd.request, cmd.done);
-                        continue;
-                    }
-                    None => break,
+            Step::TakeUp(ticket) => {
+                drive.take_up();
+                this.step = Step::Wait(ticket);
+                Poll::Pending
+            }
+            Step::Wait(ticket) => match drive.serving {
+                Some((served, end, breakdown)) if served == ticket && drive.ctx.now() >= end => {
+                    // Hand the drive to the next request before returning.
+                    drive.take_up();
+                    Poll::Ready(breakdown)
                 }
-            }
-            let current = model.borrow().current_cylinder();
-            let (request, done) = pending.pop_next(current).expect("queue checked non-empty");
-            model.borrow_mut().record_queue_depth(pending.len() as u64);
-            let mut now: SimTime = server_ctx.now();
-            // A stall window (IOP crash + restart) holds the dispatch until
-            // the window closes; the request then proceeds normally.
-            if let Some(until) = plan.stall_until(now) {
-                server_ctx.sleep(until - now).await;
-                now = server_ctx.now();
-            }
-            if plan.is_dead(now) {
-                // The dead drive answers with an error after the controller
-                // overhead; no media transfer, no mechanism movement.
-                let overhead = model.borrow().params().controller_overhead;
-                server_ctx.sleep(overhead).await;
-                done.send(ServiceBreakdown {
-                    overhead,
-                    total: overhead,
-                    failed: true,
-                    ..ServiceBreakdown::default()
-                });
-                continue;
-            }
-            let mut breakdown = model.borrow_mut().service(request, now);
-            let factor = plan.slow_factor(now, now + breakdown.total);
-            if factor > 1.0 {
-                // The stretch is charged to the requester (and the simulated
-                // clock), not to `DiskStats::busy_time`, which keeps counting
-                // healthy service time only.
-                breakdown.total =
-                    SimDuration::from_secs_f64(breakdown.total.as_secs_f64() * factor);
-            }
-            server_ctx.sleep(breakdown.total).await;
-            done.send(breakdown);
+                _ => Poll::Pending,
+            },
         }
-    });
-    handle
+    }
 }
 
 #[cfg(test)]
@@ -206,7 +271,7 @@ mod tests {
 
     /// An FCFS HP 97560 drive with `plan`'s faults.
     fn fcfs_drive(ctx: &SimContext, plan: DriveFaultPlan) -> DiskHandle {
-        spawn_disk(ctx, 0, DiskParams::hp_97560(), SchedPolicy::Fcfs, plan)
+        DiskHandle::new(ctx, 0, DiskParams::hp_97560(), SchedPolicy::Fcfs, plan)
     }
 
     #[test]
@@ -235,13 +300,16 @@ mod tests {
         // Blocks 1..3 continue the sequential streak built by block 0.
         assert!(comps[1].2 && comps[2].2 && comps[3].2);
         assert_eq!(disk.stats().requests, 4);
+        // A queued request costs its task's first poll, a timer and the poll
+        // that ends it; the first, which found the drive idle, also yields.
+        assert_eq!(sim.events_processed(), 3 * 4 + 1);
     }
 
     #[test]
     fn concurrent_clients_share_one_mechanism() {
         let mut sim = Sim::new();
         let ctx = sim.context();
-        let disk = spawn_disk(
+        let disk = DiskHandle::new(
             &ctx,
             3,
             DiskParams::hp_97560(),
@@ -279,10 +347,11 @@ mod tests {
         let ctx = sim.context();
         let params = DiskParams::hp_97560();
         let spc = params.geometry.sectors_per_cylinder();
-        let disk = spawn_disk(&ctx, 0, params, policy, DriveFaultPlan::default());
+        let disk = DiskHandle::new(&ctx, 0, params, policy, DriveFaultPlan::default());
         let order = Rc::new(RefCell::new(Vec::new()));
-        // One task per request, spawned after the (already waiting) server
-        // task: the whole batch is enqueued before the first dispatch.
+        // One task per request, all at time zero: the first requester yields
+        // once at the idle drive, so the whole batch is queued before the
+        // policy first picks.
         for &c in cylinders {
             let disk = disk.clone();
             let order = Rc::clone(&order);
@@ -335,8 +404,8 @@ mod tests {
         }
         sim.run();
         let s = disk.stats();
-        // Three requests waited behind the first dispatch, two behind the
-        // second, one behind the third.
+        // Three requests waited when the drive took up the first, two when
+        // it took up the second, one when it took up the third.
         assert_eq!(s.queue_depth_sum, 3 + 2 + 1);
         assert_eq!(s.max_queue_depth, 3);
         assert_eq!(s.mean_queue_depth(), 6.0 / 4.0);
@@ -423,7 +492,7 @@ mod tests {
     #[test]
     fn empty_plan_is_event_identical_to_spawn_disk() {
         // A plan whose windows all open after the run has ended is consulted
-        // at every dispatch but never fires: it must cost exactly what the
+        // each time the drive takes a request up but never fires: it must cost exactly what the
         // empty plan costs, event for event.
         let later = SimTime::ZERO + SimDuration::from_secs(1000);
         let idle_plan = DriveFaultPlan {
@@ -453,7 +522,7 @@ mod tests {
     fn stats_visible_through_handle() {
         let mut sim = Sim::new();
         let ctx = sim.context();
-        let disk = spawn_disk(
+        let disk = DiskHandle::new(
             &ctx,
             0,
             DiskParams::tiny_test(),
@@ -468,6 +537,9 @@ mod tests {
             });
         }
         sim.run();
+        // Each request finds the drive idle and costs a yield, a timer and
+        // the poll that ends it, after the task's first poll.
+        assert_eq!(sim.events_processed(), 1 + 3 * 2);
         let s = disk.stats();
         assert_eq!(s.requests, 2);
         assert_eq!(s.sectors, 16);

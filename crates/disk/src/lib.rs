@@ -17,7 +17,8 @@
 //!   + read-ahead cache).
 //! * [`DiskQueue`] / [`SchedPolicy`] — a drive's pending queue and the
 //!   policy ordering it (FCFS, SSTF, CSCAN, and the paper's presort).
-//! * [`DiskHandle`] / [`spawn_disk`] — the async disk-server task.
+//! * [`DiskHandle`] / [`DiskIo`] — a drive served without a task: a request
+//!   queues, and the drive works out its whole service when it takes it up.
 //! * [`ScsiBus`] — the shared 10 MB/s bus between an IOP and its drives.
 
 #![forbid(unsafe_code)]
@@ -32,7 +33,7 @@ mod sched;
 mod seek;
 
 pub use bus::{ScsiBus, SCSI_ARBITRATION, SCSI_BUS_BANDWIDTH};
-pub use drive::{spawn_disk, DiskHandle, DriveFaultPlan};
+pub use drive::{DiskHandle, DiskIo, DriveFaultPlan};
 pub use geometry::{Chs, Geometry};
 pub use model::{DiskModel, DiskParams, DiskStats};
 pub use request::{DiskOp, DiskRequest, ServiceBreakdown};

@@ -7,6 +7,11 @@
 //! the drive's read-ahead cache, which is what makes sequential access stream
 //! at close to the raw media rate — the effect the paper's contiguous-layout
 //! experiments rely on.
+//!
+//! Being pure is what lets a drive run without the paper's per-disk thread:
+//! the drive calls `service` once, when it takes a request up, and knows
+//! that request's whole service from then on (see
+//! [`DiskHandle`](crate::DiskHandle)).
 
 use ddio_sim::{SimDuration, SimTime};
 
@@ -16,8 +21,8 @@ use crate::seek::SeekCurve;
 
 /// Parameters of the drive model: the mechanism and its electronics only.
 /// The queue-scheduling policy is not a drive parameter; it is an argument
-/// of [`spawn_disk`](crate::spawn_disk), and in full-machine runs it comes
-/// from the transfer's `Method`.
+/// of [`DiskHandle::new`](crate::DiskHandle::new), and in full-machine runs
+/// it comes from the transfer's `Method`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DiskParams {
     /// Physical geometry.

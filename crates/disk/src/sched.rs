@@ -7,10 +7,11 @@
 //! policies: a [`DiskQueue`] holds a drive's pending requests and, every
 //! time the mechanism goes idle, picks the next one by its [`SchedPolicy`]
 //! and the cylinder the arm currently sits on (reported by the service
-//! model). The drive server in [`crate::spawn_disk`] owns the queue of the
-//! policy it was spawned with, so every client of a drive — disk-directed
-//! IOPs and the traditional-caching baseline alike — gets the same queue
-//! discipline.
+//! model). Every [`DiskHandle`](crate::DiskHandle) owns a queue of the
+//! policy it was built with, and the drive, which has no task of its own,
+//! picks from it each time it takes a request up, so every client of a
+//! drive — disk-directed IOPs and the traditional-caching baseline alike —
+//! gets the same queue discipline.
 
 use std::collections::VecDeque;
 
@@ -55,8 +56,8 @@ struct Entry<T> {
 ///
 /// The drive pushes every arriving request and, whenever the mechanism is
 /// free, pops the next one to serve given the arm's current cylinder. `T` is
-/// an opaque per-request payload (the drive's completion channel) threaded
-/// through unchanged.
+/// an opaque per-request payload (the drive's ticket and requester)
+/// threaded through unchanged.
 ///
 /// Entries stay in arrival order. Every policy's pick key ends in the
 /// unique arrival number, so the request served never depends on how the

@@ -2,10 +2,12 @@
 //!
 //! The executor is a single-threaded, deterministic async runtime whose notion
 //! of "time" is the simulation clock rather than the wall clock. Simulated
-//! processes (compute processors, I/O processors, disk servers, buffer
-//! threads, ...) are ordinary `async` functions; waiting for simulated time to
-//! pass is `ctx.sleep(duration).await`, and waiting for another process is
-//! done through the primitives in [`crate::sync`].
+//! processes that run in parallel (compute processors, I/O processors'
+//! collectives, buffer threads, ...) are ordinary `async` functions; waiting
+//! for simulated time to pass is `ctx.sleep(duration).await`, and waiting for
+//! another process is done through the primitives in [`crate::sync`]. A
+//! server whose work is known when a request reaches it, such as a drive,
+//! needs no task: it sets its requester's wake-up with [`TaskRef::wake_at`].
 //!
 //! The design mirrors what the paper used Proteus for: an event-driven engine
 //! that interleaves many logical threads and charges each action a configurable
@@ -20,7 +22,8 @@
 //!   so a recycled slot never confuses a stale wake-up with a live task.
 //! * **One wake path** — primitives capture a [`TaskRef`] (task id plus a
 //!   weak reference to the simulation state) and waking is a plain
-//!   `VecDeque::push_back`, no locking or allocation. `Future::poll` still
+//!   `VecDeque::push_back`, no locking or allocation; waking at a deadline
+//!   is a timer in the calendar below, like a sleep's. `Future::poll` still
 //!   needs a standard `Waker`, so every task is polled with one shared per
 //!   [`Sim`]; waking it panics.
 //! * **One event calendar** — a monotone radix heap of `(deadline, TaskId)`
@@ -149,6 +152,24 @@ impl TaskRef {
     pub fn wake(self) {
         if let Some(core) = self.state.upgrade() {
             core.state.borrow_mut().ready.push_back(self.id);
+        }
+    }
+
+    /// Wakes the captured task when the clock reaches `deadline`, consuming
+    /// the handle: a timer set on the task's behalf, which fires in
+    /// registration order with every other timer of that deadline, sleeps
+    /// included. A deadline already reached wakes the task at once.
+    ///
+    /// A server with no task of its own, such as a drive, uses it to wake a
+    /// waiting requester at the end of the service it worked out.
+    pub fn wake_at(self, deadline: SimTime) {
+        if let Some(core) = self.state.upgrade() {
+            let mut st = core.state.borrow_mut();
+            if deadline <= core.clock.get() {
+                st.ready.push_back(self.id);
+            } else {
+                st.timers.push(deadline.as_nanos(), self.id);
+            }
         }
     }
 }
@@ -711,9 +732,11 @@ mod tests {
         let done2 = Rc::clone(&done);
         sim.spawn(async move {
             ctx.sleep(SimDuration::ZERO).await;
+            // A deadline already reached wakes the task at once.
+            wake_at(ctx.now()).await;
             done2.set(true);
         });
-        sim.run();
+        assert_eq!(sim.run(), SimTime::ZERO);
         assert!(done.get());
     }
 
@@ -828,21 +851,41 @@ mod tests {
         assert_eq!(*order.borrow(), vec!["a", "b", "c"]);
     }
 
+    /// Parks the task polling it until `deadline`, through
+    /// [`TaskRef::wake_at`].
+    fn wake_at(deadline: SimTime) -> impl Future<Output = ()> {
+        let mut parked = false;
+        std::future::poll_fn(move |_| {
+            if std::mem::replace(&mut parked, true) {
+                return Poll::Ready(());
+            }
+            TaskRef::capture().wake_at(deadline);
+            Poll::Pending
+        })
+    }
+
     #[test]
     fn simultaneous_timers_fire_in_registration_order() {
+        // Sleeps, and timers set through `wake_at` between them, share one
+        // registration order.
         let mut sim = Sim::new();
         let ctx = sim.context();
         let order = Rc::new(RefCell::new(Vec::new()));
-        for i in 0..5u32 {
+        for i in 0..10u32 {
             let ctx = ctx.clone();
             let order = Rc::clone(&order);
             sim.spawn(async move {
-                ctx.sleep(SimDuration::from_micros(7)).await;
+                match i % 2 {
+                    0 => ctx.sleep(SimDuration::from_micros(7)).await,
+                    _ => wake_at(SimTime::ZERO + SimDuration::from_micros(7)).await,
+                }
                 order.borrow_mut().push(i);
             });
         }
         sim.run();
-        assert_eq!(*order.borrow(), vec![0, 1, 2, 3, 4]);
+        assert_eq!(*order.borrow(), (0..10).collect::<Vec<_>>());
+        // Each task's two polls and its timer.
+        assert_eq!(sim.events_processed(), 10 * 3);
     }
 
     #[test]

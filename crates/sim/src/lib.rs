@@ -2,9 +2,11 @@
 //!
 //! This crate is the substrate that replaces the Proteus parallel-architecture
 //! simulator used in Kotz's *Disk-Directed I/O for MIMD Multiprocessors*
-//! (OSDI 1994). Simulated processors, disk servers, and file-system threads
-//! are modeled as async tasks scheduled by a single-threaded executor whose
-//! clock is simulated time.
+//! (OSDI 1994). Simulated processors and file-system threads are modeled as
+//! async tasks scheduled by a single-threaded executor whose clock is
+//! simulated time. Servers whose work is known when a request reaches them
+//! (buses, NIs, CPUs, drives) have no task: they book their time, or set
+//! their requesters' wake-ups.
 //!
 //! The main pieces are:
 //!

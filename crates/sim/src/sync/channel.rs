@@ -1,8 +1,8 @@
 //! Asynchronous FIFO message channels.
 //!
-//! Channels are the backbone of the simulated machine: every request, reply,
-//! Memput and Memget ultimately travels through one. Channels are unbounded
-//! and support multiple senders and multiple receivers.
+//! A channel is the one queue primitive: a disk-directed CP's inbox and
+//! serving's arrival tokens are channels. Channels are unbounded and
+//! support multiple senders and multiple receivers.
 
 use std::cell::RefCell;
 use std::collections::VecDeque;
@@ -139,85 +139,6 @@ impl<T> Future for Recv<'_, T> {
         }
         inner.recv_waiters.push_back(TaskRef::capture());
         Poll::Pending
-    }
-}
-
-/// A single-use channel carrying exactly one value, used for request/reply
-/// pairs ("send me the answer here").
-pub mod oneshot {
-    use super::*;
-
-    struct OneInner<T> {
-        value: Option<T>,
-        waker: Option<TaskRef>,
-        sender_dropped: bool,
-    }
-
-    /// Creates a oneshot channel.
-    pub fn channel<T>() -> (OneSender<T>, OneReceiver<T>) {
-        let inner = Rc::new(RefCell::new(OneInner {
-            value: None,
-            waker: None,
-            sender_dropped: false,
-        }));
-        (
-            OneSender {
-                inner: Rc::clone(&inner),
-                sent: false,
-            },
-            OneReceiver { inner },
-        )
-    }
-
-    /// Sending half of a oneshot channel.
-    pub struct OneSender<T> {
-        inner: Rc<RefCell<OneInner<T>>>,
-        sent: bool,
-    }
-
-    impl<T> OneSender<T> {
-        /// Delivers the value, waking the receiver if it is waiting.
-        pub fn send(mut self, value: T) {
-            let mut inner = self.inner.borrow_mut();
-            inner.value = Some(value);
-            if let Some(w) = inner.waker.take() {
-                w.wake();
-            }
-            self.sent = true;
-        }
-    }
-
-    impl<T> Drop for OneSender<T> {
-        fn drop(&mut self) {
-            if !self.sent {
-                let mut inner = self.inner.borrow_mut();
-                inner.sender_dropped = true;
-                if let Some(w) = inner.waker.take() {
-                    w.wake();
-                }
-            }
-        }
-    }
-
-    /// Receiving half of a oneshot channel.
-    pub struct OneReceiver<T> {
-        inner: Rc<RefCell<OneInner<T>>>,
-    }
-
-    impl<T> Future for OneReceiver<T> {
-        type Output = Option<T>;
-
-        fn poll(self: Pin<&mut Self>, _cx: &mut Context<'_>) -> Poll<Option<T>> {
-            let mut inner = self.inner.borrow_mut();
-            if let Some(v) = inner.value.take() {
-                return Poll::Ready(Some(v));
-            }
-            if inner.sender_dropped {
-                return Poll::Ready(None);
-            }
-            inner.waker = Some(TaskRef::capture());
-            Poll::Pending
-        }
     }
 }
 
@@ -358,38 +279,6 @@ mod tests {
         sim.run();
         assert_eq!(closed.get(), N);
         assert_eq!(vain.get(), 0);
-    }
-
-    #[test]
-    fn oneshot_round_trip() {
-        let mut sim = Sim::new();
-        let ctx = sim.context();
-        let (tx, rx) = oneshot::channel::<&'static str>();
-        let got = Rc::new(RefCell::new(None));
-        let got2 = Rc::clone(&got);
-        sim.spawn(async move {
-            ctx.sleep(SimDuration::from_micros(3)).await;
-            tx.send("done");
-        });
-        sim.spawn(async move {
-            *got2.borrow_mut() = rx.await;
-        });
-        sim.run();
-        assert_eq!(*got.borrow(), Some("done"));
-    }
-
-    #[test]
-    fn oneshot_none_when_sender_dropped() {
-        let mut sim = Sim::new();
-        let (tx, rx) = oneshot::channel::<u32>();
-        drop(tx);
-        let got = Rc::new(Cell::new(Some(1u32)));
-        let got2 = Rc::clone(&got);
-        sim.spawn(async move {
-            got2.set(rx.await);
-        });
-        sim.run();
-        assert_eq!(got.get(), None);
     }
 
     #[test]

@@ -5,12 +5,13 @@
 //! are three ways to wait: for a [`Resource`]'s server, for a
 //! [`CountdownEvent`] to open, and on a channel. The latch covers every
 //! completion, rendezvous and reply: a barrier is a latch of one count per
-//! party, and a request carries the latch its reply signals.
+//! party, and a request whose handlers run in parallel carries the latch
+//! their replies signal. A request that waits for one handler calls it.
 
 mod channel;
 mod event;
 mod resource;
 
-pub use channel::{oneshot, unbounded, Receiver, Sender};
+pub use channel::{unbounded, Receiver, Sender};
 pub use event::CountdownEvent;
 pub use resource::{Resource, ResourceName, UseFor};
