@@ -139,6 +139,38 @@ fn bench_timer_depth(c: &mut Criterion) {
     });
 }
 
+/// The executor's fixed cost per timer at the calendar depths the benchmark
+/// workloads run at: each task re-sleeps 100 ns to 0.8 ms, spread evenly in
+/// log scale, so about as many timers stay pending as there are tasks
+/// (perfbench's paper-grid averages ~41, large-machine ~596). Every
+/// depth makes the same 48,000 sleeps on a reused simulator;
+/// `crates/sim/tests/speed_test.rs` prints the same mix as ns per sleep.
+fn bench_timer_mix(c: &mut Criterion) {
+    const SLEEPS: u64 = 48_000;
+    let mut group = c.benchmark_group("simulator/timer_mix");
+    for tasks in [8u64, 48, 600] {
+        group.bench_with_input(BenchmarkId::from_parameter(tasks), &tasks, |b, &tasks| {
+            let mut sim = Sim::new();
+            b.iter(|| {
+                sim.reset();
+                let ctx = sim.context();
+                for i in 0..tasks {
+                    let ctx = ctx.clone();
+                    sim.spawn(async move {
+                        for round in 0..SLEEPS / tasks {
+                            let octave = 100u64 << ((i * 7 + round * 3) % 13);
+                            let within = (i * 2_654_435_761 + round * 40_503) % octave;
+                            ctx.sleep(SimDuration::from_nanos(octave + within)).await;
+                        }
+                    });
+                }
+                sim.run()
+            });
+        });
+    }
+    group.finish();
+}
+
 /// Spawn-path cost: create and drain thousands of trivial tasks, measuring
 /// slab slot reuse; the reset variant reuses one simulator's allocations the
 /// way the experiment harness does across trials.
@@ -176,6 +208,7 @@ criterion_group!(
     bench_wake_queue,
     bench_timer_spread,
     bench_timer_depth,
+    bench_timer_mix,
     bench_spawn
 );
 criterion_main!(benches);

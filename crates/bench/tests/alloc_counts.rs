@@ -205,7 +205,6 @@ fn disk_io_storm(sim: &mut Sim, each: u64) -> u64 {
     let ctx = sim.context();
     let disk = DiskHandle::new(
         &ctx,
-        0,
         DiskParams::hp_97560(),
         SchedPolicy::Sstf,
         DriveFaultPlan::default(),

@@ -139,8 +139,8 @@ impl IopServer {
 
         // Counts the running buffer tasks; each signals as its last step.
         let buffers = CountdownEvent::new(0);
-        for (disk, _) in &self.parts.disks {
-            let mut blocks: Vec<(u64, u64)> = self.run.layout.blocks_on_disk(*disk);
+        for disk in self.run.config.disks_of_iop(self.parts.iop) {
+            let mut blocks: Vec<(u64, u64)> = self.run.layout.blocks_on_disk(disk);
             if sched == SchedPolicy::Presort {
                 // Sort by physical location to minimize arm movement.
                 blocks.sort_by_key(|&(_, sector)| sector);

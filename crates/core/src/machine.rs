@@ -51,8 +51,9 @@ pub(crate) struct IopParts {
     pub cpu: Resource,
     /// The IOP's SCSI bus (shared by all of its disks).
     pub bus: ScsiBus,
-    /// The IOP's disks as (global disk index, handle).
-    pub disks: Vec<(usize, DiskHandle)>,
+    /// The IOP's disks in global disk order, so disk `d` is
+    /// `disks[d % config.disks_per_iop()]`.
+    pub disks: Vec<DiskHandle>,
 }
 
 /// Data-placement tracking used by the `verify` mode.
@@ -177,13 +178,7 @@ impl RunContext {
             AccessKind::Read => DiskRequest::read(loc.start_sector, sectors),
             AccessKind::Write => DiskRequest::write(loc.start_sector, sectors),
         };
-        let owner = self.owner_of(loc.disk);
-        let drive = owner
-            .disks
-            .iter()
-            .find(|(d, _)| *d == loc.disk)
-            .map(|(_, handle)| handle)
-            .unwrap_or_else(|| panic!("IOP {} does not own disk {}", owner.iop, loc.disk));
+        let drive = &self.owner_of(loc.disk).disks[loc.disk % self.config.disks_per_iop()];
         !drive.io(request).await.failed
     }
 
@@ -532,8 +527,7 @@ pub fn run_transfer_in(
             .disks_of_iop(iop)
             .map(|disk| {
                 let plan = fault_schedule.plan(disk);
-                let handle = DiskHandle::new(&ctx, disk, drive_params, method.sched(), plan);
-                (disk, handle)
+                DiskHandle::new(&ctx, drive_params, method.sched(), plan)
             })
             .collect();
         iops.push(Rc::new(IopParts {
@@ -607,7 +601,7 @@ pub fn run_transfer_in(
 
     let disk_stats: Vec<DiskStats> = iops
         .iter()
-        .flat_map(|iop| iop.disks.iter().map(|(_, d)| d.stats()))
+        .flat_map(|iop| iop.disks.iter().map(DiskHandle::stats))
         .collect();
     let disk_utilization = disk_stats
         .iter()

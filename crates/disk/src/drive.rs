@@ -80,7 +80,6 @@ impl DriveFaultPlan {
 /// One drive: the mechanism, its queue and the request it is serving.
 struct Drive {
     ctx: SimContext,
-    id: usize,
     plan: DriveFaultPlan,
     model: DiskModel,
     /// The queued requests, each with its ticket and its requester.
@@ -154,14 +153,12 @@ impl DiskHandle {
     /// [`DriveFaultPlan::default`] takes no fault branch).
     pub fn new(
         ctx: &SimContext,
-        id: usize,
         params: DiskParams,
         sched: SchedPolicy,
         plan: DriveFaultPlan,
     ) -> DiskHandle {
         let drive = Drive {
             ctx: ctx.clone(),
-            id,
             plan,
             model: DiskModel::new(params),
             queue: DiskQueue::new(sched, params.geometry),
@@ -172,12 +169,6 @@ impl DiskHandle {
         DiskHandle {
             drive: Rc::new(RefCell::new(drive)),
         }
-    }
-
-    /// The number this drive was built with (in a machine, its global disk
-    /// index).
-    pub fn id(&self) -> usize {
-        self.drive.borrow().id
     }
 
     /// Issues a request and waits for the drive to complete it.
@@ -271,7 +262,7 @@ mod tests {
 
     /// An FCFS HP 97560 drive with `plan`'s faults.
     fn fcfs_drive(ctx: &SimContext, plan: DriveFaultPlan) -> DiskHandle {
-        DiskHandle::new(ctx, 0, DiskParams::hp_97560(), SchedPolicy::Fcfs, plan)
+        DiskHandle::new(ctx, DiskParams::hp_97560(), SchedPolicy::Fcfs, plan)
     }
 
     #[test]
@@ -311,12 +302,10 @@ mod tests {
         let ctx = sim.context();
         let disk = DiskHandle::new(
             &ctx,
-            3,
             DiskParams::hp_97560(),
             SchedPolicy::Fcfs,
             DriveFaultPlan::default(),
         );
-        assert_eq!(disk.id(), 3);
         let total_busy = Rc::new(Cell::new(SimDuration::ZERO));
         for client in 0..2u64 {
             let disk = disk.clone();
@@ -347,7 +336,7 @@ mod tests {
         let ctx = sim.context();
         let params = DiskParams::hp_97560();
         let spc = params.geometry.sectors_per_cylinder();
-        let disk = DiskHandle::new(&ctx, 0, params, policy, DriveFaultPlan::default());
+        let disk = DiskHandle::new(&ctx, params, policy, DriveFaultPlan::default());
         let order = Rc::new(RefCell::new(Vec::new()));
         // One task per request, all at time zero: the first requester yields
         // once at the idle drive, so the whole batch is queued before the
@@ -524,7 +513,6 @@ mod tests {
         let ctx = sim.context();
         let disk = DiskHandle::new(
             &ctx,
-            0,
             DiskParams::tiny_test(),
             SchedPolicy::Fcfs,
             DriveFaultPlan::default(),

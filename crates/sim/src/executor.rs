@@ -25,14 +25,21 @@
 //!   `VecDeque::push_back`, no locking or allocation; waking at a deadline
 //!   is a timer in the calendar below, like a sleep's. `Future::poll` still
 //!   needs a standard `Waker`, so every task is polled with one shared per
-//!   [`Sim`]; waking it panics.
+//!   [`Sim`]; waking it panics. The task being polled is a field of the
+//!   simulation, which a sleep reads directly; a thread-local, set once per
+//!   [`Sim::run`], only lets [`TaskRef::capture`] find that simulation.
 //! * **One event calendar** — a monotone radix heap of `(deadline, TaskId)`
 //!   entries holds every pending timer: 64 buckets keyed by the highest bit
 //!   in which a deadline differs from the last deadline fired. A push is one
 //!   append; a timer moves down at most 64 buckets in its life, so popping
-//!   is amortized constant however many timers are pending. Entries store a
-//!   `TaskId`, not a boxed `Waker`, and every bucket keeps its capacity
-//!   across [`Sim::reset`].
+//!   is amortized constant however many timers are pending. A front slot
+//!   before the buckets holds a timer a push could tell is strictly the
+//!   earliest, which then fires without touching a bucket, and a bucket of
+//!   one entry is taken without a scan. Entries store a `TaskId`, not a
+//!   boxed `Waker`, and every bucket keeps its capacity across
+//!   [`Sim::reset`]. When one timer alone falls due, its task is polled
+//!   straight away rather than through the ready queue, which is empty
+//!   whenever the clock advances.
 //!
 //! # Determinism
 //!
@@ -92,10 +99,10 @@ impl TaskId {
 type BoxedTask = Pin<Box<dyn Future<Output = ()>>>;
 
 thread_local! {
-    /// The task currently being polled by the executor on this thread, used
-    /// by [`TaskRef::capture`] so primitives can wake by task id.
-    static CURRENT: RefCell<Option<(TaskId, Weak<SimCore>)>> =
-        const { RefCell::new(None) };
+    /// The simulation running on this thread, set once per [`Sim::run`], so
+    /// [`TaskRef::capture`] can find the task being polled (the core's
+    /// `current`) and a handle to wake it through.
+    static RUNNING: RefCell<Option<Weak<SimCore>>> = const { RefCell::new(None) };
 }
 
 /// The `Waker` every task of a simulation is polled with.
@@ -133,14 +140,18 @@ impl TaskRef {
     /// Panics outside a simulation task: only the executor can wake a
     /// waiter.
     pub fn capture() -> TaskRef {
-        CURRENT.with(|c| match &*c.borrow() {
-            Some((id, state)) => TaskRef {
-                id: *id,
-                state: state.clone(),
-            },
-            None => panic!(
-                "sync primitives can only be polled from within a task spawned on the simulation"
-            ),
+        RUNNING.with(|running| {
+            let running = running.borrow();
+            let polled = running.as_ref().and_then(|state| {
+                let id = state.upgrade()?.current.get()?;
+                Some(TaskRef {
+                    id,
+                    state: state.clone(),
+                })
+            });
+            polled.expect(
+                "sync primitives can only be polled from within a task spawned on the simulation",
+            )
         })
     }
 
@@ -174,23 +185,24 @@ impl TaskRef {
     }
 }
 
-/// Restores the previous [`CURRENT`] task on drop, so the marker stays
-/// correct even if a task's `poll` panics.
-struct CurrentGuard {
-    prev: Option<(TaskId, Weak<SimCore>)>,
+/// Marks a simulation as [`RUNNING`] for one [`Sim::run`] and restores the
+/// previous one on drop, so a `run` nested inside a task, or one that
+/// unwinds, leaves the marker as it found it.
+struct RunningGuard {
+    prev: Option<Weak<SimCore>>,
 }
 
-impl CurrentGuard {
-    fn enter(id: TaskId, core: &Rc<SimCore>) -> CurrentGuard {
-        CurrentGuard {
-            prev: CURRENT.with(|c| c.borrow_mut().replace((id, core.self_weak.clone()))),
+impl RunningGuard {
+    fn enter(core: &SimCore) -> RunningGuard {
+        RunningGuard {
+            prev: RUNNING.with(|r| r.borrow_mut().replace(core.self_weak.clone())),
         }
     }
 }
 
-impl Drop for CurrentGuard {
+impl Drop for RunningGuard {
     fn drop(&mut self) {
-        CURRENT.with(|c| *c.borrow_mut() = self.prev.take());
+        RUNNING.with(|r| *r.borrow_mut() = self.prev.take());
     }
 }
 
@@ -211,32 +223,50 @@ struct SimCore {
     /// outlives [`Sim::reset`] compares it with the epoch it last saw to
     /// know that the clock restarted at zero.
     epoch: Cell<u64>,
+    /// The task being polled, if any: what a sleep registers its timer for
+    /// and what [`TaskRef::capture`] captures.
+    current: Cell<Option<TaskId>>,
     state: RefCell<SimState>,
     /// A weak self-reference (set at construction), so [`TaskRef::capture`]
-    /// can mint waiter handles from the `CURRENT` marker.
+    /// can mint waiter handles from the [`RUNNING`] marker.
     self_weak: Weak<SimCore>,
 }
 
 /// The event calendar: a monotone radix heap of pending timers (Ahuja,
 /// Mehlhorn, Orlin & Tarjan, "Faster algorithms for the shortest path
-/// problem", JACM 1990), which suits a clock that never goes backwards.
+/// problem", JACM 1990), which suits a clock that never goes backwards, with
+/// one front slot before it.
 ///
 /// A timer with deadline `d > last` sits in bucket `63 - (d ^ last)
 /// .leading_zeros()`: the highest bit in which `d` differs from the last
 /// deadline fired. Every entry of a higher bucket is later than every entry
-/// of a lower one, so the earliest pending deadline is the minimum of the
+/// of a lower one, so the earliest bucketed deadline is the minimum of the
 /// lowest occupied bucket. [`Calendar::advance`] sets `last` to that minimum
 /// and re-appends the bucket's entries in order: those equal to `last` land
-/// in `due`, the rest in lower buckets, which were empty.
+/// in `due`, the rest in lower buckets, which were empty. A bucket of one
+/// entry is simply taken.
+///
+/// The `front` slot holds a timer strictly earlier than every bucketed one,
+/// when a push can tell that cheaply: nothing is in front and the deadline's
+/// bucket is below every occupied bucket, or the deadline is earlier than
+/// the front's (which then moves to its bucket). Such a timer fires next
+/// without touching a bucket. A push equal to the front sends both to their
+/// bucket, front first.
 ///
 /// Timers fire in `(deadline, registration)` order with no sequence number:
 ///
 /// * equal deadlines always sit in the same bucket, because a bucket's index
-///   depends only on the deadline and `last`;
+///   depends only on the deadline and `last`, and the front never shares its
+///   deadline with another timer;
 /// * advancing `last` to the minimum of the lowest occupied bucket leaves
 ///   every higher bucket's index unchanged (the new `last` agrees with the
 ///   old one on every bit above that bucket), so only the emptied bucket's
 ///   entries move;
+/// * advancing `last` to the front's deadline `f` likewise leaves every
+///   bucket above `f`'s own index unchanged, and every bucket below it is
+///   empty (`f` is earlier than each bucketed timer), but a timer pushed
+///   after the front into `f`'s bucket now differs from `f` at a lower bit:
+///   that one stale bucket is re-appended, in order, into lower buckets;
 /// * pushes and redistribution both append in order.
 ///
 /// So two timers with one deadline keep their registration order from push
@@ -247,6 +277,9 @@ struct Calendar {
     last: u64,
     /// The timers due at `last`, in registration order.
     due: Vec<TaskId>,
+    /// A timer strictly earlier than every bucketed one, if a push found
+    /// one.
+    front: Option<(u64, TaskId)>,
     /// Bucket `b` holds the timers whose deadline first differs from `last`
     /// at bit `b`, in registration order per deadline.
     buckets: [Vec<(u64, TaskId)>; 64],
@@ -259,16 +292,46 @@ impl Calendar {
         Calendar {
             last: 0,
             due: Vec::new(),
+            front: None,
             buckets: std::array::from_fn(|_| Vec::new()),
             occupied: 0,
         }
+    }
+
+    /// The bucket of a timer at `deadline` when `last` fired last.
+    fn bucket(deadline: u64, last: u64) -> usize {
+        63 - (deadline ^ last).leading_zeros() as usize
     }
 
     /// Registers a timer firing `task` at `deadline`, which must be later
     /// than the last deadline fired.
     fn push(&mut self, deadline: u64, task: TaskId) {
         debug_assert!(deadline > self.last, "event calendar went backwards");
-        let bucket = 63 - (deadline ^ self.last).leading_zeros() as usize;
+        match self.front {
+            None => {
+                let bucket = Self::bucket(deadline, self.last);
+                if self.occupied & (2u64 << bucket).wrapping_sub(1) == 0 {
+                    self.front = Some((deadline, task));
+                } else {
+                    self.append(deadline, task);
+                }
+            }
+            Some((front, front_task)) if deadline <= front => {
+                self.front = None;
+                self.append(front, front_task);
+                if deadline < front {
+                    self.front = Some((deadline, task));
+                } else {
+                    self.append(deadline, task);
+                }
+            }
+            Some(_) => self.append(deadline, task),
+        }
+    }
+
+    /// Appends a timer to its bucket.
+    fn append(&mut self, deadline: u64, task: TaskId) {
+        let bucket = Self::bucket(deadline, self.last);
         self.buckets[bucket].push((deadline, task));
         self.occupied |= 1 << bucket;
     }
@@ -277,28 +340,46 @@ impl Calendar {
     /// returns that deadline; `None` if no timer is pending.
     fn advance(&mut self) -> Option<u64> {
         debug_assert!(self.due.is_empty(), "advanced with timers still due");
-        if self.occupied == 0 {
-            return None;
-        }
-        let lowest = self.occupied.trailing_zeros() as usize;
-        self.occupied &= !(1 << lowest);
-        // Take the bucket out so its entries can be re-appended into lower
-        // buckets, then put its (emptied) allocation back.
-        let mut entries = std::mem::take(&mut self.buckets[lowest]);
-        self.last = entries
-            .iter()
-            .map(|&(deadline, _)| deadline)
-            .min()
-            .expect("an occupied bucket holds a timer");
-        for &(deadline, task) in &entries {
+        let (bucket, deadline) = match self.front.take() {
+            Some((deadline, task)) => {
+                self.due.push(task);
+                let stale = Self::bucket(deadline, self.last);
+                self.last = deadline;
+                if self.occupied >> stale & 1 == 0 {
+                    return Some(deadline);
+                }
+                (stale, deadline)
+            }
+            None if self.occupied == 0 => return None,
+            None => {
+                let lowest = self.occupied.trailing_zeros() as usize;
+                let entries = &mut self.buckets[lowest];
+                if let [(deadline, task)] = entries[..] {
+                    entries.clear();
+                    self.occupied &= !(1 << lowest);
+                    self.last = deadline;
+                    self.due.push(task);
+                    return Some(deadline);
+                }
+                let min = entries.iter().map(|&(deadline, _)| deadline).min();
+                (lowest, min.expect("an occupied bucket holds a timer"))
+            }
+        };
+        // Re-append the bucket's entries relative to the new `last`: every
+        // one lands in `due` or in a lower bucket.
+        self.last = deadline;
+        self.occupied &= !(1 << bucket);
+        let (lower, rest) = self.buckets.split_at_mut(bucket);
+        for &(deadline, task) in &rest[0] {
             if deadline == self.last {
                 self.due.push(task);
             } else {
-                self.push(deadline, task);
+                let b = Self::bucket(deadline, self.last);
+                lower[b].push((deadline, task));
+                self.occupied |= 1 << b;
             }
         }
-        entries.clear();
-        self.buckets[lowest] = entries;
+        rest[0].clear();
         Some(self.last)
     }
 
@@ -306,6 +387,7 @@ impl Calendar {
     fn reset(&mut self) {
         self.last = 0;
         self.due.clear();
+        self.front = None;
         for bucket in &mut self.buckets {
             bucket.clear();
         }
@@ -360,6 +442,19 @@ impl SimState {
         id
     }
 
+    /// Checks task `id` out of its slot for a poll, counting the poll as an
+    /// event; `None` for a stale id (a finished generation, or a task
+    /// already checked out), which counts nothing.
+    fn check_out(&mut self, id: TaskId) -> Option<BoxedTask> {
+        let slot = self.slots.get_mut(id.index())?;
+        if slot.gen != id.generation() {
+            return None;
+        }
+        let task = slot.task.take()?;
+        self.events_processed += 1;
+        Some(task)
+    }
+
     /// Frees the slot of a task that finished (or unwound), so its id goes
     /// stale and it no longer counts as live.
     fn free_slot(&mut self, index: usize) {
@@ -390,6 +485,7 @@ impl Sim {
         let core = Rc::new_cyclic(|self_weak| SimCore {
             clock: Cell::new(SimTime::ZERO),
             epoch: Cell::new(0),
+            current: Cell::new(None),
             state: RefCell::new(SimState::new()),
             self_weak: self_weak.clone(),
         });
@@ -476,28 +572,19 @@ impl Sim {
     ///
     /// Returns the final simulated time.
     pub fn run(&mut self) -> SimTime {
+        let _running = RunningGuard::enter(&self.core);
         loop {
             // Pop the next runnable task and check it out of its slot under a
-            // single borrow, in FIFO wake order. Stale wake-ups (completed
-            // generation, or a task already checked out) are skipped without
-            // counting as events.
+            // single borrow, in FIFO wake order.
             let next = {
                 let mut st = self.core.state.borrow_mut();
                 loop {
                     let Some(id) = st.ready.pop_front() else {
                         break None;
                     };
-                    let Some(slot) = st.slots.get_mut(id.index()) else {
-                        continue;
-                    };
-                    if slot.gen != id.generation() {
-                        continue;
+                    if let Some(task) = st.check_out(id) {
+                        break Some((id, task));
                     }
-                    let Some(task) = slot.task.take() else {
-                        continue;
-                    };
-                    st.events_processed += 1;
-                    break Some((id, task));
                 }
             };
             if let Some((id, task)) = next {
@@ -507,15 +594,26 @@ impl Sim {
 
             // Nothing runnable: advance the clock to the next timer.
             let mut st = self.core.state.borrow_mut();
-            let st = &mut *st;
             let Some(deadline) = st.timers.advance() else {
                 break;
             };
             self.core.clock.set(SimTime::from_nanos(deadline));
             // Fire every timer with this deadline before polling, so
-            // simultaneous events are handled in registration order.
+            // simultaneous events are handled in registration order. A lone
+            // timer's task is polled at once: the ready queue is empty, so
+            // queueing it would change nothing but the cost.
             st.events_processed += st.timers.due.len() as u64;
-            st.ready.extend(st.timers.due.drain(..));
+            if let [id] = st.timers.due[..] {
+                st.timers.due.clear();
+                let task = st.check_out(id);
+                drop(st);
+                if let Some(task) = task {
+                    self.poll_task(id, task);
+                }
+            } else {
+                let st = &mut *st;
+                st.ready.extend(st.timers.due.drain(..));
+            }
         }
         self.now()
     }
@@ -529,12 +627,14 @@ impl Sim {
     /// Polls a task already checked out of its slot by the run loop.
     fn poll_task(&mut self, id: TaskId, mut task: BoxedTask) {
         /// Frees the slot of a task whose poll unwinds, so the task stops
-        /// counting as live; disarmed by `mem::forget` once the poll
-        /// returns. The unwound task borrows nothing by the time this runs,
-        /// but a drop must not panic, so a borrowed state is left alone.
+        /// counting as live, and clears the current task; disarmed by
+        /// `mem::forget` once the poll returns. The unwound task borrows
+        /// nothing by the time this runs, but a drop must not panic, so a
+        /// borrowed state is left alone.
         struct FreeOnUnwind<'a>(&'a SimCore, usize);
         impl Drop for FreeOnUnwind<'_> {
             fn drop(&mut self) {
+                self.0.current.set(None);
                 if let Ok(mut st) = self.0.state.try_borrow_mut() {
                     st.free_slot(self.1);
                 }
@@ -542,14 +642,11 @@ impl Sim {
         }
 
         let index = id.index();
-        let poll = {
-            let unwind = FreeOnUnwind(&self.core, index);
-            let _current = CurrentGuard::enter(id, &self.core);
-            let mut cx = Context::from_waker(&self.waker);
-            let poll = task.as_mut().poll(&mut cx);
-            std::mem::forget(unwind);
-            poll
-        };
+        let unwind = FreeOnUnwind(&self.core, index);
+        self.core.current.set(Some(id));
+        let poll = task.as_mut().poll(&mut Context::from_waker(&self.waker));
+        self.core.current.set(None);
+        std::mem::forget(unwind);
         {
             let mut st = self.core.state.borrow_mut();
             match poll {
@@ -642,17 +739,15 @@ impl SimContext {
         }
         if !*registered {
             *registered = true;
-            let id = CURRENT
-                .with(|c| c.borrow().as_ref().map(|(id, _)| *id))
-                .expect(
-                    "sleep futures can only be polled from within a task spawned on the simulation",
-                );
             debug_assert!(
-                CURRENT.with(|c| c
+                RUNNING.with(|r| r
                     .borrow()
                     .as_ref()
-                    .is_some_and(|(_, state)| state.ptr_eq(&self.core.self_weak))),
+                    .map_or(true, |state| state.ptr_eq(&self.core.self_weak))),
                 "sleep future polled by a task belonging to a different Sim"
+            );
+            let id = self.core.current.get().expect(
+                "sleep futures can only be polled from within a task spawned on the simulation",
             );
             self.core
                 .state
@@ -1001,11 +1096,7 @@ mod tests {
         sim.spawn(async move {
             ctx.sleep(SimDuration::from_millis(10)).await;
         });
-        sim.spawn(async move {
-            panic!("transfer failed");
-        });
-        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| sim.run()));
-        assert!(unwound.is_err());
+        unwind_a_task(&mut sim);
         assert_eq!(sim.now(), SimTime::ZERO);
 
         sim.reset();
@@ -1020,11 +1111,7 @@ mod tests {
         sim.spawn(async move {
             ctx.sleep(SimDuration::from_millis(1)).await;
         });
-        sim.spawn(async move {
-            panic!("transfer failed");
-        });
-        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| sim.run()));
-        assert!(unwound.is_err());
+        unwind_a_task(&mut sim);
         assert_eq!(sim.live_tasks(), 1, "only the sleeper is still live");
         // The unwound task's slot is free again: the run carries on with the
         // sleeper alone.
@@ -1070,10 +1157,17 @@ mod tests {
     }
 
     /// Checks that bit `b` of `occupied` is set exactly when bucket `b`
-    /// holds a timer.
+    /// holds a timer, and that the front is strictly earlier than every
+    /// bucketed timer.
     fn assert_occupancy(cal: &Calendar) {
         for (b, bucket) in cal.buckets.iter().enumerate() {
             assert_eq!(cal.occupied >> b & 1 == 1, !bucket.is_empty(), "bucket {b}");
+        }
+        if let Some((front, _)) = cal.front {
+            assert!(front > cal.last, "front {front} not after {}", cal.last);
+            for &(deadline, _) in cal.buckets.iter().flatten() {
+                assert!(front < deadline, "front {front} not before {deadline}");
+            }
         }
     }
 
@@ -1081,13 +1175,53 @@ mod tests {
     /// registration seq, id)`.
     type Model = std::collections::BinaryHeap<std::cmp::Reverse<(u64, u64, TaskId)>>;
 
+    /// How often a script took each of the calendar's paths, read from its
+    /// state before each push and advance.
+    #[derive(Debug, Default)]
+    struct Paths {
+        front_taken: usize,
+        front_displaced: usize,
+        equal_to_front: usize,
+        stale_rebucketed: usize,
+        single_entry: usize,
+    }
+
+    /// Pushes a timer at `deadline` onto the calendar and the model.
+    fn push(
+        cal: &mut Calendar,
+        model: &mut Model,
+        seq: &mut u64,
+        paths: &mut Paths,
+        deadline: u64,
+    ) {
+        if let Some((front, _)) = cal.front {
+            paths.front_displaced += usize::from(deadline < front);
+            paths.equal_to_front += usize::from(deadline == front);
+        }
+        cal.push(deadline, TaskId(*seq));
+        model.push(std::cmp::Reverse((deadline, *seq, TaskId(*seq))));
+        *seq += 1;
+    }
+
     /// Takes the next due timer (the first `taken` of `due` are gone),
     /// advancing the calendar once `due` is used up, and checks it is the
     /// model's next timer. False once both are empty.
-    fn fire(cal: &mut Calendar, model: &mut Model, taken: &mut usize) -> bool {
+    fn fire(cal: &mut Calendar, model: &mut Model, taken: &mut usize, paths: &mut Paths) -> bool {
         if *taken == cal.due.len() {
             cal.due.clear();
             *taken = 0;
+            match cal.front {
+                Some((front, _)) => {
+                    paths.front_taken += 1;
+                    paths.stale_rebucketed +=
+                        (cal.occupied >> Calendar::bucket(front, cal.last) & 1) as usize;
+                }
+                None if cal.occupied != 0 => {
+                    let lowest = cal.occupied.trailing_zeros() as usize;
+                    paths.single_entry += usize::from(cal.buckets[lowest].len() == 1);
+                }
+                None => {}
+            }
             let Some(deadline) = cal.advance() else {
                 assert!(model.is_empty(), "the calendar lost a timer");
                 return false;
@@ -1105,23 +1239,21 @@ mod tests {
         // Random monotone scripts against the reference model, a min-heap of
         // (deadline, registration seq, id): many equal deadlines, deadlines
         // from 1 ns to 2^63, pushes interleaved with draining `due`, and
-        // resets mid-script.
+        // resets mid-script. Every seed takes each of the calendar's paths.
         use crate::rng::SimRng;
-        use std::cmp::Reverse;
 
         for seed in 0..32 {
             let rng = SimRng::seed_from_u64(seed);
             let mut cal = Calendar::new();
             let mut model = Model::new();
+            let mut paths = Paths::default();
             let (mut seq, mut taken, mut fired) = (0u64, 0usize, 0usize);
             for _ in 0..3_000 {
                 match rng.gen_range(64) {
                     // Near deadlines, so many collide.
                     0..=23 => {
                         let deadline = cal.last + 1 + rng.gen_range(4);
-                        cal.push(deadline, TaskId(seq));
-                        model.push(Reverse((deadline, seq, TaskId(seq))));
-                        seq += 1;
+                        push(&mut cal, &mut model, &mut seq, &mut paths, deadline);
                     }
                     // Far deadlines, up to 2^63 ns.
                     24..=35 if cal.last < 1 << 62 => {
@@ -1129,9 +1261,7 @@ mod tests {
                             0 => 1 << 63,
                             _ => cal.last + (1 << rng.gen_range(62)) + rng.gen_range(2),
                         };
-                        cal.push(deadline, TaskId(seq));
-                        model.push(Reverse((deadline, seq, TaskId(seq))));
-                        seq += 1;
+                        push(&mut cal, &mut model, &mut seq, &mut paths, deadline);
                     }
                     36 => {
                         cal.reset();
@@ -1139,15 +1269,26 @@ mod tests {
                         taken = 0;
                         assert_eq!(cal.advance(), None);
                     }
-                    _ => fired += usize::from(fire(&mut cal, &mut model, &mut taken)),
+                    _ => fired += usize::from(fire(&mut cal, &mut model, &mut taken, &mut paths)),
                 }
                 assert_occupancy(&cal);
             }
-            while fire(&mut cal, &mut model, &mut taken) {
+            while fire(&mut cal, &mut model, &mut taken, &mut paths) {
                 fired += 1;
             }
             assert_occupancy(&cal);
             assert!(fired > 1_000, "seed {seed} fired only {fired} timers");
+            let hits = [
+                paths.front_taken,
+                paths.front_displaced,
+                paths.equal_to_front,
+                paths.stale_rebucketed,
+                paths.single_entry,
+            ];
+            assert!(
+                hits.iter().all(|&n| n > 0),
+                "seed {seed} missed a path: {paths:?}"
+            );
         }
     }
 
@@ -1169,17 +1310,104 @@ mod tests {
         sim.run();
     }
 
-    #[test]
-    #[should_panic(expected = "from within a task spawned on the simulation")]
-    fn sync_wait_outside_a_sim_panics() {
+    /// Polls `future` once outside any simulation task.
+    fn poll_outside_a_task<F: Future>(future: F) -> Poll<F::Output> {
         struct Ignore;
         impl Wake for Ignore {
             fn wake(self: Arc<Self>) {}
         }
-        let latch = CountdownEvent::new(1);
-        let mut wait = std::pin::pin!(latch.wait());
         let waker = Waker::from(Arc::new(Ignore));
-        let _ = wait.as_mut().poll(&mut Context::from_waker(&waker));
+        std::pin::pin!(future).poll(&mut Context::from_waker(&waker))
+    }
+
+    #[test]
+    #[should_panic(expected = "from within a task spawned on the simulation")]
+    fn sync_wait_outside_a_sim_panics() {
+        let latch = CountdownEvent::new(1);
+        let _ = poll_outside_a_task(latch.wait());
+    }
+
+    /// Spawns a task that panics, runs `sim`, and checks that the run
+    /// unwinds.
+    fn unwind_a_task(sim: &mut Sim) {
+        sim.spawn(async move {
+            panic!("transfer failed");
+        });
+        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| sim.run()));
+        assert!(unwound.is_err());
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "sync primitives can only be polled from within a task spawned on the simulation"
+    )]
+    fn capture_after_an_unwound_task_panics() {
+        unwind_a_task(&mut Sim::new());
+        TaskRef::capture();
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "sleep futures can only be polled from within a task spawned on the simulation"
+    )]
+    fn a_sleep_polled_after_an_unwound_task_panics() {
+        // The unwound task is no longer the simulation's current task, so
+        // the sleep finds no task to register its timer for.
+        let mut sim = Sim::new();
+        unwind_a_task(&mut sim);
+        let _ = poll_outside_a_task(sim.context().sleep(SimDuration::from_millis(1)));
+    }
+
+    #[test]
+    fn a_nested_run_leaves_the_outer_task_current() {
+        let mut sim = Sim::new();
+        let ctx = sim.context();
+        let finished = Rc::new(Cell::new(false));
+        let finished2 = Rc::clone(&finished);
+        sim.spawn(async move {
+            let mut inner = Sim::new();
+            let inner_ctx = inner.context();
+            inner.spawn(async move {
+                inner_ctx.sleep(SimDuration::from_millis(1)).await;
+            });
+            assert_eq!(inner.run(), SimTime::ZERO + SimDuration::from_millis(1));
+            // The outer task's sleep and yield still register for it.
+            ctx.sleep(SimDuration::from_millis(2)).await;
+            ctx.yield_now().await;
+            finished2.set(true);
+        });
+        assert_eq!(sim.run(), SimTime::ZERO + SimDuration::from_millis(2));
+        assert!(finished.get());
+        // Its first poll, the timer, the poll that yields and the last one.
+        assert_eq!(sim.events_processed(), 4);
+    }
+
+    #[test]
+    fn a_lone_due_timer_of_a_finished_task_is_skipped() {
+        // The first task sets a timer for itself at 3 us and finishes; by
+        // then its slot holds a task sleeping until 6 us, which the stale
+        // timer must not poll.
+        let mut sim = Sim::new();
+        let ctx = sim.context();
+        sim.spawn(std::future::poll_fn(|_| {
+            TaskRef::capture().wake_at(SimTime::ZERO + SimDuration::from_micros(3));
+            Poll::Ready(())
+        }));
+        let slot_reused = Rc::new(Cell::new(false));
+        let slot_reused2 = Rc::clone(&slot_reused);
+        sim.spawn(async move {
+            ctx.sleep(SimDuration::from_micros(1)).await;
+            let sleeper_ctx = ctx.clone();
+            let id = ctx.spawn(async move {
+                sleeper_ctx.sleep(SimDuration::from_micros(5)).await;
+            });
+            slot_reused2.set(id.index() == 0);
+        });
+        assert_eq!(sim.run(), SimTime::ZERO + SimDuration::from_micros(6));
+        assert!(slot_reused.get());
+        // Five polls and three timers; the stale timer costs no poll.
+        assert_eq!(sim.events_processed(), 5 + 3);
+        assert_eq!(sim.live_tasks(), 0);
     }
 
     #[test]

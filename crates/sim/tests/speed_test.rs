@@ -4,7 +4,8 @@
 //! registration/firing, and channel handoff — with a workload of roughly
 //! 100k events, and prints the measured events/sec so `--nocapture` runs
 //! double as a quick profile (CI runs it that way, so every log shows the
-//! executor's events/sec). The assertions are correctness-only: a
+//! executor's events/sec), then prints the fixed cost per timer as ns per
+//! sleep at three calendar depths. The assertions are correctness-only: a
 //! wall-clock floor here would flake on loaded CI machines.
 
 use std::time::Instant;
@@ -73,4 +74,48 @@ fn executor_throughput_is_deterministic() {
         (end, sim.events_processed())
     };
     assert_eq!(run(), run());
+}
+
+/// Tasks that each re-sleep 100 ns to 0.8 ms, spread evenly in log scale,
+/// `sleeps` sleeps in all: about as many timers stay pending as there are
+/// tasks. The `simulator/timer_mix` bench row runs the same mix.
+fn spawn_timer_mix(sim: &mut Sim, tasks: u64, sleeps: u64) {
+    let ctx = sim.context();
+    for i in 0..tasks {
+        let ctx = ctx.clone();
+        sim.spawn(async move {
+            for round in 0..sleeps / tasks {
+                let octave = 100u64 << ((i * 7 + round * 3) % 13);
+                let within = (i * 2_654_435_761 + round * 40_503) % octave;
+                ctx.sleep(SimDuration::from_nanos(octave + within)).await;
+            }
+        });
+    }
+}
+
+#[test]
+fn timer_mix_ns_per_sleep() {
+    // 48 tasks keep about as many timers pending as perfbench's paper-grid
+    // (~41 on average), 600 as its large-machine (~596).
+    const SLEEPS: u64 = 48_000;
+    let mut sim = Sim::new();
+    for tasks in [8u64, 48, 600] {
+        // A warm-up pass sizes the slab and the calendar, as a reused
+        // simulator has them.
+        spawn_timer_mix(&mut sim, tasks, SLEEPS);
+        sim.run();
+        sim.reset();
+        spawn_timer_mix(&mut sim, tasks, SLEEPS);
+        let start = Instant::now();
+        sim.run();
+        let wall = start.elapsed();
+        assert_eq!(sim.live_tasks(), 0, "tasks leaked after quiescence");
+        // Each task's first poll, then a timer and a poll per sleep.
+        assert_eq!(sim.events_processed(), tasks + 2 * SLEEPS);
+        eprintln!(
+            "speed_test: timer mix, {tasks} tasks: {:.1} ns per sleep",
+            wall.as_nanos() as f64 / SLEEPS as f64
+        );
+        sim.reset();
+    }
 }
