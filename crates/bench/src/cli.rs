@@ -303,15 +303,16 @@ pub fn run_pass(cmd: &RunCommand) -> Vec<ScenarioRun> {
         spans.push(scenario_cells.len());
         cells.extend(scenario_cells);
     }
-    let mut results = scenario::run_cells(cells, cmd.params.trials, cmd.jobs);
+    let mut results = scenario::run_cells(cells.clone(), cmd.params.trials, cmd.jobs);
     let mut runs = Vec::with_capacity(cmd.scenarios.len());
     for (s, span) in cmd.scenarios.iter().zip(spans) {
-        let rest = results.split_off(span);
+        let (rest_cells, rest) = (cells.split_off(span), results.split_off(span));
         runs.push(ScenarioRun {
             scenario: *s,
+            cells,
             results,
         });
-        results = rest;
+        (cells, results) = (rest_cells, rest);
     }
     runs
 }

@@ -6,7 +6,8 @@
 //! CSV; `ddio-bench run fig5` prints one exhibit. Its output is simulated
 //! results only; host time is measured by the separate `perfbench`
 //! workspace. The Criterion micro-benchmarks of the simulator, disk model,
-//! and pattern generator live in `benches/`.
+//! and pattern generator live in `benches/`. [`claims`] holds every
+//! qualitative claim as a predicate over a run's results.
 //!
 //! The CLI accepts these scaling knobs through the environment so the
 //! full-fidelity (10 MB file, five trials) runs of the paper can be
@@ -29,6 +30,7 @@
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
+pub mod claims;
 pub mod cli;
 pub mod report;
 

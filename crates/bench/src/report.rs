@@ -9,13 +9,15 @@
 use std::fmt::{self, Write as _};
 
 use ddio_core::experiment::scenario::{
-    aggregate, AxisValue, CellResult, Scenario, Summary, SweepParams,
+    aggregate, AxisValue, Cell, CellResult, Scenario, Summary, SweepParams,
 };
 
 /// One executed scenario with its results, ready for rendering.
 pub struct ScenarioRun {
     /// The registry entry that was run.
     pub scenario: Scenario,
+    /// The cells that ran, in build order: `cells[i]` produced `results[i]`.
+    pub cells: Vec<Cell>,
     /// Its cell results, in build order.
     pub results: Vec<CellResult>,
 }
@@ -181,7 +183,7 @@ fn json_summary(s: &Summary) -> Json {
 /// per-tenant throughput), one object per drive, one per IOP that ran a
 /// cache, and the fabric's per-node NI and — under the `link` contention
 /// model — per-link counters.
-fn json_cell(r: &CellResult) -> Json {
+pub(crate) fn json_cell(r: &CellResult) -> Json {
     let point = &r.point;
     let outcome = &point.last_outcome;
     let axes = r.axes.iter().map(|a| {
@@ -411,7 +413,7 @@ pub fn render_table(params: &SweepParams, runs: &[ScenarioRun]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ddio_core::experiment::scenario::{find, run_scenario, SweepParams};
+    use ddio_core::experiment::scenario::{find, run_cells, SweepParams};
     use ddio_core::MachineConfig;
 
     fn tiny_run(name: &str) -> (SweepParams, ScenarioRun) {
@@ -428,8 +430,14 @@ mod tests {
             small_records: false,
         };
         let scenario = find(name).unwrap();
-        let results = run_scenario(&scenario, &params, 2);
-        (params, ScenarioRun { scenario, results })
+        let cells = (scenario.build)(&params);
+        let results = run_cells(cells.clone(), params.trials, 2);
+        let run = ScenarioRun {
+            scenario,
+            cells,
+            results,
+        };
+        (params, run)
     }
 
     #[test]

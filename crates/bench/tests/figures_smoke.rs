@@ -14,37 +14,38 @@
 //! exit-code-2 error paths drive the binary itself.
 
 use std::process::{Command, Output};
-use std::sync::OnceLock;
 
+use ddio_bench::claims;
 use ddio_bench::cli::{self, Format, RunCommand};
 use ddio_bench::report::ScenarioRun;
 use ddio_core::ContentionModel;
 
 const PINS: &str = include_str!("smoke.pins");
 
-/// The pass, explicit rather than read from the environment: 1 MiB file,
-/// one trial, no small records, seed 1994, four workers.
+/// The smoke pass of every scenario.
 fn pass() -> &'static (RunCommand, Vec<ScenarioRun>) {
-    static PASS: OnceLock<(RunCommand, Vec<ScenarioRun>)> = OnceLock::new();
-    PASS.get_or_init(|| {
-        let argv = [
-            "all",
-            "--file-mb",
-            "1",
-            "--trials",
-            "1",
-            "--small-records",
-            "0",
-            "--seed",
-            "1994",
-            "--jobs",
-            "4",
-        ];
-        let args: Vec<String> = argv.iter().map(|a| (*a).to_owned()).collect();
-        let cmd = cli::parse_run(&args, |_| None).expect("smoke arguments parse");
-        let runs = cli::run_pass(&cmd);
-        (cmd, runs)
-    })
+    claims::shared("all")
+}
+
+/// Every registered claim over the paper's run: the 10 MiB file, five
+/// trials, 8 KB records only. Ignored in tier-1, where each claim is checked
+/// over a smaller pass; CI runs it on the release build.
+#[test]
+#[ignore = "the paper-scale pass; run with --release -- --ignored"]
+fn every_claim_holds_at_the_papers_file_size() {
+    let (_, runs) = claims::pass("all --file-mb 10 --trials 5 --small-records 0 --seed 1994");
+    let mut failures = Vec::new();
+    for claim in claims::all() {
+        match (claim.check)(&runs) {
+            Ok(evidence) => println!("{}: {evidence}", claim.name),
+            Err(why) => failures.push(format!("{}: {why}", claim.name)),
+        }
+    }
+    assert!(
+        failures.is_empty(),
+        "fails at 10 MiB:\n{}",
+        failures.join("\n")
+    );
 }
 
 /// `name`'s report from the pass, rendered as `ddio-bench run <name>

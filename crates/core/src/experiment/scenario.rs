@@ -451,7 +451,7 @@ pub fn registry() -> Vec<Scenario> {
             name: "net-sweep",
             title: "Interconnect fabric sweep (topology x contention)",
             description: "torus/mesh/hypercube/crossbar x ni-only/link fabrics, TC vs DDIO(sort)",
-            headline: "DDIO's rb win survives every multi-hop fabric; only the 1-hop crossbar rescues TC",
+            headline: "DDIO's rb rate stays within 1.25x on every fabric and beats TC 1.5x+ on each multi-hop one",
             report: Report::Flat,
             build: build_net_sweep,
             note: Some(|_| {

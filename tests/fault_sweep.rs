@@ -5,176 +5,44 @@
 //! healthy composition carries zeroed fault counters, and the headline
 //! cells are pinned bit-exactly.
 //!
-//! Snapshot scale: 1 MiB file, one trial, seed 1994 — the same reduced scale
-//! as `tests/golden_figures.rs` and the CI smoke runs.
+//! Snapshot scale: 1 MiB file, one trial, seed 1994. The claims are
+//! predicates in `ddio_bench::claims`, evaluated over the shared sweep.
 
-use disk_directed_io::core::experiment::scenario::{find, run_scenario, CellResult, SweepParams};
-use disk_directed_io::{FaultPolicy, FaultStats, MachineConfig, RedundancyPolicy};
+use ddio_bench::claims;
+use ddio_bench::report::ScenarioRun;
+use disk_directed_io::{FaultPolicy, RedundancyPolicy};
 
-fn sweep_params() -> SweepParams {
-    SweepParams {
-        base: MachineConfig {
-            file_bytes: 1024 * 1024,
-            ..MachineConfig::default()
-        },
-        trials: 1,
-        seed: 1994,
-        small_records: false,
-    }
-}
-
-fn run_sweep(jobs: usize) -> Vec<CellResult> {
-    let scenario = find("fault-sweep").expect("registered scenario");
-    run_scenario(&scenario, &sweep_params(), jobs)
-}
-
-/// The parallel sweep, computed once and shared by every read-only test
-/// (the jobs-invariance test proves any jobs count gives these exact
-/// results, so re-simulating per test would only burn time).
-fn sweep_results() -> &'static [CellResult] {
-    static RESULTS: std::sync::OnceLock<Vec<CellResult>> = std::sync::OnceLock::new();
-    RESULTS.get_or_init(|| run_sweep(8))
-}
-
-fn cell<'a>(
-    results: &'a [CellResult],
-    pattern: &str,
-    label: &str,
-    faults: FaultPolicy,
-    redundancy: RedundancyPolicy,
-) -> &'a CellResult {
-    results
-        .iter()
-        .find(|r| {
-            r.point.pattern == pattern
-                && r.point.method.label() == label
-                && r.point.last_outcome.faults == faults
-                && r.point.last_outcome.redundancy == redundancy
-        })
-        .unwrap_or_else(|| {
-            panic!(
-                "no cell for {pattern} {label} faults={} redundancy={}",
-                faults.name(),
-                redundancy.name()
-            )
-        })
-}
-
-fn stats_of(
-    pattern: &str,
-    label: &str,
-    faults: FaultPolicy,
-    redundancy: RedundancyPolicy,
-) -> (f64, FaultStats) {
-    let c = cell(sweep_results(), pattern, label, faults, redundancy);
-    (c.point.mean(), c.point.last_outcome.fault_stats)
+/// The smoke-scale sweep every test here reads.
+fn sweep() -> &'static [ScenarioRun] {
+    &claims::shared("fault-sweep").1
 }
 
 #[test]
 fn fault_sweep_is_jobs_invariant() {
-    let serial = run_sweep(1);
-    let parallel = sweep_results();
-    assert_eq!(serial.len(), parallel.len());
-    for (s, p) in serial.iter().zip(parallel) {
-        assert_eq!(s.point.pattern, p.point.pattern);
-        assert_eq!(s.point.method, p.point.method);
-        assert_eq!(s.point.last_outcome.faults, p.point.last_outcome.faults);
-        assert_eq!(
-            s.point.last_outcome.redundancy,
-            p.point.last_outcome.redundancy
-        );
-        let s_bits: Vec<u64> = s.point.trials.iter().map(|t| t.to_bits()).collect();
-        let p_bits: Vec<u64> = p.point.trials.iter().map(|t| t.to_bits()).collect();
-        assert_eq!(
-            s_bits,
-            p_bits,
-            "--jobs 1 and --jobs 8 diverged at {} {} faults={} redundancy={}",
-            s.point.pattern,
-            s.point.method.label(),
-            s.point.last_outcome.faults.name(),
-            s.point.last_outcome.redundancy.name()
-        );
-    }
+    claims::assert_jobs_invariant("fault-sweep");
 }
 
-/// The healthy composition carries zeroed fault counters and positive
-/// throughput — fault accounting is pay-as-you-go.
 #[test]
 fn healthy_cells_report_zero_fault_counters() {
-    for label in ["TC", "DDIO(sort)"] {
-        for pattern in ["rb", "ra"] {
-            let (mean, stats) = stats_of(pattern, label, FaultPolicy::None, RedundancyPolicy::None);
-            assert!(
-                mean > 0.0,
-                "{pattern} {label}: healthy cell lost throughput"
-            );
-            assert_eq!(
-                stats,
-                FaultStats::default(),
-                "{pattern} {label}: healthy cell charged fault counters"
-            );
-        }
-    }
+    claims::check("healthy_cells_report_zero_fault_counters", sweep());
 }
 
-/// A bare drive death loses blocks, and lost data means zero reported
-/// throughput: the cell must not pretend a partial read succeeded.
 #[test]
 fn an_unprotected_drive_death_zeroes_the_cell() {
-    for label in ["TC", "DDIO(sort)"] {
-        let (mean, stats) = stats_of("rb", label, FaultPolicy::Failure, RedundancyPolicy::None);
-        assert!(stats.lost_blocks > 0, "rb {label}: death lost no blocks");
-        assert_eq!(mean, 0.0, "rb {label}: lost data but nonzero throughput");
-    }
+    claims::check("an_unprotected_drive_death_zeroes_the_cell", sweep());
 }
 
-/// The headline: both redundant layouts ride out the same drive death with
-/// reconstruction reads and no data loss.
 #[test]
 fn mirror_and_parity_survive_the_drive_death() {
-    for label in ["TC", "DDIO(sort)"] {
-        for redundancy in [RedundancyPolicy::Mirrored, RedundancyPolicy::Parity] {
-            let (mean, stats) = stats_of("rb", label, FaultPolicy::Failure, redundancy);
-            assert_eq!(
-                stats.lost_blocks,
-                0,
-                "rb {label} {}: redundancy lost data",
-                redundancy.name()
-            );
-            assert!(
-                stats.reconstruction_reads > 0,
-                "rb {label} {}: death survived without reconstruction",
-                redundancy.name()
-            );
-            assert!(
-                mean > 0.0,
-                "rb {label} {}: survived death but reported zero throughput",
-                redundancy.name()
-            );
-        }
-    }
+    claims::check("mirror_and_parity_survive_the_drive_death", sweep());
 }
 
-/// Transient storms fire their scheduled windows and charge degraded time,
-/// but lose nothing.
 #[test]
 fn transient_storms_fire_and_degrade_without_losing_data() {
-    for label in ["TC", "DDIO(sort)"] {
-        let (mean, stats) = stats_of("rb", label, FaultPolicy::Transient, RedundancyPolicy::None);
-        assert!(
-            stats.events_fired > 0,
-            "rb {label}: no transient event fired"
-        );
-        assert!(
-            stats.degraded_secs > 0.0,
-            "rb {label}: events fired but no degraded time"
-        );
-        assert_eq!(
-            stats.lost_blocks, 0,
-            "rb {label}: transient fault lost data"
-        );
-        assert!(mean > 0.0, "rb {label}: transient fault zeroed throughput");
-    }
+    claims::check(
+        "transient_storms_fire_and_degrade_without_losing_data",
+        sweep(),
+    );
 }
 
 /// Pinned snapshot of the sweep's headline cells at the reduced scale.
@@ -227,7 +95,9 @@ fn golden_fault_snapshot() {
         ),
     ];
     for (pattern, label, faults, redundancy, expected) in golden {
-        let (got, _) = stats_of(pattern, label, faults, redundancy);
+        let (f, r) = (faults.name(), redundancy.name());
+        let query = format!("fault-sweep {pattern} {label} faults={f} redundancy={r}");
+        let got = claims::mean(sweep(), &query).unwrap();
         assert!(
             got.to_bits() == expected.to_bits(),
             "{pattern} {label} faults={} redundancy={}: got {got} (bits {:#018x}), \

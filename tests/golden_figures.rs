@@ -11,21 +11,15 @@
 //! Snapshot scale: `DDIO_FILE_MB=1`, one trial, seed 1994 (the same reduced
 //! scale the smoke tests and CI use).
 
-use disk_directed_io::core::experiment::scenario::{find, run_scenario, SweepParams};
+use ddio_bench::claims;
+use ddio_bench::report::ScenarioRun;
 use disk_directed_io::MachineConfig;
 
 const REL_TOL: f64 = 1e-6;
 
-fn golden_params() -> SweepParams {
-    SweepParams {
-        base: MachineConfig {
-            file_bytes: 1024 * 1024,
-            ..MachineConfig::default()
-        },
-        trials: 1,
-        seed: 1994,
-        small_records: false,
-    }
+/// The smoke-scale Figure 5, run once and shared by both of its tests.
+fn fig5() -> &'static [ScenarioRun] {
+    &claims::shared("fig5").1
 }
 
 fn assert_close(actual: f64, expected: f64, what: &str) {
@@ -39,7 +33,10 @@ fn assert_close(actual: f64, expected: f64, what: &str) {
 /// Table 1 headline numbers: the modelled machine's fixed capacities.
 #[test]
 fn table1_machine_constants_match_golden_values() {
-    let config = golden_params().base;
+    let config = MachineConfig {
+        file_bytes: 1024 * 1024,
+        ..MachineConfig::default()
+    };
     let geometry = config.disk.geometry;
     // HP 97560: 1.3 GB nominal; our geometry works out to 1.37 GB.
     assert_close(
@@ -68,7 +65,7 @@ fn table1_machine_constants_match_golden_values() {
 }
 
 /// Figure 5 at the snapshot scale: mean throughput (MiB/s) of every
-/// (CP count, pattern, method) cell, via the registry with 4 workers.
+/// (CP count, pattern, method) cell.
 #[test]
 fn fig5_throughputs_match_golden_values() {
     #[rustfmt::skip]
@@ -115,9 +112,7 @@ fn fig5_throughputs_match_golden_values() {
         (16, "rc", "DDIO(sort)", 16.39777835683799),
     ];
 
-    let params = golden_params();
-    let scenario = find("fig5").expect("registered scenario");
-    let results = run_scenario(&scenario, &params, 4);
+    let results = &fig5()[0].results;
     assert_eq!(results.len(), GOLDEN.len(), "fig5 grid shape changed");
     for (result, &(cps, pattern, method, golden_mean)) in results.iter().zip(GOLDEN) {
         assert_eq!(result.axes[0].name, "cps");
@@ -137,25 +132,5 @@ fn fig5_throughputs_match_golden_values() {
 /// count, disk-directed I/O on `rb` meets or beats traditional caching.
 #[test]
 fn fig5_ddio_never_loses_to_tc_on_rb() {
-    let params = golden_params();
-    let scenario = find("fig5").expect("registered scenario");
-    let results = run_scenario(&scenario, &params, 4);
-    for cps in [1u64, 2, 4, 8, 16] {
-        let mean_of = |method: &str| {
-            results
-                .iter()
-                .find(|r| {
-                    r.axes[0].value == cps
-                        && r.point.pattern == "rb"
-                        && r.point.method.label() == method
-                })
-                .expect("cell present")
-                .point
-                .mean()
-        };
-        assert!(
-            mean_of("DDIO(sort)") >= mean_of("TC") * 0.99,
-            "DDIO lost to TC at cps={cps}"
-        );
-    }
+    claims::check("fig5_ddio_never_loses_to_tc_on_rb", fig5());
 }

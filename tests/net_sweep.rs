@@ -4,135 +4,33 @@
 //! contention models, the default fabric's numbers are pinned bit-exactly,
 //! and the link model obeys its conservation law at machine scale.
 //!
-//! Snapshot scale: 1 MiB file, one trial, seed 1994 — the same reduced scale
-//! as `tests/golden_figures.rs` and the CI smoke runs.
+//! Snapshot scale: 1 MiB file, one trial, seed 1994. The claims are
+//! predicates in `ddio_bench::claims`, evaluated over the shared sweep.
 
-use disk_directed_io::core::experiment::scenario::{find, run_scenario, CellResult, SweepParams};
+use ddio_bench::claims;
+use ddio_bench::report::ScenarioRun;
 use disk_directed_io::{
     run_transfer, AccessPattern, ContentionModel, MachineConfig, Method, NetConfig, TopologyKind,
 };
 
-fn sweep_params() -> SweepParams {
-    SweepParams {
-        base: MachineConfig {
-            file_bytes: 1024 * 1024,
-            ..MachineConfig::default()
-        },
-        trials: 1,
-        seed: 1994,
-        small_records: false,
-    }
-}
-
-fn run_sweep(jobs: usize) -> Vec<CellResult> {
-    let scenario = find("net-sweep").expect("registered scenario");
-    run_scenario(&scenario, &sweep_params(), jobs)
-}
-
-/// The parallel sweep, computed once and shared by every read-only test
-/// (the jobs-invariance test proves any jobs count gives these exact
-/// results, so re-simulating per test would only burn time).
-fn sweep_results() -> &'static [CellResult] {
-    static RESULTS: std::sync::OnceLock<Vec<CellResult>> = std::sync::OnceLock::new();
-    RESULTS.get_or_init(|| run_sweep(8))
-}
-
-fn mean_of(results: &[CellResult], pattern: &str, label: &str, fabric: NetConfig) -> f64 {
-    results
-        .iter()
-        .find(|r| {
-            r.point.pattern == pattern
-                && r.point.method.label() == label
-                && r.point.last_outcome.fabric == fabric
-        })
-        .unwrap_or_else(|| panic!("no cell for {pattern} {label} {}", fabric.label()))
-        .point
-        .mean()
+/// The smoke-scale sweep every test here reads.
+fn sweep() -> &'static [ScenarioRun] {
+    &claims::shared("net-sweep").1
 }
 
 #[test]
 fn net_sweep_is_jobs_invariant() {
-    let serial = run_sweep(1);
-    let parallel = sweep_results();
-    assert_eq!(serial.len(), parallel.len());
-    for (s, p) in serial.iter().zip(parallel) {
-        assert_eq!(s.point.pattern, p.point.pattern);
-        assert_eq!(s.point.method, p.point.method);
-        assert_eq!(s.point.last_outcome.fabric, p.point.last_outcome.fabric);
-        let s_bits: Vec<u64> = s.point.trials.iter().map(|t| t.to_bits()).collect();
-        let p_bits: Vec<u64> = p.point.trials.iter().map(|t| t.to_bits()).collect();
-        assert_eq!(
-            s_bits,
-            p_bits,
-            "--jobs 1 and --jobs 8 diverged at {} {} {}",
-            s.point.pattern,
-            s.point.method.label(),
-            s.point.last_outcome.fabric.label()
-        );
-    }
+    claims::assert_jobs_invariant("net-sweep");
 }
 
-/// The paper's headline pattern under every fabric: sorted disk-directed
-/// I/O keeps a decisive lead over traditional caching on every *multi-hop*
-/// topology, with and without link-level contention. (The 1-hop crossbar is
-/// the exception the sweep exposes — its uniform latency restores TC's
-/// request interleaving — which is why it is not asserted here.)
 #[test]
 fn ddio_rb_advantage_survives_every_multihop_fabric() {
-    let results = sweep_results();
-    for topology in [
-        TopologyKind::Torus,
-        TopologyKind::Mesh,
-        TopologyKind::Hypercube,
-    ] {
-        for contention in ContentionModel::ALL {
-            let fabric = NetConfig {
-                topology,
-                contention,
-            };
-            let tc = mean_of(results, "rb", "TC", fabric);
-            let ddio = mean_of(results, "rb", "DDIO(sort)", fabric);
-            assert!(
-                ddio > tc * 1.5,
-                "{}: DDIO {ddio:.3} lost its lead over TC {tc:.3}",
-                fabric.label()
-            );
-        }
-    }
+    claims::check("ddio_rb_advantage_survives_every_multihop_fabric", sweep());
 }
 
-/// Disk-directed I/O is fabric-insensitive: across every topology ×
-/// contention composition its rb throughput stays within a narrow band,
-/// while TC swings by more than 2× between fabrics.
 #[test]
 fn ddio_is_fabric_insensitive_while_tc_swings() {
-    let results = sweep_results();
-    let mut ddio_min = f64::INFINITY;
-    let mut ddio_max = 0.0f64;
-    let mut tc_min = f64::INFINITY;
-    let mut tc_max = 0.0f64;
-    for topology in TopologyKind::ALL {
-        for contention in ContentionModel::ALL {
-            let fabric = NetConfig {
-                topology,
-                contention,
-            };
-            let ddio = mean_of(results, "rb", "DDIO(sort)", fabric);
-            ddio_min = ddio_min.min(ddio);
-            ddio_max = ddio_max.max(ddio);
-            let tc = mean_of(results, "rb", "TC", fabric);
-            tc_min = tc_min.min(tc);
-            tc_max = tc_max.max(tc);
-        }
-    }
-    assert!(
-        ddio_max / ddio_min < 1.25,
-        "DDIO rb swings {ddio_min:.3}..{ddio_max:.3} across fabrics"
-    );
-    assert!(
-        tc_max / tc_min > 2.0,
-        "TC rb unexpectedly stable at {tc_min:.3}..{tc_max:.3}"
-    );
+    claims::check("ddio_is_fabric_insensitive_while_tc_swings", sweep());
 }
 
 /// The satellite golden: the default fabric (torus + ni-only) and its
@@ -146,7 +44,6 @@ fn golden_fabric_snapshot() {
     const GOLDEN_DDIO_DEFAULT: f64 = 16.176845795899844;
     const GOLDEN_DDIO_TORUS_LINK: f64 = 14.638852554036946;
 
-    let results = sweep_results();
     let torus_link = NetConfig {
         topology: TopologyKind::Torus,
         contention: ContentionModel::Link,
@@ -171,7 +68,9 @@ fn golden_fabric_snapshot() {
             GOLDEN_DDIO_TORUS_LINK,
         ),
     ] {
-        let got = mean_of(results, "rb", label, fabric);
+        let (topology, net) = (fabric.topology.name(), fabric.contention.name());
+        let query = format!("net-sweep rb {label} topology={topology} net={net}");
+        let got = claims::mean(sweep(), &query).unwrap();
         assert_eq!(
             got.to_bits(),
             golden.to_bits(),
