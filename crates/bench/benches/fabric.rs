@@ -4,8 +4,10 @@
 //! construction cost of the fabric itself.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use ddio_net::{ContentionModel, Delivery, NetConfig, Network, NetworkParams};
-use ddio_sim::sync::Receiver;
+use std::cell::Cell;
+use std::rc::Rc;
+
+use ddio_net::{ContentionModel, NetConfig, Network, NetworkParams};
 use ddio_sim::Sim;
 
 const NODES: usize = 16;
@@ -24,17 +26,6 @@ fn fabrics() -> [(&'static str, NetConfig); 2] {
     ]
 }
 
-fn drain(sim: &mut Sim, rx: Receiver<u64>, expect: usize) {
-    sim.spawn(async move {
-        let mut got = 0;
-        while got < expect {
-            if rx.recv().await.is_some() {
-                got += 1;
-            }
-        }
-    });
-}
-
 /// Every other node sends synchronously to one hot receiver — the
 /// traditional-caching request shape (all CPs hammer one IOP).
 fn bench_send_storm(c: &mut Criterion) {
@@ -43,8 +34,7 @@ fn bench_send_storm(c: &mut Criterion) {
             let mut sim = Sim::new();
             b.iter(|| {
                 sim.reset();
-                let net =
-                    Network::<u64>::new(sim.context(), config, NetworkParams::default(), NODES);
+                let net = Network::new(sim.context(), config, NetworkParams::default(), NODES);
                 for from in 1..NODES {
                     let net = net.clone();
                     sim.spawn(async move {
@@ -61,29 +51,29 @@ fn bench_send_storm(c: &mut Criterion) {
 }
 
 /// One node posts (fire-and-forget) to every other node round-robin — the
-/// disk-directed Memput shape (one IOP feeding every CP).
+/// disk-directed Memput shape (one IOP feeding every CP). Each landing
+/// counts itself.
 fn bench_post_storm(c: &mut Criterion) {
     for (label, config) in fabrics() {
         c.bench_function(&format!("fabric/{label}/post_storm"), |b| {
             let mut sim = Sim::new();
             b.iter(|| {
                 sim.reset();
-                let net =
-                    Network::<u64>::new(sim.context(), config, NetworkParams::default(), NODES);
-                for to in (1..NODES).rev() {
-                    drain(&mut sim, net.inbox(to), MSGS_PER_SENDER);
-                }
+                let net = Network::new(sim.context(), config, NetworkParams::default(), NODES);
+                let landed = Rc::new(Cell::new(0));
                 {
-                    let net = net.clone();
+                    let (net, landed) = (net.clone(), Rc::clone(&landed));
                     sim.spawn(async move {
                         for i in 0..(NODES - 1) * MSGS_PER_SENDER {
                             let to = 1 + i % (NODES - 1);
-                            net.post(0, to, 8192, Delivery::Inbox(i as u64)).await;
+                            let landed = Rc::clone(&landed);
+                            let on_land = move || landed.set(landed.get() + 1);
+                            net.post(0, to, 8192, on_land).await;
                         }
                     });
                 }
                 sim.run();
-                net.messages_sent()
+                landed.get()
             });
         });
     }
@@ -96,7 +86,7 @@ fn bench_build(c: &mut Criterion) {
         let mut sim = Sim::new();
         b.iter(|| {
             sim.reset();
-            let net = Network::<u64>::new(
+            let net = Network::new(
                 sim.context(),
                 NetConfig::DEFAULT,
                 NetworkParams::default(),

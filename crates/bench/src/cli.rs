@@ -449,6 +449,7 @@ pub fn main_from_args(args: Vec<String>) -> i32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::claims;
     use ddio_core::{
         ArrivalProcess, ContentionModel, FaultPolicy, QosPolicy, RedundancyPolicy,
         ReplacementPolicy, SchedPolicy, TopologyKind,
@@ -561,19 +562,21 @@ mod tests {
 
     /// Runs `name`'s [`WHERE_CASES`] row: `--where` keeps exactly the cells
     /// the row's predicate selects, and each reports bit-for-bit what it
-    /// does in an unfiltered run.
+    /// does in the unfiltered run, the sweep's [`claims::shared`] pass.
     fn check_where_case(name: &str) {
         let (_, clauses, keep) = WHERE_CASES
             .into_iter()
             .find(|(scenario, _, _)| *scenario == name)
             .unwrap();
+        let (unfiltered, runs) = claims::shared(name);
+        let full = render(Format::Csv, &unfiltered.params, runs);
         let mut argv = vec![name, "--format", "csv", "--jobs", "2"];
-        let full = execute_run(&parse_run(&args(&argv), smoke_env).unwrap());
         for clause in clauses {
             argv.extend(["--where", clause]);
         }
         let cmd = parse_run(&args(&argv), smoke_env).unwrap();
         assert_eq!(cmd.filters.len(), clauses.len());
+        assert_eq!(cmd.params, unfiltered.params, "{name}: scales differ");
         let filtered = execute_run(&cmd);
 
         let cells = (scenario::find(name).unwrap().build)(&cmd.params);

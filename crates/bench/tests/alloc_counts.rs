@@ -6,7 +6,7 @@
 //! Everything runs inside ONE test function — the counter is process-global,
 //! and the default test runner is multi-threaded. Each workload is measured
 //! in steady state: a warm-up pass first pays one-time growth (executor
-//! slabs, cache maps, channel buffers), then the measured pass counts.
+//! slabs, cache maps, queue buffers), then the measured pass counts.
 //!
 //! The allocator also tracks live bytes and their peak, so one row bounds
 //! what a large transfer holds in flight at once.
@@ -26,10 +26,10 @@ use ddio_core::{
 use ddio_disk::{
     DiskHandle, DiskParams, DiskQueue, DiskRequest, DriveFaultPlan, Geometry, SchedPolicy,
 };
-use ddio_net::{ContentionModel, Delivery, NetConfig, Network, NetworkParams};
-use ddio_sim::sync::{CountdownEvent, Receiver, Resource};
+use ddio_net::{ContentionModel, NetConfig, Network, NetworkParams};
+use ddio_sim::sync::{CountdownEvent, Resource};
 use ddio_sim::{Sim, SimDuration};
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
 /// Counts every allocation and reallocation, and tracks the bytes live and
@@ -310,37 +310,18 @@ fn prefetch_storm(prefetchers: &mut [Prefetcher], out: &mut Vec<u64>) -> u64 {
 /// Nodes on the fabric storm's network.
 const NODES: usize = 8;
 
-/// The fabric storm's network and the inboxes of nodes `1..NODES`.
-type Fabric = (Network<u64>, Vec<Receiver<u64>>);
-
 /// Builds the fabric storm's network on `sim` with the given fabric.
-fn fabric(sim: &Sim, config: NetConfig) -> Fabric {
-    let net = Network::new(sim.context(), config, NetworkParams::default(), NODES);
-    let inboxes = (1..NODES).map(|node| net.inbox(node)).collect();
-    (net, inboxes)
+fn fabric(sim: &Sim, config: NetConfig) -> Network {
+    Network::new(sim.context(), config, NetworkParams::default(), NODES)
 }
 
 /// Fabric storm: every node hammering node 0 (sends) while node 0 posts
-/// fire-and-forget back — both network hot paths at once. Returns executor
-/// events processed and messages carried.
-fn fabric_storm(sim: &mut Sim, (net, inboxes): &Fabric) -> (u64, u64) {
-    // Divisible by NODES - 1, so the round-robin posts land evenly and every
-    // drain's expectation is exact.
+/// fire-and-forget back — both network hot paths at once. Each post's
+/// landing counts itself. Returns executor events processed and messages
+/// carried.
+fn fabric_storm(sim: &mut Sim, net: &Network) -> (u64, u64) {
     const MSGS: usize = 56;
     sim.reset();
-    fn drain(sim: &mut Sim, rx: Receiver<u64>, expect: usize) {
-        sim.spawn(async move {
-            let mut got = 0;
-            while got < expect {
-                if rx.recv().await.is_some() {
-                    got += 1;
-                }
-            }
-        });
-    }
-    for rx in inboxes.iter().rev() {
-        drain(sim, rx.clone(), MSGS / (NODES - 1));
-    }
     for from in 1..NODES {
         let net = net.clone();
         sim.spawn(async move {
@@ -349,16 +330,20 @@ fn fabric_storm(sim: &mut Sim, (net, inboxes): &Fabric) -> (u64, u64) {
             }
         });
     }
+    let landed = Rc::new(Cell::new(0));
     {
-        let net = net.clone();
+        let (net, landed) = (net.clone(), Rc::clone(&landed));
         sim.spawn(async move {
             for i in 0..MSGS {
                 let to = 1 + i % (NODES - 1);
-                net.post(0, to, 1024, Delivery::Inbox(i as u64)).await;
+                let landed = Rc::clone(&landed);
+                let on_land = move || landed.set(landed.get() + 1);
+                net.post(0, to, 1024, on_land).await;
             }
         });
     }
     sim.run();
+    assert_eq!(landed.get(), MSGS, "every post lands");
     (sim.events_processed(), (NODES * MSGS) as u64)
 }
 
@@ -465,7 +450,7 @@ fn steady_state_allocations_per_event_stay_bounded() {
     // --- Fabric, NI-only (the paper's) and link-level contention ---
     let mut sim = Sim::new();
     let net = fabric(&sim, NetConfig::DEFAULT);
-    fabric_storm(&mut sim, &net); // warm-up: NI queues + channel buffers
+    fabric_storm(&mut sim, &net); // warm-up: executor slab
     let before = allocs();
     let (events, messages) = fabric_storm(&mut sim, &net);
     let fabric_rate = (allocs() - before) as f64 / events as f64;
@@ -531,8 +516,8 @@ fn steady_state_allocations_per_event_stay_bounded() {
     // its fill (waiters must be able to clone it); a drive queue and a
     // prefetcher keep their storage, so neither allocates, and nor does a
     // request through a drive; the fabric pays one boxed
-    // task per fire-and-forget post plus channel wakes, and walking a
-    // link-model route adds nothing to that. Generous headroom
+    // task per fire-and-forget post, and walking a link-model route adds
+    // nothing to that. Generous headroom
     // over the measured rates so only a real regression (per-event churn)
     // trips them.
     assert!(

@@ -22,26 +22,27 @@
 //!   opens the CP's latch once its notification lands. A Memget carries the
 //!   latch its reply opens on landing, so neither side keeps a table of
 //!   outstanding requests.
-//! * Memputs and Memgets are the only messages that queue at a node: each
-//!   CP's dispatcher takes them from its inbox one at a time, and blocks on
-//!   its sending NI while it answers a Memget, as one CP's message handler
-//!   would.
+//! * Memputs and Memgets are the only messages that queue at a node. Each
+//!   lands in its CP's mailbox, and the first to find the CP idle starts
+//!   the CP's message handler. The handler takes them one at a time, blocks
+//!   on its sending NI while it answers a Memget, and ends once the mailbox
+//!   is empty, so no CP task outlives the transfer.
 
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
+use std::future::Future;
 use std::rc::Rc;
 
 use ddio_disk::SchedPolicy;
-use ddio_net::Delivery;
 use ddio_patterns::{AccessKind, Chunk};
-use ddio_sim::sync::{CountdownEvent, Receiver};
+use ddio_sim::sync::CountdownEvent;
 use ddio_sim::Sim;
 
 use crate::machine::{CpParts, IopParts, RunContext};
 
-/// A message that lands in a CP's inbox during a disk-directed transfer.
+/// A message that lands in a CP's mailbox during a disk-directed transfer.
 #[derive(Debug)]
-pub(crate) enum CpMessage {
+enum CpMessage {
     /// Data moved from IOP memory directly into CP memory.
     Memput {
         /// The piece of the file this data corresponds to.
@@ -62,65 +63,76 @@ pub(crate) enum CpMessage {
 struct IopServer {
     parts: Rc<IopParts>,
     run: Rc<RunContext>,
+    /// Every CP, indexed by CP number: where Memputs and Memgets land.
+    cps: Rc<[Rc<CpClient>]>,
 }
 
 impl IopServer {
-    /// Processes one block of a collective read: disk, bus, then Memputs to
-    /// the owning CPs.
-    async fn read_block(&self, block: u64) {
-        let costs = &self.run.config.costs;
-        self.parts.cpu.use_for(costs.ddio_block_cpu).await;
-        self.run.read_block(&self.parts, block).await;
+    /// Posts `msg` to CP `cp` as `bytes` on the wire; its landing hands it
+    /// to the CP.
+    fn post_to_cp(&self, cp: usize, bytes: u64, msg: CpMessage) -> impl Future<Output = ()> + '_ {
+        let client = Rc::clone(&self.cps[cp]);
+        let to = self.run.config.cp_node(cp);
+        let on_land = move || client.deliver(msg);
+        self.run.net.post(self.parts.node, to, bytes, on_land)
+    }
 
-        let (bstart, bend) = self.run.layout.block_byte_range(block);
-        let pieces = self.run.pattern.pieces_in(bstart, bend - bstart);
-        for piece in pieces {
-            self.parts.cpu.use_for(costs.memput_cpu).await;
-            // Fire-and-forget so Memputs to many CPs proceed concurrently.
-            self.run
-                .net
-                .post(
-                    self.parts.node,
-                    self.run.config.cp_node(piece.cp),
-                    costs.message_header_bytes + piece.bytes,
-                    Delivery::Inbox(CpMessage::Memput { piece }),
-                )
-                .await;
+    /// Processes one block of a collective read: disk, bus, then Memputs to
+    /// the owning CPs (an `async move` block, like `tc.rs`'s request
+    /// handler, so the future holds each argument once).
+    #[expect(
+        clippy::manual_async_fn,
+        reason = "an async fn stores every argument twice"
+    )]
+    fn read_block(&self, block: u64) -> impl Future<Output = ()> + '_ {
+        async move {
+            let costs = &self.run.config.costs;
+            self.parts.cpu.use_for(costs.ddio_block_cpu).await;
+            self.run.read_block(&self.parts, block).await;
+
+            let (bstart, bend) = self.run.layout.block_byte_range(block);
+            let pieces = self.run.pattern.pieces_in(bstart, bend - bstart);
+            for piece in pieces {
+                self.parts.cpu.use_for(costs.memput_cpu).await;
+                // Fire-and-forget so Memputs to many CPs proceed concurrently.
+                let bytes = costs.message_header_bytes + piece.bytes;
+                let msg = CpMessage::Memput { piece };
+                self.post_to_cp(piece.cp, bytes, msg).await;
+            }
         }
     }
 
     /// Processes one block of a collective write: concurrent Memgets, then
-    /// bus and disk.
-    async fn write_block(&self, block: u64) {
-        let costs = &self.run.config.costs;
-        self.parts.cpu.use_for(costs.ddio_block_cpu).await;
+    /// bus and disk (an `async move` block, like [`IopServer::read_block`]).
+    #[expect(
+        clippy::manual_async_fn,
+        reason = "an async fn stores every argument twice"
+    )]
+    fn write_block(&self, block: u64) -> impl Future<Output = ()> + '_ {
+        async move {
+            let costs = &self.run.config.costs;
+            self.parts.cpu.use_for(costs.ddio_block_cpu).await;
 
-        let (bstart, bend) = self.run.layout.block_byte_range(block);
-        let pieces = self.run.pattern.pieces_in(bstart, bend - bstart);
-        let arrived = CountdownEvent::new(pieces.len() as u64);
-        for piece in pieces {
-            self.parts.cpu.use_for(costs.memget_cpu).await;
-            let msg = CpMessage::Memget {
-                iop: self.parts.iop,
-                piece,
-                done: arrived.clone(),
-            };
+            let (bstart, bend) = self.run.layout.block_byte_range(block);
+            let pieces = self.run.pattern.pieces_in(bstart, bend - bstart);
+            let arrived = CountdownEvent::new(pieces.len() as u64);
+            for piece in pieces {
+                self.parts.cpu.use_for(costs.memget_cpu).await;
+                let msg = CpMessage::Memget {
+                    iop: self.parts.iop,
+                    piece,
+                    done: arrived.clone(),
+                };
+                self.post_to_cp(piece.cp, costs.message_header_bytes, msg)
+                    .await;
+            }
+            arrived.wait().await;
+
             self.run
-                .net
-                .post(
-                    self.parts.node,
-                    self.run.config.cp_node(piece.cp),
-                    costs.message_header_bytes,
-                    Delivery::Inbox(msg),
-                )
+                .write_block(&self.parts, block, bend - bstart)
                 .await;
+            self.run.record_file_bytes(bstart, bend - bstart);
         }
-        arrived.wait().await;
-
-        self.run
-            .write_block(&self.parts, block, bend - bstart)
-            .await;
-        self.run.record_file_bytes(bstart, bend - bstart);
     }
 
     /// Runs the whole collective operation on this IOP: build (and, under
@@ -184,14 +196,31 @@ impl IopServer {
 struct CpClient {
     parts: Rc<CpParts>,
     run: Rc<RunContext>,
+    /// Landed Memputs and Memgets the handler has not taken yet, in landing
+    /// order.
+    mailbox: RefCell<VecDeque<CpMessage>>,
+    /// True while a handler task serves the mailbox.
+    busy: Cell<bool>,
 }
 
 impl CpClient {
-    /// The CP's inbox dispatcher: absorbs Memputs and answers Memgets with
-    /// the data, whose landing opens the Memget's latch.
-    async fn dispatch(self: Rc<Self>, inbox: Receiver<CpMessage>) {
+    /// Takes a landed Memput or Memget: queues it, and starts the CP's
+    /// handler unless one is running.
+    fn deliver(self: &Rc<Self>, msg: CpMessage) {
+        self.mailbox.borrow_mut().push_back(msg);
+        if !self.busy.replace(true) {
+            self.run.ctx.spawn(Rc::clone(self).handle_mailbox());
+        }
+    }
+
+    /// The CP's message handler: takes the mailbox's messages one at a time,
+    /// absorbs Memputs and answers Memgets with the data, whose landing opens
+    /// the Memget's latch. Ends when the mailbox is empty.
+    async fn handle_mailbox(self: Rc<Self>) {
         let costs = &self.run.config.costs;
-        while let Some(msg) = inbox.recv().await {
+        loop {
+            let msg = self.mailbox.borrow_mut().pop_front();
+            let Some(msg) = msg else { break };
             self.parts.cpu.use_for(costs.cp_mem_msg_cpu).await;
             match msg {
                 CpMessage::Memput { piece } => {
@@ -207,12 +236,13 @@ impl CpClient {
                             self.parts.node,
                             self.run.config.iop_node(iop),
                             costs.message_header_bytes + piece.bytes,
-                            Delivery::Open(done),
+                            move || done.signal(),
                         )
                         .await;
                 }
             }
         }
+        self.busy.set(false);
     }
 }
 
@@ -232,6 +262,19 @@ pub(crate) fn spawn_transfer(
         AccessKind::Read
     };
 
+    // CP clients, whose handlers the IOPs' messages start.
+    let clients: Rc<[Rc<CpClient>]> = cps
+        .iter()
+        .map(|cp_parts| {
+            Rc::new(CpClient {
+                parts: Rc::clone(cp_parts),
+                run: Rc::clone(run),
+                mailbox: RefCell::new(VecDeque::new()),
+                busy: Cell::new(false),
+            })
+        })
+        .collect();
+
     // IOP servers, started by the collective request's landing.
     let servers: Rc<[Rc<IopServer>]> = run
         .iops
@@ -240,27 +283,17 @@ pub(crate) fn spawn_transfer(
             Rc::new(IopServer {
                 parts: Rc::clone(iop_parts),
                 run: Rc::clone(run),
+                cps: Rc::clone(&clients),
             })
         })
         .collect();
 
-    // CP dispatchers and application tasks. The paper's two barriers are
-    // two latches every CP signals once.
+    // CP application tasks. The paper's two barriers are two latches every
+    // CP signals once.
     let ready = CountdownEvent::new(config.n_cps as u64);
     let done = CountdownEvent::new(config.n_cps as u64);
-    for cp_parts in cps {
-        let client = Rc::new(CpClient {
-            parts: Rc::clone(cp_parts),
-            run: Rc::clone(run),
-        });
-        {
-            let client = Rc::clone(&client);
-            let inbox = run.net.inbox(cp_parts.node);
-            sim.spawn(async move {
-                client.dispatch(inbox).await;
-            });
-        }
-
+    for client in clients.iter() {
+        let client = Rc::clone(client);
         let run2 = Rc::clone(run);
         let servers = Rc::clone(&servers);
         let (ready, done) = (ready.clone(), done.clone());
@@ -303,5 +336,25 @@ pub(crate) fn spawn_transfer(
             done.wait().await;
             finished.signal();
         });
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn block_futures_store_each_argument_once() {
+        // The size of the future a function returns, read off its signature
+        // without calling it. As `async fn`s the read and write block
+        // futures held 392 and 440 bytes: every argument twice.
+        fn block<A, B, F: Future>(_: fn(A, B) -> F) -> usize {
+            std::mem::size_of::<F>()
+        }
+        let (read, write) = (block(IopServer::read_block), block(IopServer::write_block));
+        assert!(
+            read <= 320 && write <= 368,
+            "read and write block futures are {read} and {write} bytes"
+        );
     }
 }

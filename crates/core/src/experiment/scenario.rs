@@ -169,7 +169,7 @@ pub struct CellResult {
 
 /// Inputs every cell builder receives: the base machine plus the scaling
 /// knobs of the run.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SweepParams {
     /// The base machine configuration (builders clone and mutate it).
     pub base: MachineConfig,

@@ -93,8 +93,8 @@ pub(crate) struct RunContext {
     pub pattern: PatternInstance,
     /// The file's physical layout.
     pub layout: Rc<FileLayout>,
-    /// The interconnect. Only disk-directed CPs read an inbox.
-    pub net: Network<ddio::CpMessage>,
+    /// The interconnect.
+    pub net: Network,
     /// Every IOP, indexed by IOP number: block I/O reaches any drive (a
     /// reconstruction source may live on another IOP) through its owner.
     pub iops: Vec<Rc<IopParts>>,
@@ -475,8 +475,7 @@ pub fn run_transfer_in(
 
     // Interconnect: CPs occupy nodes [0, n_cps), IOPs the next n_iops nodes,
     // placed on the configured fabric (the paper's torus by default).
-    let net =
-        Network::<ddio::CpMessage>::new(ctx.clone(), config.fabric, config.net, config.n_nodes());
+    let net = Network::new(ctx.clone(), config.fabric, config.net, config.n_nodes());
     net.set_outages(fault_schedule.outages.clone());
 
     let verify = config.verify.then(|| {
@@ -593,10 +592,11 @@ pub fn run_transfer_in(
     let run_wall_start = std::time::Instant::now();
     let end = sim.run();
     let run_wall_secs = run_wall_start.elapsed().as_secs_f64();
-    match &serve_session {
-        Some(s) => assert_finished(method, pattern, &s.unfinished, "requests"),
-        None => assert_finished(method, pattern, &finished, "CPs"),
-    }
+    let (unfinished, what) = match &serve_session {
+        Some(s) => (&s.unfinished, "requests"),
+        None => (&finished, "CPs"),
+    };
+    assert_finished(method, pattern, unfinished, what, sim.live_tasks());
     let elapsed = end.duration_since(ddio_sim::SimTime::ZERO);
 
     let disk_stats: Vec<DiskStats> = iops
@@ -689,21 +689,27 @@ pub fn run_transfer_in(
     }
 }
 
-/// Panics unless `unfinished` is open once the simulation went idle: a
-/// transfer that stopped with CPs (or served requests) still outstanding did
-/// not complete, and must fail loudly rather than report a number.
+/// Panics unless `unfinished` is open and no task is left once the
+/// simulation went idle: a transfer that stopped with CPs (or served
+/// requests) still outstanding did not complete, and one that left `live`
+/// tasks parked on something nobody will signal lost track of them; either
+/// must fail loudly rather than report a number.
 fn assert_finished(
     method: Method,
     pattern: AccessPattern,
     unfinished: &CountdownEvent,
     what: &str,
+    live: usize,
 ) {
+    let (method, pattern) = (method.label(), pattern.name());
     let left = unfinished.remaining();
     assert!(
         left == 0,
-        "{} {} transfer stopped with {left} {what} unfinished",
-        method.label(),
-        pattern.name()
+        "{method} {pattern} transfer stopped with {left} {what} unfinished"
+    );
+    assert!(
+        live == 0,
+        "{method} {pattern} transfer ended with {live} tasks still parked"
     );
 }
 
@@ -797,6 +803,20 @@ mod tests {
             AccessPattern::parse("rb").unwrap(),
             &open,
             "CPs",
+            0,
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "TC wn transfer ended with 3 tasks still parked")]
+    fn a_parked_task_fails_the_transfer() {
+        let closed = CountdownEvent::new(0);
+        assert_finished(
+            Method::TC,
+            AccessPattern::parse("wn").unwrap(),
+            &closed,
+            "CPs",
+            3,
         );
     }
 

@@ -28,10 +28,11 @@
 
 use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
+use std::future::Future;
 use std::rc::Rc;
 
 use ddio_disk::SchedPolicy;
-use ddio_sim::sync::{unbounded, CountdownEvent};
+use ddio_sim::sync::CountdownEvent;
 use ddio_sim::{Sim, SimDuration, SimRng, SimTime};
 
 use crate::config::{MachineConfig, Method};
@@ -643,30 +644,37 @@ struct ServeClient {
 
 impl ServeClient {
     /// Issues one admitted request to the IOP owning its block and records
-    /// its completion when the data comes back.
-    async fn drive(self: Rc<Self>, spec: ServeRequestSpec, setup: bool) {
-        let costs = &self.run.config.costs;
-        self.parts.cpu.use_for(costs.cp_request_cpu).await;
-        let disk = self.run.layout.disk_of_block(spec.block);
-        let iop = self.run.config.iop_of_disk(disk);
-        // Serving is read-only: the request carries no data.
-        self.run
-            .net
-            .send(
-                self.parts.node,
-                self.run.config.iop_node(iop),
-                costs.message_header_bytes,
-            )
-            .await;
-        self.servers[iop]
-            .handle(self.parts.cp, spec.block, setup)
-            .await;
-        self.parts.cpu.use_for(costs.cp_mem_msg_cpu).await;
-        // The reply carries the whole block.
-        let now = self.run.ctx.now();
-        let latency = now.saturating_duration_since(spec.arrival);
-        self.session
-            .record_completion(spec.tenant, latency, self.run.block_bytes(spec.block));
+    /// its completion when the data comes back (an `async move` block, like
+    /// `tc.rs`'s requests, so the future holds each argument once).
+    #[expect(
+        clippy::manual_async_fn,
+        reason = "an async fn stores every argument twice"
+    )]
+    fn drive(self: Rc<Self>, spec: ServeRequestSpec, setup: bool) -> impl Future<Output = ()> {
+        async move {
+            let costs = &self.run.config.costs;
+            self.parts.cpu.use_for(costs.cp_request_cpu).await;
+            let disk = self.run.layout.disk_of_block(spec.block);
+            let iop = self.run.config.iop_of_disk(disk);
+            // Serving is read-only: the request carries no data.
+            self.run
+                .net
+                .send(
+                    self.parts.node,
+                    self.run.config.iop_node(iop),
+                    costs.message_header_bytes,
+                )
+                .await;
+            self.servers[iop]
+                .handle(self.parts.cp, spec.block, setup)
+                .await;
+            self.parts.cpu.use_for(costs.cp_mem_msg_cpu).await;
+            // The reply carries the whole block.
+            let now = self.run.ctx.now();
+            let latency = now.saturating_duration_since(spec.arrival);
+            self.session
+                .record_completion(spec.tenant, latency, self.run.block_bytes(spec.block));
+        }
     }
 }
 
@@ -682,39 +690,135 @@ struct ServeServer {
 impl ServeServer {
     /// Serves one request: CPU costs per the method, the disk read, the SCSI
     /// bus, and the data-carrying reply; completes when the reply has
-    /// landed.
-    async fn handle(&self, cp: usize, block: u64, setup: bool) {
-        let costs = &self.run.config.costs;
-        if self.ddio {
-            // Disk-directed: the first request of a batch's per-IOP group
-            // pays the collective setup; every request pays the block-task
-            // cost. At batch size 1 the setup dominates (traditional
-            // caching wins); a full batch amortizes it away.
-            if setup {
-                self.parts.cpu.use_for(costs.collective_setup_cpu).await;
+    /// landed (an `async move` block, like [`ServeClient::drive`]).
+    #[expect(
+        clippy::manual_async_fn,
+        reason = "an async fn stores every argument twice"
+    )]
+    fn handle(&self, cp: usize, block: u64, setup: bool) -> impl Future<Output = ()> + '_ {
+        async move {
+            let costs = &self.run.config.costs;
+            if self.ddio {
+                // Disk-directed: the first request of a batch's per-IOP group
+                // pays the collective setup; every request pays the block-task
+                // cost. At batch size 1 the setup dominates (traditional
+                // caching wins); a full batch amortizes it away.
+                if setup {
+                    self.parts.cpu.use_for(costs.collective_setup_cpu).await;
+                }
+                self.parts.cpu.use_for(costs.ddio_block_cpu).await;
+            } else {
+                self.parts.cpu.use_for(costs.iop_dispatch_cpu).await;
+                self.parts.cpu.use_for(costs.iop_cache_cpu).await;
             }
-            self.parts.cpu.use_for(costs.ddio_block_cpu).await;
-        } else {
-            self.parts.cpu.use_for(costs.iop_dispatch_cpu).await;
-            self.parts.cpu.use_for(costs.iop_cache_cpu).await;
+            let bytes = self.run.read_block(&self.parts, block).await;
+            if self.ddio {
+                self.parts.cpu.use_for(costs.memput_cpu).await;
+            } else {
+                self.parts.cpu.use_for(costs.iop_reply_cpu).await;
+            }
+            let wire = costs.message_header_bytes + bytes;
+            self.run
+                .net
+                .send(self.parts.node, self.run.config.cp_node(cp), wire)
+                .await;
         }
-        let bytes = self.run.read_block(&self.parts, block).await;
-        if self.ddio {
-            self.parts.cpu.use_for(costs.memput_cpu).await;
-        } else {
-            self.parts.cpu.use_for(costs.iop_reply_cpu).await;
-        }
-        let wire = costs.message_header_bytes + bytes;
-        self.run
-            .net
-            .send(self.parts.node, self.run.config.cp_node(cp), wire)
-            .await;
     }
 }
 
-/// Spawns every task of an open-loop serving run: per-IOP servers, per-CP
-/// clients, the arrival injector, and the admission workers. Returns the
-/// session whose recorders accumulate the run's statistics.
+/// The admission side of a serving run: the QoS queue requests wait in,
+/// and the workers that admit them.
+struct Admission {
+    queue: RefCell<AdmissionQueue>,
+    /// Admission workers running; never more than `workers`.
+    running: Cell<usize>,
+    workers: usize,
+    /// The schedule, indexed by request id.
+    specs: Vec<ServeRequestSpec>,
+    session: Rc<ServeSession>,
+    clients: Vec<Rc<ServeClient>>,
+    run: Rc<RunContext>,
+    ddio: bool,
+    presort: bool,
+}
+
+impl Admission {
+    /// Queues request `id` of `tenant`, and starts an admission worker unless
+    /// all of them are running.
+    fn arrive(self: &Rc<Self>, tenant: usize, id: u64) {
+        self.queue.borrow_mut().push(tenant, id);
+        if self.running.get() < self.workers {
+            self.running.set(self.running.get() + 1);
+            self.run.ctx.spawn(Rc::clone(self).admit());
+        }
+    }
+
+    /// One admission worker. It admits the QoS policy's next request (for
+    /// disk-directed runs, an opportunistic batch sharing one collective
+    /// setup per IOP) and issues it through CP `id % n_cps`, the request's
+    /// schedule index spread round-robin over the CPs (not the block's
+    /// owner), and waits for the whole batch before admitting more. It ends
+    /// when the queue is empty. The bounded window is what makes fair-share
+    /// starvation-free: a pending tenant is admitted within `workers ×
+    /// SERVE_BATCH` admissions.
+    async fn admit(self: Rc<Self>) {
+        let (config, layout) = (&self.run.config, &self.run.layout);
+        let batch_size = if self.ddio { SERVE_BATCH } else { 1 };
+        let mut batch: Vec<(usize, u64)> = Vec::with_capacity(batch_size);
+        loop {
+            batch.clear();
+            {
+                let mut queue = self.queue.borrow_mut();
+                batch.extend(std::iter::from_fn(|| queue.pop()).take(batch_size));
+            }
+            if batch.is_empty() {
+                break;
+            }
+            let spec = |id: u64| self.specs[id as usize];
+            if self.ddio {
+                // Group per IOP so each group shares one collective setup;
+                // the sorted variant additionally orders each group by
+                // physical location, like its block lists.
+                if self.presort {
+                    batch.sort_by_key(|&(_, id)| {
+                        let loc = layout.location(spec(id).block);
+                        (config.iop_of_disk(loc.disk), loc.start_sector)
+                    });
+                } else {
+                    batch.sort_by_key(|&(_, id)| {
+                        config.iop_of_disk(layout.disk_of_block(spec(id).block))
+                    });
+                }
+            }
+            let now = self.run.ctx.now();
+            let inflight = CountdownEvent::new(0);
+            let mut prev_iop: Option<usize> = None;
+            for &(_, id) in &batch {
+                let spec = spec(id);
+                let wait = now.saturating_duration_since(spec.arrival);
+                self.session.record_admission(wait);
+                let iop = config.iop_of_disk(layout.disk_of_block(spec.block));
+                // Under DDIO the first request of each per-IOP group
+                // carries the (amortized) collective setup.
+                let setup = self.ddio && prev_iop != Some(iop);
+                prev_iop = Some(iop);
+                let client = Rc::clone(&self.clients[id as usize % self.clients.len()]);
+                let inflight2 = inflight.clone();
+                inflight.add(1);
+                self.run.ctx.spawn(async move {
+                    client.drive(spec, setup).await;
+                    inflight2.signal();
+                });
+            }
+            inflight.wait().await;
+        }
+        self.running.set(self.running.get() - 1);
+    }
+}
+
+/// Spawns the arrival injector of an open-loop serving run, which starts
+/// admission workers as requests arrive. Returns the session whose
+/// recorders accumulate the run's statistics.
 pub(crate) fn spawn_serving(
     sim: &mut Sim,
     run: &Rc<RunContext>,
@@ -722,10 +826,8 @@ pub(crate) fn spawn_serving(
     method: Method,
     schedule: ServeConfig,
 ) -> Rc<ServeSession> {
-    let ctx = sim.context();
     let session = Rc::new(ServeSession::new(schedule.tenants, schedule.requests.len()));
     let ddio = method.is_disk_directed();
-    let presort = method.sched() == SchedPolicy::Presort;
 
     // IOP servers and CP clients.
     let servers: Rc<[ServeServer]> = run
@@ -749,101 +851,28 @@ pub(crate) fn spawn_serving(
         })
         .collect();
 
-    // The arrival injector: requests enter the shared admission queue at
-    // their scheduled virtual times, in schedule order, each announced by
-    // one token on the arrivals channel. Dropping the sender at the end of
-    // the schedule closes the channel, which releases the workers.
-    let queue = Rc::new(RefCell::new(AdmissionQueue::new(
-        schedule.qos,
-        schedule.tenants,
-    )));
-    let (arrived, arrivals) = unbounded::<()>();
-    let specs = Rc::new(schedule.requests);
-    {
-        let queue = Rc::clone(&queue);
-        let specs = Rc::clone(&specs);
-        let inject_ctx = ctx.clone();
-        sim.spawn(async move {
-            for (id, spec) in specs.iter().enumerate() {
-                inject_ctx
-                    .sleep(spec.arrival.saturating_duration_since(inject_ctx.now()))
-                    .await;
-                queue.borrow_mut().push(spec.tenant, id as u64);
-                arrived
-                    .try_send(())
-                    .expect("admission workers outlive arrivals");
-            }
-        });
-    }
+    let admission = Rc::new(Admission {
+        queue: RefCell::new(AdmissionQueue::new(schedule.qos, schedule.tenants)),
+        running: Cell::new(0),
+        workers: (2 * cps.len()).max(1),
+        specs: schedule.requests,
+        session: Rc::clone(&session),
+        clients,
+        run: Rc::clone(run),
+        ddio,
+        presort: method.sched() == SchedPolicy::Presort,
+    });
 
-    // Admission workers: each admits the QoS policy's next request (for
-    // disk-directed runs, an opportunistic batch sharing one collective
-    // setup per IOP) and issues it through CP `id % n_cps`, the request's
-    // schedule index spread round-robin over the CPs (not the block's
-    // owner), waiting for the whole batch before admitting more. The
-    // bounded window is what makes fair-share starvation-free: a pending
-    // tenant is admitted within `workers × SERVE_BATCH` admissions.
-    let workers = (2 * cps.len()).max(1);
-    let layout = Rc::clone(&run.layout);
-    let config = Rc::clone(&run.config);
-    for _ in 0..workers {
-        let queue = Rc::clone(&queue);
-        let arrivals = arrivals.clone();
-        let specs = Rc::clone(&specs);
-        let session = Rc::clone(&session);
-        let clients = clients.clone();
-        let layout = Rc::clone(&layout);
-        let config = Rc::clone(&config);
-        let worker_ctx = ctx.clone();
-        sim.spawn(async move {
-            let mut batch: Vec<(usize, u64)> = Vec::with_capacity(SERVE_BATCH);
-            // One token per queued request: holding a token entitles a
-            // worker to one pop.
-            let pop = || queue.borrow_mut().pop().expect("a token per request");
-            while arrivals.recv().await.is_some() {
-                batch.clear();
-                batch.push(pop());
-                if ddio {
-                    while batch.len() < SERVE_BATCH && arrivals.try_recv().is_some() {
-                        batch.push(pop());
-                    }
-                    // Group per IOP so each group shares one collective
-                    // setup; the sorted variant additionally orders each
-                    // group by physical location, like its block lists.
-                    if presort {
-                        batch.sort_by_key(|&(_, id)| {
-                            let loc = layout.location(specs[id as usize].block);
-                            (config.iop_of_disk(loc.disk), loc.start_sector)
-                        });
-                    } else {
-                        batch.sort_by_key(|&(_, id)| {
-                            config.iop_of_disk(layout.disk_of_block(specs[id as usize].block))
-                        });
-                    }
-                }
-                let now = worker_ctx.now();
-                let inflight = CountdownEvent::new(0);
-                let mut prev_iop: Option<usize> = None;
-                for &(_, id) in &batch {
-                    let spec = specs[id as usize];
-                    session.record_admission(now.saturating_duration_since(spec.arrival));
-                    let iop = config.iop_of_disk(layout.disk_of_block(spec.block));
-                    // Under DDIO the first request of each per-IOP group
-                    // carries the (amortized) collective setup.
-                    let setup = ddio && prev_iop != Some(iop);
-                    prev_iop = Some(iop);
-                    let client = Rc::clone(&clients[id as usize % clients.len()]);
-                    let inflight2 = inflight.clone();
-                    inflight.add(1);
-                    worker_ctx.spawn(async move {
-                        client.drive(spec, setup).await;
-                        inflight2.signal();
-                    });
-                }
-                inflight.wait().await;
-            }
-        });
-    }
+    // The arrival injector: requests enter the shared admission queue at
+    // their scheduled virtual times, in schedule order.
+    let ctx = sim.context();
+    sim.spawn(async move {
+        for (id, spec) in admission.specs.iter().enumerate() {
+            ctx.sleep(spec.arrival.saturating_duration_since(ctx.now()))
+                .await;
+            admission.arrive(spec.tenant, id as u64);
+        }
+    });
 
     session
 }
@@ -1116,5 +1145,25 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn request_futures_store_each_argument_once() {
+        // The size of the future a function returns, read off its signature
+        // without calling it.
+        fn drive<A, B, C, F: std::future::Future>(_: fn(A, B, C) -> F) -> usize {
+            std::mem::size_of::<F>()
+        }
+        fn handle<A, B, C, D, F: std::future::Future>(_: fn(A, B, C, D) -> F) -> usize {
+            std::mem::size_of::<F>()
+        }
+        // As `async fn`s the handler held 264 bytes and the request 368:
+        // every argument twice. The request awaits the handler in place, so
+        // it holds the handler's future once beside its own few words.
+        let (handle, drive) = (handle(ServeServer::handle), drive(ServeClient::drive));
+        assert!(
+            handle <= 248 && drive <= handle + 64,
+            "serving handler and request futures are {handle} and {drive} bytes"
+        );
     }
 }

@@ -20,9 +20,9 @@
 //!   message has landed, so the caller's next statement does the landing
 //!   (starts the receiver's handler, or opens the latch a waiter sleeps
 //!   on). [`Network::post`] returns once the sender's NI is free and lands
-//!   a [`Delivery`] in the background — a message into the destination's
-//!   inbox, which only a node that reads one opens ([`Network::inbox`]), or
-//!   a latch opened — for concurrent Memput/Memget traffic.
+//!   the message in the background, for concurrent Memput/Memget traffic:
+//!   the landing runs a closure the poster hands over, which opens a latch
+//!   or hands the message to its receiver.
 //!
 //! # Worked example: hop counts and uncontended latency
 //!
@@ -59,5 +59,5 @@ mod topology;
 
 pub use fabric::{ContentionModel, NetConfig};
 pub use latency::NetworkParams;
-pub use network::{Delivery, LinkStat, Network, NiOutage};
+pub use network::{LinkStat, Network, NiOutage};
 pub use topology::{Link, NodeId, Topology, TopologyKind};

@@ -5,8 +5,9 @@
 //! [`Network::send`] returns once the message has landed, so the sender's
 //! next statement is the landing: it starts the receiver's handler or opens
 //! the latch a waiter sleeps on. A [`Network::post`] returns once the
-//! sender's NI is free, and its [`Delivery`] lands in the background: a
-//! message into the destination's inbox, or a latch opened.
+//! sender's NI is free, and its landing runs in the background as a closure
+//! the poster hands over: it opens a latch, or hands the message to its
+//! receiver.
 //!
 //! Contention is a policy ([`ContentionModel`]): under the default `ni-only`
 //! model each node has one sending and one receiving DMA engine (network
@@ -21,26 +22,18 @@
 //! directed link), so overlapping routes serialize and the fabric itself can
 //! become the bottleneck.
 
-use std::cell::{Cell, OnceCell, RefCell};
+use std::cell::{Cell, RefCell};
+use std::future::Future;
+use std::marker::PhantomData;
 use std::rc::Rc;
 
 use ddio_sim::stats::Counter;
-use ddio_sim::sync::{unbounded, CountdownEvent, Receiver, Resource, ResourceName, Sender};
+use ddio_sim::sync::{Resource, ResourceName};
 use ddio_sim::{SimContext, SimDuration, SimTime};
 
 use crate::fabric::{ContentionModel, NetConfig};
 use crate::latency::NetworkParams;
 use crate::topology::{Link, NodeId, Topology};
-
-/// What a [`Network::post`]ed message does when it lands.
-#[derive(Debug)]
-pub enum Delivery<M> {
-    /// Deposit the message in the destination node's inbox, which must be
-    /// open ([`Network::inbox`]).
-    Inbox(M),
-    /// Signal a latch: the answer a waiting task sleeps on.
-    Open(CountdownEvent),
-}
 
 /// Usage counters of one directed router-to-router link (only populated
 /// under the [`ContentionModel::Link`] model).
@@ -71,19 +64,17 @@ pub struct NiOutage {
     pub until: SimTime,
 }
 
-struct Endpoint<M> {
+struct Endpoint {
     send_nic: Resource,
     recv_nic: Resource,
-    /// Set once the node opens its inbox; most nodes never do.
-    inbox: OnceCell<Sender<M>>,
 }
 
-struct Shared<M> {
+struct Shared {
     ctx: SimContext,
     config: NetConfig,
     topology: Topology,
     params: NetworkParams,
-    endpoints: Vec<Endpoint<M>>,
+    endpoints: Vec<Endpoint>,
     /// One serializing resource per directed link, created on first use
     /// (link model only). A dense `size × size` table pre-sized from the
     /// topology, indexed `from * size + to`; row-major iteration gives the
@@ -104,7 +95,7 @@ struct Shared<M> {
 /// link is booked when the message reaches it, and the message sleeps
 /// straight to the end of the booking (plus any latency after it), so a
 /// message wakes once per resource it crosses.
-impl<M> Shared<M> {
+impl Shared {
     /// How long `node` must wait out an outage window covering it at the
     /// current time; `None` when it need not wait. The healthy path (no
     /// outages installed) is one flag check, not even a `RefCell` borrow.
@@ -196,26 +187,49 @@ impl<M> Shared<M> {
     }
 }
 
-/// The interconnection network connecting `n` nodes.
-///
-/// Cloning is cheap; all clones refer to the same fabric.
-pub struct Network<M> {
-    shared: Rc<Shared<M>>,
+/// A posted message's landing: the fabric and receive-side costs, then
+/// `on_land`. Every post spawns one, so its size is pinned by a test.
+#[expect(
+    clippy::manual_async_fn,
+    reason = "an async fn stores every argument twice"
+)]
+fn landing(
+    shared: Rc<Shared>,
+    from: NodeId,
+    to: NodeId,
+    bytes: u64,
+    sent: SimTime,
+    on_land: impl FnOnce() + 'static,
+) -> impl Future<Output = ()> + 'static {
+    async move {
+        shared.land(from, to, bytes, sent).await;
+        on_land();
+    }
 }
 
-impl<M> Clone for Network<M> {
+/// The interconnection network connecting `n` nodes.
+///
+/// Cloning is cheap; all clones refer to the same fabric. The type parameter
+/// is unused and defaults to `()`; it remains so that paths naming it, such
+/// as `Network::<()>::new`, still compile.
+pub struct Network<M = ()> {
+    shared: Rc<Shared>,
+    unused: PhantomData<M>,
+}
+
+impl Clone for Network {
     fn clone(&self) -> Self {
         Network {
             shared: Rc::clone(&self.shared),
+            unused: PhantomData,
         }
     }
 }
 
-impl<M: 'static> Network<M> {
+impl Network {
     /// Builds a network of `nodes` endpoints on the configured fabric. The
     /// topology is built to fit `nodes` (the paper's 32 processors land on a
-    /// 6x6 torus). No node has an inbox until it opens one with
-    /// [`Network::inbox`].
+    /// 6x6 torus).
     pub fn new(ctx: SimContext, config: NetConfig, params: NetworkParams, nodes: usize) -> Self {
         let topology = config.topology.build(nodes);
         debug_assert!(topology.size() >= nodes);
@@ -238,7 +252,6 @@ impl<M: 'static> Network<M> {
                         suffix: ".recv-nic",
                     },
                 ),
-                inbox: OnceCell::new(),
             });
         }
         // Only the link model ever touches per-link resources; don't pay the
@@ -260,21 +273,8 @@ impl<M: 'static> Network<M> {
                 messages: Counter::new(),
                 bytes: Counter::new(),
             }),
+            unused: PhantomData,
         }
-    }
-
-    /// Opens `node`'s inbox and returns its receiving end, which
-    /// [`Delivery::Inbox`] posts to the node fill.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `node` is out of range or has already opened its inbox.
-    pub fn inbox(&self, node: NodeId) -> Receiver<M> {
-        let (tx, rx) = unbounded();
-        if self.shared.endpoints[node].inbox.set(tx).is_err() {
-            panic!("node {node} opened its inbox twice");
-        }
-        rx
     }
 
     /// Number of endpoints.
@@ -320,8 +320,12 @@ impl<M: 'static> Network<M> {
 
     /// Sends a message without waiting for it to land: the caller resumes
     /// once the sending NI has finished serializing the message; a
-    /// background task pays the fabric and receive-side costs, then lands
-    /// `delivery`.
+    /// background task pays the fabric and receive-side costs, then runs
+    /// `on_land`, which opens a latch or hands the message to its receiver.
+    /// The landing task holds `on_land` for the whole flight, so it should
+    /// carry only what starting the receiver's work needs, and spawn that
+    /// work rather than run it. (An `async move` block rather than an
+    /// `async fn`, so the future holds `on_land` once.)
     ///
     /// This is the primitive used for "concurrent Memput / Memget messages to
     /// many CPs" (§4 of the paper).
@@ -329,27 +333,25 @@ impl<M: 'static> Network<M> {
     /// # Panics
     ///
     /// Panics if either node id is out of range.
-    pub async fn post(&self, from: NodeId, to: NodeId, bytes: u64, delivery: Delivery<M>) {
-        let sent = self.shared.inject(from, to, bytes).await;
-        self.shared.ctx.sleep_until(sent).await;
-        let net = self.clone();
-        self.shared.ctx.spawn(async move {
-            net.shared.land(from, to, bytes, sent).await;
-            match delivery {
-                // Inboxes are unbounded; failure means the receiving node was
-                // torn down while traffic was still in flight, which is a
-                // protocol bug.
-                Delivery::Inbox(msg) => net.shared.endpoints[to]
-                    .inbox
-                    .get()
-                    .unwrap_or_else(|| panic!("node {to} has no inbox"))
-                    .try_send(msg)
-                    .unwrap_or_else(|_| {
-                        panic!("node {to} dropped its inbox with traffic in flight")
-                    }),
-                Delivery::Open(done) => done.signal(),
-            }
-        });
+    #[expect(
+        clippy::manual_async_fn,
+        reason = "an async fn stores every argument twice"
+    )]
+    pub fn post(
+        &self,
+        from: NodeId,
+        to: NodeId,
+        bytes: u64,
+        on_land: impl FnOnce() + 'static,
+    ) -> impl Future<Output = ()> + '_ {
+        async move {
+            let sent = self.shared.inject(from, to, bytes).await;
+            self.shared.ctx.sleep_until(sent).await;
+            let shared = Rc::clone(&self.shared);
+            self.shared
+                .ctx
+                .spawn(landing(shared, from, to, bytes, sent, on_land));
+        }
     }
 
     /// Utilization of a node's receiving NI over its active window.
@@ -399,21 +401,22 @@ impl<M: 'static> Network<M> {
 mod tests {
     use super::*;
     use crate::topology::TopologyKind;
+    use ddio_sim::sync::CountdownEvent;
     use ddio_sim::Sim;
     use std::cell::Cell;
 
-    fn build(sim: &Sim, nodes: usize) -> Network<u64> {
+    fn build(sim: &Sim, nodes: usize) -> Network {
         build_fabric(sim, nodes, NetConfig::DEFAULT)
     }
 
-    fn build_fabric(sim: &Sim, nodes: usize, config: NetConfig) -> Network<u64> {
+    fn build_fabric(sim: &Sim, nodes: usize, config: NetConfig) -> Network {
         Network::new(sim.context(), config, NetworkParams::default(), nodes)
     }
 
     /// Spawns a task that sends one message and records when it landed.
     fn send_and_time(
         sim: &mut Sim,
-        net: &Network<u64>,
+        net: &Network,
         from: NodeId,
         to: NodeId,
         bytes: u64,
@@ -466,7 +469,7 @@ mod tests {
             });
         }
         sim.spawn(async move {
-            net.post(0, 3, 8192, Delivery::Open(done)).await;
+            net.post(0, 3, 8192, move || done.signal()).await;
         });
         sim.run();
         assert_eq!(opened_at.get(), sent);
@@ -547,33 +550,27 @@ mod tests {
         let mut sim = Sim::new();
         let ctx = sim.context();
         let net = build(&sim, 4);
-        let rx3 = net.inbox(3);
         let posted_at = Rc::new(Cell::new(SimTime::ZERO));
-        let received = Rc::new(Cell::new(0u32));
+        let landed = Rc::new(RefCell::new(Vec::new()));
         {
             let net = net.clone();
             let ctx = ctx.clone();
-            let posted_at = Rc::clone(&posted_at);
+            let (posted_at, landed) = (Rc::clone(&posted_at), Rc::clone(&landed));
             sim.spawn(async move {
-                for i in 0..4u64 {
-                    net.post(0, 3, 8192, Delivery::Inbox(i)).await;
+                for _ in 0..4 {
+                    let (ctx, landed) = (ctx.clone(), Rc::clone(&landed));
+                    let on_land = move || landed.borrow_mut().push(ctx.now());
+                    net.post(0, 3, 8192, on_land).await;
                 }
                 posted_at.set(ctx.now());
             });
         }
-        {
-            let received = Rc::clone(&received);
-            sim.spawn(async move {
-                while rx3.recv().await.is_some() {
-                    received.set(received.get() + 1);
-                }
-            });
-        }
         sim.run();
         // All four posts finish after roughly 4 sender occupancies (~168 us),
-        // well before the last receive completes, and everything is delivered.
+        // before the last one lands, and everything is delivered.
         assert!(posted_at.get().as_nanos() < 200_000);
-        assert_eq!(received.get(), 4);
+        assert_eq!(landed.borrow().len(), 4);
+        assert!(landed.borrow()[3] > posted_at.get());
         assert_eq!(net.messages_sent(), 4);
     }
 
@@ -581,21 +578,13 @@ mod tests {
     fn messages_between_same_pair_preserve_order() {
         let mut sim = Sim::new();
         let net = build(&sim, 2);
-        let rx = net.inbox(1);
-        {
-            let net = net.clone();
-            sim.spawn(async move {
-                for i in 0..10u64 {
-                    net.post(0, 1, 64, Delivery::Inbox(i)).await;
-                }
-            });
-        }
         let seen = Rc::new(RefCell::new(Vec::new()));
         {
             let seen = Rc::clone(&seen);
             sim.spawn(async move {
-                while let Some(msg) = rx.recv().await {
-                    seen.borrow_mut().push(msg);
+                for i in 0..10u64 {
+                    let seen = Rc::clone(&seen);
+                    net.post(0, 1, 64, move || seen.borrow_mut().push(i)).await;
                 }
             });
         }
@@ -632,8 +621,7 @@ mod tests {
             }
             sim.spawn(async move {
                 net.send(0, 1, 8192).await;
-                net.post(0, 1, 8192, Delivery::Open(CountdownEvent::new(1)))
-                    .await;
+                net.post(0, 1, 8192, || ()).await;
             });
             let end = sim.run();
             (end, sim.events_processed())
@@ -668,6 +656,20 @@ mod tests {
     }
 
     #[test]
+    fn a_landing_stays_small() {
+        // Every post spawns one landing. A representative one hands a
+        // 40-byte message to its receiver behind an `Rc`; a landing that
+        // ran the receiver's handler inline would hold the handler's future
+        // as well.
+        let net = build(&Sim::new(), 2);
+        let (receiver, message) = (Rc::new(Cell::new(0u64)), [1u64; 5]);
+        let on_land = move || receiver.set(message.iter().sum());
+        let landing = landing(Rc::clone(&net.shared), 0, 1, 8, SimTime::ZERO, on_land);
+        let size = std::mem::size_of_val(&landing);
+        assert!(size <= 224, "a landing future is {size} bytes");
+    }
+
+    #[test]
     #[should_panic(expected = "out of range")]
     fn sending_to_unknown_node_panics() {
         let mut sim = Sim::new();
@@ -676,25 +678,5 @@ mod tests {
             net.send(0, 9, 8).await;
         });
         sim.run();
-    }
-
-    #[test]
-    #[should_panic(expected = "node 1 has no inbox")]
-    fn posting_to_a_node_without_an_inbox_panics() {
-        let mut sim = Sim::new();
-        let net = build(&sim, 2);
-        let _rx = net.inbox(0);
-        sim.spawn(async move {
-            net.post(0, 1, 8, Delivery::Inbox(7)).await;
-        });
-        sim.run();
-    }
-
-    #[test]
-    #[should_panic(expected = "node 1 opened its inbox twice")]
-    fn opening_an_inbox_twice_panics() {
-        let net = build(&Sim::new(), 2);
-        let _rx = net.inbox(1);
-        let _again = net.inbox(1);
     }
 }

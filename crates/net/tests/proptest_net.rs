@@ -106,7 +106,7 @@ proptest! {
             contention: ContentionModel::Link,
         };
         let params = NetworkParams::default();
-        let net = Network::<()>::new(sim.context(), config, params, 8);
+        let net = Network::new(sim.context(), config, params, 8);
         let mut ni_serialization = ddio_sim::SimDuration::ZERO;
         for &(from, to, bytes) in &sends {
             if from != to {

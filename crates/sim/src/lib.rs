@@ -13,37 +13,36 @@
 //! * [`Sim`] / [`SimContext`] — the executor and the handle tasks use to read
 //!   the clock, sleep, and spawn further tasks.
 //! * [`SimTime`] / [`SimDuration`] — integer-nanosecond simulated time.
-//! * [`sync`] — FIFO-fair primitives and the three ways to wait: a
-//!   single-server [`sync::Resource`] (buses, NIs, CPUs), the
-//!   [`sync::CountdownEvent`] latch (every completion, rendezvous and reply),
-//!   and a channel (every queue).
+//! * [`sync`] — FIFO-fair primitives and the two ways to wait: a booking on
+//!   a single-server [`sync::Resource`] (buses, NIs, CPUs), and the
+//!   [`sync::CountdownEvent`] latch (every completion, rendezvous and reply).
 //! * [`SimRng`] — seeded randomness, one stream per trial.
 //! * [`stats`] — counters and trial summaries.
 //! * [`policy_enum!`] — the name vocabulary every policy enum shares.
 //!
-//! # Example: two communicating processes
+//! # Example: three requests to a disk, and a client that waits for them
 //!
 //! ```
 //! use ddio_sim::{Sim, SimDuration, sync};
 //!
 //! let mut sim = Sim::new();
 //! let ctx = sim.context();
-//! let (tx, rx) = sync::unbounded::<u64>();
 //!
-//! // A "disk" that takes 10 ms per request.
-//! let disk_ctx = ctx.clone();
-//! sim.spawn(async move {
-//!     while let Some(block) = rx.recv().await {
-//!         disk_ctx.sleep(SimDuration::from_millis(10)).await;
-//!         let _ = block;
-//!     }
-//! });
+//! // A "disk" that takes 10 ms per request, serving one at a time.
+//! let disk = sync::Resource::new(ctx.clone(), "disk");
+//! let served = sync::CountdownEvent::new(3);
+//! for _block in 0..3 {
+//!     let (disk, served) = (disk.clone(), served.clone());
+//!     sim.spawn(async move {
+//!         disk.use_for(SimDuration::from_millis(10)).await;
+//!         served.signal();
+//!     });
+//! }
 //!
-//! // A client issuing three requests.
+//! // A client that sleeps until all three are served.
 //! sim.spawn(async move {
-//!     for block in 0..3 {
-//!         tx.try_send(block).unwrap();
-//!     }
+//!     served.wait().await;
+//!     assert_eq!(ctx.now().as_nanos(), 30_000_000);
 //! });
 //!
 //! let end = sim.run();

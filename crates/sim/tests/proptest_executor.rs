@@ -1,11 +1,11 @@
 //! Property-based tests of the executor itself under adversarial schedules:
-//! random scripts of spawns, sleeps, yields, and channel traffic must run
+//! random scripts of spawns, sleeps, yields, and latch traffic must run
 //! deterministically (identical final clock and event count on every run)
 //! and leave no live tasks behind after quiescence.
 
 use proptest::prelude::*;
 
-use ddio_sim::sync::unbounded;
+use ddio_sim::sync::CountdownEvent;
 use ddio_sim::{Sim, SimDuration};
 
 /// One step of a task's random script.
@@ -15,12 +15,13 @@ enum Op {
     Sleep(u64),
     /// Yield to the back of the ready queue.
     Yield,
-    /// Send one message on the shared channel.
-    Send,
-    /// Poll the shared channel without blocking. (A blocking receive could
-    /// genuinely deadlock: every script task holds a sender clone, so a
-    /// parked receiver would keep the channel open forever.)
-    Recv,
+    /// Count the shared gate down once. The gate's count is the number of
+    /// `Signal` steps in all scripts, so it opens once every one has run.
+    Signal,
+    /// Spawn a child task that waits for the gate to open. (Waiting in the
+    /// script itself could deadlock: a script that waits before its own
+    /// `Signal` would hold the gate shut.)
+    Wait,
     /// Spawn a child task that sleeps and then exits.
     SpawnChild(u64),
 }
@@ -29,8 +30,8 @@ fn op_strategy() -> impl Strategy<Value = Op> {
     prop_oneof![
         (0u64..100_000).prop_map(Op::Sleep),
         Just(Op::Yield),
-        Just(Op::Send),
-        Just(Op::Recv),
+        Just(Op::Signal),
+        Just(Op::Wait),
         (1u64..10_000).prop_map(Op::SpawnChild),
     ]
 }
@@ -39,21 +40,21 @@ fn op_strategy() -> impl Strategy<Value = Op> {
 /// observable outcome `(final time in ns, events processed)`.
 fn run_scripts(sim: &mut Sim, scripts: &[Vec<Op>]) -> (u64, u64) {
     let ctx = sim.context();
-    let (tx, rx) = unbounded::<u64>();
+    let signals = scripts.iter().flatten();
+    let signals = signals.filter(|op| matches!(op, Op::Signal)).count();
+    let gate = CountdownEvent::new(signals as u64);
     for script in scripts.iter().cloned() {
         let ctx = ctx.clone();
-        let tx = tx.clone();
-        let rx = rx.clone();
+        let gate = gate.clone();
         sim.spawn(async move {
             for op in script {
                 match op {
                     Op::Sleep(ns) => ctx.sleep(SimDuration::from_nanos(ns)).await,
                     Op::Yield => ctx.yield_now().await,
-                    Op::Send => {
-                        let _ = tx.try_send(1);
-                    }
-                    Op::Recv => {
-                        let _ = rx.try_recv();
+                    Op::Signal => gate.signal(),
+                    Op::Wait => {
+                        let gate = gate.clone();
+                        ctx.spawn(async move { gate.wait().await });
                     }
                     Op::SpawnChild(ns) => {
                         let ctx = ctx.clone();
@@ -65,10 +66,8 @@ fn run_scripts(sim: &mut Sim, scripts: &[Vec<Op>]) -> (u64, u64) {
             }
         });
     }
-    // Drop the root handles so `Recv` steps see `None` once every task-held
-    // sender is gone, and drain whatever was sent but never received.
-    drop(tx);
-    sim.spawn(async move { while rx.recv().await.is_some() {} });
+    // A last waiter, so even scripts without a `Wait` step park one task.
+    sim.spawn(async move { gate.wait().await });
     let end = sim.run();
     (end.as_nanos(), sim.events_processed())
 }

@@ -1,57 +1,58 @@
 //! Executor throughput smoke test (asim-style).
 //!
 //! Drives the runtime through its three hot paths — task spawning, timer
-//! registration/firing, and channel handoff — with a workload of roughly
-//! 100k events, and prints the measured events/sec so `--nocapture` runs
+//! registration/firing, and latch handoff — with a workload of roughly
+//! 160k events, and prints the measured events/sec so `--nocapture` runs
 //! double as a quick profile (CI runs it that way, so every log shows the
 //! executor's events/sec), then prints the fixed cost per timer as ns per
 //! sleep at three calendar depths. The assertions are correctness-only: a
 //! wall-clock floor here would flake on loaded CI machines.
 
+use std::cell::Cell;
+use std::rc::Rc;
 use std::time::Instant;
 
-use ddio_sim::sync::unbounded;
+use ddio_sim::sync::CountdownEvent;
 use ddio_sim::{Sim, SimDuration};
 
-/// Workers × rounds of sleep + send, one consumer per worker group: the mix
-/// a collective transfer produces (every request sleeps in the disk model
-/// and crosses at least one channel).
-fn spawn_sleep_channel_workload(sim: &mut Sim, workers: u64, rounds: u64) {
+/// Workers × rounds of spawn + sleep + signal: each round spawns a task that
+/// waits on a fresh latch, sleeps, then opens the latch, as a transfer's
+/// landing spawns a handler or opens the latch its requester sleeps on.
+fn spawn_sleep_handoff_workload(sim: &mut Sim, workers: u64, rounds: u64) {
     let ctx = sim.context();
-    let (tx, rx) = unbounded::<u64>();
+    let received = Rc::new(Cell::new(0u64));
+    let all = CountdownEvent::new(workers);
     for w in 0..workers {
-        let ctx = ctx.clone();
-        let tx = tx.clone();
+        let (ctx, received, all) = (ctx.clone(), Rc::clone(&received), all.clone());
         sim.spawn(async move {
             for r in 0..rounds {
+                let handoff = CountdownEvent::new(1);
+                let (waiter, received) = (handoff.clone(), Rc::clone(&received));
+                ctx.spawn(async move {
+                    waiter.wait().await;
+                    received.set(received.get() + 1);
+                });
                 // Deterministic pseudo-random spread of deadlines so the
                 // event calendar holds many distinct deadlines.
                 ctx.sleep(SimDuration::from_nanos(
                     (w * 2654435761 + r * 40503) % 50_000 + 1,
                 ))
                 .await;
-                tx.try_send(w * rounds + r).unwrap();
+                handoff.signal();
             }
+            all.signal();
         });
     }
-    drop(tx);
-    let ctx2 = ctx.clone();
     sim.spawn(async move {
-        let mut received = 0u64;
-        while let Some(_v) = rx.recv().await {
-            received += 1;
-            if received % 64 == 0 {
-                ctx2.yield_now().await;
-            }
-        }
-        assert_eq!(received, workers * rounds, "messages lost in flight");
+        all.wait().await;
+        assert_eq!(received.get(), workers * rounds, "handoffs lost in flight");
     });
 }
 
 #[test]
 fn executor_throughput_100k_events() {
     let mut sim = Sim::new();
-    spawn_sleep_channel_workload(&mut sim, 800, 50);
+    spawn_sleep_handoff_workload(&mut sim, 800, 50);
     let start = Instant::now();
     let end = sim.run();
     let wall = start.elapsed();
@@ -69,7 +70,7 @@ fn executor_throughput_100k_events() {
 fn executor_throughput_is_deterministic() {
     let run = || {
         let mut sim = Sim::new();
-        spawn_sleep_channel_workload(&mut sim, 100, 20);
+        spawn_sleep_handoff_workload(&mut sim, 100, 20);
         let end = sim.run();
         (end, sim.events_processed())
     };
